@@ -31,8 +31,9 @@ from math import comb, gcd
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exact_arith import ONE, ZERO, GaussianRational, gr
 from .poly import (
+    ONE,
+    ZERO,
     MultiPoly,
     VariableSpace,
     dagger,
@@ -190,7 +191,7 @@ def _first_harmonics(space: VariableSpace, kt: KType) -> Tuple[MultiPoly, MultiP
 def _lie_homomorphism(run: CheckRun):
     space = run.space
     sig = run.sig
-    gens = generators(*sig, "X")
+    gens = generators(*sig, "M")
     pairs = 0
     for ia, a in enumerate(gens):
         pa = pi_generator(a, space)
@@ -213,7 +214,7 @@ def _lie_homomorphism(run: CheckRun):
 def _lie_commutant(run: CheckRun):
     space = run.space
     triple = sl2_triple(space)
-    gens = generators(*run.sig, "X")
+    gens = generators(*run.sig, "M")
     checked = 0
     for g in gens:
         op = pi_generator(g, space)
@@ -244,7 +245,7 @@ def _lie_duality(run: CheckRun):
                 for j in range(n):
                     if ma[i][j] and mb[j][i]:
                         tr = tr + ma[i][j] * mb[j][i]
-            val = tr * gr(Fraction(dual_sign(b, run.p), 2))
+            val = tr * Fraction(dual_sign(b, run.p), 2)
             expect = ONE if a == b else ZERO
             if val != expect:
                 return False, None, {"failed_pair": [list(a), list(b)]}
@@ -288,7 +289,7 @@ def _lie_pbw_confluence(run: CheckRun):
 
     def straighten_last(u: EnvelopingElement) -> EnvelopingElement:
         table = _bracket_table(u.sig, u.flavor)
-        out: Dict[tuple, GaussianRational] = {}
+        out: Dict[tuple, Fraction] = {}
         stack = list(u.words.items())
         while stack:
             word, c = stack.pop()
@@ -378,7 +379,7 @@ def _weyl_ccr(run: CheckRun):
 
 def _op_family(space: VariableSpace) -> List[WeylOperator]:
     mixed = next(
-        g for g in generators(space.p, space.q, "X") if g.i <= space.p < g.j
+        g for g in generators(space.p, space.q, "M") if g.i <= space.p < g.j
     )
     return [
         euler_op(space, "x"),
@@ -537,6 +538,9 @@ def _weyl_euler(run: CheckRun):
     checked = 0
     for block in ("x", "y"):
         for k in range(min(run.k_max, 4) + 1):
+            # a one-variable block has no harmonics of degree two or more
+            if harmonic_dim(space.block_size(block), k) == 0:
+                continue
             h = harmonic_basis(space, block, k).elements[0]
             if euler(h, block) != h.scale(k):
                 return False, None, {"failed_block": block, "degree": k}
@@ -556,26 +560,22 @@ def _weyl_euler(run: CheckRun):
 def _weyl_field_axioms(run: CheckRun):
     rng = random.Random(20240819)
 
-    def rand_gr() -> GaussianRational:
-        return gr(
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-        )
+    def rand_q() -> Fraction:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
     n_triples = 40
     for _ in range(n_triples):
-        a, b, c = rand_gr(), rand_gr(), rand_gr()
+        a, b, c = rand_q(), rand_q(), rand_q()
         if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c):
             return False, None, {"failed": "associativity"}
         if a * (b + c) != a * b + a * c:
             return False, None, {"failed": "distributivity"}
         if a + (-a) != ZERO or a - a != ZERO:
             return False, None, {"failed": "additive_inverse"}
-        if a != ZERO and a * a.inverse() != ONE:
+        if a != ZERO and a * (1 / a) != ONE:
             return False, None, {"failed": "multiplicative_inverse"}
-        for part in (a.re, a.im):
-            if gcd(part.numerator, part.denominator) != 1:
-                return False, None, {"failed": "reduction"}
+        if gcd(a.numerator, a.denominator) != 1:
+            return False, None, {"failed": "reduction"}
     return True, None, {"triples_checked": n_triples}
 
 
@@ -810,7 +810,7 @@ def _module_series(run: CheckRun):
         if coeffs[0] != ONE:
             return False, None, {"bad_constant_term": str(kappa)}
         for j in range(max(coeffs)):
-            rhs = coeffs[j] * gr(Fraction(-1) / ((j + 1) * (kappa + j)))
+            rhs = coeffs[j] * (Fraction(-1) / ((j + 1) * (kappa + j)))
             if coeffs[j + 1] != rhs:
                 return False, None, {"recurrence_fails_at": j, "parameter": str(kappa)}
     poles_refused = 0
@@ -892,7 +892,7 @@ def _module_apply_linearity(run: CheckRun):
     by = harmonic_basis(space, "y", kt.l).elements
     f = typical_element(params, bx[0], by[0], D)
     g = typical_element(params, bx[-1], by[-1], D)
-    c = gr(Fraction(3, 7))
+    c = Fraction(3, 7)
     ops = [laplacian_op(space, "x"), rsq_op(space, "y"), sl2_triple(space)[1]]
     for A in ops:
         lhs = apply_operator(A, f + g.scale(c))

@@ -34,10 +34,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact_arith import I, ONE, ZERO, GaussianRational
 from .liealg import Generator, generators, pi_generator
 from .linalg import SparseRREF
 from .poly import (
+    ZERO,
     MultiPoly,
     RadialSeries,
     TruncationError,
@@ -224,11 +224,11 @@ def psi_series(alpha: Fraction, cutoff: int) -> RadialSeries:
     alpha = Fraction(alpha)
     if alpha.denominator == 1 and alpha <= 0:
         raise PsiPoleError(f"series parameter {alpha} is a non-positive integer")
-    coeffs: Dict[Tuple[int, int], GaussianRational] = {}
+    coeffs: Dict[Tuple[int, int], Fraction] = {}
     c = Fraction(1)
     j = 0
     while 4 * j <= cutoff:
-        coeffs[(j, j)] = GaussianRational(c)
+        coeffs[(j, j)] = c
         c = -c / ((j + 1) * (alpha + j))
         j += 1
     return RadialSeries(coeffs, cutoff)
@@ -460,14 +460,14 @@ def p_action_check(
 ) -> bool:
     """Verify the four-layer expansion of the mixed generator action.
 
-    Compares sqrt(-1) pi(X_{i, p+j}) f, applied directly, against the closed
-    four-term combination of shifted harmonic layers, exactly at validity
-    D - 2 (1-based i <= p, j <= q).  The sqrt(-1) prefactor makes the left
-    side a real operator, x_i y_j plus the paired second derivative, which is
-    what the layer coefficients expand.  Raise/skip policy: a layer whose
-    polynomial factor vanishes is skipped before its coefficient is formed; a
-    vanishing coefficient denominator with surviving polynomial factors
-    raises DegenerateDenominatorError (callers must exclude such K-types).
+    Compares -pi(M_{i, p+j}) f = (x_i y_j + d_{x_i} d_{y_j}) f, applied
+    directly, against the closed four-term combination of shifted harmonic
+    layers, exactly at validity D - 2 (1-based i <= p, j <= q).  This is
+    sqrt(-1) pi(X_{i, p+j}), the operator the layer coefficients expand.
+    Raise/skip policy: a layer whose polynomial factor vanishes is skipped
+    before its coefficient is formed; a vanishing coefficient denominator
+    with surviving polynomial factors raises DegenerateDenominatorError
+    (callers must exclude such K-types).
     """
     if not (1 <= i <= params.p and 1 <= j <= params.q):
         raise ValueError("need 1 <= i <= p and 1 <= j <= q")
@@ -476,8 +476,8 @@ def p_action_check(
     kt = KType(k, l, params.p, params.q)
     mu = params.mu(kt)
     f = typical_element(params, h1, h2, D)
-    gen = Generator(i, params.p + j, "X")
-    op = pi_generator(gen, params.space).scale(I)
+    gen = Generator(i, params.p + j, "M")
+    op = pi_generator(gen, params.space).scale(-1)
     lhs = apply_operator(op, f)
     v = lhs.validity
 
@@ -547,7 +547,7 @@ class ObstructionResult:
     """Outcome of the sampled solvability question for (Y, lambda)."""
 
     exists: bool
-    witness: Optional[Tuple[Dict[Generator, GaussianRational], GaussianRational]]
+    witness: Optional[Tuple[Dict[Generator, Fraction], Fraction]]
     certificate: Optional[str]
     warning: Optional[str]
     validity: int
@@ -609,7 +609,9 @@ def garfinkle_obstruction(
 ) -> ObstructionResult:
     """Decide solvability of pi(Y) f + lambda f = lambda_kappa(f) f over samples.
 
-    Builds the exact linear system in the generator coefficients of Y and the
+    Builds the exact linear system in the M-flavor generator coefficients of
+    Y (the witness is reported in these coordinates; whenever a witness
+    exists it is zero, because the eigenvalues vanish at m = 0) and the
     scalar lambda (one equation per monomial per sampled element, compared at
     validity D - 2).  Rows enter an incremental reduced echelon form in
     deterministic order until the rank stabilizes; the candidate solution is
@@ -626,7 +628,7 @@ def garfinkle_obstruction(
     if samples is None:
         samples = default_samples(params)
     space = params.space
-    gens = generators(params.p, params.q, "X")
+    gens = generators(params.p, params.q, "M")
     lam_col = len(gens)
     rhs_col = lam_col + 1
 
@@ -655,8 +657,8 @@ def garfinkle_obstruction(
     rref = SparseRREF(pivot="min", rhs_col=rhs_col)
     n_rows = 0
 
-    def build_row(lam_k, fpoly, images, key) -> Dict[int, GaussianRational]:
-        row: Dict[int, GaussianRational] = {}
+    def build_row(lam_k, fpoly, images, key) -> Dict[int, Fraction]:
+        row: Dict[int, Fraction] = {}
         for idx, img in enumerate(images):
             c = img._terms.get(key)
             if c:
@@ -664,7 +666,7 @@ def garfinkle_obstruction(
         fc = fpoly._terms.get(key)
         if fc:
             row[lam_col] = fc
-            rhs = fc.scale(lam_k)
+            rhs = fc * lam_k
             if rhs:
                 row[rhs_col] = -rhs
         return row
@@ -715,7 +717,7 @@ def garfinkle_obstruction(
         coeffs = {g: sol.get(idx, ZERO) for idx, g in enumerate(gens)}
         violation = None
         for s_idx, (lam_k, fpoly, images, keys) in enumerate(prepared):
-            residual = fpoly.scale(lam - GaussianRational(lam_k))
+            residual = fpoly.scale(lam - lam_k)
             for idx, img in enumerate(images):
                 c = coeffs[gens[idx]]
                 if c:

@@ -5,35 +5,40 @@ Two generator flavors share one index scheme (1-based, canonical i < j):
 
 * flavor "X": the signature-(p,q) basis, X_{i,j} = eps_j E_{i,j} - eps_i E_{j,i}
   with eps_k = +1 for k <= p and -1 otherwise; X_{j,i} = -X_{i,j}.
-* flavor "M": the split/compact-style basis M_{i,j} = E_{i,j} - E_{j,i} of the
-  same matrix space after conjugating the quadratic form away.
+* flavor "M": the compact basis M_{i,j} = E_{i,j} - E_{j,i} of the same
+  complexified algebra after conjugating the quadratic form away.
 
-The transport map phi rescales X-coordinates into M-coordinates (factor 1 on
-pairs inside the first block, -1 inside the second, sqrt(-1) across blocks)
-and phi_inv undoes it.
+Over C the two flavors correspond by X_{i,j} = phi_{i,j} M_{i,j}, with
+phi = 1 on pairs inside the first block, -1 inside the second and sqrt(-1)
+across blocks.  Every coefficient in this package is rational, so the
+correspondence is only used on words with an even number of mixed
+(cross-block) letters, where the product of the factors is the real sign
+returned by transport_sign; a word with an odd number raises.  Both flavors
+have rational structure constants.
 
 Enveloping-algebra elements are coefficient dicts over generator words;
 pbw_normal_form straightens words to non-decreasing generator order using the
 exact structure constants, which is a confluent rewriting, so normal forms
 are canonical and equality of enveloping elements is decidable.
 
-The representation pi sends X_{i,j} to a first-order differential operator on
-polynomials in x_1..x_p, y_1..y_q (rotation fields within a block, a
-sqrt(-1)-weighted multiplication-plus-second-derivative pair across blocks)
-and extends to words by operator composition.
+The representation pi is defined on the M flavor, where it is real: it sends
+M_{i,j} to the rotation field v_i d_j - v_j d_i within a block and to
+-(x_i y_j + d_{x_i} d_{y_j}) across blocks, and extends to words by operator
+composition.  X-flavor elements (the Casimir words, say) reach pi through
+the sign transport.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .exact_arith import I, MINUS_I, ONE, ZERO, GaussianRational
-from .poly import MultiPoly, ScalarLike, VariableSpace, _as_coeff
+from .poly import ONE, ZERO, ScalarLike, VariableSpace
 from .weyl import WeylOperator, euler_op, laplacian_op, rsq_op
 
-Matrix = List[List[GaussianRational]]
+Matrix = List[List[Fraction]]
 Signature = Tuple[int, int]
 
 
@@ -85,8 +90,8 @@ def generator_matrix(g: Generator, sig: Signature) -> Matrix:
         m[i0][j0] = ONE
         m[j0][i0] = -ONE
     elif g.flavor == "X":
-        m[i0][j0] = GaussianRational(epsilon(g.j, p))
-        m[j0][i0] = GaussianRational(-epsilon(g.i, p))
+        m[i0][j0] = Fraction(epsilon(g.j, p))
+        m[j0][i0] = Fraction(-epsilon(g.i, p))
     else:
         raise ValueError(f"unknown flavor {g.flavor!r}")
     return m
@@ -115,7 +120,7 @@ def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[a[i][j] - b[i][j] for j in range(len(a))] for i in range(n)]
 
 
-def _trace(a: Matrix) -> GaussianRational:
+def _trace(a: Matrix) -> Fraction:
     t = ZERO
     for i in range(len(a)):
         t = t + a[i][i]
@@ -131,7 +136,7 @@ class LieElement:
     __slots__ = ("sig", "flavor", "coeffs")
 
     def __init__(
-        self, sig: Signature, flavor: str, coeffs: Dict[Generator, GaussianRational]
+        self, sig: Signature, flavor: str, coeffs: Dict[Generator, Fraction]
     ) -> None:
         self.sig = sig
         self.flavor = flavor
@@ -164,8 +169,7 @@ class LieElement:
         return self + other.scale(-1)
 
     def scale(self, c: ScalarLike) -> "LieElement":
-        cc = _as_coeff(c)
-        return LieElement(self.sig, self.flavor, {g: v * cc for g, v in self.coeffs.items()})
+        return LieElement(self.sig, self.flavor, {g: v * c for g, v in self.coeffs.items()})
 
     def __neg__(self) -> "LieElement":
         return self.scale(-1)
@@ -205,14 +209,11 @@ def lie_from_matrix(z: Matrix, sig: Signature, flavor: str) -> LieElement:
     """
     p, q = sig
     n = p + q
-    coeffs: Dict[Generator, GaussianRational] = {}
+    coeffs: Dict[Generator, Fraction] = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             entry = z[i - 1][j - 1]
-            if flavor == "X":
-                c = entry.scale(epsilon(j, p))
-            else:
-                c = entry
+            c = entry * epsilon(j, p) if flavor == "X" else entry
             if c:
                 coeffs[Generator(i, j, flavor)] = c
     elt = LieElement(sig, flavor, coeffs)
@@ -222,18 +223,40 @@ def lie_from_matrix(z: Matrix, sig: Signature, flavor: str) -> LieElement:
     return elt
 
 
+_NO_TERMS: Mapping[Generator, Fraction] = MappingProxyType({})
+
+
+class _StructureConstants(dict):
+    """Bracket rows keyed by ordered generator pairs.
+
+    Only nonzero rows are stored (most pairs commute, and a table stays
+    cached for each signature and flavor); a commuting pair reads as an
+    empty mapping.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: Tuple[Generator, Generator]) -> Mapping[Generator, Fraction]:
+        return _NO_TERMS
+
+
 @lru_cache(maxsize=None)
-def _bracket_table(
-    sig: Signature, flavor: str
-) -> Dict[Tuple[Generator, Generator], Dict[Generator, GaussianRational]]:
+def _bracket_table(sig: Signature, flavor: str) -> _StructureConstants:
     """Structure constants for all ordered pairs of canonical generators."""
     gens = generators(sig[0], sig[1], flavor)
     mats = {g: generator_matrix(g, sig) for g in gens}
-    table: Dict[Tuple[Generator, Generator], Dict[Generator, GaussianRational]] = {}
+    # rows share one object per generator and per distinct constant
+    same_gen = {g: g for g in gens}
+    same_const: Dict[Fraction, Fraction] = {}
+    table = _StructureConstants()
     for ga in gens:
         for gb in gens:
             z = _mat_sub(_mat_mul(mats[ga], mats[gb]), _mat_mul(mats[gb], mats[ga]))
-            table[(ga, gb)] = dict(lie_from_matrix(z, sig, flavor).coeffs)
+            row = lie_from_matrix(z, sig, flavor).coeffs
+            if row:
+                table[(ga, gb)] = {
+                    same_gen[g]: same_const.setdefault(c, c) for g, c in row.items()
+                }
     return table
 
 
@@ -241,7 +264,7 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     """The Lie bracket, via cached structure constants."""
     a._check(b)
     table = _bracket_table(a.sig, a.flavor)
-    out: Dict[Generator, GaussianRational] = {}
+    out: Dict[Generator, Fraction] = {}
     for ga, ca in a.coeffs.items():
         for gb, cb in b.coeffs.items():
             factor = ca * cb
@@ -256,45 +279,10 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     return LieElement(a.sig, a.flavor, out)
 
 
-def form_B(a: LieElement, b: LieElement) -> GaussianRational:
+def form_B(a: LieElement, b: LieElement) -> Fraction:
     """The invariant form B(X, Y) = trace(XY) / 2."""
     a._check(b)
-    t = _trace(_mat_mul(a.to_matrix(), b.to_matrix()))
-    return t.scale(Fraction(1, 2))
-
-
-# -- transport between flavors --------------------------------------------------
-
-
-def _phi_factor(g: Generator, p: int) -> GaussianRational:
-    if g.i <= p and g.j <= p:
-        return ONE
-    if g.i > p:
-        return -ONE
-    return I
-
-
-def phi(a: LieElement) -> LieElement:
-    """Coordinate transport from the X-flavor to the M-flavor."""
-    if a.flavor != "X":
-        raise ValueError("phi expects the X flavor")
-    p = a.sig[0]
-    out = {}
-    for g, c in a.coeffs.items():
-        out[Generator(g.i, g.j, "M")] = c * _phi_factor(g, p)
-    return LieElement(a.sig, "M", out)
-
-
-def phi_inv(a: LieElement) -> LieElement:
-    """Inverse transport, M-flavor to X-flavor."""
-    if a.flavor != "M":
-        raise ValueError("phi_inv expects the M flavor")
-    p = a.sig[0]
-    out = {}
-    for g, c in a.coeffs.items():
-        gx = Generator(g.i, g.j, "X")
-        out[gx] = c * _phi_factor(gx, p).inverse()
-    return LieElement(a.sig, "X", out)
+    return _trace(_mat_mul(a.to_matrix(), b.to_matrix())) / 2
 
 
 # -- enveloping algebra ----------------------------------------------------------
@@ -309,7 +297,7 @@ class EnvelopingElement:
     __slots__ = ("sig", "flavor", "words")
 
     def __init__(
-        self, sig: Signature, flavor: str, words: Dict[Word, GaussianRational]
+        self, sig: Signature, flavor: str, words: Dict[Word, Fraction]
     ) -> None:
         self.sig = sig
         self.flavor = flavor
@@ -347,14 +335,13 @@ class EnvelopingElement:
         return self + other.scale(-1)
 
     def scale(self, c: ScalarLike) -> "EnvelopingElement":
-        cc = _as_coeff(c)
         return EnvelopingElement(
-            self.sig, self.flavor, {w: v * cc for w, v in self.words.items()}
+            self.sig, self.flavor, {w: v * c for w, v in self.words.items()}
         )
 
     def __mul__(self, other: "EnvelopingElement") -> "EnvelopingElement":
         self._check(other)
-        out: Dict[Word, GaussianRational] = {}
+        out: Dict[Word, Fraction] = {}
         for wa, ca in self.words.items():
             for wb, cb in other.words.items():
                 w = wa + wb
@@ -390,7 +377,7 @@ def pbw_normal_form(u: EnvelopingElement) -> EnvelopingElement:
     result is the canonical basis expansion, independent of rewrite order.
     """
     table = _bracket_table(u.sig, u.flavor)
-    out: Dict[Word, GaussianRational] = {}
+    out: Dict[Word, Fraction] = {}
     stack = list(u.words.items())
     while stack:
         word, c = stack.pop()
@@ -418,7 +405,7 @@ def pbw_normal_form(u: EnvelopingElement) -> EnvelopingElement:
 
 def degree2_symbol(
     u: EnvelopingElement,
-) -> Dict[Tuple[Generator, Generator], GaussianRational]:
+) -> Dict[Tuple[Generator, Generator], Fraction]:
     """Symmetric degree-2 coefficients of the PBW normal form.
 
     A sorted word (a, b) contributes c/2 at (a, b) and (b, a) when a < b and
@@ -426,10 +413,10 @@ def degree2_symbol(
     the symmetrization section is checked against.
     """
     nf = pbw_normal_form(u)
-    out: Dict[Tuple[Generator, Generator], GaussianRational] = {}
-    half = GaussianRational(Fraction(1, 2))
+    out: Dict[Tuple[Generator, Generator], Fraction] = {}
+    half = Fraction(1, 2)
 
-    def put(key: Tuple[Generator, Generator], val: GaussianRational) -> None:
+    def put(key: Tuple[Generator, Generator], val: Fraction) -> None:
         acc = out.get(key)
         acc = val if acc is None else acc + val
         if acc:
@@ -459,7 +446,7 @@ def gamma2(tensor) -> EnvelopingElement:
     for (a, b), c in coeffs.items():
         if coeffs.get((b, a), ZERO) != c:
             raise ValueError("gamma2 requires a symmetric tensor")
-    words: Dict[Word, GaussianRational] = {}
+    words: Dict[Word, Fraction] = {}
     for (a, b), c in coeffs.items():
         w = (a, b)
         acc = words.get(w)
@@ -469,6 +456,44 @@ def gamma2(tensor) -> EnvelopingElement:
         elif w in words:
             del words[w]
     return EnvelopingElement(tensor.sig, tensor.flavor, words)
+
+
+# -- transport between flavors ------------------------------------------------------
+
+
+def transport_sign(word: Sequence[Generator], p: int) -> int:
+    """The product of the factors phi over a word, a sign when it is real.
+
+    With a letters inside the second block and b mixed letters the product
+    is (-1)^a * sqrt(-1)^b, which is (-1)^(a + b/2) for even b; the same
+    sign carries the word from either flavor to the other.  Raises
+    ValueError for odd b, where the product is imaginary.
+    """
+    second = mixed = 0
+    for g in word:
+        if g.i > p:
+            second += 1
+        elif g.j > p:
+            mixed += 1
+    if mixed % 2:
+        raise ValueError("a word with an odd number of mixed generators has no real transport")
+    return -1 if (second + mixed // 2) % 2 else 1
+
+
+def transport_words(
+    words: Dict[Word, Fraction], p: int, flavor: str
+) -> Dict[Word, Fraction]:
+    """Relabel every word to the given flavor, times its transport sign."""
+    return {
+        tuple(Generator(g.i, g.j, flavor) for g in w): c * transport_sign(w, p)
+        for w, c in words.items()
+    }
+
+
+def transport_env(u: EnvelopingElement) -> EnvelopingElement:
+    """The same enveloping element written in the other flavor."""
+    flavor = "M" if u.flavor == "X" else "X"
+    return EnvelopingElement(u.sig, flavor, transport_words(u.words, u.sig[0], flavor))
 
 
 # -- Casimir elements -------------------------------------------------------------
@@ -482,19 +507,18 @@ def casimir(which: str, sig: Signature) -> EnvelopingElement:
     which = "oq": the same inside the second block.
     """
     p, q = sig
-    n = p + q
-    words: Dict[Word, GaussianRational] = {}
+    words: Dict[Word, Fraction] = {}
     if which == "g":
         for g in generators(p, q, "X"):
-            words[(g, g)] = GaussianRational(dual_sign(g, p))
+            words[(g, g)] = Fraction(dual_sign(g, p))
     elif which == "op":
         for g in generators(p, q, "X"):
             if g.j <= p:
-                words[(g, g)] = GaussianRational(-1)
+                words[(g, g)] = -ONE
     elif which == "oq":
         for g in generators(p, q, "X"):
             if g.i > p:
-                words[(g, g)] = GaussianRational(-1)
+                words[(g, g)] = -ONE
     else:
         raise ValueError("which must be 'g', 'op', or 'oq'")
     return EnvelopingElement(sig, "X", words)
@@ -505,28 +529,28 @@ def casimir(which: str, sig: Signature) -> EnvelopingElement:
 
 @lru_cache(maxsize=None)
 def pi_generator(g: Generator, space: VariableSpace) -> WeylOperator:
-    """First-order operator image of a canonical X-flavor generator."""
-    if g.flavor != "X":
-        raise ValueError("pi is defined on the X flavor")
-    p = space.p
+    """Operator image of a canonical M-flavor generator.
+
+    v_i d_j - v_j d_i for a pair inside one block, -(x_i y_j + d_{x_i} d_{y_j})
+    for a mixed pair: the X-flavor image divided by its factor phi.
+    """
+    _require_m_flavor(g.flavor)
     i0, j0 = g.i - 1, g.j - 1
-    if g.j <= p:
-        terms = {
-            (space.unit_key(i0), space.unit_key(j0)): ONE,
-            (space.unit_key(j0), space.unit_key(i0)): -ONE,
-        }
-    elif g.i > p:
-        terms = {
-            (space.unit_key(i0), space.unit_key(j0)): -ONE,
-            (space.unit_key(j0), space.unit_key(i0)): ONE,
-        }
+    ki, kj = space.unit_key(i0), space.unit_key(j0)
+    if same_block(g, space.p):
+        terms = {(ki, kj): ONE, (kj, ki): -ONE}
     else:
-        both = space.unit_key(i0) + space.unit_key(j0)
-        terms = {(both, 0): MINUS_I, (0, both): MINUS_I}
+        terms = {(ki + kj, 0): -ONE, (0, ki + kj): -ONE}
     return WeylOperator(space, terms)
 
 
+def _require_m_flavor(flavor: str) -> None:
+    if flavor != "M":
+        raise ValueError("pi is defined on the M flavor; transport X words first")
+
+
 def pi_lie(a: LieElement) -> WeylOperator:
+    _require_m_flavor(a.flavor)
     space = VariableSpace(a.sig[0], a.sig[1])
     out = WeylOperator.zero(space)
     for g, c in a.coeffs.items():
@@ -536,8 +560,7 @@ def pi_lie(a: LieElement) -> WeylOperator:
 
 def pi_env(u: EnvelopingElement, space: Optional[VariableSpace] = None) -> WeylOperator:
     """Image of an enveloping element: words become operator compositions."""
-    if u.flavor != "X":
-        raise ValueError("pi is defined on the X flavor")
+    _require_m_flavor(u.flavor)
     if space is None:
         space = VariableSpace(u.sig[0], u.sig[1])
     total = WeylOperator.zero(space)
@@ -613,4 +636,4 @@ def casimir_operator_closed(space: VariableSpace, which: str) -> WeylOperator:
 @lru_cache(maxsize=None)
 def pi_casimir(space: VariableSpace, which: str) -> WeylOperator:
     """pi of the Casimir words, composed exactly (no closed form used)."""
-    return pi_env(casimir(which, (space.p, space.q)), space)
+    return pi_env(transport_env(casimir(which, (space.p, space.q))), space)

@@ -1,7 +1,7 @@
-"""Exact sparse linear algebra over the Gaussian rationals.
+"""Exact sparse linear algebra over the rationals.
 
 Rows and vectors are dicts mapping integer column keys to nonzero
-GaussianRational entries.  Column keys only need a total order (plain ints or
+``Fraction`` entries.  Column keys only need a total order (plain ints or
 packed monomial keys); nothing here ever divides by anything unverified, and
 all reductions are exact.
 
@@ -14,11 +14,12 @@ landing in that column is an exact infeasibility certificate.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .exact_arith import ONE, GaussianRational
+Row = Dict[int, Fraction]
 
-Row = Dict[int, GaussianRational]
+_ONE = Fraction(1)
 
 
 class SparseRREF:
@@ -41,17 +42,13 @@ class SparseRREF:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, row: Row) -> Row:
-        """Return a copy of row reduced against every current pivot."""
-        return self._reduce_for_insert(row)
-
     def add_row(self, row: Row) -> Tuple[str, Optional[int]]:
         """Reduce row and absorb it.
 
         Returns ("dependent", None), ("pivot", col), or
         ("inconsistent", rhs_col).
         """
-        red = self._reduce_for_insert(row)
+        red = self.residual(row)
         if not red:
             return ("dependent", None)
         cols = red.keys()
@@ -62,9 +59,9 @@ class SparseRREF:
             pc = min(unknown) if self._prefer_min else max(unknown)
         else:
             pc = min(cols) if self._prefer_min else max(cols)
-        inv = red[pc].inverse()
+        inv = _ONE / red[pc]
         norm = {c: v * inv for c, v in red.items()}
-        norm[pc] = ONE
+        norm[pc] = _ONE
         # back-eliminate the new pivot column from existing rows
         for opc, orow in self.rows.items():
             if pc in orow:
@@ -81,15 +78,24 @@ class SparseRREF:
         self.rows[pc] = norm
         return ("pivot", pc)
 
-    def _reduce_for_insert(self, row: Row) -> Row:
-        out = {}
-        pending = dict(row)
+    def particular_solution(self) -> Row:
+        """Free unknowns 0; requires rhs_col; raises if any row is pure RHS."""
+        if self.rhs_col is None:
+            raise ValueError("no right-hand side attached")
+        sol: Row = {}
+        for pc, row in self.rows.items():
+            if pc == self.rhs_col:
+                raise ValueError("system is inconsistent")
+            c = row.get(self.rhs_col)
+            if c:
+                sol[pc] = -c
+        return sol
+
+    def residual(self, row: Row) -> Row:
+        """Reduce a copy of row against every current pivot, without inserting it."""
+        out = {col: val for col, val in row.items() if val}
         # single pass suffices: pivot rows are fully reduced, so subtracting
         # one never reintroduces another pivot column
-        for col, val in pending.items():
-            if not val:
-                continue
-            out[col] = val
         for col in list(out.keys()):
             piv = self.rows.get(col)
             if piv is None:
@@ -105,23 +111,6 @@ class SparseRREF:
                 elif c in out:
                     del out[c]
         return out
-
-    def particular_solution(self) -> Row:
-        """Free unknowns 0; requires rhs_col; raises if any row is pure RHS."""
-        if self.rhs_col is None:
-            raise ValueError("no right-hand side attached")
-        sol: Row = {}
-        for pc, row in self.rows.items():
-            if pc == self.rhs_col:
-                raise ValueError("system is inconsistent")
-            c = row.get(self.rhs_col)
-            if c:
-                sol[pc] = -c
-        return sol
-
-    def residual(self, row: Row) -> Row:
-        """Reduce a row without inserting (consistency probe)."""
-        return self._reduce_for_insert(row)
 
 
 def rref_nullspace(
@@ -143,61 +132,16 @@ def rref_nullspace(
     free_cols = [c for c in columns if c not in pivot_cols]
     basis: List[Row] = []
     for f in free_cols:
-        vec: Row = {f: ONE}
+        vec: Row = {f: _ONE}
         for pc, row in rref.rows.items():
             v = row.get(f)
             if v:
                 vec[pc] = -v
         lead = max(vec.keys())
-        inv = vec[lead].inverse()
-        if not (inv == ONE):
+        inv = _ONE / vec[lead]
+        if inv != 1:
             vec = {c: val * inv for c, val in vec.items()}
         basis.append(vec)
     basis.sort(key=lambda v: max(v.keys()), reverse=True)
     return basis
 
-
-def solve_combination(
-    vectors: List[Row],
-    target: Row,
-) -> Optional[List[GaussianRational]]:
-    """Coefficients c with sum(c_i * vectors[i]) == target, or None.
-
-    Columns of the assembled system are vector indices; rows are coordinate
-    constraints.  Free coefficients are set to zero.
-    """
-    from .exact_arith import ZERO
-
-    rhs_col = len(vectors)
-    coords = set(target.keys())
-    for v in vectors:
-        coords.update(v.keys())
-    rref = SparseRREF(pivot="min", rhs_col=rhs_col)
-    for coord in sorted(coords):
-        row: Row = {}
-        for idx, v in enumerate(vectors):
-            val = v.get(coord)
-            if val:
-                row[idx] = val
-        t = target.get(coord)
-        if t:
-            row[rhs_col] = -t
-        if row:
-            status, _ = rref.add_row(row)
-            if status == "inconsistent":
-                return None
-    sol = rref.particular_solution()
-    return [sol.get(i, ZERO) for i in range(len(vectors))]
-
-
-def dot(u: Row, v: Row) -> GaussianRational:
-    from .exact_arith import ZERO
-
-    if len(u) > len(v):
-        u, v = v, u
-    acc = ZERO
-    for c, val in u.items():
-        w = v.get(c)
-        if w:
-            acc = acc + val * w
-    return acc

@@ -9,7 +9,7 @@ and a degree bound is one shift and compare.  Exponents and total degrees are
 capped at 127, far above anything this package constructs; multiplication
 guards the cap explicitly.
 
-A polynomial is a dict from packed keys to nonzero GaussianRational
+A polynomial is a dict from packed keys to nonzero ``Fraction``
 coefficients.  MultiPoly instances are treated as immutable; every operation
 returns a fresh object.
 
@@ -28,15 +28,17 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .exact_arith import ONE, ZERO, GaussianRational, RationalLike
-from .linalg import rref_nullspace
+from .linalg import SparseRREF, rref_nullspace
 
 BITS = 7
 MAX_EXP = (1 << BITS) - 1
 
 Exponents = Tuple[int, ...]
-Coeff = GaussianRational
-ScalarLike = Union[int, Fraction, GaussianRational]
+Coeff = Fraction
+ScalarLike = Union[int, Fraction]
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class NonHomogeneousError(ValueError):
@@ -53,12 +55,6 @@ class DegenerateDaggerError(ZeroDivisionError):
 
 class TruncationError(ValueError):
     """Raised when a series cutoff is too small to support a comparison."""
-
-
-def _as_coeff(c: ScalarLike) -> GaussianRational:
-    if isinstance(c, GaussianRational):
-        return c
-    return GaussianRational(c)
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,7 @@ class VariableSpace:
 
 
 class MultiPoly:
-    """Sparse polynomial over Q(i); treat instances as immutable."""
+    """Sparse polynomial over Q; treat instances as immutable."""
 
     __slots__ = ("space", "_terms")
 
@@ -150,7 +146,7 @@ class MultiPoly:
 
     @staticmethod
     def constant(space: VariableSpace, c: ScalarLike) -> "MultiPoly":
-        cc = _as_coeff(c)
+        cc = Fraction(c)
         return MultiPoly(space, {0: cc} if cc else {})
 
     @staticmethod
@@ -167,7 +163,7 @@ class MultiPoly:
     ) -> "MultiPoly":
         terms: Dict[int, Coeff] = {}
         for exps, c in entries:
-            cc = _as_coeff(c)
+            cc = Fraction(c)
             if not cc:
                 continue
             key = space.pack(exps)
@@ -257,12 +253,11 @@ class MultiPoly:
         return self.neg()
 
     def scale(self, c: ScalarLike) -> "MultiPoly":
-        cc = _as_coeff(c)
-        if not cc:
+        if not c:
             return MultiPoly.zero(self.space)
-        if cc == ONE:
+        if c == 1:
             return self
-        return MultiPoly(self.space, {k: v * cc for k, v in self._terms.items()})
+        return MultiPoly(self.space, {k: v * c for k, v in self._terms.items()})
 
     def mul(self, other: "MultiPoly", max_degree: Optional[int] = None) -> "MultiPoly":
         """Product, optionally discarding all terms above max_degree."""
@@ -316,7 +311,7 @@ class MultiPoly:
         for k, c in self._terms.items():
             e = (k >> sh) & MAX_EXP
             if e:
-                out[k - unit] = c.scale(e)
+                out[k - unit] = c * e
         return MultiPoly(sp, out)
 
     def var_mul(self, i: int, power: int = 1) -> "MultiPoly":
@@ -368,7 +363,7 @@ def euler(f: MultiPoly, block: str) -> MultiPoly:
     for k, c in f._terms.items():
         d = sp.block_degree_of(k, block)
         if d:
-            out[k] = c.scale(d)
+            out[k] = c * d
     return MultiPoly(sp, out)
 
 
@@ -381,7 +376,7 @@ def laplacian(f: MultiPoly, block: str) -> MultiPoly:
             e = (k >> sp.shift_of(i)) & MAX_EXP
             if e >= 2:
                 nk = k - 2 * sp.unit_key(i)
-                add = c.scale(e * (e - 1))
+                add = c * (e * (e - 1))
                 a = out.get(nk)
                 a = add if a is None else a + add
                 if a:
@@ -400,7 +395,7 @@ def rsq(space: VariableSpace, block: str) -> MultiPoly:
 
 def rho(space: VariableSpace, block: str) -> MultiPoly:
     """rho = r^2 / 2 of the block."""
-    half = GaussianRational(Fraction(1, 2))
+    half = Fraction(1, 2)
     return MultiPoly(
         space, {2 * space.unit_key(i): half for i in space.block_range(block)}
     )
@@ -449,41 +444,6 @@ def _block_monomial_keys(space: VariableSpace, block: str, k: int) -> List[int]:
     return keys
 
 
-def _graded_lex_reduce(rows: List[Dict[int, Coeff]]) -> List[Dict[int, Coeff]]:
-    """Canonical reduced basis of the span: monic distinct leading keys, descending.
-
-    Packed keys compare as graded-lex, so each round takes the row with the
-    globally largest leading key, normalizes it, and eliminates that key
-    everywhere.  Later rounds only touch strictly smaller keys, so every
-    emitted row stays monic in its own leading monomial.
-    """
-    work = [dict(r) for r in rows if r]
-    out: List[Dict[int, Coeff]] = []
-    while work:
-        best = max(range(len(work)), key=lambda i: max(work[i]))
-        row = work.pop(best)
-        pc = max(row)
-        inv = row[pc].inverse()
-        row = {c: v * inv for c, v in row.items()}
-        for pool in (work, out):
-            for other in pool:
-                factor = other.get(pc)
-                if factor:
-                    del other[pc]
-                    for c, v in row.items():
-                        if c == pc:
-                            continue
-                        acc = other.get(c)
-                        acc = -(factor * v) if acc is None else acc - factor * v
-                        if acc:
-                            other[c] = acc
-                        elif c in other:
-                            del other[c]
-        work = [r for r in work if r]
-        out.append(row)
-    return out
-
-
 @lru_cache(maxsize=None)
 def harmonic_basis(space: VariableSpace, block: str, degree: int) -> HarmonicBasis:
     """All degree-`degree` harmonics of the block, as an exact nullspace basis.
@@ -502,17 +462,23 @@ def harmonic_basis(space: VariableSpace, block: str, degree: int) -> HarmonicBas
             e = space.exponent_of(src, i)
             if e >= 2:
                 tgt = src - 2 * space.unit_key(i)
-                rows.setdefault(tgt, {})[src] = GaussianRational(e * (e - 1))
+                rows.setdefault(tgt, {})[src] = Fraction(e * (e - 1))
     vectors = rref_nullspace(rows.values(), cols, pivot="max")
     expected = harmonic_dim(nblk, degree)
     if len(vectors) != expected:
         raise AssertionError(
             f"harmonic count mismatch: got {len(vectors)}, expected {expected}"
         )
-    reduced = _graded_lex_reduce([dict(v) for v in vectors])
-    if len(reduced) != expected:
+    # With pivot="max" every reduced row is monic in its graded-lex leading
+    # key and no other row touches that key: the canonical reduced basis.
+    reduced = SparseRREF(pivot="max")
+    for v in vectors:
+        reduced.add_row(v)
+    if reduced.rank != expected:
         raise AssertionError("nullspace basis was not linearly independent")
-    elements = tuple(MultiPoly(space, v) for v in reduced)
+    elements = tuple(
+        MultiPoly(space, reduced.rows[pc]) for pc in sorted(reduced.rows, reverse=True)
+    )
     return HarmonicBasis(space=space, block=block, degree=degree, elements=elements)
 
 
@@ -557,14 +523,13 @@ class RadialSeries:
 
     @staticmethod
     def constant(c: ScalarLike, cutoff: int) -> "RadialSeries":
-        return RadialSeries({(0, 0): _as_coeff(c)}, cutoff)
+        return RadialSeries({(0, 0): Fraction(c)}, cutoff)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def scale(self, c: ScalarLike) -> "RadialSeries":
-        cc = _as_coeff(c)
-        return RadialSeries({ab: v * cc for ab, v in self.coeffs.items()}, self.cutoff)
+        return RadialSeries({ab: v * c for ab, v in self.coeffs.items()}, self.cutoff)
 
     def __add__(self, other: "RadialSeries") -> "RadialSeries":
         cutoff = min(self.cutoff, other.cutoff)
@@ -598,9 +563,9 @@ class RadialSeries:
         out: Dict[Tuple[int, int], Coeff] = {}
         for (a, b), c in self.coeffs.items():
             if block == "x" and a:
-                out[(a - 1, b)] = c.scale(a)
+                out[(a - 1, b)] = c * a
             elif block == "y" and b:
-                out[(a, b - 1)] = c.scale(b)
+                out[(a, b - 1)] = c * b
         return RadialSeries(out, self.cutoff - 2)
 
     def expand(

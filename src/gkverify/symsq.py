@@ -26,12 +26,11 @@ invariant subspace under an invariant definite pairing is invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from .exact_arith import ONE, ZERO, GaussianRational
 from .gkmodule import (
     ModuleParams,
     ObstructionResult,
@@ -41,11 +40,9 @@ from .gkmodule import (
     typical_element,
 )
 from .liealg import (
-    EnvelopingElement,
     Generator,
     LieElement,
     _bracket_table,
-    _phi_factor,
     canonical,
     casimir,
     dual_sign,
@@ -54,9 +51,10 @@ from .liealg import (
     generators,
     pbw_normal_form,
     pi_generator,
+    transport_words,
 )
 from .linalg import SparseRREF, rref_nullspace
-from .poly import VariableSpace
+from .poly import ONE, ZERO, VariableSpace
 from .weyl import WeylOperator
 
 Sig = Tuple[int, int]
@@ -75,7 +73,7 @@ class SymSquareTensor:
 
     __slots__ = ("sig", "flavor", "coeffs")
 
-    def __init__(self, sig: Sig, flavor: str, coeffs: Dict[PairKey, GaussianRational]) -> None:
+    def __init__(self, sig: Sig, flavor: str, coeffs: Dict[PairKey, Fraction]) -> None:
         clean = {k: c for k, c in coeffs.items() if c}
         for (a, b), c in clean.items():
             if a.flavor != flavor or b.flavor != flavor:
@@ -113,8 +111,6 @@ class SymSquareTensor:
         return self + other.scale(-1)
 
     def scale(self, c) -> "SymSquareTensor":
-        if not isinstance(c, GaussianRational):
-            c = GaussianRational(c)
         return SymSquareTensor(
             self.sig, self.flavor, {k: v * c for k, v in self.coeffs.items()}
         )
@@ -135,7 +131,7 @@ class SymSquareTensor:
         return f"SymSquareTensor({self.sig}, {self.flavor}, {len(self.coeffs)} slots)"
 
 
-def pairing(s: SymSquareTensor, t: SymSquareTensor) -> GaussianRational:
+def pairing(s: SymSquareTensor, t: SymSquareTensor) -> Fraction:
     """Coefficient dot product over ordered pairs (the trace pairing, M flavor)."""
     s._check(t)
     a, b = (s.coeffs, t.coeffs) if len(s.coeffs) <= len(t.coeffs) else (t.coeffs, s.coeffs)
@@ -158,13 +154,13 @@ def build_Q(sig: Union[int, Sig], flavor: str = "X") -> SymSquareTensor:
     flavor it collapses to -2 on every diagonal slot.
     """
     p, q = _as_sig(sig)
-    coeffs: Dict[PairKey, GaussianRational] = {}
+    coeffs: Dict[PairKey, Fraction] = {}
     if flavor == "X":
         for g in generators(p, q, "X"):
-            coeffs[(g, g)] = GaussianRational(2 * dual_sign(g, p))
+            coeffs[(g, g)] = Fraction(2 * dual_sign(g, p))
     elif flavor == "M":
         for g in generators(p, q, "M"):
-            coeffs[(g, g)] = GaussianRational(-2)
+            coeffs[(g, g)] = Fraction(-2)
     else:
         raise ValueError("flavor must be 'X' or 'M'")
     return SymSquareTensor((p, q), flavor, coeffs)
@@ -176,8 +172,8 @@ def build_S4(sig: Union[int, Sig], i: int, j: int, k: int, l: int) -> SymSquareT
     n = p + q
     if not (1 <= i < j < k < l <= n):
         raise ValueError("need 1 <= i < j < k < l <= n")
-    half = GaussianRational(Fraction(1, 2))
-    coeffs: Dict[PairKey, GaussianRational] = {}
+    half = Fraction(1, 2)
+    coeffs: Dict[PairKey, Fraction] = {}
     for (a, b), (c, d), sgn in (
         ((i, j), (k, l), 1),
         ((i, k), (j, l), -1),
@@ -185,7 +181,7 @@ def build_S4(sig: Union[int, Sig], i: int, j: int, k: int, l: int) -> SymSquareT
     ):
         g1 = Generator(a, b, "M")
         g2 = Generator(c, d, "M")
-        v = half.scale(sgn)
+        v = half * sgn
         coeffs[(g1, g2)] = coeffs.get((g1, g2), ZERO) + v
         coeffs[(g2, g1)] = coeffs.get((g2, g1), ZERO) + v
     return SymSquareTensor((p, q), "M", coeffs)
@@ -197,14 +193,14 @@ def build_S2(sig: Union[int, Sig], i: int, j: int) -> SymSquareTensor:
     n = p + q
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("indices out of range")
-    half = GaussianRational(Fraction(1, 2))
-    coeffs: Dict[PairKey, GaussianRational] = {}
+    half = Fraction(1, 2)
+    coeffs: Dict[PairKey, Fraction] = {}
     for k in range(1, n + 1):
         if k == i or k == j:
             continue
         gik, s1 = canonical(i, k, "M")
         gkj, s2 = canonical(k, j, "M")
-        v = half.scale(s1 * s2)
+        v = half * (s1 * s2)
         for key in ((gik, gkj), (gkj, gik)):
             acc = coeffs.get(key, ZERO) + v
             if acc:
@@ -224,7 +220,7 @@ def xi_closed_form(sig: Sig) -> SymSquareTensor:
     second-block slot, plus the invariant tensor scaled by -(p - q)/(2n).
     """
     p, q = sig
-    coeffs: Dict[PairKey, GaussianRational] = {}
+    coeffs: Dict[PairKey, Fraction] = {}
     for g in generators(p, q, "X"):
         if g.j <= p:
             coeffs[(g, g)] = -ONE
@@ -260,29 +256,20 @@ def build_Xi(sig: Sig) -> SymSquareTensor:
 
 
 def transport(t: SymSquareTensor) -> SymSquareTensor:
-    """Componentwise X-to-M transport (factor product on each slot)."""
+    """Slotwise X-to-M transport: each slot times its transport sign.
+
+    Raises ValueError on a slot with exactly one mixed generator.
+    """
     if t.flavor != "X":
         raise ValueError("transport expects the X flavor")
-    p = t.sig[0]
-    out: Dict[PairKey, GaussianRational] = {}
-    for (a, b), c in t.coeffs.items():
-        fa = _phi_factor(a, p)
-        fb = _phi_factor(b, p)
-        out[(Generator(a.i, a.j, "M"), Generator(b.i, b.j, "M"))] = c * fa * fb
-    return SymSquareTensor(t.sig, "M", out)
+    return SymSquareTensor(t.sig, "M", transport_words(t.coeffs, t.sig[0], "M"))
 
 
 def transport_inv(t: SymSquareTensor) -> SymSquareTensor:
-    """Componentwise M-to-X transport, inverse factors on each slot."""
+    """Slotwise M-to-X transport, by the same signs as transport."""
     if t.flavor != "M":
         raise ValueError("transport_inv expects the M flavor")
-    p = t.sig[0]
-    out: Dict[PairKey, GaussianRational] = {}
-    for (a, b), c in t.coeffs.items():
-        ga = Generator(a.i, a.j, "X")
-        gb = Generator(b.i, b.j, "X")
-        out[(ga, gb)] = c * _phi_factor(ga, p).inverse() * _phi_factor(gb, p).inverse()
-    return SymSquareTensor(t.sig, "X", out)
+    return SymSquareTensor(t.sig, "X", transport_words(t.coeffs, t.sig[0], "X"))
 
 
 def adjoint_action(x: LieElement, t: SymSquareTensor) -> SymSquareTensor:
@@ -290,9 +277,9 @@ def adjoint_action(x: LieElement, t: SymSquareTensor) -> SymSquareTensor:
     if x.sig != t.sig or x.flavor != t.flavor:
         raise ValueError("mismatched signature or flavor")
     table = _bracket_table(t.sig, t.flavor)
-    out: Dict[PairKey, GaussianRational] = {}
+    out: Dict[PairKey, Fraction] = {}
 
-    def put(key: PairKey, val: GaussianRational) -> None:
+    def put(key: PairKey, val: Fraction) -> None:
         acc = out.get(key)
         acc = val if acc is None else acc + val
         if acc:
@@ -312,8 +299,8 @@ def adjoint_action(x: LieElement, t: SymSquareTensor) -> SymSquareTensor:
 
 def pi_tensor(t: SymSquareTensor, space: Optional[VariableSpace] = None) -> WeylOperator:
     """Operator image of a symmetric tensor, slotwise composition of images."""
-    if t.flavor != "X":
-        raise ValueError("the operator image is defined on the X flavor")
+    if t.flavor != "M":
+        raise ValueError("the operator image is defined on the M flavor")
     if space is None:
         space = VariableSpace(t.sig[0], t.sig[1])
     total = WeylOperator.zero(space)
@@ -352,7 +339,7 @@ def s4_vanishing(sig: Sig) -> Tuple[int, bool]:
     count = 0
     all_zero = True
     for i, j, k, l in combinations(range(1, n + 1), 4):
-        op = pi_tensor(transport_inv(build_S4((p, q), i, j, k, l)), space)
+        op = pi_tensor(build_S4((p, q), i, j, k, l), space)
         count += 1
         if not op.is_zero():
             all_zero = False
@@ -403,18 +390,18 @@ def _pair_coord(a: Generator, b: Generator) -> int:
     return ((a.i * 256 + a.j) * 256 + b.i) * 256 + b.j
 
 
-def _coords(t: SymSquareTensor) -> Dict[int, GaussianRational]:
+def _coords(t: SymSquareTensor) -> Dict[int, Fraction]:
     """Unordered-coordinate vector of a symmetric tensor."""
-    out: Dict[int, GaussianRational] = {}
+    out: Dict[int, Fraction] = {}
     for (a, b), c in t.coeffs.items():
         if (a.i, a.j) <= (b.i, b.j):
             out[_pair_coord(a, b)] = c
     return out
 
 
-def _weighted_coords(t: SymSquareTensor) -> Dict[int, GaussianRational]:
+def _weighted_coords(t: SymSquareTensor) -> Dict[int, Fraction]:
     """Unordered coordinates with the pairing weights (2 off the diagonal)."""
-    out: Dict[int, GaussianRational] = {}
+    out: Dict[int, Fraction] = {}
     for (a, b), c in t.coeffs.items():
         if (a.i, a.j) < (b.i, b.j):
             out[_pair_coord(a, b)] = c + c
@@ -503,7 +490,7 @@ def decompose_S2(n: int, certify: bool = True) -> DecompositionReport:
     null = rref_nullspace(weighted, columns, pivot="max")
     e22_basis = []
     for vec in null:
-        coeffs: Dict[PairKey, GaussianRational] = {}
+        coeffs: Dict[PairKey, Fraction] = {}
         for coord, v in vec.items():
             a, b = coord_to_pair[coord]
             coeffs[(a, b)] = v

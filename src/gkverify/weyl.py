@@ -19,11 +19,11 @@ factorial and shifts exponents; both directions are exact.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Tuple
 
-from .exact_arith import ONE, GaussianRational
-from .poly import MAX_EXP, Coeff, Exponents, MultiPoly, ScalarLike, VariableSpace, _as_coeff
+from .poly import MAX_EXP, ONE, Coeff, Exponents, MultiPoly, ScalarLike, VariableSpace
 
 TermKey = Tuple[int, int]
 
@@ -61,7 +61,7 @@ class WeylOperator:
         deriv: Exponents,
         coeff: ScalarLike = 1,
     ) -> "WeylOperator":
-        c = _as_coeff(coeff)
+        c = Fraction(coeff)
         if not c:
             return WeylOperator.zero(space)
         return WeylOperator(space, {(space.pack(mono), space.pack(deriv)): c})
@@ -128,12 +128,11 @@ class WeylOperator:
         return self.scale(-1)
 
     def scale(self, c: ScalarLike) -> "WeylOperator":
-        cc = _as_coeff(c)
-        if not cc:
+        if not c:
             return WeylOperator.zero(self.space)
-        if cc == ONE:
+        if c == 1:
             return self
-        return WeylOperator(self.space, {k: v * cc for k, v in self._terms.items()})
+        return WeylOperator(self.space, {k: v * c for k, v in self._terms.items()})
 
     # -- composition ---------------------------------------------------------
 
@@ -167,7 +166,7 @@ class WeylOperator:
                         new_m[i] -= g
                         new_d[i] -= g
                     key = (sp.pack(tuple(new_m)), sp.pack(tuple(new_d)))
-                    add = base.scale(mult)
+                    add = base * mult
                     cur = acc.get(key)
                     cur = add if cur is None else cur + add
                     if cur:
@@ -219,7 +218,7 @@ class WeylOperator:
                 if not feasible:
                     continue
                 nk = ke + delta
-                add = (c * ce).scale(mult)
+                add = c * ce * mult
                 cur = out.get(nk)
                 cur = add if cur is None else cur + add
                 if cur:

@@ -73,7 +73,7 @@ def test_criterion_1_homomorphism_and_commutant(capsys):
     ok = True
     for p, q in SMALL_SIGS:
         space = VariableSpace(p, q)
-        gens = generators(p, q, "X")
+        gens = generators(p, q, "M")
         basis = {g: LieElement.basis(g, (p, q)) for g in gens}
         images = {g: pi_generator(g, space) for g in gens}
         triple = sl2_triple(space)

@@ -159,3 +159,13 @@ def test_module_entry_point_runs_as_subprocess():
     )
     assert proc.returncode == 0
     assert "lie.homomorphism" in proc.stdout
+
+
+@pytest.mark.parametrize("p, q", [(1, 3), (3, 1)])
+def test_free_suites_pass_with_a_one_variable_block(p, q, capsys):
+    # a block of size one has no harmonics of degree two or more
+    argv = ["run", "--p", str(p), "--q", str(q), "--suite", "lie,weyl", "--format", "json"]
+    code, out, _ = _run(argv, capsys)
+    report = json.loads(out)
+    bad = [(c["name"], c["detail"]) for c in report["checks"] if c["status"] != "pass"]
+    assert code == 0 and not bad

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkverify.exact_arith import ONE, gr
 from gkverify.gkmodule import (
     KType,
     ModuleParams,
@@ -24,7 +23,7 @@ from gkverify.gkmodule import (
     verify_membership,
     xi_eigenvalue_check,
 )
-from gkverify.poly import TruncationError, VariableSpace, harmonic_basis
+from gkverify.poly import ONE, TruncationError, VariableSpace, harmonic_basis
 from gkverify.weyl import WeylOperator
 
 
@@ -86,15 +85,15 @@ def test_psi_series_recurrence():
     assert set(series.coeffs) == {(j, j) for j in coeffs}
     assert coeffs[0] == ONE
     for j in range(max(coeffs)):
-        assert coeffs[j + 1] == coeffs[j] * gr(Fraction(-1) / ((j + 1) * (alpha + j)))
+        assert coeffs[j + 1] == coeffs[j] * (Fraction(-1) / ((j + 1) * (alpha + j)))
 
 
 def test_psi_series_frozen_second_coefficient():
     # c_1 = -1/alpha and c_2 = 1/(2 alpha (alpha+1))
     alpha = Fraction(3)
     series = psi_series(alpha, 8)
-    assert series.coeffs[(1, 1)] == gr(Fraction(-1, 3))
-    assert series.coeffs[(2, 2)] == gr(Fraction(1, 24))
+    assert series.coeffs[(1, 1)] == Fraction(-1, 3)
+    assert series.coeffs[(2, 2)] == Fraction(1, 24)
 
 
 def test_psi_series_pole_guard():

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkverify.exact_arith import I, MINUS_I, ONE, ZERO, gr
 from gkverify.liealg import (
     EnvelopingElement,
     Generator,
     LieElement,
+    _bracket_table,
     bracket,
     casimir,
     casimir_operator_closed,
@@ -22,20 +22,22 @@ from gkverify.liealg import (
     generators,
     lie_from_matrix,
     pbw_normal_form,
-    phi,
-    phi_inv,
     pi_casimir,
+    pi_env,
     pi_generator,
     pi_lie,
+    same_block,
     sl2_casimir_op,
     sl2_triple,
+    transport_env,
 )
-from gkverify.poly import VariableSpace
+from gkverify.poly import ONE, ZERO, VariableSpace
 from gkverify.symsq import SymSquareTensor
 from gkverify.weyl import WeylOperator
 
 SIG = (2, 2)
 GENS = generators(*SIG, "X")
+MGENS = generators(*SIG, "M")
 
 gen_strategy = st.sampled_from(GENS)
 lie_elements = st.lists(
@@ -132,34 +134,55 @@ def test_m_flavor_form_is_minus_identity():
             assert val == (-ONE if a == b else ZERO)
 
 
-@given(lie_elements, lie_elements)
-@settings(max_examples=25)
-def test_phi_is_a_bracket_isomorphism(a, b):
-    assert phi_inv(phi(a)) == a
-    assert phi(bracket(a, b)) == bracket(phi(a), phi(b))
+def test_phi_is_a_bracket_isomorphism():
+    # X_g = phi_g M_g with phi_g = 1, -1 or sqrt(-1) is a bracket isomorphism
+    # exactly when c^M_{ab,g} = c^X_{ab,g} phi_a phi_b / phi_g; the mixed
+    # letters of a, b, g add up to an even number, so the ratio is a sign
+    for sig in [(2, 2), (1, 3), (3, 2)]:
+        p = sig[0]
+
+        def parts(g):
+            return (-1 if g.i > p else 1), int(not same_block(g, p))
+
+        xtab, mtab = _bracket_table(sig, "X"), _bracket_table(sig, "M")
+        gens = generators(*sig, "X")
+        for a in gens:
+            for b in gens:
+                (sa, ma), (sb, mb) = parts(a), parts(b)
+                expect = {}
+                for g, c in xtab[(a, b)].items():
+                    sg, mg = parts(g)
+                    assert (ma + mb - mg) % 2 == 0
+                    ratio = sa * sb * sg * (-1) ** ((ma + mb - mg) // 2)
+                    expect[Generator(g.i, g.j, "M")] = c * ratio
+                key = (Generator(a.i, a.j, "M"), Generator(b.i, b.j, "M"))
+                assert mtab[key] == expect
 
 
 def test_mixed_generator_image_frozen():
-    # pi(X_{1, p+1}) = -i (x1 y1 + d_x1 d_y1)
+    # pi(M_{1, p+1}) = -(x1 y1 + d_x1 d_y1), which is pi(X_{1, p+1}) / sqrt(-1)
     space = VariableSpace(2, 2)
-    op = pi_generator(Generator(1, 3, "X"), space)
-    expect = WeylOperator.term(space, (1, 0, 1, 0), (0, 0, 0, 0), MINUS_I) + (
-        WeylOperator.term(space, (0, 0, 0, 0), (1, 0, 1, 0), MINUS_I)
+    op = pi_generator(Generator(1, 3, "M"), space)
+    expect = WeylOperator.term(space, (1, 0, 1, 0), (0, 0, 0, 0), -1) + (
+        WeylOperator.term(space, (0, 0, 0, 0), (1, 0, 1, 0), -1)
     )
     assert op == expect
+    with pytest.raises(ValueError):
+        pi_generator(Generator(1, 3, "X"), space)
 
 
 def test_same_block_image_frozen():
-    # pi(X_{1,2}) = x1 d_x2 - x2 d_x1 and pi(X_{p+1,p+2}) flips sign
+    # pi(M_{i,j}) = v_i d_j - v_j d_i in both blocks; the y-block sign flip of
+    # pi(X_{p+1,p+2}) is its factor phi = -1
     space = VariableSpace(2, 2)
-    op = pi_generator(Generator(1, 2, "X"), space)
+    op = pi_generator(Generator(1, 2, "M"), space)
     expect = WeylOperator.term(space, (1, 0, 0, 0), (0, 1, 0, 0), 1) + (
         WeylOperator.term(space, (0, 1, 0, 0), (1, 0, 0, 0), -1)
     )
     assert op == expect
-    opy = pi_generator(Generator(3, 4, "X"), space)
-    expecty = WeylOperator.term(space, (0, 0, 1, 0), (0, 0, 0, 1), -1) + (
-        WeylOperator.term(space, (0, 0, 0, 1), (0, 0, 1, 0), 1)
+    opy = pi_generator(Generator(3, 4, "M"), space)
+    expecty = WeylOperator.term(space, (0, 0, 1, 0), (0, 0, 0, 1), 1) + (
+        WeylOperator.term(space, (0, 0, 0, 1), (0, 0, 1, 0), -1)
     )
     assert opy == expecty
 
@@ -168,7 +191,7 @@ def test_homomorphism_small_signatures():
     for p, q in [(2, 2), (2, 3)]:
         sig = (p, q)
         space = VariableSpace(p, q)
-        gens = generators(p, q, "X")
+        gens = generators(p, q, "M")
         for ia, a in enumerate(gens):
             for b in gens[ia + 1 :]:
                 lhs = pi_generator(a, space).commutator(pi_generator(b, space))
@@ -179,7 +202,7 @@ def test_homomorphism_small_signatures():
 def test_commutant_small_signature():
     space = VariableSpace(2, 3)
     triple = sl2_triple(space)
-    for g in generators(2, 3, "X"):
+    for g in generators(2, 3, "M"):
         op = pi_generator(g, space)
         for z in triple:
             assert op.commutator(z).is_zero()
@@ -233,7 +256,7 @@ def test_pbw_normal_form_is_schedule_independent(word, seed):
 
 def test_pbw_sorted_words_are_fixed():
     a, b = GENS[0], GENS[1]
-    u = EnvelopingElement(SIG, "X", {(a, b): gr(2), (a, a, b): I})
+    u = EnvelopingElement(SIG, "X", {(a, b): Fraction(2), (a, a, b): Fraction(-1, 3)})
     assert pbw_normal_form(u) == u
 
 
@@ -254,9 +277,8 @@ def test_pbw_sorted_words_are_fixed():
 def test_symbol_inverts_multiplication_on_symmetric_tensors(entries):
     coeffs = {}
     for a, b, c in entries:
-        cc = gr(c)
         for key in ((a, b), (b, a)):
-            acc = coeffs.get(key, ZERO) + cc
+            acc = coeffs.get(key, ZERO) + c
             if acc:
                 coeffs[key] = acc
             elif key in coeffs:
@@ -271,7 +293,7 @@ def test_casimir_word_structure():
     full = casimir("g", sig)
     assert set(full.words) == {(g, g) for g in gens}
     for g, word_coeff in ((g, full.words[(g, g)]) for g in gens):
-        assert word_coeff == gr(dual_sign(g, 2))
+        assert word_coeff == dual_sign(g, 2)
     first = casimir("op", sig)
     assert set(first.words) == {(g, g) for g in gens if g.j <= 2}
     second = casimir("oq", sig)
@@ -295,11 +317,32 @@ def test_two_casimir_relation_small():
 def test_pi_env_respects_products():
     sig = (2, 2)
     space = VariableSpace(2, 2)
-    from gkverify.liealg import pi_env
-
-    a, b = GENS[0], GENS[3]
-    u = EnvelopingElement(sig, "X", {(a, b): gr(Fraction(1, 2)), (b,): ONE})
+    a, b = MGENS[0], MGENS[3]
+    u = EnvelopingElement(sig, "M", {(a, b): Fraction(1, 2), (b,): ONE})
     expect = pi_generator(a, space).compose(pi_generator(b, space)).scale(
         Fraction(1, 2)
     ) + pi_generator(b, space)
     assert pi_env(u, space) == expect
+    with pytest.raises(ValueError):
+        pi_env(EnvelopingElement(sig, "X", {(GENS[0],): ONE}), space)
+
+
+def _mixed_count(word):
+    return sum(not same_block(g, SIG[0]) for g in word)
+
+
+@given(words.filter(lambda w: _mixed_count(w) % 2 == 0))
+@settings(max_examples=40, deadline=None)
+def test_transport_commutes_with_pbw_normal_form(word):
+    u = EnvelopingElement(SIG, "X", {word: ONE})
+    m = transport_env(u)
+    assert m.flavor == "M"
+    assert pbw_normal_form(m) == transport_env(pbw_normal_form(u))
+    assert transport_env(m) == u
+
+
+@given(words.filter(lambda w: _mixed_count(w) % 2 == 1))
+@settings(max_examples=20, deadline=None)
+def test_transport_refuses_odd_mixed_words(word):
+    with pytest.raises(ValueError):
+        transport_env(EnvelopingElement(SIG, "X", {word: ONE}))

@@ -1,0 +1,69 @@
+"""An independent sympy oracle for the operator realization.
+
+pi(X_g) is built here from the textbook formulas, with sympy's imaginary
+unit: rotation fields within the first block, their negatives within the
+second, and -i (x_i y_j + d_{x_i} d_{y_j}) across the blocks.  Divided by the
+factor phi_g (1, -1 or i) its action on fixed polynomials must equal the
+action of the package's real pi(M_g).
+"""
+
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from gkverify.liealg import Generator, generators, pi_generator
+from gkverify.poly import MultiPoly, VariableSpace
+
+
+def _symbols(space):
+    return sympy.symbols(" ".join(space.var_name(i) for i in range(space.nvars)), seq=True)
+
+
+def _textbook_image(g, p, v):
+    """pi(X_g) as a map on sympy expressions, and the factor phi_g."""
+    a, b = v[g.i - 1], v[g.j - 1]
+    if g.j <= p:
+        return (lambda f: a * sympy.diff(f, b) - b * sympy.diff(f, a)), 1
+    if g.i > p:
+        return (lambda f: -(a * sympy.diff(f, b) - b * sympy.diff(f, a))), -1
+    return (lambda f: -sympy.I * (a * b * f + sympy.diff(f, a, b))), sympy.I
+
+
+def _to_multipoly(expr, space, v):
+    terms = sympy.Poly(expr, *v).terms()
+    return MultiPoly.from_monomials(
+        space, [(exps, Fraction(int(c.p), int(c.q))) for exps, c in terms]
+    )
+
+
+def _fixed_polys(v):
+    first, last = v[0], v[-1]
+    r = sympy.Rational
+    return [
+        first**2 * last + r(3, 2) * last**3,
+        (first + 2 * v[1]) ** 2 * (last - r(1, 3)),
+        sympy.Mul(*v) + r(-5, 7),
+        sum(x**2 for x in v) * first,
+    ]
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 2), (2, 3)])
+def test_m_images_match_the_textbook_formula(p, q):
+    space = VariableSpace(p, q)
+    v = _symbols(space)
+    for g in generators(p, q, "X"):
+        image, phi = _textbook_image(g, p, v)
+        mine = pi_generator(Generator(g.i, g.j, "M"), space)
+        for f in _fixed_polys(v):
+            want = sympy.expand(image(f) / phi)
+            assert not want.has(sympy.I)
+            got = mine.apply(_to_multipoly(f, space, v))
+            assert got == _to_multipoly(want, space, v)
+
+
+def test_import_does_not_load_sympy():
+    code = "import sys, gkverify; sys.exit('sympy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
