@@ -9,6 +9,7 @@ set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 out="${1:-$root/reports/sweep.json}"
 mkdir -p "$(dirname "$out")"
+export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
 
 python3 -m gkverify.cli run --format json --out "$out"
 echo "report written to $out"

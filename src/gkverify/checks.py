@@ -50,7 +50,7 @@ from .liealg import (
     LieElement,
     _bracket_table,
     bracket,
-    casimir_operator_closed,
+    closed_operator,
     degree2_symbol,
     dual_sign,
     gamma2,
@@ -69,7 +69,7 @@ from .gkmodule import (
     PsiPoleError,
     TruncatedElement,
     apply_operator,
-    casimir_apply,
+    closed_apply,
     garfinkle_obstruction,
     ktype_enumeration,
     p_action_check,
@@ -590,7 +590,7 @@ def _weyl_field_axioms(run: CheckRun):
 )
 def _casimir_op_closed(run: CheckRun):
     space = run.space
-    ok = pi_casimir(space, "op") == casimir_operator_closed(space, "op")
+    ok = pi_casimir(space, "op") == closed_operator(space, "op")
     return ok, None, {"block": "x"}
 
 
@@ -602,7 +602,7 @@ def _casimir_op_closed(run: CheckRun):
 )
 def _casimir_oq_closed(run: CheckRun):
     space = run.space
-    ok = pi_casimir(space, "oq") == casimir_operator_closed(space, "oq")
+    ok = pi_casimir(space, "oq") == closed_operator(space, "oq")
     return ok, None, {"block": "y"}
 
 
@@ -614,7 +614,7 @@ def _casimir_oq_closed(run: CheckRun):
 )
 def _casimir_g_closed(run: CheckRun):
     space = run.space
-    ok = pi_casimir(space, "g") == casimir_operator_closed(space, "g")
+    ok = pi_casimir(space, "g") == closed_operator(space, "g")
     return ok, None, {"block": "xy"}
 
 
@@ -654,7 +654,7 @@ def _eigenvalue_sweep(run: CheckRun, which: str):
                     if which == "g"
                     else params.casimir_scalar_block(kt, block)
                 )
-                applied = casimir_apply(which, f)
+                applied = closed_apply(which, f)
                 applied_ok = applied.agrees_with(f.scale(scalar))
                 validity = applied.validity
             if not applied_ok:
@@ -904,7 +904,7 @@ def _module_apply_linearity(run: CheckRun):
         wrapped = apply_operator(A, TruncatedElement(P, D))
         if wrapped.expansion != A.apply(P):
             return False, wrapped.validity, {"failed": "direct_agreement"}
-        if wrapped.validity != D - A.max_derivative_order():
+        if wrapped.validity != D + A.min_degree_shift():
             return False, wrapped.validity, {"failed": "validity_bookkeeping"}
     return True, D - 2, {"operators_checked": len(ops)}
 

@@ -14,10 +14,11 @@ kappa_minus = l + q/2, and Psi_alpha(u) = sum_j (-1)^j / (j! (alpha)_j) u^j.
 
 All series work is truncated at an explicit total degree D, and every
 comparison records its validity: the degree up to which stored coefficients
-are exact.  Generic operator application uses the conservative rule
-loss = max total derivative order; the staged Casimir pipelines use the exact
-per-stage rule (a derivative of order r subtracts r, a multiplication by a
-degree-g polynomial adds g), which the docstrings of the appliers spell out.
+are exact.  One rule tracks it: applying an operator adds the smallest
+|a| - |alpha| over its terms v^a d^alpha.  apply_operator uses it for a whole
+operator, and closed_apply, which runs the Casimir and sl2 closed forms of
+liealg.closed_form factor by factor, uses it for each factor (an Euler
+operator adds 0, a Laplacian -2, a multiplication by r^2 +2).
 
 The obstruction solver at the bottom asks, over a finite sample of typical
 elements f, whether some pair (Y, lambda) of a Lie-algebra element and a
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .liealg import Generator, generators, pi_generator
+from .liealg import STOCK_OPERATORS, Generator, closed_form, generators, pi_generator
 from .linalg import SparseRREF
 from .poly import (
     ZERO,
@@ -59,8 +60,7 @@ __all__ = [
     "psi_series",
     "typical_element",
     "apply_operator",
-    "sl2_apply",
-    "casimir_apply",
+    "closed_apply",
     "xi_apply",
     "verify_membership",
     "casimir_eigenvalue_check",
@@ -294,72 +294,52 @@ def typical_element(
 
 
 def apply_operator(op, f: TruncatedElement) -> TruncatedElement:
-    """Generic application with the conservative validity rule.
+    """Generic application with the exact validity rule.
 
-    The new validity is the old one minus the largest total derivative order
-    among the operator's terms; a negative result raises TruncationError.
+    The new validity is the old one plus the smallest |a| - |alpha| over the
+    operator's terms v^a d^alpha; a negative result raises TruncationError.
     """
-    loss = op.max_derivative_order()
-    return TruncatedElement(op.apply(f.expansion), f.validity - loss)
+    return TruncatedElement(op.apply(f.expansion), f.validity + op.min_degree_shift())
 
 
-def _stage_euler(f: TruncatedElement, block: str) -> TruncatedElement:
-    return TruncatedElement(euler(f.expansion, block), f.validity)
+# Fast appliers of the stock factors of closed_form words, by kind.
+_STAGES = {
+    "E": euler,
+    "L": laplacian,
+    "R": lambda g, block: g.mul(rsq(g.space, block)),
+}
 
 
-def _stage_laplacian(f: TruncatedElement, block: str) -> TruncatedElement:
-    return TruncatedElement(laplacian(f.expansion, block), f.validity - 2)
+def closed_apply(which: str, f: TruncatedElement) -> TruncatedElement:
+    """Apply the closed form of a Casimir or sl2 generator (see closed_form).
 
-
-def _stage_rsq(f: TruncatedElement, block: str) -> TruncatedElement:
-    out = f.expansion.mul(rsq(f.space, block))
-    return TruncatedElement(out, f.validity + 2)
-
-
-def sl2_apply(which: str, f: TruncatedElement) -> TruncatedElement:
-    """Apply H, X_raise ("X+"), or X_lower ("X-") with exact stage bookkeeping.
-
-    H is degree-preserving (validity unchanged); the raise/lower operators
-    carry a Laplacian, so validity drops by 2.
+    Words are applied factor by factor, rightmost first, with the fast
+    polynomial helpers; each factor's validity follows the exact rule of
+    apply_operator.
     """
-    p, q = f.space.p, f.space.q
-    if which == "H":
-        out = _stage_euler(f, "y") - _stage_euler(f, "x")
-        return out + f.scale(Fraction(q - p, 2))
-    if which == "X+":
-        return (_stage_laplacian(f, "x") + _stage_rsq(f, "y")).scale(Fraction(-1, 2))
-    if which == "X-":
-        return (_stage_rsq(f, "x") + _stage_laplacian(f, "y")).scale(Fraction(1, 2))
-    raise ValueError("which must be 'H', 'X+', or 'X-'")
+    return _apply_words(closed_form(which, f.space.p, f.space.q), f)
 
 
-def casimir_apply(which: str, f: TruncatedElement) -> TruncatedElement:
-    """Apply a Casimir closed form as an exact stage pipeline.
+def _apply_words(terms, f: TruncatedElement) -> TruncatedElement:
+    """The sum of c * word(f) over the (c, word) terms.
 
-    Block Casimirs preserve validity (every summand preserves degree); the
-    full one loses 4 through its double-Laplacian summand.  The closed forms
-    themselves are verified against the composed generator words elsewhere;
-    nothing here depends on an unproved identity.
+    Words that end in the same factor share its application, and only the
+    results on the current branch are kept alive.
     """
-    p, q = f.space.p, f.space.q
-    if which in ("op", "oq"):
-        block = "x" if which == "op" else "y"
-        nblk = p if which == "op" else q
-        e1 = _stage_euler(f, block)
-        out = _stage_euler(e1, block) + e1.scale(nblk - 2)
-        return out - _stage_rsq(_stage_laplacian(f, block), block)
-    if which == "g":
-        ex = _stage_euler(f, "x")
-        ey = _stage_euler(f, "y")
-        de = ex - ey
-        out = _stage_euler(de, "x") - _stage_euler(de, "y")
-        out = out + de.scale(p - q) - (ex + ey).scale(2)
-        out = out - _stage_rsq(_stage_rsq(f, "x"), "y")
-        out = out - _stage_rsq(_stage_laplacian(f, "x"), "x")
-        out = out - _stage_rsq(_stage_laplacian(f, "y"), "y")
-        out = out - _stage_laplacian(_stage_laplacian(f, "x"), "y")
-        return out - f.scale(p * q)
-    raise ValueError("which must be 'g', 'op', or 'oq'")
+    total = None
+    by_last: Dict[str, list] = {}
+    for c, word in terms:
+        if word:
+            by_last.setdefault(word[-1], []).append((c, word[:-1]))
+        else:
+            part = f if c == 1 else f.scale(c)
+            total = part if total is None else total + part
+    for (kind, block), rest in by_last.items():
+        gain = STOCK_OPERATORS[kind](f.space, block).min_degree_shift()
+        inner = TruncatedElement(_STAGES[kind](f.expansion, block), f.validity + gain)
+        part = _apply_words(rest, inner)
+        total = part if total is None else total + part
+    return total
 
 
 def xi_apply(f: TruncatedElement) -> TruncatedElement:
@@ -370,8 +350,8 @@ def xi_apply(f: TruncatedElement) -> TruncatedElement:
     symmetric-square suite.
     """
     p, q = f.space.p, f.space.q
-    out = casimir_apply("op", f) - casimir_apply("oq", f)
-    return out - casimir_apply("g", f).scale(Fraction(p - q, p + q))
+    out = closed_apply("op", f) - closed_apply("oq", f)
+    return out - closed_apply("g", f).scale(Fraction(p - q, p + q))
 
 
 # -- module checks ----------------------------------------------------------------
@@ -402,14 +382,14 @@ def verify_membership(params: ModuleParams, f: TruncatedElement) -> MembershipRe
         raise TruncationError(
             f"validity {f.validity} too small for the m={m} membership checks"
         )
-    hf = sl2_apply("H", f)
+    hf = closed_apply("H", f)
     weight_ok = hf.agrees_with(f.scale(sign * m))
     killer = "X+" if sign == 1 else "X-"
     lower = "X-" if sign == 1 else "X+"
-    annihilated_ok = sl2_apply(killer, f).is_zero()
+    annihilated_ok = closed_apply(killer, f).is_zero()
     g = f
     for _ in range(m + 1):
-        g = sl2_apply(lower, g)
+        g = closed_apply(lower, g)
     power_ok = g.is_zero()
     return MembershipReport(weight_ok, annihilated_ok, power_ok, power_validity)
 
@@ -432,7 +412,7 @@ def casimir_eigenvalue_check(
         ("oq", params.casimir_scalar_block(kt, "y")),
         ("g", params.casimir_scalar_g()),
     ):
-        applied = casimir_apply(which, f)
+        applied = closed_apply(which, f)
         ok = applied.agrees_with(f.scale(scalar))
         out.append(EigenvalueReport(which, scalar, ok, applied.validity))
     return out

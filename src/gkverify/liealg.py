@@ -575,62 +575,58 @@ def pi_env(u: EnvelopingElement, space: Optional[VariableSpace] = None) -> WeylO
 # -- the commuting sl2 and closed Casimir forms ---------------------------------------
 
 
-def sl2_triple(space: VariableSpace) -> Tuple[WeylOperator, WeylOperator, WeylOperator]:
-    """(H, X_raise, X_lower) commuting with every pi(generator).
+@lru_cache(maxsize=None)
+def closed_form(which: str, p: int, q: int) -> Tuple[Tuple[Fraction, Tuple[str, ...]], ...]:
+    """The Casimir images ("op", "oq", "g") and the sl2 triple ("H", "X+", "X-")
+    commuting with every pi(generator), at signature (p, q), in closed form.
 
-    H = -E_x - p/2 + E_y + q/2,
-    X_raise = -(Laplacian_x + r_y^2)/2,
-    X_lower = (r_x^2 + Laplacian_y)/2.
+    A closed form is a sum of (coefficient, word) pairs with nonzero
+    coefficients.  A word composes stock factors, the leftmost outermost: "E",
+    "L" or "R" followed by a block name is the Euler operator, the Laplacian
+    or the multiplication by r^2 of that block; the empty word is the identity.
     """
-    p, q = space.p, space.q
     half = Fraction(1, 2)
-    h = (
-        euler_op(space, "y")
-        - euler_op(space, "x")
-        + WeylOperator.identity(space).scale(Fraction(q - p, 2))
-    )
-    x_raise = (laplacian_op(space, "x") + rsq_op(space, "y")).scale(-half)
-    x_lower = (rsq_op(space, "x") + laplacian_op(space, "y")).scale(half)
-    return h, x_raise, x_lower
+    table = {
+        "op": ((1, "Ex Ex"), (p - 2, "Ex"), (-1, "Rx Lx")),
+        "oq": ((1, "Ey Ey"), (q - 2, "Ey"), (-1, "Ry Ly")),
+        "g": (
+            (1, "Ex Ex"), (-2, "Ex Ey"), (1, "Ey Ey"), (p - q - 2, "Ex"), (q - p - 2, "Ey"),
+            (-1, "Rx Ry"), (-1, "Rx Lx"), (-1, "Ry Ly"), (-1, "Lx Ly"), (-p * q, ""),
+        ),
+        "H": ((1, "Ey"), (-1, "Ex"), (Fraction(q - p, 2), "")),
+        "X+": ((-half, "Lx"), (-half, "Ry")),
+        "X-": ((half, "Rx"), (half, "Ly")),
+    }
+    if which not in table:
+        raise ValueError(f"which must be one of {', '.join(map(repr, table))}")
+    return tuple((Fraction(c), tuple(w.split())) for c, w in table[which] if c)
+
+
+# The stock factors of closed_form words, by kind.
+STOCK_OPERATORS = {"E": euler_op, "L": laplacian_op, "R": rsq_op}
+
+
+@lru_cache(maxsize=None)
+def closed_operator(space: VariableSpace, which: str) -> WeylOperator:
+    """The closed form of `which` (see closed_form) as a composed operator."""
+    out = WeylOperator.zero(space)
+    for c, word in closed_form(which, space.p, space.q):
+        op = WeylOperator.identity(space)
+        for kind, block in word:
+            op = op.compose(STOCK_OPERATORS[kind](space, block))
+        out = out + op.scale(c)
+    return out
+
+
+def sl2_triple(space: VariableSpace) -> Tuple[WeylOperator, WeylOperator, WeylOperator]:
+    """(H, X_raise, X_lower) commuting with every pi(generator)."""
+    return tuple(closed_operator(space, which) for which in ("H", "X+", "X-"))
 
 
 def sl2_casimir_op(space: VariableSpace) -> WeylOperator:
     """H^2 + 2(X_raise X_lower + X_lower X_raise) as a composed operator."""
     h, xp, xm = sl2_triple(space)
     return h.compose(h) + (xp.compose(xm) + xm.compose(xp)).scale(2)
-
-
-@lru_cache(maxsize=None)
-def casimir_operator_closed(space: VariableSpace, which: str) -> WeylOperator:
-    """Closed-form differential operators for the three Casimir images.
-
-    which = "op": E_x^2 + (p-2) E_x - r_x^2 Laplacian_x
-    which = "oq": E_y^2 + (q-2) E_y - r_y^2 Laplacian_y
-    which = "g":  (E_x-E_y)^2 + (p-q)(E_x-E_y) - 2(E_x+E_y)
-                  - (r_x^2 r_y^2 + r_x^2 Laplacian_x + r_y^2 Laplacian_y
-                     + Laplacian_x Laplacian_y) - pq
-    """
-    p, q = space.p, space.q
-    ex = euler_op(space, "x")
-    ey = euler_op(space, "y")
-    if which == "op":
-        return ex.compose(ex) + ex.scale(p - 2) - rsq_op(space, "x").compose(
-            laplacian_op(space, "x")
-        )
-    if which == "oq":
-        return ey.compose(ey) + ey.scale(q - 2) - rsq_op(space, "y").compose(
-            laplacian_op(space, "y")
-        )
-    if which == "g":
-        diff_e = ex - ey
-        out = diff_e.compose(diff_e) + diff_e.scale(p - q) - (ex + ey).scale(2)
-        out = out - rsq_op(space, "x").compose(rsq_op(space, "y"))
-        out = out - rsq_op(space, "x").compose(laplacian_op(space, "x"))
-        out = out - rsq_op(space, "y").compose(laplacian_op(space, "y"))
-        out = out - laplacian_op(space, "x").compose(laplacian_op(space, "y"))
-        out = out - WeylOperator.identity(space).scale(p * q)
-        return out
-    raise ValueError("which must be 'g', 'op', or 'oq'")
 
 
 @lru_cache(maxsize=None)

@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .linalg import SparseRREF, rref_nullspace
+from .linalg import rref_nullspace
 
 BITS = 7
 MAX_EXP = (1 << BITS) - 1
@@ -463,22 +463,16 @@ def harmonic_basis(space: VariableSpace, block: str, degree: int) -> HarmonicBas
             if e >= 2:
                 tgt = src - 2 * space.unit_key(i)
                 rows.setdefault(tgt, {})[src] = Fraction(e * (e - 1))
-    vectors = rref_nullspace(rows.values(), cols, pivot="max")
+    # With pivot="min" each nullspace vector is monic in its free column, its
+    # graded-lex leading key, and no other vector touches that column: the
+    # canonical reduced basis.
+    vectors = rref_nullspace(rows.values(), cols, pivot="min")
     expected = harmonic_dim(nblk, degree)
     if len(vectors) != expected:
         raise AssertionError(
             f"harmonic count mismatch: got {len(vectors)}, expected {expected}"
         )
-    # With pivot="max" every reduced row is monic in its graded-lex leading
-    # key and no other row touches that key: the canonical reduced basis.
-    reduced = SparseRREF(pivot="max")
-    for v in vectors:
-        reduced.add_row(v)
-    if reduced.rank != expected:
-        raise AssertionError("nullspace basis was not linearly independent")
-    elements = tuple(
-        MultiPoly(space, reduced.rows[pc]) for pc in sorted(reduced.rows, reverse=True)
-    )
+    elements = tuple(MultiPoly(space, v) for v in vectors)
     return HarmonicBasis(space=space, block=block, degree=degree, elements=elements)
 
 

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from .gkmodule import (
     ModuleParams,
     ObstructionResult,
-    casimir_apply,
+    closed_apply,
     default_samples,
     garfinkle_obstruction,
     typical_element,
@@ -622,7 +622,7 @@ def theorem_ingredients(params: ModuleParams, D: Optional[int] = None) -> Theore
     casimir_ok = True
     for kt, hx, hy in default_samples(params):
         f = typical_element(params, hx, hy, d_main)
-        if not casimir_apply("g", f).agrees_with(f.scale(scalar)):
+        if not closed_apply("g", f).agrees_with(f.scale(scalar)):
             casimir_ok = False
 
     s4_count, s4_ok = s4_vanishing((params.p, params.q))

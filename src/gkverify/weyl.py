@@ -95,6 +95,14 @@ class WeylOperator:
         ds = self.space.deg_shift
         return max((ka >> ds for _, ka in self._terms), default=0)
 
+    def min_degree_shift(self) -> int:
+        """Smallest |a| - |alpha| over the terms: how far application can lower degree."""
+        ds = self.space.deg_shift
+        return min(
+            ((km >> ds) - (ka >> ds) for km, ka in self._terms),
+            default=0,
+        )
+
     def degree_raise(self) -> int:
         """Largest |a| - |alpha| over the terms: how far application can raise degree."""
         ds = self.space.deg_shift

@@ -24,7 +24,7 @@ from gkverify.gkmodule import (
 from gkverify.liealg import (
     LieElement,
     bracket,
-    casimir_operator_closed,
+    closed_operator,
     generators,
     pi_casimir,
     pi_generator,
@@ -104,7 +104,7 @@ def test_criterion_2_casimir_operator_identities(capsys):
         space = VariableSpace(p, q)
         n = p + q
         for which in ("op", "oq", "g"):
-            if pi_casimir(space, which) != casimir_operator_closed(space, which):
+            if pi_casimir(space, which) != closed_operator(space, which):
                 ok = False
         shift = WeylOperator.identity(space).scale(Fraction(-n * n, 4) + n)
         if pi_casimir(space, "g") != sl2_casimir_op(space) + shift:

@@ -11,20 +11,20 @@ from gkverify.gkmodule import (
     PsiPoleError,
     TruncatedElement,
     apply_operator,
-    casimir_apply,
     casimir_eigenvalue_check,
+    closed_apply,
     default_samples,
     garfinkle_obstruction,
     ktype_enumeration,
     p_action_check,
     psi_series,
-    sl2_apply,
     typical_element,
     verify_membership,
     xi_eigenvalue_check,
 )
 from gkverify.poly import ONE, TruncationError, VariableSpace, harmonic_basis
-from gkverify.weyl import WeylOperator
+from gkverify.liealg import closed_operator
+from gkverify.weyl import WeylOperator, rsq_op
 
 
 def test_parameter_validation():
@@ -133,10 +133,10 @@ def test_weight_is_signed_m():
     h1 = harmonic_basis(space, "x", 1).elements[0]
     h2 = harmonic_basis(space, "y", 0).elements[0]
     f = typical_element(params, h1, h2, 12)
-    assert sl2_apply("H", f).agrees_with(f.scale(1))
+    assert closed_apply("H", f).agrees_with(f.scale(1))
     params_minus = ModuleParams(4, 4, 1, -1)
     g = typical_element(params_minus, h1, h2, 12)
-    assert sl2_apply("H", g).agrees_with(g.scale(-1))
+    assert closed_apply("H", g).agrees_with(g.scale(-1))
 
 
 def test_casimir_scalars_frozen():
@@ -182,14 +182,36 @@ def test_apply_operator_validity_bookkeeping():
     h1 = harmonic_basis(space, "x", 1).elements[0]
     h2 = harmonic_basis(space, "y", 0).elements[0]
     f = typical_element(params, h1, h2, 10)
-    full = casimir_apply("g", f)  # the closed form reaches fourth derivative order
+    full = closed_apply("g", f)  # the closed form reaches fourth derivative order
     assert full.validity == f.validity - 4
-    block = casimir_apply("op", f)  # block form pairs each Laplacian with a square
+    block = closed_apply("op", f)  # block form pairs each Laplacian with a square
     assert block.validity == f.validity
     d = WeylOperator.diff(space, 0)
     assert apply_operator(d, f).validity == f.validity - 1
+    assert apply_operator(rsq_op(space, "y"), f).validity == f.validity + 2
     with pytest.raises(TruncationError):
         apply_operator(d.power(11), f)
+
+
+@pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (4, 4), (4, 6)])
+def test_closed_apply_matches_one_pass_operator(p, q):
+    # The staged applier and the composed operator read the same closed-form
+    # table; they must agree in expansion and in validity.
+    space = VariableSpace(p, q)
+    for m in (0, 1):
+        if m + 3 > (p + q) // 2:
+            continue
+        for sign in (1, -1):
+            params = ModuleParams(p, q, m, sign)
+            kt = ktype_enumeration(params, 1, 1)[-1]
+            h1 = harmonic_basis(space, "x", kt.k).elements[0]
+            h2 = harmonic_basis(space, "y", kt.l).elements[0]
+            f = typical_element(params, h1, h2, 8)
+            for which in ("op", "oq", "g", "H", "X+", "X-"):
+                staged = closed_apply(which, f)
+                one_pass = apply_operator(closed_operator(space, which), f)
+                assert staged.validity == one_pass.validity, (p, q, m, sign, which)
+                assert staged.expansion == one_pass.expansion, (p, q, m, sign, which)
 
 
 def test_truncated_element_agreement_window():

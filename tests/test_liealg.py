@@ -13,7 +13,7 @@ from gkverify.liealg import (
     _bracket_table,
     bracket,
     casimir,
-    casimir_operator_closed,
+    closed_operator,
     degree2_symbol,
     dual_sign,
     form_B,
@@ -304,7 +304,7 @@ def test_casimir_closed_forms_small():
     for p, q in [(2, 2), (2, 4)]:
         space = VariableSpace(p, q)
         for which in ("op", "oq", "g"):
-            assert pi_casimir(space, which) == casimir_operator_closed(space, which)
+            assert pi_casimir(space, which) == closed_operator(space, which)
 
 
 def test_two_casimir_relation_small():
