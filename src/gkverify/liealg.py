@@ -81,50 +81,20 @@ def dual_sign(g: Generator, p: int) -> int:
 # -- matrices ----------------------------------------------------------------
 
 
-def generator_matrix(g: Generator, sig: Signature) -> Matrix:
-    p, q = sig
-    n = p + q
-    m = [[ZERO] * n for _ in range(n)]
-    i0, j0 = g.i - 1, g.j - 1
+def _entries(g: Generator, p: int) -> Tuple[Fraction, Fraction]:
+    """The two nonzero entries of g's matrix: (m_ij, m_ji) at (i, j) and (j, i)."""
     if g.flavor == "M":
-        m[i0][j0] = ONE
-        m[j0][i0] = -ONE
-    elif g.flavor == "X":
-        m[i0][j0] = Fraction(epsilon(g.j, p))
-        m[j0][i0] = Fraction(-epsilon(g.i, p))
-    else:
-        raise ValueError(f"unknown flavor {g.flavor!r}")
+        return ONE, -ONE
+    if g.flavor == "X":
+        return Fraction(epsilon(g.j, p)), Fraction(-epsilon(g.i, p))
+    raise ValueError(f"unknown flavor {g.flavor!r}")
+
+
+def generator_matrix(g: Generator, sig: Signature) -> Matrix:
+    n = sig[0] + sig[1]
+    m = [[ZERO] * n for _ in range(n)]
+    m[g.i - 1][g.j - 1], m[g.j - 1][g.i - 1] = _entries(g, sig[0])
     return m
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        row = out[i]
-        for k in range(n):
-            v = ai[k]
-            if not v:
-                continue
-            bk = b[k]
-            for j in range(n):
-                w = bk[j]
-                if w:
-                    row[j] = row[j] + v * w
-    return out
-
-
-def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return [[a[i][j] - b[i][j] for j in range(len(a))] for i in range(n)]
-
-
-def _trace(a: Matrix) -> Fraction:
-    t = ZERO
-    for i in range(len(a)):
-        t = t + a[i][i]
-    return t
 
 
 # -- Lie elements --------------------------------------------------------------
@@ -182,10 +152,10 @@ class LieElement:
         n = self.sig[0] + self.sig[1]
         m = [[ZERO] * n for _ in range(n)]
         for g, c in self.coeffs.items():
-            gm = generator_matrix(g, self.sig)
+            mij, mji = _entries(g, self.sig[0])
             i0, j0 = g.i - 1, g.j - 1
-            m[i0][j0] = m[i0][j0] + c * gm[i0][j0]
-            m[j0][i0] = m[j0][i0] + c * gm[j0][i0]
+            m[i0][j0] = m[i0][j0] + c * mij
+            m[j0][i0] = m[j0][i0] + c * mji
         return m
 
     def __eq__(self, other: object) -> bool:
@@ -240,23 +210,74 @@ class _StructureConstants(dict):
         return _NO_TERMS
 
 
+SparseMatrix = Dict[Tuple[int, int], Fraction]
+_Slot = Tuple[Generator, Fraction, Fraction]
+_Entry = Tuple[int, int, Fraction]
+
+
+def _sparse_commutator(a: Sequence[_Entry], b: Sequence[_Entry]) -> SparseMatrix:
+    """AB - BA for matrices given by their nonzero (row, col, value) entries."""
+    z: SparseMatrix = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for r, k, v in x:
+            for k2, c, w in y:
+                if k == k2:
+                    z[(r, c)] = z.get((r, c), ZERO) + sign * v * w
+    return {rc: v for rc, v in z.items() if v}
+
+
+def _sparse_coords(
+    z: SparseMatrix, slots: Mapping[Tuple[int, int], _Slot]
+) -> Dict[Generator, Fraction]:
+    """Generator coordinates of a sparse matrix with no stored zeros.
+
+    ``slots`` maps the 0-based upper-triangle position (i-1, j-1) of each
+    generator to (generator, m_ij, m_ji).  The coordinate c_g = z_ij / m_ij
+    (the eps_j rule for flavor X) is read off the upper triangle in
+    generator order, and the matrix is rebuilt from the coordinates, so a
+    matrix outside the span raises as ``lie_from_matrix`` does.
+    """
+    coeffs: Dict[Generator, Fraction] = {}
+    back: SparseMatrix = {}
+    for rc in sorted(z):
+        slot = slots.get(rc)
+        if slot is None:
+            continue
+        g, mij, mji = slot
+        c = z[rc] / mij
+        coeffs[g] = c
+        back[rc] = c * mij
+        back[(rc[1], rc[0])] = c * mji
+    if back != z:
+        raise ValueError("matrix does not lie in the generator span")
+    return coeffs
+
+
 @lru_cache(maxsize=None)
 def _bracket_table(sig: Signature, flavor: str) -> _StructureConstants:
-    """Structure constants for all ordered pairs of canonical generators."""
+    """Structure constants for all ordered pairs of canonical generators.
+
+    Each generator matrix has two nonzero entries, so each commutator is a
+    sparse product of at most eight terms; its coordinates are read off and
+    re-checked by ``_sparse_coords``.  Row keys follow the generator order
+    (``pbw_normal_form`` pushes them in that order), and rows share one
+    object per generator and per distinct constant.
+    """
     gens = generators(sig[0], sig[1], flavor)
-    mats = {g: generator_matrix(g, sig) for g in gens}
-    # rows share one object per generator and per distinct constant
-    same_gen = {g: g for g in gens}
+    slots: Dict[Tuple[int, int], _Slot] = {}
+    nonzero: Dict[Generator, Tuple[_Entry, _Entry]] = {}
+    for g in gens:
+        mij, mji = _entries(g, sig[0])
+        i0, j0 = g.i - 1, g.j - 1
+        slots[(i0, j0)] = (g, mij, mji)
+        nonzero[g] = ((i0, j0, mij), (j0, i0, mji))
     same_const: Dict[Fraction, Fraction] = {}
     table = _StructureConstants()
     for ga in gens:
         for gb in gens:
-            z = _mat_sub(_mat_mul(mats[ga], mats[gb]), _mat_mul(mats[gb], mats[ga]))
-            row = lie_from_matrix(z, sig, flavor).coeffs
+            row = _sparse_coords(_sparse_commutator(nonzero[ga], nonzero[gb]), slots)
             if row:
-                table[(ga, gb)] = {
-                    same_gen[g]: same_const.setdefault(c, c) for g, c in row.items()
-                }
+                table[(ga, gb)] = {g: same_const.setdefault(c, c) for g, c in row.items()}
     return table
 
 
@@ -280,9 +301,19 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
 
 
 def form_B(a: LieElement, b: LieElement) -> Fraction:
-    """The invariant form B(X, Y) = trace(XY) / 2."""
+    """The invariant form B(X, Y) = trace(XY) / 2.
+
+    trace(G_g G_h) vanishes for g != h and is 2 m_ij m_ji for g = h, so the
+    form is a sum over the generators the two elements share.
+    """
     a._check(b)
-    return _trace(_mat_mul(a.to_matrix(), b.to_matrix())) / 2
+    total = ZERO
+    for g, ca in a.coeffs.items():
+        cb = b.coeffs.get(g)
+        if cb is not None:
+            mij, mji = _entries(g, a.sig[0])
+            total += ca * cb * mij * mji
+    return total
 
 
 # -- enveloping algebra ----------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -87,6 +87,16 @@ class VariableSpace:
     def unit_key(self, i: int) -> int:
         return (1 << self.deg_shift) + (1 << self.shift_of(i))
 
+    @cached_property
+    def shifts(self) -> Tuple[int, ...]:
+        """``shift_of`` of every variable, in variable order."""
+        return tuple(self.shift_of(i) for i in range(self.nvars))
+
+    @cached_property
+    def units(self) -> Tuple[int, ...]:
+        """``unit_key`` of every variable, in variable order."""
+        return tuple(self.unit_key(i) for i in range(self.nvars))
+
     def pack(self, exps: Exponents) -> int:
         if len(exps) != self.nvars:
             raise ValueError(f"expected {self.nvars} exponents, got {len(exps)}")
@@ -102,7 +112,7 @@ class VariableSpace:
         return key | (total << self.deg_shift)
 
     def unpack(self, key: int) -> Exponents:
-        return tuple((key >> self.shift_of(i)) & MAX_EXP for i in range(self.nvars))
+        return tuple((key >> sh) & MAX_EXP for sh in self.shifts)
 
     def degree_of(self, key: int) -> int:
         return key >> self.deg_shift
@@ -359,9 +369,10 @@ class MultiPoly:
 def euler(f: MultiPoly, block: str) -> MultiPoly:
     """Euler operator sum_i v_i d/dv_i over the block; diagonal on monomials."""
     sp = f.space
+    shifts = [sp.shifts[i] for i in sp.block_range(block)]
     out: Dict[int, Coeff] = {}
     for k, c in f._terms.items():
-        d = sp.block_degree_of(k, block)
+        d = sum((k >> sh) & MAX_EXP for sh in shifts)
         if d:
             out[k] = c * d
     return MultiPoly(sp, out)
@@ -370,12 +381,13 @@ def euler(f: MultiPoly, block: str) -> MultiPoly:
 def laplacian(f: MultiPoly, block: str) -> MultiPoly:
     """Sum of second partials over the block's variables."""
     sp = f.space
+    fields = [(sp.shifts[i], 2 * sp.units[i]) for i in sp.block_range(block)]
     out: Dict[int, Coeff] = {}
     for k, c in f._terms.items():
-        for i in sp.block_range(block):
-            e = (k >> sp.shift_of(i)) & MAX_EXP
+        for sh, two_units in fields:
+            e = (k >> sh) & MAX_EXP
             if e >= 2:
-                nk = k - 2 * sp.unit_key(i)
+                nk = k - two_units
                 add = c * (e * (e - 1))
                 a = out.get(nk)
                 a = add if a is None else a + add

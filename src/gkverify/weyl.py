@@ -12,6 +12,14 @@ v^b produces, for every contraction gamma <= min(alpha, b) componentwise,
     prod_i  C(alpha_i, gamma_i) * falling(b_i, gamma_i)
         * v^(a + b - gamma) * d^(alpha + beta - gamma).
 
+Packed keys add under this rule (the packed-exponent technique of Monagan
+and Pearce, CASC 2007): the new key pair is (km_a + km_b - g, kd_a + kd_b - g)
+with g = sum_i gamma_i * unit_key(i), so only alpha and b are unpacked, to
+find the contraction ranges.  The degree cap is checked on the total degree
+(key >> deg_shift) of the uncontracted pair, the largest of its keys; each
+exponent is at most the total, so this accepts exactly the keys ``pack``
+accepts.
+
 Application to a polynomial evaluates d^alpha on each monomial as a falling
 factorial and shifts exponents; both directions are exact.
 """
@@ -130,10 +138,10 @@ class WeylOperator:
         return WeylOperator(self.space, out)
 
     def __sub__(self, other: "WeylOperator") -> "WeylOperator":
-        return self + other.scale(-1)
+        return self + -other
 
     def __neg__(self) -> "WeylOperator":
-        return self.scale(-1)
+        return WeylOperator(self.space, {k: -v for k, v in self._terms.items()})
 
     def scale(self, c: ScalarLike) -> "WeylOperator":
         if not c:
@@ -149,32 +157,40 @@ class WeylOperator:
         self._require_same_space(other)
         sp = self.space
         nv = sp.nvars
-        unpack = sp.unpack
-        b_items = [
-            (unpack(km), unpack(ka), c) for (km, ka), c in other._terms.items()
-        ]
+        ds = sp.deg_shift
+        shifts = sp.shifts
+        units = sp.units
+        b_items = []
+        for (kmb, kab), cb in other._terms.items():
+            b = [(kmb >> sh) & MAX_EXP for sh in shifts]
+            b_items.append((kmb, kab, cb, b, [i for i in range(nv) if b[i]]))
         acc: Dict[TermKey, Coeff] = {}
         for (kma, kaa), ca in self._terms.items():
-            a = unpack(kma)
-            alpha = unpack(kaa)
-            for b, beta, cb in b_items:
-                idxs = [i for i in range(nv) if alpha[i] and b[i]]
-                ranges = [range(min(alpha[i], b[i]) + 1) for i in idxs]
+            alpha = [(kaa >> sh) & MAX_EXP for sh in shifts]
+            for kmb, kab, cb, b, b_nonzero in b_items:
+                km = kma + kmb
+                kd = kaa + kab
+                # the uncontracted key has the largest degree of the pair's keys
+                if (km >> ds) > MAX_EXP or (kd >> ds) > MAX_EXP:
+                    raise ValueError("composition would exceed the degree cap")
+                # per contracted variable: (C(alpha_i, g) * falling(b_i, g), g * unit_i)
+                choices = [
+                    [
+                        (comb(alpha[i], g) * falling(b[i], g), g * units[i])
+                        for g in range(min(alpha[i], b[i]) + 1)
+                    ]
+                    for i in b_nonzero
+                    if alpha[i]
+                ]
                 base = ca * cb
-                for gsel in itertools.product(*ranges):
+                for sel in itertools.product(*choices):
                     mult = 1
-                    for t, i in enumerate(idxs):
-                        g = gsel[t]
-                        if g:
-                            mult *= comb(alpha[i], g) * falling(b[i], g)
-                    new_m = [ai + bi for ai, bi in zip(a, b)]
-                    new_d = [x + y for x, y in zip(alpha, beta)]
-                    for t, i in enumerate(idxs):
-                        g = gsel[t]
-                        new_m[i] -= g
-                        new_d[i] -= g
-                    key = (sp.pack(tuple(new_m)), sp.pack(tuple(new_d)))
-                    add = base * mult
+                    sub = 0
+                    for f, u in sel:
+                        mult *= f
+                        sub += u
+                    key = (km - sub, kd - sub)
+                    add = base if mult == 1 else base * mult
                     cur = acc.get(key)
                     cur = add if cur is None else cur + add
                     if cur:
@@ -208,11 +224,7 @@ class WeylOperator:
             raise ValueError("application would exceed the degree cap")
         out: Dict[int, Coeff] = {}
         for (km, ka), c in self._terms.items():
-            alist = [
-                (sp.shift_of(i), sp.exponent_of(ka, i))
-                for i in range(sp.nvars)
-                if sp.exponent_of(ka, i)
-            ]
+            alist = [(sh, (ka >> sh) & MAX_EXP) for sh in sp.shifts if (ka >> sh) & MAX_EXP]
             delta = km - ka
             for ke, ce in f._terms.items():
                 mult = 1

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from gkverify.liealg import Generator, generators, pi_generator
+from gkverify.liealg import Generator, _bracket_table, generators, pi_generator
 from gkverify.poly import MultiPoly, VariableSpace
 
 
@@ -62,6 +62,36 @@ def test_m_images_match_the_textbook_formula(p, q):
             assert not want.has(sympy.I)
             got = mine.apply(_to_multipoly(f, space, v))
             assert got == _to_multipoly(want, space, v)
+
+
+def _sympy_generator(g, p, n):
+    """E_ij - E_ji for M, eps_j E_ij - eps_i E_ji for X."""
+    eps = {k: 1 if k <= p else -1 for k in (g.i, g.j)}
+    m = sympy.zeros(n, n)
+    if g.flavor == "X":
+        m[g.i - 1, g.j - 1], m[g.j - 1, g.i - 1] = eps[g.j], -eps[g.i]
+    else:
+        m[g.i - 1, g.j - 1], m[g.j - 1, g.i - 1] = 1, -1
+    return m
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 2)])
+@pytest.mark.parametrize("flavor", ["X", "M"])
+def test_structure_constants_match_sympy_commutators(p, q, flavor):
+    n = p + q
+    gens = generators(p, q, flavor)
+    mats = [_sympy_generator(g, p, n) for g in gens]
+    basis = sympy.Matrix.hstack(*(m.reshape(n * n, 1) for m in mats))
+    table = _bracket_table((p, q), flavor)
+    for a, ma in zip(gens, mats):
+        for b, mb in zip(gens, mats):
+            z = (ma * mb - mb * ma).reshape(n * n, 1)
+            coords = (basis.T * basis).inv() * basis.T * z
+            assert basis * coords == z
+            want = {
+                g: Fraction(int(c.p), int(c.q)) for g, c in zip(gens, coords) if c != 0
+            }
+            assert dict(table[(a, b)]) == want
 
 
 def test_import_does_not_load_sympy():

@@ -1,11 +1,14 @@
 """Normal-ordered differential operators: composition, application, brackets."""
 
+import itertools
 from fractions import Fraction
+from math import comb
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkverify.poly import ONE, MultiPoly, VariableSpace, euler, laplacian, rsq
-from gkverify.weyl import WeylOperator, euler_op, laplacian_op, rsq_op
+from gkverify.weyl import WeylOperator, euler_op, laplacian_op, falling, rsq_op
 
 SPACE = VariableSpace(2, 2)
 NV = SPACE.nvars
@@ -25,6 +28,16 @@ def _op_from_entries(entries):
 
 operators = st.lists(
     st.tuples(small_exps, small_exps, small_coeffs), min_size=0, max_size=3
+).map(_op_from_entries)
+
+wide_operators = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 4), min_size=NV, max_size=NV).map(tuple),
+        st.lists(st.integers(0, 4), min_size=NV, max_size=NV).map(tuple),
+        small_coeffs,
+    ),
+    min_size=0,
+    max_size=4,
 ).map(_op_from_entries)
 
 polys = st.lists(
@@ -121,3 +134,55 @@ def test_power():
     d1 = WeylOperator.diff(SPACE, 0)
     assert d1.power(0) == WeylOperator.identity(SPACE)
     assert d1.power(3) == d1.compose(d1).compose(d1)
+
+
+def _reference_compose(A, B):
+    """Leibniz composition through exponent tuples: unpack, add, subtract, pack."""
+    sp = A.space
+    nv = sp.nvars
+    b_items = [(sp.unpack(km), sp.unpack(ka), c) for (km, ka), c in B._terms.items()]
+    acc = {}
+    for (kma, kaa), ca in A._terms.items():
+        a, alpha = sp.unpack(kma), sp.unpack(kaa)
+        for b, beta, cb in b_items:
+            idxs = [i for i in range(nv) if alpha[i] and b[i]]
+            ranges = [range(min(alpha[i], b[i]) + 1) for i in idxs]
+            for gsel in itertools.product(*ranges):
+                mult = 1
+                new_m = [x + y for x, y in zip(a, b)]
+                new_d = [x + y for x, y in zip(alpha, beta)]
+                for i, g in zip(idxs, gsel):
+                    mult *= comb(alpha[i], g) * falling(b[i], g)
+                    new_m[i] -= g
+                    new_d[i] -= g
+                key = (sp.pack(tuple(new_m)), sp.pack(tuple(new_d)))
+                cur = acc.get(key, 0) + ca * cb * mult
+                if cur:
+                    acc[key] = cur
+                else:
+                    acc.pop(key, None)
+    return acc
+
+
+@given(wide_operators, wide_operators)
+@settings(max_examples=60, deadline=None)
+def test_compose_matches_reference_leibniz(A, B):
+    # same terms in the same insertion order, not only the same dict
+    assert list(A.compose(B)._terms.items()) == list(_reference_compose(A, B).items())
+
+
+def test_compose_degree_cap_boundary():
+    e = (0,) * NV
+    for side in ("mono", "deriv"):
+
+        def op(exps):
+            return WeylOperator.term(SPACE, *((exps, e) if side == "mono" else (e, exps)))
+
+        # total degree 127 spread over two variables of the packed key
+        assert op((60, 0, 0, 0)).compose(op((0, 67, 0, 0))) == op((60, 67, 0, 0))
+        with pytest.raises(ValueError):
+            op((60, 0, 0, 0)).compose(op((0, 68, 0, 0)))
+        # one exponent field reaching 127, then overflowing it
+        assert op((100, 0, 0, 0)).compose(op((27, 0, 0, 0))) == op((127, 0, 0, 0))
+        with pytest.raises(ValueError):
+            op((100, 0, 0, 0)).compose(op((28, 0, 0, 0)))
