@@ -53,8 +53,8 @@ from .liealg import (
     closed_operator,
     degree2_symbol,
     dual_sign,
+    form_B,
     gamma2,
-    generator_matrix,
     generators,
     pbw_normal_form,
     pi_casimir,
@@ -70,6 +70,8 @@ from .gkmodule import (
     TruncatedElement,
     apply_operator,
     closed_apply,
+    default_depth,
+    default_solver_depth,
     garfinkle_obstruction,
     ktype_enumeration,
     p_action_check,
@@ -89,7 +91,6 @@ from .symsq import (
     s4_vanishing,
     theorem_ingredients,
     transport,
-    transport_inv,
     xi_closed_form,
 )
 
@@ -134,13 +135,13 @@ class CheckRun:
         """Working truncation degree for module-level checks."""
         if self.max_degree is not None:
             return self.max_degree
-        return 2 * self.m + 12
+        return default_depth(self.m)
 
     def solver_depth(self) -> int:
         """Working truncation degree for the obstruction solver."""
         if self.max_degree is not None:
             return self.max_degree
-        return 2 * self.m + 8
+        return default_solver_depth(self.m)
 
 
 CheckFn = Callable[[CheckRun], Tuple[bool, Optional[int], Dict]]
@@ -234,18 +235,11 @@ def _lie_commutant(run: CheckRun):
 def _lie_duality(run: CheckRun):
     sig = run.sig
     gens = generators(*sig, "X")
-    mats = [generator_matrix(g, sig) for g in gens]
-    n = run.p + run.q
+    basis = [LieElement.basis(g, sig) for g in gens]
     checked = 0
-    for ia, a in enumerate(gens):
-        for ib, b in enumerate(gens):
-            ma, mb = mats[ia], mats[ib]
-            tr = ZERO
-            for i in range(n):
-                for j in range(n):
-                    if ma[i][j] and mb[j][i]:
-                        tr = tr + ma[i][j] * mb[j][i]
-            val = tr * Fraction(dual_sign(b, run.p), 2)
+    for a, ea in zip(gens, basis):
+        for b, eb in zip(gens, basis):
+            val = form_B(ea, eb) * dual_sign(b, run.p)
             expect = ONE if a == b else ZERO
             if val != expect:
                 return False, None, {"failed_pair": [list(a), list(b)]}
@@ -290,7 +284,7 @@ def _lie_pbw_confluence(run: CheckRun):
     def straighten_last(u: EnvelopingElement) -> EnvelopingElement:
         table = _bracket_table(u.sig, u.flavor)
         out: Dict[tuple, Fraction] = {}
-        stack = list(u.words.items())
+        stack = list(u.coeffs.items())
         while stack:
             word, c = stack.pop()
             if not c:
@@ -992,7 +986,7 @@ def _symsq_q_transport(run: CheckRun):
     sig = run.sig
     qx = build_Q(sig, "X")
     qm = build_Q(sig, "M")
-    if transport(qx) != qm or transport_inv(qm) != qx:
+    if transport(qx) != qm or transport(qm) != qx:
         return False, None, {"failed": "transport"}
     gens = generators(*sig, "X")
     for g in gens:
@@ -1032,7 +1026,7 @@ def _symsq_xi_transport(run: CheckRun):
     xi = build_Xi(sig)
     if xi != xi_closed_form(sig):
         return False, None, {"failed": "closed_form"}
-    if transport_inv(transport(xi)) != xi:
+    if transport(transport(xi)) != xi:
         return False, None, {"failed": "roundtrip"}
     return True, None, {"terms": len(xi.coeffs)}
 
@@ -1148,14 +1142,23 @@ class CheckResult:
         }
 
 
-def selected_checks(suites: Sequence[str]) -> List[CheckDef]:
-    """Registry entries for the requested suites, sorted by name."""
+def resolve_suites(suites: Sequence[str]) -> Tuple[str, ...]:
+    """The requested suites in registry order, with "all" expanded.
+
+    Raises ValueError naming every unknown suite.
+    """
     want = set(suites)
     if "all" in want:
         want = set(ALL_SUITES)
     unknown = want - set(ALL_SUITES)
     if unknown:
-        raise ValueError(f"unknown suites: {sorted(unknown)}")
+        raise ValueError(f"unknown suites: {', '.join(sorted(unknown))}")
+    return tuple(s for s in ALL_SUITES if s in want)
+
+
+def selected_checks(suites: Sequence[str]) -> List[CheckDef]:
+    """Registry entries for the requested suites, sorted by name."""
+    want = set(resolve_suites(suites))
     return sorted(
         (cd for cd in REGISTRY.values() if cd.suite in want),
         key=lambda cd: cd.name,

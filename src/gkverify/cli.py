@@ -32,6 +32,7 @@ from .checks import (
     CheckResult,
     execute_jobs,
     plan_jobs,
+    resolve_suites,
     selected_checks,
 )
 from .gkmodule import ModuleParams
@@ -65,13 +66,10 @@ class SuiteConfig:
     threads: int = 1
 
     def resolved_suites(self) -> Tuple[str, ...]:
-        want = set(self.suites)
-        if "all" in want:
-            want = set(ALL_SUITES)
-        unknown = want - set(ALL_SUITES)
-        if unknown:
-            raise ConfigError(f"unknown suites: {', '.join(sorted(unknown))}")
-        return tuple(s for s in ALL_SUITES if s in want)
+        try:
+            return resolve_suites(self.suites)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def tuples(self) -> Tuple[Tuple[int, int, Optional[int]], ...]:
         given = [v is not None for v in (self.p, self.q, self.m)]

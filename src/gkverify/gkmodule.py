@@ -67,6 +67,8 @@ __all__ = [
     "xi_eigenvalue_check",
     "p_action_check",
     "ktype_enumeration",
+    "default_depth",
+    "default_solver_depth",
     "default_samples",
     "garfinkle_obstruction",
     "MembershipReport",
@@ -557,6 +559,16 @@ class ObstructionResult:
         }
 
 
+def default_depth(m: int) -> int:
+    """Working truncation degree of the module-level checks, 2m + 12."""
+    return 2 * m + 12
+
+
+def default_solver_depth(m: int) -> int:
+    """Working truncation degree of the obstruction solver, 2m + 8."""
+    return 2 * m + 8
+
+
 def default_samples(
     params: ModuleParams,
 ) -> List[Tuple[KType, MultiPoly, MultiPoly]]:
@@ -604,7 +616,7 @@ def garfinkle_obstruction(
     zero witness is exact regardless of truncation.
     """
     if D is None:
-        D = 2 * params.m + 8
+        D = default_solver_depth(params.m)
     if samples is None:
         samples = default_samples(params)
     space = params.space

@@ -16,24 +16,42 @@ correspondence is only used on words with an even number of mixed
 returned by transport_sign; a word with an odd number raises.  Both flavors
 have rational structure constants.
 
-Enveloping-algebra elements are coefficient dicts over generator words;
-pbw_normal_form straightens words to non-decreasing generator order using the
-exact structure constants, which is a confluent rewriting, so normal forms
-are canonical and equality of enveloping elements is decidable.
+Lie elements, enveloping-algebra elements and symmetric-square tensors
+(symsq) are one type, Combination: a signature, a flavor and a dict of
+nonzero rational coefficients.  The keys are generators, generator words,
+and ordered generator pairs respectively; a pair is a word of length two, so
+transport, which relabels every word in the other flavor times its sign, and
+pi_env apply to tensors as they are.  pbw_normal_form straightens words to
+non-decreasing generator order using the exact structure constants, which
+is a confluent rewriting, so normal forms are canonical and equality of
+enveloping elements is decidable.
 
 The representation pi is defined on the M flavor, where it is real: it sends
 M_{i,j} to the rotation field v_i d_j - v_j d_i within a block and to
 -(x_i y_j + d_{x_i} d_{y_j}) across blocks, and extends to words by operator
 composition.  X-flavor elements (the Casimir words, say) reach pi through
-the sign transport.
+transport.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+)
 
 from .poly import ONE, ZERO, ScalarLike, VariableSpace
 from .weyl import WeylOperator, euler_op, laplacian_op, rsq_op
@@ -97,56 +115,92 @@ def generator_matrix(g: Generator, sig: Signature) -> Matrix:
     return m
 
 
-# -- Lie elements --------------------------------------------------------------
+# -- coefficient combinations ---------------------------------------------------
 
 
-class LieElement:
-    """A finite coefficient combination of canonical generators."""
+def sparse_sum(terms: Iterable[Tuple[Hashable, Fraction]]) -> Dict[Hashable, Fraction]:
+    """Add up (key, coefficient) terms, keeping only nonzero sums."""
+    out: Dict[Hashable, Fraction] = {}
+    for k, c in terms:
+        acc = out.get(k)
+        acc = c if acc is None else acc + c
+        if acc:
+            out[k] = acc
+        elif k in out:
+            del out[k]
+    return out
+
+
+C = TypeVar("C", bound="Combination")
+
+
+class Combination:
+    """A finite combination of keys with nonzero rational coefficients, over
+    one signature and one generator flavor.
+
+    Subclasses fix what a key is: a generator (LieElement), a word of
+    generators (EnvelopingElement) or an ordered generator pair
+    (SymSquareTensor).  Arithmetic and equality are type-strict: a symmetric
+    tensor and its multiplication image share a dict but are never equal.
+    """
 
     __slots__ = ("sig", "flavor", "coeffs")
 
-    def __init__(
-        self, sig: Signature, flavor: str, coeffs: Dict[Generator, Fraction]
-    ) -> None:
+    def __init__(self, sig: Signature, flavor: str, coeffs: Mapping[Hashable, Fraction]) -> None:
         self.sig = sig
         self.flavor = flavor
-        self.coeffs = {g: c for g, c in coeffs.items() if c}
+        self.coeffs = {k: c for k, c in coeffs.items() if c}
 
-    @staticmethod
-    def zero(sig: Signature, flavor: str = "X") -> "LieElement":
-        return LieElement(sig, flavor, {})
-
-    @staticmethod
-    def basis(g: Generator, sig: Signature) -> "LieElement":
-        return LieElement(sig, g.flavor, {g: ONE})
+    @classmethod
+    def zero(cls: Type[C], sig: Signature, flavor: str = "X") -> C:
+        return cls(sig, flavor, {})
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "LieElement") -> "LieElement":
-        self._check(other)
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            acc = out.get(g)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[g] = acc
-            elif g in out:
-                del out[g]
-        return LieElement(self.sig, self.flavor, out)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: ScalarLike) -> "LieElement":
-        return LieElement(self.sig, self.flavor, {g: v * c for g, v in self.coeffs.items()})
-
-    def __neg__(self) -> "LieElement":
-        return self.scale(-1)
-
-    def _check(self, other: "LieElement") -> None:
+    def _check(self, other: "Combination") -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if self.sig != other.sig or self.flavor != other.flavor:
             raise ValueError("mismatched signature or flavor")
+
+    def __add__(self: C, other: C) -> C:
+        self._check(other)
+        return type(self)(
+            self.sig, self.flavor, sparse_sum(chain(self.coeffs.items(), other.coeffs.items()))
+        )
+
+    def __sub__(self: C, other: C) -> C:
+        return self + other.scale(-1)
+
+    def scale(self: C, c: ScalarLike) -> C:
+        return type(self)(self.sig, self.flavor, {k: v * c for k, v in self.coeffs.items()})
+
+    def __neg__(self: C) -> C:
+        return self.scale(-1)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Combination):
+            return NotImplemented
+        return (
+            type(self) is type(other)
+            and self.sig == other.sig
+            and self.flavor == other.flavor
+            and self.coeffs == other.coeffs
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.sig}, {self.flavor}, {len(self.coeffs)} terms)"
+
+
+class LieElement(Combination):
+    """A finite coefficient combination of canonical generators."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def basis(g: Generator, sig: Signature) -> "LieElement":
+        return LieElement(sig, g.flavor, {g: ONE})
 
     def to_matrix(self) -> Matrix:
         n = self.sig[0] + self.sig[1]
@@ -157,18 +211,6 @@ class LieElement:
             m[i0][j0] = m[i0][j0] + c * mij
             m[j0][i0] = m[j0][i0] + c * mji
         return m
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        return (
-            self.sig == other.sig
-            and self.flavor == other.flavor
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        return f"LieElement({self.sig}, {self.flavor}, {len(self.coeffs)} terms)"
 
 
 def lie_from_matrix(z: Matrix, sig: Signature, flavor: str) -> LieElement:
@@ -322,21 +364,10 @@ def form_B(a: LieElement, b: LieElement) -> Fraction:
 Word = Tuple[Generator, ...]
 
 
-class EnvelopingElement:
+class EnvelopingElement(Combination):
     """Coefficient combination of generator words (universal algebra element)."""
 
-    __slots__ = ("sig", "flavor", "words")
-
-    def __init__(
-        self, sig: Signature, flavor: str, words: Dict[Word, Fraction]
-    ) -> None:
-        self.sig = sig
-        self.flavor = flavor
-        self.words = {w: c for w, c in words.items() if c}
-
-    @staticmethod
-    def zero(sig: Signature, flavor: str = "X") -> "EnvelopingElement":
-        return EnvelopingElement(sig, flavor, {})
+    __slots__ = ()
 
     @staticmethod
     def one(sig: Signature, flavor: str = "X") -> "EnvelopingElement":
@@ -346,35 +377,11 @@ class EnvelopingElement:
     def from_lie(a: LieElement) -> "EnvelopingElement":
         return EnvelopingElement(a.sig, a.flavor, {(g,): c for g, c in a.coeffs.items()})
 
-    def _check(self, other: "EnvelopingElement") -> None:
-        if self.sig != other.sig or self.flavor != other.flavor:
-            raise ValueError("mismatched signature or flavor")
-
-    def __add__(self, other: "EnvelopingElement") -> "EnvelopingElement":
-        self._check(other)
-        out = dict(self.words)
-        for w, c in other.words.items():
-            acc = out.get(w)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[w] = acc
-            elif w in out:
-                del out[w]
-        return EnvelopingElement(self.sig, self.flavor, out)
-
-    def __sub__(self, other: "EnvelopingElement") -> "EnvelopingElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: ScalarLike) -> "EnvelopingElement":
-        return EnvelopingElement(
-            self.sig, self.flavor, {w: v * c for w, v in self.words.items()}
-        )
-
     def __mul__(self, other: "EnvelopingElement") -> "EnvelopingElement":
         self._check(other)
         out: Dict[Word, Fraction] = {}
-        for wa, ca in self.words.items():
-            for wb, cb in other.words.items():
+        for wa, ca in self.coeffs.items():
+            for wb, cb in other.coeffs.items():
                 w = wa + wb
                 add = ca * cb
                 acc = out.get(w)
@@ -385,21 +392,6 @@ class EnvelopingElement:
                     del out[w]
         return EnvelopingElement(self.sig, self.flavor, out)
 
-    def is_zero(self) -> bool:
-        return not self.words
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EnvelopingElement):
-            return NotImplemented
-        return (
-            self.sig == other.sig
-            and self.flavor == other.flavor
-            and self.words == other.words
-        )
-
-    def __repr__(self) -> str:
-        return f"EnvelopingElement({self.sig}, {self.flavor}, {len(self.words)} words)"
-
 
 def pbw_normal_form(u: EnvelopingElement) -> EnvelopingElement:
     """Straighten every word to non-decreasing generator order.
@@ -409,7 +401,7 @@ def pbw_normal_form(u: EnvelopingElement) -> EnvelopingElement:
     """
     table = _bracket_table(u.sig, u.flavor)
     out: Dict[Word, Fraction] = {}
-    stack = list(u.words.items())
+    stack = list(u.coeffs.items())
     while stack:
         word, c = stack.pop()
         if not c:
@@ -443,50 +435,29 @@ def degree2_symbol(
     c at (a, a); shorter words are discarded.  This is the symbol map that
     the symmetrization section is checked against.
     """
-    nf = pbw_normal_form(u)
-    out: Dict[Tuple[Generator, Generator], Fraction] = {}
     half = Fraction(1, 2)
 
-    def put(key: Tuple[Generator, Generator], val: Fraction) -> None:
-        acc = out.get(key)
-        acc = val if acc is None else acc + val
-        if acc:
-            out[key] = acc
-        elif key in out:
-            del out[key]
+    def terms():
+        for word, c in pbw_normal_form(u).coeffs.items():
+            if len(word) != 2:
+                continue
+            a, b = word
+            if a == b:
+                yield (a, a), c
+            else:
+                yield (a, b), c * half
+                yield (b, a), c * half
 
-    for word, c in nf.words.items():
-        if len(word) != 2:
-            continue
-        a, b = word
-        if a == b:
-            put((a, a), c)
-        else:
-            put((a, b), c * half)
-            put((b, a), c * half)
-    return out
+    return sparse_sum(terms())
 
 
-def gamma2(tensor) -> EnvelopingElement:
+def gamma2(tensor: Combination) -> EnvelopingElement:
     """Multiplication map from a symmetric degree-2 tensor into words.
 
-    Accepts anything with .sig, .flavor and .coeffs mapping ordered generator
-    pairs to coefficients; requires the coefficients to be symmetric.
+    A SymSquareTensor's ordered pairs are already words, and its constructor
+    enforces the symmetry, so the image has the same coefficients.
     """
-    coeffs = tensor.coeffs
-    for (a, b), c in coeffs.items():
-        if coeffs.get((b, a), ZERO) != c:
-            raise ValueError("gamma2 requires a symmetric tensor")
-    words: Dict[Word, Fraction] = {}
-    for (a, b), c in coeffs.items():
-        w = (a, b)
-        acc = words.get(w)
-        acc = c if acc is None else acc + c
-        if acc:
-            words[w] = acc
-        elif w in words:
-            del words[w]
-    return EnvelopingElement(tensor.sig, tensor.flavor, words)
+    return EnvelopingElement(tensor.sig, tensor.flavor, tensor.coeffs)
 
 
 # -- transport between flavors ------------------------------------------------------
@@ -511,20 +482,23 @@ def transport_sign(word: Sequence[Generator], p: int) -> int:
     return -1 if (second + mixed // 2) % 2 else 1
 
 
-def transport_words(
-    words: Dict[Word, Fraction], p: int, flavor: str
-) -> Dict[Word, Fraction]:
-    """Relabel every word to the given flavor, times its transport sign."""
-    return {
-        tuple(Generator(g.i, g.j, flavor) for g in w): c * transport_sign(w, p)
-        for w, c in words.items()
-    }
+def transport(u: C) -> C:
+    """The same word-keyed combination written in the other flavor.
 
-
-def transport_env(u: EnvelopingElement) -> EnvelopingElement:
-    """The same enveloping element written in the other flavor."""
+    Every key (an enveloping word, or a tensor's ordered pair) is relabelled
+    and multiplied by its transport_sign.  The sign is the same in both
+    directions, so transport is its own inverse.
+    """
     flavor = "M" if u.flavor == "X" else "X"
-    return EnvelopingElement(u.sig, flavor, transport_words(u.words, u.sig[0], flavor))
+    p = u.sig[0]
+    return type(u)(
+        u.sig,
+        flavor,
+        {
+            tuple(Generator(g.i, g.j, flavor) for g in w): c * transport_sign(w, p)
+            for w, c in u.coeffs.items()
+        },
+    )
 
 
 # -- Casimir elements -------------------------------------------------------------
@@ -589,15 +563,19 @@ def pi_lie(a: LieElement) -> WeylOperator:
     return out
 
 
-def pi_env(u: EnvelopingElement, space: Optional[VariableSpace] = None) -> WeylOperator:
-    """Image of an enveloping element: words become operator compositions."""
+def pi_env(u: Combination, space: Optional[VariableSpace] = None) -> WeylOperator:
+    """Image of a word-keyed combination: words become operator compositions.
+
+    Takes an enveloping element or a symmetric tensor, whose ordered pairs
+    are words of length two.
+    """
     _require_m_flavor(u.flavor)
     if space is None:
         space = VariableSpace(u.sig[0], u.sig[1])
     total = WeylOperator.zero(space)
-    for word, c in u.words.items():
-        op = WeylOperator.identity(space)
-        for g in word:
+    for word, c in u.coeffs.items():
+        op = pi_generator(word[0], space) if word else WeylOperator.identity(space)
+        for g in word[1:]:
             op = op.compose(pi_generator(g, space))
         total = total + op.scale(c)
     return total
@@ -663,4 +641,4 @@ def sl2_casimir_op(space: VariableSpace) -> WeylOperator:
 @lru_cache(maxsize=None)
 def pi_casimir(space: VariableSpace, which: str) -> WeylOperator:
     """pi of the Casimir words, composed exactly (no closed form used)."""
-    return pi_env(transport_env(casimir(which, (space.p, space.q))), space)
+    return pi_env(transport(casimir(which, (space.p, space.q))), space)

@@ -45,10 +45,6 @@ class NonHomogeneousError(ValueError):
     """Raised when an operation needs a block-homogeneous polynomial."""
 
 
-class NonHarmonicError(ValueError):
-    """Raised when an operation needs a block-harmonic polynomial."""
-
-
 class DegenerateDaggerError(ZeroDivisionError):
     """Raised when the harmonic projection denominator 2d+n-4 vanishes."""
 
@@ -564,16 +560,6 @@ class RadialSeries:
             raise ValueError("block must be 'x' or 'y'")
         return RadialSeries(out, self.cutoff + 2 * j)
 
-    def derivative(self, block: str) -> "RadialSeries":
-        """d/d rho_block; the guaranteed degree drops by 2."""
-        out: Dict[Tuple[int, int], Coeff] = {}
-        for (a, b), c in self.coeffs.items():
-            if block == "x" and a:
-                out[(a - 1, b)] = c * a
-            elif block == "y" and b:
-                out[(a, b - 1)] = c * b
-        return RadialSeries(out, self.cutoff - 2)
-
     def expand(
         self, space: VariableSpace, max_degree: Optional[int] = None
     ) -> MultiPoly:
@@ -604,33 +590,3 @@ class RadialSeries:
 
     def __repr__(self) -> str:
         return f"RadialSeries({len(self.coeffs)} terms, cutoff={self.cutoff})"
-
-
-def laplacian_product_rule_check(
-    h: MultiPoly, phi: RadialSeries, block: str, D: int
-) -> bool:
-    """Exactly verify Laplacian(h*phi(rho)) == (2d+n)h phi' + 2h rho phi''.
-
-    h must be block-homogeneous and block-harmonic (the identity genuinely
-    needs harmonicity: otherwise a phi * Laplacian(h) term survives); phi must
-    carry the block's rho only.  Both sides are compared as exact truncations
-    at degree D-2.  Raises TruncationError when phi.cutoff < D.
-    """
-    d = h.block_homogeneous_degree(block)
-    if not laplacian(h, block).is_zero():
-        raise NonHarmonicError("product rule requires a block-harmonic factor")
-    other_axis = 1 if block == "x" else 0
-    if any(ab[other_axis] for ab in phi.coeffs):
-        raise ValueError(f"series must involve rho_{block} only")
-    if phi.cutoff < D:
-        raise TruncationError(
-            f"series cutoff {phi.cutoff} cannot support comparison at degree {D}"
-        )
-    space = h.space
-    nblk = space.block_size(block)
-    lhs = laplacian(h.mul(phi.expand(space, D), max_degree=D), block)
-    d1 = phi.derivative(block)
-    d2 = d1.derivative(block)
-    rhs_series = d1.scale(2 * d + nblk) + d2.shift_rho(block, 1).scale(2)
-    rhs = h.mul(rhs_series.expand(space, D), max_degree=D - 2)
-    return lhs == rhs.truncate(D - 2)

@@ -1,10 +1,13 @@
 """Symmetric squares of the orthogonal Lie algebras and the annihilator
 dichotomy built on top of them.
 
-A degree-2 symmetric tensor is stored as a coefficient dict over ordered
-pairs of canonical generators, with the symmetry c(a, b) = c(b, a) enforced
-at construction.  Builders write each displayed summand into its ordered
-slot, so double sums over both orders land symmetrically on their own.
+A degree-2 symmetric tensor is a liealg.Combination over ordered pairs of
+canonical generators, with the symmetry c(a, b) = c(b, a) enforced at
+construction.  Builders write each displayed summand into its ordered
+slot, so double sums over both orders land symmetrically on their own.  An
+ordered pair is a generator word of length two, so liealg.transport, which
+this module re-exports, changes a tensor's flavor, liealg.pi_env gives its
+operator image, and liealg.gamma2 reads it as an enveloping element as is.
 
 The coefficient dot product over ordered pairs realizes the invariant trace
 pairing in the M flavor, because the invariant form takes value -1 on every
@@ -35,11 +38,14 @@ from .gkmodule import (
     ModuleParams,
     ObstructionResult,
     closed_apply,
+    default_depth,
     default_samples,
+    default_solver_depth,
     garfinkle_obstruction,
     typical_element,
 )
 from .liealg import (
+    Combination,
     Generator,
     LieElement,
     _bracket_table,
@@ -50,12 +56,12 @@ from .liealg import (
     gamma2,
     generators,
     pbw_normal_form,
-    pi_generator,
-    transport_words,
+    pi_env,
+    sparse_sum,
+    transport,
 )
 from .linalg import SparseRREF, rref_nullspace
 from .poly import ONE, ZERO, VariableSpace
-from .weyl import WeylOperator
 
 Sig = Tuple[int, int]
 PairKey = Tuple[Generator, Generator]
@@ -68,67 +74,18 @@ def _as_sig(sig: Union[int, Sig]) -> Sig:
     return sig
 
 
-class SymSquareTensor:
+class SymSquareTensor(Combination):
     """Symmetric coefficient combination of ordered generator pairs."""
 
-    __slots__ = ("sig", "flavor", "coeffs")
+    __slots__ = ()
 
     def __init__(self, sig: Sig, flavor: str, coeffs: Dict[PairKey, Fraction]) -> None:
-        clean = {k: c for k, c in coeffs.items() if c}
-        for (a, b), c in clean.items():
+        super().__init__(sig, flavor, coeffs)
+        for (a, b), c in self.coeffs.items():
             if a.flavor != flavor or b.flavor != flavor:
                 raise ValueError("pair flavor does not match the tensor flavor")
-            if a != b and clean.get((b, a), ZERO) != c:
+            if a != b and self.coeffs.get((b, a), ZERO) != c:
                 raise ValueError("tensor coefficients are not symmetric")
-        self.sig = sig
-        self.flavor = flavor
-        self.coeffs = clean
-
-    @staticmethod
-    def zero(sig: Sig, flavor: str) -> "SymSquareTensor":
-        return SymSquareTensor(sig, flavor, {})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _check(self, other: "SymSquareTensor") -> None:
-        if self.sig != other.sig or self.flavor != other.flavor:
-            raise ValueError("mismatched signature or flavor")
-
-    def __add__(self, other: "SymSquareTensor") -> "SymSquareTensor":
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            acc = out.get(k)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
-        return SymSquareTensor(self.sig, self.flavor, out)
-
-    def __sub__(self, other: "SymSquareTensor") -> "SymSquareTensor":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SymSquareTensor":
-        return SymSquareTensor(
-            self.sig, self.flavor, {k: v * c for k, v in self.coeffs.items()}
-        )
-
-    def __neg__(self) -> "SymSquareTensor":
-        return self.scale(-1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymSquareTensor):
-            return NotImplemented
-        return (
-            self.sig == other.sig
-            and self.flavor == other.flavor
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        return f"SymSquareTensor({self.sig}, {self.flavor}, {len(self.coeffs)} slots)"
 
 
 def pairing(s: SymSquareTensor, t: SymSquareTensor) -> Fraction:
@@ -194,20 +151,18 @@ def build_S2(sig: Union[int, Sig], i: int, j: int) -> SymSquareTensor:
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("indices out of range")
     half = Fraction(1, 2)
-    coeffs: Dict[PairKey, Fraction] = {}
-    for k in range(1, n + 1):
-        if k == i or k == j:
-            continue
-        gik, s1 = canonical(i, k, "M")
-        gkj, s2 = canonical(k, j, "M")
-        v = half * (s1 * s2)
-        for key in ((gik, gkj), (gkj, gik)):
-            acc = coeffs.get(key, ZERO) + v
-            if acc:
-                coeffs[key] = acc
-            elif key in coeffs:
-                del coeffs[key]
-    tensor = SymSquareTensor((p, q), "M", coeffs)
+
+    def terms():
+        for k in range(1, n + 1):
+            if k == i or k == j:
+                continue
+            gik, s1 = canonical(i, k, "M")
+            gkj, s2 = canonical(k, j, "M")
+            v = half * (s1 * s2)
+            yield (gik, gkj), v
+            yield (gkj, gik), v
+
+    tensor = SymSquareTensor((p, q), "M", sparse_sum(terms()))
     if i == j:
         tensor = tensor - build_Q((p, q), "M").scale(Fraction(1, n))
     return tensor
@@ -245,31 +200,14 @@ def build_Xi(sig: Sig) -> SymSquareTensor:
         acc = acc + build_S2(sig, i, i)
     for i in range(p + 1, p + q + 1):
         acc = acc - build_S2(sig, i, i)
-    xi = transport_inv(acc.scale(Fraction(1, 2)))
+    xi = transport(acc.scale(Fraction(1, 2)))
     closed = xi_closed_form(sig)
     if xi != closed:
         raise ArithmeticError("transported definition disagrees with the closed form")
     return xi
 
 
-# -- transport and actions -------------------------------------------------------------
-
-
-def transport(t: SymSquareTensor) -> SymSquareTensor:
-    """Slotwise X-to-M transport: each slot times its transport sign.
-
-    Raises ValueError on a slot with exactly one mixed generator.
-    """
-    if t.flavor != "X":
-        raise ValueError("transport expects the X flavor")
-    return SymSquareTensor(t.sig, "M", transport_words(t.coeffs, t.sig[0], "M"))
-
-
-def transport_inv(t: SymSquareTensor) -> SymSquareTensor:
-    """Slotwise M-to-X transport, by the same signs as transport."""
-    if t.flavor != "M":
-        raise ValueError("transport_inv expects the M flavor")
-    return SymSquareTensor(t.sig, "X", transport_words(t.coeffs, t.sig[0], "X"))
+# -- actions ---------------------------------------------------------------------------
 
 
 def adjoint_action(x: LieElement, t: SymSquareTensor) -> SymSquareTensor:
@@ -277,36 +215,17 @@ def adjoint_action(x: LieElement, t: SymSquareTensor) -> SymSquareTensor:
     if x.sig != t.sig or x.flavor != t.flavor:
         raise ValueError("mismatched signature or flavor")
     table = _bracket_table(t.sig, t.flavor)
-    out: Dict[PairKey, Fraction] = {}
 
-    def put(key: PairKey, val: Fraction) -> None:
-        acc = out.get(key)
-        acc = val if acc is None else acc + val
-        if acc:
-            out[key] = acc
-        elif key in out:
-            del out[key]
+    def terms():
+        for (a, b), c in t.coeffs.items():
+            for gx, cx in x.coeffs.items():
+                f = cx * c
+                for g1, s in table[(gx, a)].items():
+                    yield (g1, b), f * s
+                for g2, s in table[(gx, b)].items():
+                    yield (a, g2), f * s
 
-    for (a, b), c in t.coeffs.items():
-        for gx, cx in x.coeffs.items():
-            f = cx * c
-            for g1, s in table[(gx, a)].items():
-                put((g1, b), f * s)
-            for g2, s in table[(gx, b)].items():
-                put((a, g2), f * s)
-    return SymSquareTensor(t.sig, t.flavor, out)
-
-
-def pi_tensor(t: SymSquareTensor, space: Optional[VariableSpace] = None) -> WeylOperator:
-    """Operator image of a symmetric tensor, slotwise composition of images."""
-    if t.flavor != "M":
-        raise ValueError("the operator image is defined on the M flavor")
-    if space is None:
-        space = VariableSpace(t.sig[0], t.sig[1])
-    total = WeylOperator.zero(space)
-    for (a, b), c in t.coeffs.items():
-        total = total + pi_generator(a, space).compose(pi_generator(b, space)).scale(c)
-    return total
+    return SymSquareTensor(t.sig, t.flavor, sparse_sum(terms()))
 
 
 # -- identities feeding the quadratic element ---------------------------------------------
@@ -339,7 +258,7 @@ def s4_vanishing(sig: Sig) -> Tuple[int, bool]:
     count = 0
     all_zero = True
     for i, j, k, l in combinations(range(1, n + 1), 4):
-        op = pi_tensor(build_S4((p, q), i, j, k, l), space)
+        op = pi_env(build_S4((p, q), i, j, k, l), space)
         count += 1
         if not op.is_zero():
             all_zero = False
@@ -615,8 +534,8 @@ def theorem_ingredients(params: ModuleParams, D: Optional[int] = None) -> Theore
     consistent with the dichotomy when all three steps place their piece,
     and the prediction field records whether the parameter m is zero.
     """
-    d_main = D if D is not None else 2 * params.m + 12
-    d_solver = D if D is not None else 2 * params.m + 8
+    d_main = D if D is not None else default_depth(params.m)
+    d_solver = D if D is not None else default_solver_depth(params.m)
 
     scalar = params.casimir_scalar_g()
     casimir_ok = True

@@ -82,11 +82,6 @@ class WeylOperator:
     def var(space: VariableSpace, i: int) -> "WeylOperator":
         return WeylOperator(space, {(space.unit_key(i), 0): ONE})
 
-    @staticmethod
-    def from_poly(f: MultiPoly) -> "WeylOperator":
-        """The multiplication operator by f."""
-        return WeylOperator(f.space, {(k, 0): c for k, c in f._terms.items()})
-
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:

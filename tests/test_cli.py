@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from gkverify import cli
+from gkverify.checks import selected_checks
 
 
 def _run(argv, capsys):
@@ -70,7 +71,9 @@ def test_free_suites_allow_odd_signature(capsys):
 def test_unknown_suite_is_a_config_error(capsys):
     code, _, err = _run(["run", "--suite", "nonsense"], capsys)
     assert code == 2
-    assert "configuration error" in err
+    assert "configuration error: unknown suites: nonsense" in err
+    with pytest.raises(ValueError, match="unknown suites: nonsense"):
+        selected_checks(["lie", "nonsense"])
 
 
 def test_missing_m_with_module_suites_is_rejected(capsys):

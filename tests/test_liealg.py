@@ -31,7 +31,7 @@ from gkverify.liealg import (
     same_block,
     sl2_casimir_op,
     sl2_triple,
-    transport_env,
+    transport,
 )
 from gkverify.poly import ONE, ZERO, VariableSpace
 from gkverify.symsq import SymSquareTensor
@@ -297,7 +297,7 @@ def test_pbw_normal_form_is_schedule_independent(word, seed):
         elif w in collapsed:
             del collapsed[w]
     u = EnvelopingElement(SIG, "X", {word: ONE})
-    assert pbw_normal_form(u).words == collapsed
+    assert pbw_normal_form(u).coeffs == collapsed
 
 
 def test_pbw_sorted_words_are_fixed():
@@ -337,13 +337,13 @@ def test_casimir_word_structure():
     sig = (2, 4)
     gens = generators(*sig, "X")
     full = casimir("g", sig)
-    assert set(full.words) == {(g, g) for g in gens}
-    for g, word_coeff in ((g, full.words[(g, g)]) for g in gens):
+    assert set(full.coeffs) == {(g, g) for g in gens}
+    for g, word_coeff in ((g, full.coeffs[(g, g)]) for g in gens):
         assert word_coeff == dual_sign(g, 2)
     first = casimir("op", sig)
-    assert set(first.words) == {(g, g) for g in gens if g.j <= 2}
+    assert set(first.coeffs) == {(g, g) for g in gens if g.j <= 2}
     second = casimir("oq", sig)
-    assert set(second.words) == {(g, g) for g in gens if g.i > 2}
+    assert set(second.coeffs) == {(g, g) for g in gens if g.i > 2}
 
 
 def test_casimir_closed_forms_small():
@@ -381,14 +381,14 @@ def _mixed_count(word):
 @settings(max_examples=40, deadline=None)
 def test_transport_commutes_with_pbw_normal_form(word):
     u = EnvelopingElement(SIG, "X", {word: ONE})
-    m = transport_env(u)
+    m = transport(u)
     assert m.flavor == "M"
-    assert pbw_normal_form(m) == transport_env(pbw_normal_form(u))
-    assert transport_env(m) == u
+    assert pbw_normal_form(m) == transport(pbw_normal_form(u))
+    assert transport(m) == u
 
 
 @given(words.filter(lambda w: _mixed_count(w) % 2 == 1))
 @settings(max_examples=20, deadline=None)
 def test_transport_refuses_odd_mixed_words(word):
     with pytest.raises(ValueError):
-        transport_env(EnvelopingElement(SIG, "X", {word: ONE}))
+        transport(EnvelopingElement(SIG, "X", {word: ONE}))

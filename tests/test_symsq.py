@@ -6,8 +6,17 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkverify.liealg import Generator, LieElement, generators, same_block
-from gkverify.poly import ONE, ZERO
+from gkverify.liealg import (
+    EnvelopingElement,
+    Generator,
+    LieElement,
+    gamma2,
+    generators,
+    pi_env,
+    pi_generator,
+    same_block,
+)
+from gkverify.poly import ONE, ZERO, VariableSpace
 from gkverify.symsq import (
     SymSquareTensor,
     adjoint_action,
@@ -22,10 +31,10 @@ from gkverify.symsq import (
     s4_vanishing,
     theorem_ingredients,
     transport,
-    transport_inv,
     xi_closed_form,
 )
 from gkverify.gkmodule import ModuleParams
+from gkverify.weyl import WeylOperator
 
 SIG = (2, 2)
 MGENS = generators(*SIG, "M")
@@ -53,18 +62,22 @@ def test_q_frozen_small():
 def test_transport_roundtrip_on_q():
     qx = build_Q(SIG, "X")
     assert transport(qx) == build_Q(SIG, "M")
-    assert transport_inv(transport(qx)) == qx
+    assert transport(transport(qx)) == qx
 
 
-slot_entries = st.lists(
-    st.tuples(
-        st.sampled_from(MGENS),
-        st.sampled_from(MGENS),
-        st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4),
-    ),
-    min_size=0,
-    max_size=5,
-)
+def _slot_entries(gens):
+    return st.lists(
+        st.tuples(
+            st.sampled_from(gens),
+            st.sampled_from(gens),
+            st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4),
+        ),
+        min_size=0,
+        max_size=5,
+    )
+
+
+slot_entries = _slot_entries(MGENS)
 symmetric_tensors = slot_entries.map(lambda entries: _symmetrize(entries))
 
 
@@ -80,7 +93,7 @@ even_tensors = slot_entries.map(
 )
 
 
-def _symmetrize(entries):
+def _symmetrize(entries, sig=SIG):
     coeffs = {}
     for a, b, c in entries:
         for key in ((a, b), (b, a)):
@@ -89,7 +102,7 @@ def _symmetrize(entries):
                 coeffs[key] = acc
             elif key in coeffs:
                 del coeffs[key]
-    return SymSquareTensor(SIG, "M", coeffs)
+    return SymSquareTensor(sig, "M", coeffs)
 
 
 @given(symmetric_tensors, symmetric_tensors)
@@ -113,13 +126,51 @@ def test_pairing_is_definite_on_real_tensors(t):
 @given(even_tensors)
 @settings(max_examples=25)
 def test_transport_roundtrip(t):
-    assert transport(transport_inv(t)) == t
+    # from either flavor, on a tensor and on its multiplication image
+    for s in (t, transport(t)):
+        for u in (s, gamma2(s)):
+            assert transport(transport(u)) == u
+    assert transport(gamma2(t)) == gamma2(transport(t))
 
 
 def test_transport_refuses_odd_slots():
     a, b = Generator(1, 2, "M"), Generator(1, 3, "M")
-    with pytest.raises(ValueError):
-        transport_inv(SymSquareTensor(SIG, "M", {(a, b): ONE, (b, a): ONE}))
+    t = SymSquareTensor(SIG, "M", {(a, b): ONE, (b, a): ONE})
+    for u in (t, gamma2(t)):
+        with pytest.raises(ValueError):
+            transport(u)
+
+
+@given(symmetric_tensors)
+@settings(max_examples=25)
+def test_tensor_never_equals_its_enveloping_image(t):
+    u = gamma2(t)
+    assert u.coeffs == t.coeffs
+    assert t != u and u != t
+    with pytest.raises(TypeError):
+        t + u
+    assert LieElement.zero(SIG, "M") != SymSquareTensor.zero(SIG, "M")
+
+
+def _pi_tensor_reference(t, space):
+    """Slotwise image of a tensor: the sum of c * pi(a) pi(b) over its pairs."""
+    total = WeylOperator.zero(space)
+    for (a, b), c in t.coeffs.items():
+        total = total + pi_generator(a, space).compose(pi_generator(b, space)).scale(c)
+    return total
+
+
+def _random_m_tensors(sig):
+    entries = _slot_entries(generators(*sig, "M"))
+    return entries.map(lambda e: _symmetrize(e, sig))
+
+
+@given(st.sampled_from([(2, 2), (1, 3), (3, 3)]).flatmap(_random_m_tensors))
+@settings(max_examples=40, deadline=None)
+def test_pi_env_matches_slotwise_tensor_image(t):
+    space = VariableSpace(*t.sig)
+    assert pi_env(t, space) == _pi_tensor_reference(t, space)
+    assert pi_env(t) == pi_env(EnvelopingElement(t.sig, "M", t.coeffs), space)
 
 
 @given(symmetric_tensors, st.sampled_from(MGENS), st.sampled_from(MGENS))
