@@ -3,16 +3,16 @@
 
 Usage: scripts/sweep_diff.py A.json B.json
 
-Exits 0 when the reports are identical apart from timing, 1 with the first
-differing path otherwise, and 2 when a file cannot be read.  Uses the
-standard library only.
+Exits 0 when the reports are identical apart from timing, 1 otherwise after
+printing every differing path, one per line in document order, and 2 when a
+file cannot be read.  Uses the standard library only.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from typing import Any, Optional
+from typing import Any, Iterator
 
 
 def strip_elapsed(node: Any) -> Any:
@@ -24,29 +24,23 @@ def strip_elapsed(node: Any) -> Any:
     return node
 
 
-def first_difference(a: Any, b: Any, path: str = "$") -> Optional[str]:
-    """The path of the first place where a and b differ, or None."""
+def differences(a: Any, b: Any, path: str = "$") -> Iterator[str]:
+    """Every place where a and b differ, in document order."""
     if type(a) is not type(b):
-        return f"{path}: {type(a).__name__} != {type(b).__name__}"
-    if isinstance(a, dict):
+        yield f"{path}: {type(a).__name__} != {type(b).__name__}"
+    elif isinstance(a, dict):
         for key in sorted(set(a) | set(b)):
             if key not in a or key not in b:
-                return f"{path}.{key}: present only in {'B' if key not in a else 'A'}"
-            diff = first_difference(a[key], b[key], f"{path}.{key}")
-            if diff:
-                return diff
-        return None
-    if isinstance(a, list):
+                yield f"{path}.{key}: present only in {'B' if key not in a else 'A'}"
+            else:
+                yield from differences(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, list):
         for idx, (x, y) in enumerate(zip(a, b)):
-            diff = first_difference(x, y, f"{path}[{idx}]")
-            if diff:
-                return diff
+            yield from differences(x, y, f"{path}[{idx}]")
         if len(a) != len(b):
-            return f"{path}: length {len(a)} != {len(b)}"
-        return None
-    if a != b:
-        return f"{path}: {a!r} != {b!r}"
-    return None
+            yield f"{path}: length {len(a)} != {len(b)}"
+    elif a != b:
+        yield f"{path}: {a!r} != {b!r}"
 
 
 def main(argv) -> int:
@@ -61,11 +55,10 @@ def main(argv) -> int:
     except (OSError, ValueError) as exc:
         print(f"sweep_diff: {exc}", file=sys.stderr)
         return 2
-    diff = first_difference(*reports)
-    if diff:
+    diffs = list(differences(*reports))
+    for diff in diffs:
         print(diff)
-        return 1
-    return 0
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":

@@ -69,16 +69,15 @@ from .gkmodule import (
     PsiPoleError,
     TruncatedElement,
     apply_operator,
-    closed_apply,
     default_depth,
     default_solver_depth,
+    eigenvalue_check,
     garfinkle_obstruction,
     ktype_enumeration,
     p_action_check,
     psi_series,
     typical_element,
     verify_membership,
-    xi_eigenvalue_check,
 )
 from .symsq import (
     SymSquareTensor,
@@ -637,29 +636,19 @@ def _eigenvalue_sweep(run: CheckRun, which: str):
         for kt in ktype_enumeration(params, run.k_max, run.l_max):
             h1, h2 = _first_harmonics(space, kt)
             f = typical_element(params, h1, h2, D)
-            if which == "xi":
-                report = xi_eigenvalue_check(params, f, kt)
-                applied_ok, validity = report.ok, report.validity
-                scalar = report.scalar
-            else:
-                block = "x" if which == "op" else "y"
-                scalar = (
-                    params.casimir_scalar_g()
-                    if which == "g"
-                    else params.casimir_scalar_block(kt, block)
-                )
-                applied = closed_apply(which, f)
-                applied_ok = applied.agrees_with(f.scale(scalar))
-                validity = applied.validity
-            if not applied_ok:
-                return False, validity, {
+            report = eigenvalue_check(params, which, f, kt)
+            if not report.ok:
+                return False, report.validity, {
                     "failed_sign": sign,
                     "failed_ktype": [kt.k, kt.l],
                 }
-            scalars.append(str(scalar))
+            scalars.append(str(report.scalar))
             checked += 1
-            min_validity = validity if min_validity is None else min(min_validity, validity)
+            v = report.validity
+            min_validity = v if min_validity is None else min(min_validity, v)
     detail = {"checked": checked, "scalars": sorted(set(scalars))}
+    if not checked:
+        return False, None, detail
     if which == "xi" and run.m == 0:
         detail["zero_at_m0"] = all(s == "0" for s in scalars)
         if not detail["zero_at_m0"]:
@@ -780,7 +769,7 @@ def _module_membership(run: CheckRun):
             checked += 1
             v = report.validity
             min_validity = v if min_validity is None else min(min_validity, v)
-    return True, min_validity, {"vectors_checked": checked}
+    return checked > 0, min_validity, {"vectors_checked": checked}
 
 
 @_register(
@@ -861,7 +850,7 @@ def _module_radial_uniformity(run: CheckRun):
                 min_validity = v if min_validity is None else min(min_validity, v)
             if count >= 8:
                 break
-    return True, min_validity, {"products_checked": checked}
+    return checked > 0, min_validity, {"products_checked": checked}
 
 
 @_register(
@@ -881,6 +870,8 @@ def _module_apply_linearity(run: CheckRun):
     ]
     if not kts:
         kts = ktype_enumeration(params, run.k_max, run.l_max)
+    if not kts:
+        return False, None, {"failed": "no_ktype"}
     kt = kts[0]
     bx = harmonic_basis(space, "x", kt.k).elements
     by = harmonic_basis(space, "y", kt.l).elements
@@ -936,7 +927,7 @@ def _paction_four_term(run: CheckRun):
                             "failed_index": [i, j],
                         }
                     checked += 1
-    return True, D - 2, {"identities_checked": checked, "degenerate_skipped": skipped}
+    return checked > 0, D - 2, {"identities_checked": checked, "degenerate_skipped": skipped}
 
 
 @_register(

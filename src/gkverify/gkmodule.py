@@ -16,9 +16,11 @@ All series work is truncated at an explicit total degree D, and every
 comparison records its validity: the degree up to which stored coefficients
 are exact.  One rule tracks it: applying an operator adds the smallest
 |a| - |alpha| over its terms v^a d^alpha.  apply_operator uses it for a whole
-operator, and closed_apply, which runs the Casimir and sl2 closed forms of
-liealg.closed_form factor by factor, uses it for each factor (an Euler
-operator adds 0, a Laplacian -2, a multiplication by r^2 +2).
+operator, and closed_apply, which runs the closed forms of liealg.closed_form
+(the Casimirs, the symmetric-square element Xi and the sl2 triple) factor by
+factor, uses it for each factor (an Euler operator adds 0, a Laplacian -2, a
+multiplication by r^2 +2).  eigenvalue_check compares closed_apply(which, f)
+with ModuleParams.scalar(which, kt) f, one path for all four eigenvalues.
 
 The obstruction solver at the bottom asks, over a finite sample of typical
 elements f, whether some pair (Y, lambda) of a Lie-algebra element and a
@@ -61,10 +63,8 @@ __all__ = [
     "typical_element",
     "apply_operator",
     "closed_apply",
-    "xi_apply",
     "verify_membership",
-    "casimir_eigenvalue_check",
-    "xi_eigenvalue_check",
+    "eigenvalue_check",
     "p_action_check",
     "ktype_enumeration",
     "default_depth",
@@ -160,21 +160,23 @@ class ModuleParams:
 
     # -- scalar spectra -----------------------------------------------------
 
-    def casimir_scalar_g(self) -> Fraction:
-        n = self.n
-        return Fraction(self.m * (self.m + 2)) - Fraction(n * n, 4) + n
+    def scalar(self, which: str, kt: Optional[KType] = None) -> Fraction:
+        """The eigenvalue of the closed form `which` (a liealg.closed_form
+        name: "op", "oq", "g" or "xi") on the family's elements of K-type kt.
 
-    def casimir_scalar_block(self, kt: KType, block: str) -> Fraction:
-        if block == "x":
-            kap, nblk = kt.kappa_plus, self.p
-        else:
-            kap, nblk = kt.kappa_minus, self.q
-        return (kap - 1) ** 2 - Fraction((nblk - 2) ** 2, 4)
-
-    def xi_scalar(self, kt: KType) -> Fraction:
-        """Eigenvalue of the symmetric-square element at this K-type."""
-        correction = Fraction(self.p - self.q, self.n) * self.m * (self.m + 2)
-        return kt.delta * (kt.kappa_plus + kt.kappa_minus - 2) - correction
+        The full Casimir acts by one scalar on the whole family, so "g" needs
+        no K-type.
+        """
+        p, q, n, c = self.p, self.q, self.n, self.m * (self.m + 2)
+        table = {"g": Fraction(c) - Fraction(n * n, 4) + n}
+        if kt is not None:
+            kp, km = kt.kappa_plus, kt.kappa_minus
+            table["op"] = (kp - 1) ** 2 - Fraction((p - 2) ** 2, 4)
+            table["oq"] = (km - 1) ** 2 - Fraction((q - 2) ** 2, 4)
+            table["xi"] = (kp - km) * (kp + km - 2) - Fraction(p - q, n) * c
+        if which not in table:
+            raise ValueError(f"no eigenvalue is known for {which!r} at K-type {kt}")
+        return table[which]
 
 
 class TruncatedElement:
@@ -313,7 +315,8 @@ _STAGES = {
 
 
 def closed_apply(which: str, f: TruncatedElement) -> TruncatedElement:
-    """Apply the closed form of a Casimir or sl2 generator (see closed_form).
+    """Apply a closed form of liealg.closed_form (a Casimir, Xi or an sl2
+    generator).
 
     Words are applied factor by factor, rightmost first, with the fast
     polynomial helpers; each factor's validity follows the exact rule of
@@ -342,18 +345,6 @@ def _apply_words(terms, f: TruncatedElement) -> TruncatedElement:
         part = _apply_words(rest, inner)
         total = part if total is None else total + part
     return total
-
-
-def xi_apply(f: TruncatedElement) -> TruncatedElement:
-    """The symmetric-square operator as the Casimir combination.
-
-    Xi-hat = Omega-hat_first - Omega-hat_second - (p-q)/(p+q) Omega-hat_full;
-    the identity behind this combination is itself verified exactly in the
-    symmetric-square suite.
-    """
-    p, q = f.space.p, f.space.q
-    out = closed_apply("op", f) - closed_apply("oq", f)
-    return out - closed_apply("g", f).scale(Fraction(p - q, p + q))
 
 
 # -- module checks ----------------------------------------------------------------
@@ -404,29 +395,14 @@ class EigenvalueReport:
     validity: int
 
 
-def casimir_eigenvalue_check(
-    params: ModuleParams, f: TruncatedElement, kt: KType
-) -> List[EigenvalueReport]:
-    """Exact eigenvalue checks for the block Casimirs and the full one."""
-    out = []
-    for which, scalar in (
-        ("op", params.casimir_scalar_block(kt, "x")),
-        ("oq", params.casimir_scalar_block(kt, "y")),
-        ("g", params.casimir_scalar_g()),
-    ):
-        applied = closed_apply(which, f)
-        ok = applied.agrees_with(f.scale(scalar))
-        out.append(EigenvalueReport(which, scalar, ok, applied.validity))
-    return out
-
-
-def xi_eigenvalue_check(
-    params: ModuleParams, f: TruncatedElement, kt: KType
+def eigenvalue_check(
+    params: ModuleParams, which: str, f: TruncatedElement, kt: KType
 ) -> EigenvalueReport:
-    scalar = params.xi_scalar(kt)
-    applied = xi_apply(f)
+    """Does the closed form `which` act on f, of K-type kt, by its scalar?"""
+    scalar = params.scalar(which, kt)
+    applied = closed_apply(which, f)
     ok = applied.agrees_with(f.scale(scalar))
-    return EigenvalueReport("xi", scalar, ok, applied.validity)
+    return EigenvalueReport(which, scalar, ok, applied.validity)
 
 
 # -- mixed-generator action ---------------------------------------------------------
@@ -625,7 +601,7 @@ def garfinkle_obstruction(
     rhs_col = lam_col + 1
 
     warning = None
-    xi_values = [params.xi_scalar(kt) for kt, _, _ in samples]
+    xi_values = [params.scalar("xi", kt) for kt, _, _ in samples]
     if len(samples) < 2:
         warning = "single-sample system is degenerately solvable"
     elif params.m >= 1 and len(set(xi_values)) < 2:
@@ -633,10 +609,9 @@ def garfinkle_obstruction(
 
     validity = D - 2
     prepared = []
-    for kt, hx, hy in samples:
+    for (_, hx, hy), lam_k in zip(samples, xi_values):
         f = typical_element(params, hx, hy, D)
         fpoly = f.expansion.truncate(validity)
-        lam_k = params.xi_scalar(kt)
         images = [
             pi_generator(g, space).apply(f.expansion).truncate(validity)
             for g in gens

@@ -373,10 +373,6 @@ class EnvelopingElement(Combination):
     def one(sig: Signature, flavor: str = "X") -> "EnvelopingElement":
         return EnvelopingElement(sig, flavor, {(): ONE})
 
-    @staticmethod
-    def from_lie(a: LieElement) -> "EnvelopingElement":
-        return EnvelopingElement(a.sig, a.flavor, {(g,): c for g, c in a.coeffs.items()})
-
     def __mul__(self, other: "EnvelopingElement") -> "EnvelopingElement":
         self._check(other)
         out: Dict[Word, Fraction] = {}
@@ -586,14 +582,25 @@ def pi_env(u: Combination, space: Optional[VariableSpace] = None) -> WeylOperato
 
 @lru_cache(maxsize=None)
 def closed_form(which: str, p: int, q: int) -> Tuple[Tuple[Fraction, Tuple[str, ...]], ...]:
-    """The Casimir images ("op", "oq", "g") and the sl2 triple ("H", "X+", "X-")
-    commuting with every pi(generator), at signature (p, q), in closed form.
+    """The Casimir images ("op", "oq", "g"), the symmetric-square element
+    ("xi") and the sl2 triple ("H", "X+", "X-") commuting with every
+    pi(generator), at signature (p, q), in closed form.
 
     A closed form is a sum of (coefficient, word) pairs with nonzero
     coefficients.  A word composes stock factors, the leftmost outermost: "E",
     "L" or "R" followed by a block name is the Euler operator, the Laplacian
     or the multiplication by r^2 of that block; the empty word is the identity.
+    The "xi" row is not written out: it is Omega_op - Omega_oq -
+    (p-q)/(p+q) Omega_g read off the three Casimir rows, with equal words
+    merged and vanishing coefficients dropped.
     """
+    if which == "xi":
+        r = Fraction(p - q, p + q)
+        rows = (("op", ONE), ("oq", -ONE), ("g", -r))
+        merged = sparse_sum(
+            (word, s * c) for name, s in rows for c, word in closed_form(name, p, q)
+        )
+        return tuple((c, word) for word, c in merged.items())
     half = Fraction(1, 2)
     table = {
         "op": ((1, "Ex Ex"), (p - 2, "Ex"), (-1, "Rx Lx")),
@@ -607,7 +614,7 @@ def closed_form(which: str, p: int, q: int) -> Tuple[Tuple[Fraction, Tuple[str, 
         "X-": ((half, "Rx"), (half, "Ly")),
     }
     if which not in table:
-        raise ValueError(f"which must be one of {', '.join(map(repr, table))}")
+        raise ValueError(f"which must be one of {', '.join(map(repr, table))} or 'xi'")
     return tuple((Fraction(c), tuple(w.split())) for c, w in table[which] if c)
 
 

@@ -65,10 +65,6 @@ class VariableSpace:
             raise ValueError("need p, q >= 0 with p + q >= 1")
 
     @property
-    def n(self) -> int:
-        return self.p + self.q
-
-    @property
     def nvars(self) -> int:
         return self.p + self.q
 
@@ -124,7 +120,7 @@ class VariableSpace:
         raise ValueError("block must be 'x' or 'y'")
 
     def block_size(self, block: str) -> int:
-        return self.p if block == "x" else self.q if block == "y" else 0
+        return len(self.block_range(block))
 
     def block_degree_of(self, key: int, block: str) -> int:
         return sum(self.exponent_of(key, i) for i in self.block_range(block))
@@ -149,11 +145,6 @@ class MultiPoly:
     @staticmethod
     def zero(space: VariableSpace) -> "MultiPoly":
         return MultiPoly(space, {})
-
-    @staticmethod
-    def constant(space: VariableSpace, c: ScalarLike) -> "MultiPoly":
-        cc = Fraction(c)
-        return MultiPoly(space, {0: cc} if cc else {})
 
     @staticmethod
     def one(space: VariableSpace) -> "MultiPoly":
@@ -222,10 +213,6 @@ class MultiPoly:
                 f"polynomial is not homogeneous in block {block!r}: degrees {sorted(degs)}"
             )
         return degs.pop()
-
-    def is_homogeneous(self) -> bool:
-        degs = {k >> self.space.deg_shift for k in self._terms}
-        return len(degs) <= 1
 
     # -- ring operations ---------------------------------------------------
 
@@ -522,31 +509,6 @@ class RadialSeries:
         self.coeffs = {
             ab: c for ab, c in coeffs.items() if c and 2 * (ab[0] + ab[1]) <= cutoff
         }
-
-    @staticmethod
-    def constant(c: ScalarLike, cutoff: int) -> "RadialSeries":
-        return RadialSeries({(0, 0): Fraction(c)}, cutoff)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def scale(self, c: ScalarLike) -> "RadialSeries":
-        return RadialSeries({ab: v * c for ab, v in self.coeffs.items()}, self.cutoff)
-
-    def __add__(self, other: "RadialSeries") -> "RadialSeries":
-        cutoff = min(self.cutoff, other.cutoff)
-        out = dict(self.coeffs)
-        for ab, c in other.coeffs.items():
-            acc = out.get(ab)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[ab] = acc
-            elif ab in out:
-                del out[ab]
-        return RadialSeries(out, cutoff)
-
-    def __sub__(self, other: "RadialSeries") -> "RadialSeries":
-        return self + other.scale(-1)
 
     def shift_rho(self, block: str, j: int = 1) -> "RadialSeries":
         """Multiply by rho_block^j; the guaranteed degree grows by 2j."""

@@ -37,10 +37,10 @@ from typing import Dict, List, Optional, Tuple, Union
 from .gkmodule import (
     ModuleParams,
     ObstructionResult,
-    closed_apply,
     default_depth,
     default_samples,
     default_solver_depth,
+    eigenvalue_check,
     garfinkle_obstruction,
     typical_element,
 )
@@ -537,12 +537,10 @@ def theorem_ingredients(params: ModuleParams, D: Optional[int] = None) -> Theore
     d_main = D if D is not None else default_depth(params.m)
     d_solver = D if D is not None else default_solver_depth(params.m)
 
-    scalar = params.casimir_scalar_g()
-    casimir_ok = True
-    for kt, hx, hy in default_samples(params):
-        f = typical_element(params, hx, hy, d_main)
-        if not closed_apply("g", f).agrees_with(f.scale(scalar)):
-            casimir_ok = False
+    casimir_ok = all(
+        eigenvalue_check(params, "g", typical_element(params, hx, hy, d_main), kt).ok
+        for kt, hx, hy in default_samples(params)
+    )
 
     s4_count, s4_ok = s4_vanishing((params.p, params.q))
 
@@ -553,7 +551,7 @@ def theorem_ingredients(params: ModuleParams, D: Optional[int] = None) -> Theore
         q=params.q,
         m=params.m,
         sign=params.sign,
-        casimir_scalar=scalar,
+        casimir_scalar=params.scalar("g"),
         casimir_step_ok=casimir_ok,
         s4_count=s4_count,
         s4_step_ok=s4_ok,

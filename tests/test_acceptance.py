@@ -14,12 +14,11 @@ from math import comb
 
 from gkverify.gkmodule import (
     ModuleParams,
-    casimir_eigenvalue_check,
+    eigenvalue_check,
     ktype_enumeration,
     p_action_check,
     typical_element,
     verify_membership,
-    xi_eigenvalue_check,
 )
 from gkverify.liealg import (
     LieElement,
@@ -156,10 +155,10 @@ def test_criterion_4_eigenvalues(capsys):
             for kt in ktype_enumeration(params, 3, 3):
                 h1, h2 = _first_harmonics(params.space, kt)
                 f = typical_element(params, h1, h2, D)
-                for rep in casimir_eigenvalue_check(params, f, kt):
-                    if not rep.ok:
+                for which in ("op", "oq", "g"):
+                    if not eigenvalue_check(params, which, f, kt).ok:
                         ok = False
-                xi_rep = xi_eigenvalue_check(params, f, kt)
+                xi_rep = eigenvalue_check(params, "xi", f, kt)
                 if not xi_rep.ok:
                     ok = False
                 if m == 0 and xi_rep.scalar != 0:

@@ -11,16 +11,15 @@ from gkverify.gkmodule import (
     PsiPoleError,
     TruncatedElement,
     apply_operator,
-    casimir_eigenvalue_check,
     closed_apply,
     default_samples,
+    eigenvalue_check,
     garfinkle_obstruction,
     ktype_enumeration,
     p_action_check,
     psi_series,
     typical_element,
     verify_membership,
-    xi_eigenvalue_check,
 )
 from gkverify.poly import ONE, TruncationError, VariableSpace, harmonic_basis
 from gkverify.liealg import closed_operator
@@ -142,25 +141,42 @@ def test_weight_is_signed_m():
 def test_casimir_scalars_frozen():
     # at (4,4,1): full Casimir m(m+2) - n^2/4 + n = -5; block values from kappa
     params = ModuleParams(4, 4, 1, 1)
-    assert params.casimir_scalar_g() == Fraction(-5)
+    assert params.scalar("g") == Fraction(-5)
     kt = KType(1, 0, 4, 4)
-    assert params.casimir_scalar_block(kt, "x") == Fraction(3)
-    assert params.casimir_scalar_block(kt, "y") == Fraction(0)
+    assert params.scalar("op", kt) == Fraction(3)
+    assert params.scalar("oq", kt) == Fraction(0)
 
 
 def test_xi_scalars_frozen():
     # at (4,4,1): kappa (3,2) gives 3, kappa (2,3) gives -3, zero never happens
     params = ModuleParams(4, 4, 1, 1)
-    assert params.xi_scalar(KType(1, 0, 4, 4)) == Fraction(3)
-    assert params.xi_scalar(KType(0, 1, 4, 4)) == Fraction(-3)
-    assert params.xi_scalar(KType(1, 2, 4, 4)) == Fraction(-5)
-    assert params.xi_scalar(KType(2, 1, 4, 4)) == Fraction(5)
+    assert params.scalar("xi", KType(1, 0, 4, 4)) == Fraction(3)
+    assert params.scalar("xi", KType(0, 1, 4, 4)) == Fraction(-3)
+    assert params.scalar("xi", KType(1, 2, 4, 4)) == Fraction(-5)
+    assert params.scalar("xi", KType(2, 1, 4, 4)) == Fraction(5)
 
 
 def test_xi_scalar_vanishes_at_m_zero():
     params = ModuleParams(4, 6, 0, 1)
     for kt in ktype_enumeration(params, 3, 3):
-        assert params.xi_scalar(kt) == 0
+        assert params.scalar("xi", kt) == 0
+
+
+@pytest.mark.parametrize("p,q,m", [(2, 4, 0), (4, 4, 1), (5, 3, 1), (4, 6, 2)])
+def test_xi_scalar_is_the_casimir_combination(p, q, m):
+    # Xi's eigenvalue is written from its own formula; it must obey the same
+    # op - oq - (p-q)/(p+q) g relation that builds the "xi" closed form row.
+    for sign in (1, -1):
+        params = ModuleParams(p, q, m, sign)
+        for kt in ktype_enumeration(params, 3, 3):
+            combo = params.scalar("op", kt) - params.scalar("oq", kt)
+            combo -= Fraction(p - q, p + q) * params.scalar("g", kt)
+            assert params.scalar("xi", kt) == combo
+            assert params.scalar("g", kt) == params.scalar("g")
+    with pytest.raises(ValueError):
+        params.scalar("op")  # a block eigenvalue needs its K-type
+    with pytest.raises(ValueError):
+        params.scalar("H", kt)
 
 
 def test_eigenvalue_reports_spot():
@@ -170,9 +186,10 @@ def test_eigenvalue_reports_spot():
     h1 = harmonic_basis(space, "x", 1).elements[0]
     h2 = harmonic_basis(space, "y", 0).elements[0]
     f = typical_element(params, h1, h2, 14)
-    for report in casimir_eigenvalue_check(params, f, kt):
+    for which in ("op", "oq", "g"):
+        report = eigenvalue_check(params, which, f, kt)
         assert report.ok, report.name
-    xi_report = xi_eigenvalue_check(params, f, kt)
+    xi_report = eigenvalue_check(params, "xi", f, kt)
     assert xi_report.ok and xi_report.scalar == 3
 
 
@@ -207,11 +224,38 @@ def test_closed_apply_matches_one_pass_operator(p, q):
             h1 = harmonic_basis(space, "x", kt.k).elements[0]
             h2 = harmonic_basis(space, "y", kt.l).elements[0]
             f = typical_element(params, h1, h2, 8)
-            for which in ("op", "oq", "g", "H", "X+", "X-"):
+            for which in ("op", "oq", "g", "xi", "H", "X+", "X-"):
                 staged = closed_apply(which, f)
                 one_pass = apply_operator(closed_operator(space, which), f)
                 assert staged.validity == one_pass.validity, (p, q, m, sign, which)
                 assert staged.expansion == one_pass.expansion, (p, q, m, sign, which)
+
+
+def _xi_by_three_casimirs(f):
+    # Xi applied as the three Casimirs it is made of, each closed form on its
+    # own, then combined; the "xi" row merges them into one closed form.
+    p, q = f.space.p, f.space.q
+    out = closed_apply("op", f) - closed_apply("oq", f)
+    return out - closed_apply("g", f).scale(Fraction(p - q, p + q))
+
+
+@pytest.mark.parametrize("p,q,m", [(2, 4, 0), (3, 3, 0), (4, 4, 1), (4, 6, 2)])
+def test_xi_row_matches_three_casimir_application(p, q, m):
+    space = VariableSpace(p, q)
+    D = 2 * m + 8
+    for sign in (1, -1):
+        params = ModuleParams(p, q, m, sign)
+        for kt in ktype_enumeration(params, 2, 2):
+            h1 = harmonic_basis(space, "x", kt.k).elements[0]
+            h2 = harmonic_basis(space, "y", kt.l).elements[0]
+            f = typical_element(params, h1, h2, D)
+            merged = closed_apply("xi", f)
+            separate = _xi_by_three_casimirs(f)
+            assert merged.agrees_with(separate), (p, q, m, sign, kt)
+            if p == q:  # no Lx Ly word is left, so the merged row keeps more degrees
+                assert merged.validity >= separate.validity
+            else:
+                assert merged.validity == separate.validity
 
 
 def test_truncated_element_agreement_window():

@@ -152,6 +152,15 @@ def test_harmonic_basis_is_canonical(sig):
                 assert laplacian(h, block).is_zero()
 
 
+def test_unknown_block_is_refused():
+    for bad in ("z", ""):
+        with pytest.raises(ValueError, match="block must be"):
+            SPACE.block_size(bad)
+        with pytest.raises(ValueError, match="block must be"):
+            harmonic_basis(SPACE, bad, 1)
+    assert (SPACE.block_size("x"), SPACE.block_size("y")) == (2, 4)
+
+
 def test_dagger_on_harmonic_is_identity():
     basis = harmonic_basis(SPACE, "y", 2)
     for h in basis.elements:

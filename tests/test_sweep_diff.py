@@ -53,3 +53,15 @@ def test_unreadable_report_exits_2(tmp_path):
         timeout=60,
     )
     assert missing.returncode == 2
+
+
+def test_every_difference_is_listed_in_document_order(tmp_path):
+    a = _report(0.04, 8)
+    b = _report(0.04, 6)
+    b["checks"][0]["detail"]["checked"] = 4
+    done = _diff(tmp_path, a, b)
+    assert done.returncode == 1
+    assert done.stdout.splitlines() == [
+        "$.checks[0].detail.checked: 6 != 4",
+        "$.checks[0].validity: 8 != 6",
+    ]

@@ -10,6 +10,8 @@ from gkverify.liealg import (
     EnvelopingElement,
     Generator,
     LieElement,
+    closed_form,
+    closed_operator,
     gamma2,
     generators,
     pi_env,
@@ -220,6 +222,23 @@ def test_xi_closed_form_frozen_small():
             assert xi.coeffs[(g, g)] == ONE
         else:
             assert (g, g) not in xi.coeffs
+
+
+@pytest.mark.parametrize("sig", [(2, 2), (1, 3), (3, 3), (2, 4), (4, 4), (5, 3)])
+def test_xi_closed_form_row_is_the_image_of_xi(sig):
+    # The "xi" row of closed_form is derived from the three Casimir rows; its
+    # operator must equal the image of the tensor built from its definition.
+    space = VariableSpace(*sig)
+    assert closed_operator(space, "xi") == pi_env(transport(gamma2(build_Xi(sig))), space)
+
+
+def test_xi_closed_form_row_sizes():
+    # equal words merged, zero coefficients dropped; at p = q the (p-q)/(p+q)
+    # part, and with it every mixed Ex Ey, Rx Ry, Lx Ly and constant word, is gone
+    sizes = {sig: len(closed_form("xi", *sig)) for sig in [(4, 6), (4, 4), (3, 3), (5, 3)]}
+    assert sizes == {(4, 6): 10, (4, 4): 6, (3, 3): 6, (5, 3): 9}
+    for c, word in closed_form("xi", 4, 4):
+        assert c and len({factor[1] for factor in word}) <= 1
 
 
 def test_gamma2_identities():
