@@ -27,6 +27,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -73,8 +74,10 @@ from .gkmodule import (
     default_solver_depth,
     eigenvalue_check,
     garfinkle_obstruction,
+    ktype_elements,
     ktype_enumeration,
     p_action_check,
+    product_elements,
     psi_series,
     typical_element,
     verify_membership,
@@ -171,12 +174,6 @@ def _register(name: str, suite: str, scope: str, description: str):
         return fn
 
     return deco
-
-
-def _first_harmonics(space: VariableSpace, kt: KType) -> Tuple[MultiPoly, MultiPoly]:
-    h1 = harmonic_basis(space, "x", kt.k).elements[0]
-    h2 = harmonic_basis(space, "y", kt.l).elements[0]
-    return h1, h2
 
 
 # -- lie suite --------------------------------------------------------------------
@@ -626,28 +623,21 @@ def _casimir_sl2(run: CheckRun):
 
 
 def _eigenvalue_sweep(run: CheckRun, which: str):
-    checked = 0
-    min_validity = None
+    validities = []
     scalars = []
     for sign in (1, -1):
-        params = run.params(sign)
-        space = params.space
-        D = run.depth()
-        for kt in ktype_enumeration(params, run.k_max, run.l_max):
-            h1, h2 = _first_harmonics(space, kt)
-            f = typical_element(params, h1, h2, D)
-            report = eigenvalue_check(params, which, f, kt)
+        for f in ktype_elements(run.params(sign), run.k_max, run.l_max, run.depth()):
+            report = eigenvalue_check(which, f)
             if not report.ok:
                 return False, report.validity, {
                     "failed_sign": sign,
-                    "failed_ktype": [kt.k, kt.l],
+                    "failed_ktype": [f.kt.k, f.kt.l],
                 }
             scalars.append(str(report.scalar))
-            checked += 1
-            v = report.validity
-            min_validity = v if min_validity is None else min(min_validity, v)
-    detail = {"checked": checked, "scalars": sorted(set(scalars))}
-    if not checked:
+            validities.append(report.validity)
+    min_validity = min(validities, default=None)
+    detail = {"checked": len(validities), "scalars": sorted(set(scalars))}
+    if not validities:
         return False, None, detail
     if which == "xi" and run.m == 0:
         detail["zero_at_m0"] = all(s == "0" for s in scalars)
@@ -726,7 +716,8 @@ def _module_window(run: CheckRun):
                 )
                 if manual != ((k, l) in enumerated):
                     return False, None, {"mismatch_at": [k, l]}
-                h1, h2 = _first_harmonics(space, kt)
+                h1 = harmonic_basis(space, "x", k).elements[0]
+                h2 = harmonic_basis(space, "y", l).elements[0]
                 try:
                     typical_element(params, h1, h2, run.depth())
                     built = True
@@ -748,28 +739,22 @@ def _module_window(run: CheckRun):
     "each sampled vector has the right weight, is annihilated, and is killed by the expected power",
 )
 def _module_membership(run: CheckRun):
-    checked = 0
-    min_validity = None
+    validities = []
     for sign in (1, -1):
         params = run.params(sign)
-        space = params.space
-        D = run.depth()
-        for kt in ktype_enumeration(params, run.k_max, run.l_max):
-            h1, h2 = _first_harmonics(space, kt)
-            f = typical_element(params, h1, h2, D)
+        for f in ktype_elements(params, run.k_max, run.l_max, run.depth()):
             report = verify_membership(params, f)
             if not report.ok:
                 return False, report.validity, {
                     "failed_sign": sign,
-                    "failed_ktype": [kt.k, kt.l],
+                    "failed_ktype": [f.kt.k, f.kt.l],
                     "weight_ok": report.weight_ok,
                     "annihilated_ok": report.annihilated_ok,
                     "power_ok": report.power_ok,
                 }
-            checked += 1
-            v = report.validity
-            min_validity = v if min_validity is None else min(min_validity, v)
-    return checked > 0, min_validity, {"vectors_checked": checked}
+            validities.append(report.validity)
+    n = len(validities)
+    return n > 0, min(validities, default=None), {"vectors_checked": n}
 
 
 @_register(
@@ -816,12 +801,9 @@ def _module_series(run: CheckRun):
     "every harmonic product at one lowest-layer type yields a vector passing membership",
 )
 def _module_radial_uniformity(run: CheckRun):
-    checked = 0
-    min_validity = None
+    validities = []
     for sign in (1, -1):
         params = run.params(sign)
-        space = params.space
-        D = run.depth()
         kts = [
             kt
             for kt in ktype_enumeration(params, run.k_max, run.l_max)
@@ -829,28 +811,16 @@ def _module_radial_uniformity(run: CheckRun):
         ]
         if not kts:
             continue
-        kt = kts[0]
-        bx = harmonic_basis(space, "x", kt.k).elements
-        by = harmonic_basis(space, "y", kt.l).elements
-        count = 0
-        for h1 in bx:
-            for h2 in by:
-                if count >= 8:
-                    break
-                f = typical_element(params, h1, h2, D)
-                report = verify_membership(params, f)
-                if not report.ok:
-                    return False, report.validity, {
-                        "failed_sign": sign,
-                        "ktype": [kt.k, kt.l],
-                    }
-                count += 1
-                checked += 1
-                v = report.validity
-                min_validity = v if min_validity is None else min(min_validity, v)
-            if count >= 8:
-                break
-    return checked > 0, min_validity, {"products_checked": checked}
+        for f in islice(product_elements(params, kts[0], run.depth()), 8):
+            report = verify_membership(params, f)
+            if not report.ok:
+                return False, report.validity, {
+                    "failed_sign": sign,
+                    "ktype": [f.kt.k, f.kt.l],
+                }
+            validities.append(report.validity)
+    n = len(validities)
+    return n > 0, min(validities, default=None), {"products_checked": n}
 
 
 @_register(
@@ -909,18 +879,14 @@ def _paction_four_term(run: CheckRun):
     D = run.depth()
     for sign in (1, -1):
         params = run.params(sign)
-        space = params.space
-        for kt in ktype_enumeration(params, min(run.k_max, 2), min(run.l_max, 2)):
-            if sign == 1 and kt.kappa_minus == 1:
+        for f in ktype_elements(params, min(run.k_max, 2), min(run.l_max, 2), D):
+            kt = f.kt
+            if (kt.kappa_minus if sign == 1 else kt.kappa_plus) == 1:
                 skipped += 1
                 continue
-            if sign == -1 and kt.kappa_plus == 1:
-                skipped += 1
-                continue
-            h1, h2 = _first_harmonics(space, kt)
             for i in range(1, run.p + 1):
                 for j in range(1, run.q + 1):
-                    if not p_action_check(params, h1, h2, i, j, D):
+                    if not p_action_check(f, i, j):
                         return False, D - 2, {
                             "failed_sign": sign,
                             "failed_ktype": [kt.k, kt.l],

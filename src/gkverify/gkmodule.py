@@ -19,23 +19,29 @@ are exact.  One rule tracks it: applying an operator adds the smallest
 operator, and closed_apply, which runs the closed forms of liealg.closed_form
 (the Casimirs, the symmetric-square element Xi and the sl2 triple) factor by
 factor, uses it for each factor (an Euler operator adds 0, a Laplacian -2, a
-multiplication by r^2 +2).  eigenvalue_check compares closed_apply(which, f)
-with ModuleParams.scalar(which, kt) f, one path for all four eigenvalues.
+multiplication by r^2 +2).
 
-The obstruction solver at the bottom asks, over a finite sample of typical
+A TypicalElement carries its family, K-type and harmonics, and the sample
+plans ktype_elements and product_elements yield them one at a time.
+eigenvalue_check compares closed_apply(which, f) with
+ModuleParams.scalar(which, f.kt) f, one path for all four eigenvalues, and
+p_action_check expands the mixed action on f; both refuse other elements.
+
+The obstruction solver at the bottom asks, over the default sample of typical
 elements f, whether some pair (Y, lambda) of a Lie-algebra element and a
 scalar satisfies pi(Y) f + lambda f = lambda_kappa(f) f for every sample,
 where lambda_kappa is the symmetric-square eigenvalue.  It returns either a
 witness verified against every sampled equation or an exact infeasibility
 certificate; infeasibility of the truncated subsystem is an exact conclusion
-about the full system.
+about the full system.  A sample too small to decide the question raises
+DegenerateSampleError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .liealg import STOCK_OPERATORS, Generator, closed_form, generators, pi_generator
 from .linalg import SparseRREF
@@ -57,10 +63,14 @@ __all__ = [
     "KType",
     "ModuleParams",
     "TruncatedElement",
+    "TypicalElement",
     "PsiPoleError",
     "DegenerateDenominatorError",
+    "DegenerateSampleError",
     "psi_series",
     "typical_element",
+    "ktype_elements",
+    "product_elements",
     "apply_operator",
     "closed_apply",
     "verify_membership",
@@ -83,6 +93,10 @@ class PsiPoleError(ValueError):
 
 class DegenerateDenominatorError(ZeroDivisionError):
     """A coefficient denominator in the mixed-generator expansion vanished."""
+
+
+class DegenerateSampleError(ValueError):
+    """The sampled elements cannot decide the obstruction question."""
 
 
 @dataclass(frozen=True)
@@ -215,8 +229,30 @@ class TruncatedElement:
 
     def __repr__(self) -> str:
         return (
-            f"TruncatedElement({len(self.expansion)} terms, validity={self.validity})"
+            f"{type(self).__name__}({len(self.expansion)} terms, "
+            f"validity={self.validity})"
         )
+
+
+class TypicalElement(TruncatedElement):
+    """h1 h2 rho^mu Psi_kappa of the family `params` at K-type `kt`.
+
+    Only typical_element builds one.  Sums and multiples are plain
+    TruncatedElements: they have no single K-type.
+    """
+
+    __slots__ = ("params", "kt", "h1", "h2")
+
+    def __init__(self, expansion: MultiPoly, validity: int, params: ModuleParams,
+                 kt: KType, h1: MultiPoly, h2: MultiPoly) -> None:
+        super().__init__(expansion, validity)
+        self.params, self.kt, self.h1, self.h2 = params, kt, h1, h2
+
+
+def _require_typical(f) -> TypicalElement:
+    if not isinstance(f, TypicalElement):
+        raise TypeError(f"need a TypicalElement, got {type(f).__name__}")
+    return f
 
 
 def psi_series(alpha: Fraction, cutoff: int) -> RadialSeries:
@@ -256,24 +292,23 @@ def _radial_layer(
     h1: MultiPoly,
     h2: MultiPoly,
     validity: int,
-) -> TruncatedElement:
-    """h1 * h2 * rho^mu * Psi_kappa, exact to `validity`."""
+) -> MultiPoly:
+    """The expansion of h1 * h2 * rho^mu * Psi_kappa, exact to `validity`."""
     base = (
         h1.block_homogeneous_degree("x")
         + h2.block_homogeneous_degree("y")
         + 2 * mu
     )
     if validity < base:
-        return TruncatedElement(MultiPoly.zero(space), validity)
+        return MultiPoly.zero(space)
     series = psi_series(kappa, validity - base).shift_rho(radial_block, mu)
     radial = series.expand(space, validity)
-    expansion = h1.mul(h2).mul(radial, max_degree=validity)
-    return TruncatedElement(expansion, validity)
+    return h1.mul(h2).mul(radial, max_degree=validity)
 
 
 def typical_element(
     params: ModuleParams, h1: MultiPoly, h2: MultiPoly, D: int
-) -> TruncatedElement:
+) -> TypicalElement:
     """h1 h2 rho^mu Psi_kappa truncated at total degree D.
 
     h1 must be a pure-x harmonic, h2 a pure-y harmonic; their degrees fix the
@@ -291,7 +326,8 @@ def typical_element(
     base = k + l + 2 * mu
     if D < base:
         raise TruncationError(f"D={D} is below the base degree {base}")
-    return _radial_layer(params.space, kappa, mu, radial_block, h1, h2, D)
+    expansion = _radial_layer(params.space, kappa, mu, radial_block, h1, h2, D)
+    return TypicalElement(expansion, D, params, kt, h1, h2)
 
 
 # -- operator application -------------------------------------------------------
@@ -395,11 +431,10 @@ class EigenvalueReport:
     validity: int
 
 
-def eigenvalue_check(
-    params: ModuleParams, which: str, f: TruncatedElement, kt: KType
-) -> EigenvalueReport:
-    """Does the closed form `which` act on f, of K-type kt, by its scalar?"""
-    scalar = params.scalar(which, kt)
+def eigenvalue_check(which: str, f: TypicalElement) -> EigenvalueReport:
+    """Does the closed form `which` act on f by its scalar at f's K-type?"""
+    _require_typical(f)
+    scalar = f.params.scalar(which, f.kt)
     applied = closed_apply(which, f)
     ok = applied.agrees_with(f.scale(scalar))
     return EigenvalueReport(which, scalar, ok, applied.validity)
@@ -408,32 +443,22 @@ def eigenvalue_check(
 # -- mixed-generator action ---------------------------------------------------------
 
 
-def p_action_check(
-    params: ModuleParams,
-    h1: MultiPoly,
-    h2: MultiPoly,
-    i: int,
-    j: int,
-    D: int,
-) -> bool:
-    """Verify the four-layer expansion of the mixed generator action.
+def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
+    """Verify the four-layer expansion of the mixed generator action on f.
 
     Compares -pi(M_{i, p+j}) f = (x_i y_j + d_{x_i} d_{y_j}) f, applied
     directly, against the closed four-term combination of shifted harmonic
-    layers, exactly at validity D - 2 (1-based i <= p, j <= q).  This is
-    sqrt(-1) pi(X_{i, p+j}), the operator the layer coefficients expand.
-    Raise/skip policy: a layer whose polynomial factor vanishes is skipped
-    before its coefficient is formed; a vanishing coefficient denominator
-    with surviving polynomial factors raises DegenerateDenominatorError
-    (callers must exclude such K-types).
+    layers built from f's harmonics, exactly at validity f.validity - 2
+    (1-based i <= p, j <= q).  This is sqrt(-1) pi(X_{i, p+j}), the operator
+    the layer coefficients expand.  Raise/skip policy: a layer whose
+    polynomial factor vanishes is skipped before its coefficient is formed; a
+    vanishing coefficient denominator with surviving polynomial factors
+    raises DegenerateDenominatorError (callers must exclude such K-types).
     """
+    params, kt = _require_typical(f).params, f.kt
     if not (1 <= i <= params.p and 1 <= j <= params.q):
         raise ValueError("need 1 <= i <= p and 1 <= j <= q")
-    k = _require_block_harmonic(h1, "x")
-    l = _require_block_harmonic(h2, "y")
-    kt = KType(k, l, params.p, params.q)
     mu = params.mu(kt)
-    f = typical_element(params, h1, h2, D)
     gen = Generator(i, params.p + j, "M")
     op = pi_generator(gen, params.space).scale(-1)
     lhs = apply_operator(op, f)
@@ -441,8 +466,8 @@ def p_action_check(
 
     kp, km = kt.kappa_plus, kt.kappa_minus
     xvar, yvar = i - 1, params.p + j - 1
-    dh1, dh2 = h1.diff(xvar), h2.diff(yvar)
-    xh1, yh2 = h1.var_mul(xvar), h2.var_mul(yvar)
+    dh1, dh2 = f.h1.diff(xvar), f.h2.diff(yvar)
+    xh1, yh2 = f.h1.var_mul(xvar), f.h2.var_mul(yvar)
 
     # layers: (x-factor, needs x-dagger, y-factor, needs y-dagger,
     #          numerator, denominator, series parameter, radial exponent)
@@ -463,14 +488,14 @@ def p_action_check(
             (xh1, True, yh2, True, km - mu - 1, km, km + 1, mu),
         ]
 
-    rhs = TruncatedElement(MultiPoly.zero(params.space), v)
+    rhs = MultiPoly.zero(params.space)
     for fx, dag_x, fy, dag_y, num, den, kappa, layer_mu in layers:
         if fx.is_zero() or fy.is_zero():
             continue
         num, den = Fraction(num), Fraction(den)
         if den == 0:
             raise DegenerateDenominatorError(
-                f"coefficient denominator vanished at K-type (k={k}, l={l})"
+                f"coefficient denominator vanished at K-type (k={kt.k}, l={kt.l})"
             )
         if num == 0:
             continue
@@ -480,10 +505,10 @@ def p_action_check(
             params.space, Fraction(kappa), layer_mu, radial_block, poly_x, poly_y, v
         )
         rhs = rhs + layer.scale(num / den)
-    return lhs.agrees_with(rhs)
+    return lhs.agrees_with(TruncatedElement(rhs, v))
 
 
-# -- enumeration ---------------------------------------------------------------------
+# -- sample plans ----------------------------------------------------------------------
 
 
 def ktype_enumeration(params: ModuleParams, k_max: int, l_max: int) -> List[KType]:
@@ -497,6 +522,40 @@ def ktype_enumeration(params: ModuleParams, k_max: int, l_max: int) -> List[KTyp
     return out
 
 
+def ktype_elements(
+    params: ModuleParams, k_max: int, l_max: int, D: int
+) -> Iterator[TypicalElement]:
+    """One typical element per K-type of ktype_enumeration(params, k_max,
+    l_max), in its order, built at degree D from the first harmonic basis
+    element of each block."""
+    space = params.space
+    for kt in ktype_enumeration(params, k_max, l_max):
+        h1 = harmonic_basis(space, "x", kt.k).elements[0]
+        h2 = harmonic_basis(space, "y", kt.l).elements[0]
+        yield typical_element(params, h1, h2, D)
+
+
+def product_elements(params: ModuleParams, kt: KType, D: int) -> Iterator[TypicalElement]:
+    """The typical elements of every harmonic product at K-type kt, built at
+    degree D, in basis order with the x harmonic outermost."""
+    for h1 in harmonic_basis(params.space, "x", kt.k).elements:
+        for h2 in harmonic_basis(params.space, "y", kt.l).elements:
+            yield typical_element(params, h1, h2, D)
+
+
+def default_samples(params: ModuleParams, D: int) -> Iterator[TypicalElement]:
+    """The default sampling plan of the obstruction solver, built at degree D.
+
+    ktype_elements over k, l <= 2, then product_elements at the smallest of
+    those K-types with k + l >= 1 (least multiplicity, then least (k, l)).
+    """
+    yield from ktype_elements(params, 2, 2, D)
+    enriched = [kt for kt in ktype_enumeration(params, 2, 2) if kt.k + kt.l >= 1]
+    if enriched:
+        best = min(enriched, key=lambda kt: (kt.multiplicity, kt.k, kt.l))
+        yield from product_elements(params, best, D)
+
+
 # -- the obstruction solver -----------------------------------------------------------
 
 
@@ -507,7 +566,6 @@ class ObstructionResult:
     exists: bool
     witness: Optional[Tuple[Dict[Generator, Fraction], Fraction]]
     certificate: Optional[str]
-    warning: Optional[str]
     validity: int
     n_samples: int
     n_rows: int
@@ -527,7 +585,6 @@ class ObstructionResult:
             "exists": self.exists,
             "witness": witness,
             "certificate": self.certificate,
-            "warning": self.warning,
             "validity": self.validity,
             "n_samples": self.n_samples,
             "n_rows": self.n_rows,
@@ -545,37 +602,11 @@ def default_solver_depth(m: int) -> int:
     return 2 * m + 8
 
 
-def default_samples(
-    params: ModuleParams,
-) -> List[Tuple[KType, MultiPoly, MultiPoly]]:
-    """The default sampling plan for the obstruction solver.
-
-    One element per allowed K-type with k, l <= 2 (first harmonic basis
-    element of each factor), plus the full harmonic product basis at the
-    smallest such K-type with k + l >= 1.
-    """
-    space = params.space
-    kts = ktype_enumeration(params, 2, 2)
-    samples: List[Tuple[KType, MultiPoly, MultiPoly]] = []
-    for kt in kts:
-        hx = harmonic_basis(space, "x", kt.k).elements[0]
-        hy = harmonic_basis(space, "y", kt.l).elements[0]
-        samples.append((kt, hx, hy))
-    enriched = [kt for kt in kts if kt.k + kt.l >= 1]
-    if enriched:
-        best = min(enriched, key=lambda kt: (kt.multiplicity, kt.k, kt.l))
-        for hx in harmonic_basis(space, "x", best.k).elements:
-            for hy in harmonic_basis(space, "y", best.l).elements:
-                samples.append((best, hx, hy))
-    return samples
-
-
 def garfinkle_obstruction(
-    params: ModuleParams,
-    D: Optional[int] = None,
-    samples: Optional[Sequence[Tuple[KType, MultiPoly, MultiPoly]]] = None,
+    params: ModuleParams, D: Optional[int] = None
 ) -> ObstructionResult:
-    """Decide solvability of pi(Y) f + lambda f = lambda_kappa(f) f over samples.
+    """Decide solvability of pi(Y) f + lambda f = lambda_kappa(f) f over the
+    default samples f, built at degree D.
 
     Builds the exact linear system in the M-flavor generator coefficients of
     Y (the witness is reported in these coordinates; whenever a witness
@@ -589,28 +620,20 @@ def garfinkle_obstruction(
     the truncated sampled system implies infeasibility of the full system.
 
     For m = 0 the eigenvalues lambda_kappa vanish on the whole window, so the
-    zero witness is exact regardless of truncation.
+    zero witness is exact regardless of truncation.  Fewer than two samples,
+    or (for m >= 1) samples sharing one eigenvalue, are solvable for a
+    reason unrelated to the module and raise DegenerateSampleError.
     """
     if D is None:
         D = default_solver_depth(params.m)
-    if samples is None:
-        samples = default_samples(params)
     space = params.space
     gens = generators(params.p, params.q, "M")
     lam_col = len(gens)
     rhs_col = lam_col + 1
 
-    warning = None
-    xi_values = [params.scalar("xi", kt) for kt, _, _ in samples]
-    if len(samples) < 2:
-        warning = "single-sample system is degenerately solvable"
-    elif params.m >= 1 and len(set(xi_values)) < 2:
-        warning = "samples do not separate the eigenvalues; system degenerate"
-
     validity = D - 2
     prepared = []
-    for (_, hx, hy), lam_k in zip(samples, xi_values):
-        f = typical_element(params, hx, hy, D)
+    for f in default_samples(params, D):
         fpoly = f.expansion.truncate(validity)
         images = [
             pi_generator(g, space).apply(f.expansion).truncate(validity)
@@ -619,7 +642,14 @@ def garfinkle_obstruction(
         keys = set(fpoly._terms)
         for img in images:
             keys.update(img._terms)
-        prepared.append((lam_k, fpoly, images, sorted(keys)))
+        prepared.append((f.kt, params.scalar("xi", f.kt), fpoly, images, sorted(keys)))
+
+    xi_values = [lam_k for _, lam_k, _, _, _ in prepared]
+    if len(prepared) < 2 or (params.m >= 1 and len(set(xi_values)) < 2):
+        raise DegenerateSampleError(
+            f"{len(prepared)} default samples with Xi eigenvalues "
+            f"{sorted(set(map(str, xi_values)))} cannot decide the system at {params}"
+        )
 
     rref = SparseRREF(pivot="min", rhs_col=rhs_col)
     n_rows = 0
@@ -647,7 +677,7 @@ def garfinkle_obstruction(
         return status
 
     def infeasible(s_idx: int, key: int) -> ObstructionResult:
-        kt = samples[s_idx][0]
+        kt = prepared[s_idx][0]
         return ObstructionResult(
             exists=False,
             witness=None,
@@ -655,16 +685,15 @@ def garfinkle_obstruction(
                 f"monomial {space.unpack(key)} of sample {s_idx} "
                 f"(K-type k={kt.k}, l={kt.l}) reduces to 0 = 1"
             ),
-            warning=warning,
             validity=validity,
-            n_samples=len(samples),
+            n_samples=len(prepared),
             n_rows=n_rows,
             xi_scalars=xi_values,
         )
 
     # phase 1: seed the echelon form, early-stopping per sample once no new
     # rank has appeared for a while (the residual phase catches the rest)
-    for s_idx, (lam_k, fpoly, images, keys) in enumerate(prepared):
+    for s_idx, (_, lam_k, fpoly, images, keys) in enumerate(prepared):
         stable = 0
         for key in keys:
             status = feed(build_row(lam_k, fpoly, images, key))
@@ -683,7 +712,7 @@ def garfinkle_obstruction(
         lam = sol.get(lam_col, ZERO)
         coeffs = {g: sol.get(idx, ZERO) for idx, g in enumerate(gens)}
         violation = None
-        for s_idx, (lam_k, fpoly, images, keys) in enumerate(prepared):
+        for s_idx, (_, lam_k, fpoly, images, _) in enumerate(prepared):
             residual = fpoly.scale(lam - lam_k)
             for idx, img in enumerate(images):
                 c = coeffs[gens[idx]]
@@ -697,14 +726,13 @@ def garfinkle_obstruction(
                 exists=True,
                 witness=(coeffs, lam),
                 certificate=None,
-                warning=warning,
                 validity=validity,
-                n_samples=len(samples),
+                n_samples=len(prepared),
                 n_rows=n_rows,
                 xi_scalars=xi_values,
             )
         s_idx, key = violation
-        lam_k, fpoly, images, _ = prepared[s_idx]
+        _, lam_k, fpoly, images, _ = prepared[s_idx]
         status = feed(build_row(lam_k, fpoly, images, key))
         if status == "inconsistent":
             return infeasible(s_idx, key)

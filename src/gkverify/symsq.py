@@ -42,7 +42,6 @@ from .gkmodule import (
     default_solver_depth,
     eigenvalue_check,
     garfinkle_obstruction,
-    typical_element,
 )
 from .liealg import (
     Combination,
@@ -537,10 +536,7 @@ def theorem_ingredients(params: ModuleParams, D: Optional[int] = None) -> Theore
     d_main = D if D is not None else default_depth(params.m)
     d_solver = D if D is not None else default_solver_depth(params.m)
 
-    casimir_ok = all(
-        eigenvalue_check(params, "g", typical_element(params, hx, hy, d_main), kt).ok
-        for kt, hx, hy in default_samples(params)
-    )
+    casimir_ok = all(eigenvalue_check("g", f).ok for f in default_samples(params, d_main))
 
     s4_count, s4_ok = s4_vanishing((params.p, params.q))
 

@@ -15,9 +15,8 @@ from math import comb
 from gkverify.gkmodule import (
     ModuleParams,
     eigenvalue_check,
-    ktype_enumeration,
+    ktype_elements,
     p_action_check,
-    typical_element,
     verify_membership,
 )
 from gkverify.liealg import (
@@ -31,7 +30,7 @@ from gkverify.liealg import (
     sl2_casimir_op,
     sl2_triple,
 )
-from gkverify.poly import VariableSpace, harmonic_basis
+from gkverify.poly import VariableSpace
 from gkverify.symsq import (
     decompose_S2,
     gamma2_q_identity,
@@ -59,12 +58,6 @@ def _criterion(capsys, num, label, ok, elapsed, budget=None):
     assert ok, f"criterion {num}: {label}"
     if budget is not None:
         assert within, f"criterion {num} took {elapsed:.1f}s, budget {budget:.0f}s"
-
-
-def _first_harmonics(space, kt):
-    h1 = harmonic_basis(space, "x", kt.k).elements[0]
-    h2 = harmonic_basis(space, "y", kt.l).elements[0]
-    return h1, h2
 
 
 def test_criterion_1_homomorphism_and_commutant(capsys):
@@ -126,9 +119,7 @@ def test_criterion_3_membership(capsys):
         D = 2 * m + 12
         for sign in (1, -1):
             params = ModuleParams(p, q, m, sign)
-            for kt in ktype_enumeration(params, 3, 3):
-                h1, h2 = _first_harmonics(params.space, kt)
-                f = typical_element(params, h1, h2, D)
+            for f in ktype_elements(params, 3, 3, D):
                 report = verify_membership(params, f)
                 if not report.ok:
                     ok = False
@@ -152,19 +143,17 @@ def test_criterion_4_eigenvalues(capsys):
         D = 2 * m + 12
         for sign in (1, -1):
             params = ModuleParams(p, q, m, sign)
-            for kt in ktype_enumeration(params, 3, 3):
-                h1, h2 = _first_harmonics(params.space, kt)
-                f = typical_element(params, h1, h2, D)
+            for f in ktype_elements(params, 3, 3, D):
                 for which in ("op", "oq", "g"):
-                    if not eigenvalue_check(params, which, f, kt).ok:
+                    if not eigenvalue_check(which, f).ok:
                         ok = False
-                xi_rep = eigenvalue_check(params, "xi", f, kt)
+                xi_rep = eigenvalue_check("xi", f)
                 if not xi_rep.ok:
                     ok = False
                 if m == 0 and xi_rep.scalar != 0:
                     zero_scalars_ok = False
                 if (p, q, m, sign) == (4, 4, 1, 1):
-                    key = (int(kt.kappa_plus), int(kt.kappa_minus))
+                    key = (int(f.kt.kappa_plus), int(f.kt.kappa_minus))
                     kappa_map[key] = xi_rep.scalar
     split_ok = {kappa_map.get((3, 2)), kappa_map.get((2, 3))} == {
         Fraction(3),
@@ -188,15 +177,14 @@ def test_criterion_5_mixed_action(capsys):
         D = 2 * m + 12
         for sign in (1, -1):
             params = ModuleParams(p, q, m, sign)
-            for kt in ktype_enumeration(params, 2, 2):
-                if sign == 1 and kt.kappa_minus == 1:
+            for f in ktype_elements(params, 2, 2, D):
+                if sign == 1 and f.kt.kappa_minus == 1:
                     continue
-                if sign == -1 and kt.kappa_plus == 1:
+                if sign == -1 and f.kt.kappa_plus == 1:
                     continue
-                h1, h2 = _first_harmonics(params.space, kt)
                 for i in range(1, p + 1):
                     for j in range(1, q + 1):
-                        if not p_action_check(params, h1, h2, i, j, D):
+                        if not p_action_check(f, i, j):
                             ok = False
                         checked += 1
     _criterion(

@@ -6,23 +6,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkverify.gkmodule import (
+    DegenerateDenominatorError,
     KType,
     ModuleParams,
     PsiPoleError,
     TruncatedElement,
+    TypicalElement,
     apply_operator,
     closed_apply,
     default_samples,
+    default_solver_depth,
     eigenvalue_check,
     garfinkle_obstruction,
+    ktype_elements,
     ktype_enumeration,
     p_action_check,
+    product_elements,
     psi_series,
     typical_element,
     verify_membership,
 )
-from gkverify.poly import ONE, TruncationError, VariableSpace, harmonic_basis
-from gkverify.liealg import closed_operator
+from gkverify.poly import (
+    ONE,
+    MultiPoly,
+    TruncationError,
+    VariableSpace,
+    dagger,
+    harmonic_basis,
+)
+from gkverify.liealg import Generator, closed_operator, pi_generator
 from gkverify.weyl import WeylOperator, rsq_op
 
 
@@ -186,10 +198,11 @@ def test_eigenvalue_reports_spot():
     h1 = harmonic_basis(space, "x", 1).elements[0]
     h2 = harmonic_basis(space, "y", 0).elements[0]
     f = typical_element(params, h1, h2, 14)
+    assert f.kt == kt
     for which in ("op", "oq", "g"):
-        report = eigenvalue_check(params, which, f, kt)
+        report = eigenvalue_check(which, f)
         assert report.ok, report.name
-    xi_report = eigenvalue_check(params, "xi", f, kt)
+    xi_report = eigenvalue_check("xi", f)
     assert xi_report.ok and xi_report.scalar == 3
 
 
@@ -296,17 +309,144 @@ def test_p_action_spot():
     space = params.space
     h1 = harmonic_basis(space, "x", 1).elements[0]
     h2 = harmonic_basis(space, "y", 0).elements[0]
+    f = typical_element(params, h1, h2, 12)
     for i in (1, 4):
         for j in (1, 4):
-            assert p_action_check(params, h1, h2, i, j, 12)
+            assert p_action_check(f, i, j)
     params_minus = ModuleParams(4, 4, 1, -1)
-    assert p_action_check(params_minus, h1, h2, 2, 3, 12)
+    assert p_action_check(typical_element(params_minus, h1, h2, 12), 2, 3)
+
+
+def test_typical_element_carries_its_family():
+    params = ModuleParams(4, 4, 1, -1)
+    space = params.space
+    h1 = harmonic_basis(space, "x", 2).elements[1]
+    h2 = harmonic_basis(space, "y", 1).elements[0]
+    f = typical_element(params, h1, h2, 10)
+    assert isinstance(f, TypicalElement)
+    assert (f.params, f.kt, f.h1, f.h2) == (params, KType(2, 1, 4, 4), h1, h2)
+    assert f.validity == 10
+
+
+def test_sums_and_multiples_are_not_typical():
+    params = ModuleParams(4, 4, 1, 1)
+    f = next(ktype_elements(params, 1, 1, 10))
+    for g in (f + f, f - f, f.scale(2), TruncatedElement(f.expansion, f.validity)):
+        assert type(g) is TruncatedElement
+        with pytest.raises(TypeError):
+            eigenvalue_check("g", g)
+        with pytest.raises(TypeError):
+            p_action_check(g, 1, 1)
+
+
+def test_sample_plans_follow_the_enumeration_and_the_bases():
+    params = ModuleParams(4, 6, 1, 1)
+    space = params.space
+    kts = ktype_enumeration(params, 2, 3)
+    firsts = list(ktype_elements(params, 2, 3, 10))
+    assert [f.kt for f in firsts] == kts
+    for f in firsts:
+        assert f.h1 == harmonic_basis(space, "x", f.kt.k).elements[0]
+        assert f.h2 == harmonic_basis(space, "y", f.kt.l).elements[0]
+    kt = kts[1]
+    bx = harmonic_basis(space, "x", kt.k).elements
+    by = harmonic_basis(space, "y", kt.l).elements
+    products = list(product_elements(params, kt, 10))
+    assert [(f.h1, f.h2) for f in products] == [(h1, h2) for h1 in bx for h2 in by]
+    assert len(products) == kt.multiplicity
+    assert all(f.kt == kt for f in products)
+
+
+def _old_radial_layer(space, kappa, mu, radial_block, h1, h2, validity):
+    base = (
+        h1.block_homogeneous_degree("x")
+        + h2.block_homogeneous_degree("y")
+        + 2 * mu
+    )
+    if validity < base:
+        return TruncatedElement(MultiPoly.zero(space), validity)
+    series = psi_series(kappa, validity - base).shift_rho(radial_block, mu)
+    radial = series.expand(space, validity)
+    expansion = h1.mul(h2).mul(radial, max_degree=validity)
+    return TruncatedElement(expansion, validity)
+
+
+def _rebuilding_p_action_check(params, h1, h2, i, j, D):
+    # The mixed-action check as it was before elements carried their K-type:
+    # it re-derives (k, l) from the harmonics and rebuilds f for every (i, j).
+    k = h1.block_homogeneous_degree("x")
+    l = h2.block_homogeneous_degree("y")
+    kt = KType(k, l, params.p, params.q)
+    mu = params.mu(kt)
+    f = typical_element(params, h1, h2, D)
+    op = pi_generator(Generator(i, params.p + j, "M"), params.space).scale(-1)
+    lhs = apply_operator(op, f)
+    v = lhs.validity
+    kp, km = kt.kappa_plus, kt.kappa_minus
+    xvar, yvar = i - 1, params.p + j - 1
+    dh1, dh2 = h1.diff(xvar), h2.diff(yvar)
+    xh1, yh2 = h1.var_mul(xvar), h2.var_mul(yvar)
+    if params.sign == 1:
+        radial_block = "y"
+        layers = [
+            (dh1, False, dh2, False, km + mu - 1, km - 1, kp - 1, mu),
+            (dh1, False, yh2, True, Fraction(mu), Fraction(1), kp - 1, mu - 1),
+            (xh1, True, dh2, False, kp - km - mu, kp * (km - 1), kp + 1, mu + 1),
+            (xh1, True, yh2, True, kp - mu - 1, kp, kp + 1, mu),
+        ]
+    else:
+        radial_block = "x"
+        layers = [
+            (dh1, False, dh2, False, kp + mu - 1, kp - 1, km - 1, mu),
+            (dh1, False, yh2, True, km - kp - mu, km * (kp - 1), km + 1, mu + 1),
+            (xh1, True, dh2, False, Fraction(mu), Fraction(1), km - 1, mu - 1),
+            (xh1, True, yh2, True, km - mu - 1, km, km + 1, mu),
+        ]
+    rhs = TruncatedElement(MultiPoly.zero(params.space), v)
+    for fx, dag_x, fy, dag_y, num, den, kappa, layer_mu in layers:
+        if fx.is_zero() or fy.is_zero():
+            continue
+        num, den = Fraction(num), Fraction(den)
+        if den == 0:
+            raise DegenerateDenominatorError(f"(k={k}, l={l})")
+        if num == 0:
+            continue
+        poly_x = dagger(fx, "x") if dag_x else fx
+        poly_y = dagger(fy, "y") if dag_y else fy
+        layer = _old_radial_layer(
+            params.space, Fraction(kappa), layer_mu, radial_block, poly_x, poly_y, v
+        )
+        rhs = rhs + layer.scale(num / den)
+    return lhs.agrees_with(rhs)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except DegenerateDenominatorError:
+        return "DegenerateDenominatorError"
+
+
+@pytest.mark.parametrize("p,q,m", [(2, 4, 0), (3, 3, 0), (4, 4, 1)])
+def test_p_action_check_matches_the_rebuilding_check(p, q, m):
+    D = default_solver_depth(m)
+    compared = 0
+    for sign in (1, -1):
+        params = ModuleParams(p, q, m, sign)
+        for f in ktype_elements(params, 2, 2, D):
+            for i in range(1, p + 1):
+                for j in range(1, q + 1):
+                    new = _outcome(p_action_check, f, i, j)
+                    old = _outcome(_rebuilding_p_action_check, params, f.h1, f.h2, i, j, D)
+                    assert new == old, (sign, f.kt, i, j)
+                    compared += 1
+    assert compared > 0
 
 
 def test_default_samples_structure():
     params = ModuleParams(4, 4, 1, 1)
-    samples = default_samples(params)
-    kts = [(kt.k, kt.l) for kt, _, _ in samples]
+    samples = list(default_samples(params, 10))
+    kts = [(f.kt.k, f.kt.l) for f in samples]
     for pair in [(0, 1), (1, 0), (1, 2), (2, 1)]:
         assert pair in kts
     assert len(samples) > 4  # the full product basis at one type is included
