@@ -718,8 +718,10 @@ def _module_window(run: CheckRun):
                     return False, None, {"mismatch_at": [k, l]}
                 h1 = harmonic_basis(space, "x", k).elements[0]
                 h2 = harmonic_basis(space, "y", l).elements[0]
+                # the base degree k + l + 2 mu is at most k + l + 2m, so only
+                # the window can refuse construction at that depth
                 try:
-                    typical_element(params, h1, h2, run.depth())
+                    typical_element(params, h1, h2, k + l + 2 * run.m)
                     built = True
                 except ValueError:
                     built = False

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .liealg import STOCK_OPERATORS, Generator, closed_form, generators, pi_generator
@@ -642,9 +643,13 @@ def garfinkle_obstruction(
         keys = set(fpoly._terms)
         for img in images:
             keys.update(img._terms)
-        prepared.append((f.kt, params.scalar("xi", f.kt), fpoly, images, sorted(keys)))
+        lam_k = params.scalar("xi", f.kt)
+        # one multiplier per sample clears every denominator of its equations
+        # (scaling a row changes no echelon status)
+        den = lcm(fpoly.den * lam_k.denominator, *(img.den for img in images))
+        prepared.append((f.kt, lam_k, fpoly, images, sorted(keys), den))
 
-    xi_values = [lam_k for _, lam_k, _, _, _ in prepared]
+    xi_values = [lam_k for _, lam_k, _, _, _, _ in prepared]
     if len(prepared) < 2 or (params.m >= 1 and len(set(xi_values)) < 2):
         raise DegenerateSampleError(
             f"{len(prepared)} default samples with Xi eigenvalues "
@@ -654,18 +659,20 @@ def garfinkle_obstruction(
     rref = SparseRREF(pivot="min", rhs_col=rhs_col)
     n_rows = 0
 
-    def build_row(lam_k, fpoly, images, key) -> Dict[int, Fraction]:
-        row: Dict[int, Fraction] = {}
+    def build_row(s_idx: int, key: int) -> Dict[int, int]:
+        """The equation of one monomial of one sample, scaled to integers."""
+        _, lam_k, fpoly, images, _, den = prepared[s_idx]
+        row: Dict[int, int] = {}
         for idx, img in enumerate(images):
             c = img._terms.get(key)
             if c:
-                row[idx] = c
+                row[idx] = c * (den // img.den)
         fc = fpoly._terms.get(key)
         if fc:
+            fc *= den // fpoly.den
             row[lam_col] = fc
-            rhs = fc * lam_k
-            if rhs:
-                row[rhs_col] = -rhs
+            if lam_k:
+                row[rhs_col] = -(fc // lam_k.denominator) * lam_k.numerator
         return row
 
     def feed(row) -> Optional[str]:
@@ -693,10 +700,10 @@ def garfinkle_obstruction(
 
     # phase 1: seed the echelon form, early-stopping per sample once no new
     # rank has appeared for a while (the residual phase catches the rest)
-    for s_idx, (_, lam_k, fpoly, images, keys) in enumerate(prepared):
+    for s_idx, (_, _, _, _, keys, _) in enumerate(prepared):
         stable = 0
         for key in keys:
-            status = feed(build_row(lam_k, fpoly, images, key))
+            status = feed(build_row(s_idx, key))
             if status == "inconsistent":
                 return infeasible(s_idx, key)
             if status == "pivot":
@@ -712,7 +719,7 @@ def garfinkle_obstruction(
         lam = sol.get(lam_col, ZERO)
         coeffs = {g: sol.get(idx, ZERO) for idx, g in enumerate(gens)}
         violation = None
-        for s_idx, (_, lam_k, fpoly, images, _) in enumerate(prepared):
+        for s_idx, (_, lam_k, fpoly, images, _, _) in enumerate(prepared):
             residual = fpoly.scale(lam - lam_k)
             for idx, img in enumerate(images):
                 c = coeffs[gens[idx]]
@@ -732,8 +739,7 @@ def garfinkle_obstruction(
                 xi_scalars=xi_values,
             )
         s_idx, key = violation
-        _, lam_k, fpoly, images, _ = prepared[s_idx]
-        status = feed(build_row(lam_k, fpoly, images, key))
+        status = feed(build_row(s_idx, key))
         if status == "inconsistent":
             return infeasible(s_idx, key)
         if status != "pivot":

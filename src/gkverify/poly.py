@@ -9,9 +9,16 @@ and a degree bound is one shift and compare.  Exponents and total degrees are
 capped at 127, far above anything this package constructs; multiplication
 guards the cap explicitly.
 
-A polynomial is a dict from packed keys to nonzero ``Fraction``
-coefficients.  MultiPoly instances are treated as immutable; every operation
-returns a fresh object.
+A polynomial over Q is stored as integer numerators over one shared
+denominator (the layout of FLINT's ``fmpq_poly``): a dict from packed keys to
+nonzero ``int`` numerators plus one positive ``int`` denominator.  The pair is
+kept canonical after every operation -- the gcd of the denominator and all
+numerators is 1, and the zero polynomial has denominator 1 -- so equality is
+plain dict-and-denominator comparison.  The kernels work on ints and
+normalise with one content gcd per operation, not one gcd per term;
+``monomials()`` and ``coefficient()`` hand out reduced ``Fraction``s.
+MultiPoly instances are treated as immutable; operations return a fresh
+object or, when nothing changes, the operand itself.
 
 The module also carries the harmonic machinery used throughout: block
 Laplacians and Euler operators, harmonic basis extraction as an exact
@@ -25,7 +32,8 @@ import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb
+from itertools import islice
+from math import comb, gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .linalg import rref_nullspace
@@ -122,8 +130,33 @@ class VariableSpace:
     def block_size(self, block: str) -> int:
         return len(self.block_range(block))
 
+    @cached_property
+    def _block_sums(self) -> Dict[str, Tuple[int, int, int, int]]:
+        out = {}
+        for block in ("x", "y"):
+            idxs = self.block_range(block)
+            if not idxs:
+                out[block] = (0, 0, 0, 0)
+                continue
+            n = len(idxs)
+            spread = sum(1 << (BITS * i) for i in range(n))
+            out[block] = (self.shift_of(idxs[-1]), (1 << (BITS * n)) - 1, spread, BITS * (n - 1))
+        return out
+
+    def block_sum(self, block: str) -> Tuple[int, int, int, int]:
+        """(shift, mask, spread, top) such that
+        (((key >> shift) & mask) * spread >> top) & MAX_EXP is the block
+        degree of a packed key.  Multiplying the block's fields by
+        1 + 2^BITS + 2^(2 BITS) + ... adds them all into its top field; no
+        partial sum carries, because none exceeds the total degree."""
+        try:
+            return self._block_sums[block]
+        except KeyError:
+            raise ValueError("block must be 'x' or 'y'") from None
+
     def block_degree_of(self, key: int, block: str) -> int:
-        return sum(self.exponent_of(key, i) for i in self.block_range(block))
+        shift, mask, spread, top = self.block_sum(block)
+        return (((key >> shift) & mask) * spread >> top) & MAX_EXP
 
     def var_name(self, i: int) -> str:
         if i < self.p:
@@ -132,15 +165,40 @@ class VariableSpace:
 
 
 class MultiPoly:
-    """Sparse polynomial over Q; treat instances as immutable."""
+    """Sparse polynomial over Q; treat instances as immutable.
 
-    __slots__ = ("space", "_terms")
+    ``_terms`` maps packed keys to nonzero int numerators and ``den`` is the
+    shared positive denominator, with gcd(den, *numerators) == 1.  Only
+    ``reduced`` establishes that invariant; the constructor trusts its
+    arguments.
+    """
 
-    def __init__(self, space: VariableSpace, terms: Dict[int, Coeff]) -> None:
+    __slots__ = ("space", "_terms", "den")
+
+    def __init__(self, space: VariableSpace, terms: Dict[int, int], den: int = 1) -> None:
         self.space = space
         self._terms = terms
+        self.den = den
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def reduced(space: VariableSpace, terms: Dict[int, int], den: int) -> "MultiPoly":
+        """The polynomial sum_k terms[k]/den x^k in canonical form.
+
+        ``den`` must be positive.  Zero numerators (cancelled terms) are
+        dropped, and the dict is reused when there are none and no common
+        factor divides out.
+        """
+        if 0 in terms.values():
+            terms = {k: v for k, v in terms.items() if v}
+        if not terms:
+            return MultiPoly(space, terms)
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {k: v // g for k, v in terms.items()}
+            den //= g
+        return MultiPoly(space, terms, den)
 
     @staticmethod
     def zero(space: VariableSpace) -> "MultiPoly":
@@ -148,29 +206,22 @@ class MultiPoly:
 
     @staticmethod
     def one(space: VariableSpace) -> "MultiPoly":
-        return MultiPoly(space, {0: ONE})
+        return MultiPoly(space, {0: 1})
 
     @staticmethod
     def variable(space: VariableSpace, i: int) -> "MultiPoly":
-        return MultiPoly(space, {space.unit_key(i): ONE})
+        return MultiPoly(space, {space.unit_key(i): 1})
 
     @staticmethod
     def from_monomials(
         space: VariableSpace, entries: Iterable[Tuple[Exponents, ScalarLike]]
     ) -> "MultiPoly":
-        terms: Dict[int, Coeff] = {}
+        terms: Dict[int, Fraction] = {}
         for exps, c in entries:
-            cc = Fraction(c)
-            if not cc:
-                continue
-            key = space.pack(exps)
-            acc = terms.get(key)
-            acc = cc if acc is None else acc + cc
-            if acc:
-                terms[key] = acc
-            elif key in terms:
-                del terms[key]
-        return MultiPoly(space, terms)
+            if c:
+                key = space.pack(exps)
+                terms[key] = terms.get(key, ZERO) + Fraction(c)
+        return _from_fractions(space, terms)
 
     # -- inspection --------------------------------------------------------
 
@@ -190,11 +241,11 @@ class MultiPoly:
         return max(self._terms) >> self.space.deg_shift
 
     def coefficient(self, exps: Exponents) -> Coeff:
-        return self._terms.get(self.space.pack(exps), ZERO)
+        return Fraction(self._terms.get(self.space.pack(exps), 0), self.den)
 
     def monomials(self) -> Dict[Exponents, Coeff]:
-        sp = self.space
-        return {sp.unpack(k): c for k, c in self._terms.items()}
+        sp, den = self.space, self.den
+        return {sp.unpack(k): Fraction(c, den) for k, c in self._terms.items()}
 
     def leading_key(self) -> int:
         """Packed key of the graded-lex largest monomial."""
@@ -220,27 +271,30 @@ class MultiPoly:
         if self.space != other.space:
             raise ValueError("polynomials live in different variable spaces")
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+    def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """self + sign * other over the lcm of the two denominators."""
         self._require_same_space(other)
+        a, b = self.den, other.den
+        g = gcd(a, b)
+        fa, fb = b // g, sign * (a // g)
         if len(self._terms) < len(other._terms):
-            small, big = self._terms, other._terms
+            (small, fs), (big, fbig) = (self._terms, fa), (other._terms, fb)
         else:
-            small, big = other._terms, self._terms
-        out = dict(big)
-        for k, c in small.items():
-            acc = out.get(k)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
-        return MultiPoly(self.space, out)
+            (small, fs), (big, fbig) = (other._terms, fb), (self._terms, fa)
+        out = dict(big) if fbig == 1 else {k: v * fbig for k, v in big.items()}
+        get = out.get
+        for k, v in small.items():
+            out[k] = get(k, 0) + v * fs
+        return MultiPoly.reduced(self.space, out, a * (b // g))
+
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + other.neg()
+        return self._combine(other, -1)
 
     def neg(self) -> "MultiPoly":
-        return MultiPoly(self.space, {k: -c for k, c in self._terms.items()})
+        return MultiPoly(self.space, {k: -c for k, c in self._terms.items()}, self.den)
 
     def __neg__(self) -> "MultiPoly":
         return self.neg()
@@ -248,64 +302,70 @@ class MultiPoly:
     def scale(self, c: ScalarLike) -> "MultiPoly":
         if not c:
             return MultiPoly.zero(self.space)
-        if c == 1:
+        n, d = c.numerator, c.denominator
+        if n == d:
             return self
-        return MultiPoly(self.space, {k: v * c for k, v in self._terms.items()})
+        return MultiPoly.reduced(
+            self.space, {k: v * n for k, v in self._terms.items()}, self.den * d
+        )
 
     def mul(self, other: "MultiPoly", max_degree: Optional[int] = None) -> "MultiPoly":
         """Product, optionally discarding all terms above max_degree."""
         self._require_same_space(other)
         if not self._terms or not other._terms:
             return MultiPoly.zero(self.space)
-        cap = max_degree if max_degree is not None else self.degree() + other.degree()
+        full = self.degree() + other.degree()
+        cap = full if max_degree is None else min(full, max_degree)
         if cap > MAX_EXP:
             raise ValueError(f"product degree {cap} exceeds encoding cap {MAX_EXP}")
         if len(self._terms) <= len(other._terms):
             outer, inner = self._terms, other._terms
         else:
             outer, inner = other._terms, self._terms
-        ds = self.space.deg_shift
-        inner_keys = sorted(inner)
-        acc: Dict[int, Coeff] = {}
-        for k1, c1 in outer.items():
-            lim = (max_degree - (k1 >> ds)) if max_degree is not None else MAX_EXP
-            if lim < 0:
-                continue
-            stop = bisect.bisect_left(inner_keys, (lim + 1) << ds)
-            for idx in range(stop):
-                k2 = inner_keys[idx]
-                k = k1 + k2
-                c = c1 * inner[k2]
-                a = acc.get(k)
-                a = c if a is None else a + c
-                if a:
-                    acc[k] = a
-                elif k in acc:
-                    del acc[k]
-        return MultiPoly(self.space, acc)
+        acc: Dict[int, int] = {}
+        get = acc.get
+        if cap == full:
+            inner_items = inner.items()
+            for k1, c1 in outer.items():
+                for k2, c2 in inner_items:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+        else:
+            ds = self.space.deg_shift
+            inner_items = sorted(inner.items())
+            inner_keys = [k for k, _ in inner_items]
+            for k1, c1 in outer.items():
+                lim = cap - (k1 >> ds)
+                if lim < 0:
+                    continue
+                stop = bisect.bisect_left(inner_keys, (lim + 1) << ds)
+                for k2, c2 in islice(inner_items, stop):
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+        return MultiPoly.reduced(self.space, acc, self.den * other.den)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         return self.mul(other)
 
     def truncate(self, max_degree: int) -> "MultiPoly":
         """Drop all terms of total degree above max_degree."""
-        ds = self.space.deg_shift
-        bound = (max_degree + 1) << ds
-        return MultiPoly(
-            self.space, {k: c for k, c in self._terms.items() if k < bound}
-        )
+        if self.degree() <= max_degree:
+            return self
+        bound = (max_degree + 1) << self.space.deg_shift
+        out = {k: c for k, c in self._terms.items() if k < bound}
+        return MultiPoly.reduced(self.space, out, self.den)
 
     def diff(self, i: int) -> "MultiPoly":
         """Partial derivative in variable i (0-based)."""
         sp = self.space
         sh = sp.shift_of(i)
         unit = sp.unit_key(i)
-        out: Dict[int, Coeff] = {}
+        out: Dict[int, int] = {}
         for k, c in self._terms.items():
             e = (k >> sh) & MAX_EXP
             if e:
                 out[k - unit] = c * e
-        return MultiPoly(sp, out)
+        return MultiPoly.reduced(sp, out, self.den)
 
     def var_mul(self, i: int, power: int = 1) -> "MultiPoly":
         """Multiply by the i-th variable raised to power."""
@@ -315,14 +375,20 @@ class MultiPoly:
         if self._terms and self.degree() + power > MAX_EXP:
             raise ValueError("degree cap exceeded")
         shift_key = power * sp.unit_key(i)
-        return MultiPoly(sp, {k + shift_key: c for k, c in self._terms.items()})
+        return MultiPoly(
+            sp, {k + shift_key: c for k, c in self._terms.items()}, self.den
+        )
 
     # -- comparison / display ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.space == other.space and self._terms == other._terms
+        return (
+            self.space == other.space
+            and self.den == other.den
+            and self._terms == other._terms
+        )
 
     def __str__(self) -> str:
         if not self._terms:
@@ -330,7 +396,7 @@ class MultiPoly:
         sp = self.space
         parts = []
         for k in sorted(self._terms, reverse=True):
-            c = self._terms[k]
+            c = Fraction(self._terms[k], self.den)
             factors = []
             for i in range(sp.nvars):
                 e = sp.exponent_of(k, i)
@@ -346,53 +412,58 @@ class MultiPoly:
         return f"MultiPoly({self.space.p},{self.space.q}; {len(self._terms)} terms)"
 
 
+def _from_fractions(space: VariableSpace, terms: Dict[int, Fraction]) -> MultiPoly:
+    """The polynomial with the given rational coefficients (zeros dropped).
+
+    Over the lcm of the reduced denominators the numerators already share no
+    factor with it, so the result is canonical without a content gcd.
+    """
+    terms = {k: c for k, c in terms.items() if c}
+    den = lcm(*(c.denominator for c in terms.values())) if terms else 1
+    return MultiPoly(
+        space, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+    )
+
+
 # -- differential / multiplication helpers ---------------------------------
 
 
 def euler(f: MultiPoly, block: str) -> MultiPoly:
     """Euler operator sum_i v_i d/dv_i over the block; diagonal on monomials."""
     sp = f.space
-    shifts = [sp.shifts[i] for i in sp.block_range(block)]
-    out: Dict[int, Coeff] = {}
+    shift, mask, spread, top = sp.block_sum(block)
+    out: Dict[int, int] = {}
     for k, c in f._terms.items():
-        d = sum((k >> sh) & MAX_EXP for sh in shifts)
+        d = (((k >> shift) & mask) * spread >> top) & MAX_EXP
         if d:
             out[k] = c * d
-    return MultiPoly(sp, out)
+    return MultiPoly.reduced(sp, out, f.den)
 
 
 def laplacian(f: MultiPoly, block: str) -> MultiPoly:
     """Sum of second partials over the block's variables."""
     sp = f.space
     fields = [(sp.shifts[i], 2 * sp.units[i]) for i in sp.block_range(block)]
-    out: Dict[int, Coeff] = {}
+    out: Dict[int, int] = {}
+    get = out.get
     for k, c in f._terms.items():
         for sh, two_units in fields:
             e = (k >> sh) & MAX_EXP
             if e >= 2:
                 nk = k - two_units
-                add = c * (e * (e - 1))
-                a = out.get(nk)
-                a = add if a is None else a + add
-                if a:
-                    out[nk] = a
-                elif nk in out:
-                    del out[nk]
-    return MultiPoly(sp, out)
+                out[nk] = get(nk, 0) + c * (e * (e - 1))
+    return MultiPoly.reduced(sp, out, f.den)
 
 
 def rsq(space: VariableSpace, block: str) -> MultiPoly:
     """The squared radius r^2 of the block."""
-    return MultiPoly(
-        space, {2 * space.unit_key(i): ONE for i in space.block_range(block)}
-    )
+    return MultiPoly(space, {2 * space.unit_key(i): 1 for i in space.block_range(block)})
 
 
 def rho(space: VariableSpace, block: str) -> MultiPoly:
     """rho = r^2 / 2 of the block."""
-    half = Fraction(1, 2)
-    return MultiPoly(
-        space, {2 * space.unit_key(i): half for i in space.block_range(block)}
+    return MultiPoly.reduced(
+        space, {2 * space.unit_key(i): 1 for i in space.block_range(block)}, 2
     )
 
 
@@ -467,7 +538,7 @@ def harmonic_basis(space: VariableSpace, block: str, degree: int) -> HarmonicBas
         raise AssertionError(
             f"harmonic count mismatch: got {len(vectors)}, expected {expected}"
         )
-    elements = tuple(MultiPoly(space, v) for v in vectors)
+    elements = tuple(_from_fractions(space, v) for v in vectors)
     return HarmonicBasis(space=space, block=block, degree=degree, elements=elements)
 
 
@@ -527,8 +598,18 @@ class RadialSeries:
     ) -> MultiPoly:
         """The series as a polynomial, complete up to min(cutoff, max_degree)."""
         limit = self.cutoff if max_degree is None else min(self.cutoff, max_degree)
-        rx = rho(space, "x")
-        ry = rho(space, "y")
+        # c rho_x^a rho_y^b = (c / 2^(a+b)) (r_x^2)^a (r_y^2)^b: integer
+        # powers of r^2, weighted by numerators over one common denominator
+        weights = [
+            (a, b, c / (1 << (a + b)))
+            for (a, b), c in sorted(self.coeffs.items())
+            if 2 * (a + b) <= limit
+        ]
+        if not weights:
+            return MultiPoly.zero(space)
+        den = lcm(*(w.denominator for _, _, w in weights))
+        rx = rsq(space, "x")
+        ry = rsq(space, "y")
         pow_x: Dict[int, MultiPoly] = {0: MultiPoly.one(space)}
         pow_y: Dict[int, MultiPoly] = {0: MultiPoly.one(space)}
 
@@ -537,13 +618,13 @@ class RadialSeries:
                 cache[k] = power(cache, base, k - 1).mul(base)
             return cache[k]
 
-        total = MultiPoly.zero(space)
-        for (a, b), c in sorted(self.coeffs.items()):
-            if 2 * (a + b) > limit:
-                continue
-            term = power(pow_x, rx, a).mul(power(pow_y, ry, b)).scale(c)
-            total = total + term
-        return total
+        acc: Dict[int, int] = {}
+        get = acc.get
+        for a, b, w in weights:
+            n = w.numerator * (den // w.denominator)
+            for k, v in power(pow_x, rx, a).mul(power(pow_y, ry, b))._terms.items():
+                acc[k] = get(k, 0) + n * v
+        return MultiPoly.reduced(space, acc, den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RadialSeries):

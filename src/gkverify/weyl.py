@@ -21,14 +21,16 @@ exponent is at most the total, so this accepts exactly the keys ``pack``
 accepts.
 
 Application to a polynomial evaluates d^alpha on each monomial as a falling
-factorial and shifts exponents; both directions are exact.
+factorial and shifts exponents; both directions are exact.  It brings the
+operator's coefficients to one denominator once per call and then works on
+the polynomial's integer numerators.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Dict, Tuple
 
 from .poly import MAX_EXP, ONE, Coeff, Exponents, MultiPoly, ScalarLike, VariableSpace
@@ -217,30 +219,26 @@ class WeylOperator:
         max_m = max(km >> ds for km, _ in self._terms)
         if f.degree() + max_m > MAX_EXP:
             raise ValueError("application would exceed the degree cap")
-        out: Dict[int, Coeff] = {}
+        # the operator's coefficients as integers over one denominator
+        den = lcm(*(c.denominator for c in self._terms.values()))
+        f_items = f._terms.items()
+        out: Dict[int, int] = {}
+        get = out.get
         for (km, ka), c in self._terms.items():
+            cn = c.numerator * (den // c.denominator)
             alist = [(sh, (ka >> sh) & MAX_EXP) for sh in sp.shifts if (ka >> sh) & MAX_EXP]
             delta = km - ka
-            for ke, ce in f._terms.items():
-                mult = 1
-                feasible = True
+            for ke, ce in f_items:
+                mult = cn * ce
                 for sh, al in alist:
                     e = (ke >> sh) & MAX_EXP
                     if e < al:
-                        feasible = False
                         break
-                    mult *= falling(e, al)
-                if not feasible:
-                    continue
-                nk = ke + delta
-                add = c * ce * mult
-                cur = out.get(nk)
-                cur = add if cur is None else cur + add
-                if cur:
-                    out[nk] = cur
-                elif nk in out:
-                    del out[nk]
-        return MultiPoly(sp, out)
+                    mult *= e if al == 1 else falling(e, al)
+                else:
+                    nk = ke + delta
+                    out[nk] = get(nk, 0) + mult
+        return MultiPoly.reduced(sp, out, den * f.den)
 
     # -- comparison / display -------------------------------------------------
 

@@ -42,3 +42,23 @@ def test_degenerate_samples_are_an_error(p, q, m):
     for r in results:
         assert r.status == "error", r.to_dict()
         assert r.detail["error"].startswith("DegenerateSampleError: "), r.detail
+
+
+def test_parameter_window_probes_at_the_base_degree(monkeypatch):
+    # every probe is built at k + l + 2m, never at the working depth, and the
+    # refusals still come from the window rule
+    import gkverify.checks as checks
+
+    depths = []
+    real = checks.typical_element
+
+    def spy(params, h1, h2, D):
+        depths.append((h1.degree(), h2.degree(), D))
+        return real(params, h1, h2, D)
+
+    monkeypatch.setattr(checks, "typical_element", spy)
+    ok, _validity, detail = REGISTRY["module.parameter_window"].fn(CheckRun(4, 6, 1, None, 3, 3))
+    assert ok is True
+    assert detail == {"allowed": 12, "rejected": 20}
+    assert len(depths) == 32
+    assert all(D == k + l + 2 for k, l, D in depths)

@@ -1,9 +1,11 @@
 """Exact rational coefficients: frozen values and field axioms.
 
-Every coefficient the package stores is a ``fractions.Fraction``.  These
-tests pin the arithmetic the package performs on them (products, pivot
-inverses, reduction) and check the field axioms on the coefficient type, as
-the ``weyl.field_axioms`` check does at run time.
+Operator, Lie-algebra and echelon coefficients are ``fractions.Fraction``s;
+a polynomial stores int numerators over one positive denominator that
+shares no factor with all of them, and hands its coefficients out as
+reduced ``Fraction``s.  These tests pin the arithmetic the package performs
+on them (products, pivot inverses, reduction) and check the field axioms on
+the coefficient type, as the ``weyl.field_axioms`` check does at run time.
 """
 
 from fractions import Fraction
@@ -91,13 +93,20 @@ def test_division_roundtrip(a, b):
 @given(rationals, nonzero_rationals)
 @settings(max_examples=40)
 def test_components_stay_reduced(a, b):
-    # coefficients produced by composition and application are reduced Fractions
+    # composition yields reduced Fractions; application yields int numerators
+    # over a positive denominator with content 1, read out as reduced Fractions
     space = VariableSpace(1, 1)
     A = WeylOperator.term(space, (1, 1), (1, 0), a)
     B = WeylOperator.term(space, (2, 0), (0, 1), b) + WeylOperator.diff(space, 0).scale(b)
     f = MultiPoly.from_monomials(space, [((3, 1), b), ((0, 2), a)])
-    for coeffs in (A.compose(B)._terms.values(), A.apply(f)._terms.values()):
-        for c in coeffs:
+    for c in A.compose(B)._terms.values():
+        assert type(c) is Fraction
+        assert gcd(c.numerator, c.denominator) == 1
+    for poly in (f, A.apply(f), A.compose(B).apply(f)):
+        assert type(poly.den) is int and poly.den > 0
+        assert all(type(c) is int and c for c in poly._terms.values())
+        assert gcd(poly.den, *poly._terms.values()) == 1
+        for c in poly.monomials().values():
             assert type(c) is Fraction
             assert gcd(c.numerator, c.denominator) == 1
 

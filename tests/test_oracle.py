@@ -15,7 +15,7 @@ import pytest
 import sympy
 
 from gkverify.liealg import Generator, _bracket_table, generators, pi_generator
-from gkverify.poly import MultiPoly, VariableSpace
+from gkverify.poly import MultiPoly, VariableSpace, laplacian
 
 
 def _symbols(space):
@@ -62,6 +62,34 @@ def test_m_images_match_the_textbook_formula(p, q):
             assert not want.has(sympy.I)
             got = mine.apply(_to_multipoly(f, space, v))
             assert got == _to_multipoly(want, space, v)
+
+
+def _qq_coefficients(expr, v):
+    """The coefficients of expr as a sympy Poly over QQ, as Fractions."""
+    terms = sympy.Poly(expr, *v, domain=sympy.QQ).terms()
+    return {
+        exps: Fraction(int(c.numerator), int(c.denominator)) for exps, c in terms if c
+    }
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 2)])
+def test_kernels_match_sympy_over_qq(p, q):
+    # products, block Laplacians and the real generator images, each read
+    # back through monomials() against sympy's Poly(..., domain=QQ)
+    space = VariableSpace(p, q)
+    v = _symbols(space)
+    fixed = _fixed_polys(v)
+    mine = [_to_multipoly(f, space, v) for f in fixed]
+    for f, mf in zip(fixed, mine):
+        for g, mg in zip(fixed, mine):
+            assert mf.mul(mg).monomials() == _qq_coefficients(f * g, v)
+        for block, idx in (("x", range(p)), ("y", range(p, p + q))):
+            want = sum(sympy.diff(f, v[i], 2) for i in idx)
+            assert laplacian(mf, block).monomials() == _qq_coefficients(want, v)
+        for g in generators(p, q, "X"):
+            image, phi = _textbook_image(g, p, v)
+            got = pi_generator(Generator(g.i, g.j, "M"), space).apply(mf)
+            assert got.monomials() == _qq_coefficients(sympy.expand(image(f) / phi), v)
 
 
 def _sympy_generator(g, p, n):

@@ -1,0 +1,306 @@
+"""Integer-numerator kernels against reference kernels over ``Fraction``.
+
+Every ``MultiPoly`` kernel works on int numerators over one shared
+denominator.  The reference kernels below are the earlier implementations,
+which keep one ``Fraction`` per term; each test runs a kernel and its
+reference on the same input and compares the results through
+``monomials()``.  Every result must also be in canonical form: int
+numerators, a positive denominator sharing no factor with all of them, and
+denominator 1 for the zero polynomial.
+"""
+
+import bisect
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gkverify.liealg import generators, pi_generator
+from gkverify.poly import (
+    MAX_EXP,
+    MultiPoly,
+    RadialSeries,
+    VariableSpace,
+    dagger,
+    euler,
+    laplacian,
+    rho,
+)
+from gkverify.weyl import WeylOperator, falling
+
+SPACE = VariableSpace(2, 3)
+NV = SPACE.nvars
+
+exponents = st.lists(st.integers(0, 4), min_size=NV, max_size=NV).map(tuple)
+coeffs = st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=12)
+polys = st.lists(st.tuples(exponents, coeffs), max_size=6).map(
+    lambda entries: MultiPoly.from_monomials(SPACE, entries)
+)
+scalars = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=9)
+blocks = st.sampled_from(["x", "y"])
+variables = st.integers(0, NV - 1)
+
+
+# -- reference kernels: one Fraction per term ----------------------------------
+
+
+def _fr(f):
+    return {k: Fraction(c, f.den) for k, c in f._terms.items()}
+
+
+def _acc(out, k, c):
+    a = out.get(k, 0) + c
+    if a:
+        out[k] = a
+    else:
+        out.pop(k, None)
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        _acc(out, k, c)
+    return out
+
+
+def ref_scale(a, c):
+    return {k: v * c for k, v in a.items() if v * c}
+
+
+def ref_mul(a, b, max_degree=None):
+    ds = SPACE.deg_shift
+    inner_keys = sorted(b)
+    out = {}
+    for k1, c1 in a.items():
+        lim = (max_degree - (k1 >> ds)) if max_degree is not None else MAX_EXP
+        if lim < 0:
+            continue
+        for k2 in inner_keys[: bisect.bisect_left(inner_keys, (lim + 1) << ds)]:
+            _acc(out, k1 + k2, c1 * b[k2])
+    return out
+
+
+def ref_truncate(a, max_degree):
+    return {k: c for k, c in a.items() if k >> SPACE.deg_shift <= max_degree}
+
+
+def ref_diff(a, i):
+    sh, unit = SPACE.shift_of(i), SPACE.unit_key(i)
+    return {k - unit: c * ((k >> sh) & MAX_EXP) for k, c in a.items() if (k >> sh) & MAX_EXP}
+
+
+def ref_var_mul(a, i, power):
+    return {k + power * SPACE.unit_key(i): c for k, c in a.items()}
+
+
+def ref_euler(a, block):
+    out = {}
+    for k, c in a.items():
+        d = sum(SPACE.exponent_of(k, i) for i in SPACE.block_range(block))
+        if d:
+            out[k] = c * d
+    return out
+
+
+def ref_laplacian(a, block):
+    out = {}
+    for k, c in a.items():
+        for i in SPACE.block_range(block):
+            e = SPACE.exponent_of(k, i)
+            if e >= 2:
+                _acc(out, k - 2 * SPACE.unit_key(i), c * (e * (e - 1)))
+    return out
+
+
+def ref_rho(block):
+    return {2 * SPACE.unit_key(i): Fraction(1, 2) for i in SPACE.block_range(block)}
+
+
+def ref_dagger(a, d, block):
+    lap = ref_laplacian(a, block)
+    if not lap:
+        return a
+    den = 2 * d + SPACE.block_size(block) - 4
+    return ref_add(a, ref_scale(ref_mul(ref_rho(block), lap), Fraction(-1, den)))
+
+
+def ref_expand(series, max_degree):
+    limit = min(series.cutoff, max_degree)
+    total = {}
+    for (a, b), c in sorted(series.coeffs.items()):
+        if 2 * (a + b) > limit:
+            continue
+        term = {0: Fraction(1)}
+        for _ in range(a):
+            term = ref_mul(term, ref_rho("x"))
+        for _ in range(b):
+            term = ref_mul(term, ref_rho("y"))
+        total = ref_add(total, ref_scale(term, c))
+    return total
+
+
+def ref_apply(op, a):
+    out = {}
+    for (km, ka), c in op._terms.items():
+        alist = [(sh, (ka >> sh) & MAX_EXP) for sh in SPACE.shifts if (ka >> sh) & MAX_EXP]
+        for ke, ce in a.items():
+            mult = 1
+            for sh, al in alist:
+                mult *= falling((ke >> sh) & MAX_EXP, al)
+            if mult:
+                _acc(out, ke + km - ka, c * ce * mult)
+    return out
+
+
+# -- comparison ---------------------------------------------------------------
+
+
+def assert_canonical(f):
+    assert type(f.den) is int and f.den > 0
+    assert all(type(c) is int and c for c in f._terms.values())
+    if f._terms:
+        assert gcd(f.den, *f._terms.values()) == 1
+    else:
+        assert f.den == 1
+
+
+def assert_matches(f, ref):
+    assert_canonical(f)
+    assert f.monomials() == {SPACE.unpack(k): c for k, c in ref.items()}
+
+
+@given(polys, polys)
+@settings(max_examples=60, deadline=None)
+def test_mul_matches_reference(f, g):
+    assert_matches(f.mul(g), ref_mul(_fr(f), _fr(g)))
+    for cap in (0, 3, 6, 200):
+        assert_matches(f.mul(g, max_degree=cap), ref_mul(_fr(f), _fr(g), cap))
+
+
+@given(polys, polys, scalars)
+@settings(max_examples=60, deadline=None)
+def test_linear_kernels_match_reference(f, g, c):
+    assert_matches(f + g, ref_add(_fr(f), _fr(g)))
+    assert_matches(f - g, ref_add(_fr(f), ref_scale(_fr(g), -1)))
+    assert_matches(-f, ref_scale(_fr(f), -1))
+    assert_matches(f.scale(c), ref_scale(_fr(f), c))
+    assert_matches(f.scale(3), ref_scale(_fr(f), 3))
+    for cap in (0, 2, 5):
+        assert_matches(f.truncate(cap), ref_truncate(_fr(f), cap))
+
+
+@given(polys, variables, st.integers(0, 3), blocks)
+@settings(max_examples=60, deadline=None)
+def test_differential_kernels_match_reference(f, i, power, block):
+    assert_matches(f.diff(i), ref_diff(_fr(f), i))
+    assert_matches(f.var_mul(i, power), ref_var_mul(_fr(f), i, power))
+    assert_matches(euler(f, block), ref_euler(_fr(f), block))
+    assert_matches(laplacian(f, block), ref_laplacian(_fr(f), block))
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), coeffs), max_size=4), blocks)
+@settings(max_examples=40, deadline=None)
+def test_dagger_matches_reference(entries, block):
+    # a block-homogeneous input of block degree d, with a fixed factor from
+    # the other block so that the projection sees mixed keys
+    d = 3
+    lo = 0 if block == "x" else SPACE.p
+    size = SPACE.block_size(block)
+    other = SPACE.p if block == "x" else 0
+    poly_entries = []
+    for split, c in entries:
+        exps = [0] * NV
+        exps[lo] = d - min(split, d)
+        exps[lo + size - 1] += min(split, d)
+        exps[other] = 1
+        poly_entries.append((tuple(exps), c))
+    P = MultiPoly.from_monomials(SPACE, poly_entries)
+    assert_matches(dagger(P, block), ref_dagger(_fr(P), d, block))
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=6
+    ),
+    st.integers(0, 14),
+    st.integers(0, 14),
+)
+@settings(max_examples=40, deadline=None)
+def test_series_expand_matches_reference(coeff_map, cutoff, max_degree):
+    series = RadialSeries(coeff_map, cutoff)
+    assert_matches(series.expand(SPACE, max_degree), ref_expand(series, max_degree))
+    assert_matches(series.expand(SPACE), ref_expand(series, cutoff))
+
+
+def _operator(entries):
+    total = WeylOperator.zero(SPACE)
+    for mono, deriv, c in entries:
+        total = total + WeylOperator.term(SPACE, mono, deriv, c)
+    return total
+
+
+small_exps = st.lists(st.integers(0, 2), min_size=NV, max_size=NV).map(tuple)
+operators = st.lists(st.tuples(small_exps, small_exps, coeffs), max_size=4).map(_operator)
+
+
+@given(operators, polys)
+@settings(max_examples=60, deadline=None)
+def test_weyl_apply_matches_reference(op, f):
+    assert_matches(op.apply(f), ref_apply(op, _fr(f)))
+
+
+@given(polys)
+@settings(max_examples=20, deadline=None)
+def test_generator_images_match_reference(f):
+    for g in generators(SPACE.p, SPACE.q, "M"):
+        op = pi_generator(g, SPACE)
+        assert_matches(op.apply(f), ref_apply(op, _fr(f)))
+
+
+# -- canonical form -----------------------------------------------------------
+
+
+@given(polys, polys, scalars.filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_routes_to_one_polynomial_compare_equal(f, g, c):
+    assert f.scale(Fraction(2, 3)).scale(Fraction(3, 2)) == f
+    assert f.scale(c).scale(1 / c) == f
+    assert (f + g) - g == f
+    assert f - f == MultiPoly.zero(SPACE)
+    assert (f - f).den == 1
+    assert -(-f) == f
+    assert f.mul(g).truncate(4) == f.mul(g, max_degree=4)
+    assert MultiPoly.from_monomials(SPACE, f.monomials().items()) == f
+
+
+def test_common_factors_divide_out():
+    x1 = MultiPoly.variable(SPACE, 0)
+    half = rho(SPACE, "x")
+    assert (half._terms, half.den) == ({2 * SPACE.unit_key(0): 1, 2 * SPACE.unit_key(1): 1}, 2)
+    # d/dx1 of x1^2/2 is x1: the factor 2 leaves the denominator
+    sq = x1.mul(x1).scale(Fraction(1, 2))
+    assert (sq.den, sq.diff(0)) == (2, x1)
+    assert sq.diff(0).den == 1
+    # 1/2 + 1/2 = 1, and a vanishing sum is the zero polynomial over 1
+    assert half + half == half.scale(2)
+    assert (half + half).den == 1
+    assert (half - half).den == 1 and not (half - half)
+    # truncation can drop the only term that kept a factor in the denominator
+    f = MultiPoly.from_monomials(SPACE, [((1, 0, 0, 0, 0), 1), ((3, 0, 0, 0, 0), Fraction(1, 3))])
+    assert f.den == 3
+    assert f.truncate(1) == x1 and f.truncate(1).den == 1
+    for c in (Fraction(3, 7), Fraction(-1, 2)):
+        assert f.coefficient((3, 0, 0, 0, 0)) == Fraction(1, 3)
+        assert f.scale(c).coefficient((3, 0, 0, 0, 0)) == c / 3
+
+
+def test_product_below_the_cap_is_not_refused():
+    x1 = MultiPoly.variable(SPACE, 0)
+    assert x1.mul(x1, max_degree=200) == x1.var_mul(0)
+    big = x1.var_mul(0, 99)
+    with pytest.raises(ValueError, match="exceeds encoding cap"):
+        big.mul(big)
+    with pytest.raises(ValueError, match="exceeds encoding cap"):
+        big.mul(big, max_degree=200)
+    assert big.mul(big, max_degree=127) == MultiPoly.zero(SPACE)
