@@ -539,9 +539,9 @@ def pi_generator(g: Generator, space: VariableSpace) -> WeylOperator:
     i0, j0 = g.i - 1, g.j - 1
     ki, kj = space.unit_key(i0), space.unit_key(j0)
     if same_block(g, space.p):
-        terms = {(ki, kj): ONE, (kj, ki): -ONE}
+        terms = {(ki, kj): 1, (kj, ki): -1}
     else:
-        terms = {(ki + kj, 0): -ONE, (0, ki + kj): -ONE}
+        terms = {(ki + kj, 0): -1, (0, ki + kj): -1}
     return WeylOperator(space, terms)
 
 

@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over the rationals.
 
-Rows and vectors are dicts mapping integer column keys to nonzero
-``Fraction`` entries.  Column keys only need a total order (plain ints or
-packed monomial keys); nothing here ever divides by anything unverified, and
-all reductions are exact.
+Rows and vectors are dicts mapping integer column keys to exact entries:
+an incoming row may hold ``int``s or ``Fraction``s (the obstruction solver
+feeds integer rows), and stored pivot rows, normalised to a leading 1, hold
+``Fraction``s.  Column keys only need a total order (plain ints or packed
+monomial keys); nothing here ever divides by anything unverified, and all
+reductions are exact.
 
 The central object is an incremental reduced row echelon form: rows arrive one
 at a time, each is reduced against the current pivots, and a surviving row
@@ -15,9 +17,9 @@ landing in that column is an exact infeasibility certificate.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-Row = Dict[int, Fraction]
+Row = Dict[int, Union[int, Fraction]]
 
 _ONE = Fraction(1)
 

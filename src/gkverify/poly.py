@@ -17,8 +17,12 @@ numerators is 1, and the zero polynomial has denominator 1 -- so equality is
 plain dict-and-denominator comparison.  The kernels work on ints and
 normalise with one content gcd per operation, not one gcd per term;
 ``monomials()`` and ``coefficient()`` hand out reduced ``Fraction``s.
-MultiPoly instances are treated as immutable; operations return a fresh
-object or, when nothing changes, the operand itself.
+``SparseRational`` holds this layout and the linear structure on it; both
+``MultiPoly`` and ``weyl.WeylOperator`` (keyed by pairs of packed keys)
+inherit it.  Coefficients entering from outside must be ``int`` or
+``Fraction``; anything else raises TypeError.  Instances are treated as
+immutable; operations return a fresh object or, when nothing changes, the
+operand itself.
 
 The module also carries the harmonic machinery used throughout: block
 Laplacians and Euler operators, harmonic basis extraction as an exact
@@ -82,6 +86,8 @@ class VariableSpace:
 
     def shift_of(self, i: int) -> int:
         """Bit offset of variable i (0-based; x-block first)."""
+        if not 0 <= i < self.nvars:
+            raise ValueError(f"variable index {i} outside range({self.nvars})")
         return BITS * (self.nvars - 1 - i)
 
     def unit_key(self, i: int) -> int:
@@ -164,27 +170,34 @@ class VariableSpace:
         return f"y{i - self.p + 1}"
 
 
-class MultiPoly:
-    """Sparse polynomial over Q; treat instances as immutable.
+def exact(c: ScalarLike) -> ScalarLike:
+    """c itself if it is an int or a Fraction; raises TypeError otherwise."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
+    return c
 
-    ``_terms`` maps packed keys to nonzero int numerators and ``den`` is the
-    shared positive denominator, with gcd(den, *numerators) == 1.  Only
-    ``reduced`` establishes that invariant; the constructor trusts its
-    arguments.
+
+class SparseRational:
+    """A finite Q-linear combination of keys over one VariableSpace.
+
+    ``_terms`` maps keys to nonzero int numerators and ``den`` is the shared
+    positive denominator, with gcd(den, *numerators) == 1 and den == 1 for
+    zero.  Only ``reduced`` establishes that invariant; the constructor
+    trusts its arguments.  Subclasses give the keys their meaning and share
+    the linear structure defined here; values of different subclasses never
+    combine and never compare equal.
     """
 
     __slots__ = ("space", "_terms", "den")
 
-    def __init__(self, space: VariableSpace, terms: Dict[int, int], den: int = 1) -> None:
+    def __init__(self, space: VariableSpace, terms: Dict, den: int = 1) -> None:
         self.space = space
         self._terms = terms
         self.den = den
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def reduced(space: VariableSpace, terms: Dict[int, int], den: int) -> "MultiPoly":
-        """The polynomial sum_k terms[k]/den x^k in canonical form.
+    @classmethod
+    def reduced(cls, space: VariableSpace, terms: Dict, den: int):
+        """sum_k terms[k]/den of the key k, in canonical form.
 
         ``den`` must be positive.  Zero numerators (cancelled terms) are
         dropped, and the dict is reused when there are none and no common
@@ -193,16 +206,89 @@ class MultiPoly:
         if 0 in terms.values():
             terms = {k: v for k, v in terms.items() if v}
         if not terms:
-            return MultiPoly(space, terms)
+            return cls(space, terms)
         g = gcd(den, *terms.values())
         if g != 1:
             terms = {k: v // g for k, v in terms.items()}
             den //= g
-        return MultiPoly(space, terms, den)
+        return cls(space, terms, den)
 
-    @staticmethod
-    def zero(space: VariableSpace) -> "MultiPoly":
-        return MultiPoly(space, {})
+    @classmethod
+    def zero(cls, space: VariableSpace):
+        return cls(space, {})
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def _require_same_space(self, other: "SparseRational") -> None:
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
+        if self.space != other.space:
+            raise ValueError(f"{type(self).__name__}s live in different variable spaces")
+
+    def _combine(self, other, sign: int):
+        """self + sign * other over the lcm of the two denominators."""
+        self._require_same_space(other)
+        a, b = self.den, other.den
+        g = gcd(a, b)
+        fa, fb = b // g, sign * (a // g)
+        if len(self._terms) < len(other._terms):
+            (small, fs), (big, fbig) = (self._terms, fa), (other._terms, fb)
+        else:
+            (small, fs), (big, fbig) = (other._terms, fb), (self._terms, fa)
+        out = dict(big) if fbig == 1 else {k: v * fbig for k, v in big.items()}
+        get = out.get
+        for k, v in small.items():
+            out[k] = get(k, 0) + v * fs
+        return self.reduced(self.space, out, a * (b // g))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def neg(self):
+        return type(self)(self.space, {k: -c for k, c in self._terms.items()}, self.den)
+
+    def __neg__(self):
+        return self.neg()
+
+    def scale(self, c: ScalarLike):
+        if not exact(c):
+            return self.zero(self.space)
+        n, d = c.numerator, c.denominator
+        if n == d:
+            return self
+        return self.reduced(self.space, {k: v * n for k, v in self._terms.items()}, self.den * d)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.space == other.space
+            and self.den == other.den
+            and self._terms == other._terms
+        )
+
+
+class MultiPoly(SparseRational):
+    """Sparse polynomial over Q; treat instances as immutable.
+
+    The keys of ``_terms`` are packed monomials.
+    """
+
+    __slots__ = ()
+
+    # -- constructors ------------------------------------------------------
 
     @staticmethod
     def one(space: VariableSpace) -> "MultiPoly":
@@ -218,21 +304,12 @@ class MultiPoly:
     ) -> "MultiPoly":
         terms: Dict[int, Fraction] = {}
         for exps, c in entries:
-            if c:
+            if exact(c):
                 key = space.pack(exps)
                 terms[key] = terms.get(key, ZERO) + Fraction(c)
         return _from_fractions(space, terms)
 
     # -- inspection --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -266,48 +343,6 @@ class MultiPoly:
         return degs.pop()
 
     # -- ring operations ---------------------------------------------------
-
-    def _require_same_space(self, other: "MultiPoly") -> None:
-        if self.space != other.space:
-            raise ValueError("polynomials live in different variable spaces")
-
-    def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
-        """self + sign * other over the lcm of the two denominators."""
-        self._require_same_space(other)
-        a, b = self.den, other.den
-        g = gcd(a, b)
-        fa, fb = b // g, sign * (a // g)
-        if len(self._terms) < len(other._terms):
-            (small, fs), (big, fbig) = (self._terms, fa), (other._terms, fb)
-        else:
-            (small, fs), (big, fbig) = (other._terms, fb), (self._terms, fa)
-        out = dict(big) if fbig == 1 else {k: v * fbig for k, v in big.items()}
-        get = out.get
-        for k, v in small.items():
-            out[k] = get(k, 0) + v * fs
-        return MultiPoly.reduced(self.space, out, a * (b // g))
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self._combine(other, -1)
-
-    def neg(self) -> "MultiPoly":
-        return MultiPoly(self.space, {k: -c for k, c in self._terms.items()}, self.den)
-
-    def __neg__(self) -> "MultiPoly":
-        return self.neg()
-
-    def scale(self, c: ScalarLike) -> "MultiPoly":
-        if not c:
-            return MultiPoly.zero(self.space)
-        n, d = c.numerator, c.denominator
-        if n == d:
-            return self
-        return MultiPoly.reduced(
-            self.space, {k: v * n for k, v in self._terms.items()}, self.den * d
-        )
 
     def mul(self, other: "MultiPoly", max_degree: Optional[int] = None) -> "MultiPoly":
         """Product, optionally discarding all terms above max_degree."""
@@ -369,26 +404,19 @@ class MultiPoly:
 
     def var_mul(self, i: int, power: int = 1) -> "MultiPoly":
         """Multiply by the i-th variable raised to power."""
+        sp = self.space
+        shift_key = power * sp.unit_key(i)
+        if power < 0:
+            raise ValueError(f"negative power {power}")
         if power == 0:
             return self
-        sp = self.space
         if self._terms and self.degree() + power > MAX_EXP:
             raise ValueError("degree cap exceeded")
-        shift_key = power * sp.unit_key(i)
         return MultiPoly(
             sp, {k + shift_key: c for k, c in self._terms.items()}, self.den
         )
 
     # -- comparison / display ----------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return (
-            self.space == other.space
-            and self.den == other.den
-            and self._terms == other._terms
-        )
 
     def __str__(self) -> str:
         if not self._terms:

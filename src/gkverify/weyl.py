@@ -3,8 +3,10 @@
 An operator is a sum of terms  c * v^a * d^alpha  with every variable written
 to the left of every derivative; a term is keyed by the packed pair
 (monomial key, derivative multi-index key) in one shared VariableSpace.  The
+coefficients are stored as ``MultiPoly``'s are (``poly.SparseRational``): int
+numerators over one shared denominator, reduced after every operation.  The
 normal-ordered representation is canonical, so operator equality is literal
-dict equality.
+dict-and-denominator equality.
 
 Composition uses the two-multi-index Leibniz expansion: moving d^alpha across
 v^b produces, for every contraction gamma <= min(alpha, b) componentwise,
@@ -21,19 +23,19 @@ exponent is at most the total, so this accepts exactly the keys ``pack``
 accepts.
 
 Application to a polynomial evaluates d^alpha on each monomial as a falling
-factorial and shifts exponents; both directions are exact.  It brings the
-operator's coefficients to one denominator once per call and then works on
-the polynomial's integer numerators.
+factorial and shifts exponents; both directions are exact.  Composition and
+application multiply int numerators and reduce once, over the product of the
+two denominators.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Dict, Tuple
 
-from .poly import MAX_EXP, ONE, Coeff, Exponents, MultiPoly, ScalarLike, VariableSpace
+from .poly import MAX_EXP, Exponents, MultiPoly, ScalarLike, SparseRational, VariableSpace, exact
 
 TermKey = Tuple[int, int]
 
@@ -45,24 +47,19 @@ def falling(n: int, k: int) -> int:
     return out
 
 
-class WeylOperator:
-    """A normal-ordered differential operator; treat instances as immutable."""
+class WeylOperator(SparseRational):
+    """A normal-ordered differential operator; treat instances as immutable.
 
-    __slots__ = ("space", "_terms")
+    The keys of ``_terms`` are (monomial key, derivative key) pairs.
+    """
 
-    def __init__(self, space: VariableSpace, terms: Dict[TermKey, Coeff]) -> None:
-        self.space = space
-        self._terms = terms
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(space: VariableSpace) -> "WeylOperator":
-        return WeylOperator(space, {})
-
-    @staticmethod
     def identity(space: VariableSpace) -> "WeylOperator":
-        return WeylOperator(space, {(0, 0): ONE})
+        return WeylOperator(space, {(0, 0): 1})
 
     @staticmethod
     def term(
@@ -71,29 +68,21 @@ class WeylOperator:
         deriv: Exponents,
         coeff: ScalarLike = 1,
     ) -> "WeylOperator":
-        c = Fraction(coeff)
+        c = Fraction(exact(coeff))
         if not c:
             return WeylOperator.zero(space)
-        return WeylOperator(space, {(space.pack(mono), space.pack(deriv)): c})
+        key = (space.pack(mono), space.pack(deriv))
+        return WeylOperator(space, {key: c.numerator}, c.denominator)
 
     @staticmethod
     def diff(space: VariableSpace, i: int) -> "WeylOperator":
-        return WeylOperator(space, {(0, space.unit_key(i)): ONE})
+        return WeylOperator(space, {(0, space.unit_key(i)): 1})
 
     @staticmethod
     def var(space: VariableSpace, i: int) -> "WeylOperator":
-        return WeylOperator(space, {(space.unit_key(i), 0): ONE})
+        return WeylOperator(space, {(space.unit_key(i), 0): 1})
 
     # -- inspection --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
     def max_derivative_order(self) -> int:
         """Largest total derivative degree |alpha| over the terms; 0 if none."""
@@ -116,37 +105,6 @@ class WeylOperator:
             default=0,
         )
 
-    # -- linear structure ----------------------------------------------------
-
-    def _require_same_space(self, other: "WeylOperator") -> None:
-        if self.space != other.space:
-            raise ValueError("operators live in different variable spaces")
-
-    def __add__(self, other: "WeylOperator") -> "WeylOperator":
-        self._require_same_space(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            acc = out.get(k)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
-        return WeylOperator(self.space, out)
-
-    def __sub__(self, other: "WeylOperator") -> "WeylOperator":
-        return self + -other
-
-    def __neg__(self) -> "WeylOperator":
-        return WeylOperator(self.space, {k: -v for k, v in self._terms.items()})
-
-    def scale(self, c: ScalarLike) -> "WeylOperator":
-        if not c:
-            return WeylOperator.zero(self.space)
-        if c == 1:
-            return self
-        return WeylOperator(self.space, {k: v * c for k, v in self._terms.items()})
-
     # -- composition ---------------------------------------------------------
 
     def compose(self, other: "WeylOperator") -> "WeylOperator":
@@ -161,7 +119,7 @@ class WeylOperator:
         for (kmb, kab), cb in other._terms.items():
             b = [(kmb >> sh) & MAX_EXP for sh in shifts]
             b_items.append((kmb, kab, cb, b, [i for i in range(nv) if b[i]]))
-        acc: Dict[TermKey, Coeff] = {}
+        acc: Dict[TermKey, int] = {}
         for (kma, kaa), ca in self._terms.items():
             alpha = [(kaa >> sh) & MAX_EXP for sh in shifts]
             for kmb, kab, cb, b, b_nonzero in b_items:
@@ -194,7 +152,7 @@ class WeylOperator:
                         acc[key] = cur
                     elif key in acc:
                         del acc[key]
-        return WeylOperator(sp, acc)
+        return WeylOperator.reduced(sp, acc, self.den * other.den)
 
     def commutator(self, other: "WeylOperator") -> "WeylOperator":
         return self.compose(other) - other.compose(self)
@@ -219,17 +177,14 @@ class WeylOperator:
         max_m = max(km >> ds for km, _ in self._terms)
         if f.degree() + max_m > MAX_EXP:
             raise ValueError("application would exceed the degree cap")
-        # the operator's coefficients as integers over one denominator
-        den = lcm(*(c.denominator for c in self._terms.values()))
         f_items = f._terms.items()
         out: Dict[int, int] = {}
         get = out.get
         for (km, ka), c in self._terms.items():
-            cn = c.numerator * (den // c.denominator)
             alist = [(sh, (ka >> sh) & MAX_EXP) for sh in sp.shifts if (ka >> sh) & MAX_EXP]
             delta = km - ka
             for ke, ce in f_items:
-                mult = cn * ce
+                mult = c * ce
                 for sh, al in alist:
                     e = (ke >> sh) & MAX_EXP
                     if e < al:
@@ -238,14 +193,9 @@ class WeylOperator:
                 else:
                     nk = ke + delta
                     out[nk] = get(nk, 0) + mult
-        return MultiPoly.reduced(sp, out, den * f.den)
+        return MultiPoly.reduced(sp, out, self.den * f.den)
 
-    # -- comparison / display -------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeylOperator):
-            return NotImplemented
-        return self.space == other.space and self._terms == other._terms
+    # -- display ---------------------------------------------------------------
 
     def __str__(self) -> str:
         if not self._terms:
@@ -253,7 +203,7 @@ class WeylOperator:
         sp = self.space
         parts = []
         for km, ka in sorted(self._terms, reverse=True):
-            c = self._terms[(km, ka)]
+            c = Fraction(self._terms[(km, ka)], self.den)
             factors = []
             for i in range(sp.nvars):
                 e = sp.exponent_of(km, i)
@@ -281,17 +231,17 @@ class WeylOperator:
 def euler_op(space: VariableSpace, block: str) -> WeylOperator:
     """sum_i v_i d/dv_i over the block."""
     terms = {
-        (space.unit_key(i), space.unit_key(i)): ONE
+        (space.unit_key(i), space.unit_key(i)): 1
         for i in space.block_range(block)
     }
     return WeylOperator(space, terms)
 
 
 def laplacian_op(space: VariableSpace, block: str) -> WeylOperator:
-    terms = {(0, 2 * space.unit_key(i)): ONE for i in space.block_range(block)}
+    terms = {(0, 2 * space.unit_key(i)): 1 for i in space.block_range(block)}
     return WeylOperator(space, terms)
 
 
 def rsq_op(space: VariableSpace, block: str) -> WeylOperator:
-    terms = {(2 * space.unit_key(i), 0): ONE for i in space.block_range(block)}
+    terms = {(2 * space.unit_key(i), 0): 1 for i in space.block_range(block)}
     return WeylOperator(space, terms)

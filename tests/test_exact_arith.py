@@ -1,11 +1,12 @@
 """Exact rational coefficients: frozen values and field axioms.
 
-Operator, Lie-algebra and echelon coefficients are ``fractions.Fraction``s;
-a polynomial stores int numerators over one positive denominator that
-shares no factor with all of them, and hands its coefficients out as
-reduced ``Fraction``s.  These tests pin the arithmetic the package performs
-on them (products, pivot inverses, reduction) and check the field axioms on
-the coefficient type, as the ``weyl.field_axioms`` check does at run time.
+Lie-algebra and echelon coefficients are ``fractions.Fraction``s; a
+polynomial or an operator stores int numerators over one positive
+denominator that shares no factor with all of them, and hands its
+coefficients out as reduced ``Fraction``s.  These tests pin the arithmetic
+the package performs on them (products, pivot inverses, reduction) and check
+the field axioms on the coefficient type, as the ``weyl.field_axioms`` check
+does at run time.
 """
 
 from fractions import Fraction
@@ -32,8 +33,10 @@ def test_constants():
     # the realization has no imaginary unit left: every image coefficient is +-1
     space = VariableSpace(2, 3)
     for g in generators(2, 3, "M"):
-        for c in pi_generator(g, space)._terms.values():
-            assert type(c) is Fraction and c in (ONE, -ONE)
+        op = pi_generator(g, space)
+        assert op.den == 1
+        for c in op._terms.values():
+            assert type(c) is int and Fraction(c, op.den) in (ONE, -ONE)
 
 
 def test_frozen_product():
@@ -93,19 +96,21 @@ def test_division_roundtrip(a, b):
 @given(rationals, nonzero_rationals)
 @settings(max_examples=40)
 def test_components_stay_reduced(a, b):
-    # composition yields reduced Fractions; application yields int numerators
-    # over a positive denominator with content 1, read out as reduced Fractions
+    # composition and application yield int numerators over a positive
+    # denominator with content 1, read out as reduced Fractions
     space = VariableSpace(1, 1)
     A = WeylOperator.term(space, (1, 1), (1, 0), a)
     B = WeylOperator.term(space, (2, 0), (0, 1), b) + WeylOperator.diff(space, 0).scale(b)
     f = MultiPoly.from_monomials(space, [((3, 1), b), ((0, 2), a)])
-    for c in A.compose(B)._terms.values():
-        assert type(c) is Fraction
+    AB = A.compose(B)
+    for obj in (AB, f, A.apply(f), AB.apply(f)):
+        assert type(obj.den) is int and obj.den > 0
+        assert all(type(c) is int and c for c in obj._terms.values())
+        assert gcd(obj.den, *obj._terms.values()) == 1
+    for c in AB._terms.values():
+        c = Fraction(c, AB.den)
         assert gcd(c.numerator, c.denominator) == 1
-    for poly in (f, A.apply(f), A.compose(B).apply(f)):
-        assert type(poly.den) is int and poly.den > 0
-        assert all(type(c) is int and c for c in poly._terms.values())
-        assert gcd(poly.den, *poly._terms.values()) == 1
+    for poly in (f, A.apply(f), AB.apply(f)):
         for c in poly.monomials().values():
             assert type(c) is Fraction
             assert gcd(c.numerator, c.denominator) == 1

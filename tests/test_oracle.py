@@ -4,7 +4,9 @@ pi(X_g) is built here from the textbook formulas, with sympy's imaginary
 unit: rotation fields within the first block, their negatives within the
 second, and -i (x_i y_j + d_{x_i} d_{y_j}) across the blocks.  Divided by the
 factor phi_g (1, -1 or i) its action on fixed polynomials must equal the
-action of the package's real pi(M_g).
+action of the package's real pi(M_g).  The composed closed-form operators,
+whose coefficients are fractions, are checked the same way against sympy
+applying each word of their closed form factor by factor.
 """
 
 import subprocess
@@ -14,7 +16,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from gkverify.liealg import Generator, _bracket_table, generators, pi_generator
+from gkverify.liealg import (
+    Generator,
+    _bracket_table,
+    closed_form,
+    closed_operator,
+    generators,
+    pi_generator,
+)
 from gkverify.poly import MultiPoly, VariableSpace, laplacian
 
 
@@ -90,6 +99,37 @@ def test_kernels_match_sympy_over_qq(p, q):
             image, phi = _textbook_image(g, p, v)
             got = pi_generator(Generator(g.i, g.j, "M"), space).apply(mf)
             assert got.monomials() == _qq_coefficients(sympy.expand(image(f) / phi), v)
+
+
+def _sympy_factor(name, v, p):
+    """A stock factor of a closed_form word ("Ex", "Ly", ...) on sympy expressions."""
+    kind, block = name[0], name[1]
+    idx = range(p) if block == "x" else range(p, len(v))
+    if kind == "E":
+        return lambda f: sum(v[i] * sympy.diff(f, v[i]) for i in idx)
+    if kind == "L":
+        return lambda f: sum(sympy.diff(f, v[i], 2) for i in idx)
+    assert kind == "R"
+    return lambda f: sum(v[i] ** 2 for i in idx) * f
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 3)])
+@pytest.mark.parametrize("which", ["H", "X+", "X-", "xi"])
+def test_closed_operators_match_sympy_words(p, q, which):
+    # H carries (q-p)/2, X+ and X- carry +-1/2 and xi carries (p-q)/(p+q)
+    space = VariableSpace(p, q)
+    v = _symbols(space)
+    op = closed_operator(space, which)
+    assert op.den > 1
+    for f in _fixed_polys(v):
+        want = 0
+        for c, word in closed_form(which, p, q):
+            term = f
+            for name in reversed(word):
+                term = _sympy_factor(name, v, p)(term)
+            want += sympy.Rational(c.numerator, c.denominator) * term
+        got = op.apply(_to_multipoly(f, space, v))
+        assert got.monomials() == _qq_coefficients(sympy.expand(want), v)
 
 
 def _sympy_generator(g, p, n):

@@ -19,6 +19,7 @@ from gkverify.poly import (
     rho,
     rsq,
 )
+from gkverify.weyl import WeylOperator
 
 SPACE = VariableSpace(2, 4)
 
@@ -57,6 +58,49 @@ def test_pack_rejects_out_of_range():
         space.pack((200, 0, 0, 0))
     with pytest.raises(ValueError):
         space.pack((1, 0, 0))
+
+
+@pytest.mark.parametrize("i", [-1, 4], ids=["minus_one", "nvars"])
+def test_out_of_range_variable_index_raises(i):
+    sp = VariableSpace(2, 2)
+    x1 = MultiPoly.variable(sp, 0)
+    calls = [
+        lambda: sp.shift_of(i),
+        lambda: sp.unit_key(i),
+        lambda: sp.exponent_of(x1.leading_key(), i),
+        lambda: MultiPoly.variable(sp, i),
+        lambda: x1.diff(i),
+        lambda: x1.var_mul(i),
+        lambda: x1.var_mul(i, 0),
+        lambda: WeylOperator.diff(sp, i),
+        lambda: WeylOperator.var(sp, i),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="variable index"):
+            call()
+
+
+def test_negative_power_raises():
+    sp = VariableSpace(2, 2)
+    with pytest.raises(ValueError, match="negative power"):
+        MultiPoly.one(sp).var_mul(0, -1)
+
+
+def test_inexact_coefficients_are_refused():
+    sp = VariableSpace(1, 1)
+    with pytest.raises(TypeError, match="int or Fraction"):
+        MultiPoly.from_monomials(sp, [((1, 0), 0.1)])
+    with pytest.raises(TypeError, match="int or Fraction"):
+        WeylOperator.term(sp, (1, 0), (0, 1), 0.1)
+    f = MultiPoly.variable(sp, 0)
+    for obj in (f, WeylOperator.var(sp, 0)):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            obj.scale(0.5)
+        with pytest.raises(TypeError, match="int or Fraction"):
+            obj.scale(0.0)
+    # exact inputs still go through, zeros included
+    assert f.scale(0) == MultiPoly.zero(sp)
+    assert MultiPoly.from_monomials(sp, [((1, 0), Fraction(0)), ((1, 0), 1)]) == f
 
 
 @given(polys, polys, polys)

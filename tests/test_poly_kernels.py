@@ -1,17 +1,19 @@
 """Integer-numerator kernels against reference kernels over ``Fraction``.
 
-Every ``MultiPoly`` kernel works on int numerators over one shared
-denominator.  The reference kernels below are the earlier implementations,
-which keep one ``Fraction`` per term; each test runs a kernel and its
-reference on the same input and compares the results through
-``monomials()``.  Every result must also be in canonical form: int
+Every ``MultiPoly`` and ``WeylOperator`` kernel works on int numerators over
+one shared denominator.  The reference kernels below are the earlier
+implementations, which keep one ``Fraction`` per term; each test runs a
+kernel and its reference on the same input and compares the results as
+rational coefficients.  Every result must also be in canonical form: int
 numerators, a positive denominator sharing no factor with all of them, and
-denominator 1 for the zero polynomial.
+denominator 1 for zero.
 """
 
 import bisect
+import itertools
+import operator
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,7 +144,7 @@ def ref_expand(series, max_degree):
 
 def ref_apply(op, a):
     out = {}
-    for (km, ka), c in op._terms.items():
+    for (km, ka), c in op.items():
         alist = [(sh, (ka >> sh) & MAX_EXP) for sh in SPACE.shifts if (ka >> sh) & MAX_EXP]
         for ke, ce in a.items():
             mult = 1
@@ -150,6 +152,39 @@ def ref_apply(op, a):
                 mult *= falling((ke >> sh) & MAX_EXP, al)
             if mult:
                 _acc(out, ke + km - ka, c * ce * mult)
+    return out
+
+
+def ref_operator(entries):
+    out = {}
+    for mono, deriv, c in entries:
+        if c:
+            _acc(out, (SPACE.pack(mono), SPACE.pack(deriv)), Fraction(c))
+    return out
+
+
+def ref_compose(a, b):
+    """The packed Leibniz kernel with one Fraction per term."""
+    shifts, units = SPACE.shifts, SPACE.units
+    out = {}
+    for (kma, kaa), ca in a.items():
+        alpha = [(kaa >> sh) & MAX_EXP for sh in shifts]
+        for (kmb, kab), cb in b.items():
+            beta = [(kmb >> sh) & MAX_EXP for sh in shifts]
+            choices = [
+                [
+                    (comb(alpha[i], g) * falling(beta[i], g), g * units[i])
+                    for g in range(min(alpha[i], beta[i]) + 1)
+                ]
+                for i in range(NV)
+                if alpha[i] and beta[i]
+            ]
+            for sel in itertools.product(*choices):
+                mult, sub = 1, 0
+                for f, u in sel:
+                    mult *= f
+                    sub += u
+                _acc(out, (kma + kmb - sub, kaa + kab - sub), ca * cb * mult)
     return out
 
 
@@ -168,6 +203,12 @@ def assert_canonical(f):
 def assert_matches(f, ref):
     assert_canonical(f)
     assert f.monomials() == {SPACE.unpack(k): c for k, c in ref.items()}
+
+
+def assert_op_matches(op, ref):
+    assert isinstance(op, WeylOperator)
+    assert_canonical(op)
+    assert _fr(op) == ref
 
 
 @given(polys, polys)
@@ -241,13 +282,40 @@ def _operator(entries):
 
 
 small_exps = st.lists(st.integers(0, 2), min_size=NV, max_size=NV).map(tuple)
-operators = st.lists(st.tuples(small_exps, small_exps, coeffs), max_size=4).map(_operator)
+operator_entries = st.lists(st.tuples(small_exps, small_exps, coeffs), max_size=4)
+operators = operator_entries.map(_operator)
+
+
+@given(operator_entries, operator_entries, scalars)
+@settings(max_examples=60, deadline=None)
+def test_operator_linear_kernels_match_reference(ea, eb, c):
+    A, B = _operator(ea), _operator(eb)
+    ra, rb = ref_operator(ea), ref_operator(eb)
+    assert_op_matches(A, ra)
+    assert_op_matches(B, rb)
+    assert_op_matches(A + B, ref_add(ra, rb))
+    assert_op_matches(A - B, ref_add(ra, ref_scale(rb, -1)))
+    assert_op_matches(-A, ref_scale(ra, -1))
+    assert_op_matches(A.neg(), ref_scale(ra, -1))
+    assert_op_matches(A.scale(c), ref_scale(ra, c))
+    assert_op_matches(A.scale(3), ref_scale(ra, 3))
+    assert_op_matches(A - A, {})
+    assert (A - A).den == 1
+
+
+@given(operator_entries, operator_entries)
+@settings(max_examples=60, deadline=None)
+def test_operator_compose_matches_reference(ea, eb):
+    A, B = _operator(ea), _operator(eb)
+    assert_op_matches(A.compose(B), ref_compose(ref_operator(ea), ref_operator(eb)))
+    assert_op_matches(B.compose(A), ref_compose(ref_operator(eb), ref_operator(ea)))
 
 
 @given(operators, polys)
 @settings(max_examples=60, deadline=None)
 def test_weyl_apply_matches_reference(op, f):
-    assert_matches(op.apply(f), ref_apply(op, _fr(f)))
+    assert_canonical(op)
+    assert_matches(op.apply(f), ref_apply(_fr(op), _fr(f)))
 
 
 @given(polys)
@@ -255,7 +323,25 @@ def test_weyl_apply_matches_reference(op, f):
 def test_generator_images_match_reference(f):
     for g in generators(SPACE.p, SPACE.q, "M"):
         op = pi_generator(g, SPACE)
-        assert_matches(op.apply(f), ref_apply(op, _fr(f)))
+        assert_canonical(op)
+        assert_matches(op.apply(f), ref_apply(_fr(op), _fr(f)))
+
+
+def test_polynomials_and_operators_do_not_mix():
+    f = MultiPoly.one(SPACE)
+    op = WeylOperator.identity(SPACE)
+    for combine in (operator.add, operator.sub):
+        with pytest.raises(TypeError):
+            combine(f, op)
+        with pytest.raises(TypeError):
+            combine(op, f)
+    with pytest.raises(TypeError):
+        f.mul(op)
+    with pytest.raises(TypeError):
+        op.compose(f)
+    assert (f == op) is False
+    assert (op == f) is False
+    assert f != op
 
 
 # -- canonical form -----------------------------------------------------------
