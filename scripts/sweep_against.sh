@@ -1,20 +1,24 @@
 #!/usr/bin/env bash
-# Compare the default sweep of the working tree with that of a git revision.
+# Compare a `gkverify run` sweep of the working tree with that of a git revision.
 #
-# Usage: scripts/sweep_against.sh [REF]
+# Usage: scripts/sweep_against.sh [REF] [gkverify run args...]
 #
 # Exports REF (default HEAD) with `git archive` into a temporary directory,
-# runs the default `gkverify run --format json` sweep on that tree and on the
-# working tree, and exits with the code of scripts/sweep_diff.py: 0 when the
-# two reports agree apart from every `elapsed` field, 1 when they differ
-# (each differing path is printed), 2 when a report cannot be read.  A sweep
-# whose checks fail still yields a report to compare; a sweep that cannot
-# start (exit 2, a configuration error) stops the comparison with exit 2.
+# runs `gkverify run --format json` with the given extra arguments (none:
+# the default sweep) on that tree and on the working tree, and exits with
+# the code of scripts/sweep_diff.py: 0 when the two reports agree apart from
+# every `elapsed` field, 1 when they differ (each differing path is
+# printed), 2 when a report cannot be read.  A sweep whose checks fail still
+# yields a report to compare; a sweep that cannot start (exit 2, a
+# configuration error) stops the comparison with exit 2.
+#
+# Example: scripts/sweep_against.sh HEAD~1 --p 3 --q 5 --m 1
 
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 ref="${1:-HEAD}"
+shift $(( $# > 0 ? 1 : 0 ))
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
@@ -23,7 +27,8 @@ git -C "$root" archive "$ref" | tar -x -C "$tmp/ref"
 
 sweep() {
     local tree="$1" out="$2" code=0
-    (cd "$tree" && PYTHONPATH="$tree/src" python3 -m gkverify.cli run --format json --out "$out") \
+    shift 2
+    (cd "$tree" && PYTHONPATH="$tree/src" python3 -m gkverify.cli run "$@" --format json --out "$out") \
         >/dev/null || code=$?
     if [ "$code" -gt 1 ]; then
         echo "sweep_against: the sweep of $tree exited with $code" >&2
@@ -32,6 +37,6 @@ sweep() {
     echo "sweep of $tree: exit $code" >&2
 }
 
-sweep "$tmp/ref" "$tmp/ref.json"
-sweep "$root" "$tmp/work.json"
+sweep "$tmp/ref" "$tmp/ref.json" "$@"
+sweep "$root" "$tmp/work.json" "$@"
 python3 "$root/scripts/sweep_diff.py" "$tmp/ref.json" "$tmp/work.json"

@@ -130,8 +130,9 @@ class CheckRun:
     def space(self) -> VariableSpace:
         return VariableSpace(self.p, self.q)
 
-    def params(self, sign: int) -> ModuleParams:
-        return ModuleParams(self.p, self.q, self.m, sign)
+    def families(self) -> Tuple[ModuleParams, ModuleParams]:
+        """The +1 and the -1 family at (p, q, m), in that order."""
+        return tuple(ModuleParams(self.p, self.q, self.m, sign) for sign in (1, -1))
 
     def depth(self) -> int:
         """Working truncation degree for module-level checks."""
@@ -478,7 +479,7 @@ def _weyl_harmonic_dimension(run: CheckRun):
             basis = harmonic_basis(space, block, k)
             if len(basis) != harmonic_dim(nblk, k):
                 return False, None, {"failed_block": block, "degree": k}
-            rr = SparseRREF(pivot="max")
+            rr = SparseRREF()
             for h in basis.elements:
                 if rr.add_row(h.monomials())[0] != "pivot":
                     return False, None, {
@@ -625,12 +626,12 @@ def _casimir_sl2(run: CheckRun):
 def _eigenvalue_sweep(run: CheckRun, which: str):
     validities = []
     scalars = []
-    for sign in (1, -1):
-        for f in ktype_elements(run.params(sign), run.k_max, run.l_max, run.depth()):
+    for params in run.families():
+        for f in ktype_elements(params, run.k_max, run.l_max, run.depth()):
             report = eigenvalue_check(which, f)
             if not report.ok:
                 return False, report.validity, {
-                    "failed_sign": sign,
+                    "failed_sign": params.sign,
                     "failed_ktype": [f.kt.k, f.kt.l],
                 }
             scalars.append(str(report.scalar))
@@ -698,8 +699,7 @@ def _casimir_xi_eigenvalue(run: CheckRun):
 def _module_window(run: CheckRun):
     allowed_count = 0
     rejected_count = 0
-    for sign in (1, -1):
-        params = run.params(sign)
+    for params in run.families():
         space = params.space
         enumerated = {
             (kt.k, kt.l) for kt in ktype_enumeration(params, run.k_max, run.l_max)
@@ -742,13 +742,12 @@ def _module_window(run: CheckRun):
 )
 def _module_membership(run: CheckRun):
     validities = []
-    for sign in (1, -1):
-        params = run.params(sign)
+    for params in run.families():
         for f in ktype_elements(params, run.k_max, run.l_max, run.depth()):
-            report = verify_membership(params, f)
+            report = verify_membership(f)
             if not report.ok:
                 return False, report.validity, {
-                    "failed_sign": sign,
+                    "failed_sign": params.sign,
                     "failed_ktype": [f.kt.k, f.kt.l],
                     "weight_ok": report.weight_ok,
                     "annihilated_ok": report.annihilated_ok,
@@ -768,10 +767,9 @@ def _module_membership(run: CheckRun):
 def _module_series(run: CheckRun):
     cutoff = 24
     kappas = set()
-    for sign in (1, -1):
-        params = run.params(sign)
+    for params in run.families():
         for kt in ktype_enumeration(params, run.k_max, run.l_max):
-            kappas.add(kt.kappa_plus if sign == 1 else kt.kappa_minus)
+            kappas.add(params.weights(kt)[0])
     for kappa in sorted(kappas):
         series = psi_series(kappa, cutoff)
         if any(a != b for (a, b) in series.coeffs):
@@ -804,8 +802,7 @@ def _module_series(run: CheckRun):
 )
 def _module_radial_uniformity(run: CheckRun):
     validities = []
-    for sign in (1, -1):
-        params = run.params(sign)
+    for params in run.families():
         kts = [
             kt
             for kt in ktype_enumeration(params, run.k_max, run.l_max)
@@ -814,10 +811,10 @@ def _module_radial_uniformity(run: CheckRun):
         if not kts:
             continue
         for f in islice(product_elements(params, kts[0], run.depth()), 8):
-            report = verify_membership(params, f)
+            report = verify_membership(f)
             if not report.ok:
                 return False, report.validity, {
-                    "failed_sign": sign,
+                    "failed_sign": params.sign,
                     "ktype": [f.kt.k, f.kt.l],
                 }
             validities.append(report.validity)
@@ -832,7 +829,7 @@ def _module_radial_uniformity(run: CheckRun):
     "truncated application is linear and agrees with direct application on plain polynomials",
 )
 def _module_apply_linearity(run: CheckRun):
-    params = run.params(1)
+    params = run.families()[0]
     space = params.space
     D = run.depth()
     kts = [
@@ -879,18 +876,17 @@ def _paction_four_term(run: CheckRun):
     checked = 0
     skipped = 0
     D = run.depth()
-    for sign in (1, -1):
-        params = run.params(sign)
+    for params in run.families():
         for f in ktype_elements(params, min(run.k_max, 2), min(run.l_max, 2), D):
             kt = f.kt
-            if (kt.kappa_minus if sign == 1 else kt.kappa_plus) == 1:
+            if any(layer.den == 0 for layer in params.layers(kt)):
                 skipped += 1
                 continue
             for i in range(1, run.p + 1):
                 for j in range(1, run.q + 1):
                     if not p_action_check(f, i, j):
                         return False, D - 2, {
-                            "failed_sign": sign,
+                            "failed_sign": params.sign,
                             "failed_ktype": [kt.k, kt.l],
                             "failed_index": [i, j],
                         }
@@ -913,21 +909,16 @@ def _paction_degenerate_guard(run: CheckRun):
         except PsiPoleError:
             poles_refused += 1
     scanned = 0
-    for sign in (1, -1):
-        params = run.params(sign)
+    for params in run.families():
         for kt in ktype_enumeration(params, 12, 12):
-            kp, km = kt.kappa_plus, kt.kappa_minus
-            layer_dens = (km - 1, kp) if sign == 1 else (kp - 1, km)
-            if any(den == 0 for den in layer_dens):
-                return False, None, {
-                    "vanishing_denominator_at": [kt.k, kt.l, sign]
-                }
-            base = kp if sign == 1 else km
-            for shifted in (base - 1, base, base + 1):
-                if shifted.denominator == 1 and shifted <= 0:
-                    return False, None, {
-                        "series_pole_at": [kt.k, kt.l, sign]
-                    }
+            where = [kt.k, kt.l, params.sign]
+            layers = params.layers(kt)
+            if any(layer.den == 0 for layer in layers):
+                return False, None, {"vanishing_denominator_at": where}
+            # the element's own series parameter and those of its four layers
+            for kappa in (params.weights(kt)[0], *(layer.kappa for layer in layers)):
+                if kappa.denominator == 1 and kappa <= 0:
+                    return False, None, {"series_pole_at": where}
             scanned += 1
     return True, None, {"poles_refused": poles_refused, "types_scanned": scanned}
 
@@ -1012,7 +1003,7 @@ def _symsq_s4(run: CheckRun):
 )
 def _symsq_decomposition(run: CheckRun):
     n = run.p + run.q
-    rep = decompose_S2(n, certify=True)
+    rep = decompose_S2(n)
     N = n * (n - 1) // 2
     total = N * (N + 1) // 2
     expected = (1, comb(n, 4), n * (n + 1) // 2 - 1)
@@ -1039,16 +1030,15 @@ def _symsq_decomposition(run: CheckRun):
 def _garfinkle_obstruction(run: CheckRun):
     per_sign = {}
     min_validity = None
-    for sign in (1, -1):
-        params = run.params(sign)
+    for params in run.families():
         res = garfinkle_obstruction(params, D=run.solver_depth())
         if res.exists != (run.m == 0):
             return False, res.validity, {
-                "failed_sign": sign,
+                "failed_sign": params.sign,
                 "exists": res.exists,
                 "expected": run.m == 0,
             }
-        per_sign[str(sign)] = res.to_dict()
+        per_sign[str(params.sign)] = res.to_dict()
         min_validity = (
             res.validity if min_validity is None else min(min_validity, res.validity)
         )
@@ -1063,16 +1053,15 @@ def _garfinkle_obstruction(run: CheckRun):
 )
 def _garfinkle_theorem(run: CheckRun):
     per_sign = {}
-    for sign in (1, -1):
-        params = run.params(sign)
+    for params in run.families():
         rep = theorem_ingredients(params, D=run.max_degree)
         if not rep.matches_prediction():
-            return False, None, {"failed_sign": sign, "report": rep.to_dict()}
+            return False, None, {"failed_sign": params.sign, "report": rep.to_dict()}
         if run.m >= 1 and not (
             rep.casimir_step_ok and rep.s4_step_ok and not rep.obstruction.exists
         ):
-            return False, None, {"failed_sign": sign, "report": rep.to_dict()}
-        per_sign[str(sign)] = rep.to_dict()
+            return False, None, {"failed_sign": params.sign, "report": rep.to_dict()}
+        per_sign[str(params.sign)] = rep.to_dict()
     return True, None, {"per_sign": per_sign}
 
 

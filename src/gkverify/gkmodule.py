@@ -11,6 +11,9 @@ A typical element is  h1 * h2 * rho_y^mu * Psi_kappa(rho_x rho_y)  (sign +1,
 with the roles of the blocks swapped for sign -1), where h1, h2 are block
 harmonics of degrees k, l, the shifted weights are kappa_plus = k + p/2 and
 kappa_minus = l + q/2, and Psi_alpha(u) = sum_j (-1)^j / (j! (alpha)_j) u^j.
+ModuleParams holds that family rule and is the only code that reads the sign:
+the series block, the series and partner weights, mu, the killing and
+lowering sl2 generators, and the four-row table of the mixed action.
 
 All series work is truncated at an explicit total degree D, and every
 comparison records its validity: the degree up to which stored coefficients
@@ -24,8 +27,10 @@ multiplication by r^2 +2).
 A TypicalElement carries its family, K-type and harmonics, and the sample
 plans ktype_elements and product_elements yield them one at a time.
 eigenvalue_check compares closed_apply(which, f) with
-ModuleParams.scalar(which, f.kt) f, one path for all four eigenvalues, and
-p_action_check expands the mixed action on f; both refuse other elements.
+ModuleParams.scalar(which, f.kt) f, one path for all four eigenvalues,
+verify_membership checks the defining conditions of f's family, and
+p_action_check expands the mixed action on f; all three refuse other
+elements.
 
 The obstruction solver at the bottom asks, over the default sample of typical
 elements f, whether some pair (Y, lambda) of a Lie-algebra element and a
@@ -42,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .liealg import STOCK_OPERATORS, Generator, closed_form, generators, pi_generator
 from .linalg import SparseRREF
@@ -62,6 +67,7 @@ from .poly import (
 
 __all__ = [
     "KType",
+    "ActionLayer",
     "ModuleParams",
     "TruncatedElement",
     "TypicalElement",
@@ -118,17 +124,31 @@ class KType:
         return Fraction(2 * self.l + self.q, 2)
 
     @property
-    def delta(self) -> Fraction:
-        return self.kappa_plus - self.kappa_minus
-
-    @property
     def multiplicity(self) -> int:
         return harmonic_dim(self.p, self.k) * harmonic_dim(self.q, self.l)
 
 
+class ActionLayer(NamedTuple):
+    """One term, num/den * F_w F_s * rho^exponent Psi_kappa, of the mixed action.
+
+    F_w and F_s act on the harmonic of the weight and of the series block as
+    `weight` and `radial` say: "d" differentiates it, "v" takes dagger(v h).
+    """
+
+    weight: str
+    radial: str
+    num: Fraction
+    den: Fraction
+    kappa: Fraction
+    exponent: int
+
+
 @dataclass(frozen=True)
 class ModuleParams:
-    """Family parameters; sign +1 selects the H-eigenvalue +m family."""
+    """Family parameters; sign +1 selects the H-eigenvalue +m family.
+
+    The methods below are the only code that reads the sign.
+    """
 
     p: int
     q: int
@@ -155,23 +175,53 @@ class ModuleParams:
     def space(self) -> VariableSpace:
         return VariableSpace(self.p, self.q)
 
+    @property
+    def series_block(self) -> str:
+        """The block whose radius carries rho^mu: "y" for +1, "x" for -1."""
+        return "y" if self.sign == 1 else "x"
+
+    @property
+    def weight_block(self) -> str:
+        return "x" if self.sign == 1 else "y"
+
+    @property
+    def sl2_roles(self) -> Tuple[str, str]:
+        """The closed-form names of the killing and the lowering generator."""
+        return ("X+", "X-") if self.sign == 1 else ("X-", "X+")
+
+    def weights(self, kt: KType) -> Tuple[Fraction, Fraction]:
+        """(kappa_s, kappa_o): the weight-block weight, which parameterises
+        Psi, and the series-block weight."""
+        if self.sign == 1:
+            return kt.kappa_plus, kt.kappa_minus
+        return kt.kappa_minus, kt.kappa_plus
+
     def delta_window(self) -> List[int]:
         """Allowed values of kappa_plus - kappa_minus: -m, -m+2, ..., m."""
         return list(range(-self.m, self.m + 1, 2))
 
     def allows(self, kt: KType) -> bool:
-        d = kt.delta
+        d = kt.kappa_plus - kt.kappa_minus
         return d.denominator == 1 and int(d) in self.delta_window()
 
     def mu(self, kt: KType) -> int:
-        """Radial exponent of the typical element at this K-type."""
+        """Radial exponent at this K-type, (m + kappa_s - kappa_o)/2."""
         if not self.allows(kt):
             raise ValueError(f"(k={kt.k}, l={kt.l}) is not a K-type of this family")
-        if self.sign == 1:
-            val = Fraction(self.m + kt.delta, 2)
-        else:
-            val = Fraction(self.m - kt.delta, 2)
-        return int(val)
+        s, o = self.weights(kt)
+        return int((self.m + s - o) / 2)
+
+    def layers(self, kt: KType) -> Tuple[ActionLayer, ...]:
+        """The four terms of the mixed action on the family's elements of
+        K-type kt, with kappa_s, kappa_o = weights(kt) and mu = mu(kt)."""
+        s, o = self.weights(kt)
+        mu = self.mu(kt)
+        return (
+            ActionLayer("d", "d", o + mu - 1, o - 1, s - 1, mu),
+            ActionLayer("d", "v", Fraction(mu), Fraction(1), s - 1, mu - 1),
+            ActionLayer("v", "d", s - o - mu, s * (o - 1), s + 1, mu + 1),
+            ActionLayer("v", "v", s - mu - 1, s, s + 1, mu),
+        )
 
     # -- scalar spectra -----------------------------------------------------
 
@@ -286,25 +336,15 @@ def _require_block_harmonic(h: MultiPoly, block: str) -> int:
 
 
 def _radial_layer(
-    space: VariableSpace,
-    kappa: Fraction,
-    mu: int,
-    radial_block: str,
-    h1: MultiPoly,
-    h2: MultiPoly,
-    validity: int,
+    kappa: Fraction, mu: int, block: str, h: MultiPoly, validity: int
 ) -> MultiPoly:
-    """The expansion of h1 * h2 * rho^mu * Psi_kappa, exact to `validity`."""
-    base = (
-        h1.block_homogeneous_degree("x")
-        + h2.block_homogeneous_degree("y")
-        + 2 * mu
-    )
+    """The expansion of h * rho_block^mu * Psi_kappa, exact to `validity`,
+    for a nonzero homogeneous h."""
+    base = h.degree() + 2 * mu
     if validity < base:
-        return MultiPoly.zero(space)
-    series = psi_series(kappa, validity - base).shift_rho(radial_block, mu)
-    radial = series.expand(space, validity)
-    return h1.mul(h2).mul(radial, max_degree=validity)
+        return MultiPoly.zero(h.space)
+    series = psi_series(kappa, validity - base).shift_rho(block, mu)
+    return h.mul(series.expand(h.space, validity), max_degree=validity)
 
 
 def typical_element(
@@ -320,14 +360,11 @@ def typical_element(
     l = _require_block_harmonic(h2, "y")
     kt = KType(k, l, params.p, params.q)
     mu = params.mu(kt)
-    if params.sign == 1:
-        kappa, radial_block = kt.kappa_plus, "y"
-    else:
-        kappa, radial_block = kt.kappa_minus, "x"
     base = k + l + 2 * mu
     if D < base:
         raise TruncationError(f"D={D} is below the base degree {base}")
-    expansion = _radial_layer(params.space, kappa, mu, radial_block, h1, h2, D)
+    kappa = params.weights(kt)[0]
+    expansion = _radial_layer(kappa, mu, params.series_block, h1.mul(h2), D)
     return TypicalElement(expansion, D, params, kt, h1, h2)
 
 
@@ -399,23 +436,23 @@ class MembershipReport:
         return self.weight_ok and self.annihilated_ok and self.power_ok
 
 
-def verify_membership(params: ModuleParams, f: TruncatedElement) -> MembershipReport:
-    """Check the three defining conditions of the family on f.
+def verify_membership(f: TypicalElement) -> MembershipReport:
+    """Check the three defining conditions of f's family on f.
 
     Requires enough validity that the weakest check still sees degree m + 4;
     raises TruncationError otherwise.  The reported validity is that of the
     weakest check, the (m+1)-fold lowering.
     """
-    m, sign = params.m, params.sign
+    params = _require_typical(f).params
+    m = params.m
     power_validity = f.validity - 2 * (m + 1)
     if min(f.validity - 2, power_validity) < m + 4:
         raise TruncationError(
             f"validity {f.validity} too small for the m={m} membership checks"
         )
     hf = closed_apply("H", f)
-    weight_ok = hf.agrees_with(f.scale(sign * m))
-    killer = "X+" if sign == 1 else "X-"
-    lower = "X-" if sign == 1 else "X+"
+    weight_ok = hf.agrees_with(f.scale(params.sign * m))
+    killer, lower = params.sl2_roles
     annihilated_ok = closed_apply(killer, f).is_zero()
     g = f
     for _ in range(m + 1):
@@ -449,7 +486,8 @@ def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
 
     Compares -pi(M_{i, p+j}) f = (x_i y_j + d_{x_i} d_{y_j}) f, applied
     directly, against the closed four-term combination of shifted harmonic
-    layers built from f's harmonics, exactly at validity f.validity - 2
+    layers of f.params.layers(f.kt) built from f's harmonics, exactly at
+    validity f.validity - 2
     (1-based i <= p, j <= q).  This is sqrt(-1) pi(X_{i, p+j}), the operator
     the layer coefficients expand.  Raise/skip policy: a layer whose
     polynomial factor vanishes is skipped before its coefficient is formed; a
@@ -459,53 +497,34 @@ def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
     params, kt = _require_typical(f).params, f.kt
     if not (1 <= i <= params.p and 1 <= j <= params.q):
         raise ValueError("need 1 <= i <= p and 1 <= j <= q")
-    mu = params.mu(kt)
     gen = Generator(i, params.p + j, "M")
     op = pi_generator(gen, params.space).scale(-1)
     lhs = apply_operator(op, f)
     v = lhs.validity
 
-    kp, km = kt.kappa_plus, kt.kappa_minus
-    xvar, yvar = i - 1, params.p + j - 1
-    dh1, dh2 = f.h1.diff(xvar), f.h2.diff(yvar)
-    xh1, yh2 = f.h1.var_mul(xvar), f.h2.var_mul(yvar)
-
-    # layers: (x-factor, needs x-dagger, y-factor, needs y-dagger,
-    #          numerator, denominator, series parameter, radial exponent)
-    if params.sign == 1:
-        radial_block = "y"
-        layers = [
-            (dh1, False, dh2, False, km + mu - 1, km - 1, kp - 1, mu),
-            (dh1, False, yh2, True, Fraction(mu), Fraction(1), kp - 1, mu - 1),
-            (xh1, True, dh2, False, kp - km - mu, kp * (km - 1), kp + 1, mu + 1),
-            (xh1, True, yh2, True, kp - mu - 1, kp, kp + 1, mu),
-        ]
-    else:
-        radial_block = "x"
-        layers = [
-            (dh1, False, dh2, False, kp + mu - 1, kp - 1, km - 1, mu),
-            (dh1, False, yh2, True, km - kp - mu, km * (kp - 1), km + 1, mu + 1),
-            (xh1, True, dh2, False, Fraction(mu), Fraction(1), km - 1, mu - 1),
-            (xh1, True, yh2, True, km - mu - 1, km, km + 1, mu),
-        ]
-
+    # the x harmonic moves along x_i, the y harmonic along y_j
+    moved = {}
+    for block, h, var in (("x", f.h1, i - 1), ("y", f.h2, params.p + j - 1)):
+        moved[block, "d"], moved[block, "v"] = h.diff(var), h.var_mul(var)
+    wb, sb = params.weight_block, params.series_block
     rhs = MultiPoly.zero(params.space)
-    for fx, dag_x, fy, dag_y, num, den, kappa, layer_mu in layers:
-        if fx.is_zero() or fy.is_zero():
+    for layer in params.layers(kt):
+        kinds = {wb: layer.weight, sb: layer.radial}
+        factors = {b: moved[b, kind] for b, kind in kinds.items()}
+        if factors["x"].is_zero() or factors["y"].is_zero():
             continue
-        num, den = Fraction(num), Fraction(den)
-        if den == 0:
+        if layer.den == 0:
             raise DegenerateDenominatorError(
                 f"coefficient denominator vanished at K-type (k={kt.k}, l={kt.l})"
             )
-        if num == 0:
+        if layer.num == 0:
             continue
-        poly_x = dagger(fx, "x") if dag_x else fx
-        poly_y = dagger(fy, "y") if dag_y else fy
-        layer = _radial_layer(
-            params.space, Fraction(kappa), layer_mu, radial_block, poly_x, poly_y, v
-        )
-        rhs = rhs + layer.scale(num / den)
+        for b, kind in kinds.items():
+            if kind == "v":
+                factors[b] = dagger(factors[b], b)
+        h = factors["x"].mul(factors["y"])
+        term = _radial_layer(layer.kappa, layer.exponent, sb, h, v)
+        rhs = rhs + term.scale(layer.num / layer.den)
     return lhs.agrees_with(TruncatedElement(rhs, v))
 
 
@@ -656,7 +675,7 @@ def garfinkle_obstruction(
             f"{sorted(set(map(str, xi_values)))} cannot decide the system at {params}"
         )
 
-    rref = SparseRREF(pivot="min", rhs_col=rhs_col)
+    rref = SparseRREF(rhs_col=rhs_col)
     n_rows = 0
 
     def build_row(s_idx: int, key: int) -> Dict[int, int]:

@@ -27,16 +27,13 @@ _ONE = Fraction(1)
 class SparseRREF:
     """Incremental reduced row echelon form with exact arithmetic.
 
-    pivot="min" takes the smallest column key of a reduced row as its pivot,
-    pivot="max" the largest.  rhs_col, when given, marks the right-hand-side
-    column of an inhomogeneous system: a row reducing to support {rhs_col}
-    is reported as inconsistent instead of becoming a pivot.
+    The pivot of a reduced row is its smallest column key.  rhs_col, when
+    given, marks the right-hand-side column of an inhomogeneous system: a row
+    reducing to support {rhs_col} is reported as inconsistent instead of
+    becoming a pivot.
     """
 
-    def __init__(self, pivot: str = "min", rhs_col: Optional[int] = None) -> None:
-        if pivot not in ("min", "max"):
-            raise ValueError("pivot must be 'min' or 'max'")
-        self._prefer_min = pivot == "min"
+    def __init__(self, rhs_col: Optional[int] = None) -> None:
         self.rhs_col = rhs_col
         self.rows: Dict[int, Row] = {}
 
@@ -53,14 +50,10 @@ class SparseRREF:
         red = self.residual(row)
         if not red:
             return ("dependent", None)
-        cols = red.keys()
-        if self.rhs_col is not None:
-            unknown = [c for c in cols if c != self.rhs_col]
-            if not unknown:
-                return ("inconsistent", self.rhs_col)
-            pc = min(unknown) if self._prefer_min else max(unknown)
-        else:
-            pc = min(cols) if self._prefer_min else max(cols)
+        unknown = [c for c in red if c != self.rhs_col]
+        if not unknown:
+            return ("inconsistent", self.rhs_col)
+        pc = min(unknown)
         inv = _ONE / red[pc]
         norm = {c: v * inv for c, v in red.items()}
         norm[pc] = _ONE
@@ -115,11 +108,7 @@ class SparseRREF:
         return out
 
 
-def rref_nullspace(
-    rows: Iterable[Row],
-    columns: Iterable[int],
-    pivot: str = "max",
-) -> List[Row]:
+def rref_nullspace(rows: Iterable[Row], columns: Iterable[int]) -> List[Row]:
     """Exact nullspace basis of the linear map given by rows over columns.
 
     Each returned vector is a dict over column keys, normalized so that its
@@ -127,7 +116,7 @@ def rref_nullspace(
     that leading key, descending.  The count always equals
     len(columns) - rank(rows).
     """
-    rref = SparseRREF(pivot=pivot)
+    rref = SparseRREF()
     for row in rows:
         rref.add_row(row)
     pivot_cols = rref.rows.keys()

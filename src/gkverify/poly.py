@@ -557,10 +557,10 @@ def harmonic_basis(space: VariableSpace, block: str, degree: int) -> HarmonicBas
             if e >= 2:
                 tgt = src - 2 * space.unit_key(i)
                 rows.setdefault(tgt, {})[src] = Fraction(e * (e - 1))
-    # With pivot="min" each nullspace vector is monic in its free column, its
-    # graded-lex leading key, and no other vector touches that column: the
-    # canonical reduced basis.
-    vectors = rref_nullspace(rows.values(), cols, pivot="min")
+    # With smallest-key pivots each nullspace vector is monic in its free
+    # column, its graded-lex leading key, and no other vector touches that
+    # column: the canonical reduced basis.
+    vectors = rref_nullspace(rows.values(), cols)
     expected = harmonic_dim(nblk, degree)
     if len(vectors) != expected:
         raise AssertionError(
@@ -606,7 +606,7 @@ class RadialSeries:
     def __init__(self, coeffs: Dict[Tuple[int, int], Coeff], cutoff: int) -> None:
         self.cutoff = cutoff
         self.coeffs = {
-            ab: c for ab, c in coeffs.items() if c and 2 * (ab[0] + ab[1]) <= cutoff
+            ab: c for ab, c in coeffs.items() if exact(c) and 2 * (ab[0] + ab[1]) <= cutoff
         }
 
     def shift_rho(self, block: str, j: int = 1) -> "RadialSeries":
@@ -629,7 +629,7 @@ class RadialSeries:
         # c rho_x^a rho_y^b = (c / 2^(a+b)) (r_x^2)^a (r_y^2)^b: integer
         # powers of r^2, weighted by numerators over one common denominator
         weights = [
-            (a, b, c / (1 << (a + b)))
+            (a, b, Fraction(c, 1 << (a + b)))
             for (a, b), c in sorted(self.coeffs.items())
             if 2 * (a + b) <= limit
         ]

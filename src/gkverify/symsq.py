@@ -359,7 +359,7 @@ def _form_ad_invariance_certificate(n: int) -> bool:
     return True
 
 
-def decompose_S2(n: int, certify: bool = True) -> DecompositionReport:
+def decompose_S2(n: int) -> DecompositionReport:
     """Split the symmetric square into its four exact invariant pieces.
 
     The first three pieces come with explicit spanning tensors whose joint
@@ -369,8 +369,8 @@ def decompose_S2(n: int, certify: bool = True) -> DecompositionReport:
     pairing is definite on these real tensors, so the complement meets the
     span trivially and the dimensions add up by rank plus nullity.
 
-    With certify on, the report carries the full invariance certificate
-    chain described in the module docstring.
+    The report carries the full invariance certificate chain described in
+    the module docstring.
     """
     if n < 4:
         raise ValueError("need n >= 4")
@@ -392,7 +392,7 @@ def decompose_S2(n: int, certify: bool = True) -> DecompositionReport:
 
     family_rows = [q_hat] + s4_list + s2_list
     weighted = [_weighted_coords(t) for t in family_rows]
-    joint = SparseRREF(pivot="min")
+    joint = SparseRREF()
     independent = all(joint.add_row(dict(r))[0] == "pivot" for r in weighted)
 
     columns = [
@@ -405,7 +405,7 @@ def decompose_S2(n: int, certify: bool = True) -> DecompositionReport:
         for b in gens[ai:]:
             coord_to_pair[_pair_coord(a, b)] = (a, b)
 
-    null = rref_nullspace(weighted, columns, pivot="max")
+    null = rref_nullspace(weighted, columns)
     e22_basis = []
     for vec in null:
         coeffs: Dict[PairKey, Fraction] = {}
@@ -430,45 +430,43 @@ def decompose_S2(n: int, certify: bool = True) -> DecompositionReport:
         InvariantSubspace("(2,2)", n, tuple(e22_basis)),
     ]
 
-    invariance_ok: Dict[str, bool] = {}
-    certificates: Dict[str, bool] = {}
     images_checked = 0
-    if certify:
-        rref_s4 = SparseRREF(pivot="min")
+    rref_s4 = SparseRREF()
+    for t in s4_list:
+        rref_s4.add_row(_coords(t))
+    rref_s2 = SparseRREF()
+    for t in s2_list:
+        rref_s2.add_row(_coords(t))
+
+    q_ok = True
+    s4_ok = True
+    s2_ok = True
+    for x in gens:
+        ex = LieElement.basis(x, sig)
+        img = adjoint_action(ex, q_hat)
+        images_checked += 1
+        if not img.is_zero():
+            q_ok = False
         for t in s4_list:
-            rref_s4.add_row(_coords(t))
-        rref_s2 = SparseRREF(pivot="min")
-        for t in s2_list:
-            rref_s2.add_row(_coords(t))
-
-        q_ok = True
-        s4_ok = True
-        s2_ok = True
-        for x in gens:
-            ex = LieElement.basis(x, sig)
-            img = adjoint_action(ex, q_hat)
             images_checked += 1
-            if not img.is_zero():
-                q_ok = False
-            for t in s4_list:
-                images_checked += 1
-                if rref_s4.residual(_coords(adjoint_action(ex, t))):
-                    s4_ok = False
-            for t in s2_list:
-                images_checked += 1
-                if rref_s2.residual(_coords(adjoint_action(ex, t))):
-                    s2_ok = False
+            if rref_s4.residual(_coords(adjoint_action(ex, t))):
+                s4_ok = False
+        for t in s2_list:
+            images_checked += 1
+            if rref_s2.residual(_coords(adjoint_action(ex, t))):
+                s2_ok = False
 
-        certificates["pairing_diagonal"] = _form_diagonal_certificate(n)
-        certificates["pairing_ad_invariant"] = _form_ad_invariance_certificate(n)
-        certificates["families_invariant"] = q_ok and s4_ok and s2_ok
-        e22_ok = all(certificates.values())
-        invariance_ok = {
-            "empty": q_ok,
-            "(1,1,1,1)": s4_ok,
-            "(2)": s2_ok,
-            "(2,2)": e22_ok,
-        }
+    certificates = {
+        "pairing_diagonal": _form_diagonal_certificate(n),
+        "pairing_ad_invariant": _form_ad_invariance_certificate(n),
+        "families_invariant": q_ok and s4_ok and s2_ok,
+    }
+    invariance_ok = {
+        "empty": q_ok,
+        "(1,1,1,1)": s4_ok,
+        "(2)": s2_ok,
+        "(2,2)": all(certificates.values()),
+    }
 
     return DecompositionReport(
         n=n,

@@ -168,6 +168,8 @@ class WeylOperator(SparseRational):
     # -- action on polynomials ----------------------------------------------
 
     def apply(self, f: MultiPoly) -> MultiPoly:
+        if not isinstance(f, MultiPoly):
+            raise TypeError(f"cannot apply an operator to {type(f).__name__}")
         if f.space != self.space:
             raise ValueError("operator and polynomial spaces differ")
         sp = self.space

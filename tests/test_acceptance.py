@@ -120,7 +120,7 @@ def test_criterion_3_membership(capsys):
         for sign in (1, -1):
             params = ModuleParams(p, q, m, sign)
             for f in ktype_elements(params, 3, 3, D):
-                report = verify_membership(params, f)
+                report = verify_membership(f)
                 if not report.ok:
                     ok = False
                 checked += 1
@@ -224,7 +224,7 @@ def test_criterion_7_decomposition(capsys):
     start = time.perf_counter()
     ok = True
     for n in range(4, 9):
-        rep = decompose_S2(n, certify=True)
+        rep = decompose_S2(n)
         N = n * (n - 1) // 2
         expected_head = (1, comb(n, 4), n * (n + 1) // 2 - 1)
         if rep.dims[:3] != expected_head:

@@ -53,7 +53,7 @@ def test_frozen_product():
 
 def test_frozen_inverse():
     # the pivot is normalized by its exact inverse, even for plain int entries
-    rref = SparseRREF(pivot="min")
+    rref = SparseRREF()
     assert rref.add_row({0: 3, 1: 4}) == ("pivot", 0)
     row = rref.rows[0]
     assert row == {0: ONE, 1: Fraction(4, 3)}

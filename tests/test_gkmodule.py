@@ -34,6 +34,7 @@ from gkverify.poly import (
     dagger,
     harmonic_basis,
 )
+from gkverify.cli import DEFAULT_SWEEP
 from gkverify.liealg import Generator, closed_operator, pi_generator
 from gkverify.weyl import WeylOperator, rsq_op
 
@@ -77,6 +78,26 @@ def test_radial_exponent_frozen():
     assert params.mu(KType(0, 1, 4, 4)) == 0
     with pytest.raises(ValueError):
         params.mu(KType(0, 0, 4, 4))  # parity excludes it
+
+
+@pytest.mark.parametrize("p,q,m", DEFAULT_SWEEP)
+def test_minus_rule_is_the_plus_rule_with_the_blocks_swapped(p, q, m):
+    # Exchanging the blocks maps H to -H and X+ to -X-, so the -1 family at
+    # (p, q) is the +1 family at (q, p) with x, y and k, l exchanged.
+    swap = {"x": "y", "y": "x"}
+    minus, plus = ModuleParams(p, q, m, -1), ModuleParams(q, p, m, 1)
+    assert minus.series_block == swap[plus.series_block]
+    assert minus.weight_block == swap[plus.weight_block]
+    assert minus.sl2_roles == plus.sl2_roles[::-1]
+    kts = ktype_enumeration(minus, 3, 3)
+    assert kts
+    mirrored = sorted((kt.l, kt.k) for kt in kts)
+    assert mirrored == [(kt.k, kt.l) for kt in ktype_enumeration(plus, 3, 3)]
+    for kt in kts:
+        mirror = KType(kt.l, kt.k, q, p)
+        assert minus.weights(kt) == plus.weights(mirror)
+        assert minus.mu(kt) == plus.mu(mirror)
+        assert minus.layers(kt) == plus.layers(mirror)
 
 
 def test_window_rule_matches_double_integrality():
@@ -134,7 +155,7 @@ def test_membership_triple_spot():
                 h1 = harmonic_basis(space, "x", kt.k).elements[0]
                 h2 = harmonic_basis(space, "y", kt.l).elements[0]
                 f = typical_element(params, h1, h2, D)
-                report = verify_membership(params, f)
+                report = verify_membership(f)
                 assert report.ok, (p, q, m, sign, kt.k, kt.l)
 
 
@@ -301,7 +322,7 @@ def test_membership_holds_on_harmonic_combinations(cs):
         return
     h1 = harmonic_basis(space, "x", 2).elements[0]
     f = typical_element(params, h1, h2, 9)
-    assert verify_membership(params, f).ok
+    assert verify_membership(f).ok
 
 
 def test_p_action_spot():
@@ -337,6 +358,8 @@ def test_sums_and_multiples_are_not_typical():
             eigenvalue_check("g", g)
         with pytest.raises(TypeError):
             p_action_check(g, 1, 1)
+        with pytest.raises(TypeError):
+            verify_membership(g)
 
 
 def test_sample_plans_follow_the_enumeration_and_the_bases():
@@ -427,7 +450,7 @@ def _outcome(check, *args):
         return "DegenerateDenominatorError"
 
 
-@pytest.mark.parametrize("p,q,m", [(2, 4, 0), (3, 3, 0), (4, 4, 1)])
+@pytest.mark.parametrize("p,q,m", [(2, 4, 0), (3, 3, 0), (4, 4, 1), (3, 5, 1)])
 def test_p_action_check_matches_the_rebuilding_check(p, q, m):
     D = default_solver_depth(m)
     compared = 0

@@ -10,6 +10,7 @@ from gkverify.poly import (
     ONE,
     MultiPoly,
     NonHomogeneousError,
+    RadialSeries,
     VariableSpace,
     dagger,
     euler,
@@ -92,6 +93,8 @@ def test_inexact_coefficients_are_refused():
         MultiPoly.from_monomials(sp, [((1, 0), 0.1)])
     with pytest.raises(TypeError, match="int or Fraction"):
         WeylOperator.term(sp, (1, 0), (0, 1), 0.1)
+    with pytest.raises(TypeError, match="int or Fraction"):
+        RadialSeries({(0, 0): 0.5}, 4)
     f = MultiPoly.variable(sp, 0)
     for obj in (f, WeylOperator.var(sp, 0)):
         with pytest.raises(TypeError, match="int or Fraction"):
@@ -101,6 +104,7 @@ def test_inexact_coefficients_are_refused():
     # exact inputs still go through, zeros included
     assert f.scale(0) == MultiPoly.zero(sp)
     assert MultiPoly.from_monomials(sp, [((1, 0), Fraction(0)), ((1, 0), 1)]) == f
+    assert RadialSeries({(0, 0): 1, (1, 0): 0}, 4).expand(sp) == MultiPoly.one(sp)
 
 
 @given(polys, polys, polys)

@@ -339,6 +339,8 @@ def test_polynomials_and_operators_do_not_mix():
         f.mul(op)
     with pytest.raises(TypeError):
         op.compose(f)
+    with pytest.raises(TypeError):
+        op.apply(op)
     assert (f == op) is False
     assert (op == f) is False
     assert f != op

@@ -1,11 +1,14 @@
-"""scripts/sweep_diff.py: the report comparison that gates refactors."""
+"""scripts/sweep_diff.py: the report comparison that gates refactors, and
+scripts/sweep_against.sh, which runs it on two trees."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "sweep_diff.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "sweep_diff.py"
 
 
 def _report(elapsed, validity):
@@ -65,3 +68,28 @@ def test_every_difference_is_listed_in_document_order(tmp_path):
         "$.checks[0].detail.checked: 6 != 4",
         "$.checks[0].validity: 8 != 6",
     ]
+
+
+def _one_commit_repo(tmp_path):
+    """A git repository whose one commit holds the package and the scripts."""
+    tree = tmp_path / "tree"
+    skip = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(ROOT / "src" / "gkverify", tree / "src" / "gkverify", ignore=skip)
+    shutil.copytree(ROOT / "scripts", tree / "scripts", ignore=skip)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.org", "-C", str(tree)]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "tree"]):
+        subprocess.run(git + args, check=True, capture_output=True, timeout=60)
+    return tree / "scripts" / "sweep_against.sh"
+
+
+def test_sweep_against_forwards_run_arguments(tmp_path):
+    script = _one_commit_repo(tmp_path)
+    args = ["bash", str(script), "HEAD", "--p", "2", "--q", "2", "--suite"]
+    done = subprocess.run(args + ["weyl"], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.count(": exit 0") == 2
+    # a suite only the run itself can refuse shows that the arguments reach it
+    refused = subprocess.run(args + ["nosuch"], capture_output=True, text=True, timeout=300)
+    assert refused.returncode == 2
+    assert "exited with 2" in refused.stderr

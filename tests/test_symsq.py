@@ -256,7 +256,7 @@ def test_s4_operator_images_vanish():
 
 def test_decomposition_dimensions():
     for n, dims in [(4, (1, 1, 9, 10)), (5, (1, 5, 14, 35)), (6, (1, 15, 20, 84))]:
-        rep = decompose_S2(n, certify=True)
+        rep = decompose_S2(n)
         assert rep.dims == dims
         N = n * (n - 1) // 2
         assert rep.total_dim == N * (N + 1) // 2
@@ -267,7 +267,7 @@ def test_decomposition_dimensions():
 
 
 def test_decomposition_pieces_are_orthogonal():
-    rep = decompose_S2(4, certify=False)
+    rep = decompose_S2(4)
     flat = [(s.label, t) for s in rep.subspaces for t in s.basis]
     for i, (la, ta) in enumerate(flat):
         for lb, tb in flat[i + 1 :]:
