@@ -49,7 +49,6 @@ from .weyl import WeylOperator, euler_op, laplacian_op, rsq_op
 from .liealg import (
     EnvelopingElement,
     LieElement,
-    _bracket_table,
     bracket,
     closed_operator,
     degree2_symbol,
@@ -63,6 +62,7 @@ from .liealg import (
     pi_lie,
     sl2_casimir_op,
     sl2_triple,
+    straighten,
 )
 from .gkmodule import (
     KType,
@@ -277,41 +277,13 @@ def _lie_pbw_confluence(run: CheckRun):
     sig = run.sig
     gens = generators(*sig, "X")
     rng = random.Random(2000 * run.p + run.q)
-
-    def straighten_last(u: EnvelopingElement) -> EnvelopingElement:
-        table = _bracket_table(u.sig, u.flavor)
-        out: Dict[tuple, Fraction] = {}
-        stack = list(u.coeffs.items())
-        while stack:
-            word, c = stack.pop()
-            if not c:
-                continue
-            pos = -1
-            for t in range(len(word) - 2, -1, -1):
-                if word[t] > word[t + 1]:
-                    pos = t
-                    break
-            if pos < 0:
-                acc = out.get(word)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[word] = acc
-                elif word in out:
-                    del out[word]
-                continue
-            ga, gb = word[pos], word[pos + 1]
-            stack.append((word[:pos] + (gb, ga) + word[pos + 2 :], c))
-            for g, sc in table[(ga, gb)].items():
-                stack.append((word[:pos] + (g,) + word[pos + 2 :], c * sc))
-        return EnvelopingElement(u.sig, u.flavor, out)
-
     n_words = 25
     for _ in range(n_words):
         length = rng.randint(2, 4)
         word = tuple(rng.choice(gens) for _ in range(length))
         u = EnvelopingElement(sig, "X", {word: ONE})
         nf = pbw_normal_form(u)
-        if nf != straighten_last(u):
+        if nf != straighten(u, last=True):
             return False, None, {"failed_word_length": length}
         if pbw_normal_form(nf) != nf:
             return False, None, {"not_idempotent": True}

@@ -17,14 +17,17 @@ returned by transport_sign; a word with an odd number raises.  Both flavors
 have rational structure constants.
 
 Lie elements, enveloping-algebra elements and symmetric-square tensors
-(symsq) are one type, Combination: a signature, a flavor and a dict of
-nonzero rational coefficients.  The keys are generators, generator words,
-and ordered generator pairs respectively; a pair is a word of length two, so
-transport, which relabels every word in the other flavor times its sign, and
-pi_env apply to tensors as they are.  pbw_normal_form straightens words to
-non-decreasing generator order using the exact structure constants, which
-is a confluent rewriting, so normal forms are canonical and equality of
-enveloping elements is decidable.
+(symsq) are one type, Combination: a poly.SparseRational whose context is
+(signature, flavor), so int numerators over one shared denominator, kept in
+lowest terms.  The keys are generators, generator words, and ordered
+generator pairs respectively; a pair is a word of length two, so transport,
+which relabels every word in the other flavor times its sign, and pi_env
+apply to tensors as they are.  Every structure constant is +1 or -1 in both
+flavors, so brackets, products, straightening and transport work on int
+numerators and reduce once per result.  pbw_normal_form straightens words
+to non-decreasing generator order, which is a confluent rewriting, so
+normal forms are canonical and equality of enveloping elements is
+decidable.
 
 The representation pi is defined on the M flavor, where it is real: it sends
 M_{i,j} to the rotation field v_i d_j - v_j d_i within a block and to
@@ -37,23 +40,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from types import MappingProxyType
 from typing import (
     Dict,
     Hashable,
-    Iterable,
     List,
     Mapping,
     NamedTuple,
     Optional,
     Sequence,
     Tuple,
-    Type,
     TypeVar,
 )
 
-from .poly import ONE, ZERO, ScalarLike, VariableSpace
+from .poly import ONE, ZERO, ScalarLike, SparseRational, VariableSpace, _numerators, exact
 from .weyl import WeylOperator, euler_op, laplacian_op, rsq_op
 
 Matrix = List[List[Fraction]]
@@ -99,12 +99,13 @@ def dual_sign(g: Generator, p: int) -> int:
 # -- matrices ----------------------------------------------------------------
 
 
-def _entries(g: Generator, p: int) -> Tuple[Fraction, Fraction]:
-    """The two nonzero entries of g's matrix: (m_ij, m_ji) at (i, j) and (j, i)."""
+def _entries(g: Generator, p: int) -> Tuple[int, int]:
+    """The two nonzero entries of g's matrix, (m_ij, m_ji) at (i, j) and
+    (j, i); both are +-1 in either flavor."""
     if g.flavor == "M":
-        return ONE, -ONE
+        return 1, -1
     if g.flavor == "X":
-        return Fraction(epsilon(g.j, p)), Fraction(-epsilon(g.i, p))
+        return epsilon(g.j, p), -epsilon(g.i, p)
     raise ValueError(f"unknown flavor {g.flavor!r}")
 
 
@@ -118,79 +119,59 @@ def generator_matrix(g: Generator, sig: Signature) -> Matrix:
 # -- coefficient combinations ---------------------------------------------------
 
 
-def sparse_sum(terms: Iterable[Tuple[Hashable, Fraction]]) -> Dict[Hashable, Fraction]:
-    """Add up (key, coefficient) terms, keeping only nonzero sums."""
-    out: Dict[Hashable, Fraction] = {}
-    for k, c in terms:
-        acc = out.get(k)
-        acc = c if acc is None else acc + c
-        if acc:
-            out[k] = acc
-        elif k in out:
-            del out[k]
-    return out
-
-
 C = TypeVar("C", bound="Combination")
 
 
-class Combination:
-    """A finite combination of keys with nonzero rational coefficients, over
-    one signature and one generator flavor.
+class Combination(SparseRational):
+    """A ``poly.SparseRational`` over one signature and one generator flavor:
+    int numerators over one denominator, with context (sig, flavor).
 
     Subclasses fix what a key is: a generator (LieElement), a word of
     generators (EnvelopingElement) or an ordered generator pair
-    (SymSquareTensor).  Arithmetic and equality are type-strict: a symmetric
-    tensor and its multiplication image share a dict but are never equal.
+    (SymSquareTensor); ``_letters`` lists the generators of a key.  The
+    public constructor takes ``int`` or ``Fraction`` coefficients and
+    refuses an unknown flavor or a key letter that is not a canonical
+    generator of this signature and flavor; kernels build their results
+    through ``reduced`` without those checks.  Arithmetic and equality are
+    type-strict: a symmetric tensor and its multiplication image share their
+    terms but are never equal.
     """
 
-    __slots__ = ("sig", "flavor", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, sig: Signature, flavor: str, coeffs: Mapping[Hashable, Fraction]) -> None:
-        self.sig = sig
-        self.flavor = flavor
-        self.coeffs = {k: c for k, c in coeffs.items() if c}
+    def __init__(self, sig: Signature, flavor: str, coeffs: Mapping[Hashable, ScalarLike]) -> None:
+        if flavor not in ("X", "M"):
+            raise ValueError(f"flavor must be 'X' or 'M', not {flavor!r}")
+        n = sig[0] + sig[1]
+        for key, c in coeffs.items():
+            exact(c)
+            for g in self._letters(key):
+                if not (isinstance(g, Generator) and g.flavor == flavor and 1 <= g.i < g.j <= n):
+                    raise ValueError(
+                        f"{g!r} is not a canonical {flavor}-flavor generator at signature {sig}"
+                    )
+        super().__init__((sig, flavor), *_numerators(coeffs))
 
-    @classmethod
-    def zero(cls: Type[C], sig: Signature, flavor: str = "X") -> C:
-        return cls(sig, flavor, {})
+    @staticmethod
+    def _letters(key: Hashable) -> Sequence["Generator"]:
+        return key
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @property
+    def sig(self) -> Signature:
+        return self.ctx[0]
 
-    def _check(self, other: "Combination") -> None:
-        if type(other) is not type(self):
-            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        if self.sig != other.sig or self.flavor != other.flavor:
-            raise ValueError("mismatched signature or flavor")
+    @property
+    def flavor(self) -> str:
+        return self.ctx[1]
 
-    def __add__(self: C, other: C) -> C:
-        self._check(other)
-        return type(self)(
-            self.sig, self.flavor, sparse_sum(chain(self.coeffs.items(), other.coeffs.items()))
-        )
-
-    def __sub__(self: C, other: C) -> C:
-        return self + other.scale(-1)
-
-    def scale(self: C, c: ScalarLike) -> C:
-        return type(self)(self.sig, self.flavor, {k: v * c for k, v in self.coeffs.items()})
-
-    def __neg__(self: C) -> C:
-        return self.scale(-1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Combination):
-            return NotImplemented
-        return (
-            type(self) is type(other)
-            and self.sig == other.sig
-            and self.flavor == other.flavor
-            and self.coeffs == other.coeffs
-        )
+    @property
+    def coeffs(self) -> Dict[Hashable, Fraction]:
+        """The coefficients as reduced Fractions, in key order (a fresh dict)."""
+        den = self.den
+        return {k: Fraction(v, den) for k, v in self._terms.items()}
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.sig}, {self.flavor}, {len(self.coeffs)} terms)"
+        return f"{type(self).__name__}({self.sig}, {self.flavor}, {len(self._terms)} terms)"
 
 
 class LieElement(Combination):
@@ -199,8 +180,12 @@ class LieElement(Combination):
     __slots__ = ()
 
     @staticmethod
+    def _letters(key: Generator) -> Sequence[Generator]:
+        return (key,)
+
+    @staticmethod
     def basis(g: Generator, sig: Signature) -> "LieElement":
-        return LieElement(sig, g.flavor, {g: ONE})
+        return LieElement(sig, g.flavor, {g: 1})
 
     def to_matrix(self) -> Matrix:
         n = self.sig[0] + self.sig[1]
@@ -235,7 +220,7 @@ def lie_from_matrix(z: Matrix, sig: Signature, flavor: str) -> LieElement:
     return elt
 
 
-_NO_TERMS: Mapping[Generator, Fraction] = MappingProxyType({})
+_NO_TERMS: Mapping[Generator, int] = MappingProxyType({})
 
 
 class _StructureConstants(dict):
@@ -248,13 +233,13 @@ class _StructureConstants(dict):
 
     __slots__ = ()
 
-    def __missing__(self, key: Tuple[Generator, Generator]) -> Mapping[Generator, Fraction]:
+    def __missing__(self, key: Tuple[Generator, Generator]) -> Mapping[Generator, int]:
         return _NO_TERMS
 
 
-SparseMatrix = Dict[Tuple[int, int], Fraction]
-_Slot = Tuple[Generator, Fraction, Fraction]
-_Entry = Tuple[int, int, Fraction]
+SparseMatrix = Dict[Tuple[int, int], ScalarLike]
+_Slot = Tuple[Generator, int, int]
+_Entry = Tuple[int, int, int]
 
 
 def _sparse_commutator(a: Sequence[_Entry], b: Sequence[_Entry]) -> SparseMatrix:
@@ -264,29 +249,30 @@ def _sparse_commutator(a: Sequence[_Entry], b: Sequence[_Entry]) -> SparseMatrix
         for r, k, v in x:
             for k2, c, w in y:
                 if k == k2:
-                    z[(r, c)] = z.get((r, c), ZERO) + sign * v * w
+                    z[(r, c)] = z.get((r, c), 0) + sign * v * w
     return {rc: v for rc, v in z.items() if v}
 
 
 def _sparse_coords(
     z: SparseMatrix, slots: Mapping[Tuple[int, int], _Slot]
-) -> Dict[Generator, Fraction]:
+) -> Dict[Generator, ScalarLike]:
     """Generator coordinates of a sparse matrix with no stored zeros.
 
     ``slots`` maps the 0-based upper-triangle position (i-1, j-1) of each
     generator to (generator, m_ij, m_ji).  The coordinate c_g = z_ij / m_ij
-    (the eps_j rule for flavor X) is read off the upper triangle in
-    generator order, and the matrix is rebuilt from the coordinates, so a
-    matrix outside the span raises as ``lie_from_matrix`` does.
+    = z_ij * m_ij, as m_ij = +-1 (the eps_j rule for flavor X), is read off
+    the upper triangle in generator order, and the matrix is rebuilt from
+    the coordinates, so a matrix outside the span raises as
+    ``lie_from_matrix`` does.
     """
-    coeffs: Dict[Generator, Fraction] = {}
+    coeffs: Dict[Generator, ScalarLike] = {}
     back: SparseMatrix = {}
     for rc in sorted(z):
         slot = slots.get(rc)
         if slot is None:
             continue
         g, mij, mji = slot
-        c = z[rc] / mij
+        c = z[rc] * mij
         coeffs[g] = c
         back[rc] = c * mij
         back[(rc[1], rc[0])] = c * mji
@@ -299,11 +285,11 @@ def _sparse_coords(
 def _bracket_table(sig: Signature, flavor: str) -> _StructureConstants:
     """Structure constants for all ordered pairs of canonical generators.
 
-    Each generator matrix has two nonzero entries, so each commutator is a
-    sparse product of at most eight terms; its coordinates are read off and
-    re-checked by ``_sparse_coords``.  Row keys follow the generator order
-    (``pbw_normal_form`` pushes them in that order), and rows share one
-    object per generator and per distinct constant.
+    Each generator matrix has two entries +-1, so each commutator is a
+    sparse integer product of at most eight terms; its coordinates are read
+    off and re-checked by ``_sparse_coords``.  Every constant is the int +1
+    or -1, in both flavors.  Row keys follow the generator order
+    (``pbw_normal_form`` pushes them in that order).
     """
     gens = generators(sig[0], sig[1], flavor)
     slots: Dict[Tuple[int, int], _Slot] = {}
@@ -313,33 +299,27 @@ def _bracket_table(sig: Signature, flavor: str) -> _StructureConstants:
         i0, j0 = g.i - 1, g.j - 1
         slots[(i0, j0)] = (g, mij, mji)
         nonzero[g] = ((i0, j0, mij), (j0, i0, mji))
-    same_const: Dict[Fraction, Fraction] = {}
     table = _StructureConstants()
     for ga in gens:
         for gb in gens:
             row = _sparse_coords(_sparse_commutator(nonzero[ga], nonzero[gb]), slots)
             if row:
-                table[(ga, gb)] = {g: same_const.setdefault(c, c) for g, c in row.items()}
+                table[(ga, gb)] = row
     return table
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
-    """The Lie bracket, via cached structure constants."""
-    a._check(b)
-    table = _bracket_table(a.sig, a.flavor)
-    out: Dict[Generator, Fraction] = {}
-    for ga, ca in a.coeffs.items():
-        for gb, cb in b.coeffs.items():
+    """The Lie bracket, via cached structure constants, on numerators."""
+    a._require_same_ctx(b)
+    table = _bracket_table(*a.ctx)
+    out: Dict[Generator, int] = {}
+    get = out.get
+    for ga, ca in a._terms.items():
+        for gb, cb in b._terms.items():
             factor = ca * cb
             for g, sc in table[(ga, gb)].items():
-                add = factor * sc
-                acc = out.get(g)
-                acc = add if acc is None else acc + add
-                if acc:
-                    out[g] = acc
-                elif g in out:
-                    del out[g]
-    return LieElement(a.sig, a.flavor, out)
+                out[g] = get(g, 0) + factor * sc
+    return LieElement.reduced(a.ctx, out, a.den * b.den)
 
 
 def form_B(a: LieElement, b: LieElement) -> Fraction:
@@ -348,14 +328,15 @@ def form_B(a: LieElement, b: LieElement) -> Fraction:
     trace(G_g G_h) vanishes for g != h and is 2 m_ij m_ji for g = h, so the
     form is a sum over the generators the two elements share.
     """
-    a._check(b)
-    total = ZERO
-    for g, ca in a.coeffs.items():
-        cb = b.coeffs.get(g)
+    a._require_same_ctx(b)
+    p = a.sig[0]
+    total = 0
+    for g, ca in a._terms.items():
+        cb = b._terms.get(g)
         if cb is not None:
-            mij, mji = _entries(g, a.sig[0])
+            mij, mji = _entries(g, p)
             total += ca * cb * mij * mji
-    return total
+    return Fraction(total, a.den * b.den)
 
 
 # -- enveloping algebra ----------------------------------------------------------
@@ -371,55 +352,57 @@ class EnvelopingElement(Combination):
 
     @staticmethod
     def one(sig: Signature, flavor: str = "X") -> "EnvelopingElement":
-        return EnvelopingElement(sig, flavor, {(): ONE})
+        return EnvelopingElement(sig, flavor, {(): 1})
 
     def __mul__(self, other: "EnvelopingElement") -> "EnvelopingElement":
-        self._check(other)
-        out: Dict[Word, Fraction] = {}
-        for wa, ca in self.coeffs.items():
-            for wb, cb in other.coeffs.items():
+        self._require_same_ctx(other)
+        out: Dict[Word, int] = {}
+        get = out.get
+        for wa, ca in self._terms.items():
+            for wb, cb in other._terms.items():
                 w = wa + wb
-                add = ca * cb
-                acc = out.get(w)
-                acc = add if acc is None else acc + add
-                if acc:
-                    out[w] = acc
-                elif w in out:
-                    del out[w]
-        return EnvelopingElement(self.sig, self.flavor, out)
+                out[w] = get(w, 0) + ca * cb
+        return EnvelopingElement.reduced(self.ctx, out, self.den * other.den)
+
+
+def straighten(u: EnvelopingElement, last: bool = False) -> EnvelopingElement:
+    """Straighten every word to non-decreasing generator order.
+
+    Rewrites ..ab.. with a > b into ..ba.. + ..[a,b].., at the first
+    inversion of a word, or at its last one when ``last`` is set, until every
+    word is sorted.  The structure constants are +-1, so the numerators stay
+    over u's denominator.
+    """
+    table = _bracket_table(*u.ctx)
+    out: Dict[Word, int] = {}
+    stack = list(u._terms.items())
+    while stack:
+        word, c = stack.pop()
+        n = len(word) - 1
+        for t in range(n - 1, -1, -1) if last else range(n):
+            if word[t] > word[t + 1]:
+                break
+        else:
+            acc = out.get(word, 0) + c
+            if acc:
+                out[word] = acc
+            else:
+                del out[word]
+            continue
+        ga, gb = word[t], word[t + 1]
+        stack.append((word[:t] + (gb, ga) + word[t + 2 :], c))
+        for g, sc in table[(ga, gb)].items():
+            stack.append((word[:t] + (g,) + word[t + 2 :], c * sc))
+    return EnvelopingElement.reduced(u.ctx, out, u.den)
 
 
 def pbw_normal_form(u: EnvelopingElement) -> EnvelopingElement:
-    """Straighten every word to non-decreasing generator order.
+    """The PBW normal form: every word straightened at its first inversion.
 
-    Rewrites ..ab.. with a > b into ..ba.. + ..[a,b].. until sorted; the
-    result is the canonical basis expansion, independent of rewrite order.
+    The rewriting is confluent, so the result is the canonical basis
+    expansion, independent of rewrite order.
     """
-    table = _bracket_table(u.sig, u.flavor)
-    out: Dict[Word, Fraction] = {}
-    stack = list(u.coeffs.items())
-    while stack:
-        word, c = stack.pop()
-        if not c:
-            continue
-        pos = -1
-        for t in range(len(word) - 1):
-            if word[t] > word[t + 1]:
-                pos = t
-                break
-        if pos < 0:
-            acc = out.get(word)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[word] = acc
-            elif word in out:
-                del out[word]
-            continue
-        ga, gb = word[pos], word[pos + 1]
-        stack.append((word[:pos] + (gb, ga) + word[pos + 2 :], c))
-        for g, sc in table[(ga, gb)].items():
-            stack.append((word[:pos] + (g,) + word[pos + 2 :], c * sc))
-    return EnvelopingElement(u.sig, u.flavor, out)
+    return straighten(u)
 
 
 def degree2_symbol(
@@ -429,31 +412,30 @@ def degree2_symbol(
 
     A sorted word (a, b) contributes c/2 at (a, b) and (b, a) when a < b and
     c at (a, a); shorter words are discarded.  This is the symbol map that
-    the symmetrization section is checked against.
+    the symmetrization section is checked against.  Distinct sorted words
+    give distinct pairs, so nothing is summed.
     """
-    half = Fraction(1, 2)
-
-    def terms():
-        for word, c in pbw_normal_form(u).coeffs.items():
-            if len(word) != 2:
-                continue
-            a, b = word
-            if a == b:
-                yield (a, a), c
-            else:
-                yield (a, b), c * half
-                yield (b, a), c * half
-
-    return sparse_sum(terms())
+    nf = pbw_normal_form(u)
+    den = 2 * nf.den
+    out: Dict[Tuple[Generator, Generator], Fraction] = {}
+    for word, c in nf._terms.items():
+        if len(word) != 2:
+            continue
+        a, b = word
+        if a == b:
+            out[word] = Fraction(2 * c, den)
+        else:
+            out[word] = out[(b, a)] = Fraction(c, den)
+    return out
 
 
 def gamma2(tensor: Combination) -> EnvelopingElement:
     """Multiplication map from a symmetric degree-2 tensor into words.
 
     A SymSquareTensor's ordered pairs are already words, and its constructor
-    enforces the symmetry, so the image has the same coefficients.
+    enforces the symmetry, so the image has the same terms.
     """
-    return EnvelopingElement(tensor.sig, tensor.flavor, tensor.coeffs)
+    return EnvelopingElement._make(tensor.ctx, tensor._terms, tensor.den)
 
 
 # -- transport between flavors ------------------------------------------------------
@@ -478,22 +460,30 @@ def transport_sign(word: Sequence[Generator], p: int) -> int:
     return -1 if (second + mixed // 2) % 2 else 1
 
 
+def _require_words(u: Combination) -> None:
+    if isinstance(u, LieElement):
+        raise TypeError("a LieElement is keyed by generators, not words")
+
+
 def transport(u: C) -> C:
     """The same word-keyed combination written in the other flavor.
 
     Every key (an enveloping word, or a tensor's ordered pair) is relabelled
     and multiplied by its transport_sign.  The sign is the same in both
-    directions, so transport is its own inverse.
+    directions, so transport is its own inverse; signs keep the terms
+    canonical over the same denominator.
     """
-    flavor = "M" if u.flavor == "X" else "X"
-    p = u.sig[0]
-    return type(u)(
-        u.sig,
-        flavor,
+    _require_words(u)
+    sig, flavor = u.ctx
+    flavor = "M" if flavor == "X" else "X"
+    p = sig[0]
+    return u._make(
+        (sig, flavor),
         {
             tuple(Generator(g.i, g.j, flavor) for g in w): c * transport_sign(w, p)
-            for w, c in u.coeffs.items()
+            for w, c in u._terms.items()
         },
+        u.den,
     )
 
 
@@ -508,18 +498,18 @@ def casimir(which: str, sig: Signature) -> EnvelopingElement:
     which = "oq": the same inside the second block.
     """
     p, q = sig
-    words: Dict[Word, Fraction] = {}
+    words: Dict[Word, int] = {}
     if which == "g":
         for g in generators(p, q, "X"):
-            words[(g, g)] = Fraction(dual_sign(g, p))
+            words[(g, g)] = dual_sign(g, p)
     elif which == "op":
         for g in generators(p, q, "X"):
             if g.j <= p:
-                words[(g, g)] = -ONE
+                words[(g, g)] = -1
     elif which == "oq":
         for g in generators(p, q, "X"):
             if g.i > p:
-                words[(g, g)] = -ONE
+                words[(g, g)] = -1
     else:
         raise ValueError("which must be 'g', 'op', or 'oq'")
     return EnvelopingElement(sig, "X", words)
@@ -552,11 +542,11 @@ def _require_m_flavor(flavor: str) -> None:
 
 def pi_lie(a: LieElement) -> WeylOperator:
     _require_m_flavor(a.flavor)
-    space = VariableSpace(a.sig[0], a.sig[1])
+    space = VariableSpace(*a.sig)
     out = WeylOperator.zero(space)
-    for g, c in a.coeffs.items():
+    for g, c in a._terms.items():
         out = out + pi_generator(g, space).scale(c)
-    return out
+    return out.scale(Fraction(1, a.den))
 
 
 def pi_env(u: Combination, space: Optional[VariableSpace] = None) -> WeylOperator:
@@ -565,16 +555,17 @@ def pi_env(u: Combination, space: Optional[VariableSpace] = None) -> WeylOperato
     Takes an enveloping element or a symmetric tensor, whose ordered pairs
     are words of length two.
     """
+    _require_words(u)
     _require_m_flavor(u.flavor)
     if space is None:
-        space = VariableSpace(u.sig[0], u.sig[1])
+        space = VariableSpace(*u.sig)
     total = WeylOperator.zero(space)
-    for word, c in u.coeffs.items():
+    for word, c in u._terms.items():
         op = pi_generator(word[0], space) if word else WeylOperator.identity(space)
         for g in word[1:]:
             op = op.compose(pi_generator(g, space))
         total = total + op.scale(c)
-    return total
+    return total.scale(Fraction(1, u.den))
 
 
 # -- the commuting sl2 and closed Casimir forms ---------------------------------------
@@ -596,11 +587,11 @@ def closed_form(which: str, p: int, q: int) -> Tuple[Tuple[Fraction, Tuple[str, 
     """
     if which == "xi":
         r = Fraction(p - q, p + q)
-        rows = (("op", ONE), ("oq", -ONE), ("g", -r))
-        merged = sparse_sum(
-            (word, s * c) for name, s in rows for c, word in closed_form(name, p, q)
-        )
-        return tuple((c, word) for word, c in merged.items())
+        merged: Dict[Tuple[str, ...], Fraction] = {}
+        for name, s in (("op", ONE), ("oq", -ONE), ("g", -r)):
+            for c, word in closed_form(name, p, q):
+                merged[word] = merged.get(word, ZERO) + s * c
+        return tuple((c, word) for word, c in merged.items() if c)
     half = Fraction(1, 2)
     table = {
         "op": ((1, "Ex Ex"), (p - 2, "Ex"), (-1, "Rx Lx")),

@@ -2,10 +2,10 @@
 
 Rows and vectors are dicts mapping integer column keys to exact entries:
 an incoming row may hold ``int``s or ``Fraction``s (the obstruction solver
-feeds integer rows), and stored pivot rows, normalised to a leading 1, hold
-``Fraction``s.  Column keys only need a total order (plain ints or packed
-monomial keys); nothing here ever divides by anything unverified, and all
-reductions are exact.
+and the symmetric-square decomposition feed integer rows of numerators), and
+stored pivot rows, normalised to a leading 1, hold ``Fraction``s.  Column
+keys only need a total order (plain ints or packed monomial keys); nothing
+here ever divides by anything unverified, and all reductions are exact.
 
 The central object is an incremental reduced row echelon form: rows arrive one
 at a time, each is reduced against the current pivots, and a surviving row

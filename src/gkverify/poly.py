@@ -17,10 +17,11 @@ numerators is 1, and the zero polynomial has denominator 1 -- so equality is
 plain dict-and-denominator comparison.  The kernels work on ints and
 normalise with one content gcd per operation, not one gcd per term;
 ``monomials()`` and ``coefficient()`` hand out reduced ``Fraction``s.
-``SparseRational`` holds this layout and the linear structure on it; both
-``MultiPoly`` and ``weyl.WeylOperator`` (keyed by pairs of packed keys)
-inherit it.  Coefficients entering from outside must be ``int`` or
-``Fraction``; anything else raises TypeError.  Instances are treated as
+``SparseRational`` holds this layout and the linear structure on it, over
+any hashable key context; ``MultiPoly``, ``weyl.WeylOperator`` (keyed by
+pairs of packed keys) and ``liealg.Combination`` (keyed by generators,
+words and generator pairs) inherit it.  Coefficients entering from outside
+must be ``int`` or ``Fraction``; anything else raises TypeError.  Instances are treated as
 immutable; operations return a fresh object or, when nothing changes, the
 operand itself.
 
@@ -38,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
 from math import comb, gcd, lcm
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .linalg import rref_nullspace
 
@@ -177,26 +178,49 @@ def exact(c: ScalarLike) -> ScalarLike:
     return c
 
 
+def _numerators(coeffs: Mapping[Hashable, ScalarLike]) -> Tuple[Dict, int]:
+    """Canonical (numerators, den) of rational coefficients, zeros dropped.
+
+    Over the lcm of the reduced denominators the numerators already share no
+    factor with it, so no content gcd is needed.
+    """
+    coeffs = {k: c for k, c in coeffs.items() if c}
+    den = lcm(*(c.denominator for c in coeffs.values())) if coeffs else 1
+    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
+
+
 class SparseRational:
-    """A finite Q-linear combination of keys over one VariableSpace.
+    """A finite Q-linear combination of keys over one hashable context.
 
     ``_terms`` maps keys to nonzero int numerators and ``den`` is the shared
     positive denominator, with gcd(den, *numerators) == 1 and den == 1 for
-    zero.  Only ``reduced`` establishes that invariant; the constructor
-    trusts its arguments.  Subclasses give the keys their meaning and share
+    zero.  ``ctx`` is whatever the keys are read against: a VariableSpace
+    for polynomials and operators, (signature, flavor) for the Lie-side
+    combinations.  ``reduced`` establishes the invariant (as does
+    ``_numerators`` for Fraction input); the constructor and ``_make``
+    trust their arguments.  Subclasses give the keys their meaning and share
     the linear structure defined here; values of different subclasses never
     combine and never compare equal.
     """
 
-    __slots__ = ("space", "_terms", "den")
+    __slots__ = ("ctx", "_terms", "den")
 
-    def __init__(self, space: VariableSpace, terms: Dict, den: int = 1) -> None:
-        self.space = space
+    def __init__(self, ctx: Hashable, terms: Dict, den: int = 1) -> None:
+        self.ctx = ctx
         self._terms = terms
         self.den = den
 
     @classmethod
-    def reduced(cls, space: VariableSpace, terms: Dict, den: int):
+    def _make(cls, ctx: Hashable, terms: Dict, den: int = 1):
+        """An instance holding exactly these fields, bypassing ``__init__``."""
+        obj = object.__new__(cls)
+        obj.ctx = ctx
+        obj._terms = terms
+        obj.den = den
+        return obj
+
+    @classmethod
+    def reduced(cls, ctx: Hashable, terms: Dict, den: int):
         """sum_k terms[k]/den of the key k, in canonical form.
 
         ``den`` must be positive.  Zero numerators (cancelled terms) are
@@ -206,16 +230,17 @@ class SparseRational:
         if 0 in terms.values():
             terms = {k: v for k, v in terms.items() if v}
         if not terms:
-            return cls(space, terms)
+            return cls._make(ctx, terms)
         g = gcd(den, *terms.values())
         if g != 1:
             terms = {k: v // g for k, v in terms.items()}
             den //= g
-        return cls(space, terms, den)
+        return cls._make(ctx, terms, den)
 
     @classmethod
-    def zero(cls, space: VariableSpace):
-        return cls(space, {})
+    def zero(cls, *ctx_args):
+        """The zero element; takes the constructor's arguments before the terms."""
+        return cls(*ctx_args, {})
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -226,17 +251,19 @@ class SparseRational:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def _require_same_space(self, other: "SparseRational") -> None:
+    def _require_same_ctx(self, other: "SparseRational") -> None:
         if type(other) is not type(self):
             raise TypeError(
                 f"cannot combine {type(self).__name__} with {type(other).__name__}"
             )
-        if self.space != other.space:
-            raise ValueError(f"{type(self).__name__}s live in different variable spaces")
+        if self.ctx != other.ctx:
+            raise ValueError(
+                f"{type(self).__name__}s over different contexts: {self.ctx} and {other.ctx}"
+            )
 
     def _combine(self, other, sign: int):
         """self + sign * other over the lcm of the two denominators."""
-        self._require_same_space(other)
+        self._require_same_ctx(other)
         a, b = self.den, other.den
         g = gcd(a, b)
         fa, fb = b // g, sign * (a // g)
@@ -248,7 +275,7 @@ class SparseRational:
         get = out.get
         for k, v in small.items():
             out[k] = get(k, 0) + v * fs
-        return self.reduced(self.space, out, a * (b // g))
+        return self.reduced(self.ctx, out, a * (b // g))
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -257,36 +284,37 @@ class SparseRational:
         return self._combine(other, -1)
 
     def neg(self):
-        return type(self)(self.space, {k: -c for k, c in self._terms.items()}, self.den)
+        return self._make(self.ctx, {k: -c for k, c in self._terms.items()}, self.den)
 
     def __neg__(self):
         return self.neg()
 
     def scale(self, c: ScalarLike):
         if not exact(c):
-            return self.zero(self.space)
+            return self._make(self.ctx, {})
         n, d = c.numerator, c.denominator
         if n == d:
             return self
-        return self.reduced(self.space, {k: v * n for k, v in self._terms.items()}, self.den * d)
+        return self.reduced(self.ctx, {k: v * n for k, v in self._terms.items()}, self.den * d)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return (
-            self.space == other.space
-            and self.den == other.den
-            and self._terms == other._terms
-        )
+        return self.ctx == other.ctx and self.den == other.den and self._terms == other._terms
 
 
 class MultiPoly(SparseRational):
     """Sparse polynomial over Q; treat instances as immutable.
 
-    The keys of ``_terms`` are packed monomials.
+    The keys of ``_terms`` are packed monomials; the context is the
+    VariableSpace.
     """
 
     __slots__ = ()
+
+    @property
+    def space(self) -> VariableSpace:
+        return self.ctx
 
     # -- constructors ------------------------------------------------------
 
@@ -307,7 +335,7 @@ class MultiPoly(SparseRational):
             if exact(c):
                 key = space.pack(exps)
                 terms[key] = terms.get(key, ZERO) + Fraction(c)
-        return _from_fractions(space, terms)
+        return MultiPoly(space, *_numerators(terms))
 
     # -- inspection --------------------------------------------------------
 
@@ -346,7 +374,7 @@ class MultiPoly(SparseRational):
 
     def mul(self, other: "MultiPoly", max_degree: Optional[int] = None) -> "MultiPoly":
         """Product, optionally discarding all terms above max_degree."""
-        self._require_same_space(other)
+        self._require_same_ctx(other)
         if not self._terms or not other._terms:
             return MultiPoly.zero(self.space)
         full = self.degree() + other.degree()
@@ -438,19 +466,6 @@ class MultiPoly(SparseRational):
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.space.p},{self.space.q}; {len(self._terms)} terms)"
-
-
-def _from_fractions(space: VariableSpace, terms: Dict[int, Fraction]) -> MultiPoly:
-    """The polynomial with the given rational coefficients (zeros dropped).
-
-    Over the lcm of the reduced denominators the numerators already share no
-    factor with it, so the result is canonical without a content gcd.
-    """
-    terms = {k: c for k, c in terms.items() if c}
-    den = lcm(*(c.denominator for c in terms.values())) if terms else 1
-    return MultiPoly(
-        space, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
-    )
 
 
 # -- differential / multiplication helpers ---------------------------------
@@ -566,7 +581,7 @@ def harmonic_basis(space: VariableSpace, block: str, degree: int) -> HarmonicBas
         raise AssertionError(
             f"harmonic count mismatch: got {len(vectors)}, expected {expected}"
         )
-    elements = tuple(_from_fractions(space, v) for v in vectors)
+    elements = tuple(MultiPoly(space, *_numerators(v)) for v in vectors)
     return HarmonicBasis(space=space, block=block, degree=degree, elements=elements)
 
 

@@ -1,20 +1,23 @@
 """Symmetric squares of the orthogonal Lie algebras and the annihilator
 dichotomy built on top of them.
 
-A degree-2 symmetric tensor is a liealg.Combination over ordered pairs of
-canonical generators, with the symmetry c(a, b) = c(b, a) enforced at
-construction.  Builders write each displayed summand into its ordered
-slot, so double sums over both orders land symmetrically on their own.  An
-ordered pair is a generator word of length two, so liealg.transport, which
-this module re-exports, changes a tensor's flavor, liealg.pi_env gives its
-operator image, and liealg.gamma2 reads it as an enveloping element as is.
+A degree-2 symmetric tensor is a liealg.Combination (int numerators over one
+denominator) over ordered pairs of canonical generators, with the symmetry
+c(a, b) = c(b, a) enforced at construction.  Builders write each displayed
+summand into its ordered slot, so double sums over both orders land
+symmetrically on their own; they and the adjoint action run on numerators
+and reduce once per tensor.  An ordered pair is a generator word of length
+two, so liealg.transport, which this module re-exports, changes a tensor's
+flavor, liealg.pi_env gives its operator image, and liealg.gamma2 reads it
+as an enveloping element as is.
 
 The coefficient dot product over ordered pairs realizes the invariant trace
 pairing in the M flavor, because the invariant form takes value -1 on every
 canonical generator and pairs distinct generators to zero (the two -1
 factors square away).  Written over unordered coordinates the same pairing
 carries weight 2 off the diagonal and weight 1 on it, which is how the
-linear algebra below uses it.
+linear algebra below uses it.  Its rows are the numerators, the tensors
+times their denominators, which changes no rank and no residual's vanishing.
 
 The four-piece decomposition of the symmetric square realizes the first
 three pieces by explicit spanning tensors (the invariant tensor, the
@@ -56,11 +59,10 @@ from .liealg import (
     generators,
     pbw_normal_form,
     pi_env,
-    sparse_sum,
     transport,
 )
 from .linalg import SparseRREF, rref_nullspace
-from .poly import ONE, ZERO, VariableSpace
+from .poly import ONE, ZERO, ScalarLike, VariableSpace, _numerators
 
 Sig = Tuple[int, int]
 PairKey = Tuple[Generator, Generator]
@@ -78,25 +80,24 @@ class SymSquareTensor(Combination):
 
     __slots__ = ()
 
-    def __init__(self, sig: Sig, flavor: str, coeffs: Dict[PairKey, Fraction]) -> None:
+    def __init__(self, sig: Sig, flavor: str, coeffs: Dict[PairKey, ScalarLike]) -> None:
         super().__init__(sig, flavor, coeffs)
-        for (a, b), c in self.coeffs.items():
-            if a.flavor != flavor or b.flavor != flavor:
-                raise ValueError("pair flavor does not match the tensor flavor")
-            if a != b and self.coeffs.get((b, a), ZERO) != c:
+        terms = self._terms
+        for (a, b), c in terms.items():
+            if a != b and terms.get((b, a)) != c:
                 raise ValueError("tensor coefficients are not symmetric")
 
 
 def pairing(s: SymSquareTensor, t: SymSquareTensor) -> Fraction:
     """Coefficient dot product over ordered pairs (the trace pairing, M flavor)."""
-    s._check(t)
-    a, b = (s.coeffs, t.coeffs) if len(s.coeffs) <= len(t.coeffs) else (t.coeffs, s.coeffs)
-    acc = ZERO
+    s._require_same_ctx(t)
+    a, b = (s._terms, t._terms) if len(s) <= len(t) else (t._terms, s._terms)
+    acc = 0
     for k, v in a.items():
         w = b.get(k)
         if w is not None:
-            acc = acc + v * w
-    return acc
+            acc += v * w
+    return Fraction(acc, s.den * t.den)
 
 
 # -- the named tensors -----------------------------------------------------------------
@@ -110,16 +111,13 @@ def build_Q(sig: Union[int, Sig], flavor: str = "X") -> SymSquareTensor:
     flavor it collapses to -2 on every diagonal slot.
     """
     p, q = _as_sig(sig)
-    coeffs: Dict[PairKey, Fraction] = {}
     if flavor == "X":
-        for g in generators(p, q, "X"):
-            coeffs[(g, g)] = Fraction(2 * dual_sign(g, p))
+        terms = {(g, g): 2 * dual_sign(g, p) for g in generators(p, q, "X")}
     elif flavor == "M":
-        for g in generators(p, q, "M"):
-            coeffs[(g, g)] = Fraction(-2)
+        terms = {(g, g): -2 for g in generators(p, q, "M")}
     else:
         raise ValueError("flavor must be 'X' or 'M'")
-    return SymSquareTensor((p, q), flavor, coeffs)
+    return SymSquareTensor.reduced(((p, q), flavor), terms, 1)
 
 
 def build_S4(sig: Union[int, Sig], i: int, j: int, k: int, l: int) -> SymSquareTensor:
@@ -128,8 +126,7 @@ def build_S4(sig: Union[int, Sig], i: int, j: int, k: int, l: int) -> SymSquareT
     n = p + q
     if not (1 <= i < j < k < l <= n):
         raise ValueError("need 1 <= i < j < k < l <= n")
-    half = Fraction(1, 2)
-    coeffs: Dict[PairKey, Fraction] = {}
+    terms: Dict[PairKey, int] = {}
     for (a, b), (c, d), sgn in (
         ((i, j), (k, l), 1),
         ((i, k), (j, l), -1),
@@ -137,10 +134,8 @@ def build_S4(sig: Union[int, Sig], i: int, j: int, k: int, l: int) -> SymSquareT
     ):
         g1 = Generator(a, b, "M")
         g2 = Generator(c, d, "M")
-        v = half * sgn
-        coeffs[(g1, g2)] = coeffs.get((g1, g2), ZERO) + v
-        coeffs[(g2, g1)] = coeffs.get((g2, g1), ZERO) + v
-    return SymSquareTensor((p, q), "M", coeffs)
+        terms[(g1, g2)] = terms[(g2, g1)] = sgn
+    return SymSquareTensor.reduced(((p, q), "M"), terms, 2)
 
 
 def build_S2(sig: Union[int, Sig], i: int, j: int) -> SymSquareTensor:
@@ -149,19 +144,15 @@ def build_S2(sig: Union[int, Sig], i: int, j: int) -> SymSquareTensor:
     n = p + q
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("indices out of range")
-    half = Fraction(1, 2)
-
-    def terms():
-        for k in range(1, n + 1):
-            if k == i or k == j:
-                continue
-            gik, s1 = canonical(i, k, "M")
-            gkj, s2 = canonical(k, j, "M")
-            v = half * (s1 * s2)
-            yield (gik, gkj), v
-            yield (gkj, gik), v
-
-    tensor = SymSquareTensor((p, q), "M", sparse_sum(terms()))
+    terms: Dict[PairKey, int] = {}
+    for k in range(1, n + 1):
+        if k == i or k == j:
+            continue
+        gik, s1 = canonical(i, k, "M")
+        gkj, s2 = canonical(k, j, "M")
+        for key in ((gik, gkj), (gkj, gik)):
+            terms[key] = terms.get(key, 0) + s1 * s2
+    tensor = SymSquareTensor.reduced(((p, q), "M"), terms, 2)
     if i == j:
         tensor = tensor - build_Q((p, q), "M").scale(Fraction(1, n))
     return tensor
@@ -211,20 +202,21 @@ def build_Xi(sig: Sig) -> SymSquareTensor:
 
 def adjoint_action(x: LieElement, t: SymSquareTensor) -> SymSquareTensor:
     """Derivation action, bracket on the left slot plus bracket on the right."""
-    if x.sig != t.sig or x.flavor != t.flavor:
+    if x.ctx != t.ctx:
         raise ValueError("mismatched signature or flavor")
-    table = _bracket_table(t.sig, t.flavor)
-
-    def terms():
-        for (a, b), c in t.coeffs.items():
-            for gx, cx in x.coeffs.items():
-                f = cx * c
-                for g1, s in table[(gx, a)].items():
-                    yield (g1, b), f * s
-                for g2, s in table[(gx, b)].items():
-                    yield (a, g2), f * s
-
-    return SymSquareTensor(t.sig, t.flavor, sparse_sum(terms()))
+    table = _bracket_table(*t.ctx)
+    out: Dict[PairKey, int] = {}
+    get = out.get
+    for (a, b), c in t._terms.items():
+        for gx, cx in x._terms.items():
+            f = cx * c
+            for g1, s in table[(gx, a)].items():
+                k = (g1, b)
+                out[k] = get(k, 0) + f * s
+            for g2, s in table[(gx, b)].items():
+                k = (a, g2)
+                out[k] = get(k, 0) + f * s
+    return SymSquareTensor.reduced(t.ctx, out, x.den * t.den)
 
 
 # -- identities feeding the quadratic element ---------------------------------------------
@@ -308,24 +300,18 @@ def _pair_coord(a: Generator, b: Generator) -> int:
     return ((a.i * 256 + a.j) * 256 + b.i) * 256 + b.j
 
 
-def _coords(t: SymSquareTensor) -> Dict[int, Fraction]:
-    """Unordered-coordinate vector of a symmetric tensor."""
-    out: Dict[int, Fraction] = {}
-    for (a, b), c in t.coeffs.items():
-        if (a.i, a.j) <= (b.i, b.j):
-            out[_pair_coord(a, b)] = c
-    return out
+def _coords(t: SymSquareTensor, off_diagonal: int = 1) -> Dict[int, int]:
+    """Unordered-coordinate row of a symmetric tensor's numerators, with the
+    off-diagonal entries times ``off_diagonal`` (2 gives the pairing weights).
 
-
-def _weighted_coords(t: SymSquareTensor) -> Dict[int, Fraction]:
-    """Unordered coordinates with the pairing weights (2 off the diagonal)."""
-    out: Dict[int, Fraction] = {}
-    for (a, b), c in t.coeffs.items():
-        if (a.i, a.j) < (b.i, b.j):
-            out[_pair_coord(a, b)] = c + c
-        elif a == b:
-            out[_pair_coord(a, b)] = c
-    return out
+    The row is the tensor's vector times its denominator: scaling a row
+    changes neither a rank nor whether a residual vanishes.
+    """
+    return {
+        _pair_coord(a, b): c if a == b else off_diagonal * c
+        for (a, b), c in t._terms.items()
+        if a <= b
+    }
 
 
 def _form_diagonal_certificate(n: int) -> bool:
@@ -354,7 +340,7 @@ def _form_ad_invariance_certificate(n: int) -> bool:
         for a in gens:
             row_xa = table[(x, a)]
             for b in gens:
-                if row_xa.get(b, ZERO) + table[(x, b)].get(a, ZERO) != ZERO:
+                if row_xa.get(b, 0) + table[(x, b)].get(a, 0):
                     return False
     return True
 
@@ -391,7 +377,7 @@ def decompose_S2(n: int) -> DecompositionReport:
     ]
 
     family_rows = [q_hat] + s4_list + s2_list
-    weighted = [_weighted_coords(t) for t in family_rows]
+    weighted = [_coords(t, 2) for t in family_rows]
     joint = SparseRREF()
     independent = all(joint.add_row(dict(r))[0] == "pivot" for r in weighted)
 
@@ -414,7 +400,7 @@ def decompose_S2(n: int) -> DecompositionReport:
             coeffs[(a, b)] = v
             if a != b:
                 coeffs[(b, a)] = v
-        e22_basis.append(SymSquareTensor(sig, "M", coeffs))
+        e22_basis.append(SymSquareTensor._make((sig, "M"), *_numerators(coeffs)))
 
     dims = (1, len(s4_list), len(s2_list), len(e22_basis))
     direct_sum_ok = (

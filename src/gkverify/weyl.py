@@ -50,10 +50,15 @@ def falling(n: int, k: int) -> int:
 class WeylOperator(SparseRational):
     """A normal-ordered differential operator; treat instances as immutable.
 
-    The keys of ``_terms`` are (monomial key, derivative key) pairs.
+    The keys of ``_terms`` are (monomial key, derivative key) pairs; the
+    context is the VariableSpace.
     """
 
     __slots__ = ()
+
+    @property
+    def space(self) -> VariableSpace:
+        return self.ctx
 
     # -- constructors ------------------------------------------------------
 
@@ -109,7 +114,7 @@ class WeylOperator(SparseRational):
 
     def compose(self, other: "WeylOperator") -> "WeylOperator":
         """The operator self after other, renormal-ordered exactly."""
-        self._require_same_space(other)
+        self._require_same_ctx(other)
         sp = self.space
         nv = sp.nvars
         ds = sp.deg_shift

@@ -373,6 +373,40 @@ def test_pi_env_respects_products():
         pi_env(EnvelopingElement(sig, "X", {(GENS[0],): ONE}), space)
 
 
+def test_constructors_refuse_unknown_flavors_and_bad_keys():
+    sig = (2, 2)
+    m12, m23 = Generator(1, 2, "M"), Generator(2, 3, "M")
+    keyed = ((LieElement, m12), (EnvelopingElement, (m12,)), (SymSquareTensor, (m12, m12)))
+    for cls, key in keyed:
+        with pytest.raises(ValueError, match="flavor"):
+            cls(sig, "Q", {key: 1})
+    bad_letters = (
+        Generator(2, 1, "M"),  # not canonical
+        Generator(2, 2, "M"),
+        Generator(0, 2, "M"),  # outside 1..n
+        Generator(3, 5, "M"),
+        Generator(2, 3, "X"),  # the other flavor
+        (2, 3, "M"),  # not a Generator
+    )
+    for bad in bad_letters:
+        with pytest.raises(ValueError, match="canonical"):
+            LieElement(sig, "M", {bad: 1})
+        with pytest.raises(ValueError, match="canonical"):
+            EnvelopingElement(sig, "M", {(m12, bad): 1})
+        with pytest.raises(ValueError, match="canonical"):
+            SymSquareTensor(sig, "M", {(bad, bad): 1})
+    # [M_12, M_23] = M_13; with M_23 under an X-flavor key it used to read 0
+    m13 = LieElement(sig, "M", {Generator(1, 3, "M"): 1})
+    assert bracket(LieElement.basis(m12, sig), LieElement.basis(m23, sig)) == m13
+
+
+def test_word_maps_refuse_lie_elements():
+    with pytest.raises(TypeError, match="not words"):
+        transport(LieElement.basis(GENS[0], SIG))
+    with pytest.raises(TypeError, match="not words"):
+        pi_env(LieElement.basis(MGENS[0], SIG))
+
+
 def _mixed_count(word):
     return sum(not same_block(g, SIG[0]) for g in word)
 

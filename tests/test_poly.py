@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkverify.liealg import EnvelopingElement, Generator, LieElement
 from gkverify.poly import (
     ONE,
     MultiPoly,
@@ -20,6 +21,7 @@ from gkverify.poly import (
     rho,
     rsq,
 )
+from gkverify.symsq import SymSquareTensor
 from gkverify.weyl import WeylOperator
 
 SPACE = VariableSpace(2, 4)
@@ -101,7 +103,18 @@ def test_inexact_coefficients_are_refused():
             obj.scale(0.5)
         with pytest.raises(TypeError, match="int or Fraction"):
             obj.scale(0.0)
+    # the Lie-side constructors and their scale refuse floats as well
+    sig, g = (1, 2), Generator(1, 2, "M")
+    for make in (
+        lambda: LieElement(sig, "M", {g: 0.5}),
+        lambda: EnvelopingElement(sig, "M", {(g, g): 0.5}),
+        lambda: SymSquareTensor(sig, "M", {(g, g): 0.5}),
+        lambda: LieElement.basis(g, sig).scale(0.5),
+    ):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            make()
     # exact inputs still go through, zeros included
+    assert LieElement(sig, "M", {g: Fraction(0)}) == LieElement.zero(sig, "M")
     assert f.scale(0) == MultiPoly.zero(sp)
     assert MultiPoly.from_monomials(sp, [((1, 0), Fraction(0)), ((1, 0), 1)]) == f
     assert RadialSeries({(0, 0): 1, (1, 0): 0}, 4).expand(sp) == MultiPoly.one(sp)
