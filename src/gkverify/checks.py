@@ -978,8 +978,13 @@ def _symsq_decomposition(run: CheckRun):
     rep = decompose_S2(n)
     N = n * (n - 1) // 2
     total = N * (N + 1) // 2
-    expected = (1, comb(n, 4), n * (n + 1) // 2 - 1)
-    if rep.dims[:3] != expected or rep.total_dim != total:
+    expected = (
+        1,
+        comb(n, 4),
+        n * (n + 1) // 2 - 1,
+        n * (n + 1) * (n + 2) * (n - 3) // 12,
+    )
+    if rep.dims != expected or rep.total_dim != total:
         return False, None, {"dims": list(rep.dims), "total": rep.total_dim}
     ok = rep.all_ok()
     return ok, None, {

@@ -44,8 +44,9 @@ DegenerateSampleError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -579,26 +580,30 @@ def default_samples(params: ModuleParams, D: int) -> Iterator[TypicalElement]:
 # -- the obstruction solver -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObstructionResult:
-    """Outcome of the sampled solvability question for (Y, lambda)."""
+    """Outcome of the sampled solvability question for (Y, lambda).
+
+    Frozen, with tuple fields, because garfinkle_obstruction memoizes it and
+    every caller at the same parameters shares the one instance.  A witness
+    holds the generator coefficients as (generator, coefficient) pairs in
+    generator order, then lambda.
+    """
 
     exists: bool
-    witness: Optional[Tuple[Dict[Generator, Fraction], Fraction]]
+    witness: Optional[Tuple[Tuple[Tuple[Generator, Fraction], ...], Fraction]]
     certificate: Optional[str]
     validity: int
     n_samples: int
     n_rows: int
-    xi_scalars: List[Fraction] = field(default_factory=list)
+    xi_scalars: Tuple[Fraction, ...] = ()
 
     def to_dict(self) -> Dict:
         witness = None
         if self.witness is not None:
             coeffs, lam = self.witness
             witness = {
-                "generator_coefficients": {
-                    f"({g.i},{g.j})": str(c) for g, c in sorted(coeffs.items()) if c
-                },
+                "generator_coefficients": {f"({g.i},{g.j})": str(c) for g, c in coeffs if c},
                 "lambda": str(lam),
             }
         return {
@@ -643,9 +648,18 @@ def garfinkle_obstruction(
     zero witness is exact regardless of truncation.  Fewer than two samples,
     or (for m >= 1) samples sharing one eigenvalue, are solvable for a
     reason unrelated to the module and raise DegenerateSampleError.
+
+    D defaults to default_solver_depth(params.m).  The result is memoized on
+    (params, D) with D resolved first, so the theorem assembly reads the
+    result of the obstruction check instead of solving again; cache_info and
+    cache_clear reach that memo.  A raised error is not memoized.
     """
-    if D is None:
-        D = default_solver_depth(params.m)
+    return _obstruction(params, default_solver_depth(params.m) if D is None else D)
+
+
+@lru_cache(maxsize=None)
+def _obstruction(params: ModuleParams, D: int) -> ObstructionResult:
+    """garfinkle_obstruction at a resolved depth D."""
     space = params.space
     gens = generators(params.p, params.q, "M")
     lam_col = len(gens)
@@ -668,7 +682,7 @@ def garfinkle_obstruction(
         den = lcm(fpoly.den * lam_k.denominator, *(img.den for img in images))
         prepared.append((f.kt, lam_k, fpoly, images, sorted(keys), den))
 
-    xi_values = [lam_k for _, lam_k, _, _, _, _ in prepared]
+    xi_values = tuple(lam_k for _, lam_k, _, _, _, _ in prepared)
     if len(prepared) < 2 or (params.m >= 1 and len(set(xi_values)) < 2):
         raise DegenerateSampleError(
             f"{len(prepared)} default samples with Xi eigenvalues "
@@ -750,7 +764,7 @@ def garfinkle_obstruction(
         if violation is None:
             return ObstructionResult(
                 exists=True,
-                witness=(coeffs, lam),
+                witness=(tuple(sorted(coeffs.items())), lam),
                 certificate=None,
                 validity=validity,
                 n_samples=len(prepared),
@@ -763,3 +777,8 @@ def garfinkle_obstruction(
             return infeasible(s_idx, key)
         if status != "pivot":
             raise AssertionError("violated row must change the echelon form")
+
+
+# the memo of the public entry point, for callers that inspect or reset it
+garfinkle_obstruction.cache_info = _obstruction.cache_info
+garfinkle_obstruction.cache_clear = _obstruction.cache_clear

@@ -15,27 +15,37 @@ The coefficient dot product over ordered pairs realizes the invariant trace
 pairing in the M flavor, because the invariant form takes value -1 on every
 canonical generator and pairs distinct generators to zero (the two -1
 factors square away).  Written over unordered coordinates the same pairing
-carries weight 2 off the diagonal and weight 1 on it, which is how the
-linear algebra below uses it.  Its rows are the numerators, the tensors
-times their denominators, which changes no rank and no residual's vanishing.
+carries weight 2 off the diagonal and weight 1 on it.  The linear algebra
+below asks only for ranks and memberships, which neither those weights nor
+the denominators change, so its rows are the unweighted numerators over
+unordered coordinates.
 
 The four-piece decomposition of the symmetric square realizes the first
 three pieces by explicit spanning tensors (the invariant tensor, the
 six-term alternating tensors, the traceless one-index-contracted family)
-and the last piece as the exact orthocomplement of the first three.  Its
-invariance certificate is a chain of finite checks rather than one large
-membership sweep: the form is diagonal on generators, the form is
-ad-invariant on all generator triples, each explicit family is invariant by
-exact membership of every adjoint image, and the orthocomplement of an
-invariant subspace under an invariant definite pairing is invariant.
+and the last piece as the exact orthocomplement of the first three, whose
+dimension is read off by rank plus nullity.  Its invariance certificate is a
+chain of finite checks rather than one large membership sweep: the n - 1
+elements M_(i,i+1) generate so(n) (an exact bracket closure), the form is
+diagonal on generators, the form is ad-invariant under each of those
+elements, each explicit family is mapped into its own span by each of them
+(exact membership of every adjoint image), and the orthocomplement of an
+invariant subspace under an invariant definite pairing is invariant.  A
+generating set suffices because the elements that stabilize a subspace form
+a Lie subalgebra, and so do the elements that leave the pairing invariant.
+
+The theorem assembly at the bottom shares its two pure ingredients with the
+checks that run them on their own: garfinkle_obstruction and s4_vanishing
+are memoized, so each is solved once per parameter set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .gkmodule import (
     ModuleParams,
@@ -51,6 +61,7 @@ from .liealg import (
     Generator,
     LieElement,
     _bracket_table,
+    bracket,
     canonical,
     casimir,
     dual_sign,
@@ -61,8 +72,8 @@ from .liealg import (
     pi_env,
     transport,
 )
-from .linalg import SparseRREF, rref_nullspace
-from .poly import ONE, ZERO, ScalarLike, VariableSpace, _numerators
+from .linalg import SparseRREF
+from .poly import ONE, ZERO, ScalarLike, VariableSpace
 
 Sig = Tuple[int, int]
 PairKey = Tuple[Generator, Generator]
@@ -241,8 +252,13 @@ def gamma2_xi_identity(sig: Sig) -> bool:
     return lhs == pbw_normal_form(rhs)
 
 
+@lru_cache(maxsize=None)
 def s4_vanishing(sig: Sig) -> Tuple[int, bool]:
-    """Count the alternating tensors and test that every operator image is zero."""
+    """Count the alternating tensors and test that every operator image is zero.
+
+    Memoized on the signature, so the theorem assembly reads the result of
+    the S4 check instead of recomputing it.
+    """
     p, q = sig
     n = p + q
     space = VariableSpace(p, q)
@@ -274,7 +290,11 @@ class InvariantSubspace:
 
 @dataclass
 class DecompositionReport:
-    """Dimension audit and invariance certificates for the four pieces."""
+    """Dimension audit and invariance certificates for the four pieces.
+
+    subspaces holds the three explicitly spanned pieces; the (2,2) piece
+    enters through its dimension alone.
+    """
 
     n: int
     subspaces: List[InvariantSubspace]
@@ -300,35 +320,52 @@ def _pair_coord(a: Generator, b: Generator) -> int:
     return ((a.i * 256 + a.j) * 256 + b.i) * 256 + b.j
 
 
-def _coords(t: SymSquareTensor, off_diagonal: int = 1) -> Dict[int, int]:
-    """Unordered-coordinate row of a symmetric tensor's numerators, with the
-    off-diagonal entries times ``off_diagonal`` (2 gives the pairing weights).
+def _coords(t: SymSquareTensor) -> Dict[int, int]:
+    """Unordered-coordinate row of a symmetric tensor's numerators.
 
     The row is the tensor's vector times its denominator: scaling a row
     changes neither a rank nor whether a residual vanishes.
     """
-    return {
-        _pair_coord(a, b): c if a == b else off_diagonal * c
-        for (a, b), c in t._terms.items()
-        if a <= b
-    }
+    return {_pair_coord(a, b): c for (a, b), c in t._terms.items() if a <= b}
+
+
+def generating_set(n: int) -> Tuple[Generator, ...]:
+    """The n - 1 elements M_(i,i+1), which generate so(n) as a Lie algebra."""
+    return tuple(Generator(i, i + 1, "M") for i in range(1, n))
+
+
+def _generating_set_certificate(n: int, xs: Sequence[Generator]) -> bool:
+    """The Lie subalgebra generated by xs is all of so(n).
+
+    That subalgebra is the smallest subspace holding xs and closed under
+    ad(x) for x in xs (it is spanned by left-normed brackets).  Each element
+    that raises the exact rank of the span is bracketed with every x, and the
+    final rank is compared with the number of generators.
+    """
+    sig = (n, 0)
+    column = {g: idx for idx, g in enumerate(generators(n, 0, "M"))}
+    span = SparseRREF()
+    frontier = [LieElement.basis(x, sig) for x in xs]
+    while frontier:
+        v = frontier.pop()
+        if span.add_row({column[g]: c for g, c in v._terms.items()})[0] == "pivot":
+            frontier.extend(bracket(LieElement.basis(x, sig), v) for x in xs)
+    return span.rank == len(column)
 
 
 def _form_diagonal_certificate(n: int) -> bool:
     """The invariant form takes -1 on each canonical generator, 0 across pairs."""
-    sig = (n, 0)
-    gens = generators(n, 0, "M")
-    for a in gens:
-        ea = LieElement.basis(a, sig)
-        for b in gens:
-            want = -ONE if a == b else ZERO
-            if form_B(ea, LieElement.basis(b, sig)) != want:
+    basis = [LieElement.basis(g, (n, 0)) for g in generators(n, 0, "M")]
+    for ia, ea in enumerate(basis):
+        for ib, eb in enumerate(basis):
+            want = -ONE if ia == ib else ZERO
+            if form_B(ea, eb) != want:
                 return False
     return True
 
 
-def _form_ad_invariance_certificate(n: int) -> bool:
-    """Bracket skewness of the form on all generator triples.
+def _form_ad_invariance_certificate(n: int, xs: Sequence[Generator]) -> bool:
+    """Bracket skewness of the form for every x in xs and generator pair.
 
     With the form diagonal, the form value against a generator reads off a
     single bracket coefficient, so the skewness condition becomes a pair of
@@ -336,7 +373,7 @@ def _form_ad_invariance_certificate(n: int) -> bool:
     """
     table = _bracket_table((n, 0), "M")
     gens = generators(n, 0, "M")
-    for x in gens:
+    for x in xs:
         for a in gens:
             row_xa = table[(x, a)]
             for b in gens:
@@ -345,24 +382,41 @@ def _form_ad_invariance_certificate(n: int) -> bool:
     return True
 
 
+def _span_invariant(
+    n: int, xs: Sequence[Generator], tensors: Sequence[SymSquareTensor]
+) -> Tuple[bool, int]:
+    """Whether every adjoint image ad(x) t, x in xs, lies in the span of the
+    tensors (by exact membership), and how many images were checked."""
+    sig = (n, 0)
+    span = SparseRREF()
+    for t in tensors:
+        span.add_row(_coords(t))
+    ok = True
+    for x in xs:
+        ex = LieElement.basis(x, sig)
+        for t in tensors:
+            if span.residual(_coords(adjoint_action(ex, t))):
+                ok = False
+    return ok, len(xs) * len(tensors)
+
+
 def decompose_S2(n: int) -> DecompositionReport:
     """Split the symmetric square into its four exact invariant pieces.
 
     The first three pieces come with explicit spanning tensors whose joint
     independence is certified by an exact rank computation; the last piece
-    is the orthocomplement of their span under the trace pairing, extracted
-    as an exact nullspace.  Because the pairing weights are positive the
-    pairing is definite on these real tensors, so the complement meets the
-    span trivially and the dimensions add up by rank plus nullity.
+    is the orthocomplement of their span under the trace pairing.  Because
+    the pairing weights are positive the pairing is definite on these real
+    tensors, so the complement meets the span trivially and its dimension is
+    the total minus that rank (rank plus nullity); no basis of it is built.
 
-    The report carries the full invariance certificate chain described in
-    the module docstring.
+    The report carries the invariance certificate chain described in the
+    module docstring, with the adjoint sweeps and the ad-invariance of the
+    form run over generating_set(n).
     """
     if n < 4:
         raise ValueError("need n >= 4")
-    sig = (n, 0)
-    gens = generators(n, 0, "M")
-    big_n = len(gens)
+    big_n = n * (n - 1) // 2
     total_dim = big_n * (big_n + 1) // 2
 
     q_hat = build_Q(n, "M")
@@ -376,90 +430,41 @@ def decompose_S2(n: int) -> DecompositionReport:
         if not (i == n and j == n)
     ]
 
-    family_rows = [q_hat] + s4_list + s2_list
-    weighted = [_coords(t, 2) for t in family_rows]
     joint = SparseRREF()
-    independent = all(joint.add_row(dict(r))[0] == "pivot" for r in weighted)
-
-    columns = [
-        _pair_coord(a, b)
-        for ai, a in enumerate(gens)
-        for b in gens[ai:]
-    ]
-    coord_to_pair = {}
-    for ai, a in enumerate(gens):
-        for b in gens[ai:]:
-            coord_to_pair[_pair_coord(a, b)] = (a, b)
-
-    null = rref_nullspace(weighted, columns)
-    e22_basis = []
-    for vec in null:
-        coeffs: Dict[PairKey, Fraction] = {}
-        for coord, v in vec.items():
-            a, b = coord_to_pair[coord]
-            coeffs[(a, b)] = v
-            if a != b:
-                coeffs[(b, a)] = v
-        e22_basis.append(SymSquareTensor._make((sig, "M"), *_numerators(coeffs)))
-
-    dims = (1, len(s4_list), len(s2_list), len(e22_basis))
-    direct_sum_ok = (
-        independent
-        and joint.rank == 1 + len(s4_list) + len(s2_list)
-        and sum(dims) == total_dim
-    )
+    for t in [q_hat] + s4_list + s2_list:
+        joint.add_row(_coords(t))
+    dims = (1, len(s4_list), len(s2_list), total_dim - joint.rank)
 
     subspaces = [
         InvariantSubspace("empty", n, (q_hat,)),
         InvariantSubspace("(1,1,1,1)", n, tuple(s4_list)),
         InvariantSubspace("(2)", n, tuple(s2_list)),
-        InvariantSubspace("(2,2)", n, tuple(e22_basis)),
     ]
 
+    xs = generating_set(n)
+    swept = {}
     images_checked = 0
-    rref_s4 = SparseRREF()
-    for t in s4_list:
-        rref_s4.add_row(_coords(t))
-    rref_s2 = SparseRREF()
-    for t in s2_list:
-        rref_s2.add_row(_coords(t))
-
-    q_ok = True
-    s4_ok = True
-    s2_ok = True
-    for x in gens:
-        ex = LieElement.basis(x, sig)
-        img = adjoint_action(ex, q_hat)
-        images_checked += 1
-        if not img.is_zero():
-            q_ok = False
-        for t in s4_list:
-            images_checked += 1
-            if rref_s4.residual(_coords(adjoint_action(ex, t))):
-                s4_ok = False
-        for t in s2_list:
-            images_checked += 1
-            if rref_s2.residual(_coords(adjoint_action(ex, t))):
-                s2_ok = False
+    for piece in subspaces:
+        swept[piece.label], count = _span_invariant(n, xs, piece.basis)
+        images_checked += count
 
     certificates = {
+        "generating_set": _generating_set_certificate(n, xs),
         "pairing_diagonal": _form_diagonal_certificate(n),
-        "pairing_ad_invariant": _form_ad_invariance_certificate(n),
-        "families_invariant": q_ok and s4_ok and s2_ok,
+        "pairing_ad_invariant": _form_ad_invariance_certificate(n, xs),
+        "families_invariant": all(swept.values()),
     }
     invariance_ok = {
-        "empty": q_ok,
-        "(1,1,1,1)": s4_ok,
-        "(2)": s2_ok,
-        "(2,2)": all(certificates.values()),
+        label: ok and certificates["generating_set"] for label, ok in swept.items()
     }
+    invariance_ok["(2,2)"] = all(certificates.values())
 
     return DecompositionReport(
         n=n,
         subspaces=subspaces,
         dims=dims,
         total_dim=total_dim,
-        direct_sum_ok=direct_sum_ok,
+        direct_sum_ok=joint.rank == 1 + len(s4_list) + len(s2_list),
         invariance_ok=invariance_ok,
         certificates=certificates,
         images_checked=images_checked,
@@ -516,6 +521,11 @@ def theorem_ingredients(params: ModuleParams, D: Optional[int] = None) -> Theore
     there is exactly what the third inclusion needs.  The report is
     consistent with the dichotomy when all three steps place their piece,
     and the prediction field records whether the parameter m is zero.
+
+    Steps two and three read the memoized s4_vanishing and
+    garfinkle_obstruction, so after the symsq.s4_vanishing and
+    garfinkle.obstruction checks have run at the same parameters this
+    function solves neither again; the shared ObstructionResult is frozen.
     """
     d_main = D if D is not None else default_depth(params.m)
     d_solver = D if D is not None else default_solver_depth(params.m)

@@ -223,11 +223,16 @@ def test_criterion_6_symmetric_square_identities(capsys):
 def test_criterion_7_decomposition(capsys):
     start = time.perf_counter()
     ok = True
-    for n in range(4, 9):
+    for n in range(4, 11):
         rep = decompose_S2(n)
         N = n * (n - 1) // 2
-        expected_head = (1, comb(n, 4), n * (n + 1) // 2 - 1)
-        if rep.dims[:3] != expected_head:
+        expected = (
+            1,
+            comb(n, 4),
+            n * (n + 1) // 2 - 1,
+            n * (n + 1) * (n + 2) * (n - 3) // 12,
+        )
+        if rep.dims != expected:
             ok = False
         if sum(rep.dims) != rep.total_dim or rep.total_dim != N * (N + 1) // 2:
             ok = False

@@ -4,6 +4,7 @@ import pytest
 
 from gkverify.checks import REGISTRY, CheckRun, execute_jobs, plan_jobs
 from gkverify.gkmodule import DegenerateSampleError, ModuleParams, garfinkle_obstruction
+from gkverify.symsq import s4_vanishing
 
 # At (2, 14, 1) the window needs k - l = 5 or 7, so no K-type has k, l <= 3.
 EMPTY_WINDOW = CheckRun(2, 14, 1, None, 3, 3)
@@ -42,6 +43,41 @@ def test_degenerate_samples_are_an_error(p, q, m):
     for r in results:
         assert r.status == "error", r.to_dict()
         assert r.detail["error"].startswith("DegenerateSampleError: "), r.detail
+
+
+@pytest.mark.parametrize("p,q,m", DEGENERATE_TUPLES)
+def test_degenerate_samples_raise_on_every_call(p, q, m):
+    # a raised error is not memoized: each call solves again and raises again
+    params = ModuleParams(p, q, m, 1)
+    garfinkle_obstruction.cache_clear()
+    for calls in (1, 2, 3):
+        with pytest.raises(DegenerateSampleError):
+            garfinkle_obstruction(params)
+        info = garfinkle_obstruction.cache_info()
+        assert (info.misses, info.currsize) == (calls, 0)
+
+
+def _clear_memos():
+    garfinkle_obstruction.cache_clear()
+    s4_vanishing.cache_clear()
+
+
+@pytest.mark.parametrize("p,q,m", [(4, 4, 0), (4, 6, 1)])
+def test_theorem_reads_the_sibling_results(p, q, m):
+    run = CheckRun(p, q, m, None, 3, 3)
+    theorem = REGISTRY["garfinkle.theorem"].fn
+    _clear_memos()
+    cold = theorem(run)
+    _clear_memos()
+    assert REGISTRY["garfinkle.obstruction"].fn(run)[0] is True
+    assert REGISTRY["symsq.s4_vanishing"].fn(run)[0] is True
+    before = [memo.cache_info() for memo in (garfinkle_obstruction, s4_vanishing)]
+    warm = theorem(run)
+    after = [memo.cache_info() for memo in (garfinkle_obstruction, s4_vanishing)]
+    # one lookup per sign in each memo, and every lookup a hit
+    assert [(a.hits - b.hits, a.misses - b.misses) for a, b in zip(after, before)] == [(2, 0)] * 2
+    assert warm == cold
+    assert cold[0] is True
 
 
 def test_parameter_window_probes_at_the_base_degree(monkeypatch):

@@ -1,5 +1,6 @@
 """Truncated module vectors: membership, eigenvalues, the mixed action, the solver."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -494,3 +495,28 @@ def test_obstruction_both_signs_agree():
     for sign in (1, -1):
         assert garfinkle_obstruction(ModuleParams(4, 4, 0, sign)).exists
         assert not garfinkle_obstruction(ModuleParams(4, 4, 1, sign)).exists
+
+
+def test_obstruction_result_is_frozen():
+    # the memoized result is shared by every caller, so no caller may change it
+    res = garfinkle_obstruction(ModuleParams(4, 4, 0, 1))
+    assert isinstance(res.xi_scalars, tuple)
+    coeffs, _lam = res.witness
+    assert isinstance(coeffs, tuple) and list(coeffs) == sorted(coeffs)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.exists = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.xi_scalars = ()
+
+
+def test_obstruction_call_forms_solve_once():
+    params = ModuleParams(4, 4, 1, 1)
+    garfinkle_obstruction.cache_clear()
+    first = garfinkle_obstruction(params)
+    assert garfinkle_obstruction(params, 10) is first
+    assert garfinkle_obstruction(params, D=10) is first
+    assert garfinkle_obstruction(ModuleParams(4, 4, 1, 1), D=10) is first
+    info = garfinkle_obstruction.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    garfinkle_obstruction(params, 12)
+    assert garfinkle_obstruction.cache_info().misses == 2

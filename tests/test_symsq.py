@@ -18,9 +18,12 @@ from gkverify.liealg import (
     pi_generator,
     same_block,
 )
+from gkverify.linalg import SparseRREF, rref_nullspace
 from gkverify.poly import ONE, ZERO, VariableSpace
 from gkverify.symsq import (
     SymSquareTensor,
+    _pair_coord,
+    _span_invariant,
     adjoint_action,
     build_Q,
     build_S2,
@@ -29,12 +32,14 @@ from gkverify.symsq import (
     decompose_S2,
     gamma2_q_identity,
     gamma2_xi_identity,
+    generating_set,
     pairing,
     s4_vanishing,
     theorem_ingredients,
     transport,
     xi_closed_form,
 )
+from gkverify import symsq
 from gkverify.gkmodule import ModuleParams
 from gkverify.weyl import WeylOperator
 
@@ -266,13 +271,116 @@ def test_decomposition_dimensions():
         assert rep.all_ok()
 
 
+def _e22_basis(rep):
+    """The (2,2) piece as the exact orthocomplement of the three explicit
+    pieces: the nullspace of their rows under the pairing weights (2 off the
+    diagonal, 1 on it) over all unordered generator pairs."""
+    sig = (rep.n, 0)
+    gens = generators(rep.n, 0, "M")
+    pairs = {_pair_coord(a, b): (a, b) for ai, a in enumerate(gens) for b in gens[ai:]}
+    weighted = [
+        {_pair_coord(a, b): c * (1 if a == b else 2) for (a, b), c in t.coeffs.items() if a <= b}
+        for piece in rep.subspaces
+        for t in piece.basis
+    ]
+    basis = []
+    for vec in rref_nullspace(weighted, sorted(pairs)):
+        coeffs = {}
+        for coord, v in vec.items():
+            a, b = pairs[coord]
+            coeffs[(a, b)] = coeffs[(b, a)] = v
+        basis.append(SymSquareTensor(sig, "M", coeffs))
+    return basis
+
+
 def test_decomposition_pieces_are_orthogonal():
     rep = decompose_S2(4)
+    e22 = _e22_basis(rep)
+    assert len(e22) == rep.dims[3]
     flat = [(s.label, t) for s in rep.subspaces for t in s.basis]
+    flat += [("(2,2)", t) for t in e22]
     for i, (la, ta) in enumerate(flat):
         for lb, tb in flat[i + 1 :]:
             if la != lb:
                 assert pairing(ta, tb) == ZERO
+
+
+def _reference_sweep(n, tensors):
+    """All-generator invariance of the span of tensors, by its own
+    elimination over ordered-pair coordinates."""
+    sig = (n, 0)
+    keys = {}
+    span = SparseRREF()
+
+    def row(t):
+        return {keys.setdefault(k, len(keys)): c for k, c in t.coeffs.items()}
+
+    for t in tensors:
+        span.add_row(row(t))
+    return all(
+        not span.residual(row(adjoint_action(LieElement.basis(x, sig), t)))
+        for x in generators(n, 0, "M")
+        for t in tensors
+    )
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_e22_piece_is_invariant_under_every_generator(n):
+    # what the certificate chain proves without building the piece
+    rep = decompose_S2(n)
+    assert _reference_sweep(n, _e22_basis(rep))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_generating_set_sweep_matches_all_generator_reference(n):
+    rep = decompose_S2(n)
+    assert rep.images_checked == (n - 1) * sum(s.dimension for s in rep.subspaces)
+    assert rep.certificates["generating_set"]
+    xs = generating_set(n)
+    assert xs == tuple(Generator(i, i + 1, "M") for i in range(1, n))
+    for piece in rep.subspaces:
+        assert _reference_sweep(n, piece.basis)
+        assert _span_invariant(n, xs, piece.basis)[0]
+        assert rep.invariance_ok[piece.label]
+
+
+def _flip_first_slot(t):
+    """t with the coefficient of its first ordered pair (and its mirror) negated."""
+    coeffs = dict(t.coeffs)
+    a, b = min(coeffs)
+    coeffs[(a, b)] = coeffs[(b, a)] = -coeffs[(a, b)]
+    return SymSquareTensor(t.sig, t.flavor, coeffs)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize(
+    "builder,label,first", [("build_S4", "(1,1,1,1)", (1, 2, 3, 4)), ("build_S2", "(2)", (1, 2))]
+)
+def test_corrupted_spanning_tensor_fails_both_sweeps(monkeypatch, n, builder, label, first):
+    real = getattr(symsq, builder)
+
+    def corrupted(sig, *idx):
+        t = real(sig, *idx)
+        return _flip_first_slot(t) if idx == first else t
+
+    monkeypatch.setattr(symsq, builder, corrupted)
+    rep = decompose_S2(n)
+    basis = next(s for s in rep.subspaces if s.label == label).basis
+    assert not _reference_sweep(n, basis)
+    assert not rep.invariance_ok[label]
+    assert not rep.certificates["families_invariant"]
+    assert not rep.all_ok()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_generating_set_missing_one_element_fails(monkeypatch, n):
+    xs = generating_set(n)
+    for drop in range(n - 1):
+        monkeypatch.setattr(symsq, "generating_set", lambda n: xs[:drop] + xs[drop + 1 :])
+        rep = decompose_S2(n)
+        assert not rep.certificates["generating_set"], drop
+        assert not any(rep.invariance_ok.values()), drop
+        assert not rep.all_ok()
 
 
 def test_theorem_ingredients_consistency():
