@@ -22,7 +22,12 @@ are exact.  One rule tracks it: applying an operator adds the smallest
 operator, and closed_apply, which runs the closed forms of liealg.closed_form
 (the Casimirs, the symmetric-square element Xi and the sl2 triple) factor by
 factor, uses it for each factor (an Euler operator adds 0, a Laplacian -2, a
-multiplication by r^2 +2).
+multiplication by r^2 +2).  Both fix the result's validity before computing
+anything and never form a term above it: apply_operator passes it to
+WeylOperator.apply as the cap, and closed_apply lets each factor read its
+input only up to the degree that the factors left of it carry to that
+validity.  The obstruction solver caps its generator images the same way, at
+the degree it compares.
 
 A TypicalElement carries its family, K-type and harmonics, and the sample
 plans ktype_elements and product_elements yield them one at a time.
@@ -60,6 +65,7 @@ from .poly import (
     VariableSpace,
     dagger,
     euler,
+    exact,
     harmonic_basis,
     harmonic_dim,
     laplacian,
@@ -115,6 +121,10 @@ class KType:
     l: int
     p: int
     q: int
+
+    def __post_init__(self) -> None:
+        if self.k < 0 or self.l < 0:
+            raise ValueError(f"need k, l >= 0, got k={self.k}, l={self.l}")
 
     @property
     def kappa_plus(self) -> Fraction:
@@ -311,9 +321,10 @@ def psi_series(alpha: Fraction, cutoff: int) -> RadialSeries:
     """The exact series sum_j (-1)^j / (j! (alpha)_j) (rho_x rho_y)^j.
 
     Coefficients satisfy c_0 = 1 and c_{j+1} = -c_j / ((j+1)(alpha+j)); the
-    parameter must avoid the poles at non-positive integers.
+    parameter must be an int or a Fraction avoiding the poles at non-positive
+    integers.
     """
-    alpha = Fraction(alpha)
+    alpha = Fraction(exact(alpha))
     if alpha.denominator == 1 and alpha <= 0:
         raise PsiPoleError(f"series parameter {alpha} is a non-positive integer")
     coeffs: Dict[Tuple[int, int], Fraction] = {}
@@ -377,8 +388,11 @@ def apply_operator(op, f: TruncatedElement) -> TruncatedElement:
 
     The new validity is the old one plus the smallest |a| - |alpha| over the
     operator's terms v^a d^alpha; a negative result raises TruncationError.
+    The operator is applied with that validity as its cap, so no term above
+    it is formed.
     """
-    return TruncatedElement(op.apply(f.expansion), f.validity + op.min_degree_shift())
+    validity = f.validity + op.min_degree_shift()
+    return TruncatedElement(op.apply(f.expansion, max_degree=validity), validity)
 
 
 # Fast appliers of the stock factors of closed_form words, by kind.
@@ -389,35 +403,56 @@ _STAGES = {
 }
 
 
+@lru_cache(maxsize=None)
+def _gain(space: VariableSpace, word: Tuple[str, ...]) -> int:
+    """The validity change of a closed_form word: the sum of its factors'
+    smallest |a| - |alpha| (the factors shift every term alike)."""
+    return sum(
+        STOCK_OPERATORS[kind](space, block).min_degree_shift() for kind, block in word
+    )
+
+
 def closed_apply(which: str, f: TruncatedElement) -> TruncatedElement:
     """Apply a closed form of liealg.closed_form (a Casimir, Xi or an sl2
     generator).
 
     Words are applied factor by factor, rightmost first, with the fast
     polynomial helpers; each factor's validity follows the exact rule of
-    apply_operator.
+    apply_operator, and a factor that leaves a negative validity raises
+    TruncationError.  The result's validity T, the smallest over the words,
+    is fixed first, and each factor reads its input only up to the degree
+    that the factors left of it carry to T, so no term above T is formed.
     """
-    return _apply_words(closed_form(which, f.space.p, f.space.q), f)
+    space = f.space
+    terms = closed_form(which, space.p, space.q)
+    # word[i:] is the part of a word applied once its factor i has acted
+    lowest = min(_gain(space, word[i:]) for _, word in terms for i in range(len(word) + 1))
+    if f.validity + lowest < 0:
+        raise TruncationError("validity became negative; increase D")
+    validity = min(f.validity + _gain(space, word) for _, word in terms)
+    return TruncatedElement(_apply_words(terms, f.expansion, validity), validity)
 
 
-def _apply_words(terms, f: TruncatedElement) -> TruncatedElement:
-    """The sum of c * word(f) over the (c, word) terms.
+def _apply_words(terms, g: MultiPoly, top: int) -> MultiPoly:
+    """The sum of c * word(g) over the (c, word) terms, exact up to degree top.
 
     Words that end in the same factor share its application, and only the
-    results on the current branch are kept alive.
+    results on the current branch are kept alive.  That factor reads g up to
+    the largest degree that the rest of one of those words carries to top.
     """
+    space = g.space
     total = None
     by_last: Dict[str, list] = {}
     for c, word in terms:
         if word:
             by_last.setdefault(word[-1], []).append((c, word[:-1]))
-        else:
-            part = f if c == 1 else f.scale(c)
-            total = part if total is None else total + part
-    for (kind, block), rest in by_last.items():
-        gain = STOCK_OPERATORS[kind](f.space, block).min_degree_shift()
-        inner = TruncatedElement(_STAGES[kind](f.expansion, block), f.validity + gain)
-        part = _apply_words(rest, inner)
+        else:  # the words are distinct, so at most one is empty here
+            total = g.truncate(top).scale(c)
+    for factor, rest in by_last.items():
+        reach = max(top - _gain(space, word) for _, word in rest)
+        stage_in = g.truncate(reach - _gain(space, (factor,)))
+        kind, block = factor
+        part = _apply_words(rest, _STAGES[kind](stage_in, block), top)
         total = part if total is None else total + part
     return total
 
@@ -669,10 +704,7 @@ def _obstruction(params: ModuleParams, D: int) -> ObstructionResult:
     prepared = []
     for f in default_samples(params, D):
         fpoly = f.expansion.truncate(validity)
-        images = [
-            pi_generator(g, space).apply(f.expansion).truncate(validity)
-            for g in gens
-        ]
+        images = [pi_generator(g, space).apply(f.expansion, max_degree=validity) for g in gens]
         keys = set(fpoly._terms)
         for img in images:
             keys.update(img._terms)

@@ -559,8 +559,11 @@ def harmonic_basis(space: VariableSpace, block: str, degree: int) -> HarmonicBas
 
     Elements are monic in the graded-lex leading monomial and ordered by that
     leading monomial, descending.  The basis size always equals the two-term
-    binomial dimension count; that identity is asserted here.
+    binomial dimension count; that identity is asserted here.  A negative
+    degree raises ValueError.
     """
+    if degree < 0:
+        raise ValueError(f"harmonic degree {degree} is negative")
     nblk = space.block_size(block)
     if nblk == 0:
         raise ValueError(f"block {block!r} is empty")

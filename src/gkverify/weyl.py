@@ -30,10 +30,11 @@ two denominators.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from .poly import MAX_EXP, Exponents, MultiPoly, ScalarLike, SparseRational, VariableSpace, exact
 
@@ -172,7 +173,17 @@ class WeylOperator(SparseRational):
 
     # -- action on polynomials ----------------------------------------------
 
-    def apply(self, f: MultiPoly) -> MultiPoly:
+    def apply(self, f: MultiPoly, max_degree: Optional[int] = None) -> MultiPoly:
+        """The polynomial self(f), optionally without any term above max_degree.
+
+        A term v^a d^alpha sends a monomial of degree d to degree
+        d + |a| - |alpha|, so under a cap it reads only the monomials of f of
+        degree at most max_degree - |a| + |alpha|, and no term above the cap
+        is ever formed.  When some term needs fewer monomials than f has, f
+        is sorted once and each term stops at its bound by bisection, as in
+        ``MultiPoly.mul``.  The encoding cap is guarded on the capped degree
+        of the result, which no exponent of it exceeds.
+        """
         if not isinstance(f, MultiPoly):
             raise TypeError(f"cannot apply an operator to {type(f).__name__}")
         if f.space != self.space:
@@ -181,16 +192,30 @@ class WeylOperator(SparseRational):
         if not self._terms or f.is_zero():
             return MultiPoly.zero(sp)
         ds = sp.deg_shift
-        max_m = max(km >> ds for km, _ in self._terms)
-        if f.degree() + max_m > MAX_EXP:
-            raise ValueError("application would exceed the degree cap")
+        top = f.degree()
+        full = top + self.degree_raise()
+        cap = full if max_degree is None else min(full, max_degree)
+        if cap > MAX_EXP:
+            raise ValueError(f"application degree {cap} exceeds encoding cap {MAX_EXP}")
         f_items = f._terms.items()
+        f_sorted = f_keys = None
         out: Dict[int, int] = {}
         get = out.get
         for (km, ka), c in self._terms.items():
+            # the largest input degree whose image stays within the cap
+            lim = cap - (km >> ds) + (ka >> ds)
+            if lim < 0:
+                continue
+            if lim >= top:
+                items = f_items
+            else:
+                if f_sorted is None:
+                    f_sorted = sorted(f_items)
+                    f_keys = [k for k, _ in f_sorted]
+                items = itertools.islice(f_sorted, bisect.bisect_left(f_keys, (lim + 1) << ds))
             alist = [(sh, (ka >> sh) & MAX_EXP) for sh in sp.shifts if (ka >> sh) & MAX_EXP]
             delta = km - ka
-            for ke, ce in f_items:
+            for ke, ce in items:
                 mult = c * ce
                 for sh, al in alist:
                     e = (ke >> sh) & MAX_EXP

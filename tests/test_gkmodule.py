@@ -1,6 +1,7 @@
 """Truncated module vectors: membership, eigenvalues, the mixed action, the solver."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -33,10 +34,19 @@ from gkverify.poly import (
     TruncationError,
     VariableSpace,
     dagger,
+    euler,
     harmonic_basis,
+    laplacian,
+    rsq,
 )
 from gkverify.cli import DEFAULT_SWEEP
-from gkverify.liealg import Generator, closed_operator, pi_generator
+from gkverify.liealg import (
+    STOCK_OPERATORS,
+    Generator,
+    closed_form,
+    closed_operator,
+    pi_generator,
+)
 from gkverify.weyl import WeylOperator, rsq_op
 
 
@@ -62,6 +72,12 @@ def test_ktype_arithmetic_frozen():
     kt2 = KType(0, 1, 4, 4)
     assert kt2.kappa_plus == 2
     assert kt2.kappa_minus == 3
+
+
+@pytest.mark.parametrize("k,l", [(-1, 0), (0, -1), (-1, -1)])
+def test_negative_ktype_is_refused(k, l):
+    with pytest.raises(ValueError):
+        KType(k, l, 4, 6)
 
 
 def test_ktype_enumeration_frozen():
@@ -135,6 +151,12 @@ def test_psi_series_pole_guard():
             psi_series(bad, 4)
     psi_series(Fraction(1, 2), 4)  # non-integer values below zero are fine
     psi_series(Fraction(-3, 2), 4)
+
+
+def test_psi_series_refuses_a_float_parameter():
+    with pytest.raises(TypeError):
+        psi_series(0.5, 4)
+    assert psi_series(2, 4) == psi_series(Fraction(2), 4)
 
 
 def test_typical_element_requires_depth():
@@ -245,25 +267,140 @@ def test_apply_operator_validity_bookkeeping():
         apply_operator(d.power(11), f)
 
 
-@pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (4, 4), (4, 6)])
-def test_closed_apply_matches_one_pass_operator(p, q):
-    # The staged applier and the composed operator read the same closed-form
-    # table; they must agree in expansion and in validity.
-    space = VariableSpace(p, q)
+CLOSED_FORMS = ("op", "oq", "g", "xi", "H", "X+", "X-")
+
+
+def _families(p, q):
     for m in (0, 1):
         if m + 3 > (p + q) // 2:
             continue
         for sign in (1, -1):
-            params = ModuleParams(p, q, m, sign)
-            kt = ktype_enumeration(params, 1, 1)[-1]
-            h1 = harmonic_basis(space, "x", kt.k).elements[0]
-            h2 = harmonic_basis(space, "y", kt.l).elements[0]
-            f = typical_element(params, h1, h2, 8)
-            for which in ("op", "oq", "g", "xi", "H", "X+", "X-"):
-                staged = closed_apply(which, f)
-                one_pass = apply_operator(closed_operator(space, which), f)
-                assert staged.validity == one_pass.validity, (p, q, m, sign, which)
-                assert staged.expansion == one_pass.expansion, (p, q, m, sign, which)
+            yield ModuleParams(p, q, m, sign)
+
+
+@pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (4, 4), (4, 6)])
+def test_closed_apply_matches_one_pass_operator(p, q):
+    # The staged applier and the composed operator read the same closed-form
+    # table; they must agree in expansion and in validity.  The operator is
+    # applied uncapped, and the capped apply_operator must agree with it too.
+    space = VariableSpace(p, q)
+    for params in _families(p, q):
+        kt = ktype_enumeration(params, 1, 1)[-1]
+        h1 = harmonic_basis(space, "x", kt.k).elements[0]
+        h2 = harmonic_basis(space, "y", kt.l).elements[0]
+        f = typical_element(params, h1, h2, 8)
+        for which in CLOSED_FORMS:
+            op = closed_operator(space, which)
+            one_pass = TruncatedElement(op.apply(f.expansion), f.validity + op.min_degree_shift())
+            staged = closed_apply(which, f)
+            where = (p, q, params.m, params.sign, which)
+            assert staged.validity == one_pass.validity, where
+            assert staged.expansion == one_pass.expansion, where
+            capped = apply_operator(op, f)
+            assert capped.validity == one_pass.validity, where
+            assert capped.expansion == one_pass.expansion, where
+
+
+_UNCAPPED_STAGES = {
+    "E": euler,
+    "L": laplacian,
+    "R": lambda g, block: g.mul(rsq(g.space, block)),
+}
+
+
+def _uncapped_words(terms, f):
+    """closed_apply's staged evaluation without the validity cap: every factor
+    forms all of its output degrees, and each stage is truncated to its own
+    validity afterwards."""
+    total = None
+    by_last = {}
+    for c, word in terms:
+        if word:
+            by_last.setdefault(word[-1], []).append((c, word[:-1]))
+        else:
+            part = f if c == 1 else f.scale(c)
+            total = part if total is None else total + part
+    for (kind, block), rest in by_last.items():
+        gain = STOCK_OPERATORS[kind](f.space, block).min_degree_shift()
+        inner = TruncatedElement(_UNCAPPED_STAGES[kind](f.expansion, block), f.validity + gain)
+        part = _uncapped_words(rest, inner)
+        total = part if total is None else total + part
+    return total
+
+
+@pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (4, 4), (4, 6)])
+def test_closed_apply_matches_uncapped_words(p, q):
+    # Every K-type with k, l <= 2, at an even and an odd depth, so that the
+    # cap lands on both parities of the series.
+    space = VariableSpace(p, q)
+    for params in _families(p, q):
+        for kt in ktype_enumeration(params, 2, 2):
+            h1 = harmonic_basis(space, "x", kt.k).elements[-1]
+            h2 = harmonic_basis(space, "y", kt.l).elements[-1]
+            for D in (9, 10):
+                f = typical_element(params, h1, h2, D)
+                for which in CLOSED_FORMS:
+                    capped = closed_apply(which, f)
+                    full = _uncapped_words(closed_form(which, p, q), f)
+                    where = (p, q, params.m, params.sign, kt.k, kt.l, D, which)
+                    assert capped.validity == full.validity, where
+                    assert capped.expansion == full.expansion, where
+
+
+def _dense_element(space, validity):
+    """Every monomial of degree <= validity with coefficient 1, so each
+    truncation shows its degree exactly."""
+    entries = []
+    for exps in itertools.product(range(validity + 1), repeat=space.nvars):
+        if sum(exps) <= validity:
+            entries.append((exps, 1))
+    return TruncatedElement(MultiPoly.from_monomials(space, entries), validity)
+
+
+@pytest.mark.parametrize(
+    "which,reads",
+    [
+        # T = V: the Euler words and Rx Lx read f up to V
+        ("op", {"Ex": 0, "Lx": 0}),
+        # T = V - 2: Rx reads up to T - 2, Ly up to T + 2
+        ("X-", {"Rx": -4, "Ly": 0}),
+        # T = V - 4: the Euler words read up to T, Rx Ry up to T - 4, and
+        # Ly, which two words share, up to T + 4 for Lx Ly
+        ("g", {"Ex": -4, "Ey": -4, "Ry": -8, "Lx": -4, "Ly": 0}),
+    ],
+)
+def test_closed_apply_reads_only_the_compared_degrees(monkeypatch, which, reads):
+    # The first call of each factor reads f itself (the words sharing it are
+    # applied depth first); its input degree, relative to f's validity V, is
+    # the largest degree that the rest of some word carries to the output's
+    # validity.
+    import gkverify.gkmodule as gkmodule
+
+    f = _dense_element(VariableSpace(2, 4), 8)
+    first = {}
+    for kind, stage in list(gkmodule._STAGES.items()):
+
+        def spy(g, block, kind=kind, stage=stage):
+            first.setdefault(kind + block, g.degree() - f.validity)
+            return stage(g, block)
+
+        monkeypatch.setitem(gkmodule._STAGES, kind, spy)
+    closed_apply(which, f)
+    assert {k: first[k] for k in reads} == reads
+
+
+def test_closed_apply_refuses_a_negative_validity():
+    params = ModuleParams(2, 4, 0, 1)
+    space = params.space
+    h1 = harmonic_basis(space, "x", 1).elements[0]
+    h2 = harmonic_basis(space, "y", 0).elements[0]
+    f = typical_element(params, h1, h2, 10)
+    low = TruncatedElement(f.expansion, 3)
+    with pytest.raises(TruncationError):
+        closed_apply("g", low)  # the Lx Ly word leaves validity -1
+    assert closed_apply("g", TruncatedElement(f.expansion, 4)).validity == 0
+    with pytest.raises(TruncationError):
+        closed_apply("op", TruncatedElement(f.expansion, 1))  # Lx leaves -1 before Rx
 
 
 def _xi_by_three_casimirs(f):
@@ -495,6 +632,29 @@ def test_obstruction_both_signs_agree():
     for sign in (1, -1):
         assert garfinkle_obstruction(ModuleParams(4, 4, 0, sign)).exists
         assert not garfinkle_obstruction(ModuleParams(4, 4, 1, sign)).exists
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_obstruction_images_are_the_truncated_full_images(monkeypatch, m):
+    # The solver applies each pi(M_ij) capped at its comparison degree D - 2;
+    # every capped image must be the full image truncated there.
+    D = 11
+    full_apply = WeylOperator.apply
+    calls = []
+
+    def spy(op, f, max_degree=None):
+        calls.append((op, f, max_degree))
+        return full_apply(op, f, max_degree=max_degree)
+
+    monkeypatch.setattr(WeylOperator, "apply", spy)
+    garfinkle_obstruction.cache_clear()
+    garfinkle_obstruction(ModuleParams(4, 4, m, -1), D)
+    garfinkle_obstruction.cache_clear()
+    monkeypatch.undo()
+    assert calls
+    for op, f, cap in calls:
+        assert cap == D - 2
+        assert op.apply(f, max_degree=cap) == op.apply(f).truncate(D - 2)
 
 
 def test_obstruction_result_is_frozen():

@@ -213,6 +213,12 @@ def test_harmonic_basis_is_canonical(sig):
                 assert laplacian(h, block).is_zero()
 
 
+def test_negative_harmonic_degree_is_refused():
+    for block in ("x", "y"):
+        with pytest.raises(ValueError):
+            harmonic_basis(SPACE, block, -1)
+
+
 def test_unknown_block_is_refused():
     for bad in ("z", ""):
         with pytest.raises(ValueError, match="block must be"):

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkverify.liealg import Generator, pi_generator
 from gkverify.poly import ONE, MultiPoly, VariableSpace, euler, laplacian, rsq
 from gkverify.weyl import WeylOperator, euler_op, laplacian_op, falling, rsq_op
 
@@ -118,6 +119,50 @@ def test_composition_degree_bookkeeping(A, B):
 def test_operator_linearity(A, B, f):
     assert (A + B).apply(f) == A.apply(f) + B.apply(f)
     assert A.scale(Fraction(2, 3)).apply(f) == A.apply(f).scale(Fraction(2, 3))
+
+
+# pi of every M_ij: x_i y_j + d_xi d_yj (shifts +2 and -2) across the blocks,
+# v_i d_j - v_j d_i (shift 0) inside one
+PI_OPERATORS = [
+    pi_generator(Generator(i, j, "M"), SPACE) for i in range(1, NV + 1) for j in range(i + 1, NV + 1)
+]
+
+wide_polys = st.lists(
+    st.tuples(st.lists(st.integers(0, 4), min_size=NV, max_size=NV).map(tuple), small_coeffs),
+    min_size=0,
+    max_size=8,
+).map(lambda entries: MultiPoly.from_monomials(SPACE, entries))
+
+
+@given(
+    st.one_of(wide_operators, st.sampled_from(PI_OPERATORS)),
+    wide_polys,
+    st.integers(-2, 36),
+)
+@settings(max_examples=120, deadline=None)
+def test_capped_apply_is_the_truncated_apply(A, f, cap):
+    # caps below every output degree, inside the range and above it
+    assert A.apply(f, max_degree=cap) == A.apply(f).truncate(cap)
+
+
+def test_capped_apply_at_the_encoding_cap():
+    x126 = MultiPoly.from_monomials(SPACE, [((126, 0, 0, 0), 1)])
+    raise_one = WeylOperator.term(SPACE, (2, 0, 0, 0), (1, 0, 0, 0))  # x1^2 d1
+    raise_two = WeylOperator.term(SPACE, (3, 0, 0, 0), (1, 0, 0, 0))  # x1^3 d1
+    lower_one = WeylOperator.diff(SPACE, 0)
+    top = MultiPoly.from_monomials(SPACE, [((127, 0, 0, 0), 126)])
+    below = MultiPoly.from_monomials(SPACE, [((125, 0, 0, 0), 126)])
+    # the guard reads the result's degree, not the operator's monomial degree
+    assert raise_one.apply(x126) == top
+    with pytest.raises(ValueError, match="exceeds encoding cap"):
+        raise_two.apply(x126)
+    with pytest.raises(ValueError, match="exceeds encoding cap"):
+        raise_two.apply(x126, max_degree=128)
+    assert raise_two.apply(x126, max_degree=127).is_zero()
+    both = raise_two + raise_one + lower_one
+    assert both.apply(x126, max_degree=127) == top + below
+    assert both.apply(x126, max_degree=126) == below
+    assert both.apply(x126, max_degree=124).is_zero()
 
 
 def test_block_operators_match_polynomial_maps():
