@@ -27,7 +27,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice, product
 from math import comb, gcd
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -190,16 +190,14 @@ def _lie_homomorphism(run: CheckRun):
     space = run.space
     sig = run.sig
     gens = generators(*sig, "M")
+    basis = [LieElement.basis(g, sig) for g in gens]
+    images = [pi_generator(g, space) for g in gens]
     pairs = 0
-    for ia, a in enumerate(gens):
-        pa = pi_generator(a, space)
-        ea = LieElement.basis(a, sig)
-        for b in gens[ia + 1 :]:
-            lhs = pa.commutator(pi_generator(b, space))
-            rhs = pi_lie(bracket(ea, LieElement.basis(b, sig)))
-            if lhs != rhs:
-                return False, None, {"failed_pair": [list(a), list(b)]}
-            pairs += 1
+    for ia, ib in combinations(range(len(gens)), 2):
+        lhs = images[ia].commutator(images[ib])
+        if lhs != pi_lie(bracket(basis[ia], basis[ib])):
+            return False, None, {"failed_pair": [list(gens[ia]), list(gens[ib])]}
+        pairs += 1
     return True, None, {"pairs_checked": pairs}
 
 
@@ -253,10 +251,11 @@ def _lie_duality(run: CheckRun):
 def _lie_jacobi(run: CheckRun):
     sig = run.sig
     gens = generators(*sig, "X")
+    basis = {g: LieElement.basis(g, sig) for g in gens}
     rng = random.Random(1000 * run.p + run.q)
     n_triples = 150
     for _ in range(n_triples):
-        a, b, c = (LieElement.basis(rng.choice(gens), sig) for _ in range(3))
+        a, b, c = (basis[rng.choice(gens)] for _ in range(3))
         jac = (
             bracket(a, bracket(b, c))
             + bracket(b, bracket(c, a))
@@ -377,12 +376,13 @@ def _weyl_compose_apply(run: CheckRun):
     space = run.space
     ops = _op_family(space)
     polys = _poly_family(space)
+    applied = [[B.apply(f) for f in polys] for B in ops]
     checked = 0
     for A in ops:
-        for B in ops:
+        for B, B_polys in zip(ops, applied):
             AB = A.compose(B)
-            for f in polys:
-                if AB.apply(f) != A.apply(B.apply(f)):
+            for f, Bf in zip(polys, B_polys):
+                if AB.apply(f) != A.apply(Bf):
                     return False, None, {"failed": True}
                 checked += 1
     return True, None, {"applications_checked": checked}
@@ -397,18 +397,16 @@ def _weyl_compose_apply(run: CheckRun):
 def _weyl_jacobi(run: CheckRun):
     space = run.space
     ops = _op_family(space)[:4]
+    idx = range(len(ops))
+    # each distinct [B,C] and [A,[B,C]] is formed once: 16 + 64 commutators
+    inner = {(b, c): ops[b].commutator(ops[c]) for b in idx for c in idx}
+    outer = {(a, b, c): ops[a].commutator(bc) for a in idx for (b, c), bc in inner.items()}
     checked = 0
-    for A in ops:
-        for B in ops:
-            for C in ops:
-                jac = (
-                    A.commutator(B.commutator(C))
-                    + B.commutator(C.commutator(A))
-                    + C.commutator(A.commutator(B))
-                )
-                if not jac.is_zero():
-                    return False, None, {"failed": True}
-                checked += 1
+    for a, b, c in product(idx, repeat=3):
+        jac = outer[a, b, c] + outer[b, c, a] + outer[c, a, b]
+        if not jac.is_zero():
+            return False, None, {"failed": True}
+        checked += 1
     return True, None, {"triples_checked": checked}
 
 

@@ -77,11 +77,11 @@ class VariableSpace:
         if self.p < 0 or self.q < 0 or self.p + self.q == 0:
             raise ValueError("need p, q >= 0 with p + q >= 1")
 
-    @property
+    @cached_property
     def nvars(self) -> int:
         return self.p + self.q
 
-    @property
+    @cached_property
     def deg_shift(self) -> int:
         return BITS * self.nvars
 

@@ -22,6 +22,14 @@ find the contraction ranges.  The degree cap is checked on the total degree
 exponent is at most the total, so this accepts exactly the keys ``pack``
 accepts.
 
+The commutator [A, B] = AB - BA runs the same Leibniz kernel twice into one
+dict, once for AB and once, negated, for BA.  The uncontracted (gamma = 0)
+terms of the two products have the same key pair (km_a + km_b, kd_a + kd_b)
+and the same coefficient c_a * c_b, so they cancel exactly; the kernel never
+forms them, and skips outright a term pair with no variable to contract.
+Only the degree cap is still checked on them, so the commutator raises
+exactly when ``compose`` would.
+
 Application to a polynomial evaluates d^alpha on each monomial as a falling
 factorial and shifts exponents; both directions are exact.  Composition and
 application multiply int numerators and reduce once, over the product of the
@@ -114,54 +122,28 @@ class WeylOperator(SparseRational):
     # -- composition ---------------------------------------------------------
 
     def compose(self, other: "WeylOperator") -> "WeylOperator":
-        """The operator self after other, renormal-ordered exactly."""
+        """The operator self after other, renormal-ordered exactly.
+
+        One pass of ``_leibniz`` over every contraction, reduced once over
+        the product of the two denominators.
+        """
         self._require_same_ctx(other)
-        sp = self.space
-        nv = sp.nvars
-        ds = sp.deg_shift
-        shifts = sp.shifts
-        units = sp.units
-        b_items = []
-        for (kmb, kab), cb in other._terms.items():
-            b = [(kmb >> sh) & MAX_EXP for sh in shifts]
-            b_items.append((kmb, kab, cb, b, [i for i in range(nv) if b[i]]))
         acc: Dict[TermKey, int] = {}
-        for (kma, kaa), ca in self._terms.items():
-            alpha = [(kaa >> sh) & MAX_EXP for sh in shifts]
-            for kmb, kab, cb, b, b_nonzero in b_items:
-                km = kma + kmb
-                kd = kaa + kab
-                # the uncontracted key has the largest degree of the pair's keys
-                if (km >> ds) > MAX_EXP or (kd >> ds) > MAX_EXP:
-                    raise ValueError("composition would exceed the degree cap")
-                # per contracted variable: (C(alpha_i, g) * falling(b_i, g), g * unit_i)
-                choices = [
-                    [
-                        (comb(alpha[i], g) * falling(b[i], g), g * units[i])
-                        for g in range(min(alpha[i], b[i]) + 1)
-                    ]
-                    for i in b_nonzero
-                    if alpha[i]
-                ]
-                base = ca * cb
-                for sel in itertools.product(*choices):
-                    mult = 1
-                    sub = 0
-                    for f, u in sel:
-                        mult *= f
-                        sub += u
-                    key = (km - sub, kd - sub)
-                    add = base if mult == 1 else base * mult
-                    cur = acc.get(key)
-                    cur = add if cur is None else cur + add
-                    if cur:
-                        acc[key] = cur
-                    elif key in acc:
-                        del acc[key]
-        return WeylOperator.reduced(sp, acc, self.den * other.den)
+        _leibniz(self, other, acc, 1, 0)
+        return WeylOperator.reduced(self.space, acc, self.den * other.den)
 
     def commutator(self, other: "WeylOperator") -> "WeylOperator":
-        return self.compose(other) - other.compose(self)
+        """self other - other self, with only the contracted terms formed.
+
+        Both orders are accumulated into one dict by ``_leibniz`` with
+        |gamma| >= 1, since their uncontracted terms cancel exactly, and
+        the sum is reduced once over the product of the denominators.
+        """
+        self._require_same_ctx(other)
+        acc: Dict[TermKey, int] = {}
+        _leibniz(self, other, acc, 1, 1)
+        _leibniz(other, self, acc, -1, 1)
+        return WeylOperator.reduced(self.space, acc, self.den * other.den)
 
     def power(self, k: int) -> "WeylOperator":
         if k < 0:
@@ -255,6 +237,63 @@ class WeylOperator(SparseRational):
 
     def __repr__(self) -> str:
         return f"WeylOperator({self.space.p},{self.space.q}; {len(self._terms)} terms)"
+
+
+def _leibniz(
+    A: WeylOperator, B: WeylOperator, acc: Dict[TermKey, int], sign: int, least: int
+) -> None:
+    """Add sign * (A after B) numerators into acc, over A.den * B.den.
+
+    Only the contractions with |gamma| >= least are formed; for least >= 1 a
+    term pair with no variable to contract is skipped whole.  The degree cap
+    is checked on every pair's uncontracted key, formed or not.
+    """
+    sp = A.space
+    nv = sp.nvars
+    ds = sp.deg_shift
+    shifts = sp.shifts
+    units = sp.units
+    b_items = []
+    for (kmb, kab), cb in B._terms.items():
+        b = [(kmb >> sh) & MAX_EXP for sh in shifts]
+        b_items.append((kmb, kab, cb, b, [i for i in range(nv) if b[i]]))
+    for (kma, kaa), ca in A._terms.items():
+        alpha = [(kaa >> sh) & MAX_EXP for sh in shifts]
+        for kmb, kab, cb, b, b_nonzero in b_items:
+            km = kma + kmb
+            kd = kaa + kab
+            # the uncontracted key has the largest degree of the pair's keys
+            if (km >> ds) > MAX_EXP or (kd >> ds) > MAX_EXP:
+                raise ValueError("composition would exceed the degree cap")
+            contractible = [i for i in b_nonzero if alpha[i]]
+            if least and not contractible:
+                continue
+            # per contracted variable: (C(alpha_i, g) * falling(b_i, g), g * unit_i)
+            choices = [
+                [
+                    (comb(alpha[i], g) * falling(b[i], g), g * units[i])
+                    for g in range(min(alpha[i], b[i]) + 1)
+                ]
+                for i in contractible
+            ]
+            base = sign * ca * cb
+            for sel in itertools.product(*choices):
+                mult = 1
+                sub = 0
+                for f, u in sel:
+                    mult *= f
+                    sub += u
+                # the degree field of sub is |gamma|
+                if (sub >> ds) < least:
+                    continue
+                key = (km - sub, kd - sub)
+                add = base if mult == 1 else base * mult
+                cur = acc.get(key)
+                cur = add if cur is None else cur + add
+                if cur:
+                    acc[key] = cur
+                elif key in acc:
+                    del acc[key]
 
 
 # -- stock operators ----------------------------------------------------------

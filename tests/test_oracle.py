@@ -9,6 +9,7 @@ whose coefficients are fractions, are checked the same way against sympy
 applying each word of their closed form factor by factor.
 """
 
+import itertools
 import subprocess
 import sys
 from fractions import Fraction
@@ -130,6 +131,48 @@ def test_closed_operators_match_sympy_words(p, q, which):
             want += sympy.Rational(c.numerator, c.denominator) * term
         got = op.apply(_to_multipoly(f, space, v))
         assert got.monomials() == _qq_coefficients(sympy.expand(want), v)
+
+
+def _realization(space, v):
+    """(package operator, sympy map) for every pi(M_g) and each sl2 operator."""
+    p, q = space.p, space.q
+    out = []
+    for g in generators(p, q, "X"):
+        image, phi = _textbook_image(g, p, v)
+        out.append(
+            (
+                pi_generator(Generator(g.i, g.j, "M"), space),
+                lambda f, image=image, phi=phi: sympy.expand(image(f) / phi),
+            )
+        )
+    for which in ("H", "X+", "X-"):
+
+        def words(f, which=which):
+            total = 0
+            for c, word in closed_form(which, p, q):
+                term = f
+                for name in reversed(word):
+                    term = _sympy_factor(name, v, p)(term)
+                total += sympy.Rational(c.numerator, c.denominator) * term
+            return sympy.expand(total)
+
+        out.append((closed_operator(space, which), words))
+    return out
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 2)])
+def test_commutators_match_sympy_differentiation(p, q):
+    # [A, B] f against A(B f) - B(A f), each side of it differentiated by sympy
+    space = VariableSpace(p, q)
+    v = _symbols(space)
+    ops = _realization(space, v)
+    fixed = _fixed_polys(v)
+    mine = [_to_multipoly(f, space, v) for f in fixed]
+    for (A, a), (B, b) in itertools.combinations(ops, 2):
+        comm = A.commutator(B)
+        for f, mf in zip(fixed, mine):
+            want = _qq_coefficients(sympy.expand(a(b(f)) - b(a(f))), v)
+            assert comm.apply(mf).monomials() == want
 
 
 def _sympy_generator(g, p, n):

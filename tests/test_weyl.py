@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkverify.liealg import Generator, pi_generator
+from gkverify.liealg import Generator, generators, pi_generator, sl2_triple
 from gkverify.poly import ONE, MultiPoly, VariableSpace, euler, laplacian, rsq
 from gkverify.weyl import WeylOperator, euler_op, laplacian_op, falling, rsq_op
 
@@ -99,6 +99,32 @@ def test_commutator_jacobi(A, B, C):
         + C.commutator(A.commutator(B))
     )
     assert jac.is_zero()
+
+
+@given(wide_operators, wide_operators)
+@settings(max_examples=120, deadline=None)
+def test_commutator_is_the_composition_difference(A, B):
+    # exponents up to 4 give contractions of order >= 2; empty lists give zero
+    assert A.commutator(B) == A.compose(B) - B.compose(A)
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (1, 3), (3, 3)])
+def test_commutator_on_the_realization(p, q):
+    space = VariableSpace(p, q)
+    zero = WeylOperator.zero(space)
+    ops = [pi_generator(g, space) for g in generators(p, q, "M")]
+    ops += list(sl2_triple(space)) + [zero]
+    for A in ops:
+        for B in ops:
+            assert A.commutator(B) == A.compose(B) - B.compose(A)
+    # the contraction of order two in [d1^2, x1^2] = 4 x1 d1 + 2
+    e = (0,) * space.nvars
+    x = (1,) + e[1:]
+    xx = (2,) + e[1:]
+    d1_sq = WeylOperator.term(space, e, xx)
+    x1_sq = WeylOperator.term(space, xx, e)
+    expect = WeylOperator.term(space, x, x, 4) + WeylOperator.term(space, e, e, 2)
+    assert d1_sq.commutator(x1_sq) == expect
 
 
 @given(operators, operators)
@@ -236,3 +262,44 @@ def test_compose_degree_cap_boundary():
         assert op((100, 0, 0, 0)).compose(op((27, 0, 0, 0))) == op((127, 0, 0, 0))
         with pytest.raises(ValueError):
             op((100, 0, 0, 0)).compose(op((28, 0, 0, 0)))
+
+
+def test_commutator_degree_cap_boundary():
+    e = (0,) * NV
+
+    def t(mono, deriv=e):
+        return WeylOperator.term(SPACE, mono, deriv)
+
+    x1_d1 = (1, 0, 0, 0)
+    pairs = [
+        (t((60, 0, 0, 0)), t((0, 67, 0, 0))),
+        (t((60, 0, 0, 0)), t((0, 68, 0, 0))),  # no contraction, still over the cap
+        (t(e, (100, 0, 0, 0)), t(e, (27, 0, 0, 0))),
+        (t(e, (100, 0, 0, 0)), t(e, (28, 0, 0, 0))),
+        (t((100, 0, 0, 0), x1_d1), t((27, 0, 0, 0))),
+        (t((100, 0, 0, 0), x1_d1), t((28, 0, 0, 0))),
+        (t((1, 0, 0, 0), (0, 0, 0, 127)), t((0, 0, 0, 1))),
+        (t((1, 0, 0, 0), (0, 0, 0, 127)), t((0, 0, 0, 1), x1_d1)),
+    ]
+    raised = 0
+    for A, B in pairs:
+        for X, Y in ((A, B), (B, A)):
+            try:
+                expect = X.compose(Y) - Y.compose(X)
+            except ValueError:
+                raised += 1
+                with pytest.raises(ValueError, match="degree cap"):
+                    X.commutator(Y)
+            else:
+                assert X.commutator(Y) == expect
+    assert raised == 8
+    # [x1^100 d1, x1^27] = 27 x1^126 sits at the cap and is formed
+    assert pairs[4][0].commutator(pairs[4][1]) == WeylOperator.term(SPACE, (126, 0, 0, 0), e, 27)
+
+
+def test_commutator_refuses_other_operands():
+    d1 = WeylOperator.diff(SPACE, 0)
+    with pytest.raises(ValueError):
+        d1.commutator(WeylOperator.var(VariableSpace(1, 3), 0))
+    with pytest.raises(TypeError):
+        d1.commutator(MultiPoly.variable(SPACE, 0))
