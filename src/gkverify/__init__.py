@@ -2,8 +2,9 @@
 
 The package computes, with exact rational arithmetic throughout
 (polynomials, operators, Lie and enveloping elements and symmetric-square
-tensors as integer numerators over one shared denominator; series,
-eigenvalues and pivots as ``fractions.Fraction``):
+tensors as integer numerators over one shared denominator; the rows of the
+exact echelon form as primitive integer rows; series and eigenvalues as
+``fractions.Fraction``):
 
 * polynomial differential operators on two pseudo-orthogonal blocks of
   variables (``poly``, ``weyl``),

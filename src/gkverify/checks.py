@@ -138,7 +138,7 @@ class CheckRun:
         """Working truncation degree for module-level checks."""
         if self.max_degree is not None:
             return self.max_degree
-        return default_depth(self.m)
+        return default_depth(self.m, self.k_max + self.l_max)
 
     def solver_depth(self) -> int:
         """Working truncation degree for the obstruction solver."""
@@ -253,9 +253,11 @@ def _lie_jacobi(run: CheckRun):
     gens = generators(*sig, "X")
     basis = {g: LieElement.basis(g, sig) for g in gens}
     rng = random.Random(1000 * run.p + run.q)
-    n_triples = 150
-    for _ in range(n_triples):
-        a, b, c = (basis[rng.choice(gens)] for _ in range(3))
+    n = len(gens)
+    # distinct triples, drawn without replacement as base-n indices
+    picks = rng.sample(range(n**3), min(150, n**3))
+    for idx in picks:
+        a, b, c = (basis[gens[idx // n**e % n]] for e in range(3))
         jac = (
             bracket(a, bracket(b, c))
             + bracket(b, bracket(c, a))
@@ -263,7 +265,7 @@ def _lie_jacobi(run: CheckRun):
         )
         if not jac.is_zero():
             return False, None, {"failed": True}
-    return True, None, {"triples_checked": n_triples}
+    return True, None, {"triples_checked": len(picks)}
 
 
 @_register(
@@ -276,17 +278,23 @@ def _lie_pbw_confluence(run: CheckRun):
     sig = run.sig
     gens = generators(*sig, "X")
     rng = random.Random(2000 * run.p + run.q)
-    n_words = 25
-    for _ in range(n_words):
-        length = rng.randint(2, 4)
-        word = tuple(rng.choice(gens) for _ in range(length))
+    n = len(gens)
+    total = n**2 + n**3 + n**4
+    # distinct words of length 2..4, drawn without replacement by index
+    picks = rng.sample(range(total), min(25, total))
+    for idx in picks:
+        length = 2
+        while idx >= n**length:
+            idx -= n**length
+            length += 1
+        word = tuple(gens[idx // n**e % n] for e in range(length))
         u = EnvelopingElement(sig, "X", {word: ONE})
         nf = pbw_normal_form(u)
         if nf != straighten(u, last=True):
             return False, None, {"failed_word_length": length}
         if pbw_normal_form(nf) != nf:
             return False, None, {"not_idempotent": True}
-    return True, None, {"words_checked": n_words}
+    return True, None, {"words_checked": len(picks)}
 
 
 @_register(
@@ -451,7 +459,7 @@ def _weyl_harmonic_dimension(run: CheckRun):
                 return False, None, {"failed_block": block, "degree": k}
             rr = SparseRREF()
             for h in basis.elements:
-                if rr.add_row(h.monomials())[0] != "pivot":
+                if rr.add_row(h._terms)[0] != "pivot":
                     return False, None, {
                         "failed_block": block,
                         "degree": k,

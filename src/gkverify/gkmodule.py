@@ -652,9 +652,11 @@ class ObstructionResult:
         }
 
 
-def default_depth(m: int) -> int:
-    """Working truncation degree of the module-level checks, 2m + 12."""
-    return 2 * m + 12
+def default_depth(m: int, kl_max: int = 6) -> int:
+    """Working truncation degree of the module-level checks on K-types with
+    k + l <= kl_max: 2m + 6 + max(6, kl_max), a headroom of 6 over the
+    largest base degree k + l + 2m and never below 2m + 12."""
+    return 2 * m + 6 + max(6, kl_max)
 
 
 def default_solver_depth(m: int) -> int:

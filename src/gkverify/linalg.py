@@ -1,11 +1,13 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals, on integer rows.
 
-Rows and vectors are dicts mapping integer column keys to exact entries:
-an incoming row may hold ``int``s or ``Fraction``s (the obstruction solver
-and the symmetric-square decomposition feed integer rows of numerators), and
-stored pivot rows, normalised to a leading 1, hold ``Fraction``s.  Column
-keys only need a total order (plain ints or packed monomial keys); nothing
-here ever divides by anything unverified, and all reductions are exact.
+Rows and vectors are dicts mapping totally ordered column keys (plain ints or
+packed monomial keys) to ``int`` entries; a nonzero entry of any other type
+raises TypeError.  A row stands for all its rational multiples, so callers
+feed numerators.  Elimination is fraction-free: the one kernel
+``_eliminate`` cancels a column by an integer combination of two rows (the
+two-row step of Bareiss, *Math. Comp.* 22, 1968), and every stored pivot row
+is primitive with a positive pivot entry.  Only ``particular_solution``
+divides.
 
 The central object is an incremental reduced row echelon form: rows arrive one
 at a time, each is reduced against the current pivots, and a surviving row
@@ -17,11 +19,39 @@ landing in that column is an exact infeasibility certificate.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Optional, Tuple
 
-Row = Dict[int, Union[int, Fraction]]
+Row = Dict[int, int]
 
-_ONE = Fraction(1)
+
+def _eliminate(row: Row, piv: Row, col: int) -> Row:
+    """a*row - b*piv, a = piv[col] > 0 and b = row[col] over their gcd: col
+    cancels.  row may be consumed; piv is left as it is."""
+    a, b = piv[col], row[col]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    out = row if a == 1 else {c: a * v for c, v in row.items()}
+    del out[col]
+    get = out.get
+    for c, v in piv.items():
+        if c != col:
+            acc = get(c, 0) - b * v
+            if acc:
+                out[c] = acc
+            else:
+                del out[c]
+    return out
+
+
+def _primitive(row: Row, lead: int) -> Row:
+    """row divided by the gcd of its entries, signed so that row[lead] > 0."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
 class SparseRREF:
@@ -54,85 +84,55 @@ class SparseRREF:
         if not unknown:
             return ("inconsistent", self.rhs_col)
         pc = min(unknown)
-        inv = _ONE / red[pc]
-        norm = {c: v * inv for c, v in red.items()}
-        norm[pc] = _ONE
+        red = _primitive(red, pc)
         # back-eliminate the new pivot column from existing rows
-        for opc, orow in self.rows.items():
-            if pc in orow:
-                factor = orow.pop(pc)
-                for c, v in norm.items():
-                    if c == pc:
-                        continue
-                    acc = orow.get(c)
-                    acc = -factor * v if acc is None else acc - factor * v
-                    if acc:
-                        orow[c] = acc
-                    elif c in orow:
-                        del orow[c]
-        self.rows[pc] = norm
+        for opc in [opc for opc, orow in self.rows.items() if pc in orow]:
+            self.rows[opc] = _primitive(_eliminate(self.rows[opc], red, pc), opc)
+        self.rows[pc] = red
         return ("pivot", pc)
 
-    def particular_solution(self) -> Row:
-        """Free unknowns 0; requires rhs_col; raises if any row is pure RHS."""
-        if self.rhs_col is None:
+    def particular_solution(self) -> Dict[int, Fraction]:
+        """Free unknowns 0; requires rhs_col."""
+        rhs = self.rhs_col
+        if rhs is None:
             raise ValueError("no right-hand side attached")
-        sol: Row = {}
-        for pc, row in self.rows.items():
-            if pc == self.rhs_col:
-                raise ValueError("system is inconsistent")
-            c = row.get(self.rhs_col)
-            if c:
-                sol[pc] = -c
-        return sol
+        return {pc: Fraction(-row[rhs], row[pc]) for pc, row in self.rows.items() if rhs in row}
 
     def residual(self, row: Row) -> Row:
-        """Reduce a copy of row against every current pivot, without inserting it."""
+        """A multiple of row reduced against every pivot, without inserting it."""
         out = {col: val for col, val in row.items() if val}
+        if any(type(val) is not int for val in out.values()):
+            raise TypeError("row entries must be int")
         # single pass suffices: pivot rows are fully reduced, so subtracting
         # one never reintroduces another pivot column
-        for col in list(out.keys()):
+        for col in list(out):
             piv = self.rows.get(col)
-            if piv is None:
-                continue
-            factor = out.pop(col)
-            for c, v in piv.items():
-                if c == col:
-                    continue
-                acc = out.get(c)
-                acc = -(factor * v) if acc is None else acc - factor * v
-                if acc:
-                    out[c] = acc
-                elif c in out:
-                    del out[c]
+            if piv is not None:
+                out = _eliminate(out, piv, col)
         return out
 
 
 def rref_nullspace(rows: Iterable[Row], columns: Iterable[int]) -> List[Row]:
     """Exact nullspace basis of the linear map given by rows over columns.
 
-    Each returned vector is a dict over column keys, normalized so that its
-    graded-largest support key has coefficient one; vectors are ordered by
-    that leading key, descending.  The count always equals
+    Each returned vector is a primitive int dict over column keys whose
+    graded-largest support key has a positive coefficient; vectors are
+    ordered by that leading key, descending.  The count always equals
     len(columns) - rank(rows).
     """
     rref = SparseRREF()
     for row in rows:
         rref.add_row(row)
-    pivot_cols = rref.rows.keys()
-    free_cols = [c for c in columns if c not in pivot_cols]
     basis: List[Row] = []
-    for f in free_cols:
-        vec: Row = {f: _ONE}
-        for pc, row in rref.rows.items():
-            v = row.get(f)
-            if v:
-                vec[pc] = -v
-        lead = max(vec.keys())
-        inv = _ONE / vec[lead]
-        if inv != 1:
-            vec = {c: val * inv for c, val in vec.items()}
-        basis.append(vec)
+    for f in columns:
+        if f in rref.rows:
+            continue
+        # every row holding the free column f has its smaller pivot there,
+        # so f is the leading key of its vector
+        hits = [(pc, row) for pc, row in rref.rows.items() if f in row]
+        scale = lcm(*(row[pc] for pc, row in hits))
+        vec = {pc: -row[f] * (scale // row[pc]) for pc, row in hits}
+        vec[f] = scale
+        basis.append(_primitive(vec, f))
     basis.sort(key=lambda v: max(v.keys()), reverse=True)
     return basis
-

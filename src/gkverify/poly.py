@@ -568,23 +568,23 @@ def harmonic_basis(space: VariableSpace, block: str, degree: int) -> HarmonicBas
     if nblk == 0:
         raise ValueError(f"block {block!r} is empty")
     cols = _block_monomial_keys(space, block, degree)
-    rows: Dict[int, Dict[int, Coeff]] = {}
+    rows: Dict[int, Dict[int, int]] = {}
     for src in cols:
         for i in space.block_range(block):
             e = space.exponent_of(src, i)
             if e >= 2:
                 tgt = src - 2 * space.unit_key(i)
-                rows.setdefault(tgt, {})[src] = Fraction(e * (e - 1))
-    # With smallest-key pivots each nullspace vector is monic in its free
-    # column, its graded-lex leading key, and no other vector touches that
-    # column: the canonical reduced basis.
+                rows.setdefault(tgt, {})[src] = e * (e - 1)
+    # With smallest-key pivots each nullspace vector's graded-lex leading key
+    # is its free column, which no other vector touches: scaled monic there,
+    # the vectors form the canonical reduced basis.
     vectors = rref_nullspace(rows.values(), cols)
     expected = harmonic_dim(nblk, degree)
     if len(vectors) != expected:
         raise AssertionError(
             f"harmonic count mismatch: got {len(vectors)}, expected {expected}"
         )
-    elements = tuple(MultiPoly(space, *_numerators(v)) for v in vectors)
+    elements = tuple(MultiPoly.reduced(space, v, v[max(v)]) for v in vectors)
     return HarmonicBasis(space=space, block=block, degree=degree, elements=elements)
 
 

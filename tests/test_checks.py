@@ -98,3 +98,24 @@ def test_parameter_window_probes_at_the_base_degree(monkeypatch):
     assert detail == {"allowed": 12, "rejected": 20}
     assert len(depths) == 32
     assert all(D == k + l + 2 for k, l, D in depths)
+
+
+@pytest.mark.parametrize(
+    "p,q,triples,words", [(1, 1, 1, 3), (1, 2, 27, 25), (2, 3, 150, 25)]
+)
+def test_lie_samples_count_distinct_instances(p, q, triples, words):
+    # one generator at (1, 1): its one triple and its words of length 2, 3, 4
+    run = CheckRun(p, q, None, None, 3, 3)
+    assert REGISTRY["lie.jacobi"].fn(run) == (True, None, {"triples_checked": triples})
+    assert REGISTRY["lie.pbw_confluence"].fn(run) == (True, None, {"words_checked": words})
+
+
+def test_default_depth_covers_large_k_l():
+    # the working depth keeps a headroom of 6 over the base degree k + l + 2m
+    assert CheckRun(4, 6, 1, None, 3, 3).depth() == 14
+    assert CheckRun(4, 4, 0, None, 8, 8).depth() == 22
+    assert CheckRun(4, 4, 0, 16, 8, 8).depth() == 16
+    defs = [d for d in REGISTRY.values() if d.suite in ("casimir", "module")]
+    results = execute_jobs(plan_jobs(defs, [(4, 4, 0)], 8, 8, None))
+    assert len(results) == 13
+    assert all(r.status == "pass" for r in results), [r.to_dict() for r in results]

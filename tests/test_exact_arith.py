@@ -1,12 +1,11 @@
 """Exact rational coefficients: frozen values and field axioms.
 
-Lie-algebra and echelon coefficients are ``fractions.Fraction``s; a
-polynomial or an operator stores int numerators over one positive
+A polynomial or an operator stores int numerators over one positive
 denominator that shares no factor with all of them, and hands its
-coefficients out as reduced ``Fraction``s.  These tests pin the arithmetic
-the package performs on them (products, pivot inverses, reduction) and check
-the field axioms on the coefficient type, as the ``weyl.field_axioms`` check
-does at run time.
+coefficients out as reduced ``Fraction``s; echelon rows are primitive int
+rows.  These tests pin the arithmetic the package performs on them
+(products, pivot rows, reduction) and check the field axioms on the
+coefficient type, as the ``weyl.field_axioms`` check does at run time.
 """
 
 from fractions import Fraction
@@ -52,12 +51,17 @@ def test_frozen_product():
 
 
 def test_frozen_inverse():
-    # the pivot is normalized by its exact inverse, even for plain int entries
+    # a stored pivot row is primitive with a positive pivot entry, in ints
     rref = SparseRREF()
     assert rref.add_row({0: 3, 1: 4}) == ("pivot", 0)
     row = rref.rows[0]
-    assert row == {0: ONE, 1: Fraction(4, 3)}
-    assert all(type(v) is Fraction for v in row.values())
+    assert row == {0: 3, 1: 4}
+    assert all(type(v) is int for v in row.values())
+    rref = SparseRREF()
+    assert rref.add_row({0: -6, 1: -8}) == ("pivot", 0)
+    row = rref.rows[0]
+    assert row == {0: 3, 1: 4}
+    assert all(type(v) is int for v in row.values())
 
 
 def test_division_by_zero_raises():

@@ -6,7 +6,8 @@ second, and -i (x_i y_j + d_{x_i} d_{y_j}) across the blocks.  Divided by the
 factor phi_g (1, -1 or i) its action on fixed polynomials must equal the
 action of the package's real pi(M_g).  The composed closed-form operators,
 whose coefficients are fractions, are checked the same way against sympy
-applying each word of their closed form factor by factor.
+applying each word of their closed form factor by factor.  The integer
+echelon form is checked against sympy's rank, ``rref`` and matrix product.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from gkverify.liealg import (
     Generator,
@@ -25,6 +27,7 @@ from gkverify.liealg import (
     generators,
     pi_generator,
 )
+from gkverify.linalg import SparseRREF
 from gkverify.poly import MultiPoly, VariableSpace, laplacian
 
 
@@ -203,6 +206,45 @@ def test_structure_constants_match_sympy_commutators(p, q, flavor):
                 g: Fraction(int(c.p), int(c.q)) for g, c in zip(gens, coords) if c != 0
             }
             assert dict(table[(a, b)]) == want
+
+
+small_matrices = st.integers(1, 4).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.integers(-3, 3), min_size=ncols + 1, max_size=ncols + 1),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+
+@given(small_matrices)
+@settings(max_examples=60, deadline=None)
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+@example([[2, 4, 1], [3, 6, 2]])
+def test_echelon_form_matches_sympy_rref(aug):
+    # each row is [A_i | b_i]; the echelon form reads a row r as the
+    # equation r . (x, 1) = 0, so it is fed [A_i | -b_i]
+    ncols = len(aug[0]) - 1
+    a_mat = sympy.Matrix([r[:ncols] for r in aug])
+    rref_mat, pivots = a_mat.rref()
+    mine = SparseRREF()
+    for r in aug:
+        mine.add_row(dict(enumerate(r[:ncols])))
+    assert mine.rank == a_mat.rank()
+    assert tuple(sorted(mine.rows)) == pivots
+    for i, pc in enumerate(pivots):
+        row = mine.rows[pc]
+        want = {c: Fraction(int(v.p), int(v.q)) for c, v in enumerate(rref_mat.row(i)) if v}
+        assert {c: Fraction(v, row[pc]) for c, v in row.items()} == want
+
+    system = SparseRREF(rhs_col=ncols)
+    statuses = [system.add_row(dict(enumerate(r[:ncols] + [-r[ncols]])))[0] for r in aug]
+    inconsistent = sympy.Matrix(aug).rank() > a_mat.rank()
+    assert ("inconsistent" in statuses) == inconsistent
+    if not inconsistent:
+        sol = system.particular_solution()
+        x = sympy.Matrix([sympy.Rational(sol.get(c, 0)) for c in range(ncols)])
+        assert a_mat * x == sympy.Matrix([r[ncols] for r in aug])
 
 
 def test_import_does_not_load_sympy():

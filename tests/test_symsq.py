@@ -279,7 +279,7 @@ def _e22_basis(rep):
     gens = generators(rep.n, 0, "M")
     pairs = {_pair_coord(a, b): (a, b) for ai, a in enumerate(gens) for b in gens[ai:]}
     weighted = [
-        {_pair_coord(a, b): c * (1 if a == b else 2) for (a, b), c in t.coeffs.items() if a <= b}
+        {_pair_coord(a, b): c * (1 if a == b else 2) for (a, b), c in t._terms.items() if a <= b}
         for piece in rep.subspaces
         for t in piece.basis
     ]
@@ -313,7 +313,7 @@ def _reference_sweep(n, tensors):
     span = SparseRREF()
 
     def row(t):
-        return {keys.setdefault(k, len(keys)): c for k, c in t.coeffs.items()}
+        return {keys.setdefault(k, len(keys)): c for k, c in t._terms.items()}
 
     for t in tensors:
         span.add_row(row(t))
