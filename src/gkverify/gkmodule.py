@@ -20,14 +20,18 @@ comparison records its validity: the degree up to which stored coefficients
 are exact.  One rule tracks it: applying an operator adds the smallest
 |a| - |alpha| over its terms v^a d^alpha.  apply_operator uses it for a whole
 operator, and closed_apply, which runs the closed forms of liealg.closed_form
-(the Casimirs, the symmetric-square element Xi and the sl2 triple) factor by
-factor, uses it for each factor (an Euler operator adds 0, a Laplacian -2, a
-multiplication by r^2 +2).  Both fix the result's validity before computing
-anything and never form a term above it: apply_operator passes it to
-WeylOperator.apply as the cap, and closed_apply lets each factor read its
-input only up to the degree that the factors left of it carry to that
-validity.  The obstruction solver caps its generator images the same way, at
-the degree it compares.
+(the Casimirs, the symmetric-square element Xi and the sl2 triple), uses it
+for each factor (an Euler operator adds 0, a Laplacian -2, a multiplication
+by r^2 +2).  closed_apply evaluates the words made only of Euler factors in
+one diagonal pass, since they scale each monomial by a polynomial in its
+block degrees, and the other words factor by factor.  Both fix the result's
+validity before computing anything and never form a term above it:
+apply_operator passes it to WeylOperator.apply as the cap, and closed_apply
+lets each factor read its input only up to the degree that the factors left
+of it carry to that validity.  The obstruction solver caps its generator
+images the same way, at the degree it compares.  The radial factor
+rho^mu Psi_kappa of a typical element or of a mixed-action layer is expanded
+once per (kappa, mu, block, space, degree reach) and memoized.
 
 A TypicalElement carries its family, K-type and harmonics, and the sample
 plans ktype_elements and product_elements yield them one at a time.
@@ -58,6 +62,8 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 from .liealg import STOCK_OPERATORS, Generator, closed_form, generators, pi_generator
 from .linalg import SparseRREF
 from .poly import (
+    BITS,
+    MAX_EXP,
     ZERO,
     MultiPoly,
     RadialSeries,
@@ -351,12 +357,28 @@ def _radial_layer(
     kappa: Fraction, mu: int, block: str, h: MultiPoly, validity: int
 ) -> MultiPoly:
     """The expansion of h * rho_block^mu * Psi_kappa, exact to `validity`,
-    for a nonzero homogeneous h."""
-    base = h.degree() + 2 * mu
-    if validity < base:
+    for a nonzero homogeneous h.
+
+    The radial factor depends on h only through its degree, so it comes
+    from the memo _radial_expansion, and h.mul is the only work per call.
+    """
+    reach = validity - h.degree()
+    if reach < 2 * mu:
         return MultiPoly.zero(h.space)
-    series = psi_series(kappa, validity - base).shift_rho(block, mu)
-    return h.mul(series.expand(h.space, validity), max_degree=validity)
+    series = _radial_expansion(kappa, mu, block, h.space, reach)
+    return h.mul(series, max_degree=validity)
+
+
+@lru_cache(maxsize=None)
+def _radial_expansion(
+    kappa: Fraction, mu: int, block: str, space: VariableSpace, reach: int
+) -> MultiPoly:
+    """rho_block^mu * Psi_kappa expanded exactly to degree reach >= 2 mu.
+
+    Memoized, as harmonic_basis is; a PsiPoleError is raised on every call
+    and never cached.
+    """
+    return psi_series(kappa, reach - 2 * mu).shift_rho(block, mu).expand(space, reach)
 
 
 def typical_element(
@@ -416,12 +438,15 @@ def closed_apply(which: str, f: TruncatedElement) -> TruncatedElement:
     """Apply a closed form of liealg.closed_form (a Casimir, Xi or an sl2
     generator).
 
-    Words are applied factor by factor, rightmost first, with the fast
-    polynomial helpers; each factor's validity follows the exact rule of
-    apply_operator, and a factor that leaves a negative validity raises
-    TruncationError.  The result's validity T, the smallest over the words,
-    is fixed first, and each factor reads its input only up to the degree
-    that the factors left of it carry to T, so no term above T is formed.
+    Words made only of Euler factors, the empty word among them, act
+    diagonally on monomials and are evaluated together in one pass
+    (_euler_pass).  The other words are applied factor by factor, rightmost
+    first, with the fast polynomial helpers; each factor's validity follows
+    the exact rule of apply_operator, and a factor that leaves a negative
+    validity raises TruncationError.  The result's validity T, the smallest
+    over the words, is fixed first, and each factor reads its input only up
+    to the degree that the factors left of it carry to T, so no term above T
+    is formed.
     """
     space = f.space
     terms = closed_form(which, space.p, space.q)
@@ -436,18 +461,23 @@ def closed_apply(which: str, f: TruncatedElement) -> TruncatedElement:
 def _apply_words(terms, g: MultiPoly, top: int) -> MultiPoly:
     """The sum of c * word(g) over the (c, word) terms, exact up to degree top.
 
-    Words that end in the same factor share its application, and only the
-    results on the current branch are kept alive.  That factor reads g up to
-    the largest degree that the rest of one of those words carries to top.
+    The words made only of Euler factors go through one _euler_pass, which
+    reads g up to top.  Of the others, words that end in the same factor
+    share its application, and only the results on the current branch are
+    kept alive.  That factor reads g up to the largest degree that the rest
+    of one of those words carries to top.
     """
     space = g.space
     total = None
+    diagonal = []
     by_last: Dict[str, list] = {}
     for c, word in terms:
-        if word:
+        if all(factor[0] == "E" for factor in word):
+            diagonal.append((c, word))
+        else:
             by_last.setdefault(word[-1], []).append((c, word[:-1]))
-        else:  # the words are distinct, so at most one is empty here
-            total = g.truncate(top).scale(c)
+    if diagonal:
+        total = _euler_pass(diagonal, g, top)
     for factor, rest in by_last.items():
         reach = max(top - _gain(space, word) for _, word in rest)
         stage_in = g.truncate(reach - _gain(space, (factor,)))
@@ -455,6 +485,46 @@ def _apply_words(terms, g: MultiPoly, top: int) -> MultiPoly:
         part = _apply_words(rest, _STAGES[kind](stage_in, block), top)
         total = part if total is None else total + part
     return total
+
+
+def _euler_pass(terms, g: MultiPoly, top: int) -> MultiPoly:
+    """The sum of c * word(g) over (c, word) terms whose words have only
+    Euler factors, up to degree top.
+
+    Such a word with a factors Ex and b factors Ey multiplies a monomial of
+    block degrees (d_x, d_y) by d_x^a d_y^b, so the sum multiplies it by
+    one scalar, a polynomial in (d_x, d_y) with int numerators over one
+    common denominator.  The scalar is computed once per (d_x, d_y), and g
+    is read only up to top.
+    """
+    if len(terms) == 1 and not terms[0][1]:
+        # the identity alone, left at the end of every other word, needs no
+        # block degrees
+        return g.truncate(top).scale(terms[0][0])
+    space = g.space
+    den = lcm(*(c.denominator for c, _ in terms))
+    weights: Dict[Tuple[int, int], int] = {}
+    for c, word in terms:
+        a = word.count("Ex")
+        ab = (a, len(word) - a)
+        weights[ab] = weights.get(ab, 0) + c.numerator * (den // c.denominator)
+    ds = space.deg_shift
+    shift, mask, spread, high = space.block_sum("x")
+    scalars: Dict[int, int] = {}
+    out: Dict[int, int] = {}
+    for k, v in g._terms.items():
+        d = k >> ds
+        if d > top:
+            continue
+        dx = (((k >> shift) & mask) * spread >> high) & MAX_EXP
+        key = d << BITS | dx  # (d, dx) as one int
+        s = scalars.get(key)
+        if s is None:
+            dy = d - dx
+            s = scalars[key] = sum(w * dx**a * dy**b for (a, b), w in weights.items())
+        if s:
+            out[k] = v * s
+    return MultiPoly.reduced(space, out, g.den * den)
 
 
 # -- module checks ----------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 Row = Dict[int, int]
 
@@ -60,12 +60,16 @@ class SparseRREF:
     The pivot of a reduced row is its smallest column key.  rhs_col, when
     given, marks the right-hand-side column of an inhomogeneous system: a row
     reducing to support {rhs_col} is reported as inconsistent instead of
-    becoming a pivot.
+    becoming a pivot.  ``holders`` indexes the stored rows by column, so
+    back-elimination and ``rref_nullspace`` visit only the rows holding a
+    column instead of scanning them all.
     """
 
     def __init__(self, rhs_col: Optional[int] = None) -> None:
         self.rhs_col = rhs_col
         self.rows: Dict[int, Row] = {}
+        # column -> the pivots of the stored rows holding it
+        self.holders: Dict[int, Set[int]] = {}
 
     @property
     def rank(self) -> int:
@@ -85,10 +89,19 @@ class SparseRREF:
             return ("inconsistent", self.rhs_col)
         pc = min(unknown)
         red = _primitive(red, pc)
+        holders = self.holders
         # back-eliminate the new pivot column from existing rows
-        for opc in [opc for opc, orow in self.rows.items() if pc in orow]:
-            self.rows[opc] = _primitive(_eliminate(self.rows[opc], red, pc), opc)
+        for opc in list(holders.get(pc, ())):
+            # _eliminate may consume the old row, so read its support first
+            old = set(self.rows[opc])
+            new = self.rows[opc] = _primitive(_eliminate(self.rows[opc], red, pc), opc)
+            for c in old - new.keys():
+                holders[c].discard(opc)
+            for c in new.keys() - old:
+                holders.setdefault(c, set()).add(opc)
         self.rows[pc] = red
+        for c in red:
+            holders.setdefault(c, set()).add(pc)
         return ("pivot", pc)
 
     def particular_solution(self) -> Dict[int, Fraction]:
@@ -129,7 +142,7 @@ def rref_nullspace(rows: Iterable[Row], columns: Iterable[int]) -> List[Row]:
             continue
         # every row holding the free column f has its smaller pivot there,
         # so f is the leading key of its vector
-        hits = [(pc, row) for pc, row in rref.rows.items() if f in row]
+        hits = [(pc, rref.rows[pc]) for pc in rref.holders.get(f, ())]
         scale = lcm(*(row[pc] for pc, row in hits))
         vec = {pc: -row[f] * (scale // row[pc]) for pc, row in hits}
         vec[f] = scale

@@ -31,14 +31,16 @@ Only the degree cap is still checked on them, so the commutator raises
 exactly when ``compose`` would.
 
 Application to a polynomial evaluates d^alpha on each monomial as a falling
-factorial and shifts exponents; both directions are exact.  Composition and
-application multiply int numerators and reduce once, over the product of the
-two denominators.
+factorial and shifts exponents; both directions are exact.  Nothing is
+sorted: under a degree cap a term reads a list of the monomials of f up to
+its bound, filtered once per distinct bound, and a term without derivatives
+only adds its monomial key to each input key.  Composition and application
+multiply int numerators and reduce once, over the product of the two
+denominators.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from fractions import Fraction
 from math import comb
@@ -161,10 +163,12 @@ class WeylOperator(SparseRational):
         A term v^a d^alpha sends a monomial of degree d to degree
         d + |a| - |alpha|, so under a cap it reads only the monomials of f of
         degree at most max_degree - |a| + |alpha|, and no term above the cap
-        is ever formed.  When some term needs fewer monomials than f has, f
-        is sorted once and each term stops at its bound by bisection, as in
-        ``MultiPoly.mul``.  The encoding cap is guarded on the capped degree
-        of the result, which no exponent of it exceeds.
+        is ever formed.  A term bounded below deg f reads a list of those
+        monomials, filtered from f once per distinct bound; f is not sorted.
+        A term without derivatives shifts each key by its monomial key, and
+        a derivative term tests the exponents of a monomial before it
+        multiplies coefficients.  The encoding cap is guarded on the capped
+        degree of the result, which no exponent of it exceeds.
         """
         if not isinstance(f, MultiPoly):
             raise TypeError(f"cannot apply an operator to {type(f).__name__}")
@@ -180,7 +184,8 @@ class WeylOperator(SparseRational):
         if cap > MAX_EXP:
             raise ValueError(f"application degree {cap} exceeds encoding cap {MAX_EXP}")
         f_items = f._terms.items()
-        f_sorted = f_keys = None
+        # input degree bound -> the monomials of f of at most that degree
+        below: Dict[int, list] = {}
         out: Dict[int, int] = {}
         get = out.get
         for (km, ka), c in self._terms.items():
@@ -191,14 +196,19 @@ class WeylOperator(SparseRational):
             if lim >= top:
                 items = f_items
             else:
-                if f_sorted is None:
-                    f_sorted = sorted(f_items)
-                    f_keys = [k for k, _ in f_sorted]
-                items = itertools.islice(f_sorted, bisect.bisect_left(f_keys, (lim + 1) << ds))
+                items = below.get(lim)
+                if items is None:
+                    stop = lim + 1
+                    items = below[lim] = [(k, v) for k, v in f_items if k >> ds < stop]
+            if not ka:
+                for ke, ce in items:
+                    nk = ke + km
+                    out[nk] = get(nk, 0) + c * ce
+                continue
             alist = [(sh, (ka >> sh) & MAX_EXP) for sh in sp.shifts if (ka >> sh) & MAX_EXP]
             delta = km - ka
             for ke, ce in items:
-                mult = c * ce
+                mult = 1
                 for sh, al in alist:
                     e = (ke >> sh) & MAX_EXP
                     if e < al:
@@ -206,7 +216,7 @@ class WeylOperator(SparseRational):
                     mult *= e if al == 1 else falling(e, al)
                 else:
                     nk = ke + delta
-                    out[nk] = get(nk, 0) + mult
+                    out[nk] = get(nk, 0) + c * ce * mult
         return MultiPoly.reduced(sp, out, self.den * f.den)
 
     # -- display ---------------------------------------------------------------

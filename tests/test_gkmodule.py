@@ -360,20 +360,21 @@ def _dense_element(space, validity):
 @pytest.mark.parametrize(
     "which,reads",
     [
-        # T = V: the Euler words and Rx Lx read f up to V
-        ("op", {"Ex": 0, "Lx": 0}),
+        # T = V: the Euler words ("E", one diagonal pass) and Rx Lx read f up to V
+        ("op", {"E": 0, "Lx": 0}),
         # T = V - 2: Rx reads up to T - 2, Ly up to T + 2
         ("X-", {"Rx": -4, "Ly": 0}),
         # T = V - 4: the Euler words read up to T, Rx Ry up to T - 4, and
         # Ly, which two words share, up to T + 4 for Lx Ly
-        ("g", {"Ex": -4, "Ey": -4, "Ry": -8, "Lx": -4, "Ly": 0}),
+        ("g", {"E": -4, "Ry": -8, "Lx": -4, "Ly": 0}),
     ],
 )
 def test_closed_apply_reads_only_the_compared_degrees(monkeypatch, which, reads):
     # The first call of each factor reads f itself (the words sharing it are
     # applied depth first); its input degree, relative to f's validity V, is
     # the largest degree that the rest of some word carries to the output's
-    # validity.
+    # validity.  The diagonal pass of the Euler words reads f up to T, and
+    # the degree of its output, on an f with every monomial, is that read.
     import gkverify.gkmodule as gkmodule
 
     f = _dense_element(VariableSpace(2, 4), 8)
@@ -385,8 +386,52 @@ def test_closed_apply_reads_only_the_compared_degrees(monkeypatch, which, reads)
             return stage(g, block)
 
         monkeypatch.setitem(gkmodule._STAGES, kind, spy)
+    euler_pass = gkmodule._euler_pass
+
+    def diagonal_spy(terms, g, top):
+        out = euler_pass(terms, g, top)
+        if g is f.expansion:
+            first.setdefault("E", out.degree() - f.validity)
+        return out
+
+    monkeypatch.setattr(gkmodule, "_euler_pass", diagonal_spy)
     closed_apply(which, f)
     assert {k: first[k] for k in reads} == reads
+    # no Euler word goes through the staged path
+    assert not {"Ex", "Ey"} & first.keys()
+
+
+# Euler-only, mixed ending in an Euler factor, mixed with an Euler rest, and
+# coefficients with different denominators
+_SYNTHETIC_FORM = tuple(
+    (Fraction(c), tuple(w.split()))
+    for c, w in (
+        (Fraction(1, 3), "Ex Ey Ex"),
+        (Fraction(-2, 5), "Rx Ex"),
+        (7, "Ex Lx"),
+        (Fraction(3, 2), "Ey"),
+        (-4, ""),
+    )
+)
+
+
+@pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (4, 6)])
+def test_euler_pass_on_a_synthetic_closed_form(monkeypatch, p, q):
+    import gkverify.gkmodule as gkmodule
+
+    monkeypatch.setattr(gkmodule, "closed_form", lambda which, p, q: _SYNTHETIC_FORM)
+    space = VariableSpace(p, q)
+    samples = [_dense_element(space, 5)]
+    for params in _families(p, q):
+        for kt in ktype_enumeration(params, 1, 1):
+            h1 = harmonic_basis(space, "x", kt.k).elements[-1]
+            h2 = harmonic_basis(space, "y", kt.l).elements[-1]
+            samples += [typical_element(params, h1, h2, D) for D in (9, 10)]
+    for f in samples:
+        got = closed_apply("synthetic", f)
+        want = _uncapped_words(_SYNTHETIC_FORM, f)
+        assert got.validity == want.validity == f.validity - 2
+        assert got.expansion == want.expansion
 
 
 def test_closed_apply_refuses_a_negative_validity():
@@ -680,3 +725,71 @@ def test_obstruction_call_forms_solve_once():
     assert (info.misses, info.hits) == (1, 3)
     garfinkle_obstruction(params, 12)
     assert garfinkle_obstruction.cache_info().misses == 2
+
+
+# -- the radial series memo ----------------------------------------------------------
+
+
+def _run_paction_suite():
+    from gkverify.checks import execute_jobs, plan_jobs, selected_checks
+
+    results = execute_jobs(plan_jobs(selected_checks(["paction"]), [(4, 6, 1)], 3, 3, None))
+    assert all(r.status == "pass" for r in results), [r.to_dict() for r in results]
+
+
+def test_paction_suite_expands_each_radial_series_once(monkeypatch):
+    # 258 expansions before the memo, for 20 distinct (kappa, mu, block,
+    # validity - deg h)
+    import gkverify.gkmodule as gkmodule
+    from gkverify.poly import RadialSeries
+
+    calls = []
+    expand = RadialSeries.expand
+
+    def spy(series, space, max_degree=None):
+        calls.append(max_degree)
+        return expand(series, space, max_degree)
+
+    monkeypatch.setattr(RadialSeries, "expand", spy)
+    gkmodule._radial_expansion.cache_clear()
+    _run_paction_suite()
+    assert len(calls) == 20
+    assert gkmodule._radial_expansion.cache_info().currsize == 20
+
+
+def test_memoized_radial_layer_is_the_fresh_expansion(monkeypatch):
+    import gkverify.gkmodule as gkmodule
+
+    real = gkmodule._radial_layer
+    seen = []
+
+    def spy(kappa, mu, block, h, validity):
+        out = real(kappa, mu, block, h, validity)
+        base = h.degree() + 2 * mu
+        if validity < base:
+            fresh = MultiPoly.zero(h.space)
+        else:
+            series = psi_series(kappa, validity - base).shift_rho(block, mu)
+            fresh = h.mul(series.expand(h.space, validity), max_degree=validity)
+        assert out == fresh, (kappa, mu, block, validity)
+        seen.append(validity)
+        return out
+
+    monkeypatch.setattr(gkmodule, "_radial_layer", spy)
+    gkmodule._radial_expansion.cache_clear()
+    _run_paction_suite()
+    assert len(seen) > 200
+
+
+def test_radial_layer_pole_raises_on_every_call():
+    import gkverify.gkmodule as gkmodule
+
+    h = harmonic_basis(VariableSpace(2, 4), "x", 1).elements[0]
+    gkmodule._radial_expansion.cache_clear()
+    for _ in range(3):
+        with pytest.raises(PsiPoleError):
+            gkmodule._radial_layer(Fraction(-1), 1, "y", h, 8)
+        info = gkmodule._radial_expansion.cache_info()
+        assert info.currsize == 0 and info.hits == 0
+    # below its base degree a layer is zero without reaching the series
+    assert gkmodule._radial_layer(Fraction(-1), 1, "y", h, 2).is_zero()

@@ -6,16 +6,20 @@ earlier implementation, which normalises every pivot row to a leading
 ``Fraction(1)`` and subtracts rational multiples.  Both are fed the same
 integer systems, with and without a right-hand-side column, and must agree
 on every status, the pivots, the residuals (up to a nonzero factor), the
-particular solution and the nullspace (up to scaling each vector).
+particular solution and the nullspace (up to scaling each vector).  The
+column index of ``SparseRREF`` is checked against a second reference, the
+same echelon form scanning every stored row, which must agree exactly.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gkverify.linalg import SparseRREF, rref_nullspace
+from gkverify import poly, symsq
+from gkverify.linalg import SparseRREF, _eliminate, _primitive, rref_nullspace
+from gkverify.poly import VariableSpace, harmonic_basis
 
 _ONE = Fraction(1)
 
@@ -174,3 +178,117 @@ def test_non_int_entries_raise():
     # a zero entry is dropped before its type is looked at
     assert rref.add_row({0: Fraction(0), 1: 2}) == ("pivot", 1)
     assert rref.rows == {1: {1: 1}}
+
+
+# -- the column index against the scanning echelon form ----------------------
+
+
+class ScanRREF(SparseRREF):
+    """``add_row`` as it was before the column index: back-elimination scans
+    every stored row for the new pivot column."""
+
+    def add_row(self, row):
+        red = self.residual(row)
+        if not red:
+            return ("dependent", None)
+        unknown = [c for c in red if c != self.rhs_col]
+        if not unknown:
+            return ("inconsistent", self.rhs_col)
+        pc = min(unknown)
+        red = _primitive(red, pc)
+        for opc in [opc for opc, orow in self.rows.items() if pc in orow]:
+            self.rows[opc] = _primitive(_eliminate(self.rows[opc], red, pc), opc)
+        self.rows[pc] = red
+        return ("pivot", pc)
+
+
+def scan_nullspace(rows, columns):
+    """``rref_nullspace`` with the scanning echelon form and a scan for the
+    rows holding each free column."""
+    rref = ScanRREF()
+    for row in rows:
+        rref.add_row(row)
+    basis = []
+    for f in columns:
+        if f in rref.rows:
+            continue
+        hits = [(pc, row) for pc, row in rref.rows.items() if f in row]
+        scale = lcm(*(row[pc] for pc, row in hits))
+        vec = {pc: -row[f] * (scale // row[pc]) for pc, row in hits}
+        vec[f] = scale
+        basis.append(_primitive(vec, f))
+    basis.sort(key=lambda v: max(v.keys()), reverse=True)
+    return basis
+
+
+def assert_index(rref):
+    """holders is exactly the column -> pivots map read off the rows."""
+    want = {}
+    for pc, row in rref.rows.items():
+        for c in row:
+            want.setdefault(c, set()).add(pc)
+    assert {c: s for c, s in rref.holders.items() if s} == want
+
+
+def assert_same_echelon(mine, ref):
+    assert list(mine.rows) == list(ref.rows)
+    assert mine.rows == ref.rows
+
+
+@given(systems(rhs=True))
+@settings(max_examples=200, deadline=None)
+def test_indexed_echelon_is_the_scanning_echelon(system):
+    rows, probes = system
+    mine, ref = SparseRREF(NCOLS), ScanRREF(NCOLS)
+    for r in rows:
+        assert mine.add_row(dict(r)) == ref.add_row(dict(r))
+        assert_index(mine)
+        assert_same_echelon(mine, ref)
+    for probe in probes:
+        assert mine.residual(probe) == ref.residual(probe)
+    assert rref_nullspace(rows, range(NCOLS)) == scan_nullspace(rows, range(NCOLS))
+
+
+class _Recorder:
+    """Echelon forms of one class that log every status and final row set."""
+
+    def __init__(self, base):
+        log = self.log = []
+
+        class Recording(base):
+            def add_row(self, row):
+                status = super().add_row(row)
+                # copies: later eliminations may update a stored row in place
+                log.append((status, [(pc, dict(row)) for pc, row in self.rows.items()]))
+                return status
+
+        self.cls = Recording
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_indexed_echelon_matches_scanning_on_decompose_S2(monkeypatch, n):
+    runs = []
+    for base in (SparseRREF, ScanRREF):
+        rec = _Recorder(base)
+        monkeypatch.setattr(symsq, "SparseRREF", rec.cls)
+        report = symsq.decompose_S2(n)
+        runs.append((rec.log, report.dims, report.direct_sum_ok, report.invariance_ok))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (3, 5), (4, 6), (5, 5)])
+def test_indexed_nullspace_matches_scanning_on_harmonic_bases(monkeypatch, p, q):
+    space = VariableSpace(p, q)
+    for block in ("x", "y"):
+        for degree in range(5):
+            runs = []
+            for nullspace in (rref_nullspace, scan_nullspace):
+                vectors = []
+
+                def spy(rows, columns, nullspace=nullspace, vectors=vectors):
+                    vectors.append(nullspace(rows, columns))
+                    return vectors[-1]
+
+                monkeypatch.setattr(poly, "rref_nullspace", spy)
+                runs.append((vectors, harmonic_basis.__wrapped__(space, block, degree).elements))
+            assert runs[0] == runs[1], (p, q, block, degree)

@@ -1,14 +1,15 @@
 """Normal-ordered differential operators: composition, application, brackets."""
 
+import bisect
 import itertools
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gkverify.liealg import Generator, generators, pi_generator, sl2_triple
-from gkverify.poly import ONE, MultiPoly, VariableSpace, euler, laplacian, rsq
+from gkverify.poly import MAX_EXP, ONE, MultiPoly, VariableSpace, euler, laplacian, rsq
 from gkverify.weyl import WeylOperator, euler_op, laplacian_op, falling, rsq_op
 
 SPACE = VariableSpace(2, 2)
@@ -303,3 +304,95 @@ def test_commutator_refuses_other_operands():
         d1.commutator(WeylOperator.var(VariableSpace(1, 3), 0))
     with pytest.raises(TypeError):
         d1.commutator(MultiPoly.variable(SPACE, 0))
+
+
+# -- application against the sort-and-bisect reference ----------------------------
+
+
+def _sorted_apply(A, f, max_degree=None):
+    """``apply`` as it was with a sorted input: f is sorted once when some
+    term needs fewer monomials than f has, and each such term stops at its
+    bound by bisection.  Also returns the number of (term, monomial) pairs
+    whose exponents admit the term's derivative."""
+    sp = A.space
+    if not A._terms or f.is_zero():
+        return MultiPoly.zero(sp), 0
+    ds = sp.deg_shift
+    top = f.degree()
+    full = top + A.degree_raise()
+    cap = full if max_degree is None else min(full, max_degree)
+    f_sorted = sorted(f._terms.items())
+    f_keys = [k for k, _ in f_sorted]
+    out = {}
+    formed = 0
+    for (km, ka), c in A._terms.items():
+        lim = cap - (km >> ds) + (ka >> ds)
+        if lim < 0:
+            continue
+        stop = bisect.bisect_left(f_keys, (lim + 1) << ds)
+        alist = [(sh, (ka >> sh) & MAX_EXP) for sh in sp.shifts if (ka >> sh) & MAX_EXP]
+        for ke, ce in itertools.islice(f_sorted, stop):
+            mult = c * ce
+            for sh, al in alist:
+                e = (ke >> sh) & MAX_EXP
+                if e < al:
+                    break
+                mult *= falling(e, al)
+            else:
+                nk = ke + km - ka
+                out[nk] = out.get(nk, 0) + mult
+                formed += 1
+    return MultiPoly.reduced(sp, out, A.den * f.den), formed
+
+
+class _Counted(int):
+    """An int numerator that counts the products formed with it."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+NO_DERIV = (0,) * NV
+exps_to_3 = st.lists(st.integers(0, 3), min_size=NV, max_size=NV).map(tuple)
+
+# shift-only terms (no derivative) beside derivative terms, with degree shifts
+# |a| - |alpha| spread over -12..12
+mixed_operators = st.lists(
+    st.tuples(exps_to_3, st.one_of(st.just(NO_DERIV), exps_to_3), small_coeffs),
+    min_size=1,
+    max_size=6,
+).map(_op_from_entries)
+
+
+@given(mixed_operators, wide_polys, st.one_of(st.none(), st.integers(-3, 3)))
+@settings(max_examples=200, deadline=None)
+@example(
+    WeylOperator.term(SPACE, (1, 0, 0, 0), NO_DERIV, 2)
+    + WeylOperator.term(SPACE, NO_DERIV, (0, 1, 0, 0), Fraction(1, 3)),
+    MultiPoly.zero(SPACE),
+    0,
+)
+@example(
+    WeylOperator.term(SPACE, (2, 0, 0, 0), NO_DERIV)
+    + WeylOperator.term(SPACE, (0, 0, 1, 0), (1, 0, 0, 0), Fraction(-1, 2))
+    + WeylOperator.term(SPACE, NO_DERIV, (0, 2, 0, 0), 3),
+    MultiPoly.from_monomials(SPACE, [((2, 1, 0, 0), 1), ((0, 3, 0, 0), 5), ((1, 0, 0, 0), 1)]),
+    -1,
+)
+def test_apply_matches_the_sorted_reference(A, f, offset):
+    # the cap sits below, at or above deg f, or is absent
+    cap = None if offset is None else f.degree() + offset
+    counted = MultiPoly(SPACE, {k: _Counted(v) for k, v in f._terms.items()}, f.den)
+    _Counted.products = 0
+    got = A.apply(counted, max_degree=cap)
+    want, formed = _sorted_apply(A, f, cap)
+    assert got._terms == want._terms
+    assert got.den == want.den
+    # a coefficient product is formed only where the exponents admit the
+    # derivative, and only below the cap
+    assert _Counted.products == formed
