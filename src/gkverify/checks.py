@@ -24,7 +24,6 @@ a single time, a ``pq`` check runs once per distinct block signature, and a
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
@@ -1139,11 +1138,15 @@ def execute_jobs(
     jobs: Sequence[Tuple[CheckDef, CheckRun, Dict[str, int]]],
     threads: int = 1,
 ) -> List[CheckResult]:
-    """Run the jobs (optionally on a thread pool) and sort deterministically."""
-    if threads <= 1:
-        results = [_execute_one(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_execute_one, jobs))
+    """Run the jobs one after another and sort the results deterministically.
+
+    Checks run serially: they hold the GIL, so a thread pool measured no
+    faster.  ``threads`` is kept only because the benchmark worker still
+    passes ``threads=1``; any other value raises ValueError.  ROADMAP item 9
+    drops that argument from the worker and then deletes the keyword.
+    """
+    if threads != 1:
+        raise ValueError(f"checks run serially; threads must be 1, got {threads!r}")
+    results = [_execute_one(job) for job in jobs]
     results.sort(key=lambda r: (r.name, sorted(r.params.items())))
     return results

@@ -8,20 +8,20 @@ Two subcommands:
   (``--p --q --m``) or, when none is given, over the built-in sweep of
   five tuples, and emits a text or JSON report.
 
-Configuration can also come from a plain ``key=value`` file via
-``--config``; explicit flags win over file values.  Runs are deterministic:
-two runs with the same configuration produce identical reports except for
-the ``elapsed`` timing fields.  The exit status is 0 exactly when every
-executed check passed, 1 when any failed or errored, and 2 for
-configuration errors.  ``GKVERIFY_THREADS`` sets the worker pool size
-(default 1); report assembly is always single threaded and ordered.
+Each run option is declared once, in ``_OPTIONS``: it gives the
+``--name`` flag (``_`` written as ``-``) and the ``name = value`` key of a
+``--config`` file, and explicit flags win over file values.  The
+``SuiteConfig`` fields hold the only defaults.  Checks run one after
+another.  Runs are deterministic: two runs with the same configuration
+produce identical reports except for the ``elapsed`` timing fields.  The exit status is 0
+exactly when every executed check passed, 1 when any failed or errored,
+and 2 for configuration errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -52,7 +52,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class SuiteConfig:
-    """Resolved configuration for one ``run`` invocation."""
+    """Resolved configuration for one ``run`` invocation: one field per
+    ``_OPTIONS`` name, and its default is that option's default."""
 
     p: Optional[int] = None
     q: Optional[int] = None
@@ -60,14 +61,16 @@ class SuiteConfig:
     max_degree: Optional[int] = None
     k_max: int = 3
     l_max: int = 3
-    suites: Tuple[str, ...] = ("all",)
+    suite: str = "all"
     format: str = "text"
     out: Optional[str] = None
-    threads: int = 1
 
     def resolved_suites(self) -> Tuple[str, ...]:
+        names = tuple(s.strip() for s in self.suite.split(",") if s.strip())
+        if not names:
+            raise ConfigError("empty suite selection")
         try:
-            return resolve_suites(self.suites)
+            return resolve_suites(names)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -92,8 +95,6 @@ class SuiteConfig:
         tuples = self.tuples()
         if self.k_max < 0 or self.l_max < 0:
             raise ConfigError("k_max and l_max must be non-negative")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
         if self.max_degree is not None and self.max_degree < 0:
             raise ConfigError("max_degree must be non-negative")
         if self.format not in ("text", "json"):
@@ -111,17 +112,16 @@ class SuiteConfig:
                     ) from exc
 
 
-_CONFIG_KEYS = {
-    "p": int,
-    "q": int,
-    "m": int,
-    "max_degree": int,
-    "k_max": int,
-    "l_max": int,
-    "suite": str,
-    "format": str,
-    "out": str,
-    "threads": int,
+_OPTIONS: Dict[str, Tuple[type, str]] = {
+    "p": (int, "first block size"),
+    "q": (int, "second block size"),
+    "m": (int, "family parameter"),
+    "max_degree": (int, "override the working truncation degree"),
+    "k_max": (int, "largest first-block K-type degree to sample"),
+    "l_max": (int, "largest second-block K-type degree to sample"),
+    "suite": (str, "comma-separated suites: " + ", ".join(ALL_SUITES) + ", or all"),
+    "format": (str, "report format: text or json"),
+    "out": (str, "write the report here"),
 }
 
 
@@ -141,52 +141,22 @@ def _load_config_file(path: str) -> Dict[str, object]:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        caster = _CONFIG_KEYS[key]
         try:
-            values[key] = caster(value)
+            values[key] = _OPTIONS[key][0](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return values
 
 
 def _build_config(args: argparse.Namespace) -> SuiteConfig:
-    file_values: Dict[str, object] = {}
-    if args.config:
-        file_values = _load_config_file(args.config)
-
-    def pick(flag_value, key: str, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return default
-
-    suite_raw = pick(args.suite, "suite", "all")
-    suites = tuple(s.strip() for s in str(suite_raw).split(",") if s.strip())
-    if not suites:
-        raise ConfigError("empty suite selection")
-    threads_env = os.environ.get("GKVERIFY_THREADS")
-    if threads_env is not None:
-        try:
-            threads = int(threads_env)
-        except ValueError as exc:
-            raise ConfigError(f"bad GKVERIFY_THREADS value {threads_env!r}") from exc
-    else:
-        threads = int(file_values.get("threads", 1))
-    config = SuiteConfig(
-        p=pick(args.p, "p", None),
-        q=pick(args.q, "q", None),
-        m=pick(args.m, "m", None),
-        max_degree=pick(args.max_degree, "max_degree", None),
-        k_max=pick(args.k_max, "k_max", 3),
-        l_max=pick(args.l_max, "l_max", 3),
-        suites=suites,
-        format=str(pick(args.format, "format", "text")),
-        out=pick(args.out, "out", None),
-        threads=threads,
-    )
+    values = _load_config_file(args.config) if args.config else {}
+    for name in _OPTIONS:
+        flag = getattr(args, name)
+        if flag is not None:
+            values[name] = flag
+    config = SuiteConfig(**values)
     config.validate()
     return config
 
@@ -206,7 +176,6 @@ def build_report(config: SuiteConfig, results: Sequence[CheckResult]) -> Dict:
             "l_max": config.l_max,
             "suites": list(config.resolved_suites()),
             "tuples": [list(t) for t in config.tuples()],
-            "threads": config.threads,
         },
         "checks": [r.to_dict() for r in results],
         "summary": {
@@ -255,7 +224,7 @@ def run_command(args: argparse.Namespace) -> int:
     jobs = plan_jobs(
         defs, config.tuples(), config.k_max, config.l_max, config.max_degree
     )
-    results = execute_jobs(jobs, threads=config.threads)
+    results = execute_jobs(jobs)
     report = build_report(config, results)
     if config.format == "json":
         rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -289,26 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     runp = sub.add_parser("run", help="execute check suites and emit a report")
-    runp.add_argument("--p", type=int, default=None, help="first block size")
-    runp.add_argument("--q", type=int, default=None, help="second block size")
-    runp.add_argument("--m", type=int, default=None, help="family parameter")
-    runp.add_argument(
-        "--max-degree",
-        dest="max_degree",
-        type=int,
-        default=None,
-        help="override the working truncation degree",
-    )
-    runp.add_argument("--k-max", dest="k_max", type=int, default=None)
-    runp.add_argument("--l-max", dest="l_max", type=int, default=None)
-    runp.add_argument(
-        "--suite",
-        type=str,
-        default=None,
-        help="comma-separated suites: " + ", ".join(ALL_SUITES) + ", or all",
-    )
-    runp.add_argument("--format", choices=("text", "json"), default=None)
-    runp.add_argument("--out", type=str, default=None, help="write the report here")
+    for name, (kind, help_text) in _OPTIONS.items():
+        runp.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, help=help_text)
     runp.add_argument(
         "--config", type=str, default=None, help="key=value file; flags win"
     )

@@ -237,72 +237,39 @@ class _StructureConstants(dict):
         return _NO_TERMS
 
 
-SparseMatrix = Dict[Tuple[int, int], ScalarLike]
-_Slot = Tuple[Generator, int, int]
-_Entry = Tuple[int, int, int]
-
-
-def _sparse_commutator(a: Sequence[_Entry], b: Sequence[_Entry]) -> SparseMatrix:
-    """AB - BA for matrices given by their nonzero (row, col, value) entries."""
-    z: SparseMatrix = {}
-    for x, y, sign in ((a, b, 1), (b, a, -1)):
-        for r, k, v in x:
-            for k2, c, w in y:
-                if k == k2:
-                    z[(r, c)] = z.get((r, c), 0) + sign * v * w
-    return {rc: v for rc, v in z.items() if v}
-
-
-def _sparse_coords(
-    z: SparseMatrix, slots: Mapping[Tuple[int, int], _Slot]
-) -> Dict[Generator, ScalarLike]:
-    """Generator coordinates of a sparse matrix with no stored zeros.
-
-    ``slots`` maps the 0-based upper-triangle position (i-1, j-1) of each
-    generator to (generator, m_ij, m_ji).  The coordinate c_g = z_ij / m_ij
-    = z_ij * m_ij, as m_ij = +-1 (the eps_j rule for flavor X), is read off
-    the upper triangle in generator order, and the matrix is rebuilt from
-    the coordinates, so a matrix outside the span raises as
-    ``lie_from_matrix`` does.
-    """
-    coeffs: Dict[Generator, ScalarLike] = {}
-    back: SparseMatrix = {}
-    for rc in sorted(z):
-        slot = slots.get(rc)
-        if slot is None:
-            continue
-        g, mij, mji = slot
-        c = z[rc] * mij
-        coeffs[g] = c
-        back[rc] = c * mij
-        back[(rc[1], rc[0])] = c * mji
-    if back != z:
-        raise ValueError("matrix does not lie in the generator span")
-    return coeffs
-
-
 @lru_cache(maxsize=None)
 def _bracket_table(sig: Signature, flavor: str) -> _StructureConstants:
     """Structure constants for all ordered pairs of canonical generators.
 
-    Each generator matrix has two entries +-1, so each commutator is a
-    sparse integer product of at most eight terms; its coordinates are read
-    off and re-checked by ``_sparse_coords``.  Every constant is the int +1
-    or -1, in both flavors.  Row keys follow the generator order
-    (``pbw_normal_form`` pushes them in that order).
+    With G_{b,a} = -G_{a,b}, G_{a,a} = 0 and the weight w_a = 1 in flavor M
+    and eps_a in flavor X, the bracket is
+
+        [G_ij, G_kl] = w_j d_jk G_il - w_j d_jl G_ik - w_i d_ik G_jl + w_i d_il G_jk
+
+    so every constant is the int +1 or -1 in both flavors.  The tests check
+    the table against the dense matrix commutators.  Row keys follow the
+    generator order (``pbw_normal_form`` pushes them in that order).
     """
-    gens = generators(sig[0], sig[1], flavor)
-    slots: Dict[Tuple[int, int], _Slot] = {}
-    nonzero: Dict[Generator, Tuple[_Entry, _Entry]] = {}
-    for g in gens:
-        mij, mji = _entries(g, sig[0])
-        i0, j0 = g.i - 1, g.j - 1
-        slots[(i0, j0)] = (g, mij, mji)
-        nonzero[g] = ((i0, j0, mij), (j0, i0, mji))
+    p, q = sig
+    gens = generators(p, q, flavor)
+    index = {(g.i, g.j): g for g in gens}
+    w = {a: epsilon(a, p) if flavor == "X" else 1 for a in range(1, p + q + 1)}
     table = _StructureConstants()
     for ga in gens:
+        i, j = ga.i, ga.j
         for gb in gens:
-            row = _sparse_coords(_sparse_commutator(nonzero[ga], nonzero[gb]), slots)
+            k, l = gb.i, gb.j
+            row: Dict[Generator, int] = {}
+            for hit, c, a, b in (
+                (j == k, w[j], i, l),
+                (j == l, -w[j], i, k),
+                (i == k, -w[i], j, l),
+                (i == l, w[i], j, k),
+            ):
+                if hit and a != b:
+                    g, sign = (index[(a, b)], c) if a < b else (index[(b, a)], -c)
+                    row[g] = row.get(g, 0) + sign
+            row = {g: c for g, c in sorted(row.items()) if c}
             if row:
                 table[(ga, gb)] = row
     return table

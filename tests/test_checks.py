@@ -4,7 +4,7 @@ import pytest
 
 from gkverify.checks import REGISTRY, CheckRun, execute_jobs, plan_jobs
 from gkverify.gkmodule import DegenerateSampleError, ModuleParams, garfinkle_obstruction
-from gkverify.symsq import s4_vanishing
+from gkverify.symsq import s4_vanishing, xi_closed_form
 
 # At (2, 14, 1) the window needs k - l = 5 or 7, so no K-type has k, l <= 3.
 EMPTY_WINDOW = CheckRun(2, 14, 1, None, 3, 3)
@@ -119,3 +119,26 @@ def test_default_depth_covers_large_k_l():
     results = execute_jobs(plan_jobs(defs, [(4, 4, 0)], 8, 8, None))
     assert len(results) == 13
     assert all(r.status == "pass" for r in results), [r.to_dict() for r in results]
+
+
+def test_wrong_xi_closed_form_is_a_failure(monkeypatch):
+    # the comparison lives only in the check, so a wrong closed form is
+    # reported as a failure with its detail, not as an error
+    import gkverify.checks as checks
+    import gkverify.symsq as symsq
+
+    def scaled(sig):
+        return xi_closed_form(sig).scale(2)
+
+    monkeypatch.setattr(symsq, "xi_closed_form", scaled)
+    monkeypatch.setattr(checks, "xi_closed_form", scaled)
+    (result,) = execute_jobs(plan_jobs([REGISTRY["symsq.xi_transport"]], [(2, 4, 0)], 3, 3, None))
+    assert (result.status, result.detail) == ("fail", {"failed": "closed_form"})
+
+
+def test_jobs_run_serially_only():
+    jobs = plan_jobs([REGISTRY["lie.duality"]], [(2, 2, 0)], 3, 3, None)
+    assert [r.status for r in execute_jobs(jobs, threads=1)] == ["pass"]
+    for threads in (0, 2):
+        with pytest.raises(ValueError, match="threads must be 1"):
+            execute_jobs(jobs, threads=threads)

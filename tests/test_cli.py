@@ -134,23 +134,67 @@ def test_out_file_holds_the_full_report(tmp_path, capsys):
     assert "passed" in out  # terminal still gets a one line summary
 
 
-def test_thread_pool_matches_serial_run(monkeypatch, capsys):
+def test_threads_is_not_a_config_key(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("suite = weyl\nthreads = 2\n")
+    code, _, err = _run(["run", "--p", "2", "--q", "2", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert f"configuration error: {cfg}:2: unknown key 'threads'" in err
+
+
+def test_thread_environment_variable_is_ignored(monkeypatch, capsys):
     argv = ["run", "--p", "2", "--q", "2", "--suite", "weyl", "--format", "json"]
     monkeypatch.delenv("GKVERIFY_THREADS", raising=False)
-    _, serial, _ = _run(argv, capsys)
-    monkeypatch.setenv("GKVERIFY_THREADS", "2")
-    _, pooled, _ = _run(argv, capsys)
-    a = _strip_timing(json.loads(serial))
-    b = _strip_timing(json.loads(pooled))
-    del a["config"]["threads"], b["config"]["threads"]
-    assert a == b
-
-
-def test_bad_thread_env_is_a_config_error(monkeypatch, capsys):
+    code_a, plain, _ = _run(argv, capsys)
     monkeypatch.setenv("GKVERIFY_THREADS", "soup")
-    code, _, err = _run(["run", "--p", "2", "--q", "2", "--suite", "weyl"], capsys)
+    code_b, with_env, _ = _run(argv, capsys)
+    assert code_a == code_b == 0
+    a, b = _strip_timing(json.loads(plain)), _strip_timing(json.loads(with_env))
+    assert a == b
+    assert "threads" not in a["config"]
+
+
+# one value for every run option, each different from its default
+EVERY_OPTION = {
+    "p": 2,
+    "q": 4,
+    "m": 0,
+    "max_degree": 12,
+    "k_max": 2,
+    "l_max": 1,
+    "suite": "lie,weyl",
+    "format": "json",
+    "out": "report.json",
+}
+
+
+def _config(argv):
+    return cli._build_config(cli.build_parser().parse_args(["run", *argv]))
+
+
+def test_config_file_and_flags_give_the_same_config(tmp_path):
+    assert EVERY_OPTION.keys() == cli._OPTIONS.keys()
+    cfg = tmp_path / "every.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in EVERY_OPTION.items()))
+    flags = [a for k, v in EVERY_OPTION.items() for a in ("--" + k.replace("_", "-"), str(v))]
+    from_file = _config(["--config", str(cfg)])
+    assert from_file == _config(flags) == cli.SuiteConfig(**EVERY_OPTION)
+    assert from_file != cli.SuiteConfig()
+    # a flag still wins over the file, and the other file values stay
+    overridden = _config(["--config", str(cfg), "--k-max", "3", "--suite", "lie"])
+    assert overridden == cli.SuiteConfig(**{**EVERY_OPTION, "k_max": 3, "suite": "lie"})
+
+
+def test_bad_format_is_a_config_error(tmp_path, capsys):
+    base = ["run", "--p", "2", "--q", "2", "--suite", "lie"]
+    code, _, err = _run(base + ["--format", "xml"], capsys)
     assert code == 2
-    assert "configuration error" in err
+    assert "configuration error: format must be 'text' or 'json'" in err
+    cfg = tmp_path / "xml.cfg"
+    cfg.write_text("format = xml\n")
+    code, _, err = _run(base + ["--config", str(cfg)], capsys)
+    assert code == 2
+    assert "configuration error: format must be 'text' or 'json'" in err
 
 
 def test_module_entry_point_runs_as_subprocess():

@@ -350,10 +350,11 @@ def test_closed_apply_matches_uncapped_words(p, q):
 def _dense_element(space, validity):
     """Every monomial of degree <= validity with coefficient 1, so each
     truncation shows its degree exactly."""
-    entries = []
-    for exps in itertools.product(range(validity + 1), repeat=space.nvars):
-        if sum(exps) <= validity:
-            entries.append((exps, 1))
+    exponents = []
+    for d in range(validity + 1):
+        for picks in itertools.combinations_with_replacement(range(space.nvars), d):
+            exponents.append(tuple(picks.count(v) for v in range(space.nvars)))
+    entries = [(exps, 1) for exps in sorted(exponents)]
     return TruncatedElement(MultiPoly.from_monomials(space, entries), validity)
 
 

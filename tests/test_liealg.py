@@ -11,8 +11,6 @@ from gkverify.liealg import (
     Generator,
     LieElement,
     _bracket_table,
-    _entries,
-    _sparse_coords,
     bracket,
     casimir,
     closed_operator,
@@ -120,11 +118,12 @@ def test_bracket_matches_matrix_commutator(a, b):
     assert lie_from_matrix(comm, SIG, "X") == bracket(a, b)
 
 
-@pytest.mark.parametrize("sig", [(2, 2), (1, 3), (3, 3), (2, 5), (4, 0)])
+@pytest.mark.parametrize("sig", [(2, 2), (1, 3), (3, 3), (2, 5), (4, 0), (1, 1), (0, 4)])
 @pytest.mark.parametrize("flavor", ["X", "M"])
 def test_bracket_table_matches_dense_commutators(sig, flavor):
-    # the sparse table equals the dense commutator read by lie_from_matrix,
-    # row for row and in key order (pbw_normal_form depends on that order)
+    # the table from the bracket formula equals the dense commutator read by
+    # lie_from_matrix, row for row and in key order (pbw_normal_form depends
+    # on that order)
     gens = generators(*sig, flavor)
     mats = {g: generator_matrix(g, sig) for g in gens}
     table = _bracket_table(sig, flavor)
@@ -133,23 +132,6 @@ def test_bracket_table_matches_dense_commutators(sig, flavor):
         for b in gens:
             dense = lie_from_matrix(_dense_commutator(mats[a], mats[b]), sig, flavor)
             assert list(table[(a, b)].items()) == list(dense.coeffs.items())
-
-
-def test_sparse_coords_rejects_matrices_outside_the_span():
-    p = 2
-    slots = {(g.i - 1, g.j - 1): (g, *_entries(g, p)) for g in GENS}
-    g12, g13 = Generator(1, 2, "X"), Generator(1, 3, "X")
-    # X_13 is symmetric off the diagonal, X_12 antisymmetric
-    assert _sparse_coords({(0, 2): Fraction(-2), (2, 0): Fraction(-2)}, slots) == {g13: 2}
-    assert _sparse_coords({(0, 1): Fraction(3), (1, 0): Fraction(-3)}, slots) == {g12: 3}
-    for z in (
-        {(0, 1): Fraction(3), (1, 0): Fraction(3)},
-        {(0, 1): Fraction(3)},
-        {(1, 0): Fraction(3)},
-        {(0, 0): ONE},
-    ):
-        with pytest.raises(ValueError):
-            _sparse_coords(z, slots)
 
 
 @given(lie_elements, lie_elements)
