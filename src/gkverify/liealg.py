@@ -510,10 +510,13 @@ def _require_m_flavor(flavor: str) -> None:
 def pi_lie(a: LieElement) -> WeylOperator:
     _require_m_flavor(a.flavor)
     space = VariableSpace(*a.sig)
-    out = WeylOperator.zero(space)
+    # each generator image has denominator 1, so the sum is over a.den
+    acc: Dict[Tuple[int, int], int] = {}
+    get = acc.get
     for g, c in a._terms.items():
-        out = out + pi_generator(g, space).scale(c)
-    return out.scale(Fraction(1, a.den))
+        for key, v in pi_generator(g, space)._terms.items():
+            acc[key] = get(key, 0) + c * v
+    return WeylOperator.reduced(space, acc, a.den)
 
 
 def pi_env(u: Combination, space: Optional[VariableSpace] = None) -> WeylOperator:

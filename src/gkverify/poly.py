@@ -104,6 +104,27 @@ class VariableSpace:
         """``unit_key`` of every variable, in variable order."""
         return tuple(self.unit_key(i) for i in range(self.nvars))
 
+    @cached_property
+    def low_bits(self) -> int:
+        """The lowest bit of every variable field: ``sum(1 << sh for sh in shifts)``."""
+        return sum(1 << sh for sh in self.shifts)
+
+    def support(self, key: int) -> int:
+        """The variables of a packed key: the lowest bit of each nonzero field.
+
+        Three shifted ORs fold each field onto its lowest bit: afterwards bit
+        j holds the OR of bits j..j+6, which for the lowest bit of a field
+        are exactly that field's seven bits.  ``low_bits`` keeps only those
+        bits, so nothing of a neighbouring field, nor of the degree field
+        above x_1's, reaches the result and the degree field needs no mask.
+        ``support(a) & support(b)`` is nonzero exactly when the two keys
+        share a variable, and each set bit sits at that variable's shift.
+        """
+        key |= key >> 1
+        key |= key >> 2
+        key |= key >> 3
+        return key & self.low_bits
+
     def pack(self, exps: Exponents) -> int:
         if len(exps) != self.nvars:
             raise ValueError(f"expected {self.nvars} exponents, got {len(exps)}")
@@ -256,7 +277,7 @@ class SparseRational:
             raise TypeError(
                 f"cannot combine {type(self).__name__} with {type(other).__name__}"
             )
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError(
                 f"{type(self).__name__}s over different contexts: {self.ctx} and {other.ctx}"
             )
@@ -300,7 +321,11 @@ class SparseRational:
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.ctx == other.ctx and self.den == other.den and self._terms == other._terms
+        return (
+            (self.ctx is other.ctx or self.ctx == other.ctx)
+            and self.den == other.den
+            and self._terms == other._terms
+        )
 
 
 class MultiPoly(SparseRational):

@@ -16,27 +16,32 @@ v^b produces, for every contraction gamma <= min(alpha, b) componentwise,
 
 Packed keys add under this rule (the packed-exponent technique of Monagan
 and Pearce, CASC 2007): the new key pair is (km_a + km_b - g, kd_a + kd_b - g)
-with g = sum_i gamma_i * unit_key(i), so only alpha and b are unpacked, to
-find the contraction ranges.  The degree cap is checked on the total degree
-(key >> deg_shift) of the uncontracted pair, the largest of its keys; each
-exponent is at most the total, so this accepts exactly the keys ``pack``
-accepts.
+with g = sum_i gamma_i * unit_key(i).  The variables a term pair can
+contract are read from the keys without unpacking them: each term carries
+the supports of its monomial and derivative keys (``VariableSpace.support``,
+one bit per nonzero exponent field), built once per operator, and
+support(alpha) & support(b) is the pair's contractible set.  Only those
+shared fields of alpha and b are unpacked, to find the contraction ranges.
+The degree cap is checked on the total degree (key >> deg_shift) of the
+uncontracted pair, the largest of its keys; each exponent is at most the
+total, so this accepts exactly the keys ``pack`` accepts.
 
 The commutator [A, B] = AB - BA runs the same Leibniz kernel twice into one
-dict, once for AB and once, negated, for BA.  The uncontracted (gamma = 0)
-terms of the two products have the same key pair (km_a + km_b, kd_a + kd_b)
-and the same coefficient c_a * c_b, so they cancel exactly; the kernel never
-forms them, and skips outright a term pair with no variable to contract.
-Only the degree cap is still checked on them, so the commutator raises
-exactly when ``compose`` would.
+dict, once for AB and once, negated, for BA, over the same support lists.
+The uncontracted (gamma = 0) terms of the two products have the same key
+pair (km_a + km_b, kd_a + kd_b) and the same coefficient c_a * c_b, so they
+cancel exactly; the kernel never forms them, and a term pair whose supports
+do not meet costs one AND after the degree-cap check.  The cap is still
+checked on every pair, so the commutator raises exactly when ``compose``
+would.
 
 Application to a polynomial evaluates d^alpha on each monomial as a falling
 factorial and shifts exponents; both directions are exact.  Nothing is
 sorted: under a degree cap a term reads a list of the monomials of f up to
 its bound, filtered once per distinct bound, and a term without derivatives
-only adds its monomial key to each input key.  Composition and application
-multiply int numerators and reduce once, over the product of the two
-denominators.
+only adds its monomial key to each input key; a derivative term reads only
+the fields its support marks.  Composition and application multiply int
+numerators and reduce once, over the product of the two denominators.
 """
 
 from __future__ import annotations
@@ -46,7 +51,16 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Optional, Tuple
 
-from .poly import MAX_EXP, Exponents, MultiPoly, ScalarLike, SparseRational, VariableSpace, exact
+from .poly import (
+    BITS,
+    MAX_EXP,
+    Exponents,
+    MultiPoly,
+    ScalarLike,
+    SparseRational,
+    VariableSpace,
+    exact,
+)
 
 TermKey = Tuple[int, int]
 
@@ -62,14 +76,33 @@ class WeylOperator(SparseRational):
     """A normal-ordered differential operator; treat instances as immutable.
 
     The keys of ``_terms`` are (monomial key, derivative key) pairs; the
-    context is the VariableSpace.
+    context is the VariableSpace.  ``rows()`` keeps the terms with their
+    supports for the Leibniz kernel, built on first use.
     """
 
-    __slots__ = ()
+    __slots__ = ("_rows",)
 
     @property
     def space(self) -> VariableSpace:
         return self.ctx
+
+    def rows(self) -> list:
+        """(km, ka, c, support(km), support(ka)) for every term, in term order.
+
+        Built on first use and kept, so an operator composed many times (a
+        cached generator image) computes its supports once.  ``apply`` does
+        not use them: it reads each derivative key's support directly,
+        which costs less than building the rows of an operator applied
+        only a few times.
+        """
+        try:
+            return self._rows
+        except AttributeError:
+            support = self.ctx.support
+            rows = self._rows = [
+                (km, ka, c, support(km), support(ka)) for (km, ka), c in self._terms.items()
+            ]
+            return rows
 
     # -- constructors ------------------------------------------------------
 
@@ -131,7 +164,7 @@ class WeylOperator(SparseRational):
         """
         self._require_same_ctx(other)
         acc: Dict[TermKey, int] = {}
-        _leibniz(self, other, acc, 1, 0)
+        _leibniz(self.space, self.rows(), other.rows(), acc, 1, 0)
         return WeylOperator.reduced(self.space, acc, self.den * other.den)
 
     def commutator(self, other: "WeylOperator") -> "WeylOperator":
@@ -143,8 +176,9 @@ class WeylOperator(SparseRational):
         """
         self._require_same_ctx(other)
         acc: Dict[TermKey, int] = {}
-        _leibniz(self, other, acc, 1, 1)
-        _leibniz(other, self, acc, -1, 1)
+        a_rows, b_rows = self.rows(), other.rows()
+        _leibniz(self.space, a_rows, b_rows, acc, 1, 1)
+        _leibniz(self.space, b_rows, a_rows, acc, -1, 1)
         return WeylOperator.reduced(self.space, acc, self.den * other.den)
 
     def power(self, k: int) -> "WeylOperator":
@@ -172,7 +206,7 @@ class WeylOperator(SparseRational):
         """
         if not isinstance(f, MultiPoly):
             raise TypeError(f"cannot apply an operator to {type(f).__name__}")
-        if f.space != self.space:
+        if f.ctx is not self.ctx and f.ctx != self.ctx:
             raise ValueError("operator and polynomial spaces differ")
         sp = self.space
         if not self._terms or f.is_zero():
@@ -188,6 +222,7 @@ class WeylOperator(SparseRational):
         below: Dict[int, list] = {}
         out: Dict[int, int] = {}
         get = out.get
+        support = sp.support
         for (km, ka), c in self._terms.items():
             # the largest input degree whose image stays within the cap
             lim = cap - (km >> ds) + (ka >> ds)
@@ -205,7 +240,13 @@ class WeylOperator(SparseRational):
                     nk = ke + km
                     out[nk] = get(nk, 0) + c * ce
                 continue
-            alist = [(sh, (ka >> sh) & MAX_EXP) for sh in sp.shifts if (ka >> sh) & MAX_EXP]
+            # (shift, alpha_i) of each derivative variable: the set bits of its support
+            alist = []
+            sup_ka = support(ka)
+            while sup_ka:
+                sh = sup_ka.bit_length() - 1
+                sup_ka ^= 1 << sh
+                alist.append((sh, (ka >> sh) & MAX_EXP))
             delta = km - ka
             for ke, ce in items:
                 mult = 1
@@ -250,43 +291,52 @@ class WeylOperator(SparseRational):
 
 
 def _leibniz(
-    A: WeylOperator, B: WeylOperator, acc: Dict[TermKey, int], sign: int, least: int
+    sp: VariableSpace,
+    a_rows: list,
+    b_rows: list,
+    acc: Dict[TermKey, int],
+    sign: int,
+    least: int,
 ) -> None:
     """Add sign * (A after B) numerators into acc, over A.den * B.den.
 
-    Only the contractions with |gamma| >= least are formed; for least >= 1 a
-    term pair with no variable to contract is skipped whole.  The degree cap
-    is checked on every pair's uncontracted key, formed or not.
+    ``a_rows`` and ``b_rows`` are ``A.rows()`` and ``B.rows()``.  The
+    variables a term pair can contract are support(alpha) & support(b): one
+    AND of the two supports, with no exponent unpacked.  Only the
+    contractions with |gamma| >= least are formed, so for least >= 1 a pair
+    with no shared variable costs that AND and nothing more.  Otherwise only
+    the shared fields are read, in variable order (highest shift first),
+    which fixes the insertion order of acc.  The degree cap is checked on
+    every pair's uncontracted key, formed or not.
     """
-    sp = A.space
-    nv = sp.nvars
     ds = sp.deg_shift
-    shifts = sp.shifts
-    units = sp.units
-    b_items = []
-    for (kmb, kab), cb in B._terms.items():
-        b = [(kmb >> sh) & MAX_EXP for sh in shifts]
-        b_items.append((kmb, kab, cb, b, [i for i in range(nv) if b[i]]))
-    for (kma, kaa), ca in A._terms.items():
-        alpha = [(kaa >> sh) & MAX_EXP for sh in shifts]
-        for kmb, kab, cb, b, b_nonzero in b_items:
+    over = ds + BITS
+    deg_one = 1 << ds
+    for kma, kaa, ca, _, sup_alpha in a_rows:
+        sca = sign * ca
+        for kmb, kab, cb, sup_b, _ in b_rows:
             km = kma + kmb
             kd = kaa + kab
-            # the uncontracted key has the largest degree of the pair's keys
-            if (km >> ds) > MAX_EXP or (kd >> ds) > MAX_EXP:
+            # the uncontracted key has the largest degree of the pair's keys;
+            # a degree above MAX_EXP has a bit at or above ds + BITS
+            if (km | kd) >> over:
                 raise ValueError("composition would exceed the degree cap")
-            contractible = [i for i in b_nonzero if alpha[i]]
-            if least and not contractible:
+            shared = sup_alpha & sup_b
+            if least and not shared:
                 continue
-            # per contracted variable: (C(alpha_i, g) * falling(b_i, g), g * unit_i)
-            choices = [
-                [
-                    (comb(alpha[i], g) * falling(b[i], g), g * units[i])
-                    for g in range(min(alpha[i], b[i]) + 1)
-                ]
-                for i in contractible
-            ]
-            base = sign * ca * cb
+            # per shared variable, highest shift first:
+            # (C(alpha_i, g) * falling(b_i, g), g * unit_i)
+            choices = []
+            while shared:
+                sh = shared.bit_length() - 1
+                shared ^= 1 << sh
+                al = (kaa >> sh) & MAX_EXP
+                bi = (kmb >> sh) & MAX_EXP
+                unit = deg_one + (1 << sh)
+                choices.append(
+                    [(comb(al, g) * falling(bi, g), g * unit) for g in range(min(al, bi) + 1)]
+                )
+            base = sca * cb
             for sel in itertools.product(*choices):
                 mult = 1
                 sub = 0

@@ -6,7 +6,9 @@ second, and -i (x_i y_j + d_{x_i} d_{y_j}) across the blocks.  Divided by the
 factor phi_g (1, -1 or i) its action on fixed polynomials must equal the
 action of the package's real pi(M_g).  The composed closed-form operators,
 whose coefficients are fractions, are checked the same way against sympy
-applying each word of their closed form factor by factor.  The integer
+applying each word of their closed form factor by factor, and compositions
+of fixed operators with exponents and derivative orders up to 3 against
+sympy applying the two factors one after the other.  The integer
 echelon form is checked against sympy's rank, ``rref`` and matrix product.
 """
 
@@ -29,6 +31,7 @@ from gkverify.liealg import (
 )
 from gkverify.linalg import SparseRREF
 from gkverify.poly import MultiPoly, VariableSpace, laplacian
+from gkverify.weyl import WeylOperator
 
 
 def _symbols(space):
@@ -176,6 +179,72 @@ def test_commutators_match_sympy_differentiation(p, q):
         for f, mf in zip(fixed, mine):
             want = _qq_coefficients(sympy.expand(a(b(f)) - b(a(f))), v)
             assert comm.apply(mf).monomials() == want
+
+
+# Fixed operators as (monomial, derivative, coefficient) terms, each exponent
+# map keyed by variable index (-1 is the last variable); exponents and
+# derivative orders reach 3, so a composition contracts up to three times
+# in one variable
+FIXED_OPERATORS = [
+    [({0: 3}, {0: 2, -1: 1}, 1), ({-1: 2}, {0: 3}, Fraction(2, 3)), ({}, {-1: 3}, -5)],
+    [
+        ({0: 2, -1: 1}, {}, 1),
+        ({0: 3}, {-1: 2}, Fraction(1, 2)),
+        ({-1: 3}, {0: 1}, 1),
+        ({0: 1}, {0: 1}, Fraction(-7, 4)),
+    ],
+    [({1: 2}, {1: 1, 0: 1}, 3), ({0: 1, 1: 1}, {-1: 3}, Fraction(-1, 6)), ({}, {1: 2}, 1)],
+]
+
+
+def _fixed_operator(space, v, terms):
+    """(package operator, sympy map) of a FIXED_OPERATORS entry."""
+    nv = space.nvars
+
+    def exps(d):
+        e = [0] * nv
+        for i, x in d.items():
+            e[i % nv] += x
+        return tuple(e)
+
+    op = WeylOperator.zero(space)
+    parts = []
+    for mono, deriv, c in terms:
+        a, alpha = exps(mono), exps(deriv)
+        op = op + WeylOperator.term(space, a, alpha, c)
+        parts.append((sympy.Rational(c.numerator, c.denominator), a, alpha))
+
+    def act(f):
+        total = 0
+        for c, a, alpha in parts:
+            d = f
+            for x, k in zip(v, alpha):
+                if k:
+                    d = sympy.diff(d, x, k)
+            total += c * sympy.Mul(*(x**e for x, e in zip(v, a))) * d
+        return sympy.expand(total)
+
+    return op, act
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 2)])
+def test_composition_matches_sympy_differentiation(p, q):
+    # (A B) f against A(B(f)), both factors differentiated by sympy, on the
+    # fixed polynomials and on two of degree 6 and 7, where every
+    # contraction of the products survives
+    space = VariableSpace(p, q)
+    v = _symbols(space)
+    ops = [_fixed_operator(space, v, terms) for terms in FIXED_OPERATORS]
+    first, mid, last = v[0], v[1], v[-1]
+    fixed = _fixed_polys(v) + [
+        first**3 * mid * last**2 - sympy.Rational(2, 5) * mid**3 * last**3,
+        (first + mid + last) ** 3 * first**2 * last**2,
+    ]
+    mine = [_to_multipoly(f, space, v) for f in fixed]
+    for (A, a), (B, b) in itertools.product(ops, repeat=2):
+        composed = A.compose(B)
+        for f, mf in zip(fixed, mine):
+            assert composed.apply(mf).monomials() == _qq_coefficients(a(b(f)), v)
 
 
 def _sympy_generator(g, p, n):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gkverify.liealg import EnvelopingElement, Generator, LieElement
 from gkverify.poly import (
+    MAX_EXP,
     ONE,
     MultiPoly,
     NonHomogeneousError,
@@ -53,6 +54,42 @@ def test_pack_ordering_is_graded_lex():
     a = space.pack((2, 0, 0, 0))
     b = space.pack((1, 1, 0, 0))
     assert a > b  # same degree, earlier variable wins
+
+
+SUPPORT_SPACES = [VariableSpace(p, q) for p, q in ((1, 1), (1, 3), (2, 2), (8, 8))]
+field_values = st.sampled_from([0, 0, 1, 2, 63, 64, 127]) | st.integers(0, 127)
+
+
+@given(
+    st.sampled_from(SUPPORT_SPACES).flatmap(
+        lambda sp: st.tuples(
+            st.just(sp), st.lists(field_values, min_size=sp.nvars, max_size=sp.nvars)
+        )
+    ),
+    st.integers(0, 127),
+)
+@settings(max_examples=200, deadline=None)
+def test_support_marks_exactly_the_nonzero_fields(space_exps, degree):
+    # any degree field, packable or not, must leave the result alone
+    space, exps = space_exps
+    key = sum(e << sh for e, sh in zip(exps, space.shifts)) | degree << space.deg_shift
+    want = sum(1 << sh for e, sh in zip(exps, space.shifts) if e)
+    assert space.support(key) == want
+
+
+@pytest.mark.parametrize("space", SUPPORT_SPACES, ids=lambda sp: f"{sp.p}-{sp.q}")
+def test_support_at_the_edge_fields(space):
+    # x_1's field sits just below the degree field, the last one at bit 0;
+    # 127 sets all seven bits of a field, 64 only the top one
+    nv = space.nvars
+    for i in (0, nv - 1):
+        for e in (127, 64, 1):
+            exps = [0] * nv
+            exps[i] = e
+            assert space.support(space.pack(tuple(exps))) == 1 << space.shifts[i]
+    # a full degree field over empty variable fields
+    assert space.support(MAX_EXP << space.deg_shift) == 0
+    assert space.low_bits == space.support(space.pack((1,) * nv))
 
 
 def test_pack_rejects_out_of_range():

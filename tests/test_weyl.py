@@ -21,10 +21,10 @@ small_coeffs = st.fractions(
 )
 
 
-def _op_from_entries(entries):
-    total = WeylOperator.zero(SPACE)
+def _op_from_entries(entries, space=SPACE):
+    total = WeylOperator.zero(space)
     for mono, deriv, c in entries:
-        total = total + WeylOperator.term(SPACE, mono, deriv, c)
+        total = total + WeylOperator.term(space, mono, deriv, c)
     return total
 
 
@@ -102,11 +102,77 @@ def test_commutator_jacobi(A, B, C):
     assert jac.is_zero()
 
 
-@given(wide_operators, wide_operators)
-@settings(max_examples=120, deadline=None)
-def test_commutator_is_the_composition_difference(A, B):
+# the differential checks below run in every space here: one variable per
+# block, a single x beside three y's, and sixteen variables, where x_1's
+# field sits below a degree field at bit 112
+SPACES = [VariableSpace(1, 1), VariableSpace(1, 3), SPACE, VariableSpace(8, 8)]
+
+
+def _exps(space, hi):
+    """Exponent tuples up to hi; above four variables at most four are nonzero."""
+    nv = space.nvars
+    if nv <= 4:
+        return st.lists(st.integers(0, hi), min_size=nv, max_size=nv).map(tuple)
+    return st.dictionaries(st.integers(0, nv - 1), st.integers(1, hi), max_size=4).map(
+        lambda d: tuple(d.get(i, 0) for i in range(nv))
+    )
+
+
+def _wide_operators_in(space):
+    return st.lists(
+        st.tuples(_exps(space, 4), _exps(space, 4), small_coeffs), min_size=0, max_size=4
+    ).map(lambda entries: _op_from_entries(entries, space))
+
+
+wide_pairs = st.sampled_from(SPACES).flatmap(
+    lambda sp: st.tuples(_wide_operators_in(sp), _wide_operators_in(sp))
+)
+
+
+def _t(space, mono=None, deriv=None, coeff=1):
+    """One term; mono and deriv map a variable index (-1 for the last) to its exponent."""
+    nv = space.nvars
+
+    def exps(d):
+        e = [0] * nv
+        for i, v in (d or {}).items():
+            e[i % nv] = v
+        return tuple(e)
+
+    return WeylOperator.term(space, exps(mono), exps(deriv), coeff)
+
+
+# Fields at the edges of the key with all seven bits set (127) or only the
+# top one (64): x_1's field sits just below the degree field, the last
+# variable's field at bit 0.  A support fold that misses a bit drops the
+# contractions of d^64 past a power of its variable.
+EDGE_PAIRS = [
+    (_t(sp, deriv={i: e}), _t(sp, mono={i: m}, coeff=Fraction(-3, 2)) + _t(sp, mono={-1 - i: 1}))
+    for sp in (VariableSpace(1, 1), SPACE, VariableSpace(8, 8))
+    for i in (0, -1)
+    for e, m in ((127, 1), (64, 3), (64, 63))
+] + [
+    (
+        _t(SPACE, mono={0: 64}, deriv={-1: 64}) + _t(SPACE, deriv={0: 3, -1: 1}),
+        _t(SPACE, mono={-1: 63}, deriv={0: 63}, coeff=5),
+    ),
+]
+
+
+def _with_edge_pairs(test):
+    for A, B in EDGE_PAIRS:
+        test = example((A, B))(test)
+    return test
+
+
+@given(wide_pairs)
+@_with_edge_pairs
+@settings(max_examples=200, deadline=None)
+def test_commutator_is_the_composition_difference(pair):
     # exponents up to 4 give contractions of order >= 2; empty lists give zero
+    A, B = pair
     assert A.commutator(B) == A.compose(B) - B.compose(A)
+    assert B.commutator(A) == B.compose(A) - A.compose(B)
 
 
 @pytest.mark.parametrize("p, q", [(2, 2), (1, 3), (3, 3)])
@@ -239,13 +305,15 @@ def _reference_compose(A, B):
     return acc
 
 
-@given(wide_operators, wide_operators)
-@settings(max_examples=60, deadline=None)
-def test_compose_matches_reference_leibniz(A, B):
+@given(wide_pairs)
+@_with_edge_pairs
+@settings(max_examples=120, deadline=None)
+def test_compose_matches_reference_leibniz(pair):
     # same terms in the same insertion order, not only the same dict
-    C = A.compose(B)
-    got = [(k, Fraction(c, C.den)) for k, c in C._terms.items()]
-    assert got == list(_reference_compose(A, B).items())
+    for A, B in (pair, pair[::-1]):
+        C = A.compose(B)
+        got = [(k, Fraction(c, C.den)) for k, c in C._terms.items()]
+        assert got == list(_reference_compose(A, B).items())
 
 
 def test_compose_degree_cap_boundary():
@@ -357,37 +425,79 @@ class _Counted(int):
     __rmul__ = __mul__
 
 
+def _mixed_operators_in(space):
+    """Shift-only terms (no derivative) beside derivative terms, with degree
+    shifts |a| - |alpha| spread over -12..12."""
+    no_deriv = (0,) * space.nvars
+    exps_to_3 = _exps(space, 3)
+    return st.lists(
+        st.tuples(exps_to_3, st.one_of(st.just(no_deriv), exps_to_3), small_coeffs),
+        min_size=1,
+        max_size=6,
+    ).map(lambda entries: _op_from_entries(entries, space))
+
+
+def _wide_polys_in(space):
+    return st.lists(st.tuples(_exps(space, 4), small_coeffs), min_size=0, max_size=8).map(
+        lambda entries: MultiPoly.from_monomials(space, entries)
+    )
+
+
+operator_poly_pairs = st.sampled_from(SPACES).flatmap(
+    lambda sp: st.tuples(_mixed_operators_in(sp), _wide_polys_in(sp))
+)
+
 NO_DERIV = (0,) * NV
-exps_to_3 = st.lists(st.integers(0, 3), min_size=NV, max_size=NV).map(tuple)
-
-# shift-only terms (no derivative) beside derivative terms, with degree shifts
-# |a| - |alpha| spread over -12..12
-mixed_operators = st.lists(
-    st.tuples(exps_to_3, st.one_of(st.just(NO_DERIV), exps_to_3), small_coeffs),
-    min_size=1,
-    max_size=6,
-).map(_op_from_entries)
 
 
-@given(mixed_operators, wide_polys, st.one_of(st.none(), st.integers(-3, 3)))
-@settings(max_examples=200, deadline=None)
+def _edge_poly(space):
+    """Monomials whose first and last exponents reach 127 and 64."""
+    nv = space.nvars
+    exps = [(127,) + (0,) * (nv - 1), (0,) * (nv - 1) + (127,), (64,) + (0,) * (nv - 1)]
+    exps += [(63,) + (0,) * (nv - 2) + (64,)] if nv > 1 else [(3,)]
+    return MultiPoly.from_monomials(space, [(e, Fraction(i + 1, 2)) for i, e in enumerate(exps)])
+
+
+def _edge_operator(space):
+    """d^64 and d^127 on the first and the last variable, and d^63 x_1 d_last."""
+    return (
+        _t(space, deriv={0: 64})
+        + _t(space, deriv={-1: 127}, coeff=3)
+        + _t(space, deriv={0: 127}, coeff=Fraction(1, 7))
+        + _t(space, deriv={-1: 64}, coeff=-2)
+        + _t(space, mono={0: 1}, deriv={0: 63, -1: 1})
+    )
+
+
+@given(operator_poly_pairs, st.one_of(st.none(), st.integers(-3, 3)))
+@settings(max_examples=300, deadline=None)
 @example(
-    WeylOperator.term(SPACE, (1, 0, 0, 0), NO_DERIV, 2)
-    + WeylOperator.term(SPACE, NO_DERIV, (0, 1, 0, 0), Fraction(1, 3)),
-    MultiPoly.zero(SPACE),
+    (
+        WeylOperator.term(SPACE, (1, 0, 0, 0), NO_DERIV, 2)
+        + WeylOperator.term(SPACE, NO_DERIV, (0, 1, 0, 0), Fraction(1, 3)),
+        MultiPoly.zero(SPACE),
+    ),
     0,
 )
 @example(
-    WeylOperator.term(SPACE, (2, 0, 0, 0), NO_DERIV)
-    + WeylOperator.term(SPACE, (0, 0, 1, 0), (1, 0, 0, 0), Fraction(-1, 2))
-    + WeylOperator.term(SPACE, NO_DERIV, (0, 2, 0, 0), 3),
-    MultiPoly.from_monomials(SPACE, [((2, 1, 0, 0), 1), ((0, 3, 0, 0), 5), ((1, 0, 0, 0), 1)]),
+    (
+        WeylOperator.term(SPACE, (2, 0, 0, 0), NO_DERIV)
+        + WeylOperator.term(SPACE, (0, 0, 1, 0), (1, 0, 0, 0), Fraction(-1, 2))
+        + WeylOperator.term(SPACE, NO_DERIV, (0, 2, 0, 0), 3),
+        MultiPoly.from_monomials(
+            SPACE, [((2, 1, 0, 0), 1), ((0, 3, 0, 0), 5), ((1, 0, 0, 0), 1)]
+        ),
+    ),
     -1,
 )
-def test_apply_matches_the_sorted_reference(A, f, offset):
+@example((_edge_operator(VariableSpace(1, 1)), _edge_poly(VariableSpace(1, 1))), None)
+@example((_edge_operator(SPACE), _edge_poly(SPACE)), None)
+@example((_edge_operator(VariableSpace(8, 8)), _edge_poly(VariableSpace(8, 8))), -1)
+def test_apply_matches_the_sorted_reference(pair, offset):
     # the cap sits below, at or above deg f, or is absent
+    A, f = pair
     cap = None if offset is None else f.degree() + offset
-    counted = MultiPoly(SPACE, {k: _Counted(v) for k, v in f._terms.items()}, f.den)
+    counted = MultiPoly(f.space, {k: _Counted(v) for k, v in f._terms.items()}, f.den)
     _Counted.products = 0
     got = A.apply(counted, max_degree=cap)
     want, formed = _sorted_apply(A, f, cap)
