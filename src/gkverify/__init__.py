@@ -31,7 +31,6 @@ from .poly import (
     ONE,
     ZERO,
     DegenerateDaggerError,
-    HarmonicBasis,
     MultiPoly,
     NonHomogeneousError,
     RadialSeries,
@@ -119,7 +118,6 @@ __all__ = [
     "VariableSpace",
     "MultiPoly",
     "RadialSeries",
-    "HarmonicBasis",
     "harmonic_basis",
     "harmonic_dim",
     "dagger",

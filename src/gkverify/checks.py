@@ -14,6 +14,9 @@ Every invariant the library promises is addressable here as a dotted name,
 
 A check is a function of a resolved parameter context returning
 ``(ok, validity, detail)`` where ``detail`` is a JSON-serializable dict.
+Families of same-shaped checks are registered from one table each over one
+shared body: the three ``casimir.*_closed_form`` checks, the four
+``casimir.*_eigenvalue`` sweeps and the two ``symsq.gamma2_*`` identities.
 Checks are deterministic: sampled families use fixed seeds derived from the
 parameters, so two runs with the same configuration produce identical
 reports apart from timing.  Scope controls fan-out: an ``once`` check runs
@@ -26,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, islice, product
 from math import comb, gcd
 from time import perf_counter
@@ -174,6 +178,13 @@ def _register(name: str, suite: str, scope: str, description: str):
         return fn
 
     return deco
+
+
+def _register_table(suite: str, scope: str, body, rows) -> None:
+    """Register one check per row ``(name, description, *args)`` of a family
+    of same-shaped checks, each running ``body(*args, run)``."""
+    for name, description, *args in rows:
+        _register(name, suite, scope, description)(partial(body, *args))
 
 
 # -- lie suite --------------------------------------------------------------------
@@ -457,7 +468,7 @@ def _weyl_harmonic_dimension(run: CheckRun):
             if len(basis) != harmonic_dim(nblk, k):
                 return False, None, {"failed_block": block, "degree": k}
             rr = SparseRREF()
-            for h in basis.elements:
+            for h in basis:
                 if rr.add_row(h._terms)[0] != "pivot":
                     return False, None, {
                         "failed_block": block,
@@ -484,7 +495,7 @@ def _weyl_dagger(run: CheckRun):
         first = space.block_range(block)[0]
         for k in range(min(run.k_max, 4) + 1):
             basis = harmonic_basis(space, block, k)
-            for h in basis.elements[:2]:
+            for h in basis[:2]:
                 P = MultiPoly.variable(space, first).mul(h)
                 Pd = dagger(P, block)
                 if not laplacian(Pd, block).is_zero():
@@ -509,7 +520,7 @@ def _weyl_euler(run: CheckRun):
             # a one-variable block has no harmonics of degree two or more
             if harmonic_dim(space.block_size(block), k) == 0:
                 continue
-            h = harmonic_basis(space, block, k).elements[0]
+            h = harmonic_basis(space, block, k)[0]
             if euler(h, block) != h.scale(k):
                 return False, None, {"failed_block": block, "degree": k}
             f = h.mul(rsq(space, block))
@@ -550,40 +561,20 @@ def _weyl_field_axioms(run: CheckRun):
 # -- casimir suite -----------------------------------------------------------------
 
 
-@_register(
-    "casimir.op_closed_form",
-    "casimir",
-    "pq",
-    "the first-block Casimir image equals its radial closed form as an operator",
-)
-def _casimir_op_closed(run: CheckRun):
+def _casimir_closed_form(which: str, block: str, run: CheckRun):
     space = run.space
-    ok = pi_casimir(space, "op") == closed_operator(space, "op")
-    return ok, None, {"block": "x"}
+    ok = pi_casimir(space, which) == closed_operator(space, which)
+    return ok, None, {"block": block}
 
 
-@_register(
-    "casimir.oq_closed_form",
-    "casimir",
-    "pq",
-    "the second-block Casimir image equals its radial closed form as an operator",
-)
-def _casimir_oq_closed(run: CheckRun):
-    space = run.space
-    ok = pi_casimir(space, "oq") == closed_operator(space, "oq")
-    return ok, None, {"block": "y"}
-
-
-@_register(
-    "casimir.g_closed_form",
-    "casimir",
-    "pq",
-    "the full Casimir image equals its radial closed form as an operator",
-)
-def _casimir_g_closed(run: CheckRun):
-    space = run.space
-    ok = pi_casimir(space, "g") == closed_operator(space, "g")
-    return ok, None, {"block": "xy"}
+_register_table("casimir", "pq", _casimir_closed_form, (
+    ("casimir.op_closed_form",
+     "the first-block Casimir image equals its radial closed form as an operator", "op", "x"),
+    ("casimir.oq_closed_form",
+     "the second-block Casimir image equals its radial closed form as an operator", "oq", "y"),
+    ("casimir.g_closed_form",
+     "the full Casimir image equals its radial closed form as an operator", "g", "xy"),
+))
 
 
 @_register(
@@ -600,7 +591,7 @@ def _casimir_sl2(run: CheckRun):
     return ok, None, {"n": n}
 
 
-def _eigenvalue_sweep(run: CheckRun, which: str):
+def _eigenvalue_sweep(which: str, run: CheckRun):
     validities = []
     scalars = []
     for params in run.families():
@@ -624,44 +615,17 @@ def _eigenvalue_sweep(run: CheckRun, which: str):
     return True, min_validity, detail
 
 
-@_register(
-    "casimir.op_eigenvalue",
-    "casimir",
-    "pqm",
-    "the first-block Casimir acts on each sampled vector by its exact scalar",
-)
-def _casimir_op_eigenvalue(run: CheckRun):
-    return _eigenvalue_sweep(run, "op")
-
-
-@_register(
-    "casimir.oq_eigenvalue",
-    "casimir",
-    "pqm",
-    "the second-block Casimir acts on each sampled vector by its exact scalar",
-)
-def _casimir_oq_eigenvalue(run: CheckRun):
-    return _eigenvalue_sweep(run, "oq")
-
-
-@_register(
-    "casimir.g_eigenvalue",
-    "casimir",
-    "pqm",
-    "the full Casimir acts on each sampled vector by one scalar for the whole family",
-)
-def _casimir_g_eigenvalue(run: CheckRun):
-    return _eigenvalue_sweep(run, "g")
-
-
-@_register(
-    "casimir.xi_eigenvalue",
-    "casimir",
-    "pqm",
-    "the symmetric-square element acts by its exact scalar, vanishing identically when m is zero",
-)
-def _casimir_xi_eigenvalue(run: CheckRun):
-    return _eigenvalue_sweep(run, "xi")
+_register_table("casimir", "pqm", _eigenvalue_sweep, (
+    ("casimir.op_eigenvalue",
+     "the first-block Casimir acts on each sampled vector by its exact scalar", "op"),
+    ("casimir.oq_eigenvalue",
+     "the second-block Casimir acts on each sampled vector by its exact scalar", "oq"),
+    ("casimir.g_eigenvalue",
+     "the full Casimir acts on each sampled vector by one scalar for the whole family", "g"),
+    ("casimir.xi_eigenvalue",
+     "the symmetric-square element acts by its exact scalar, vanishing identically when m is zero",
+     "xi"),
+))
 
 
 # -- module suite ------------------------------------------------------------------
@@ -693,8 +657,8 @@ def _module_window(run: CheckRun):
                 )
                 if manual != ((k, l) in enumerated):
                     return False, None, {"mismatch_at": [k, l]}
-                h1 = harmonic_basis(space, "x", k).elements[0]
-                h2 = harmonic_basis(space, "y", l).elements[0]
+                h1 = harmonic_basis(space, "x", k)[0]
+                h2 = harmonic_basis(space, "y", l)[0]
                 # the base degree k + l + 2 mu is at most k + l + 2m, so only
                 # the window can refuse construction at that depth
                 try:
@@ -735,6 +699,18 @@ def _module_membership(run: CheckRun):
     return n > 0, min(validities, default=None), {"vectors_checked": n}
 
 
+def _unguarded_pole(kappas: Sequence[int]) -> Optional[str]:
+    """The first of the integer poles kappas that psi_series accepts, as a
+    string, or None when it refuses every one with PsiPoleError."""
+    for kappa in kappas:
+        try:
+            psi_series(Fraction(kappa), 4)
+        except PsiPoleError:
+            continue
+        return str(kappa)
+    return None
+
+
 @_register(
     "module.series_recurrence",
     "module",
@@ -758,17 +734,11 @@ def _module_series(run: CheckRun):
             rhs = coeffs[j] * (Fraction(-1) / ((j + 1) * (kappa + j)))
             if coeffs[j + 1] != rhs:
                 return False, None, {"recurrence_fails_at": j, "parameter": str(kappa)}
-    poles_refused = 0
-    for bad in (Fraction(0), Fraction(-2)):
-        try:
-            psi_series(bad, 4)
-            return False, None, {"missing_pole_guard": str(bad)}
-        except PsiPoleError:
-            poles_refused += 1
-    return True, None, {
-        "parameters_checked": len(kappas),
-        "poles_refused": poles_refused,
-    }
+    poles = (0, -2)
+    missing = _unguarded_pole(poles)
+    if missing is not None:
+        return False, None, {"missing_pole_guard": missing}
+    return True, None, {"parameters_checked": len(kappas), "poles_refused": len(poles)}
 
 
 @_register(
@@ -819,8 +789,8 @@ def _module_apply_linearity(run: CheckRun):
     if not kts:
         return False, None, {"failed": "no_ktype"}
     kt = kts[0]
-    bx = harmonic_basis(space, "x", kt.k).elements
-    by = harmonic_basis(space, "y", kt.l).elements
+    bx = harmonic_basis(space, "x", kt.k)
+    by = harmonic_basis(space, "y", kt.l)
     f = typical_element(params, bx[0], by[0], D)
     g = typical_element(params, bx[-1], by[-1], D)
     c = Fraction(3, 7)
@@ -878,13 +848,10 @@ def _paction_four_term(run: CheckRun):
     "series poles are refused, and valid parameters never reach a vanishing layer denominator",
 )
 def _paction_degenerate_guard(run: CheckRun):
-    poles_refused = 0
-    for bad in (Fraction(0), Fraction(-1), Fraction(-3)):
-        try:
-            psi_series(bad, 4)
-            return False, None, {"missing_pole_guard": str(bad)}
-        except PsiPoleError:
-            poles_refused += 1
+    poles = (0, -1, -3)
+    missing = _unguarded_pole(poles)
+    if missing is not None:
+        return False, None, {"missing_pole_guard": missing}
     scanned = 0
     for params in run.families():
         for kt in ktype_enumeration(params, 12, 12):
@@ -897,7 +864,7 @@ def _paction_degenerate_guard(run: CheckRun):
                 if kappa.denominator == 1 and kappa <= 0:
                     return False, None, {"series_pole_at": where}
             scanned += 1
-    return True, None, {"poles_refused": poles_refused, "types_scanned": scanned}
+    return True, None, {"poles_refused": len(poles), "types_scanned": scanned}
 
 
 # -- symsq suite -------------------------------------------------------------------
@@ -922,24 +889,18 @@ def _symsq_q_transport(run: CheckRun):
     return True, None, {"generators_checked": len(gens)}
 
 
-@_register(
-    "symsq.gamma2_q",
-    "symsq",
-    "pq",
-    "multiplying out the split Casimir tensor gives twice the Casimir element",
-)
-def _symsq_gamma2_q(run: CheckRun):
-    return gamma2_q_identity(run.sig), None, {}
+def _symsq_gamma2(identity: Callable[[Tuple[int, int]], bool], run: CheckRun):
+    return identity(run.sig), None, {}
 
 
-@_register(
-    "symsq.gamma2_xi",
-    "symsq",
-    "pq",
-    "multiplying out the distinguished tensor gives the signed Casimir combination",
-)
-def _symsq_gamma2_xi(run: CheckRun):
-    return gamma2_xi_identity(run.sig), None, {}
+_register_table("symsq", "pq", _symsq_gamma2, (
+    ("symsq.gamma2_q",
+     "multiplying out the split Casimir tensor gives twice the Casimir element",
+     gamma2_q_identity),
+    ("symsq.gamma2_xi",
+     "multiplying out the distinguished tensor gives the signed Casimir combination",
+     gamma2_xi_identity),
+))
 
 
 @_register(
@@ -1013,7 +974,7 @@ def _garfinkle_obstruction(run: CheckRun):
     per_sign = {}
     min_validity = None
     for params in run.families():
-        res = garfinkle_obstruction(params, D=run.solver_depth())
+        res = garfinkle_obstruction(params, run.solver_depth())
         if res.exists != (run.m == 0):
             return False, res.validity, {
                 "failed_sign": params.sign,

@@ -15,7 +15,8 @@ Each run option is declared once, in ``_OPTIONS``: it gives the
 another.  Runs are deterministic: two runs with the same configuration
 produce identical reports except for the ``elapsed`` timing fields.  The exit status is 0
 exactly when every executed check passed, 1 when any failed or errored,
-and 2 for configuration errors.
+and 2 for configuration errors, among them an ``--out`` path that cannot be
+opened; it is opened before any check runs.
 """
 
 from __future__ import annotations
@@ -217,8 +218,14 @@ def format_text(report: Dict) -> str:
 def run_command(args: argparse.Namespace) -> int:
     try:
         config = _build_config(args)
+        # open the report before any check runs, so a bad path costs no sweep
+        out = open(config.out, "w", encoding="utf-8") if config.out else None
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        reason = f"cannot write report to {config.out}: {exc.strerror}"
+        print(f"configuration error: {reason}", file=sys.stderr)
         return 2
     defs = selected_checks(config.resolved_suites())
     jobs = plan_jobs(
@@ -230,9 +237,9 @@ def run_command(args: argparse.Namespace) -> int:
         rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         rendered = format_text(report)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+    if out is not None:
+        with out:
+            out.write(rendered)
         s = report["summary"]
         print(
             f"wrote {config.out}: {s['passed']}/{s['total']} passed, "

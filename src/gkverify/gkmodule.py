@@ -213,13 +213,10 @@ class ModuleParams:
             return kt.kappa_plus, kt.kappa_minus
         return kt.kappa_minus, kt.kappa_plus
 
-    def delta_window(self) -> List[int]:
-        """Allowed values of kappa_plus - kappa_minus: -m, -m+2, ..., m."""
-        return list(range(-self.m, self.m + 1, 2))
-
     def allows(self, kt: KType) -> bool:
+        """kappa_plus - kappa_minus is one of -m, -m+2, ..., m."""
         d = kt.kappa_plus - kt.kappa_minus
-        return d.denominator == 1 and int(d) in self.delta_window()
+        return d.denominator == 1 and abs(d) <= self.m and (self.m + d) % 2 == 0
 
     def mu(self, kt: KType) -> int:
         """Radial exponent at this K-type, (m + kappa_s - kappa_o)/2."""
@@ -656,16 +653,16 @@ def ktype_elements(
     element of each block."""
     space = params.space
     for kt in ktype_enumeration(params, k_max, l_max):
-        h1 = harmonic_basis(space, "x", kt.k).elements[0]
-        h2 = harmonic_basis(space, "y", kt.l).elements[0]
+        h1 = harmonic_basis(space, "x", kt.k)[0]
+        h2 = harmonic_basis(space, "y", kt.l)[0]
         yield typical_element(params, h1, h2, D)
 
 
 def product_elements(params: ModuleParams, kt: KType, D: int) -> Iterator[TypicalElement]:
     """The typical elements of every harmonic product at K-type kt, built at
     degree D, in basis order with the x harmonic outermost."""
-    for h1 in harmonic_basis(params.space, "x", kt.k).elements:
-        for h2 in harmonic_basis(params.space, "y", kt.l).elements:
+    for h1 in harmonic_basis(params.space, "x", kt.k):
+        for h2 in harmonic_basis(params.space, "y", kt.l):
             yield typical_element(params, h1, h2, D)
 
 
@@ -734,9 +731,7 @@ def default_solver_depth(m: int) -> int:
     return 2 * m + 8
 
 
-def garfinkle_obstruction(
-    params: ModuleParams, D: Optional[int] = None
-) -> ObstructionResult:
+def garfinkle_obstruction(params: ModuleParams, D: int) -> ObstructionResult:
     """Decide solvability of pi(Y) f + lambda f = lambda_kappa(f) f over the
     default samples f, built at degree D.
 
@@ -756,17 +751,19 @@ def garfinkle_obstruction(
     or (for m >= 1) samples sharing one eigenvalue, are solvable for a
     reason unrelated to the module and raise DegenerateSampleError.
 
-    D defaults to default_solver_depth(params.m).  The result is memoized on
-    (params, D) with D resolved first, so the theorem assembly reads the
-    result of the obstruction check instead of solving again; cache_info and
-    cache_clear reach that memo.  A raised error is not memoized.
+    D is required: the checks pass default_solver_depth(params.m) unless a
+    depth is given.  The result is memoized on (params, D), so the theorem
+    assembly reads the result of the obstruction check instead of solving
+    again; cache_info and cache_clear reach that memo.  The memo sits one
+    call down so that D passed by position or by keyword is one entry (an
+    lru_cache keys the two apart).  A raised error is not memoized.
     """
-    return _obstruction(params, default_solver_depth(params.m) if D is None else D)
+    return _obstruction(params, D)
 
 
 @lru_cache(maxsize=None)
 def _obstruction(params: ModuleParams, D: int) -> ObstructionResult:
-    """garfinkle_obstruction at a resolved depth D."""
+    """garfinkle_obstruction, memoized on its positional arguments."""
     space = params.space
     gens = generators(params.p, params.q, "M")
     lam_col = len(gens)

@@ -47,7 +47,6 @@ from typing import (
     List,
     Mapping,
     NamedTuple,
-    Optional,
     Sequence,
     Tuple,
     TypeVar,
@@ -317,10 +316,6 @@ class EnvelopingElement(Combination):
 
     __slots__ = ()
 
-    @staticmethod
-    def one(sig: Signature, flavor: str = "X") -> "EnvelopingElement":
-        return EnvelopingElement(sig, flavor, {(): 1})
-
     def __mul__(self, other: "EnvelopingElement") -> "EnvelopingElement":
         self._require_same_ctx(other)
         out: Dict[Word, int] = {}
@@ -519,16 +514,15 @@ def pi_lie(a: LieElement) -> WeylOperator:
     return WeylOperator.reduced(space, acc, a.den)
 
 
-def pi_env(u: Combination, space: Optional[VariableSpace] = None) -> WeylOperator:
+def pi_env(u: Combination) -> WeylOperator:
     """Image of a word-keyed combination: words become operator compositions.
 
     Takes an enveloping element or a symmetric tensor, whose ordered pairs
-    are words of length two.
+    are words of length two.  The operators act on VariableSpace(*u.sig).
     """
     _require_words(u)
     _require_m_flavor(u.flavor)
-    if space is None:
-        space = VariableSpace(*u.sig)
+    space = VariableSpace(*u.sig)
     total = WeylOperator.zero(space)
     for word, c in u._terms.items():
         op = pi_generator(word[0], space) if word else WeylOperator.identity(space)
@@ -609,4 +603,4 @@ def sl2_casimir_op(space: VariableSpace) -> WeylOperator:
 @lru_cache(maxsize=None)
 def pi_casimir(space: VariableSpace, which: str) -> WeylOperator:
     """pi of the Casimir words, composed exactly (no closed form used)."""
-    return pi_env(transport(casimir(which, (space.p, space.q))), space)
+    return pi_env(transport(casimir(which, (space.p, space.q))))

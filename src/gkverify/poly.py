@@ -34,7 +34,7 @@ truncated radial power series in rho_x = r_x^2/2, rho_y = r_y^2/2.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
@@ -182,10 +182,6 @@ class VariableSpace:
         except KeyError:
             raise ValueError("block must be 'x' or 'y'") from None
 
-    def block_degree_of(self, key: int, block: str) -> int:
-        shift, mask, spread, top = self.block_sum(block)
-        return (((key >> shift) & mask) * spread >> top) & MAX_EXP
-
     def var_name(self, i: int) -> str:
         if i < self.p:
             return f"x{i + 1}"
@@ -307,8 +303,7 @@ class SparseRational:
     def neg(self):
         return self._make(self.ctx, {k: -c for k, c in self._terms.items()}, self.den)
 
-    def __neg__(self):
-        return self.neg()
+    __neg__ = neg
 
     def scale(self, c: ScalarLike):
         if not exact(c):
@@ -385,8 +380,8 @@ class MultiPoly(SparseRational):
 
     def block_homogeneous_degree(self, block: str) -> int:
         """Common degree in the block's variables; raises if mixed, 0 if zero poly."""
-        sp = self.space
-        degs = {sp.block_degree_of(k, block) for k in self._terms}
+        shift, mask, spread, top = self.space.block_sum(block)
+        degs = {(((k >> shift) & mask) * spread >> top) & MAX_EXP for k in self._terms}
         if not degs:
             return 0
         if len(degs) > 1:
@@ -547,19 +542,6 @@ def harmonic_dim(n: int, k: int) -> int:
     return first - second
 
 
-@dataclass(frozen=True)
-class HarmonicBasis:
-    """Exact basis of the degree-k harmonics of one block."""
-
-    space: VariableSpace
-    block: str
-    degree: int
-    elements: Tuple[MultiPoly, ...] = field(compare=False)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
 def _block_monomial_keys(space: VariableSpace, block: str, k: int) -> List[int]:
     """Packed keys of all degree-k monomials in the block's variables."""
     idxs = list(space.block_range(block))
@@ -579,10 +561,11 @@ def _block_monomial_keys(space: VariableSpace, block: str, k: int) -> List[int]:
 
 
 @lru_cache(maxsize=None)
-def harmonic_basis(space: VariableSpace, block: str, degree: int) -> HarmonicBasis:
+def harmonic_basis(space: VariableSpace, block: str, degree: int) -> Tuple[MultiPoly, ...]:
     """All degree-`degree` harmonics of the block, as an exact nullspace basis.
 
-    Elements are monic in the graded-lex leading monomial and ordered by that
+    The basis is a plain tuple of polynomials (cached per space, block and
+    degree, so callers share it).  Elements are monic in the graded-lex leading monomial and ordered by that
     leading monomial, descending.  The basis size always equals the two-term
     binomial dimension count; that identity is asserted here.  A negative
     degree raises ValueError.
@@ -609,8 +592,7 @@ def harmonic_basis(space: VariableSpace, block: str, degree: int) -> HarmonicBas
         raise AssertionError(
             f"harmonic count mismatch: got {len(vectors)}, expected {expected}"
         )
-    elements = tuple(MultiPoly.reduced(space, v, v[max(v)]) for v in vectors)
-    return HarmonicBasis(space=space, block=block, degree=degree, elements=elements)
+    return tuple(MultiPoly.reduced(space, v, v[max(v)]) for v in vectors)
 
 
 def dagger(P: MultiPoly, block: str) -> MultiPoly:

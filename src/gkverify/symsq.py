@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gkmodule import (
     ModuleParams,
@@ -73,17 +73,10 @@ from .liealg import (
     transport,
 )
 from .linalg import SparseRREF
-from .poly import ONE, ZERO, ScalarLike, VariableSpace
+from .poly import ONE, ZERO, ScalarLike
 
 Sig = Tuple[int, int]
 PairKey = Tuple[Generator, Generator]
-
-
-def _as_sig(sig: Union[int, Sig]) -> Sig:
-    """Accept a bare size n (one definite block) or a genuine (p, q) split."""
-    if isinstance(sig, int):
-        return (sig, 0)
-    return sig
 
 
 class SymSquareTensor(Combination):
@@ -114,14 +107,14 @@ def pairing(s: SymSquareTensor, t: SymSquareTensor) -> Fraction:
 # -- the named tensors -----------------------------------------------------------------
 
 
-def build_Q(sig: Union[int, Sig], flavor: str = "X") -> SymSquareTensor:
-    """The invariant tensor dual to the form.
+def build_Q(sig: Sig, flavor: str = "X") -> SymSquareTensor:
+    """The invariant tensor dual to the form, at the (p, q) signature sig.
 
     In the X flavor the double sum over ordered index pairs collapses to
     twice the dual-signed diagonal over canonical generators; in the M
     flavor it collapses to -2 on every diagonal slot.
     """
-    p, q = _as_sig(sig)
+    p, q = sig
     if flavor == "X":
         terms = {(g, g): 2 * dual_sign(g, p) for g in generators(p, q, "X")}
     elif flavor == "M":
@@ -131,9 +124,9 @@ def build_Q(sig: Union[int, Sig], flavor: str = "X") -> SymSquareTensor:
     return SymSquareTensor.reduced(((p, q), flavor), terms, 1)
 
 
-def build_S4(sig: Union[int, Sig], i: int, j: int, k: int, l: int) -> SymSquareTensor:
-    """Six-term alternating tensor attached to four strictly increasing indices."""
-    p, q = _as_sig(sig)
+def build_S4(sig: Sig, i: int, j: int, k: int, l: int) -> SymSquareTensor:
+    """Six-term alternating tensor of four strictly increasing indices, at (p, q) = sig."""
+    p, q = sig
     n = p + q
     if not (1 <= i < j < k < l <= n):
         raise ValueError("need 1 <= i < j < k < l <= n")
@@ -149,9 +142,9 @@ def build_S4(sig: Union[int, Sig], i: int, j: int, k: int, l: int) -> SymSquareT
     return SymSquareTensor.reduced(((p, q), "M"), terms, 2)
 
 
-def build_S2(sig: Union[int, Sig], i: int, j: int) -> SymSquareTensor:
-    """One-index contraction with its trace part removed on the diagonal."""
-    p, q = _as_sig(sig)
+def build_S2(sig: Sig, i: int, j: int) -> SymSquareTensor:
+    """One-index contraction, trace part removed on the diagonal, at (p, q) = sig."""
+    p, q = sig
     n = p + q
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("indices out of range")
@@ -165,7 +158,7 @@ def build_S2(sig: Union[int, Sig], i: int, j: int) -> SymSquareTensor:
             terms[key] = terms.get(key, 0) + s1 * s2
     tensor = SymSquareTensor.reduced(((p, q), "M"), terms, 2)
     if i == j:
-        tensor = tensor - build_Q((p, q), "M").scale(Fraction(1, n))
+        tensor = tensor - build_Q(sig, "M").scale(Fraction(1, n))
     return tensor
 
 
@@ -255,13 +248,11 @@ def s4_vanishing(sig: Sig) -> Tuple[int, bool]:
     Memoized on the signature, so the theorem assembly reads the result of
     the S4 check instead of recomputing it.
     """
-    p, q = sig
-    n = p + q
-    space = VariableSpace(p, q)
+    n = sum(sig)
     count = 0
     all_zero = True
     for i, j, k, l in combinations(range(1, n + 1), 4):
-        op = pi_env(build_S4((p, q), i, j, k, l), space)
+        op = pi_env(build_S4(sig, i, j, k, l))
         count += 1
         if not op.is_zero():
             all_zero = False
@@ -399,8 +390,9 @@ def _span_invariant(
 def decompose_S2(n: int) -> DecompositionReport:
     """Split the symmetric square into its four exact invariant pieces.
 
-    The first three pieces come with explicit spanning tensors whose joint
-    independence is certified by an exact rank computation; the last piece
+    The first three pieces come with explicit spanning tensors, built at the
+    signature (n, 0), whose joint independence is certified by an exact rank
+    computation; the last piece
     is the orthocomplement of their span under the trace pairing.  Because
     the pairing weights are positive the pairing is definite on these real
     tensors, so the complement meets the span trivially and its dimension is
@@ -415,12 +407,13 @@ def decompose_S2(n: int) -> DecompositionReport:
     big_n = n * (n - 1) // 2
     total_dim = big_n * (big_n + 1) // 2
 
-    q_hat = build_Q(n, "M")
+    sig = (n, 0)
+    q_hat = build_Q(sig, "M")
     s4_list = [
-        build_S4(n, i, j, k, l) for i, j, k, l in combinations(range(1, n + 1), 4)
+        build_S4(sig, i, j, k, l) for i, j, k, l in combinations(range(1, n + 1), 4)
     ]
     s2_list = [
-        build_S2(n, i, j)
+        build_S2(sig, i, j)
         for i in range(1, n + 1)
         for j in range(i, n + 1)
         if not (i == n and j == n)

@@ -36,7 +36,7 @@ DEGENERATE_TUPLES = [(2, 10, 1), (10, 2, 1), (2, 8, 1)]
 def test_degenerate_samples_are_an_error(p, q, m):
     for sign in (1, -1):
         with pytest.raises(DegenerateSampleError):
-            garfinkle_obstruction(ModuleParams(p, q, m, sign))
+            garfinkle_obstruction(ModuleParams(p, q, m, sign), 2 * m + 8)
     defs = [REGISTRY["garfinkle.obstruction"], REGISTRY["garfinkle.theorem"]]
     results = execute_jobs(plan_jobs(defs, [(p, q, m)], 3, 3, None))
     assert [r.name for r in results] == ["garfinkle.obstruction", "garfinkle.theorem"]
@@ -52,7 +52,7 @@ def test_degenerate_samples_raise_on_every_call(p, q, m):
     garfinkle_obstruction.cache_clear()
     for calls in (1, 2, 3):
         with pytest.raises(DegenerateSampleError):
-            garfinkle_obstruction(params)
+            garfinkle_obstruction(params, 2 * m + 8)
         info = garfinkle_obstruction.cache_info()
         assert (info.misses, info.currsize) == (calls, 0)
 

@@ -216,3 +216,16 @@ def test_free_suites_pass_with_a_one_variable_block(p, q, capsys):
     report = json.loads(out)
     bad = [(c["name"], c["detail"]) for c in report["checks"] if c["status"] != "pass"]
     assert code == 0 and not bad
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_out_is_a_config_error_before_any_check(where, tmp_path, monkeypatch, capsys):
+    # a missing directory or a directory as --out fails before the sweep, not after it
+    dest = tmp_path / "missing" / "r.json" if where == "missing_dir" else tmp_path
+    ran = []
+    monkeypatch.setattr(cli, "execute_jobs", lambda jobs: ran.append(jobs) or [])
+    argv = ["run", "--p", "2", "--q", "2", "--suite", "weyl", "--out", str(dest)]
+    code, out, err = _run(argv, capsys)
+    assert code == 2
+    assert f"configuration error: cannot write report to {dest}: " in err
+    assert ran == [] and out == ""

@@ -162,8 +162,8 @@ def test_psi_series_refuses_a_float_parameter():
 def test_typical_element_requires_depth():
     params = ModuleParams(4, 4, 1, 1)
     space = params.space
-    h1 = harmonic_basis(space, "x", 1).elements[0]
-    h2 = harmonic_basis(space, "y", 0).elements[0]
+    h1 = harmonic_basis(space, "x", 1)[0]
+    h2 = harmonic_basis(space, "y", 0)[0]
     with pytest.raises(TruncationError):
         typical_element(params, h1, h2, 2)  # base degree is 3
 
@@ -175,8 +175,8 @@ def test_membership_triple_spot():
             space = params.space
             D = 2 * m + 12
             for kt in ktype_enumeration(params, 2, 2):
-                h1 = harmonic_basis(space, "x", kt.k).elements[0]
-                h2 = harmonic_basis(space, "y", kt.l).elements[0]
+                h1 = harmonic_basis(space, "x", kt.k)[0]
+                h2 = harmonic_basis(space, "y", kt.l)[0]
                 f = typical_element(params, h1, h2, D)
                 report = verify_membership(f)
                 assert report.ok, (p, q, m, sign, kt.k, kt.l)
@@ -185,8 +185,8 @@ def test_membership_triple_spot():
 def test_weight_is_signed_m():
     params = ModuleParams(4, 4, 1, 1)
     space = params.space
-    h1 = harmonic_basis(space, "x", 1).elements[0]
-    h2 = harmonic_basis(space, "y", 0).elements[0]
+    h1 = harmonic_basis(space, "x", 1)[0]
+    h2 = harmonic_basis(space, "y", 0)[0]
     f = typical_element(params, h1, h2, 12)
     assert closed_apply("H", f).agrees_with(f.scale(1))
     params_minus = ModuleParams(4, 4, 1, -1)
@@ -239,8 +239,8 @@ def test_eigenvalue_reports_spot():
     params = ModuleParams(4, 4, 1, 1)
     space = params.space
     kt = KType(1, 0, 4, 4)
-    h1 = harmonic_basis(space, "x", 1).elements[0]
-    h2 = harmonic_basis(space, "y", 0).elements[0]
+    h1 = harmonic_basis(space, "x", 1)[0]
+    h2 = harmonic_basis(space, "y", 0)[0]
     f = typical_element(params, h1, h2, 14)
     assert f.kt == kt
     for which in ("op", "oq", "g"):
@@ -253,8 +253,8 @@ def test_eigenvalue_reports_spot():
 def test_apply_operator_validity_bookkeeping():
     params = ModuleParams(2, 4, 0, 1)
     space = params.space
-    h1 = harmonic_basis(space, "x", 1).elements[0]
-    h2 = harmonic_basis(space, "y", 0).elements[0]
+    h1 = harmonic_basis(space, "x", 1)[0]
+    h2 = harmonic_basis(space, "y", 0)[0]
     f = typical_element(params, h1, h2, 10)
     full = closed_apply("g", f)  # the closed form reaches fourth derivative order
     assert full.validity == f.validity - 4
@@ -286,8 +286,8 @@ def test_closed_apply_matches_one_pass_operator(p, q):
     space = VariableSpace(p, q)
     for params in _families(p, q):
         kt = ktype_enumeration(params, 1, 1)[-1]
-        h1 = harmonic_basis(space, "x", kt.k).elements[0]
-        h2 = harmonic_basis(space, "y", kt.l).elements[0]
+        h1 = harmonic_basis(space, "x", kt.k)[0]
+        h2 = harmonic_basis(space, "y", kt.l)[0]
         f = typical_element(params, h1, h2, 8)
         for which in CLOSED_FORMS:
             op = closed_operator(space, which)
@@ -335,8 +335,8 @@ def test_closed_apply_matches_uncapped_words(p, q):
     space = VariableSpace(p, q)
     for params in _families(p, q):
         for kt in ktype_enumeration(params, 2, 2):
-            h1 = harmonic_basis(space, "x", kt.k).elements[-1]
-            h2 = harmonic_basis(space, "y", kt.l).elements[-1]
+            h1 = harmonic_basis(space, "x", kt.k)[-1]
+            h2 = harmonic_basis(space, "y", kt.l)[-1]
             for D in (9, 10):
                 f = typical_element(params, h1, h2, D)
                 for which in CLOSED_FORMS:
@@ -425,8 +425,8 @@ def test_euler_pass_on_a_synthetic_closed_form(monkeypatch, p, q):
     samples = [_dense_element(space, 5)]
     for params in _families(p, q):
         for kt in ktype_enumeration(params, 1, 1):
-            h1 = harmonic_basis(space, "x", kt.k).elements[-1]
-            h2 = harmonic_basis(space, "y", kt.l).elements[-1]
+            h1 = harmonic_basis(space, "x", kt.k)[-1]
+            h2 = harmonic_basis(space, "y", kt.l)[-1]
             samples += [typical_element(params, h1, h2, D) for D in (9, 10)]
     for f in samples:
         got = closed_apply("synthetic", f)
@@ -438,8 +438,8 @@ def test_euler_pass_on_a_synthetic_closed_form(monkeypatch, p, q):
 def test_closed_apply_refuses_a_negative_validity():
     params = ModuleParams(2, 4, 0, 1)
     space = params.space
-    h1 = harmonic_basis(space, "x", 1).elements[0]
-    h2 = harmonic_basis(space, "y", 0).elements[0]
+    h1 = harmonic_basis(space, "x", 1)[0]
+    h2 = harmonic_basis(space, "y", 0)[0]
     f = typical_element(params, h1, h2, 10)
     low = TruncatedElement(f.expansion, 3)
     with pytest.raises(TruncationError):
@@ -464,8 +464,8 @@ def test_xi_row_matches_three_casimir_application(p, q, m):
     for sign in (1, -1):
         params = ModuleParams(p, q, m, sign)
         for kt in ktype_enumeration(params, 2, 2):
-            h1 = harmonic_basis(space, "x", kt.k).elements[0]
-            h2 = harmonic_basis(space, "y", kt.l).elements[0]
+            h1 = harmonic_basis(space, "x", kt.k)[0]
+            h2 = harmonic_basis(space, "y", kt.l)[0]
             f = typical_element(params, h1, h2, D)
             merged = closed_apply("xi", f)
             separate = _xi_by_three_casimirs(f)
@@ -478,7 +478,7 @@ def test_xi_row_matches_three_casimir_application(p, q, m):
 
 def test_truncated_element_agreement_window():
     space = VariableSpace(2, 4)
-    one = harmonic_basis(space, "x", 0).elements[0]
+    one = harmonic_basis(space, "x", 0)[0]
     a = TruncatedElement(one, 4)
     b = TruncatedElement(one + one.scale(0), 2)
     assert a.agrees_with(b)
@@ -498,13 +498,13 @@ def test_membership_holds_on_harmonic_combinations(cs):
     # and the resulting vector must still pass the membership triple
     params = ModuleParams(2, 4, 0, 1)
     space = params.space
-    basis = harmonic_basis(space, "y", 1).elements
+    basis = harmonic_basis(space, "y", 1)
     h2 = basis[0].scale(0)
     for c, h in zip(cs, basis):
         h2 = h2 + h.scale(c)
     if h2.is_zero():
         return
-    h1 = harmonic_basis(space, "x", 2).elements[0]
+    h1 = harmonic_basis(space, "x", 2)[0]
     f = typical_element(params, h1, h2, 9)
     assert verify_membership(f).ok
 
@@ -512,8 +512,8 @@ def test_membership_holds_on_harmonic_combinations(cs):
 def test_p_action_spot():
     params = ModuleParams(4, 4, 1, 1)
     space = params.space
-    h1 = harmonic_basis(space, "x", 1).elements[0]
-    h2 = harmonic_basis(space, "y", 0).elements[0]
+    h1 = harmonic_basis(space, "x", 1)[0]
+    h2 = harmonic_basis(space, "y", 0)[0]
     f = typical_element(params, h1, h2, 12)
     for i in (1, 4):
         for j in (1, 4):
@@ -525,8 +525,8 @@ def test_p_action_spot():
 def test_typical_element_carries_its_family():
     params = ModuleParams(4, 4, 1, -1)
     space = params.space
-    h1 = harmonic_basis(space, "x", 2).elements[1]
-    h2 = harmonic_basis(space, "y", 1).elements[0]
+    h1 = harmonic_basis(space, "x", 2)[1]
+    h2 = harmonic_basis(space, "y", 1)[0]
     f = typical_element(params, h1, h2, 10)
     assert isinstance(f, TypicalElement)
     assert (f.params, f.kt, f.h1, f.h2) == (params, KType(2, 1, 4, 4), h1, h2)
@@ -553,11 +553,11 @@ def test_sample_plans_follow_the_enumeration_and_the_bases():
     firsts = list(ktype_elements(params, 2, 3, 10))
     assert [f.kt for f in firsts] == kts
     for f in firsts:
-        assert f.h1 == harmonic_basis(space, "x", f.kt.k).elements[0]
-        assert f.h2 == harmonic_basis(space, "y", f.kt.l).elements[0]
+        assert f.h1 == harmonic_basis(space, "x", f.kt.k)[0]
+        assert f.h2 == harmonic_basis(space, "y", f.kt.l)[0]
     kt = kts[1]
-    bx = harmonic_basis(space, "x", kt.k).elements
-    by = harmonic_basis(space, "y", kt.l).elements
+    bx = harmonic_basis(space, "x", kt.k)
+    by = harmonic_basis(space, "y", kt.l)
     products = list(product_elements(params, kt, 10))
     assert [(f.h1, f.h2) for f in products] == [(h1, h2) for h1 in bx for h2 in by]
     assert len(products) == kt.multiplicity
@@ -660,14 +660,14 @@ def test_default_samples_structure():
 
 
 def test_obstruction_exists_at_m_zero():
-    res = garfinkle_obstruction(ModuleParams(4, 4, 0, 1))
+    res = garfinkle_obstruction(ModuleParams(4, 4, 0, 1), 8)
     assert res.exists
     assert res.certificate is None
     assert res.xi_scalars  # the solver records the scalar targets it matched
 
 
 def test_obstruction_infeasible_at_m_positive():
-    res = garfinkle_obstruction(ModuleParams(4, 4, 1, 1))
+    res = garfinkle_obstruction(ModuleParams(4, 4, 1, 1), 10)
     assert not res.exists
     assert res.witness is None
     assert res.certificate  # an explicit inconsistent row is named
@@ -676,8 +676,8 @@ def test_obstruction_infeasible_at_m_positive():
 
 def test_obstruction_both_signs_agree():
     for sign in (1, -1):
-        assert garfinkle_obstruction(ModuleParams(4, 4, 0, sign)).exists
-        assert not garfinkle_obstruction(ModuleParams(4, 4, 1, sign)).exists
+        assert garfinkle_obstruction(ModuleParams(4, 4, 0, sign), 8).exists
+        assert not garfinkle_obstruction(ModuleParams(4, 4, 1, sign), 10).exists
 
 
 @pytest.mark.parametrize("m", [0, 1])
@@ -705,7 +705,7 @@ def test_obstruction_images_are_the_truncated_full_images(monkeypatch, m):
 
 def test_obstruction_result_is_frozen():
     # the memoized result is shared by every caller, so no caller may change it
-    res = garfinkle_obstruction(ModuleParams(4, 4, 0, 1))
+    res = garfinkle_obstruction(ModuleParams(4, 4, 0, 1), 8)
     assert isinstance(res.xi_scalars, tuple)
     coeffs, _lam = res.witness
     assert isinstance(coeffs, tuple) and list(coeffs) == sorted(coeffs)
@@ -718,7 +718,7 @@ def test_obstruction_result_is_frozen():
 def test_obstruction_call_forms_solve_once():
     params = ModuleParams(4, 4, 1, 1)
     garfinkle_obstruction.cache_clear()
-    first = garfinkle_obstruction(params)
+    first = garfinkle_obstruction(params, 10)
     assert garfinkle_obstruction(params, 10) is first
     assert garfinkle_obstruction(params, D=10) is first
     assert garfinkle_obstruction(ModuleParams(4, 4, 1, 1), D=10) is first
@@ -785,7 +785,7 @@ def test_memoized_radial_layer_is_the_fresh_expansion(monkeypatch):
 def test_radial_layer_pole_raises_on_every_call():
     import gkverify.gkmodule as gkmodule
 
-    h = harmonic_basis(VariableSpace(2, 4), "x", 1).elements[0]
+    h = harmonic_basis(VariableSpace(2, 4), "x", 1)[0]
     gkmodule._radial_expansion.cache_clear()
     for _ in range(3):
         with pytest.raises(PsiPoleError):

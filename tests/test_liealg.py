@@ -350,9 +350,9 @@ def test_pi_env_respects_products():
     expect = pi_generator(a, space).compose(pi_generator(b, space)).scale(
         Fraction(1, 2)
     ) + pi_generator(b, space)
-    assert pi_env(u, space) == expect
+    assert pi_env(u) == expect
     with pytest.raises(ValueError):
-        pi_env(EnvelopingElement(sig, "X", {(GENS[0],): ONE}), space)
+        pi_env(EnvelopingElement(sig, "X", {(GENS[0],): ONE}))
 
 
 def test_constructors_refuse_unknown_flavors_and_bad_keys():

@@ -1,6 +1,10 @@
 """The package's public surface."""
 
+from pathlib import Path
+
 import gkverify
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_exported_name_resolves():
@@ -10,3 +14,15 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from gkverify import *", namespace)
     assert set(gkverify.__all__) <= set(namespace)
+
+
+def _readme_block(heading: str) -> str:
+    """The first python code block under a level-two README heading."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs():
+    # the block is run as written, so the README cannot drift from the API
+    exec(compile(_readme_block("Library"), "README.md", "exec"), {})

@@ -229,7 +229,7 @@ def test_harmonic_dimension_formula(nblk):
         )
         assert harmonic_dim(nblk, k) == expected
         assert len(basis) == expected
-        for h in basis.elements:
+        for h in basis:
             assert laplacian(h, "x").is_zero()
             assert h.block_homogeneous_degree("x") == k
 
@@ -242,10 +242,10 @@ def test_harmonic_basis_is_canonical(sig):
     for block in ("x", "y"):
         for k in range(0, 5):
             basis = harmonic_basis(space, block, k)
-            leads = [h.leading_key() for h in basis.elements]
+            leads = [h.leading_key() for h in basis]
             assert leads == sorted(leads, reverse=True)
             assert len(set(leads)) == len(basis)
-            for h, lead in zip(basis.elements, leads):
+            for h, lead in zip(basis, leads):
                 assert h.monomials()[space.unpack(lead)] == ONE
                 assert laplacian(h, block).is_zero()
 
@@ -267,7 +267,7 @@ def test_unknown_block_is_refused():
 
 def test_dagger_on_harmonic_is_identity():
     basis = harmonic_basis(SPACE, "y", 2)
-    for h in basis.elements:
+    for h in basis:
         assert dagger(h, "y") == h
 
 
@@ -275,7 +275,7 @@ def test_dagger_projects_variable_times_harmonic():
     # P = y_1 h has Laplacian^2 P = 0, so one correction step lands on a harmonic
     y1 = MultiPoly.variable(SPACE, 2)
     for k in range(4):
-        for h in harmonic_basis(SPACE, "y", k).elements:
+        for h in harmonic_basis(SPACE, "y", k):
             P = y1.mul(h)
             Pd = dagger(P, "y")
             assert laplacian(Pd, "y").is_zero()
@@ -298,8 +298,8 @@ def test_dagger_frozen_value():
 @given(st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=20, deadline=None)
 def test_harmonic_products_are_bihomogeneous(k, l):
-    h1 = harmonic_basis(SPACE, "x", k).elements[0]
-    h2 = harmonic_basis(SPACE, "y", l).elements[0]
+    h1 = harmonic_basis(SPACE, "x", k)[0]
+    h2 = harmonic_basis(SPACE, "y", l)[0]
     f = h1.mul(h2)
     assert f.block_homogeneous_degree("x") == k
     assert f.block_homogeneous_degree("y") == l

@@ -93,3 +93,24 @@ def test_sweep_against_forwards_run_arguments(tmp_path):
     refused = subprocess.run(args + ["nosuch"], capture_output=True, text=True, timeout=300)
     assert refused.returncode == 2
     assert "exited with 2" in refused.stderr
+
+
+def test_default_sweep_matches_the_golden_report(tmp_path):
+    # the behaviour contract of a refactor: the default sweep's JSON report,
+    # apart from timing, is the one pinned in tests/data/default_sweep.json
+    out = tmp_path / "sweep.json"
+    run = subprocess.run(
+        [sys.executable, "-m", "gkverify.cli", "run", "--format", "json", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    golden = ROOT / "tests" / "data" / "default_sweep.json"
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), str(golden), str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, "report differs from the golden one at:\n" + done.stdout

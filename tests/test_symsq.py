@@ -176,8 +176,8 @@ def _random_m_tensors(sig):
 @settings(max_examples=40, deadline=None)
 def test_pi_env_matches_slotwise_tensor_image(t):
     space = VariableSpace(*t.sig)
-    assert pi_env(t, space) == _pi_tensor_reference(t, space)
-    assert pi_env(t) == pi_env(EnvelopingElement(t.sig, "M", t.coeffs), space)
+    assert pi_env(t) == _pi_tensor_reference(t, space)
+    assert pi_env(t) == pi_env(EnvelopingElement(t.sig, "M", t.coeffs))
 
 
 @given(symmetric_tensors, st.sampled_from(MGENS), st.sampled_from(MGENS))
@@ -234,7 +234,7 @@ def test_xi_closed_form_row_is_the_image_of_xi(sig):
     # The "xi" row of closed_form is derived from the three Casimir rows; its
     # operator must equal the image of the tensor built from its definition.
     space = VariableSpace(*sig)
-    assert closed_operator(space, "xi") == pi_env(transport(gamma2(build_Xi(sig))), space)
+    assert closed_operator(space, "xi") == pi_env(transport(gamma2(build_Xi(sig))))
 
 
 def test_xi_closed_form_row_sizes():
