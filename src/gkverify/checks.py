@@ -14,14 +14,17 @@ Every invariant the library promises is addressable here as a dotted name,
 
 A check is a function of a resolved parameter context returning
 ``(ok, validity, detail)`` where ``detail`` is a JSON-serializable dict.
-Families of same-shaped checks are registered from one table each over one
-shared body: the three ``casimir.*_closed_form`` checks, the four
+Its suite is the prefix of its name, and it resolves its working depth
+through gkmodule.default_depth or default_solver_depth, which apply a given
+``max_degree`` themselves.  Families of same-shaped checks are registered
+from one table each over one shared body: the three ``casimir.*_closed_form`` checks, the four
 ``casimir.*_eigenvalue`` sweeps and the two ``symsq.gamma2_*`` identities.
 Checks are deterministic: sampled families use fixed seeds derived from the
 parameters, so two runs with the same configuration produce identical
 reports apart from timing.  Scope controls fan-out: an ``once`` check runs
 a single time, a ``pq`` check runs once per distinct block signature, and a
-``pqm`` check runs once per full parameter tuple.
+``pqm`` check runs once per full parameter tuple; the suites that own a
+``pqm`` check, MODULE_SUITES, are the ones that need ``m``.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .poly import (
     ONE,
     ZERO,
     MultiPoly,
+    TruncationError,
     VariableSpace,
     dagger,
     euler,
@@ -109,10 +113,6 @@ ALL_SUITES: Tuple[str, ...] = (
     "garfinkle",
 )
 
-# Suites whose checks instantiate module parameters and therefore need the
-# parameter constraints (p, q >= 2, p + q even, 0 <= m, m + 3 <= (p+q)/2).
-MODULE_SUITES = frozenset({"casimir", "module", "paction", "garfinkle"})
-
 
 @dataclass(frozen=True)
 class CheckRun:
@@ -139,15 +139,7 @@ class CheckRun:
 
     def depth(self) -> int:
         """Working truncation degree for module-level checks."""
-        if self.max_degree is not None:
-            return self.max_degree
-        return default_depth(self.m, self.k_max + self.l_max)
-
-    def solver_depth(self) -> int:
-        """Working truncation degree for the obstruction solver."""
-        if self.max_degree is not None:
-            return self.max_degree
-        return default_solver_depth(self.m)
+        return default_depth(self.m, self.k_max + self.l_max, self.max_degree)
 
 
 CheckFn = Callable[[CheckRun], Tuple[bool, Optional[int], Dict]]
@@ -165,7 +157,9 @@ class CheckDef:
 REGISTRY: Dict[str, CheckDef] = {}
 
 
-def _register(name: str, suite: str, scope: str, description: str):
+def _register(name: str, scope: str, description: str):
+    """Register a check under its dotted name, whose prefix is its suite."""
+    suite = name.split(".", 1)[0]
     if suite not in ALL_SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if scope not in ("once", "pq", "pqm"):
@@ -180,11 +174,11 @@ def _register(name: str, suite: str, scope: str, description: str):
     return deco
 
 
-def _register_table(suite: str, scope: str, body, rows) -> None:
+def _register_table(scope: str, body, rows) -> None:
     """Register one check per row ``(name, description, *args)`` of a family
     of same-shaped checks, each running ``body(*args, run)``."""
     for name, description, *args in rows:
-        _register(name, suite, scope, description)(partial(body, *args))
+        _register(name, scope, description)(partial(body, *args))
 
 
 # -- lie suite --------------------------------------------------------------------
@@ -192,7 +186,6 @@ def _register_table(suite: str, scope: str, body, rows) -> None:
 
 @_register(
     "lie.homomorphism",
-    "lie",
     "pq",
     "operator realization respects every bracket of canonical generator pairs",
 )
@@ -213,7 +206,6 @@ def _lie_homomorphism(run: CheckRun):
 
 @_register(
     "lie.commutant",
-    "lie",
     "pq",
     "every realized generator commutes with the three radial operators",
 )
@@ -233,7 +225,6 @@ def _lie_commutant(run: CheckRun):
 
 @_register(
     "lie.duality",
-    "lie",
     "pq",
     "the half-trace form pairs each generator with its dual to one, all others to zero",
 )
@@ -254,7 +245,6 @@ def _lie_duality(run: CheckRun):
 
 @_register(
     "lie.jacobi",
-    "lie",
     "pq",
     "the bracket satisfies the Jacobi identity on a fixed-seed family of generator triples",
 )
@@ -280,7 +270,6 @@ def _lie_jacobi(run: CheckRun):
 
 @_register(
     "lie.pbw_confluence",
-    "lie",
     "pq",
     "straightening a word at the first or the last inversion yields the same normal form",
 )
@@ -309,7 +298,6 @@ def _lie_pbw_confluence(run: CheckRun):
 
 @_register(
     "lie.symbol_roundtrip",
-    "lie",
     "pq",
     "the degree-two symbol of the multiplication image reproduces each symmetric tensor",
 )
@@ -332,7 +320,6 @@ def _lie_symbol_roundtrip(run: CheckRun):
 
 @_register(
     "weyl.canonical_commutation",
-    "weyl",
     "pq",
     "derivative and multiplication operators satisfy the canonical commutation relations",
 )
@@ -386,7 +373,6 @@ def _poly_family(space: VariableSpace) -> List[MultiPoly]:
 
 @_register(
     "weyl.compose_apply",
-    "weyl",
     "pq",
     "applying a composition agrees with applying the factors in sequence",
 )
@@ -408,7 +394,6 @@ def _weyl_compose_apply(run: CheckRun):
 
 @_register(
     "weyl.commutator_jacobi",
-    "weyl",
     "pq",
     "operator commutators satisfy the Jacobi identity on a deterministic family",
 )
@@ -430,7 +415,6 @@ def _weyl_jacobi(run: CheckRun):
 
 @_register(
     "weyl.degree_bookkeeping",
-    "weyl",
     "pq",
     "composition never raises polynomial degree or derivative order beyond the factor sums",
 )
@@ -453,7 +437,6 @@ def _weyl_degree(run: CheckRun):
 
 @_register(
     "weyl.harmonic_dimension",
-    "weyl",
     "pq",
     "harmonic basis sizes match the two-binomial dimension count and are annihilated exactly",
 )
@@ -483,7 +466,6 @@ def _weyl_harmonic_dimension(run: CheckRun):
 
 @_register(
     "weyl.dagger_harmonic",
-    "weyl",
     "pq",
     "the degree-lowering correction of variable times harmonic is again harmonic",
 )
@@ -508,7 +490,6 @@ def _weyl_dagger(run: CheckRun):
 
 @_register(
     "weyl.euler_scalar",
-    "weyl",
     "pq",
     "the block Euler operator multiplies block-homogeneous polynomials by their degree",
 )
@@ -532,7 +513,6 @@ def _weyl_euler(run: CheckRun):
 
 @_register(
     "weyl.field_axioms",
-    "weyl",
     "once",
     "exact coefficient arithmetic satisfies the field axioms on a fixed-seed sample",
 )
@@ -567,7 +547,7 @@ def _casimir_closed_form(which: str, block: str, run: CheckRun):
     return ok, None, {"block": block}
 
 
-_register_table("casimir", "pq", _casimir_closed_form, (
+_register_table("pq", _casimir_closed_form, (
     ("casimir.op_closed_form",
      "the first-block Casimir image equals its radial closed form as an operator", "op", "x"),
     ("casimir.oq_closed_form",
@@ -579,7 +559,6 @@ _register_table("casimir", "pq", _casimir_closed_form, (
 
 @_register(
     "casimir.sl2_relation",
-    "casimir",
     "pq",
     "the full Casimir image equals the commutant Casimir shifted by the dimension constant",
 )
@@ -615,7 +594,7 @@ def _eigenvalue_sweep(which: str, run: CheckRun):
     return True, min_validity, detail
 
 
-_register_table("casimir", "pqm", _eigenvalue_sweep, (
+_register_table("pqm", _eigenvalue_sweep, (
     ("casimir.op_eigenvalue",
      "the first-block Casimir acts on each sampled vector by its exact scalar", "op"),
     ("casimir.oq_eigenvalue",
@@ -633,7 +612,6 @@ _register_table("casimir", "pqm", _eigenvalue_sweep, (
 
 @_register(
     "module.parameter_window",
-    "module",
     "pqm",
     "the enumerated lowest-layer types match the even-window rule exactly",
 )
@@ -677,7 +655,6 @@ def _module_window(run: CheckRun):
 
 @_register(
     "module.membership",
-    "module",
     "pqm",
     "each sampled vector has the right weight, is annihilated, and is killed by the expected power",
 )
@@ -713,7 +690,6 @@ def _unguarded_pole(kappas: Sequence[int]) -> Optional[str]:
 
 @_register(
     "module.series_recurrence",
-    "module",
     "pqm",
     "stored radial series coefficients satisfy the two-term recurrence, and poles are refused",
 )
@@ -743,7 +719,6 @@ def _module_series(run: CheckRun):
 
 @_register(
     "module.radial_uniformity",
-    "module",
     "pqm",
     "every harmonic product at one lowest-layer type yields a vector passing membership",
 )
@@ -771,7 +746,6 @@ def _module_radial_uniformity(run: CheckRun):
 
 @_register(
     "module.apply_linearity",
-    "module",
     "pqm",
     "truncated application is linear and agrees with direct application on plain polynomials",
 )
@@ -803,7 +777,12 @@ def _module_apply_linearity(run: CheckRun):
     P = bx[0].mul(by[0])
     for A in ops:
         wrapped = apply_operator(A, TruncatedElement(P, D))
-        if wrapped.expansion != A.apply(P):
+        direct = A.apply(P)
+        if wrapped.validity < direct.degree():
+            raise TruncationError(
+                f"validity {wrapped.validity} is below the direct image's degree {direct.degree()}"
+            )
+        if wrapped.expansion != direct:
             return False, wrapped.validity, {"failed": "direct_agreement"}
         if wrapped.validity != D + A.min_degree_shift():
             return False, wrapped.validity, {"failed": "validity_bookkeeping"}
@@ -815,7 +794,6 @@ def _module_apply_linearity(run: CheckRun):
 
 @_register(
     "paction.four_term",
-    "paction",
     "pqm",
     "the mixed generator action matches the closed four-layer expansion for all indices",
 )
@@ -843,7 +821,6 @@ def _paction_four_term(run: CheckRun):
 
 @_register(
     "paction.degenerate_guard",
-    "paction",
     "pqm",
     "series poles are refused, and valid parameters never reach a vanishing layer denominator",
 )
@@ -872,7 +849,6 @@ def _paction_degenerate_guard(run: CheckRun):
 
 @_register(
     "symsq.q_transport",
-    "symsq",
     "pq",
     "the split Casimir tensor transports between realizations and is invariant",
 )
@@ -893,7 +869,7 @@ def _symsq_gamma2(identity: Callable[[Tuple[int, int]], bool], run: CheckRun):
     return identity(run.sig), None, {}
 
 
-_register_table("symsq", "pq", _symsq_gamma2, (
+_register_table("pq", _symsq_gamma2, (
     ("symsq.gamma2_q",
      "multiplying out the split Casimir tensor gives twice the Casimir element",
      gamma2_q_identity),
@@ -905,7 +881,6 @@ _register_table("symsq", "pq", _symsq_gamma2, (
 
 @_register(
     "symsq.xi_transport",
-    "symsq",
     "pq",
     "the distinguished tensor built from its definition equals the closed form",
 )
@@ -921,7 +896,6 @@ def _symsq_xi_transport(run: CheckRun):
 
 @_register(
     "symsq.s4_vanishing",
-    "symsq",
     "pq",
     "every four-index alternating-symmetrized tensor vanishes identically",
 )
@@ -935,7 +909,6 @@ def _symsq_s4(run: CheckRun):
 
 @_register(
     "symsq.decomposition",
-    "symsq",
     "pq",
     "the symmetric square splits into four invariant pieces with the predicted dimensions",
 )
@@ -966,7 +939,6 @@ def _symsq_decomposition(run: CheckRun):
 
 @_register(
     "garfinkle.obstruction",
-    "garfinkle",
     "pqm",
     "a degree-two annihilator element with the required scalar exists exactly when m is zero",
 )
@@ -974,7 +946,7 @@ def _garfinkle_obstruction(run: CheckRun):
     per_sign = {}
     min_validity = None
     for params in run.families():
-        res = garfinkle_obstruction(params, run.solver_depth())
+        res = garfinkle_obstruction(params, default_solver_depth(run.m, run.max_degree))
         if res.exists != (run.m == 0):
             return False, res.validity, {
                 "failed_sign": params.sign,
@@ -990,14 +962,13 @@ def _garfinkle_obstruction(run: CheckRun):
 
 @_register(
     "garfinkle.theorem",
-    "garfinkle",
     "pqm",
     "the annihilator criterion matches the prediction, failing only at the obstruction step",
 )
 def _garfinkle_theorem(run: CheckRun):
     per_sign = {}
     for params in run.families():
-        rep = theorem_ingredients(params, D=run.max_degree)
+        rep = theorem_ingredients(params, run.max_degree)
         if not rep.matches_prediction():
             return False, None, {"failed_sign": params.sign, "report": rep.to_dict()}
         if run.m >= 1 and not (
@@ -1009,6 +980,11 @@ def _garfinkle_theorem(run: CheckRun):
 
 
 # -- execution ---------------------------------------------------------------------
+
+
+# Suites whose checks instantiate module parameters and therefore need the
+# parameter constraints (p, q >= 2, p + q even, 0 <= m, m + 3 <= (p+q)/2).
+MODULE_SUITES = frozenset(cd.suite for cd in REGISTRY.values() if cd.scope == "pqm")
 
 
 @dataclass

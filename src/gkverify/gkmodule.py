@@ -48,7 +48,9 @@ where lambda_kappa is the symmetric-square eigenvalue.  It returns either a
 witness verified against every sampled equation or an exact infeasibility
 certificate; infeasibility of the truncated subsystem is an exact conclusion
 about the full system.  A sample too small to decide the question raises
-DegenerateSampleError.
+DegenerateSampleError.  The solver is memoized on its positional arguments
+(params, D).  default_depth and default_solver_depth are the one place that
+resolves a working depth: the given one, else their rule.
 """
 
 from __future__ import annotations
@@ -719,19 +721,22 @@ class ObstructionResult:
         }
 
 
-def default_depth(m: int, kl_max: int = 6) -> int:
+def default_depth(m: int, kl_max: int, given: Optional[int]) -> int:
     """Working truncation degree of the module-level checks on K-types with
-    k + l <= kl_max: 2m + 6 + max(6, kl_max), a headroom of 6 over the
-    largest base degree k + l + 2m and never below 2m + 12."""
-    return 2 * m + 6 + max(6, kl_max)
+    k + l <= kl_max: the given depth, else 2m + 6 + max(6, kl_max), a
+    headroom of 6 over the largest base degree k + l + 2m and never below
+    2m + 12."""
+    return given if given is not None else 2 * m + 6 + max(6, kl_max)
 
 
-def default_solver_depth(m: int) -> int:
-    """Working truncation degree of the obstruction solver, 2m + 8."""
-    return 2 * m + 8
+def default_solver_depth(m: int, given: Optional[int]) -> int:
+    """Working truncation degree of the obstruction solver: the given depth,
+    else 2m + 8."""
+    return given if given is not None else 2 * m + 8
 
 
-def garfinkle_obstruction(params: ModuleParams, D: int) -> ObstructionResult:
+@lru_cache(maxsize=None)
+def garfinkle_obstruction(params: ModuleParams, D: int, /) -> ObstructionResult:
     """Decide solvability of pi(Y) f + lambda f = lambda_kappa(f) f over the
     default samples f, built at degree D.
 
@@ -751,19 +756,11 @@ def garfinkle_obstruction(params: ModuleParams, D: int) -> ObstructionResult:
     or (for m >= 1) samples sharing one eigenvalue, are solvable for a
     reason unrelated to the module and raise DegenerateSampleError.
 
-    D is required: the checks pass default_solver_depth(params.m) unless a
-    depth is given.  The result is memoized on (params, D), so the theorem
-    assembly reads the result of the obstruction check instead of solving
-    again; cache_info and cache_clear reach that memo.  The memo sits one
-    call down so that D passed by position or by keyword is one entry (an
-    lru_cache keys the two apart).  A raised error is not memoized.
+    D is required and positional: the checks pass default_solver_depth.  The
+    result is memoized on (params, D), so the theorem assembly reads the
+    result of the obstruction check instead of solving again.  A raised
+    error is not memoized.
     """
-    return _obstruction(params, D)
-
-
-@lru_cache(maxsize=None)
-def _obstruction(params: ModuleParams, D: int) -> ObstructionResult:
-    """garfinkle_obstruction, memoized on its positional arguments."""
     space = params.space
     gens = generators(params.p, params.q, "M")
     lam_col = len(gens)
@@ -878,8 +875,3 @@ def _obstruction(params: ModuleParams, D: int) -> ObstructionResult:
             return infeasible(s_idx, key)
         if status != "pivot":
             raise AssertionError("violated row must change the echelon form")
-
-
-# the memo of the public entry point, for callers that inspect or reset it
-garfinkle_obstruction.cache_info = _obstruction.cache_info
-garfinkle_obstruction.cache_clear = _obstruction.cache_clear

@@ -36,7 +36,10 @@ a Lie subalgebra, and so do the elements that leave the pairing invariant.
 
 The theorem assembly at the bottom shares its two pure ingredients with the
 checks that run them on their own: garfinkle_obstruction and s4_vanishing
-are memoized, so each is solved once per parameter set.
+are memoized, so each is solved once per parameter set.  It resolves its
+depths through the same gkmodule rules as the checks, passing the given
+depth through, so it reads the obstruction check's memo entry.  Its
+TheoremReport stores only the step results and derives the verdict.
 """
 
 from __future__ import annotations
@@ -463,32 +466,39 @@ def decompose_S2(n: int) -> DecompositionReport:
 # -- the assembled dichotomy ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TheoremReport:
-    """Joint outcome of the three inclusion steps for one parameter set."""
+    """Joint outcome of the three inclusion steps for one parameter set.
 
-    p: int
-    q: int
-    m: int
-    sign: int
-    casimir_scalar: Fraction
+    Stores only the ingredients; the verdict, the prediction and the
+    parameter fields of to_dict are read off them.
+    """
+
+    params: ModuleParams
     casimir_step_ok: bool
     s4_count: int
     s4_step_ok: bool
     obstruction: ObstructionResult
-    joseph_consistent: bool
-    predicted: bool
+
+    @property
+    def joseph_consistent(self) -> bool:
+        return self.casimir_step_ok and self.s4_step_ok and self.obstruction.exists
+
+    @property
+    def predicted(self) -> bool:
+        return self.params.m == 0
 
     def matches_prediction(self) -> bool:
         return self.joseph_consistent == self.predicted
 
     def to_dict(self) -> Dict:
+        P = self.params
         return {
-            "p": self.p,
-            "q": self.q,
-            "m": self.m,
-            "sign": self.sign,
-            "casimir_scalar": str(self.casimir_scalar),
+            "p": P.p,
+            "q": P.q,
+            "m": P.m,
+            "sign": P.sign,
+            "casimir_scalar": str(P.scalar("g")),
             "casimir_step_ok": self.casimir_step_ok,
             "s4_count": self.s4_count,
             "s4_step_ok": self.s4_step_ok,
@@ -516,25 +526,10 @@ def theorem_ingredients(params: ModuleParams, D: Optional[int] = None) -> Theore
     garfinkle.obstruction checks have run at the same parameters this
     function solves neither again; the shared ObstructionResult is frozen.
     """
-    d_main = D if D is not None else default_depth(params.m)
-    d_solver = D if D is not None else default_solver_depth(params.m)
-
-    casimir_ok = all(eigenvalue_check("g", f).ok for f in default_samples(params, d_main))
-
-    s4_count, s4_ok = s4_vanishing((params.p, params.q))
-
-    obstruction = garfinkle_obstruction(params, d_solver)
-
-    return TheoremReport(
-        p=params.p,
-        q=params.q,
-        m=params.m,
-        sign=params.sign,
-        casimir_scalar=params.scalar("g"),
-        casimir_step_ok=casimir_ok,
-        s4_count=s4_count,
-        s4_step_ok=s4_ok,
-        obstruction=obstruction,
-        joseph_consistent=casimir_ok and s4_ok and obstruction.exists,
-        predicted=params.m == 0,
+    casimir_ok = all(
+        eigenvalue_check("g", f).ok
+        for f in default_samples(params, default_depth(params.m, 4, D))
     )
+    s4_count, s4_ok = s4_vanishing((params.p, params.q))
+    obstruction = garfinkle_obstruction(params, default_solver_depth(params.m, D))
+    return TheoremReport(params, casimir_ok, s4_count, s4_ok, obstruction)

@@ -62,9 +62,17 @@ def _clear_memos():
     s4_vanishing.cache_clear()
 
 
-@pytest.mark.parametrize("p,q,m", [(4, 4, 0), (4, 6, 1)])
-def test_theorem_reads_the_sibling_results(p, q, m):
-    run = CheckRun(p, q, m, None, 3, 3)
+@pytest.mark.parametrize(
+    "p,q,m,max_degree",
+    [
+        pytest.param(4, 4, 0, None, id="4-4-0"),
+        pytest.param(4, 6, 1, None, id="4-6-1"),
+        # under --max-degree both checks resolve the depth through one rule
+        pytest.param(4, 6, 1, 12, id="4-6-1-D12"),
+    ],
+)
+def test_theorem_reads_the_sibling_results(p, q, m, max_degree):
+    run = CheckRun(p, q, m, max_degree, 3, 3)
     theorem = REGISTRY["garfinkle.theorem"].fn
     _clear_memos()
     cold = theorem(run)
@@ -119,6 +127,16 @@ def test_default_depth_covers_large_k_l():
     results = execute_jobs(plan_jobs(defs, [(4, 4, 0)], 8, 8, None))
     assert len(results) == 13
     assert all(r.status == "pass" for r in results), [r.to_dict() for r in results]
+
+
+def test_apply_linearity_below_the_direct_degree_is_an_error():
+    # at D = 5 the capped Laplacian image is valid to degree 3, below the
+    # degree 4 of the uncapped image it would be compared with
+    (result,) = execute_jobs(
+        plan_jobs([REGISTRY["module.apply_linearity"]], [(4, 4, 0)], 3, 3, 5)
+    )
+    assert result.status == "error", result.to_dict()
+    assert result.detail["error"].startswith("TruncationError: "), result.detail
 
 
 def test_wrong_xi_closed_form_is_a_failure(monkeypatch):

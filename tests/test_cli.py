@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,14 @@ def test_list_names_every_check(capsys):
     assert "casimir.op_eigenvalue" in out
     assert "symsq.s4_vanishing" in out
     assert "garfinkle.obstruction" in out
+
+
+def test_list_matches_the_golden_listing(capsys):
+    # the registry's names, suites and descriptions, as pinned in tests/data/list.txt
+    code, out, _ = _run(["list"], capsys)
+    assert code == 0
+    golden = Path(__file__).resolve().parent / "data" / "list.txt"
+    assert out == golden.read_text()
 
 
 def test_run_single_tuple_json(capsys):
@@ -80,6 +89,12 @@ def test_missing_m_with_module_suites_is_rejected(capsys):
     code, _, err = _run(["run", "--p", "2", "--q", "4"], capsys)
     assert code == 2
     assert "configuration error" in err
+    # the suites that need m are the ones owning a per-(p, q, m) check
+    code, _, err = _run(["run", "--p", "4", "--q", "4", "--suite", "casimir,symsq"], capsys)
+    assert code == 2
+    assert "the suites casimir need --m" in err
+    code, _, err = _run(["run", "--p", "4", "--q", "4", "--suite", "symsq"], capsys)
+    assert code == 0, err
 
 
 def test_truncation_failure_surfaces_as_error_exit(capsys):
@@ -98,6 +113,12 @@ def test_truncation_failure_surfaces_as_error_exit(capsys):
     assert report["summary"]["errors"] > 0
     errored = [c for c in report["checks"] if c["status"] == "error"]
     assert any("TruncationError" in c["detail"].get("error", "") for c in errored)
+    # too small a depth is an error, never a counterexample
+    for depth in range(2, 6):
+        argv = ["run", "--p", "4", "--q", "4", "--m", "0", "--max-degree", str(depth)]
+        code, out, _ = _run(argv + ["--suite", "module", "--format", "json"], capsys)
+        failed = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
+        assert (code, failed) == (1, []), depth
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

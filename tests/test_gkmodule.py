@@ -636,7 +636,7 @@ def _outcome(check, *args):
 
 @pytest.mark.parametrize("p,q,m", [(2, 4, 0), (3, 3, 0), (4, 4, 1), (3, 5, 1)])
 def test_p_action_check_matches_the_rebuilding_check(p, q, m):
-    D = default_solver_depth(m)
+    D = default_solver_depth(m, None)
     compared = 0
     for sign in (1, -1):
         params = ModuleParams(p, q, m, sign)
@@ -716,16 +716,19 @@ def test_obstruction_result_is_frozen():
 
 
 def test_obstruction_call_forms_solve_once():
+    # D is positional-only, so each (params, D) has one call form and one entry
     params = ModuleParams(4, 4, 1, 1)
     garfinkle_obstruction.cache_clear()
     first = garfinkle_obstruction(params, 10)
     assert garfinkle_obstruction(params, 10) is first
-    assert garfinkle_obstruction(params, D=10) is first
-    assert garfinkle_obstruction(ModuleParams(4, 4, 1, 1), D=10) is first
+    assert garfinkle_obstruction(ModuleParams(4, 4, 1, 1), 10) is first
+    with pytest.raises(TypeError):
+        garfinkle_obstruction(params, D=10)
+    # lru_cache counts the refused keyword call as a miss, so count entries
     info = garfinkle_obstruction.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert (info.currsize, info.hits) == (1, 2)
     garfinkle_obstruction(params, 12)
-    assert garfinkle_obstruction.cache_info().misses == 2
+    assert garfinkle_obstruction.cache_info().currsize == 2
 
 
 # -- the radial series memo ----------------------------------------------------------
