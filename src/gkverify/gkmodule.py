@@ -47,8 +47,11 @@ scalar satisfies pi(Y) f + lambda f = lambda_kappa(f) f for every sample,
 where lambda_kappa is the symmetric-square eigenvalue.  It returns either a
 witness verified against every sampled equation or an exact infeasibility
 certificate; infeasibility of the truncated subsystem is an exact conclusion
-about the full system.  A sample too small to decide the question raises
-DegenerateSampleError.  The solver is memoized on its positional arguments
+about the full system.  A sample's generator images are formed the first time
+the solver reads that sample, and a candidate (Y, lambda) is verified by one
+capped pi(Y) per sample.  A sample too small to decide the question raises
+DegenerateSampleError, read from the samples' K-types before any image is
+formed.  The solver is memoized on its positional arguments
 (params, D).  default_depth and default_solver_depth are the one place that
 resolves a working depth: the given one, else their rule.
 """
@@ -61,7 +64,15 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .liealg import STOCK_OPERATORS, Generator, closed_form, generators, pi_generator
+from .liealg import (
+    STOCK_OPERATORS,
+    Generator,
+    LieElement,
+    closed_form,
+    generators,
+    pi_generator,
+    pi_lie,
+)
 from .linalg import SparseRREF
 from .poly import (
     BITS,
@@ -751,10 +762,19 @@ def garfinkle_obstruction(params: ModuleParams, D: int, /) -> ObstructionResult:
     infeasibility certificate (a row reducing to 0 = 1).  Infeasibility of
     the truncated sampled system implies infeasibility of the full system.
 
+    A sample's generator images, the sorted monomials of its equations and
+    its row multiplier are formed the first time a row of that sample is
+    read, so a certificate found inside the first samples never images the
+    rest.  A candidate (Y, lambda) is verified on each sample by one capped
+    application of pi(Y) (none when Y = 0) plus (lambda - lambda_kappa) f,
+    which by linearity is the sum of its coefficients times the generator
+    images.
+
     For m = 0 the eigenvalues lambda_kappa vanish on the whole window, so the
     zero witness is exact regardless of truncation.  Fewer than two samples,
     or (for m >= 1) samples sharing one eigenvalue, are solvable for a
-    reason unrelated to the module and raise DegenerateSampleError.
+    reason unrelated to the module and raise DegenerateSampleError before
+    any image is formed.
 
     D is required and positional: the checks pass default_solver_depth.  The
     result is memoized on (params, D), so the theorem assembly reads the
@@ -767,32 +787,42 @@ def garfinkle_obstruction(params: ModuleParams, D: int, /) -> ObstructionResult:
     rhs_col = lam_col + 1
 
     validity = D - 2
-    prepared = []
-    for f in default_samples(params, D):
-        fpoly = f.expansion.truncate(validity)
-        images = [pi_generator(g, space).apply(f.expansion, max_degree=validity) for g in gens]
-        keys = set(fpoly._terms)
-        for img in images:
-            keys.update(img._terms)
-        lam_k = params.scalar("xi", f.kt)
-        # one multiplier per sample clears every denominator of its equations
-        # (scaling a row changes no echelon status)
-        den = lcm(fpoly.den * lam_k.denominator, *(img.den for img in images))
-        prepared.append((f.kt, lam_k, fpoly, images, sorted(keys), den))
-
-    xi_values = tuple(lam_k for _, lam_k, _, _, _, _ in prepared)
-    if len(prepared) < 2 or (params.m >= 1 and len(set(xi_values)) < 2):
+    samples = [
+        (f, params.scalar("xi", f.kt), f.expansion.truncate(validity))
+        for f in default_samples(params, D)
+    ]
+    xi_values = tuple(lam_k for _, lam_k, _ in samples)
+    if len(samples) < 2 or (params.m >= 1 and len(set(xi_values)) < 2):
         raise DegenerateSampleError(
-            f"{len(prepared)} default samples with Xi eigenvalues "
+            f"{len(samples)} default samples with Xi eigenvalues "
             f"{sorted(set(map(str, xi_values)))} cannot decide the system at {params}"
         )
+
+    imaged: Dict[int, Tuple[List[MultiPoly], List[int], int]] = {}
+
+    def images_of(s_idx: int) -> Tuple[List[MultiPoly], List[int], int]:
+        """The capped generator images of one sample, the sorted keys of its
+        equations and its row multiplier, formed on the first read."""
+        got = imaged.get(s_idx)
+        if got is None:
+            f, lam_k, fpoly = samples[s_idx]
+            images = [pi_generator(g, space).apply(f.expansion, max_degree=validity) for g in gens]
+            keys = set(fpoly._terms)
+            for img in images:
+                keys.update(img._terms)
+            # one multiplier per sample clears every denominator of its
+            # equations (scaling a row changes no echelon status)
+            den = lcm(fpoly.den * lam_k.denominator, *(img.den for img in images))
+            got = imaged[s_idx] = (images, sorted(keys), den)
+        return got
 
     rref = SparseRREF(rhs_col=rhs_col)
     n_rows = 0
 
     def build_row(s_idx: int, key: int) -> Dict[int, int]:
         """The equation of one monomial of one sample, scaled to integers."""
-        _, lam_k, fpoly, images, _, den = prepared[s_idx]
+        _, lam_k, fpoly = samples[s_idx]
+        images, _, den = images_of(s_idx)
         row: Dict[int, int] = {}
         for idx, img in enumerate(images):
             c = img._terms.get(key)
@@ -815,7 +845,7 @@ def garfinkle_obstruction(params: ModuleParams, D: int, /) -> ObstructionResult:
         return status
 
     def infeasible(s_idx: int, key: int) -> ObstructionResult:
-        kt = prepared[s_idx][0]
+        kt = samples[s_idx][0].kt
         return ObstructionResult(
             exists=False,
             witness=None,
@@ -824,16 +854,16 @@ def garfinkle_obstruction(params: ModuleParams, D: int, /) -> ObstructionResult:
                 f"(K-type k={kt.k}, l={kt.l}) reduces to 0 = 1"
             ),
             validity=validity,
-            n_samples=len(prepared),
+            n_samples=len(samples),
             n_rows=n_rows,
             xi_scalars=xi_values,
         )
 
     # phase 1: seed the echelon form, early-stopping per sample once no new
     # rank has appeared for a while (the residual phase catches the rest)
-    for s_idx, (_, _, _, _, keys, _) in enumerate(prepared):
+    for s_idx in range(len(samples)):
         stable = 0
-        for key in keys:
+        for key in images_of(s_idx)[1]:
             status = feed(build_row(s_idx, key))
             if status == "inconsistent":
                 return infeasible(s_idx, key)
@@ -849,13 +879,15 @@ def garfinkle_obstruction(params: ModuleParams, D: int, /) -> ObstructionResult:
         sol = rref.particular_solution()
         lam = sol.get(lam_col, ZERO)
         coeffs = {g: sol.get(idx, ZERO) for idx, g in enumerate(gens)}
+        y = LieElement((params.p, params.q), "M", coeffs)
+        # one capped pi(Y) per sample: by linearity the sum of c_g times the
+        # capped generator images
+        pi_y = None if y.is_zero() else pi_lie(y)
         violation = None
-        for s_idx, (_, lam_k, fpoly, images, _, _) in enumerate(prepared):
+        for s_idx, (f, lam_k, fpoly) in enumerate(samples):
             residual = fpoly.scale(lam - lam_k)
-            for idx, img in enumerate(images):
-                c = coeffs[gens[idx]]
-                if c:
-                    residual = residual + img.scale(c)
+            if pi_y is not None:
+                residual = residual + pi_y.apply(f.expansion, max_degree=validity)
             if not residual.is_zero():
                 violation = (s_idx, min(residual._terms))
                 break
@@ -865,7 +897,7 @@ def garfinkle_obstruction(params: ModuleParams, D: int, /) -> ObstructionResult:
                 witness=(tuple(sorted(coeffs.items())), lam),
                 certificate=None,
                 validity=validity,
-                n_samples=len(prepared),
+                n_samples=len(samples),
                 n_rows=n_rows,
                 xi_scalars=xi_values,
             )

@@ -5,6 +5,7 @@ import pytest
 from gkverify.checks import REGISTRY, CheckRun, execute_jobs, plan_jobs
 from gkverify.gkmodule import DegenerateSampleError, ModuleParams, garfinkle_obstruction
 from gkverify.symsq import s4_vanishing, xi_closed_form
+from gkverify.weyl import WeylOperator
 
 # At (2, 14, 1) the window needs k - l = 5 or 7, so no K-type has k, l <= 3.
 EMPTY_WINDOW = CheckRun(2, 14, 1, None, 3, 3)
@@ -55,6 +56,32 @@ def test_degenerate_samples_raise_on_every_call(p, q, m):
             garfinkle_obstruction(params, 2 * m + 8)
         info = garfinkle_obstruction.cache_info()
         assert (info.misses, info.currsize) == (calls, 0)
+
+
+def test_solver_images_only_the_samples_it_reads(monkeypatch):
+    # at (4, 6, 1) the certificate appears inside sample 1, so only samples 0
+    # and 1 are imaged (45 generators each); a degenerate sample set is
+    # refused from its K-types, before any image
+    calls = []
+    apply = WeylOperator.apply
+
+    def spy(op, f, max_degree=None):
+        calls.append(op)
+        return apply(op, f, max_degree=max_degree)
+
+    monkeypatch.setattr(WeylOperator, "apply", spy)
+    garfinkle_obstruction.cache_clear()
+    for sign in (1, -1):
+        calls.clear()
+        garfinkle_obstruction(ModuleParams(4, 6, 1, sign), 10)
+        assert len(calls) == 2 * 45, sign
+    for p, q, m in DEGENERATE_TUPLES:
+        for sign in (1, -1):
+            calls.clear()
+            with pytest.raises(DegenerateSampleError):
+                garfinkle_obstruction(ModuleParams(p, q, m, sign), 2 * m + 8)
+            assert calls == [], (p, q, m, sign)
+    garfinkle_obstruction.cache_clear()
 
 
 def _clear_memos():

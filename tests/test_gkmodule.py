@@ -2,7 +2,10 @@
 
 import dataclasses
 import itertools
+import math
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from gkverify.gkmodule import (
     DegenerateDenominatorError,
     KType,
     ModuleParams,
+    ObstructionResult,
     PsiPoleError,
     TruncatedElement,
     TypicalElement,
@@ -43,10 +47,14 @@ from gkverify.cli import DEFAULT_SWEEP
 from gkverify.liealg import (
     STOCK_OPERATORS,
     Generator,
+    LieElement,
     closed_form,
     closed_operator,
+    generators,
     pi_generator,
+    pi_lie,
 )
+from gkverify.linalg import SparseRREF
 from gkverify.weyl import WeylOperator, rsq_op
 
 
@@ -729,6 +737,187 @@ def test_obstruction_call_forms_solve_once():
     assert (info.currsize, info.hits) == (1, 2)
     garfinkle_obstruction(params, 12)
     assert garfinkle_obstruction.cache_info().currsize == 2
+
+
+def _eager_obstruction(params, D):
+    """The solver as it stood before it imaged samples on first read: every
+    generator image of every sample up front, and each candidate checked as
+    the sum of its coefficients times those images."""
+    import gkverify.gkmodule as gkmodule
+
+    space = params.space
+    gens = generators(params.p, params.q, "M")
+    lam_col = len(gens)
+    rhs_col = lam_col + 1
+    validity = D - 2
+    prepared = []
+    for f in gkmodule.default_samples(params, D):
+        fpoly = f.expansion.truncate(validity)
+        images = [pi_generator(g, space).apply(f.expansion, max_degree=validity) for g in gens]
+        keys = set(fpoly._terms)
+        for img in images:
+            keys.update(img._terms)
+        lam_k = params.scalar("xi", f.kt)
+        den = math.lcm(fpoly.den * lam_k.denominator, *(img.den for img in images))
+        prepared.append((f.kt, lam_k, fpoly, images, sorted(keys), den))
+    xi_values = tuple(entry[1] for entry in prepared)
+    assert len(prepared) >= 2 and (params.m == 0 or len(set(xi_values)) >= 2)
+
+    rref = SparseRREF(rhs_col=rhs_col)
+    n_rows = 0
+
+    def build_row(s_idx, key):
+        _, lam_k, fpoly, images, _, den = prepared[s_idx]
+        row = {}
+        for idx, img in enumerate(images):
+            c = img._terms.get(key)
+            if c:
+                row[idx] = c * (den // img.den)
+        fc = fpoly._terms.get(key)
+        if fc:
+            fc *= den // fpoly.den
+            row[lam_col] = fc
+            if lam_k:
+                row[rhs_col] = -(fc // lam_k.denominator) * lam_k.numerator
+        return row
+
+    def feed(row):
+        nonlocal n_rows
+        if not row:
+            return None
+        n_rows += 1
+        return rref.add_row(row)[0]
+
+    def result(exists, witness=None, certificate=None):
+        return ObstructionResult(
+            exists, witness, certificate, validity, len(prepared), n_rows, xi_values
+        )
+
+    def infeasible(s_idx, key):
+        kt = prepared[s_idx][0]
+        return result(
+            False,
+            certificate=(
+                f"monomial {space.unpack(key)} of sample {s_idx} "
+                f"(K-type k={kt.k}, l={kt.l}) reduces to 0 = 1"
+            ),
+        )
+
+    for s_idx, entry in enumerate(prepared):
+        stable = 0
+        for key in entry[4]:
+            status = feed(build_row(s_idx, key))
+            if status == "inconsistent":
+                return infeasible(s_idx, key)
+            if status == "pivot":
+                stable = 0
+            elif status == "dependent":
+                stable += 1
+                if stable >= 60:
+                    break
+
+    while True:
+        sol = rref.particular_solution()
+        lam = sol.get(lam_col, Fraction(0))
+        coeffs = {g: sol.get(idx, Fraction(0)) for idx, g in enumerate(gens)}
+        violation = None
+        for s_idx, (_, lam_k, fpoly, images, _, _) in enumerate(prepared):
+            residual = fpoly.scale(lam - lam_k)
+            for g, img in zip(gens, images):
+                if coeffs[g]:
+                    residual = residual + img.scale(coeffs[g])
+            if not residual.is_zero():
+                violation = (s_idx, min(residual._terms))
+                break
+        if violation is None:
+            return result(True, witness=(tuple(sorted(coeffs.items())), lam))
+        status = feed(build_row(*violation))
+        if status == "inconsistent":
+            return infeasible(*violation)
+        assert status == "pivot"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("p,q,m", list(DEFAULT_SWEEP) + [(3, 5, 1), (6, 6, 2), (4, 8, 3)])
+def test_obstruction_matches_the_eager_reference(p, q, m, sign):
+    # images formed on first read and one pi(Y) per candidate leave every
+    # row, the certificate and the witness as the eager solver had them
+    params = ModuleParams(p, q, m, sign)
+    D = default_solver_depth(m, None)
+    garfinkle_obstruction.cache_clear()
+    lazy = garfinkle_obstruction(params, D)
+    assert lazy.to_dict() == _eager_obstruction(params, D).to_dict()
+
+
+def _mixed_eigenseries(space, c, s, D):
+    """x_2^s g(x_1 y_1) up to degree D, where g(u) = sum a_j u^j solves
+    pi(M_(1,p+1)) g = -(u + d_x1 d_y1) g = c g up to degree D - 2:
+    a_(j+1) = -(c a_j + a_(j-1)) / (j + 1)^2, a_0 = 1."""
+    n, y1 = space.p + space.q, space.p
+    coeffs, prev, a = [], Fraction(0), Fraction(1)
+    for j in range((D - s) // 2 + 1):
+        coeffs.append(a)
+        prev, a = a, -(c * a + prev) / (j + 1) ** 2
+    entries = []
+    for j, a in enumerate(coeffs):
+        exps = [0] * n
+        exps[0], exps[1], exps[y1] = j, s, j
+        entries.append((tuple(exps), a))
+    return MultiPoly.from_monomials(space, entries)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_nonzero_candidate_matches_the_eager_reference(monkeypatch, sign):
+    # No default sample set reaches phase 2 with a nonzero Y, so this one is
+    # built to: sample s is an eigenseries of pi(M_(1,5)) with eigenvalue
+    # its own Xi scalar, so (Y, lambda) = (M_(1,5), 0) solves the system.
+    import gkverify.gkmodule as gkmodule
+
+    params = ModuleParams(4, 4, 1, sign)
+    D = 10
+    kts = ktype_enumeration(params, 2, 2)[:3]
+    samples = [
+        SimpleNamespace(
+            kt=kt, expansion=_mixed_eigenseries(params.space, params.scalar("xi", kt), s, D)
+        )
+        for s, kt in enumerate(kts)
+    ]
+    assert len({params.scalar("xi", kt) for kt in kts}) == 3
+    monkeypatch.setattr(gkmodule, "default_samples", lambda params, D: iter(samples))
+    garfinkle_obstruction.cache_clear()
+    lazy = garfinkle_obstruction(params, D)
+    garfinkle_obstruction.cache_clear()
+    assert lazy.exists
+    coeffs, lam = lazy.witness
+    assert lam == 0
+    assert {g: c for g, c in coeffs if c} == {Generator(1, 5, "M"): 1}
+    assert lazy.to_dict() == _eager_obstruction(params, D).to_dict()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("p,q,m", [(4, 6, 1), (3, 3, 0)])
+def test_candidate_image_is_the_sum_of_generator_images(p, q, m, sign):
+    # the solver checks a candidate (Y, lambda) with one capped pi(Y) per
+    # sample; it must equal the coefficients times the capped generator images
+    params = ModuleParams(p, q, m, sign)
+    D = default_solver_depth(m, None)
+    v = D - 2
+    space = params.space
+    gens = generators(p, q, "M")
+    rng = random.Random(p * 100 + q * 10 + m + sign)
+    for f in default_samples(params, D):
+        images = [pi_generator(g, space).apply(f.expansion, max_degree=v) for g in gens]
+        for _ in range(3):
+            picked = rng.sample(range(len(gens)), rng.randint(3, len(gens)))
+            coeffs = {}
+            for idx in picked:
+                num = rng.choice([-1, 1]) * rng.randint(1, 9)
+                coeffs[gens[idx]] = Fraction(num, rng.randint(1, 7))
+            y = LieElement((p, q), "M", coeffs)
+            expected = MultiPoly.zero(space)
+            for idx in picked:
+                expected = expected + images[idx].scale(coeffs[gens[idx]])
+            assert pi_lie(y).apply(f.expansion, max_degree=v) == expected
 
 
 # -- the radial series memo ----------------------------------------------------------
