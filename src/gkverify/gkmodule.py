@@ -35,11 +35,13 @@ once per (kappa, mu, block, space, degree reach) and memoized.
 
 A TypicalElement carries its family, K-type and harmonics, and the sample
 plans ktype_elements and product_elements yield them one at a time.
-eigenvalue_check compares closed_apply(which, f) with
-ModuleParams.scalar(which, f.kt) f, one path for all four eigenvalues,
-verify_membership checks the defining conditions of f's family, and
-p_action_check expands the mixed action on f; all three refuse other
-elements.
+eigenvalue_check asks whether closed_apply(which, f) -
+ModuleParams.scalar(which, f.kt) f vanishes, one path for all four
+eigenvalues: the scalar joins the closed form's empty word, so the
+difference comes out of the same staged pass and the check is one zero
+test.  verify_membership checks the defining conditions of f's family (its
+weight the same way, with H - sign m), and p_action_check expands the mixed
+action on f; all three refuse other elements.
 
 The obstruction solver at the bottom asks, over the default sample of typical
 elements f, whether some pair (Y, lambda) of a Lie-algebra element and a
@@ -459,7 +461,27 @@ def closed_apply(which: str, f: TruncatedElement) -> TruncatedElement:
     is formed.
     """
     space = f.space
+    return _apply_terms(closed_form(which, space.p, space.q), f)
+
+
+def _minus_scalar(which: str, f: TruncatedElement, scalar: Fraction) -> TruncatedElement:
+    """closed_apply(which, f) - scalar f in one pass: -scalar is merged into
+    the closed form's empty word, so it joins the same _euler_pass.
+
+    Each closed form this is used with ("op", "oq", "g", "xi", "H") has a
+    word of gain <= 0, so the empty word (gain 0) moves neither the
+    validity nor the TruncationError guard of closed_apply.
+    """
+    space = f.space
     terms = closed_form(which, space.p, space.q)
+    empty = sum((c for c, word in terms if not word), -scalar)
+    return _apply_terms(tuple((c, word) for c, word in terms if word) + ((empty, ()),), f)
+
+
+def _apply_terms(terms, f: TruncatedElement) -> TruncatedElement:
+    """The sum of c * word(f) over the (c, word) terms, at the validity and
+    with the TruncationError guard that closed_apply documents."""
+    space = f.space
     # word[i:] is the part of a word applied once its factor i has acted
     lowest = min(_gain(space, word[i:]) for _, word in terms for i in range(len(word) + 1))
     if f.validity + lowest < 0:
@@ -555,6 +577,11 @@ class MembershipReport:
 def verify_membership(f: TypicalElement) -> MembershipReport:
     """Check the three defining conditions of f's family on f.
 
+    The weight condition H f = sign m f is one zero test, as in
+    eigenvalue_check: H - sign m is applied in one staged pass.  The
+    killing generator must annihilate f and the (m+1)-th power of the
+    lowering one must too.
+
     Requires enough validity that the weakest check still sees degree m + 4;
     raises TruncationError otherwise.  The reported validity is that of the
     weakest check, the (m+1)-fold lowering.
@@ -566,8 +593,7 @@ def verify_membership(f: TypicalElement) -> MembershipReport:
         raise TruncationError(
             f"validity {f.validity} too small for the m={m} membership checks"
         )
-    hf = closed_apply("H", f)
-    weight_ok = hf.agrees_with(f.scale(params.sign * m))
+    weight_ok = _minus_scalar("H", f, params.sign * m).is_zero()
     killer, lower = params.sl2_roles
     annihilated_ok = closed_apply(killer, f).is_zero()
     g = f
@@ -586,12 +612,16 @@ class EigenvalueReport:
 
 
 def eigenvalue_check(which: str, f: TypicalElement) -> EigenvalueReport:
-    """Does the closed form `which` act on f by its scalar at f's K-type?"""
+    """Does the closed form `which` act on f by its scalar at f's K-type?
+
+    One zero test: closed_apply(which, f) - scalar f is formed in a single
+    staged pass (the scalar joins the closed form's empty word) and must
+    vanish up to its validity, which is closed_apply's.
+    """
     _require_typical(f)
     scalar = f.params.scalar(which, f.kt)
-    applied = closed_apply(which, f)
-    ok = applied.agrees_with(f.scale(scalar))
-    return EigenvalueReport(which, scalar, ok, applied.validity)
+    diff = _minus_scalar(which, f, scalar)
+    return EigenvalueReport(which, scalar, diff.is_zero(), diff.validity)
 
 
 # -- mixed-generator action ---------------------------------------------------------

@@ -171,6 +171,21 @@ class VariableSpace:
             out[block] = (self.shift_of(idxs[-1]), (1 << (BITS * n)) - 1, spread, BITS * (n - 1))
         return out
 
+    @cached_property
+    def block_fields(self) -> Dict[str, Tuple[int, int, Tuple[Tuple[int, int], ...]]]:
+        """Per block, (shift, mask, fields): block_sum's shift and mask, which
+        cut out a key's block part sub = (key >> shift) & mask, and one
+        (offset, 2 * unit_key) per variable of the block in variable order,
+        where (sub >> offset) & MAX_EXP is the variable's exponent."""
+        out = {}
+        for block in ("x", "y"):
+            shift, mask = self.block_sum(block)[:2]
+            fields = tuple(
+                (self.shifts[i] - shift, 2 * self.units[i]) for i in self.block_range(block)
+            )
+            out[block] = (shift, mask, fields)
+        return out
+
     def block_sum(self, block: str) -> Tuple[int, int, int, int]:
         """(shift, mask, spread, top) such that
         (((key >> shift) & mask) * spread >> top) & MAX_EXP is the block
@@ -504,17 +519,34 @@ def euler(f: MultiPoly, block: str) -> MultiPoly:
 
 
 def laplacian(f: MultiPoly, block: str) -> MultiPoly:
-    """Sum of second partials over the block's variables."""
+    """Sum of second partials over the block's variables.
+
+    A term's moves depend only on its block part (see
+    VariableSpace.block_fields): one (2 unit_key, e (e - 1)) per variable
+    of exponent e >= 2, in variable order.  They are listed once per
+    distinct block part within the call, so a term costs one mask, one
+    lookup and its own moves.
+    """
     sp = f.space
-    fields = [(sp.shifts[i], 2 * sp.units[i]) for i in sp.block_range(block)]
+    try:
+        shift, mask, fields = sp.block_fields[block]
+    except KeyError:
+        raise ValueError("block must be 'x' or 'y'") from None
+    moves_of: Dict[int, List[Tuple[int, int]]] = {}
     out: Dict[int, int] = {}
     get = out.get
     for k, c in f._terms.items():
-        for sh, two_units in fields:
-            e = (k >> sh) & MAX_EXP
-            if e >= 2:
-                nk = k - two_units
-                out[nk] = get(nk, 0) + c * (e * (e - 1))
+        sub = (k >> shift) & mask
+        moves = moves_of.get(sub)
+        if moves is None:
+            moves = moves_of[sub] = []
+            for off, two_units in fields:
+                e = (sub >> off) & MAX_EXP
+                if e >= 2:
+                    moves.append((two_units, e * (e - 1)))
+        for two_units, w in moves:
+            nk = k - two_units
+            out[nk] = get(nk, 0) + c * w
     return MultiPoly.reduced(sp, out, f.den)
 
 

@@ -21,6 +21,7 @@ from gkverify.gkmodule import (
     apply_operator,
     closed_apply,
     default_samples,
+    default_depth,
     default_solver_depth,
     eigenvalue_check,
     garfinkle_obstruction,
@@ -43,6 +44,7 @@ from gkverify.poly import (
     laplacian,
     rsq,
 )
+from gkverify.checks import REGISTRY, execute_jobs, plan_jobs
 from gkverify.cli import DEFAULT_SWEEP
 from gkverify.liealg import (
     STOCK_OPERATORS,
@@ -256,6 +258,53 @@ def test_eigenvalue_reports_spot():
         assert report.ok, report.name
     xi_report = eigenvalue_check("xi", f)
     assert xi_report.ok and xi_report.scalar == 3
+
+
+@pytest.mark.parametrize("p,q,m", DEFAULT_SWEEP)
+def test_zero_tests_match_the_comparisons_they_replaced(p, q, m):
+    """eigenvalue_check and the weight step of verify_membership form
+    closed_apply(which, f) - scalar f in one pass; the comparison they
+    replaced applied the closed form and compared it with f.scale(scalar)
+    up to the smaller validity."""
+    D = default_depth(m, 6, None)
+    checked = 0
+    for sign in (1, -1):
+        params = ModuleParams(p, q, m, sign)
+        for f in ktype_elements(params, 3, 3, D):
+            for which in ("op", "oq", "g", "xi"):
+                applied = closed_apply(which, f)
+                old_ok = applied.agrees_with(f.scale(params.scalar(which, f.kt)))
+                report = eigenvalue_check(which, f)
+                assert (report.ok, report.validity) == (old_ok, applied.validity), which
+            old_weight_ok = closed_apply("H", f).agrees_with(f.scale(sign * m))
+            assert verify_membership(f).weight_ok == old_weight_ok
+            checked += 1
+    assert checked
+
+
+def test_a_wrong_scalar_fails_the_zero_tests(monkeypatch):
+    """A scalar or a weight off by one must fail.  Every other test feeds
+    the zero tests true eigenvalues, so a zero test that truncated
+    everything away would pass them all."""
+    params = ModuleParams(4, 6, 1, 1)
+    samples = [f for sign in (1, -1)
+               for f in ktype_elements(dataclasses.replace(params, sign=sign), 2, 2, 16)]
+    assert len(samples) >= 4
+    for f in samples:
+        assert verify_membership(f).weight_ok
+        wrong_m = dataclasses.replace(f.params, m=f.params.m + 1)
+        off = TypicalElement(f.expansion, f.validity, wrong_m, f.kt, f.h1, f.h2)
+        assert not verify_membership(off).weight_ok
+
+    true_scalar = ModuleParams.scalar
+    monkeypatch.setattr(
+        ModuleParams, "scalar", lambda self, which, kt=None: true_scalar(self, which, kt) + 1
+    )
+    for f in samples:
+        for which in ("op", "oq", "g", "xi"):
+            assert not eigenvalue_check(which, f).ok, which
+    (result,) = execute_jobs(plan_jobs([REGISTRY["casimir.g_eigenvalue"]], [(4, 6, 1)], 3, 3, None))
+    assert result.status == "fail"
 
 
 def test_apply_operator_validity_bookkeeping():

@@ -262,6 +262,8 @@ def test_unknown_block_is_refused():
             SPACE.block_size(bad)
         with pytest.raises(ValueError, match="block must be"):
             harmonic_basis(SPACE, bad, 1)
+        with pytest.raises(ValueError, match="block must be"):
+            laplacian(MultiPoly.one(SPACE), bad)
     assert (SPACE.block_size("x"), SPACE.block_size("y")) == (2, 4)
 
 

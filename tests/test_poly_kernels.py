@@ -105,13 +105,13 @@ def ref_euler(a, block):
     return out
 
 
-def ref_laplacian(a, block):
+def ref_laplacian(a, block, space=SPACE):
     out = {}
     for k, c in a.items():
-        for i in SPACE.block_range(block):
-            e = SPACE.exponent_of(k, i)
+        for i in space.block_range(block):
+            e = space.exponent_of(k, i)
             if e >= 2:
-                _acc(out, k - 2 * SPACE.unit_key(i), c * (e * (e - 1)))
+                _acc(out, k - 2 * space.unit_key(i), c * (e * (e - 1)))
     return out
 
 
@@ -238,6 +238,27 @@ def test_differential_kernels_match_reference(f, i, power, block):
     assert_matches(f.var_mul(i, power), ref_var_mul(_fr(f), i, power))
     assert_matches(euler(f, block), ref_euler(_fr(f), block))
     assert_matches(laplacian(f, block), ref_laplacian(_fr(f), block))
+
+
+@pytest.mark.parametrize("space,monomials", [
+    # exponent 127 in the last x field, and in the last field of all
+    (SPACE, [(0, 127, 0, 0, 0)]),
+    (SPACE, [(0, 0, 0, 0, 127)]),
+    # 64 and 63 on either side of the x/y boundary; terms that share a
+    # block part share its moves
+    (SPACE, [(0, 64, 63, 0, 0), (0, 63, 64, 0, 0), (0, 64, 0, 63, 0), (2, 62, 0, 2, 61)]),
+    # one block empty
+    (VariableSpace(0, 3), [(127, 0, 0), (2, 3, 4), (0, 0, 1)]),
+    (VariableSpace(3, 0), [(0, 0, 127), (2, 3, 4), (1, 0, 0)]),
+])
+def test_laplacian_edge_fields_match_reference(space, monomials):
+    f = MultiPoly.from_monomials(space, [(e, Fraction(i + 2, 3)) for i, e in enumerate(monomials)])
+    for block in ("x", "y"):
+        lap = laplacian(f, block)
+        assert_canonical(lap)
+        assert _fr(lap) == ref_laplacian(_fr(f), block, space)
+        if space.block_size(block) == 0:
+            assert lap.is_zero()
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), coeffs), max_size=4), blocks)
