@@ -37,11 +37,13 @@ A TypicalElement carries its family, K-type and harmonics, and the sample
 plans ktype_elements and product_elements yield them one at a time.
 eigenvalue_check asks whether closed_apply(which, f) -
 ModuleParams.scalar(which, f.kt) f vanishes, one path for all four
-eigenvalues: the scalar joins the closed form's empty word, so the
-difference comes out of the same staged pass and the check is one zero
-test.  verify_membership checks the defining conditions of f's family (its
-weight the same way, with H - sign m), and p_action_check expands the mixed
-action on f; all three refuse other elements.
+eigenvalues: the scalar joins the closed form's empty word, so the check is
+one zero test of one staged pass.  verify_membership checks the defining
+conditions of f's family (its weight the same way, with H - sign m).
+p_action_check takes two exact steps: -pi(M_{i, p+j}) must equal x_i y_j +
+d_{x_i} d_{y_j} term for term, and x_i y_j f + d_{y_j}(d_{x_i} f) minus the
+four layers, with d_{x_i} f memoized on f, is one zero test of one int
+dict.  All three refuse other elements.
 
 The obstruction solver at the bottom asks, over the default sample of typical
 elements f, whether some pair (Y, lambda) of a Lie-algebra element and a
@@ -92,6 +94,7 @@ from .poly import (
     laplacian,
     rsq,
 )
+from .weyl import WeylOperator
 
 __all__ = [
     "KType",
@@ -240,6 +243,7 @@ class ModuleParams:
         s, o = self.weights(kt)
         return int((self.m + s - o) / 2)
 
+    @lru_cache(maxsize=None)
     def layers(self, kt: KType) -> Tuple[ActionLayer, ...]:
         """The four terms of the mixed action on the family's elements of
         K-type kt, with kappa_s, kappa_o = weights(kt) and mu = mu(kt)."""
@@ -321,12 +325,13 @@ class TypicalElement(TruncatedElement):
     TruncatedElements: they have no single K-type.
     """
 
-    __slots__ = ("params", "kt", "h1", "h2")
+    __slots__ = ("params", "kt", "h1", "h2", "_parts")
 
     def __init__(self, expansion: MultiPoly, validity: int, params: ModuleParams,
                  kt: KType, h1: MultiPoly, h2: MultiPoly) -> None:
         super().__init__(expansion, validity)
         self.params, self.kt, self.h1, self.h2 = params, kt, h1, h2
+        self._parts: Dict[Optional[int], MultiPoly] = {}  # p_action_check's memo
 
 
 def _require_typical(f) -> TypicalElement:
@@ -630,30 +635,39 @@ def eigenvalue_check(which: str, f: TypicalElement) -> EigenvalueReport:
 def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
     """Verify the four-layer expansion of the mixed generator action on f.
 
-    Compares -pi(M_{i, p+j}) f = (x_i y_j + d_{x_i} d_{y_j}) f, applied
-    directly, against the closed four-term combination of shifted harmonic
-    layers of f.params.layers(f.kt) built from f's harmonics, exactly at
-    validity f.validity - 2
-    (1-based i <= p, j <= q).  This is sqrt(-1) pi(X_{i, p+j}), the operator
-    the layer coefficients expand.  Raise/skip policy: a layer whose
-    polynomial factor vanishes is skipped before its coefficient is formed; a
-    vanishing coefficient denominator with surviving polynomial factors
-    raises DegenerateDenominatorError (callers must exclude such K-types).
+    Two exact steps (1-based i <= p, j <= q): -pi(M_{i, p+j}) =
+    sqrt(-1) pi(X_{i, p+j}) must equal x_i y_j + d_{x_i} d_{y_j} term for
+    term, and x_i y_j f + d_{y_j}(d_{x_i} f) minus the layers of
+    f.params.layers(f.kt) must vanish at validity f.validity - 2, summed in
+    one int dict over a common denominator.  f up to degree f.validity - 4
+    and d_{x_i} f are memoized on f.  A layer whose polynomial factor
+    vanishes is skipped before its coefficient is formed; a vanishing
+    denominator with surviving factors raises DegenerateDenominatorError.
     """
     params, kt = _require_typical(f).params, f.kt
     if not (1 <= i <= params.p and 1 <= j <= params.q):
         raise ValueError("need 1 <= i <= p and 1 <= j <= q")
-    gen = Generator(i, params.p + j, "M")
-    op = pi_generator(gen, params.space).scale(-1)
-    lhs = apply_operator(op, f)
-    v = lhs.validity
-
+    v = f.validity - 2
+    if v < 0:
+        raise TruncationError("validity became negative; increase D")
+    space = params.space
+    xi, yj = i - 1, params.p + j - 1
+    xy = space.unit_key(xi) + space.unit_key(yj)
+    op = pi_generator(Generator(i, params.p + j, "M"), space).scale(-1)
+    if op != WeylOperator(space, {(xy, 0): 1, (0, xy): 1}):
+        return False
+    parts = f._parts
+    if None not in parts:
+        parts[None] = f.expansion.truncate(v - 2)
+    if xi not in parts:
+        parts[xi] = f.expansion.diff(xi)
+    # (c, a, b) stands for c a b: x_i y_j f, then minus each layer
+    terms = [(Fraction(1), MultiPoly(space, {xy: 1}), parts[None])]
     # the x harmonic moves along x_i, the y harmonic along y_j
     moved = {}
-    for block, h, var in (("x", f.h1, i - 1), ("y", f.h2, params.p + j - 1)):
+    for block, h, var in (("x", f.h1, xi), ("y", f.h2, yj)):
         moved[block, "d"], moved[block, "v"] = h.diff(var), h.var_mul(var)
     wb, sb = params.weight_block, params.series_block
-    rhs = MultiPoly.zero(params.space)
     for layer in params.layers(kt):
         kinds = {wb: layer.weight, sb: layer.radial}
         factors = {b: moved[b, kind] for b, kind in kinds.items()}
@@ -665,13 +679,25 @@ def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
             )
         if layer.num == 0:
             continue
-        for b, kind in kinds.items():
-            if kind == "v":
-                factors[b] = dagger(factors[b], b)
-        h = factors["x"].mul(factors["y"])
-        term = _radial_layer(layer.kappa, layer.exponent, sb, h, v)
-        rhs = rhs + term.scale(layer.num / layer.den)
-    return lhs.agrees_with(TruncatedElement(rhs, v))
+        hx, hy = (dagger(factors[b], b) if kinds[b] == "v" else factors[b] for b in "xy")
+        h = hx.mul(hy)
+        reach = v - h.degree()  # h is homogeneous: h times the series stays <= v
+        if reach >= 2 * layer.exponent:
+            series = _radial_expansion(layer.kappa, layer.exponent, sb, space, reach)
+            terms.append((-layer.num / layer.den, h, series))
+    dx, shift, uy = parts[xi], space.shift_of(yj), space.unit_key(yj)
+    den = lcm(dx.den, *(c.denominator * a.den * b.den for c, a, b in terms))
+    w = den // dx.den  # out starts as d_{y_j}(d_{x_i} f)
+    out = {k - uy: c * e * w for k, c in dx._terms.items() if (e := k >> shift & MAX_EXP)}
+    get = out.get
+    for c, a, b in terms:
+        w = c.numerator * (den // (c.denominator * a.den * b.den))
+        for ka, ca in a._terms.items():
+            ca *= w
+            for kb, cb in b._terms.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+    return not any(out.values())
 
 
 # -- sample plans ----------------------------------------------------------------------

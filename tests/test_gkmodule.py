@@ -707,6 +707,64 @@ def test_p_action_check_matches_the_rebuilding_check(p, q, m):
     assert compared > 0
 
 
+def _mixed_action_failures(D, check=None):
+    # the (f, i, j) at which p_action_check answers False, over the (4,6,1)
+    # elements with k, l <= 2 of both signs; K-types with a vanishing layer
+    # denominator are skipped, as paction.four_term skips them
+    failures = []
+    for sign in (1, -1):
+        params = ModuleParams(4, 6, 1, sign)
+        for f in ktype_elements(params, 2, 2, D):
+            if any(layer.den == 0 for layer in params.layers(f.kt)):
+                continue
+            for i in range(1, 5):
+                for j in range(1, 7):
+                    if not p_action_check(f, i, j):
+                        failures.append((f, i, j))
+    return failures
+
+
+def _with_row(row, **changes):
+    real = ModuleParams.layers
+
+    def layers(self, kt):
+        rows = list(real(self, kt))
+        rows[row] = rows[row]._replace(**{k: fn(rows[row]) for k, fn in changes.items()})
+        return tuple(rows)
+
+    return layers
+
+
+@pytest.mark.parametrize(
+    "row,changes",
+    [(r, {"num": lambda layer: -layer.num}) for r in range(4)]
+    + [(0, {"kappa": lambda layer: layer.kappa + 1})],
+    ids=["flip0", "flip1", "flip2", "flip3", "kappa0"],
+)
+def test_a_wrong_layer_fails_the_mixed_action(monkeypatch, row, changes):
+    # The mutated table must fail some identity; the rebuilding reference,
+    # which keeps its own table, still holds there, so the differential test
+    # against it would catch the mutation too.
+    D = default_solver_depth(1, None)
+    assert not _mixed_action_failures(D)
+    monkeypatch.setattr(ModuleParams, "layers", _with_row(row, **changes))
+    failures = _mixed_action_failures(D)
+    assert failures
+    for f, i, j in failures[:3]:
+        assert _rebuilding_p_action_check(f.params, f.h1, f.h2, i, j, D)
+
+
+def test_a_wrong_mixed_image_fails_the_mixed_action(monkeypatch):
+    import gkverify.gkmodule as gkmodule
+
+    def flipped(g, space):
+        image = pi_generator(g, space)
+        return image.scale(-1) if (g.i <= space.p) != (g.j <= space.p) else image
+
+    monkeypatch.setattr(gkmodule, "pi_generator", flipped)
+    assert _mixed_action_failures(default_solver_depth(1, None))
+
+
 def test_default_samples_structure():
     params = ModuleParams(4, 4, 1, 1)
     samples = list(default_samples(params, 10))
@@ -1000,27 +1058,97 @@ def test_paction_suite_expands_each_radial_series_once(monkeypatch):
 
 
 def test_memoized_radial_layer_is_the_fresh_expansion(monkeypatch):
+    # every radial series the paction suite reads (the typical elements and
+    # each mixed-action layer) equals a freshly expanded one
     import gkverify.gkmodule as gkmodule
 
-    real = gkmodule._radial_layer
+    real = gkmodule._radial_expansion
     seen = []
 
-    def spy(kappa, mu, block, h, validity):
-        out = real(kappa, mu, block, h, validity)
-        base = h.degree() + 2 * mu
-        if validity < base:
-            fresh = MultiPoly.zero(h.space)
-        else:
-            series = psi_series(kappa, validity - base).shift_rho(block, mu)
-            fresh = h.mul(series.expand(h.space, validity), max_degree=validity)
-        assert out == fresh, (kappa, mu, block, validity)
-        seen.append(validity)
+    def spy(kappa, mu, block, space, reach):
+        out = real(kappa, mu, block, space, reach)
+        fresh = psi_series(kappa, reach - 2 * mu).shift_rho(block, mu).expand(space, reach)
+        assert out == fresh, (kappa, mu, block, reach)
+        seen.append(reach)
         return out
 
-    monkeypatch.setattr(gkmodule, "_radial_layer", spy)
-    gkmodule._radial_expansion.cache_clear()
+    monkeypatch.setattr(gkmodule, "_radial_expansion", spy)
+    real.cache_clear()
     _run_paction_suite()
     assert len(seen) > 200
+
+
+def test_paction_four_term_work_counts(monkeypatch):
+    # At (4,6,1): no WeylOperator.apply, p first partials per element (not
+    # p q), kept on the element itself and on no module-level table, and
+    # one layer table per (params, K-type).
+    import gc
+
+    import gkverify.gkmodule as gkmodule
+
+    elements = []
+    real_typical = gkmodule.typical_element
+
+    def keep(*args):
+        f = real_typical(*args)
+        elements.append(f)
+        return f
+
+    applies = []
+    real_apply = WeylOperator.apply
+
+    def count_apply(self, *args, **kwargs):
+        applies.append(self)
+        return real_apply(self, *args, **kwargs)
+
+    partials = []
+    real_diff = MultiPoly.diff
+
+    def count_diff(self, i):
+        partials.append((self, i))
+        return real_diff(self, i)
+
+    monkeypatch.setattr(gkmodule, "typical_element", keep)
+    monkeypatch.setattr(WeylOperator, "apply", count_apply)
+    monkeypatch.setattr(MultiPoly, "diff", count_diff)
+    ModuleParams.layers.cache_clear()
+    (result,) = execute_jobs(
+        plan_jobs([REGISTRY["paction.four_term"]], [(4, 6, 1)], 3, 3, None)
+    )
+    assert result.status == "pass"
+    p, q = 4, 6
+    assert result.detail["identities_checked"] == p * q * len(elements)
+    assert applies == []
+    info = ModuleParams.layers.cache_info()
+    assert info.misses == info.currsize == len({(f.params, f.kt) for f in elements})
+    for f in elements:
+        assert sorted(i for g, i in partials if g is f.expansion) == list(range(p))
+        assert sorted(f._parts, key=str) == [0, 1, 2, 3, None]
+        assert f._parts[0] == real_diff(f.expansion, 0)
+        assert f._parts[None] == f.expansion.truncate(f.validity - 4)
+    f = elements[0]
+    for part in f._parts.values():
+        assert all(r is f._parts for r in gc.get_referrers(part))
+    assert all(r is f for r in gc.get_referrers(f._parts))
+    for value in vars(gkmodule).values():
+        if isinstance(value, dict):
+            assert not any(isinstance(v, MultiPoly) for v in value.values())
+
+
+@pytest.mark.parametrize(
+    "D,error",
+    [
+        (0, "TruncationError: validity became negative; increase D"),
+        (1, "TruncationError: validity became negative; increase D"),
+        (2, "TruncationError: D=2 is below the base degree 4"),
+        (3, "TruncationError: D=3 is below the base degree 4"),
+    ],
+)
+def test_paction_four_term_small_depth_errors(D, error):
+    (result,) = execute_jobs(
+        plan_jobs([REGISTRY["paction.four_term"]], [(3, 3, 0)], 3, 3, D)
+    )
+    assert (result.status, result.detail) == ("error", {"error": error})
 
 
 def test_radial_layer_pole_raises_on_every_call():
