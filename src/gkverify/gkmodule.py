@@ -17,33 +17,22 @@ lowering sl2 generators, and the four-row table of the mixed action.
 
 All series work is truncated at an explicit total degree D, and every
 comparison records its validity: the degree up to which stored coefficients
-are exact.  One rule tracks it: applying an operator adds the smallest
-|a| - |alpha| over its terms v^a d^alpha.  apply_operator uses it for a whole
-operator, and closed_apply, which runs the closed forms of liealg.closed_form
-(the Casimirs, the symmetric-square element Xi and the sl2 triple), uses it
-for each factor (an Euler operator adds 0, a Laplacian -2, a multiplication
-by r^2 +2).  closed_apply evaluates the words made only of Euler factors in
-one diagonal pass, since they scale each monomial by a polynomial in its
-block degrees, and the other words factor by factor.  Both fix the result's
-validity before computing anything and never form a term above it:
-apply_operator passes it to WeylOperator.apply as the cap, and closed_apply
-lets each factor read its input only up to the degree that the factors left
-of it carry to that validity.  The obstruction solver caps its generator
-images the same way, at the degree it compares.  The radial factor
-rho^mu Psi_kappa of a typical element or of a mixed-action layer is expanded
-once per (kappa, mu, block, space, degree reach) and memoized.
+are exact.  Applying an operator adds the smallest |a| - |alpha| over its
+terms v^a d^alpha (an Euler operator 0, a Laplacian -2, r^2 +2), and no
+term above the result's validity is formed.
 
-A TypicalElement carries its family, K-type and harmonics, and the sample
-plans ktype_elements and product_elements yield them one at a time.
-eigenvalue_check asks whether closed_apply(which, f) -
-ModuleParams.scalar(which, f.kt) f vanishes, one path for all four
-eigenvalues: the scalar joins the closed form's empty word, so the check is
-one zero test of one staged pass.  verify_membership checks the defining
-conditions of f's family (its weight the same way, with H - sign m).
-p_action_check takes two exact steps: -pi(M_{i, p+j}) must equal x_i y_j +
-d_{x_i} d_{y_j} term for term, and x_i y_j f + d_{y_j}(d_{x_i} f) minus the
-four layers, with d_{x_i} f memoized on f, is one zero test of one int
-dict.  All three refuse other elements.
+A TypicalElement is held in its separated form, sum_j w_j A_j B_j with A_j
+= h1 (r_x^2)^(j + mu_x) in the x variables and B_j = h2 (r_y^2)^(j + mu_y)
+in the y variables, and expanded only when read; the sample plans
+ktype_elements and product_elements yield them one at a time.  Each factor
+of a liealg.closed_form word (the Casimirs, the symmetric-square element Xi
+and the sl2 triple) acts on one block, so eigenvalue_check and the three
+steps of verify_membership are each one zero test on products X Y of
+single-block images, grouped by bidegree and tested by an elimination that
+carries the Y along; neither expands an element.  closed_apply sums the
+same products.  p_action_check sums x_i y_j f + d_{y_j}(d_{x_i} f) minus
+the four layers of the mixed action into one int dict.  All three refuse
+other elements.
 
 The obstruction solver at the bottom asks, over the default sample of typical
 elements f, whether some pair (Y, lambda) of a Lie-algebra element and a
@@ -73,21 +62,21 @@ from .liealg import (
     Generator,
     LieElement,
     closed_form,
+    closed_operator,
     generators,
     pi_generator,
     pi_lie,
 )
 from .linalg import SparseRREF
 from .poly import (
-    BITS,
     MAX_EXP,
+    ONE,
     ZERO,
     MultiPoly,
     RadialSeries,
     TruncationError,
     VariableSpace,
     dagger,
-    euler,
     exact,
     harmonic_basis,
     harmonic_dim,
@@ -319,25 +308,67 @@ class TruncatedElement:
 
 
 class TypicalElement(TruncatedElement):
-    """h1 h2 rho^mu Psi_kappa of the family `params` at K-type `kt`.
+    """h1 h2 rho^mu Psi_kappa of the family `params` at K-type `kt`, exact to
+    degree `validity`.  `separated` holds the (w_j, A_j, B_j) with k + l +
+    2 mu + 4 j <= validity: A_j = h1 (r_x^2)^(j + mu_x), B_j = h2 (r_y^2)^(j
+    + mu_y), mu on the series block and 0 on the other, w_j = c_j / 2^(2 j
+    + mu) from psi_series.  `expansion`, the sum of the w_j A_j B_j, is
+    formed on first read.  Only typical_element builds one; sums and
+    multiples are plain TruncatedElements, with no single K-type."""
 
-    Only typical_element builds one.  Sums and multiples are plain
-    TruncatedElements: they have no single K-type.
-    """
+    __slots__ = ("params", "kt", "h1", "h2", "separated", "_expansion", "_parts")
 
-    __slots__ = ("params", "kt", "h1", "h2", "_parts")
+    def __init__(self, validity: int, params: ModuleParams, kt: KType,
+                 h1: MultiPoly, h2: MultiPoly) -> None:
+        self.validity, self.params, self.kt, self.h1, self.h2 = validity, params, kt, h1, h2
+        mu = params.mu(kt)
+        coeffs = psi_series(params.weights(kt)[0], validity - kt.k - kt.l - 2 * mu).coeffs
+        n, mx = len(coeffs), mu if params.series_block == "x" else 0
+        a, b = _radius_powers(h1, "x", mx, n), _radius_powers(h2, "y", mu - mx, n)
+        self.separated = tuple((coeffs[j, j] / (1 << (2 * j + mu)), a[j], b[j]) for j in range(n))
+        self._expansion: Optional[MultiPoly] = None
+        self._parts: Dict = {}  # p_action_check's memo
 
-    def __init__(self, expansion: MultiPoly, validity: int, params: ModuleParams,
-                 kt: KType, h1: MultiPoly, h2: MultiPoly) -> None:
-        super().__init__(expansion, validity)
-        self.params, self.kt, self.h1, self.h2 = params, kt, h1, h2
-        self._parts: Dict[Optional[int], MultiPoly] = {}  # p_action_check's memo
+    @property
+    def space(self) -> VariableSpace:
+        return self.h1.space
+
+    @property
+    def expansion(self) -> MultiPoly:
+        if self._expansion is None:
+            self._expansion = _product_sum(self.space, self.separated)
+        return self._expansion
+
+
+def _radius_powers(h: MultiPoly, block: str, start: int, n: int) -> List[MultiPoly]:
+    """h (r_block^2)^(start + j) for j < n, by repeated multiplication."""
+    r2, out = rsq(h.space, block), [h]
+    for _ in range(start + n - 1):
+        out.append(out[-1].mul(r2))
+    return out[start:]
 
 
 def _require_typical(f) -> TypicalElement:
     if not isinstance(f, TypicalElement):
         raise TypeError(f"need a TypicalElement, got {type(f).__name__}")
     return f
+
+
+def _product_sum(space: VariableSpace, products, den: Optional[int] = None,
+                 out: Optional[Dict[int, int]] = None) -> MultiPoly:
+    """out/den plus the sum of c a b over the (c, a, b) products in the one
+    int dict out over den (default: empty, over the products' lcm)."""
+    if den is None:
+        den, out = lcm(*(c.denominator * a.den * b.den for c, a, b in products)), {}
+    get = out.get
+    for c, a, b in products:
+        w = c.numerator * (den // (c.denominator * a.den * b.den))
+        for ka, ca in a._terms.items():
+            ca *= w
+            for kb, cb in b._terms.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+    return MultiPoly.reduced(space, out, den)
 
 
 def psi_series(alpha: Fraction, cutoff: int) -> RadialSeries:
@@ -370,22 +401,6 @@ def _require_block_harmonic(h: MultiPoly, block: str) -> int:
     return deg
 
 
-def _radial_layer(
-    kappa: Fraction, mu: int, block: str, h: MultiPoly, validity: int
-) -> MultiPoly:
-    """The expansion of h * rho_block^mu * Psi_kappa, exact to `validity`,
-    for a nonzero homogeneous h.
-
-    The radial factor depends on h only through its degree, so it comes
-    from the memo _radial_expansion, and h.mul is the only work per call.
-    """
-    reach = validity - h.degree()
-    if reach < 2 * mu:
-        return MultiPoly.zero(h.space)
-    series = _radial_expansion(kappa, mu, block, h.space, reach)
-    return h.mul(series, max_degree=validity)
-
-
 @lru_cache(maxsize=None)
 def _radial_expansion(
     kappa: Fraction, mu: int, block: str, space: VariableSpace, reach: int
@@ -410,13 +425,10 @@ def typical_element(
     k = _require_block_harmonic(h1, "x")
     l = _require_block_harmonic(h2, "y")
     kt = KType(k, l, params.p, params.q)
-    mu = params.mu(kt)
-    base = k + l + 2 * mu
+    base = k + l + 2 * params.mu(kt)
     if D < base:
         raise TruncationError(f"D={D} is below the base degree {base}")
-    kappa = params.weights(kt)[0]
-    expansion = _radial_layer(kappa, mu, params.series_block, h1.mul(h2), D)
-    return TypicalElement(expansion, D, params, kt, h1, h2)
+    return TypicalElement(D, params, kt, h1, h2)
 
 
 # -- operator application -------------------------------------------------------
@@ -434,14 +446,6 @@ def apply_operator(op, f: TruncatedElement) -> TruncatedElement:
     return TruncatedElement(op.apply(f.expansion, max_degree=validity), validity)
 
 
-# Fast appliers of the stock factors of closed_form words, by kind.
-_STAGES = {
-    "E": euler,
-    "L": laplacian,
-    "R": lambda g, block: g.mul(rsq(g.space, block)),
-}
-
-
 @lru_cache(maxsize=None)
 def _gain(space: VariableSpace, word: Tuple[str, ...]) -> int:
     """The validity change of a closed_form word: the sum of its factors'
@@ -451,117 +455,125 @@ def _gain(space: VariableSpace, word: Tuple[str, ...]) -> int:
     )
 
 
-def closed_apply(which: str, f: TruncatedElement) -> TruncatedElement:
-    """Apply a closed form of liealg.closed_form (a Casimir, Xi or an sl2
-    generator).
-
-    Words made only of Euler factors, the empty word among them, act
-    diagonally on monomials and are evaluated together in one pass
-    (_euler_pass).  The other words are applied factor by factor, rightmost
-    first, with the fast polynomial helpers; each factor's validity follows
-    the exact rule of apply_operator, and a factor that leaves a negative
-    validity raises TruncationError.  The result's validity T, the smallest
-    over the words, is fixed first, and each factor reads its input only up
-    to the degree that the factors left of it carry to T, so no term above T
-    is formed.
-    """
-    space = f.space
-    return _apply_terms(closed_form(which, space.p, space.q), f)
-
-
-def _minus_scalar(which: str, f: TruncatedElement, scalar: Fraction) -> TruncatedElement:
-    """closed_apply(which, f) - scalar f in one pass: -scalar is merged into
-    the closed form's empty word, so it joins the same _euler_pass.
-
-    Each closed form this is used with ("op", "oq", "g", "xi", "H") has a
-    word of gain <= 0, so the empty word (gain 0) moves neither the
-    validity nor the TruncationError guard of closed_apply.
-    """
-    space = f.space
-    terms = closed_form(which, space.p, space.q)
-    empty = sum((c for c, word in terms if not word), -scalar)
-    return _apply_terms(tuple((c, word) for c, word in terms if word) + ((empty, ()),), f)
-
-
-def _apply_terms(terms, f: TruncatedElement) -> TruncatedElement:
-    """The sum of c * word(f) over the (c, word) terms, at the validity and
-    with the TruncationError guard that closed_apply documents."""
+def _validity(terms, f: TruncatedElement) -> int:
+    """The validity of the sum of c * word(f) over the (c, word) terms: the
+    smallest f.validity + _gain(word).  Raises TruncationError when some
+    factor, applied rightmost first, would leave a negative validity."""
     space = f.space
     # word[i:] is the part of a word applied once its factor i has acted
     lowest = min(_gain(space, word[i:]) for _, word in terms for i in range(len(word) + 1))
     if f.validity + lowest < 0:
         raise TruncationError("validity became negative; increase D")
-    validity = min(f.validity + _gain(space, word) for _, word in terms)
-    return TruncatedElement(_apply_words(terms, f.expansion, validity), validity)
+    return min(f.validity + _gain(space, word) for _, word in terms)
 
 
-def _apply_words(terms, g: MultiPoly, top: int) -> MultiPoly:
-    """The sum of c * word(g) over the (c, word) terms, exact up to degree top.
+def _cells(terms, f: TypicalElement, top: int) -> Dict[Tuple[int, int], list]:
+    """The sum of c * word(f) over the (c, word) terms up to degree top, as
+    products (c w_j sx sy, X, Y) grouped by their bidegree (dx, dy).  The
+    blocks commute, so a word's x factors act, in order, on A_j alone and
+    its y factors on B_j.  An image is formed once per call, as a scalar and
+    a homogeneous polynomial: L and R act on the polynomial, E multiplies
+    the scalar by the degree.  A product above top forms no image."""
+    space = f.space
+    images: Dict[Tuple[int, int, Tuple[str, ...]], Tuple[Fraction, MultiPoly, int]] = {}
 
-    The words made only of Euler factors go through one _euler_pass, which
-    reads g up to top.  Of the others, words that end in the same factor
-    share its application, and only the results on the current branch are
-    kept alive.  That factor reads g up to the largest degree that the rest
-    of one of those words carries to top.
-    """
-    space = g.space
-    total = None
-    diagonal = []
-    by_last: Dict[str, list] = {}
+    def image(side: int, j: int, sub: Tuple[str, ...]):
+        key = (side, j, sub)
+        if key not in images:
+            if not sub:
+                g = f.separated[j][side]
+                images[key] = (ONE, g, g.degree())
+            else:
+                s, g, d = image(side, j, sub[1:])
+                kind, block = sub[0]
+                images[key] = (
+                    (s * d, g, d) if kind == "E"
+                    else (s, laplacian(g, block), d - 2) if kind == "L"
+                    else (s, g.mul(rsq(space, block)), d + 2)
+                )
+        return images[key]
+
+    cells: Dict[Tuple[int, int], list] = {}
     for c, word in terms:
-        if all(factor[0] == "E" for factor in word):
-            diagonal.append((c, word))
-        else:
-            by_last.setdefault(word[-1], []).append((c, word[:-1]))
-    if diagonal:
-        total = _euler_pass(diagonal, g, top)
-    for factor, rest in by_last.items():
-        reach = max(top - _gain(space, word) for _, word in rest)
-        stage_in = g.truncate(reach - _gain(space, (factor,)))
-        kind, block = factor
-        part = _apply_words(rest, _STAGES[kind](stage_in, block), top)
-        total = part if total is None else total + part
-    return total
+        xs = tuple(factor for factor in word if factor[1] == "x")
+        ys = tuple(factor for factor in word if factor[1] == "y")
+        for j, (w, _, _) in enumerate(f.separated):
+            dx = image(1, j, ())[2] + _gain(space, xs)
+            dy = image(2, j, ())[2] + _gain(space, ys)
+            if dx + dy > top:
+                break  # the degree grows with j
+            sx, x, _ = image(1, j, xs)
+            sy, y, _ = image(2, j, ys)
+            coeff = c * w * sx * sy
+            if coeff and x and y:
+                cells.setdefault((dx, dy), []).append((coeff, x, y))
+    return cells
 
 
-def _euler_pass(terms, g: MultiPoly, top: int) -> MultiPoly:
-    """The sum of c * word(g) over (c, word) terms whose words have only
-    Euler factors, up to degree top.
+def _cell_vanishes(products) -> bool:
+    """Whether the sum of c X Y over one bidegree cell's products is zero.
+    Each X is reduced against the X kept so far, carrying its Y along:
+    X_i Y_i + X_k Y_k = (X_i - r X_k) Y_i + X_k (Y_k + r Y_i), with r read
+    at X_k's pivot monomial.  What is left of X is kept, so the kept X are
+    independent and the cell vanishes iff every Y beside them is zero.
+    Proportionality is tested by the subtraction, never assumed."""
+    kept: List[list] = []
+    for c, x, y in products:
+        y = y.scale(c)
+        for entry in kept:
+            key, xk, yk = entry
+            a = x._terms.get(key)
+            if a:
+                r = Fraction(a * xk.den, x.den * xk._terms[key])
+                x = x - xk.scale(r)
+                entry[2] = yk + y.scale(r)
+        if x:
+            kept.append([max(x._terms), x, y])
+    return not any(y for _, _, y in kept)
 
-    Such a word with a factors Ex and b factors Ey multiplies a monomial of
-    block degrees (d_x, d_y) by d_x^a d_y^b, so the sum multiplies it by
-    one scalar, a polynomial in (d_x, d_y) with int numerators over one
-    common denominator.  The scalar is computed once per (d_x, d_y), and g
-    is read only up to top.
+
+def _vanishes(terms, f: TypicalElement) -> Tuple[bool, int]:
+    """(whether sum c * word(f) vanishes up to its validity, that validity)."""
+    top = _validity(terms, f)
+    return all(map(_cell_vanishes, _cells(terms, f, top).values())), top
+
+
+def _minus_identity(terms, scalar: Fraction):
+    """The (c, word) terms with -scalar joined to their empty word, which
+    has gain 0: every form this takes has a word of gain <= 0."""
+    empty = sum((c for c, word in terms if not word), -scalar)
+    return tuple((c, word) for c, word in terms if word) + ((empty, ()),)
+
+
+def _power(terms, n: int):
+    """The n-th power of a closed form as one (c, word) list.  The blocks
+    commute, so each word is written x factors first (a stable sort) and
+    equal words merge: (Rx + Ly)^n gives the binomial words Rx^i Ly^(n-i)."""
+    out: Dict[Tuple[str, ...], Fraction] = {(): ONE}
+    for _ in range(n):
+        grown: Dict[Tuple[str, ...], Fraction] = {}
+        for word, c in out.items():
+            for c2, w2 in terms:
+                w = tuple(sorted(word + w2, key=lambda factor: factor[1]))
+                grown[w] = grown.get(w, ZERO) + c * c2
+        out = grown
+    return tuple((c, word) for word, c in out.items() if c)
+
+
+def closed_apply(which: str, f: TruncatedElement) -> TruncatedElement:
+    """Apply a closed form of liealg.closed_form (a Casimir, Xi or an sl2
+    generator), at the validity and with the TruncationError guard of
+    _validity.  On a TypicalElement the products of _cells are summed, so
+    nothing above the validity is formed; any other element gets the
+    composed closed_operator through apply_operator.
     """
-    if len(terms) == 1 and not terms[0][1]:
-        # the identity alone, left at the end of every other word, needs no
-        # block degrees
-        return g.truncate(top).scale(terms[0][0])
-    space = g.space
-    den = lcm(*(c.denominator for c, _ in terms))
-    weights: Dict[Tuple[int, int], int] = {}
-    for c, word in terms:
-        a = word.count("Ex")
-        ab = (a, len(word) - a)
-        weights[ab] = weights.get(ab, 0) + c.numerator * (den // c.denominator)
-    ds = space.deg_shift
-    shift, mask, spread, high = space.block_sum("x")
-    scalars: Dict[int, int] = {}
-    out: Dict[int, int] = {}
-    for k, v in g._terms.items():
-        d = k >> ds
-        if d > top:
-            continue
-        dx = (((k >> shift) & mask) * spread >> high) & MAX_EXP
-        key = d << BITS | dx  # (d, dx) as one int
-        s = scalars.get(key)
-        if s is None:
-            dy = d - dx
-            s = scalars[key] = sum(w * dx**a * dy**b for (a, b), w in weights.items())
-        if s:
-            out[k] = v * s
-    return MultiPoly.reduced(space, out, g.den * den)
+    space = f.space
+    terms = closed_form(which, space.p, space.q)
+    top = _validity(terms, f)
+    if isinstance(f, TypicalElement):
+        products = [p for cell in _cells(terms, f, top).values() for p in cell]
+        return TruncatedElement(_product_sum(space, products), top)
+    return apply_operator(closed_operator(space, which), f)
 
 
 # -- module checks ----------------------------------------------------------------
@@ -580,12 +592,10 @@ class MembershipReport:
 
 
 def verify_membership(f: TypicalElement) -> MembershipReport:
-    """Check the three defining conditions of f's family on f.
-
-    The weight condition H f = sign m f is one zero test, as in
-    eigenvalue_check: H - sign m is applied in one staged pass.  The
-    killing generator must annihilate f and the (m+1)-th power of the
-    lowering one must too.
+    """Check the three defining conditions of f's family on f, each one zero
+    test on f's separated form as in eigenvalue_check: H - sign m, the
+    killing generator and the (m+1)-th power of the lowering one (one list
+    of binomial words) must each annihilate f.
 
     Requires enough validity that the weakest check still sees degree m + 4;
     raises TruncationError otherwise.  The reported validity is that of the
@@ -598,13 +608,11 @@ def verify_membership(f: TypicalElement) -> MembershipReport:
         raise TruncationError(
             f"validity {f.validity} too small for the m={m} membership checks"
         )
-    weight_ok = _minus_scalar("H", f, params.sign * m).is_zero()
+    p, q = params.p, params.q
     killer, lower = params.sl2_roles
-    annihilated_ok = closed_apply(killer, f).is_zero()
-    g = f
-    for _ in range(m + 1):
-        g = closed_apply(lower, g)
-    power_ok = g.is_zero()
+    weight_ok = _vanishes(_minus_identity(closed_form("H", p, q), params.sign * m), f)[0]
+    annihilated_ok = _vanishes(closed_form(killer, p, q), f)[0]
+    power_ok = _vanishes(_power(closed_form(lower, p, q), m + 1), f)[0]
     return MembershipReport(weight_ok, annihilated_ok, power_ok, power_validity)
 
 
@@ -618,15 +626,13 @@ class EigenvalueReport:
 
 def eigenvalue_check(which: str, f: TypicalElement) -> EigenvalueReport:
     """Does the closed form `which` act on f by its scalar at f's K-type?
-
-    One zero test: closed_apply(which, f) - scalar f is formed in a single
-    staged pass (the scalar joins the closed form's empty word) and must
-    vanish up to its validity, which is closed_apply's.
-    """
-    _require_typical(f)
-    scalar = f.params.scalar(which, f.kt)
-    diff = _minus_scalar(which, f, scalar)
-    return EigenvalueReport(which, scalar, diff.is_zero(), diff.validity)
+    One zero test on f's separated form: closed_apply(which, f) - scalar f,
+    the scalar joined to the empty word, must vanish up to its validity."""
+    kt, space = _require_typical(f).kt, f.space
+    scalar = f.params.scalar(which, kt)
+    terms = _minus_identity(closed_form(which, space.p, space.q), scalar)
+    ok, validity = _vanishes(terms, f)
+    return EigenvalueReport(which, scalar, ok, validity)
 
 
 # -- mixed-generator action ---------------------------------------------------------
@@ -639,11 +645,10 @@ def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
     sqrt(-1) pi(X_{i, p+j}) must equal x_i y_j + d_{x_i} d_{y_j} term for
     term, and x_i y_j f + d_{y_j}(d_{x_i} f) minus the layers of
     f.params.layers(f.kt) must vanish at validity f.validity - 2, summed in
-    one int dict over a common denominator.  f up to degree f.validity - 4
-    and d_{x_i} f are memoized on f.  A layer whose polynomial factor
-    vanishes is skipped before its coefficient is formed; a vanishing
-    denominator with surviving factors raises DegenerateDenominatorError.
-    """
+    one int dict over a common denominator.  f up to degree f.validity - 4,
+    d_{x_i} f and the moved harmonics are memoized on f.  A layer whose
+    polynomial factor vanishes is skipped; a vanishing denominator with
+    surviving factors raises DegenerateDenominatorError."""
     params, kt = _require_typical(f).params, f.kt
     if not (1 <= i <= params.p and 1 <= j <= params.q):
         raise ValueError("need 1 <= i <= p and 1 <= j <= q")
@@ -663,15 +668,12 @@ def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
         parts[xi] = f.expansion.diff(xi)
     # (c, a, b) stands for c a b: x_i y_j f, then minus each layer
     terms = [(Fraction(1), MultiPoly(space, {xy: 1}), parts[None])]
-    # the x harmonic moves along x_i, the y harmonic along y_j
-    moved = {}
-    for block, h, var in (("x", f.h1, xi), ("y", f.h2, yj)):
-        moved[block, "d"], moved[block, "v"] = h.diff(var), h.var_mul(var)
     wb, sb = params.weight_block, params.series_block
     for layer in params.layers(kt):
         kinds = {wb: layer.weight, sb: layer.radial}
-        factors = {b: moved[b, kind] for b, kind in kinds.items()}
-        if factors["x"].is_zero() or factors["y"].is_zero():
+        # the x harmonic moves along x_i, the y harmonic along y_j
+        hx, hy = _moved(f, xi, kinds["x"]), _moved(f, yj, kinds["y"])
+        if hx.is_zero() or hy.is_zero():
             continue
         if layer.den == 0:
             raise DegenerateDenominatorError(
@@ -679,7 +681,6 @@ def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
             )
         if layer.num == 0:
             continue
-        hx, hy = (dagger(factors[b], b) if kinds[b] == "v" else factors[b] for b in "xy")
         h = hx.mul(hy)
         reach = v - h.degree()  # h is homogeneous: h times the series stays <= v
         if reach >= 2 * layer.exponent:
@@ -689,15 +690,18 @@ def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
     den = lcm(dx.den, *(c.denominator * a.den * b.den for c, a, b in terms))
     w = den // dx.den  # out starts as d_{y_j}(d_{x_i} f)
     out = {k - uy: c * e * w for k, c in dx._terms.items() if (e := k >> shift & MAX_EXP)}
-    get = out.get
-    for c, a, b in terms:
-        w = c.numerator * (den // (c.denominator * a.den * b.den))
-        for ka, ca in a._terms.items():
-            ca *= w
-            for kb, cb in b._terms.items():
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-    return not any(out.values())
+    return _product_sum(space, terms, den, out).is_zero()
+
+
+def _moved(f: TypicalElement, var: int, kind: str) -> MultiPoly:
+    """The harmonic of var's block moved along var, memoized on f: its
+    partial ("d") or dagger(var h) ("v"), which is nonzero when h is."""
+    got = f._parts.get((var, kind))
+    if got is None:
+        block, h = ("x", f.h1) if var < f.params.p else ("y", f.h2)
+        got = h.diff(var) if kind == "d" else dagger(h.var_mul(var), block)
+        f._parts[var, kind] = got
+    return got
 
 
 # -- sample plans ----------------------------------------------------------------------

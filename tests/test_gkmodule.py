@@ -286,15 +286,21 @@ def test_a_wrong_scalar_fails_the_zero_tests(monkeypatch):
     """A scalar or a weight off by one must fail.  Every other test feeds
     the zero tests true eigenvalues, so a zero test that truncated
     everything away would pass them all."""
+    import gkverify.gkmodule as gkmodule
+
     params = ModuleParams(4, 6, 1, 1)
     samples = [f for sign in (1, -1)
                for f in ktype_elements(dataclasses.replace(params, sign=sign), 2, 2, 16)]
     assert len(samples) >= 4
     for f in samples:
         assert verify_membership(f).weight_ok
-        wrong_m = dataclasses.replace(f.params, m=f.params.m + 1)
-        off = TypicalElement(f.expansion, f.validity, wrong_m, f.kt, f.h1, f.h2)
-        assert not verify_membership(off).weight_ok
+    # the weight target sign m, shifted by one: H - (sign m + 1) must not
+    # annihilate any sample
+    shift = gkmodule._minus_identity
+    with monkeypatch.context() as patch:
+        patch.setattr(gkmodule, "_minus_identity", lambda terms, s: shift(terms, s + 1))
+        for f in samples:
+            assert not verify_membership(f).weight_ok
 
     true_scalar = ModuleParams.scalar
     monkeypatch.setattr(
@@ -415,48 +421,41 @@ def _dense_element(space, validity):
     return TruncatedElement(MultiPoly.from_monomials(space, entries), validity)
 
 
-@pytest.mark.parametrize(
-    "which,reads",
-    [
-        # T = V: the Euler words ("E", one diagonal pass) and Rx Lx read f up to V
-        ("op", {"E": 0, "Lx": 0}),
-        # T = V - 2: Rx reads up to T - 2, Ly up to T + 2
-        ("X-", {"Rx": -4, "Ly": 0}),
-        # T = V - 4: the Euler words read up to T, Rx Ry up to T - 4, and
-        # Ly, which two words share, up to T + 4 for Lx Ly
-        ("g", {"E": -4, "Ry": -8, "Lx": -4, "Ly": 0}),
-    ],
-)
-def test_closed_apply_reads_only_the_compared_degrees(monkeypatch, which, reads):
-    # The first call of each factor reads f itself (the words sharing it are
-    # applied depth first); its input degree, relative to f's validity V, is
-    # the largest degree that the rest of some word carries to the output's
-    # validity.  The diagonal pass of the Euler words reads f up to T, and
-    # the degree of its output, on an f with every monomial, is that read.
+@pytest.mark.parametrize("which", CLOSED_FORMS)
+def test_closed_apply_forms_nothing_above_its_validity(monkeypatch, which):
+    # On an element without a separated form the composed operator is
+    # applied capped at the result's validity T.  On a typical element every
+    # product lies in a cell of degree <= T, and f itself is never expanded.
     import gkverify.gkmodule as gkmodule
 
-    f = _dense_element(VariableSpace(2, 4), 8)
-    first = {}
-    for kind, stage in list(gkmodule._STAGES.items()):
+    caps = []
+    real_apply = WeylOperator.apply
 
-        def spy(g, block, kind=kind, stage=stage):
-            first.setdefault(kind + block, g.degree() - f.validity)
-            return stage(g, block)
+    def spy_apply(op, g, max_degree=None):
+        caps.append(max_degree)
+        return real_apply(op, g, max_degree=max_degree)
 
-        monkeypatch.setitem(gkmodule._STAGES, kind, spy)
-    euler_pass = gkmodule._euler_pass
+    monkeypatch.setattr(WeylOperator, "apply", spy_apply)
+    dense = _dense_element(VariableSpace(2, 4), 8)
+    out = closed_apply(which, dense)
+    assert caps == [out.validity]
 
-    def diagonal_spy(terms, g, top):
-        out = euler_pass(terms, g, top)
-        if g is f.expansion:
-            first.setdefault("E", out.degree() - f.validity)
-        return out
+    tops = []
+    real_cells = gkmodule._cells
 
-    monkeypatch.setattr(gkmodule, "_euler_pass", diagonal_spy)
-    closed_apply(which, f)
-    assert {k: first[k] for k in reads} == reads
-    # no Euler word goes through the staged path
-    assert not {"Ex", "Ey"} & first.keys()
+    def spy_cells(terms, f, top):
+        cells = real_cells(terms, f, top)
+        tops.append((top, sorted(cells)))
+        return cells
+
+    monkeypatch.setattr(gkmodule, "_cells", spy_cells)
+    for params in _families(4, 6):
+        for f in ktype_elements(params, 2, 2, 10):
+            out = closed_apply(which, f)
+            top, cells = tops.pop()
+            assert top == out.validity
+            assert cells and all(dx + dy <= top for dx, dy in cells)
+            assert f._expansion is None
 
 
 # Euler-only, mixed ending in an Euler factor, mixed with an Euler rest, and
@@ -475,9 +474,14 @@ _SYNTHETIC_FORM = tuple(
 
 @pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (4, 6)])
 def test_euler_pass_on_a_synthetic_closed_form(monkeypatch, p, q):
+    # Euler factors are scalars read from the degree bookkeeping on a typical
+    # element and operators on any other; both must match the staged words.
     import gkverify.gkmodule as gkmodule
+    import gkverify.liealg as liealg
 
-    monkeypatch.setattr(gkmodule, "closed_form", lambda which, p, q: _SYNTHETIC_FORM)
+    synthetic = lambda which, p, q: _SYNTHETIC_FORM  # noqa: E731
+    monkeypatch.setattr(gkmodule, "closed_form", synthetic)
+    monkeypatch.setattr(liealg, "closed_form", synthetic)
     space = VariableSpace(p, q)
     samples = [_dense_element(space, 5)]
     for params in _families(p, q):
@@ -485,11 +489,14 @@ def test_euler_pass_on_a_synthetic_closed_form(monkeypatch, p, q):
             h1 = harmonic_basis(space, "x", kt.k)[-1]
             h2 = harmonic_basis(space, "y", kt.l)[-1]
             samples += [typical_element(params, h1, h2, D) for D in (9, 10)]
-    for f in samples:
-        got = closed_apply("synthetic", f)
-        want = _uncapped_words(_SYNTHETIC_FORM, f)
-        assert got.validity == want.validity == f.validity - 2
-        assert got.expansion == want.expansion
+    try:
+        for f in samples:
+            got = closed_apply("synthetic", f)
+            want = _uncapped_words(_SYNTHETIC_FORM, f)
+            assert got.validity == want.validity == f.validity - 2
+            assert got.expansion == want.expansion
+    finally:
+        closed_operator.cache_clear()  # drop the operator built from the synthetic rows
 
 
 def test_closed_apply_refuses_a_negative_validity():
@@ -1039,7 +1046,9 @@ def _run_paction_suite():
 
 def test_paction_suite_expands_each_radial_series_once(monkeypatch):
     # 258 expansions before the memo, for 20 distinct (kappa, mu, block,
-    # validity - deg h)
+    # validity - deg h); 8 of those were the typical elements' own series,
+    # which their separated form builds from psi_series without expanding
+    # one, so the mixed-action layers' 12 are left
     import gkverify.gkmodule as gkmodule
     from gkverify.poly import RadialSeries
 
@@ -1053,8 +1062,8 @@ def test_paction_suite_expands_each_radial_series_once(monkeypatch):
     monkeypatch.setattr(RadialSeries, "expand", spy)
     gkmodule._radial_expansion.cache_clear()
     _run_paction_suite()
-    assert len(calls) == 20
-    assert gkmodule._radial_expansion.cache_info().currsize == 20
+    assert len(calls) == 12
+    assert gkmodule._radial_expansion.cache_info().currsize == 12
 
 
 def test_memoized_radial_layer_is_the_fresh_expansion(monkeypatch):
@@ -1080,8 +1089,9 @@ def test_memoized_radial_layer_is_the_fresh_expansion(monkeypatch):
 
 def test_paction_four_term_work_counts(monkeypatch):
     # At (4,6,1): no WeylOperator.apply, p first partials per element (not
-    # p q), kept on the element itself and on no module-level table, and
-    # one layer table per (params, K-type).
+    # p q), p + q harmonic partials and p + q daggers per element (not 2 p q),
+    # all kept on the element itself and on no module-level table, and one
+    # layer table per (params, K-type).
     import gc
 
     import gkverify.gkmodule as gkmodule
@@ -1108,9 +1118,17 @@ def test_paction_four_term_work_counts(monkeypatch):
         partials.append((self, i))
         return real_diff(self, i)
 
+    daggers = []
+    real_dagger = gkmodule.dagger
+
+    def count_dagger(P, block):
+        daggers.append(block)
+        return real_dagger(P, block)
+
     monkeypatch.setattr(gkmodule, "typical_element", keep)
     monkeypatch.setattr(WeylOperator, "apply", count_apply)
     monkeypatch.setattr(MultiPoly, "diff", count_diff)
+    monkeypatch.setattr(gkmodule, "dagger", count_dagger)
     ModuleParams.layers.cache_clear()
     (result,) = execute_jobs(
         plan_jobs([REGISTRY["paction.four_term"]], [(4, 6, 1)], 3, 3, None)
@@ -1121,11 +1139,17 @@ def test_paction_four_term_work_counts(monkeypatch):
     assert applies == []
     info = ModuleParams.layers.cache_info()
     assert info.misses == info.currsize == len({(f.params, f.kt) for f in elements})
+    moves = [(var, kind) for kind in "dv" for var in range(p + q)]
+    harmonics = {id(h) for f in elements for h in (f.h1, f.h2)}
+    assert len([g for g, _ in partials if id(g) in harmonics]) == (p + q) * len(elements)
+    assert len(daggers) == (p + q) * len(elements)
     for f in elements:
         assert sorted(i for g, i in partials if g is f.expansion) == list(range(p))
-        assert sorted(f._parts, key=str) == [0, 1, 2, 3, None]
+        assert sorted(f._parts, key=str) == sorted([0, 1, 2, 3, None] + moves, key=str)
         assert f._parts[0] == real_diff(f.expansion, 0)
         assert f._parts[None] == f.expansion.truncate(f.validity - 4)
+        assert f._parts[p, "d"] == real_diff(f.h2, p)
+        assert f._parts[1, "v"] == real_dagger(f.h1.var_mul(1), "x")
     f = elements[0]
     for part in f._parts.values():
         assert all(r is f._parts for r in gc.get_referrers(part))
@@ -1154,12 +1178,260 @@ def test_paction_four_term_small_depth_errors(D, error):
 def test_radial_layer_pole_raises_on_every_call():
     import gkverify.gkmodule as gkmodule
 
-    h = harmonic_basis(VariableSpace(2, 4), "x", 1)[0]
+    space = VariableSpace(2, 4)
     gkmodule._radial_expansion.cache_clear()
     for _ in range(3):
         with pytest.raises(PsiPoleError):
-            gkmodule._radial_layer(Fraction(-1), 1, "y", h, 8)
+            gkmodule._radial_expansion(Fraction(-1), 1, "y", space, 8)
         info = gkmodule._radial_expansion.cache_info()
         assert info.currsize == 0 and info.hits == 0
-    # below its base degree a layer is zero without reaching the series
-    assert gkmodule._radial_layer(Fraction(-1), 1, "y", h, 2).is_zero()
+
+
+# -- the separated form and its zero test ---------------------------------------------
+
+
+@pytest.mark.parametrize("p,q,m", DEFAULT_SWEEP)
+def test_separated_expansion_is_the_radial_layer(p, q, m):
+    # against the radial layer that built typical elements before the
+    # separated form (h1 h2 times the expanded radial series, capped at D),
+    # every K-type with k, l <= 3, both signs, at an even and an odd depth
+    for sign in (1, -1):
+        params = ModuleParams(p, q, m, sign)
+        for D in (default_depth(m, 6, None), default_depth(m, 6, None) + 1):
+            for f in ktype_elements(params, 3, 3, D):
+                mu = params.mu(f.kt)
+                want = _old_radial_layer(
+                    params.space, params.weights(f.kt)[0], mu, params.series_block,
+                    f.h1, f.h2, D,
+                )
+                assert f.expansion == want.expansion, (p, q, m, sign, f.kt, D)
+                # terms of different j never collide: each is one bidegree
+                bidegrees = [(a.degree(), b.degree()) for _, a, b in f.separated]
+                assert len(set(bidegrees)) == len(bidegrees)
+                assert f.kt.k + f.kt.l + 2 * mu + 4 * (len(bidegrees) - 1) <= D
+
+
+def _staged_power(lower, m, f):
+    # the parent's membership power step: the lowering generator applied m + 1
+    # times, each through the staged words
+    g = f
+    for _ in range(m + 1):
+        g = _uncapped_words(lower, g)
+    return g
+
+
+@pytest.mark.parametrize("p,q,m", DEFAULT_SWEEP)
+def test_zero_test_matches_the_staged_pass(p, q, m):
+    """The separated zero test against the staged words it replaced, on
+    every closed form with its own scalar, one off by one and none, and on
+    the (m+1)-fold lowering: the same verdict at the same validity."""
+    import gkverify.gkmodule as gkmodule
+
+    D = default_depth(m, 6, None)
+    verdicts = set()
+    for sign in (1, -1):
+        params = ModuleParams(p, q, m, sign)
+        killer, lower = params.sl2_roles
+        for f in ktype_elements(params, 3, 3, D):
+            for which in ("op", "oq", "g", "xi", "H", "X+", "X-"):
+                terms = closed_form(which, p, q)
+                staged = _uncapped_words(terms, f)
+                if which == "H":
+                    scalars = [sign * m, sign * m + 1, 0]
+                elif which in ("X+", "X-"):
+                    scalars = [0, 1]
+                else:
+                    true = params.scalar(which, f.kt)
+                    scalars = [true, true + 1, 0]
+                for s in scalars:
+                    want = ((staged - f.scale(s)).is_zero(), staged.validity)
+                    got = gkmodule._vanishes(gkmodule._minus_identity(terms, s), f)
+                    assert got == want, (sign, f.kt, which, s)
+                    verdicts.add(want[0])
+                if which == killer:
+                    assert staged.is_zero()
+            power = _staged_power(closed_form(lower, p, q), m, f)
+            got = gkmodule._vanishes(gkmodule._power(closed_form(lower, p, q), m + 1), f)
+            assert got == (power.is_zero(), power.validity) == (True, D - 2 * (m + 1))
+            # one step short of the power does not annihilate
+            short = _staged_power(closed_form(lower, p, q), m - 1, f)
+            got = gkmodule._vanishes(gkmodule._power(closed_form(lower, p, q), m), f)
+            assert got == (short.is_zero(), short.validity)
+    assert verdicts == {True, False}
+
+
+def test_power_is_the_binomial_word_list():
+    import gkverify.gkmodule as gkmodule
+
+    half = Fraction(1, 2)
+    lower = closed_form("X-", 4, 6)
+    for n in range(4):
+        want = {
+            ("Rx",) * i + ("Ly",) * (n - i): Fraction(math.comb(n, i)) * half**n
+            for i in range(n + 1)
+        }
+        assert dict((w, c) for c, w in gkmodule._power(lower, n)) == want
+    # merged words that cancel are dropped: (Rx - Rx)^2 = 0
+    assert gkmodule._power(((ONE, ("Rx",)), (-ONE, ("Rx",))), 2) == ()
+
+
+def _block_poly(space, block, rng, degree):
+    # a random nonzero polynomial in one block's variables, homogeneous of degree
+    idx = list(space.block_range(block))
+    entries = []
+    for _ in range(4):
+        exps = [0] * space.nvars
+        for _ in range(degree):
+            exps[rng.choice(idx)] += 1
+        entries.append((tuple(exps), Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+    poly = MultiPoly.from_monomials(space, entries)
+    return poly if poly else _block_poly(space, block, rng, degree)
+
+
+def test_cell_elimination_with_two_independent_x_images():
+    """A hand-built cell whose x-images span two dimensions, so a reduced
+    X is kept beside another and the carried Y decide: X1 Y1 + X2 Y2 +
+    (X1 + X2) Y3 - X1 (Y1 + Y3) - X2 (Y2 + Y3) = 0 in every order, and
+    any one coefficient changed leaves a nonzero sum."""
+    import gkverify.gkmodule as gkmodule
+
+    space = VariableSpace(3, 3)
+    rng = random.Random(24)
+    cubes = [e + (0, 0, 0) for e in itertools.product(range(4), repeat=3) if sum(e) == 3]
+    for _ in range(20):
+        x1, x2 = (_block_poly(space, "x", rng, 3) for _ in range(2))
+        # a monomial that x1 lacks, kept in x2, makes x2 independent of x1
+        fresh = next(e for e in cubes if space.pack(e) not in x1._terms)
+        x2 = x2 + MultiPoly.from_monomials(space, [(fresh, 1 - x2.coefficient(fresh))])
+        y1, y2, y3 = (_block_poly(space, "y", rng, 2) for _ in range(3))
+        c = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        products = [
+            (ONE, x1, y1), (ONE, x2, y2), (c, x1 + x2, y3),
+            (-ONE, x1, y1 + y3.scale(c)), (-ONE, x2, y2 + y3.scale(c)),
+        ]
+        for order in itertools.permutations(range(5)):
+            cell = [products[i] for i in order]
+            assert gkmodule._cell_vanishes(cell), order
+        for i in range(5):
+            off = list(products)
+            off[i] = (off[i][0] + 1, off[i][1], off[i][2])
+            assert not gkmodule._product_sum(space, off).is_zero()
+            assert not gkmodule._cell_vanishes(off), i
+
+
+def _module_fails(D=14):
+    # whether some eigenvalue or membership check fails at (4,6,1) on the
+    # elements with k, l <= 2 of both signs (all pass unmutated, as
+    # test_scalar_checks_never_expand_an_element asserts)
+    for sign in (1, -1):
+        for f in ktype_elements(ModuleParams(4, 6, 1, sign), 2, 2, D):
+            if not all(eigenvalue_check(which, f).ok for which in ("op", "oq", "g", "xi")):
+                return True
+            if not verify_membership(f).ok:
+                return True
+    return False
+
+
+def _patched_form(target, index, change):
+    # closed_form with the word at `index` of row `target` changed
+    def form(which, p, q):
+        terms = list(closed_form(which, p, q))
+        if which == target:
+            terms[index] = change(*terms[index])
+        return tuple(terms)
+
+    return form
+
+
+_FLIPS = [(w, i) for w in CLOSED_FORMS for i in range(len(closed_form(w, 4, 6)))]
+
+
+@pytest.mark.parametrize("which,index", _FLIPS, ids=[f"{w}{i}" for w, i in _FLIPS])
+def test_a_flipped_closed_form_coefficient_fails(monkeypatch, which, index):
+    import gkverify.gkmodule as gkmodule
+
+    flip = _patched_form(which, index, lambda c, word: (-c, word))
+    monkeypatch.setattr(gkmodule, "closed_form", flip)
+    assert _module_fails()
+
+
+_CROSS = [
+    (w, i) for w in ("g", "xi")
+    for i, (_, word) in enumerate(closed_form(w, 4, 6)) if len({b for _, b in word}) == 2
+]
+
+
+@pytest.mark.parametrize("which,index", _CROSS, ids=[f"{w}{i}" for w, i in _CROSS])
+def test_a_cross_block_factor_on_the_wrong_block_fails(monkeypatch, which, index):
+    # the first factor of a word with both blocks acts on the other block
+    import gkverify.gkmodule as gkmodule
+
+    swap = {"x": "y", "y": "x"}
+    moved = _patched_form(
+        which, index, lambda c, word: (c, (word[0][0] + swap[word[0][1]],) + word[1:])
+    )
+    monkeypatch.setattr(gkmodule, "closed_form", moved)
+    assert _module_fails()
+
+
+def test_a_wrong_psi_parameter_fails(monkeypatch):
+    # kappa + 1 in the separated form's psi coefficients
+    import gkverify.gkmodule as gkmodule
+
+    real = gkmodule.psi_series
+    monkeypatch.setattr(gkmodule, "psi_series", lambda alpha, cutoff: real(alpha + 1, cutoff))
+    assert _module_fails()
+
+
+def _cell_vanishes_dropping_y(products):
+    # the elimination with the carried y-image dropped: X_k keeps Y_k alone
+    kept = []
+    for c, x, y in products:
+        y = y.scale(c)
+        for key, xk, _ in kept:
+            a = x._terms.get(key)
+            if a:
+                x = x - xk.scale(Fraction(a * xk.den, x.den * xk._terms[key]))
+        if x:
+            kept.append((max(x._terms), x, y))
+    return not any(y for _, _, y in kept)
+
+
+def test_an_elimination_that_drops_the_carried_y_fails(monkeypatch):
+    import gkverify.gkmodule as gkmodule
+
+    monkeypatch.setattr(gkmodule, "_cell_vanishes", _cell_vanishes_dropping_y)
+    assert _module_fails()
+
+
+def test_scalar_checks_never_expand_an_element(monkeypatch):
+    """eigenvalue_check and verify_membership never form f.expansion, and
+    every Laplacian they apply reads a polynomial in one block only."""
+    import gkverify.gkmodule as gkmodule
+
+    sums = []
+    real_sum = gkmodule._product_sum
+    monkeypatch.setattr(
+        gkmodule, "_product_sum", lambda *args: sums.append(args) or real_sum(*args)
+    )
+    inputs = []
+    real_laplacian = gkmodule.laplacian
+
+    def spy(g, block):
+        inputs.append((g, block))
+        return real_laplacian(g, block)
+
+    monkeypatch.setattr(gkmodule, "laplacian", spy)
+    elements = 0
+    for sign in (1, -1):
+        for f in ktype_elements(ModuleParams(4, 6, 1, sign), 3, 3, 14):
+            for which in ("op", "oq", "g", "xi"):
+                assert eigenvalue_check(which, f).ok
+            assert verify_membership(f).ok
+            assert f._expansion is None
+            elements += 1
+    assert elements and not sums
+    assert inputs
+    for g, block in inputs:
+        other = {"x": "y", "y": "x"}[block]
+        assert g.block_homogeneous_degree(other) == 0

@@ -319,3 +319,66 @@ def test_echelon_form_matches_sympy_rref(aug):
 def test_import_does_not_load_sympy():
     code = "import sys, gkverify; sys.exit('sympy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
+
+
+def _sympy_poly(poly, v):
+    return sum(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**e for x, e in zip(v, exps)))
+        for exps, c in poly.monomials().items()
+    )
+
+
+def _oracle_typical(p, q, m, sign, h1, h2, D, v):
+    """h1 h2 rho_s^mu Psi_kappa(rho_x rho_y) up to total degree D, from the
+    documented formulas: kappa_plus = k + p/2, kappa_minus = l + q/2, the
+    series weight kappa and the series block s (kappa_plus and y for sign
+    +1, kappa_minus and x for sign -1), mu = (m + kappa - kappa_other)/2,
+    rho = r^2/2 and Psi_a(u) = sum_j (-1)^j u^j / (j! (a)_j)."""
+    x, y = v[:p], v[p:]
+    k, l = sympy.Poly(h1, *x).total_degree(), sympy.Poly(h2, *y).total_degree()
+    kp, km = sympy.Rational(2 * k + p, 2), sympy.Rational(2 * l + q, 2)
+    rho_x, rho_y = sum(t**2 for t in x) / 2, sum(t**2 for t in y) / 2
+    kappa, other, rho_s = (kp, km, rho_y) if sign == 1 else (km, kp, rho_x)
+    mu = (m + kappa - other) / 2
+    assert mu.is_integer and 0 <= mu
+    psi = sum(
+        (-1) ** j * (rho_x * rho_y) ** j / (sympy.factorial(j) * sympy.rf(kappa, j))
+        for j in range(D // 4 + 1)
+    )
+    poly = sympy.Poly(sympy.expand(h1 * h2 * rho_s ** int(mu) * psi), *v)
+    return {exps: c for exps, c in poly.terms() if sum(exps) <= D}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("p,q,m,kl_max,count", [(2, 4, 0, 2, 10), (2, 6, 1, 1, 2)])
+def test_separated_typical_elements_match_sympy(p, q, m, kl_max, count, sign):
+    # every harmonic product at every K-type with k, l <= kl_max (the window:
+    # kappa_plus - kappa_minus in -m, -m + 2, ..., m), at an even and an odd
+    # depth; only the harmonics come from the package.  At (2,6,1) the sign
+    # -1 element carries rho_x^mu with mu = 1.
+    from gkverify.gkmodule import ModuleParams, typical_element
+    from gkverify.poly import harmonic_basis
+
+    space = VariableSpace(p, q)
+    v = _symbols(space)
+    params = ModuleParams(p, q, m, sign)
+    compared = 0
+    for k in range(kl_max + 1):
+        for l in range(kl_max + 1):
+            d = sympy.Rational(2 * k + p, 2) - sympy.Rational(2 * l + q, 2)
+            if not (d.is_integer and abs(d) <= m and (m + d) % 2 == 0):
+                continue
+            for h1 in harmonic_basis(space, "x", k):
+                for h2 in harmonic_basis(space, "y", l):
+                    D = 9 + (h1 is harmonic_basis(space, "x", k)[0])  # both parities
+                    f = typical_element(params, h1, h2, D)
+                    want = _oracle_typical(
+                        p, q, m, sign, _sympy_poly(h1, v), _sympy_poly(h2, v), D, v
+                    )
+                    got = {
+                        exps: sympy.Rational(c.numerator, c.denominator)
+                        for exps, c in f.expansion.monomials().items()
+                    }
+                    assert got == want, (sign, k, l, D)
+                    compared += 1
+    assert compared == count
