@@ -29,10 +29,10 @@ of a liealg.closed_form word (the Casimirs, the symmetric-square element Xi
 and the sl2 triple) acts on one block, so eigenvalue_check and the three
 steps of verify_membership are each one zero test on products X Y of
 single-block images, grouped by bidegree and tested by an elimination that
-carries the Y along; neither expands an element.  closed_apply sums the
-same products.  p_action_check sums x_i y_j f + d_{y_j}(d_{x_i} f) minus
-the four layers of the mixed action into one int dict.  All three refuse
-other elements.
+carries the Y along; neither expands an element.  closed_apply applies the
+composed operator to any element.  p_action_check sums x_i y_j f +
+d_{y_j}(d_{x_i} f) minus the four layers of the mixed action into one int
+dict.  These three checks refuse other elements.
 
 The obstruction solver at the bottom asks, over the default sample of typical
 elements f, whether some pair (Y, lambda) of a Lie-algebra element and a
@@ -562,18 +562,12 @@ def _power(terms, n: int):
 
 def closed_apply(which: str, f: TruncatedElement) -> TruncatedElement:
     """Apply a closed form of liealg.closed_form (a Casimir, Xi or an sl2
-    generator), at the validity and with the TruncationError guard of
-    _validity.  On a TypicalElement the products of _cells are summed, so
-    nothing above the validity is formed; any other element gets the
-    composed closed_operator through apply_operator.
+    generator) as the composed closed_operator, at the validity and with the
+    TruncationError guard of _validity; nothing above it is formed.
     """
     space = f.space
-    terms = closed_form(which, space.p, space.q)
-    top = _validity(terms, f)
-    if isinstance(f, TypicalElement):
-        products = [p for cell in _cells(terms, f, top).values() for p in cell]
-        return TruncatedElement(_product_sum(space, products), top)
-    return apply_operator(closed_operator(space, which), f)
+    top = _validity(closed_form(which, space.p, space.q), f)
+    return TruncatedElement(closed_operator(space, which).apply(f.expansion, max_degree=top), top)
 
 
 # -- module checks ----------------------------------------------------------------
