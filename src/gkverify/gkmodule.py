@@ -26,26 +26,20 @@ A TypicalElement is held in its separated form, sum_j w_j A_j B_j with A_j
 in the y variables, and expanded only when read; the sample plans
 ktype_elements and product_elements yield them one at a time.  Each factor
 of a liealg.closed_form word (the Casimirs, the symmetric-square element Xi
-and the sl2 triple) acts on one block, so eigenvalue_check and the three
-steps of verify_membership are each one zero test on products X Y of
-single-block images, grouped by bidegree and tested by an elimination that
-carries the Y along; neither expands an element.  closed_apply applies the
-composed operator to any element.  p_action_check sums x_i y_j f +
-d_{y_j}(d_{x_i} f) minus the four layers of the mixed action into one int
-dict.  These three checks refuse other elements.
+and the sl2 triple) acts on one block, and so do x_i, y_j, their partials
+and the factors of each mixed-action layer.  So eigenvalue_check, the three
+steps of verify_membership and p_action_check are each one zero test on
+products X Y of single-block polynomials, grouped by bidegree and tested by
+an elimination among the X that carries the Y; none expands an element, and
+all three refuse other elements.  closed_apply applies the composed
+operator to any element.
 
-The obstruction solver at the bottom asks, over the default sample of typical
-elements f, whether some pair (Y, lambda) of a Lie-algebra element and a
-scalar satisfies pi(Y) f + lambda f = lambda_kappa(f) f for every sample,
-where lambda_kappa is the symmetric-square eigenvalue.  It returns either a
-witness verified against every sampled equation or an exact infeasibility
-certificate; infeasibility of the truncated subsystem is an exact conclusion
-about the full system.  A sample's generator images are formed the first time
-the solver reads that sample, and a candidate (Y, lambda) is verified by one
-capped pi(Y) per sample.  A sample too small to decide the question raises
-DegenerateSampleError, read from the samples' K-types before any image is
-formed.  The solver is memoized on its positional arguments
-(params, D).  default_depth and default_solver_depth are the one place that
+The obstruction solver at the bottom, garfinkle_obstruction, asks over the
+default sample of typical elements f whether some pair (Y, lambda) of a
+Lie-algebra element and a scalar satisfies pi(Y) f + lambda f =
+lambda_kappa(f) f for every sample, lambda_kappa being the symmetric-square
+eigenvalue, and returns a verified witness or an exact infeasibility
+certificate.  default_depth and default_solver_depth are the one place that
 resolves a working depth: the given one, else their rule.
 """
 
@@ -69,7 +63,6 @@ from .liealg import (
 )
 from .linalg import SparseRREF
 from .poly import (
-    MAX_EXP,
     ONE,
     ZERO,
     MultiPoly,
@@ -301,10 +294,7 @@ class TruncatedElement:
         return self.expansion.truncate(v) == other.expansion.truncate(v)
 
     def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}({len(self.expansion)} terms, "
-            f"validity={self.validity})"
-        )
+        return f"{type(self).__name__}({len(self.expansion)} terms, validity={self.validity})"
 
 
 class TypicalElement(TruncatedElement):
@@ -354,12 +344,10 @@ def _require_typical(f) -> TypicalElement:
     return f
 
 
-def _product_sum(space: VariableSpace, products, den: Optional[int] = None,
-                 out: Optional[Dict[int, int]] = None) -> MultiPoly:
-    """out/den plus the sum of c a b over the (c, a, b) products in the one
-    int dict out over den (default: empty, over the products' lcm)."""
-    if den is None:
-        den, out = lcm(*(c.denominator * a.den * b.den for c, a, b in products)), {}
+def _product_sum(space: VariableSpace, products) -> MultiPoly:
+    """The sum of c a b over the (c, a, b) products, in one int dict over
+    the products' lcm."""
+    den, out = lcm(*(c.denominator * a.den * b.den for c, a, b in products)), {}
     get = out.get
     for c, a, b in products:
         w = c.numerator * (den // (c.denominator * a.den * b.den))
@@ -383,11 +371,9 @@ def psi_series(alpha: Fraction, cutoff: int) -> RadialSeries:
         raise PsiPoleError(f"series parameter {alpha} is a non-positive integer")
     coeffs: Dict[Tuple[int, int], Fraction] = {}
     c = Fraction(1)
-    j = 0
-    while 4 * j <= cutoff:
-        coeffs[(j, j)] = c
+    for j in range(cutoff // 4 + 1):
+        coeffs[j, j] = c
         c = -c / ((j + 1) * (alpha + j))
-        j += 1
     return RadialSeries(coeffs, cutoff)
 
 
@@ -399,18 +385,6 @@ def _require_block_harmonic(h: MultiPoly, block: str) -> int:
     if not laplacian(h, block).is_zero():
         raise ValueError(f"factor of degree {deg} is not {block}-harmonic")
     return deg
-
-
-@lru_cache(maxsize=None)
-def _radial_expansion(
-    kappa: Fraction, mu: int, block: str, space: VariableSpace, reach: int
-) -> MultiPoly:
-    """rho_block^mu * Psi_kappa expanded exactly to degree reach >= 2 mu.
-
-    Memoized, as harmonic_basis is; a PsiPoleError is raised on every call
-    and never cached.
-    """
-    return psi_series(kappa, reach - 2 * mu).shift_rho(block, mu).expand(space, reach)
 
 
 def typical_element(
@@ -450,9 +424,7 @@ def apply_operator(op, f: TruncatedElement) -> TruncatedElement:
 def _gain(space: VariableSpace, word: Tuple[str, ...]) -> int:
     """The validity change of a closed_form word: the sum of its factors'
     smallest |a| - |alpha| (the factors shift every term alike)."""
-    return sum(
-        STOCK_OPERATORS[kind](space, block).min_degree_shift() for kind, block in word
-    )
+    return sum(STOCK_OPERATORS[kind](space, block).min_degree_shift() for kind, block in word)
 
 
 def _validity(terms, f: TruncatedElement) -> int:
@@ -510,26 +482,43 @@ def _cells(terms, f: TypicalElement, top: int) -> Dict[Tuple[int, int], list]:
     return cells
 
 
+def _eliminate(cells) -> List[Dict]:
+    """Reduce the X of each cell, a list of (s, c, X) for products c X Y_s,
+    against the X kept so far, carrying the Y along: X_i Y_i + X_k Y_k =
+    (X_i - r X_k) Y_i + X_k (Y_k + r Y_i), r read at X_k's pivot monomial.
+    The kept X of a cell are independent, so the sum is zero iff each kept
+    X's combination {s: M_s} of the Y, returned here, sums to zero."""
+    combos = []
+    for cell in cells:
+        kept: List[Tuple[int, MultiPoly, Dict]] = []
+        for s, c, x in cell:
+            for key, xk, combo in kept:
+                a = x._terms.get(key)
+                if a:
+                    r = Fraction(a * xk.den, x.den * xk._terms[key])
+                    x = x - xk.scale(r)
+                    combo[s] = combo.get(s, ZERO) + r * c
+            if x:
+                kept.append((max(x._terms), x, {s: c}))
+        combos.extend(combo for _, _, combo in kept)
+    return combos
+
+
+def _sums_to_zero(combo: Dict, y) -> bool:
+    """Whether sum M_s y(s) over {s: M_s} is zero, in one int dict."""
+    terms = [(m, y(s)) for s, m in combo.items()]
+    den, out = lcm(*(m.denominator * g.den for m, g in terms)), {}
+    for m, g in terms:
+        w = m.numerator * (den // (m.denominator * g.den))
+        for k, c in g._terms.items():
+            out[k] = out.get(k, 0) + w * c
+    return not any(out.values())
+
+
 def _cell_vanishes(products) -> bool:
-    """Whether the sum of c X Y over one bidegree cell's products is zero.
-    Each X is reduced against the X kept so far, carrying its Y along:
-    X_i Y_i + X_k Y_k = (X_i - r X_k) Y_i + X_k (Y_k + r Y_i), with r read
-    at X_k's pivot monomial.  What is left of X is kept, so the kept X are
-    independent and the cell vanishes iff every Y beside them is zero.
-    Proportionality is tested by the subtraction, never assumed."""
-    kept: List[list] = []
-    for c, x, y in products:
-        y = y.scale(c)
-        for entry in kept:
-            key, xk, yk = entry
-            a = x._terms.get(key)
-            if a:
-                r = Fraction(a * xk.den, x.den * xk._terms[key])
-                x = x - xk.scale(r)
-                entry[2] = yk + y.scale(r)
-        if x:
-            kept.append([max(x._terms), x, y])
-    return not any(y for _, _, y in kept)
+    """Whether the sum of c X Y over one bidegree cell's products is zero."""
+    cell = [(s, c, x) for s, (c, x, _) in enumerate(products)]
+    return all(_sums_to_zero(combo, lambda s: products[s][2]) for combo in _eliminate([cell]))
 
 
 def _vanishes(terms, f: TypicalElement) -> Tuple[bool, int]:
@@ -563,8 +552,7 @@ def _power(terms, n: int):
 def closed_apply(which: str, f: TruncatedElement) -> TruncatedElement:
     """Apply a closed form of liealg.closed_form (a Casimir, Xi or an sl2
     generator) as the composed closed_operator, at the validity and with the
-    TruncationError guard of _validity; nothing above it is formed.
-    """
+    TruncationError guard of _validity; nothing above it is formed."""
     space = f.space
     top = _validity(closed_form(which, space.p, space.q), f)
     return TruncatedElement(closed_operator(space, which).apply(f.expansion, max_degree=top), top)
@@ -638,16 +626,16 @@ def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
     Two exact steps (1-based i <= p, j <= q): -pi(M_{i, p+j}) =
     sqrt(-1) pi(X_{i, p+j}) must equal x_i y_j + d_{x_i} d_{y_j} term for
     term, and x_i y_j f + d_{y_j}(d_{x_i} f) minus the layers of
-    f.params.layers(f.kt) must vanish at validity f.validity - 2, summed in
-    one int dict over a common denominator.  f up to degree f.validity - 4,
-    d_{x_i} f and the moved harmonics are memoized on f.  A layer whose
-    polynomial factor vanishes is skipped; a vanishing denominator with
-    surviving factors raises DegenerateDenominatorError."""
+    f.params.layers(f.kt) must vanish at validity v = f.validity - 2.  That
+    sum is the products c X Y of _slots, whose c and bidegrees do not depend
+    on (i, j), X on i alone and Y on j alone: its cells are eliminated once
+    per (f, i), and each j sums the carried combinations of its Y.  A zero
+    layer denominator raises DegenerateDenominatorError where neither
+    moved harmonic vanishes."""
     params, kt = _require_typical(f).params, f.kt
     if not (1 <= i <= params.p and 1 <= j <= params.q):
         raise ValueError("need 1 <= i <= p and 1 <= j <= q")
-    v = f.validity - 2
-    if v < 0:
+    if f.validity < 2:
         raise TruncationError("validity became negative; increase D")
     space = params.space
     xi, yj = i - 1, params.p + j - 1
@@ -655,45 +643,68 @@ def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
     op = pi_generator(Generator(i, params.p + j, "M"), space).scale(-1)
     if op != WeylOperator(space, {(xy, 0): 1, (0, xy): 1}):
         return False
-    parts = f._parts
-    if None not in parts:
-        parts[None] = f.expansion.truncate(v - 2)
-    if xi not in parts:
-        parts[xi] = f.expansion.diff(xi)
-    # (c, a, b) stands for c a b: x_i y_j f, then minus each layer
-    terms = [(Fraction(1), MultiPoly(space, {xy: 1}), parts[None])]
-    wb, sb = params.weight_block, params.series_block
     for layer in params.layers(kt):
-        kinds = {wb: layer.weight, sb: layer.radial}
+        kinds = {params.weight_block: layer.weight, params.series_block: layer.radial}
         # the x harmonic moves along x_i, the y harmonic along y_j
-        hx, hy = _moved(f, xi, kinds["x"]), _moved(f, yj, kinds["y"])
-        if hx.is_zero() or hy.is_zero():
-            continue
-        if layer.den == 0:
+        if layer.den == 0 and _factors(f, xi, kinds["x"])[0] and _factors(f, yj, kinds["y"])[0]:
             raise DegenerateDenominatorError(
                 f"coefficient denominator vanished at K-type (k={kt.k}, l={kt.l})"
             )
-        if layer.num == 0:
-            continue
-        h = hx.mul(hy)
-        reach = v - h.degree()  # h is homogeneous: h times the series stays <= v
-        if reach >= 2 * layer.exponent:
-            series = _radial_expansion(layer.kappa, layer.exponent, sb, space, reach)
-            terms.append((-layer.num / layer.den, h, series))
-    dx, shift, uy = parts[xi], space.shift_of(yj), space.unit_key(yj)
-    den = lcm(dx.den, *(c.denominator * a.den * b.den for c, a, b in terms))
-    w = den // dx.den  # out starts as d_{y_j}(d_{x_i} f)
-    out = {k - uy: c * e * w for k, c in dx._terms.items() if (e := k >> shift & MAX_EXP)}
-    return _product_sum(space, terms, den, out).is_zero()
+    combos = f._parts.get((xi, "elim"))
+    if combos is None:
+        cells: Dict[Tuple[int, int], list] = {}
+        for c, bidegree, (kind, n), y in _slots(f):
+            cells.setdefault(bidegree, []).append((y, c, _factors(f, xi, kind)[n]))
+        combos = f._parts[xi, "elim"] = _eliminate(cells.values())
+    return all(_sums_to_zero(c, lambda ref: _factors(f, yj, ref[0])[ref[1]]) for c in combos)
 
 
-def _moved(f: TypicalElement, var: int, kind: str) -> MultiPoly:
-    """The harmonic of var's block moved along var, memoized on f: its
-    partial ("d") or dagger(var h) ("v"), which is nonzero when h is."""
+def _slots(f: TypicalElement) -> Tuple:
+    """The products (c, (dx, dy), x factor, y factor) of p_action_check's
+    sum, memoized on f; a factor (kind, n) is _factors(f, var, kind)[n].
+    A term w A_n B_n of f gives x_i A_n y_j B_n (if of degree <= v) and
+    d_{x_i} A_n d_{y_j} B_n; a layer num/den h_x h_y rho_s^e Psi_kappa gives
+    -num/den c / 2^(a + b) h_x (r_x^2)^a h_y (r_y^2)^b for each term c
+    rho_x^a rho_y^b of its series up to degree v - deg h_x - deg h_y."""
+    got = f._parts.get(None)
+    if got is None:
+        params, kt, v = f.params, f.kt, f.validity - 2
+        slots = []
+        for n, (w, a, b) in enumerate(f.separated):
+            da, db = a.degree(), b.degree()
+            if da + db <= v - 2:
+                slots.append((w, (da + 1, db + 1), ("mul", n), ("mul", n)))
+            slots.append((w, (da - 1, db - 1), ("diff", n), ("diff", n)))
+        for layer in params.layers(kt):
+            kinds = {params.weight_block: layer.weight, params.series_block: layer.radial}
+            kx, ky = kinds["x"], kinds["y"]  # each moved harmonic's degree is 1 off its own
+            dx, dy = kt.k + (1 if kx == "v" else -1), kt.l + (1 if ky == "v" else -1)
+            e, reach = layer.exponent, v - dx - dy
+            if not (layer.den and layer.num) or min(dx, dy) < 0 or reach < 2 * e:
+                continue  # zero at every (i, j) that gets here
+            series = psi_series(layer.kappa, reach - 2 * e).shift_rho(params.series_block, e)
+            for (a, b), c in series.coeffs.items():
+                coeff = -layer.num / layer.den * c / (1 << (a + b))
+                slots.append((coeff, (dx + 2 * a, dy + 2 * b), (kx, a), (ky, b)))
+        got = f._parts[None] = tuple(slots)
+    return got
+
+
+def _factors(f: TypicalElement, var: int, kind: str) -> List[MultiPoly]:
+    """The factors of one kind on var's block, memoized on f: var A_n ("mul")
+    and d_var A_n ("diff") for each block factor A_n of f, or the block's
+    harmonic h moved along var, d_var h ("d") or dagger(var h) ("v",
+    nonzero when h is), times (r^2)^n for every n that _slots reads."""
     got = f._parts.get((var, kind))
     if got is None:
-        block, h = ("x", f.h1) if var < f.params.p else ("y", f.h2)
-        got = h.diff(var) if kind == "d" else dagger(h.var_mul(var), block)
+        at, block, h = (2, "x", f.h1) if var < f.params.p else (3, "y", f.h2)
+        if kind in ("mul", "diff"):
+            own = [t[at - 1] for t in f.separated]
+            got = [a.var_mul(var) for a in own] if kind == "mul" else [a.diff(var) for a in own]
+        else:
+            moved = h.diff(var) if kind == "d" else dagger(h.var_mul(var), block)
+            top = max((slot[at][1] for slot in _slots(f) if slot[at][0] == kind), default=0)
+            got = _radius_powers(moved, block, 0, top + 1)
         f._parts[var, kind] = got
     return got
 
@@ -898,20 +909,17 @@ def garfinkle_obstruction(params: ModuleParams, D: int, /) -> ObstructionResult:
         status, _ = rref.add_row(row)
         return status
 
+    def result(witness=None, certificate=None) -> ObstructionResult:
+        return ObstructionResult(
+            certificate is None, witness, certificate, validity, len(samples), n_rows, xi_values
+        )
+
     def infeasible(s_idx: int, key: int) -> ObstructionResult:
         kt = samples[s_idx][0].kt
-        return ObstructionResult(
-            exists=False,
-            witness=None,
-            certificate=(
-                f"monomial {space.unpack(key)} of sample {s_idx} "
-                f"(K-type k={kt.k}, l={kt.l}) reduces to 0 = 1"
-            ),
-            validity=validity,
-            n_samples=len(samples),
-            n_rows=n_rows,
-            xi_scalars=xi_values,
-        )
+        return result(certificate=(
+            f"monomial {space.unpack(key)} of sample {s_idx} "
+            f"(K-type k={kt.k}, l={kt.l}) reduces to 0 = 1"
+        ))
 
     # phase 1: seed the echelon form, early-stopping per sample once no new
     # rank has appeared for a while (the residual phase catches the rest)
@@ -946,15 +954,7 @@ def garfinkle_obstruction(params: ModuleParams, D: int, /) -> ObstructionResult:
                 violation = (s_idx, min(residual._terms))
                 break
         if violation is None:
-            return ObstructionResult(
-                exists=True,
-                witness=(tuple(sorted(coeffs.items())), lam),
-                certificate=None,
-                validity=validity,
-                n_samples=len(samples),
-                n_rows=n_rows,
-                xi_scalars=xi_values,
-            )
+            return result(witness=(tuple(sorted(coeffs.items())), lam))
         s_idx, key = violation
         status = feed(build_row(s_idx, key))
         if status == "inconsistent":

@@ -1013,7 +1013,7 @@ def test_candidate_image_is_the_sum_of_generator_images(p, q, m, sign):
             assert pi_lie(y).apply(f.expansion, max_degree=v) == expected
 
 
-# -- the radial series memo ----------------------------------------------------------
+# -- the mixed action on the separated form --------------------------------------------
 
 
 def _run_paction_suite():
@@ -1023,54 +1023,221 @@ def _run_paction_suite():
     assert all(r.status == "pass" for r in results), [r.to_dict() for r in results]
 
 
-def test_paction_suite_expands_each_radial_series_once(monkeypatch):
-    # 258 expansions before the memo, for 20 distinct (kappa, mu, block,
-    # validity - deg h); 8 of those were the typical elements' own series,
-    # which their separated form builds from psi_series without expanding
-    # one, so the mixed-action layers' 12 are left
+def _expanded_p_action_check(f, i, j, radial=None):
+    # The mixed-action check summed over whole expansions, as it was before
+    # it read the separated form: x_i y_j f_{<= v - 2} + d_{y_j} d_{x_i} f
+    # minus each layer num/den h_x h_y times its radial series rho_s^e
+    # Psi_kappa expanded to reach v - deg h, in one int dict over a common
+    # denominator.  `radial` memoizes the expansions across calls.
+    params, kt = f.params, f.kt
+    v = f.validity - 2
+    if v < 0:
+        raise TruncationError("validity became negative; increase D")
+    space = params.space
+    xi, yj = i - 1, params.p + j - 1
+    xy = space.unit_key(xi) + space.unit_key(yj)
+    op = pi_generator(Generator(i, params.p + j, "M"), space).scale(-1)
+    if op != WeylOperator(space, {(xy, 0): 1, (0, xy): 1}):
+        return False
+    radial = {} if radial is None else radial
+    terms = [
+        (ONE, MultiPoly(space, {xy: 1}), f.expansion.truncate(v - 2)),
+        (ONE, MultiPoly.one(space), f.expansion.diff(xi).diff(yj)),
+    ]
+    wb, sb = params.weight_block, params.series_block
+    for layer in params.layers(kt):
+        kinds = {wb: layer.weight, sb: layer.radial}
+        hx = f.h1.diff(xi) if kinds["x"] == "d" else dagger(f.h1.var_mul(xi), "x")
+        hy = f.h2.diff(yj) if kinds["y"] == "d" else dagger(f.h2.var_mul(yj), "y")
+        if hx.is_zero() or hy.is_zero():
+            continue
+        if layer.den == 0:
+            raise DegenerateDenominatorError(
+                f"coefficient denominator vanished at K-type (k={kt.k}, l={kt.l})"
+            )
+        if layer.num == 0:
+            continue
+        h = hx.mul(hy)
+        reach = v - h.degree()
+        if reach >= 2 * layer.exponent:
+            key = (layer.kappa, layer.exponent, sb, space, reach)
+            if key not in radial:
+                series = psi_series(layer.kappa, reach - 2 * layer.exponent)
+                radial[key] = series.shift_rho(sb, layer.exponent).expand(space, reach)
+            terms.append((-layer.num / layer.den, h, radial[key]))
+    den = math.lcm(*(c.denominator * a.den * b.den for c, a, b in terms))
+    out = {}
+    for c, a, b in terms:
+        w = c.numerator * (den // (c.denominator * a.den * b.den))
+        for ka, ca in a._terms.items():
+            for kb, cb in b._terms.items():
+                out[ka + kb] = out.get(ka + kb, 0) + w * ca * cb
+    return not any(out.values())
+
+
+def _checked(check, *args):
+    try:
+        return check(*args)
+    except (DegenerateDenominatorError, TruncationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("p,q,m", list(DEFAULT_SWEEP) + [(3, 5, 1), (6, 6, 3)])
+def test_p_action_check_matches_the_expanded_sum(p, q, m):
+    # every (i, j) on every K-type with k, l <= 2 of both signs, at the
+    # paction suite's depth, where every identity holds; the False verdicts
+    # are compared under a wrong layer table below
+    D = default_depth(m, 6, None)
+    compared = 0
+    for sign in (1, -1):
+        params = ModuleParams(p, q, m, sign)
+        radial = {}
+        for f in ktype_elements(params, 2, 2, D):
+            for i in range(1, p + 1):
+                for j in range(1, q + 1):
+                    want = _checked(_expanded_p_action_check, f, i, j, radial)
+                    assert _checked(p_action_check, f, i, j) == want, (sign, f.kt, i, j)
+                    compared += 1
+    assert compared > 0
+
+
+def test_p_action_check_matches_the_expanded_sum_at_small_depths():
+    # (3,3,0) at D = 0..3: TruncationError below validity 2, and exact
+    # verdicts where the identity has validity 0 or 1
+    outcomes = set()
+    for D in range(4):
+        for sign in (1, -1):
+            params = ModuleParams(3, 3, 0, sign)
+            for kt in ktype_enumeration(params, 2, 2):
+                h1 = harmonic_basis(params.space, "x", kt.k)[0]
+                h2 = harmonic_basis(params.space, "y", kt.l)[0]
+                if D < kt.k + kt.l + 2 * params.mu(kt):
+                    continue
+                f = typical_element(params, h1, h2, D)
+                for i, j in itertools.product(range(1, 4), repeat=2):
+                    want = _checked(_expanded_p_action_check, f, i, j)
+                    assert _checked(p_action_check, f, i, j) == want, (D, sign, kt, i, j)
+                    outcomes.add(want)
+    assert outcomes == {True, "TruncationError: validity became negative; increase D"}
+
+
+@pytest.mark.parametrize("row", range(4))
+def test_p_action_check_matches_the_expanded_sum_under_a_flipped_row(monkeypatch, row):
+    # a sign-flipped layer row: the same verdict at every (i, j) of the
+    # (4,4,1) elements, and some identity fails
+    monkeypatch.setattr(ModuleParams, "layers", _with_row(row, num=lambda layer: -layer.num))
+    verdicts = set()
+    for sign in (1, -1):
+        for f in ktype_elements(ModuleParams(4, 4, 1, sign), 2, 2, 12):
+            for i, j in itertools.product(range(1, 5), repeat=2):
+                want = _checked(_expanded_p_action_check, f, i, j)
+                assert _checked(p_action_check, f, i, j) == want, (sign, f.kt, i, j)
+                verdicts.add(want)
+    assert False in verdicts
+
+
+@pytest.mark.parametrize("row", range(4))
+def test_p_action_check_matches_the_expanded_sum_under_a_zero_denominator(monkeypatch, row):
+    # a patched zero den raises DegenerateDenominatorError at exactly the
+    # (i, j) where both moved harmonics of that row survive, and elsewhere
+    # the verdict is the expanded sum's
+    monkeypatch.setattr(ModuleParams, "layers", _with_row(row, den=lambda layer: Fraction(0)))
+    outcomes = set()
+    for sign in (1, -1):
+        params = ModuleParams(4, 4, 1, sign)
+        for f in ktype_elements(params, 2, 2, 12):
+            for i, j in itertools.product(range(1, 5), repeat=2):
+                want = _checked(_expanded_p_action_check, f, i, j)
+                assert _checked(p_action_check, f, i, j) == want, (sign, f.kt, i, j)
+                outcomes.add(want if isinstance(want, bool) else want.split(":")[0])
+    assert "DegenerateDenominatorError" in outcomes
+    # rows 0 to 2 differentiate a harmonic, and skip the (i, j) where it vanishes
+    assert (True in outcomes) == (row < 3)
+
+
+def _eliminate_dropping_the_carried_y(cells):
+    # the x-elimination with the carried combination dropped: a kept X
+    # keeps its own Y alone
+    combos = []
+    for cell in cells:
+        kept = []
+        for s, c, x in cell:
+            for key, xk, _ in kept:
+                a = x._terms.get(key)
+                if a:
+                    x = x - xk.scale(Fraction(a * xk.den, x.den * xk._terms[key]))
+            if x:
+                kept.append((max(x._terms), x, {s: c}))
+        combos.extend(combo for _, _, combo in kept)
+    return combos
+
+
+def test_an_x_elimination_that_drops_the_carried_y_fails_the_mixed_action(monkeypatch):
     import gkverify.gkmodule as gkmodule
+
+    D = default_solver_depth(1, None)
+    assert not _mixed_action_failures(D)
+    monkeypatch.setattr(gkmodule, "_eliminate", _eliminate_dropping_the_carried_y)
+    assert _mixed_action_failures(D)
+
+
+def test_paction_suite_expands_no_radial_series(monkeypatch):
+    # each layer's series is read term by term from psi_series, never
+    # expanded as a whole
     from gkverify.poly import RadialSeries
 
     calls = []
     expand = RadialSeries.expand
-
-    def spy(series, space, max_degree=None):
-        calls.append(max_degree)
-        return expand(series, space, max_degree)
-
-    monkeypatch.setattr(RadialSeries, "expand", spy)
-    gkmodule._radial_expansion.cache_clear()
+    monkeypatch.setattr(
+        RadialSeries, "expand", lambda *args, **kw: calls.append(args) or expand(*args, **kw)
+    )
     _run_paction_suite()
-    assert len(calls) == 12
-    assert gkmodule._radial_expansion.cache_info().currsize == 12
+    assert calls == []
 
 
-def test_memoized_radial_layer_is_the_fresh_expansion(monkeypatch):
-    # every radial series the paction suite reads (the typical elements and
-    # each mixed-action layer) equals a freshly expanded one
+def test_memoized_radial_layer_is_the_fresh_expansion():
+    # the slots of each layer, summed with the x and y factors of every
+    # (i, j), are -num/den h_x h_y times the freshly expanded radial series,
+    # on every element the paction suite reads at (4,6,1)
     import gkverify.gkmodule as gkmodule
 
-    real = gkmodule._radial_expansion
-    seen = []
-
-    def spy(kappa, mu, block, space, reach):
-        out = real(kappa, mu, block, space, reach)
-        fresh = psi_series(kappa, reach - 2 * mu).shift_rho(block, mu).expand(space, reach)
-        assert out == fresh, (kappa, mu, block, reach)
-        seen.append(reach)
-        return out
-
-    monkeypatch.setattr(gkmodule, "_radial_expansion", spy)
-    real.cache_clear()
-    _run_paction_suite()
-    assert len(seen) > 200
+    compared = 0
+    for sign in (1, -1):
+        params = ModuleParams(4, 6, 1, sign)
+        wb, sb = params.weight_block, params.series_block
+        for f in ktype_elements(params, 2, 2, default_depth(1, 6, None)):
+            v = f.validity - 2
+            slots = gkmodule._slots(f)
+            for i, j in itertools.product(range(1, 5), range(1, 7)):
+                xi, yj = i - 1, 4 + j - 1
+                for layer in params.layers(f.kt):
+                    kinds = {wb: layer.weight, sb: layer.radial}
+                    kx, ky = kinds["x"], kinds["y"]
+                    xs, ys = gkmodule._factors(f, xi, kx), gkmodule._factors(f, yj, ky)
+                    hx, hy = xs[0], ys[0]
+                    reach = v - hx.degree() - hy.degree()
+                    if not (hx and hy and layer.num) or reach < 2 * layer.exponent:
+                        continue
+                    series = psi_series(layer.kappa, reach - 2 * layer.exponent)
+                    radial = series.shift_rho(sb, layer.exponent).expand(f.space, reach)
+                    want = hx.mul(hy).mul(radial).scale(-layer.num / layer.den)
+                    # the layer's slots: its two kinds, rho_s carrying e more
+                    mine = [
+                        (c, xs[a], ys[b]) for c, _, (kx2, a), (ky2, b) in slots
+                        if (kx2, ky2) == (kx, ky)
+                        and (b - a if sb == "y" else a - b) == layer.exponent
+                    ]
+                    assert gkmodule._product_sum(f.space, mine) == want, (sign, f.kt, i, j)
+                    compared += 1
+    assert compared > 100
 
 
 def test_paction_four_term_work_counts(monkeypatch):
-    # At (4,6,1): no WeylOperator.apply, p first partials per element (not
-    # p q), p + q harmonic partials and p + q daggers per element (not 2 p q),
-    # all kept on the element itself and on no module-level table, and one
-    # layer table per (params, K-type).
+    # At (4,6,1): no WeylOperator.apply, no expansion and no _product_sum;
+    # per element one slot list, one factor list per variable and kind (p +
+    # q of each kind that both blocks read), one x-elimination per
+    # (element, i), all kept on the element itself and on no module-level
+    # table, and one layer table per (params, K-type).
     import gc
 
     import gkverify.gkmodule as gkmodule
@@ -1090,12 +1257,12 @@ def test_paction_four_term_work_counts(monkeypatch):
         applies.append(self)
         return real_apply(self, *args, **kwargs)
 
-    partials = []
-    real_diff = MultiPoly.diff
+    eliminations = []
+    real_eliminate = gkmodule._eliminate
 
-    def count_diff(self, i):
-        partials.append((self, i))
-        return real_diff(self, i)
+    def count_eliminate(cells):
+        eliminations.append(None)
+        return real_eliminate(cells)
 
     daggers = []
     real_dagger = gkmodule.dagger
@@ -1104,9 +1271,14 @@ def test_paction_four_term_work_counts(monkeypatch):
         daggers.append(block)
         return real_dagger(P, block)
 
+    sums = []
+    real_sum = gkmodule._product_sum
+    monkeypatch.setattr(
+        gkmodule, "_product_sum", lambda *args: sums.append(args) or real_sum(*args)
+    )
     monkeypatch.setattr(gkmodule, "typical_element", keep)
     monkeypatch.setattr(WeylOperator, "apply", count_apply)
-    monkeypatch.setattr(MultiPoly, "diff", count_diff)
+    monkeypatch.setattr(gkmodule, "_eliminate", count_eliminate)
     monkeypatch.setattr(gkmodule, "dagger", count_dagger)
     ModuleParams.layers.cache_clear()
     (result,) = execute_jobs(
@@ -1115,27 +1287,33 @@ def test_paction_four_term_work_counts(monkeypatch):
     assert result.status == "pass"
     p, q = 4, 6
     assert result.detail["identities_checked"] == p * q * len(elements)
-    assert applies == []
+    assert applies == [] and sums == []
+    assert len(eliminations) == p * len(elements)
     info = ModuleParams.layers.cache_info()
     assert info.misses == info.currsize == len({(f.params, f.kt) for f in elements})
-    moves = [(var, kind) for kind in "dv" for var in range(p + q)]
-    harmonics = {id(h) for f in elements for h in (f.h1, f.h2)}
-    assert len([g for g, _ in partials if id(g) in harmonics]) == (p + q) * len(elements)
-    assert len(daggers) == (p + q) * len(elements)
+    dagger_count = 0
     for f in elements:
-        assert sorted(i for g, i in partials if g is f.expansion) == list(range(p))
-        assert sorted(f._parts, key=str) == sorted([0, 1, 2, 3, None] + moves, key=str)
-        assert f._parts[0] == real_diff(f.expansion, 0)
-        assert f._parts[None] == f.expansion.truncate(f.validity - 4)
-        assert f._parts[p, "d"] == real_diff(f.h2, p)
-        assert f._parts[1, "v"] == real_dagger(f.h1.var_mul(1), "x")
+        assert f._expansion is None
+        # the factor list of each kind that some slot reads, on every
+        # variable of its block, and one x-elimination per i
+        kinds = [{slot[at][0] for slot in f._parts[None]} for at in (2, 3)]
+        lists = [(var, kind) for var in range(p + q) for kind in kinds[var >= p]]
+        want = [None] + lists + [(i, "elim") for i in range(p)]
+        assert sorted(f._parts, key=str) == sorted(want, key=str)
+        assert {"mul", "diff", "v"} <= kinds[0] & kinds[1]
+        dagger_count += sum(kind == "v" for _, kind in lists)
+        assert f._parts[p, "diff"] == [b.diff(p) for _, _, b in f.separated]
+        assert f._parts[1, "mul"] == [a.var_mul(1) for _, a, _ in f.separated]
+        assert f._parts[1, "v"][0] == real_dagger(f.h1.var_mul(1), "x")
+    assert len(daggers) == dagger_count
+    # the memo is held by its element alone, and each part by the memo
     f = elements[0]
     for part in f._parts.values():
         assert all(r is f._parts for r in gc.get_referrers(part))
     assert all(r is f for r in gc.get_referrers(f._parts))
     for value in vars(gkmodule).values():
         if isinstance(value, dict):
-            assert not any(isinstance(v, MultiPoly) for v in value.values())
+            assert not any(isinstance(v, (MultiPoly, tuple, list)) for v in value.values())
 
 
 @pytest.mark.parametrize(
@@ -1154,16 +1332,15 @@ def test_paction_four_term_small_depth_errors(D, error):
     assert (result.status, result.detail) == ("error", {"error": error})
 
 
-def test_radial_layer_pole_raises_on_every_call():
-    import gkverify.gkmodule as gkmodule
-
-    space = VariableSpace(2, 4)
-    gkmodule._radial_expansion.cache_clear()
+def test_radial_layer_pole_raises_on_every_call(monkeypatch):
+    # a layer series parameter at a pole raises PsiPoleError on every call,
+    # and no slot list is kept
+    f = next(ktype_elements(ModuleParams(4, 6, 1, 1), 1, 1, 14))
+    monkeypatch.setattr(ModuleParams, "layers", _with_row(3, kappa=lambda layer: Fraction(-1)))
     for _ in range(3):
         with pytest.raises(PsiPoleError):
-            gkmodule._radial_expansion(Fraction(-1), 1, "y", space, 8)
-        info = gkmodule._radial_expansion.cache_info()
-        assert info.currsize == 0 and info.hits == 0
+            p_action_check(f, 1, 1)
+        assert None not in f._parts
 
 
 # -- the separated form and its zero test ---------------------------------------------
@@ -1384,8 +1561,9 @@ def test_an_elimination_that_drops_the_carried_y_fails(monkeypatch):
 
 
 def test_scalar_checks_never_expand_an_element(monkeypatch):
-    """eigenvalue_check and verify_membership never form f.expansion, and
-    every Laplacian they apply reads a polynomial in one block only."""
+    """eigenvalue_check, verify_membership and p_action_check never form
+    f.expansion, and every Laplacian they apply reads a polynomial in one
+    block only."""
     import gkverify.gkmodule as gkmodule
 
     sums = []
@@ -1407,6 +1585,8 @@ def test_scalar_checks_never_expand_an_element(monkeypatch):
             for which in ("op", "oq", "g", "xi"):
                 assert eigenvalue_check(which, f).ok
             assert verify_membership(f).ok
+            for i, j in itertools.product(range(1, 5), range(1, 7)):
+                assert p_action_check(f, i, j)
             assert f._expansion is None
             elements += 1
     assert elements and not sums

@@ -10,6 +10,9 @@ applying each word of their closed form factor by factor, and compositions
 of fixed operators with exponents and derivative orders up to 3 against
 sympy applying the two factors one after the other.  The integer
 echelon form is checked against sympy's rank, ``rref`` and matrix product.
+Typical elements are restated from their documented formulas, and so are
+both sides of the four-layer mixed action, with only the harmonics and the
+rows of ``ModuleParams.layers`` taken from the package.
 """
 
 import itertools
@@ -382,3 +385,111 @@ def test_separated_typical_elements_match_sympy(p, q, m, kl_max, count, sign):
                     assert got == want, (sign, k, l, D)
                     compared += 1
     assert compared == count
+
+
+def _oracle_layers_side(p, sign, rows, h1, h2, i, j, top, v):
+    """The sum over the layer rows (weight, radial, num, den, kappa, e) of
+    num/den F_x(h1) F_y(h2) rho_s^e Psi_kappa(rho_x rho_y) up to degree top.
+    The x harmonic moves along x_i and the y harmonic along y_j; the
+    weight-block one (x for sign +1) as `weight` says and the other as
+    `radial` says: "d" is the partial, "v" the harmonic part v h - r^2 d_v h
+    / (2 deg h + n_block - 2) of v h.  rho_s is the series block's radius
+    (y for sign +1), rho = r^2/2, Psi_a(u) = sum_t (-1)^t u^t / (t! (a)_t)."""
+    x, y = v[:p], v[p:]
+    rsq_x, rsq_y = sum(t**2 for t in x), sum(t**2 for t in y)
+
+    def move(h, var, block, rsq, kind):
+        if kind == "d":
+            return sympy.diff(h, var)
+        deg = sympy.Poly(h, *block).total_degree()
+        return sympy.expand(var * h - rsq * sympy.diff(h, var) / (2 * deg + len(block) - 2))
+
+    total = 0
+    for weight, radial, num, den, kappa, e in rows:
+        kind_x, kind_y = (weight, radial) if sign == 1 else (radial, weight)
+        hx = move(h1, x[i - 1], x, rsq_x, kind_x)
+        hy = move(h2, y[j - 1], y, rsq_y, kind_y)
+        kappa = sympy.Rational(kappa.numerator, kappa.denominator)
+        rho_s = (rsq_y if sign == 1 else rsq_x) / 2
+        psi = sum(
+            (-1) ** t * (rsq_x * rsq_y / 4) ** t / (sympy.factorial(t) * sympy.rf(kappa, t))
+            for t in range(top // 4 + 1)
+        )
+        coeff = sympy.Rational(num.numerator, num.denominator) / sympy.Rational(
+            den.numerator, den.denominator
+        )
+        total += coeff * hx * hy * rho_s**e * psi
+    return _truncated(total, v, top)
+
+
+def _truncated(expr, v, top):
+    poly = sympy.Poly(sympy.expand(expr), *v)
+    return {exps: c for exps, c in poly.terms() if sum(exps) <= top and c}
+
+
+def _mixed_action_verdicts(params, D, v):
+    """Yield (oracle, package) verdicts of the mixed action at every (i, j)
+    of the first element of each K-type with k, l <= 2: x_i y_j F + d_{x_i}
+    d_{y_j} F against the layers of ModuleParams.layers, monomial by
+    monomial up to degree D - 2, with F restated by _oracle_typical."""
+    from gkverify.gkmodule import ktype_elements, p_action_check
+
+    p, q = params.p, params.q
+    for f in ktype_elements(params, 2, 2, D):
+        h1, h2 = _sympy_poly(f.h1, v), _sympy_poly(f.h2, v)
+        terms = _oracle_typical(p, q, params.m, params.sign, h1, h2, D, v)
+        F = sympy.Poly.from_dict(terms, *v).as_expr()
+        for i in range(1, p + 1):
+            for j in range(1, q + 1):
+                xi, yj = v[i - 1], v[p + j - 1]
+                lhs = _truncated(xi * yj * F + sympy.diff(F, xi, yj), v, D - 2)
+                rows = params.layers(f.kt)
+                rhs = _oracle_layers_side(p, params.sign, rows, h1, h2, i, j, D - 2, v)
+                yield lhs == rhs, p_action_check(f, i, j)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_mixed_action_layers_match_sympy(sign):
+    # (2,4,0): both sides of the four-layer identity restated in sympy from
+    # the documented formulas; only the harmonics and the layer rows come
+    # from the package, and p_action_check must give the oracle's verdict
+    from gkverify.gkmodule import ModuleParams
+
+    v = _symbols(VariableSpace(2, 4))
+    verdicts = list(_mixed_action_verdicts(ModuleParams(2, 4, 0, sign), 10, v))
+    assert len(verdicts) == 2 * 8
+    assert all(oracle and package for oracle, package in verdicts)
+
+
+# rows 1 and 2 have num = 0 on the whole m = 0 window, so their sign flips
+# are read at (2,6,1), each in a family where it carries a nonzero num, at
+# a smaller depth to keep the eight-variable sympy sums short
+_LAYER_MUTANTS = [
+    ((2, 4, 0, 1), 10, 0, "num"), ((2, 6, 1, -1), 8, 1, "num"), ((2, 6, 1, 1), 8, 2, "num"),
+    ((2, 4, 0, 1), 10, 3, "num"), ((2, 4, 0, 1), 10, 0, "kappa"),
+]
+
+
+@pytest.mark.parametrize(
+    "family,D,row,field", _LAYER_MUTANTS, ids=["flip0", "flip1", "flip2", "flip3", "kappa0"]
+)
+def test_a_wrong_layer_row_fails_the_sympy_oracle(monkeypatch, family, D, row, field):
+    # a sign-flipped row, or kappa + 1 in row 0, fails the oracle at some
+    # (i, j), and p_action_check agrees at every (i, j) read up to there
+    from gkverify.gkmodule import ModuleParams
+
+    real = ModuleParams.layers
+
+    def layers(self, kt):
+        rows = list(real(self, kt))
+        old = getattr(rows[row], field)
+        rows[row] = rows[row]._replace(**{field: -old if field == "num" else old + 1})
+        return tuple(rows)
+
+    monkeypatch.setattr(ModuleParams, "layers", layers)
+    v = _symbols(VariableSpace(*family[:2]))
+    for oracle, package in _mixed_action_verdicts(ModuleParams(*family), D, v):
+        assert oracle == package
+        if not oracle:
+            return
+    pytest.fail("the mutated layer table passed the oracle")
