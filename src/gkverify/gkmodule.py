@@ -34,13 +34,15 @@ an elimination among the X that carries the Y; none expands an element, and
 all three refuse other elements.  closed_apply applies the composed
 operator to any element.
 
-The obstruction solver at the bottom, garfinkle_obstruction, asks over the
-default sample of typical elements f whether some pair (Y, lambda) of a
-Lie-algebra element and a scalar satisfies pi(Y) f + lambda f =
-lambda_kappa(f) f for every sample, lambda_kappa being the symmetric-square
-eigenvalue, and returns a verified witness or an exact infeasibility
-certificate.  default_depth and default_solver_depth are the one place that
-resolves a working depth: the given one, else their rule.
+The obstruction solver at the bottom, garfinkle_obstruction, asks whether
+some pair (Y, lambda) of a Lie-algebra element and a scalar satisfies pi(Y) f
++ lambda f = lambda_kappa(f) f on the typical element f of every default
+sample, lambda_kappa being the symmetric-square eigenvalue.  Its samples are
+harmonic pairs (kt, h1, h2), and the question is exact on h1 h2 alone: only
+the block generators enter, and no series is formed or truncated.  It
+returns a verified witness or an exact infeasibility certificate.
+default_depth is the one place that resolves the working depth of the
+module checks: the given one, else its rule.
 """
 
 from __future__ import annotations
@@ -54,12 +56,11 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 from .liealg import (
     STOCK_OPERATORS,
     Generator,
-    LieElement,
     closed_form,
     closed_operator,
     generators,
     pi_generator,
-    pi_lie,
+    same_block,
 )
 from .linalg import SparseRREF
 from .poly import (
@@ -98,7 +99,6 @@ __all__ = [
     "p_action_check",
     "ktype_enumeration",
     "default_depth",
-    "default_solver_depth",
     "default_samples",
     "garfinkle_obstruction",
     "MembershipReport",
@@ -723,38 +723,49 @@ def ktype_enumeration(params: ModuleParams, k_max: int, l_max: int) -> List[KTyp
     return out
 
 
+def _ktype_harmonics(params: ModuleParams, k_max: int, l_max: int) -> Iterator[Tuple]:
+    """(kt, h1, h2) per K-type of ktype_enumeration(params, k_max, l_max), in
+    its order, with the first harmonic basis element of each block."""
+    space = params.space
+    for kt in ktype_enumeration(params, k_max, l_max):
+        yield kt, harmonic_basis(space, "x", kt.k)[0], harmonic_basis(space, "y", kt.l)[0]
+
+
+def _product_harmonics(params: ModuleParams, kt: KType) -> Iterator[Tuple]:
+    """(kt, h1, h2) for every harmonic product at K-type kt, in basis order
+    with the x harmonic outermost."""
+    for h1 in harmonic_basis(params.space, "x", kt.k):
+        for h2 in harmonic_basis(params.space, "y", kt.l):
+            yield kt, h1, h2
+
+
 def ktype_elements(
     params: ModuleParams, k_max: int, l_max: int, D: int
 ) -> Iterator[TypicalElement]:
-    """One typical element per K-type of ktype_enumeration(params, k_max,
-    l_max), in its order, built at degree D from the first harmonic basis
-    element of each block."""
-    space = params.space
-    for kt in ktype_enumeration(params, k_max, l_max):
-        h1 = harmonic_basis(space, "x", kt.k)[0]
-        h2 = harmonic_basis(space, "y", kt.l)[0]
+    """The typical element, built at degree D, of each (kt, h1, h2) of
+    _ktype_harmonics: one per K-type with k <= k_max, l <= l_max."""
+    for _, h1, h2 in _ktype_harmonics(params, k_max, l_max):
         yield typical_element(params, h1, h2, D)
 
 
 def product_elements(params: ModuleParams, kt: KType, D: int) -> Iterator[TypicalElement]:
     """The typical elements of every harmonic product at K-type kt, built at
     degree D, in basis order with the x harmonic outermost."""
-    for h1 in harmonic_basis(params.space, "x", kt.k):
-        for h2 in harmonic_basis(params.space, "y", kt.l):
-            yield typical_element(params, h1, h2, D)
+    for _, h1, h2 in _product_harmonics(params, kt):
+        yield typical_element(params, h1, h2, D)
 
 
-def default_samples(params: ModuleParams, D: int) -> Iterator[TypicalElement]:
-    """The default sampling plan of the obstruction solver, built at degree D.
-
-    ktype_elements over k, l <= 2, then product_elements at the smallest of
-    those K-types with k + l >= 1 (least multiplicity, then least (k, l)).
-    """
-    yield from ktype_elements(params, 2, 2, D)
+def default_samples(params: ModuleParams) -> Iterator[Tuple[KType, MultiPoly, MultiPoly]]:
+    """The default sampling plan, as (kt, h1, h2): the plan of ktype_elements
+    over k, l <= 2, then every harmonic product at the smallest of those
+    K-types with k + l >= 1 (least multiplicity, then least (k, l)).  The
+    obstruction solver reads the harmonics; the Casimir step of
+    symsq.theorem_ingredients builds their typical elements."""
+    yield from _ktype_harmonics(params, 2, 2)
     enriched = [kt for kt in ktype_enumeration(params, 2, 2) if kt.k + kt.l >= 1]
     if enriched:
         best = min(enriched, key=lambda kt: (kt.multiplicity, kt.k, kt.l))
-        yield from product_elements(params, best, D)
+        yield from _product_harmonics(params, best)
 
 
 # -- the obstruction solver -----------------------------------------------------------
@@ -766,14 +777,14 @@ class ObstructionResult:
 
     Frozen, with tuple fields, because garfinkle_obstruction memoizes it and
     every caller at the same parameters shares the one instance.  A witness
-    holds the generator coefficients as (generator, coefficient) pairs in
-    generator order, then lambda.
+    holds the coefficients of the block generators as (generator,
+    coefficient) pairs in generator order, then lambda; the mixed
+    coefficients of Y are zero and not listed.
     """
 
     exists: bool
     witness: Optional[Tuple[Tuple[Tuple[Generator, Fraction], ...], Fraction]]
     certificate: Optional[str]
-    validity: int
     n_samples: int
     n_rows: int
     xi_scalars: Tuple[Fraction, ...] = ()
@@ -790,7 +801,6 @@ class ObstructionResult:
             "exists": self.exists,
             "witness": witness,
             "certificate": self.certificate,
-            "validity": self.validity,
             "n_samples": self.n_samples,
             "n_rows": self.n_rows,
             "xi_scalars": [str(s) for s in self.xi_scalars],
@@ -805,159 +815,95 @@ def default_depth(m: int, kl_max: int, given: Optional[int]) -> int:
     return given if given is not None else 2 * m + 6 + max(6, kl_max)
 
 
-def default_solver_depth(m: int, given: Optional[int]) -> int:
-    """Working truncation degree of the obstruction solver: the given depth,
-    else 2m + 8."""
-    return given if given is not None else 2 * m + 8
-
-
 @lru_cache(maxsize=None)
-def garfinkle_obstruction(params: ModuleParams, D: int, /) -> ObstructionResult:
-    """Decide solvability of pi(Y) f + lambda f = lambda_kappa(f) f over the
-    default samples f, built at degree D.
+def garfinkle_obstruction(params: ModuleParams, /) -> ObstructionResult:
+    """Decide whether some Lie-algebra element Y and scalar lambda satisfy
+    pi(Y) f + lambda f = Xi_kt f for the typical element f of every default
+    sample (kt, h1, h2), Xi_kt being the symmetric-square eigenvalue at kt.
 
-    Builds the exact linear system in the M-flavor generator coefficients of
-    Y (the witness is reported in these coordinates; whenever a witness
-    exists it is zero, because the eigenvalues vanish at m = 0) and the
-    scalar lambda (one equation per monomial per sampled element, compared at
-    validity D - 2).  Rows enter an incremental reduced echelon form in
-    deterministic order until the rank stabilizes; the candidate solution is
-    then verified against every equation in full, violated rows are fed back,
-    and the loop ends with either a fully verified witness or an exact
-    infeasibility certificate (a row reducing to 0 = 1).  Infeasibility of
-    the truncated sampled system implies infeasibility of the full system.
+    The question is exact on h1 h2 alone, with no series and no truncation.
+    Split Y = Y_k + Y_p into its block part (liealg.same_block) and its
+    mixed part.
+    - pi(Y_k) is a sum of rotations v_i d_j - v_j d_i inside one block, which
+      commute with r_x^2 and r_y^2, so pi(Y_k) f is f with h1 h2 replaced by
+      pi(Y_k)(h1 h2), of the same bidegree (k, l): it keeps f in its K-type.
+    - pi(M_{i,p+j}) = -(x_i y_j + d_{x_i} d_{y_j}) changes the x-degree by
+      one, so every term of pi(Y_p) f has x-degree of the other parity than
+      the terms k + 2(j + mu_x) of f: it has no (k, l) component.
+    So the equation splits by x-degree parity into pi(Y_p) f = 0, which
+    Y_p = 0 satisfies, and sum_j w_j (r_x^2)^(j + mu_x) (r_y^2)^(j + mu_y)
+    E = 0 with E = pi(Y_k)(h1 h2) + (lambda - Xi_kt) h1 h2.  Its part of
+    lowest degree is w_0 r^(2 mu) E with w_0 != 0, and multiplying by a
+    power of r^2 is injective, so it holds exactly when E = 0.  The sampled
+    system is feasible exactly when this harmonic system is, with Y_p = 0.
 
-    A sample's generator images, the sorted monomials of its equations and
-    its row multiplier are formed the first time a row of that sample is
-    read, so a certificate found inside the first samples never images the
-    rest.  A candidate (Y, lambda) is verified on each sample by one capped
-    application of pi(Y) (none when Y = 0) plus (lambda - lambda_kappa) f,
-    which by linearity is the sum of its coefficients times the generator
-    images.
+    The unknowns are the coefficients of the block generators and lambda.
+    Each sample adds one row per monomial of degree k + l of E, from one
+    uncapped pi_generator(g).apply(h1 h2) per block generator g, formed when
+    the sample is first read.  The rows enter one SparseRREF; a row that
+    reduces to 0 = 1 ends the solve with that certificate, so the samples
+    after it are never read.  Otherwise the particular solution is the
+    witness, and E is checked to vanish on every sample.  For m = 0 every
+    Xi_kt is 0 and the witness is zero.
 
-    For m = 0 the eigenvalues lambda_kappa vanish on the whole window, so the
-    zero witness is exact regardless of truncation.  Fewer than two samples,
-    or (for m >= 1) samples sharing one eigenvalue, are solvable for a
-    reason unrelated to the module and raise DegenerateSampleError before
-    any image is formed.
-
-    D is required and positional: the checks pass default_solver_depth.  The
-    result is memoized on (params, D), so the theorem assembly reads the
-    result of the obstruction check instead of solving again.  A raised
-    error is not memoized.
+    Fewer than two samples, or (for m >= 1) samples sharing one eigenvalue,
+    are solvable for a reason unrelated to the module and raise
+    DegenerateSampleError before any image is formed.  The result is
+    memoized on params, so the theorem assembly reads the result of the
+    obstruction check instead of solving again.  A raised error is not
+    memoized.
     """
     space = params.space
-    gens = generators(params.p, params.q, "M")
+    gens = [g for g in generators(params.p, params.q, "M") if same_block(g, params.p)]
     lam_col = len(gens)
     rhs_col = lam_col + 1
-
-    validity = D - 2
-    samples = [
-        (f, params.scalar("xi", f.kt), f.expansion.truncate(validity))
-        for f in default_samples(params, D)
-    ]
-    xi_values = tuple(lam_k for _, lam_k, _ in samples)
+    samples = [(kt, h1, h2, params.scalar("xi", kt)) for kt, h1, h2 in default_samples(params)]
+    xi_values = tuple(xi for *_, xi in samples)
     if len(samples) < 2 or (params.m >= 1 and len(set(xi_values)) < 2):
         raise DegenerateSampleError(
             f"{len(samples)} default samples with Xi eigenvalues "
             f"{sorted(set(map(str, xi_values)))} cannot decide the system at {params}"
         )
 
-    imaged: Dict[int, Tuple[List[MultiPoly], List[int], int]] = {}
-
-    def images_of(s_idx: int) -> Tuple[List[MultiPoly], List[int], int]:
-        """The capped generator images of one sample, the sorted keys of its
-        equations and its row multiplier, formed on the first read."""
-        got = imaged.get(s_idx)
-        if got is None:
-            f, lam_k, fpoly = samples[s_idx]
-            images = [pi_generator(g, space).apply(f.expansion, max_degree=validity) for g in gens]
-            keys = set(fpoly._terms)
-            for img in images:
-                keys.update(img._terms)
-            # one multiplier per sample clears every denominator of its
-            # equations (scaling a row changes no echelon status)
-            den = lcm(fpoly.den * lam_k.denominator, *(img.den for img in images))
-            got = imaged[s_idx] = (images, sorted(keys), den)
-        return got
-
     rref = SparseRREF(rhs_col=rhs_col)
     n_rows = 0
+    systems = []
+    for s_idx, (kt, h1, h2, xi) in enumerate(samples):
+        h = h1.mul(h2)
+        images = [pi_generator(g, space).apply(h) for g in gens]
+        systems.append((h, images, xi))
+        # one multiplier clears every denominator of the sample's rows
+        # (scaling a row changes no echelon status)
+        den = lcm(h.den * xi.denominator, *(img.den for img in images))
+        for key in sorted(set(h._terms).union(*(img._terms for img in images))):
+            row: Dict[int, int] = {}
+            for idx, img in enumerate(images):
+                c = img._terms.get(key)
+                if c:
+                    row[idx] = c * (den // img.den)
+            hc = h._terms.get(key)
+            if hc:
+                hc *= den // h.den
+                row[lam_col] = hc
+                if xi:
+                    row[rhs_col] = -(hc // xi.denominator) * xi.numerator
+            n_rows += 1
+            if rref.add_row(row)[0] == "inconsistent":
+                certificate = (
+                    f"monomial {space.unpack(key)} of sample {s_idx} "
+                    f"(K-type k={kt.k}, l={kt.l}) reduces to 0 = 1"
+                )
+                return ObstructionResult(False, None, certificate, len(samples), n_rows, xi_values)
 
-    def build_row(s_idx: int, key: int) -> Dict[int, int]:
-        """The equation of one monomial of one sample, scaled to integers."""
-        _, lam_k, fpoly = samples[s_idx]
-        images, _, den = images_of(s_idx)
-        row: Dict[int, int] = {}
-        for idx, img in enumerate(images):
-            c = img._terms.get(key)
+    sol = rref.particular_solution()
+    lam = sol.get(lam_col, ZERO)
+    coeffs = [sol.get(idx, ZERO) for idx in range(len(gens))]
+    for h, images, xi in systems:
+        residual = h.scale(lam - xi)
+        for c, img in zip(coeffs, images):
             if c:
-                row[idx] = c * (den // img.den)
-        fc = fpoly._terms.get(key)
-        if fc:
-            fc *= den // fpoly.den
-            row[lam_col] = fc
-            if lam_k:
-                row[rhs_col] = -(fc // lam_k.denominator) * lam_k.numerator
-        return row
-
-    def feed(row) -> Optional[str]:
-        nonlocal n_rows
-        if not row:
-            return None
-        n_rows += 1
-        status, _ = rref.add_row(row)
-        return status
-
-    def result(witness=None, certificate=None) -> ObstructionResult:
-        return ObstructionResult(
-            certificate is None, witness, certificate, validity, len(samples), n_rows, xi_values
-        )
-
-    def infeasible(s_idx: int, key: int) -> ObstructionResult:
-        kt = samples[s_idx][0].kt
-        return result(certificate=(
-            f"monomial {space.unpack(key)} of sample {s_idx} "
-            f"(K-type k={kt.k}, l={kt.l}) reduces to 0 = 1"
-        ))
-
-    # phase 1: seed the echelon form, early-stopping per sample once no new
-    # rank has appeared for a while (the residual phase catches the rest)
-    for s_idx in range(len(samples)):
-        stable = 0
-        for key in images_of(s_idx)[1]:
-            status = feed(build_row(s_idx, key))
-            if status == "inconsistent":
-                return infeasible(s_idx, key)
-            if status == "pivot":
-                stable = 0
-            elif status == "dependent":
-                stable += 1
-                if stable >= 60:
-                    break
-
-    # phase 2: solve, verify against everything, feed back violations
-    while True:
-        sol = rref.particular_solution()
-        lam = sol.get(lam_col, ZERO)
-        coeffs = {g: sol.get(idx, ZERO) for idx, g in enumerate(gens)}
-        y = LieElement((params.p, params.q), "M", coeffs)
-        # one capped pi(Y) per sample: by linearity the sum of c_g times the
-        # capped generator images
-        pi_y = None if y.is_zero() else pi_lie(y)
-        violation = None
-        for s_idx, (f, lam_k, fpoly) in enumerate(samples):
-            residual = fpoly.scale(lam - lam_k)
-            if pi_y is not None:
-                residual = residual + pi_y.apply(f.expansion, max_degree=validity)
-            if not residual.is_zero():
-                violation = (s_idx, min(residual._terms))
-                break
-        if violation is None:
-            return result(witness=(tuple(sorted(coeffs.items())), lam))
-        s_idx, key = violation
-        status = feed(build_row(s_idx, key))
-        if status == "inconsistent":
-            return infeasible(s_idx, key)
-        if status != "pivot":
-            raise AssertionError("violated row must change the echelon form")
+                residual = residual + img.scale(c)
+        if not residual.is_zero():
+            raise AssertionError("the particular solution must satisfy every fed row")
+    witness = (tuple(zip(gens, coeffs)), lam)
+    return ObstructionResult(True, witness, None, len(samples), n_rows, xi_values)

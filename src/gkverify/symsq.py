@@ -36,10 +36,10 @@ a Lie subalgebra, and so do the elements that leave the pairing invariant.
 
 The theorem assembly at the bottom shares its two pure ingredients with the
 checks that run them on their own: garfinkle_obstruction and s4_vanishing
-are memoized, so each is solved once per parameter set.  It resolves its
-depths through the same gkmodule rules as the checks, passing the given
-depth through, so it reads the obstruction check's memo entry.  Its
-TheoremReport stores only the step results and derives the verdict.
+are memoized, so each is solved once per parameter set.  The obstruction is
+memoized on the parameters alone, so the assembly reads the obstruction
+check's memo entry under any given depth.  Its TheoremReport stores only the
+step results and derives the verdict.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ from .gkmodule import (
     ObstructionResult,
     default_depth,
     default_samples,
-    default_solver_depth,
     eigenvalue_check,
     garfinkle_obstruction,
+    typical_element,
 )
 from .liealg import (
     Combination,
@@ -513,11 +513,12 @@ def theorem_ingredients(params: ModuleParams, D: Optional[int] = None) -> Theore
     """Run the three inclusion steps and report the assembled dichotomy.
 
     Step one verifies that the full Casimir acts by its closed scalar on the
-    default sampled elements, which places the one-dimensional piece inside
-    the graded annihilator symbol.  Step two verifies that every alternating
-    tensor maps to the zero operator, placing the second piece.  Step three
-    runs the exact solvability question for the traceless piece; a witness
-    there is exactly what the third inclusion needs.  The report is
+    typical elements of the default samples, built at default_depth(m, 4,
+    D), which places the one-dimensional piece inside the graded annihilator
+    symbol.  Step two verifies that every alternating tensor maps to the
+    zero operator, placing the second piece.  Step three runs the exact
+    solvability question for the traceless piece on the same samples; a
+    witness there is exactly what the third inclusion needs.  The report is
     consistent with the dichotomy when all three steps place their piece,
     and the prediction field records whether the parameter m is zero.
 
@@ -525,11 +526,13 @@ def theorem_ingredients(params: ModuleParams, D: Optional[int] = None) -> Theore
     garfinkle_obstruction, so after the symsq.s4_vanishing and
     garfinkle.obstruction checks have run at the same parameters this
     function solves neither again; the shared ObstructionResult is frozen.
+    The obstruction forms no series, so D does not reach it.
     """
+    depth = default_depth(params.m, 4, D)
     casimir_ok = all(
-        eigenvalue_check("g", f).ok
-        for f in default_samples(params, default_depth(params.m, 4, D))
+        eigenvalue_check("g", typical_element(params, h1, h2, depth)).ok
+        for _, h1, h2 in default_samples(params)
     )
     s4_count, s4_ok = s4_vanishing((params.p, params.q))
-    obstruction = garfinkle_obstruction(params, default_solver_depth(params.m, D))
+    obstruction = garfinkle_obstruction(params)
     return TheoremReport(params, casimir_ok, s4_count, s4_ok, obstruction)

@@ -37,7 +37,7 @@ DEGENERATE_TUPLES = [(2, 10, 1), (10, 2, 1), (2, 8, 1)]
 def test_degenerate_samples_are_an_error(p, q, m):
     for sign in (1, -1):
         with pytest.raises(DegenerateSampleError):
-            garfinkle_obstruction(ModuleParams(p, q, m, sign), 2 * m + 8)
+            garfinkle_obstruction(ModuleParams(p, q, m, sign))
     defs = [REGISTRY["garfinkle.obstruction"], REGISTRY["garfinkle.theorem"]]
     results = execute_jobs(plan_jobs(defs, [(p, q, m)], 3, 3, None))
     assert [r.name for r in results] == ["garfinkle.obstruction", "garfinkle.theorem"]
@@ -53,33 +53,55 @@ def test_degenerate_samples_raise_on_every_call(p, q, m):
     garfinkle_obstruction.cache_clear()
     for calls in (1, 2, 3):
         with pytest.raises(DegenerateSampleError):
-            garfinkle_obstruction(params, 2 * m + 8)
+            garfinkle_obstruction(params)
         info = garfinkle_obstruction.cache_info()
         assert (info.misses, info.currsize) == (calls, 0)
 
 
 def test_solver_images_only_the_samples_it_reads(monkeypatch):
-    # at (4, 6, 1) the certificate appears inside sample 1, so only samples 0
-    # and 1 are imaged (45 generators each); a degenerate sample set is
-    # refused from its K-types, before any image
-    calls = []
+    # at (4, 6, 1) each sample read costs one uncapped apply per block
+    # generator (6 + 15 = 21), all on h1 h2, in sample order, and no typical
+    # element is built or expanded; a degenerate sample set is refused from
+    # its K-types, before any image
+    import gkverify.gkmodule as gkmodule
+    from gkverify.liealg import generators, pi_generator, same_block
+
+    calls, built, read = [], [], []
     apply = WeylOperator.apply
 
     def spy(op, f, max_degree=None):
-        calls.append(op)
+        calls.append((op, f, max_degree))
         return apply(op, f, max_degree=max_degree)
 
     monkeypatch.setattr(WeylOperator, "apply", spy)
+    monkeypatch.setattr(gkmodule, "typical_element", lambda *a: built.append(a))
+    expansion = gkmodule.TypicalElement.expansion.fget
+    monkeypatch.setattr(
+        gkmodule.TypicalElement, "expansion", property(lambda f: read.append(f) or expansion(f))
+    )
+    space = ModuleParams(4, 6, 1).space
+    block = [pi_generator(g, space) for g in generators(4, 6, "M") if same_block(g, 4)]
+    assert len(block) == 21
     garfinkle_obstruction.cache_clear()
     for sign in (1, -1):
+        params = ModuleParams(4, 6, 1, sign)
         calls.clear()
-        garfinkle_obstruction(ModuleParams(4, 6, 1, sign), 10)
-        assert len(calls) == 2 * 45, sign
+        res = garfinkle_obstruction(params)
+        assert not res.exists
+        n_read = int(res.certificate.split(" of sample ")[1].split()[0]) + 1
+        assert 1 <= n_read < res.n_samples, sign
+        samples = list(gkmodule.default_samples(params))[:n_read]
+        assert len(calls) == 21 * n_read, sign
+        for s, (_, h1, h2) in enumerate(samples):
+            group = calls[21 * s: 21 * (s + 1)]
+            assert [op for op, _, _ in group] == block
+            assert all(f == h1.mul(h2) and cap is None for _, f, cap in group)
+    assert built == [] and read == []
     for p, q, m in DEGENERATE_TUPLES:
         for sign in (1, -1):
             calls.clear()
             with pytest.raises(DegenerateSampleError):
-                garfinkle_obstruction(ModuleParams(p, q, m, sign), 2 * m + 8)
+                garfinkle_obstruction(ModuleParams(p, q, m, sign))
             assert calls == [], (p, q, m, sign)
     garfinkle_obstruction.cache_clear()
 

@@ -5,16 +5,15 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkverify.gkmodule import (
     DegenerateDenominatorError,
+    DegenerateSampleError,
     KType,
     ModuleParams,
-    ObstructionResult,
     PsiPoleError,
     TruncatedElement,
     TypicalElement,
@@ -22,7 +21,6 @@ from gkverify.gkmodule import (
     closed_apply,
     default_samples,
     default_depth,
-    default_solver_depth,
     eigenvalue_check,
     garfinkle_obstruction,
     ktype_elements,
@@ -49,12 +47,10 @@ from gkverify.cli import DEFAULT_SWEEP
 from gkverify.liealg import (
     STOCK_OPERATORS,
     Generator,
-    LieElement,
     closed_form,
     closed_operator,
     generators,
     pi_generator,
-    pi_lie,
 )
 from gkverify.linalg import SparseRREF
 from gkverify.weyl import WeylOperator, rsq_op
@@ -679,7 +675,7 @@ def _outcome(check, *args):
 
 @pytest.mark.parametrize("p,q,m", [(2, 4, 0), (3, 3, 0), (4, 4, 1), (3, 5, 1)])
 def test_p_action_check_matches_the_rebuilding_check(p, q, m):
-    D = default_solver_depth(m, None)
+    D = 2 * m + 8
     compared = 0
     for sign in (1, -1):
         params = ModuleParams(p, q, m, sign)
@@ -731,7 +727,7 @@ def test_a_wrong_layer_fails_the_mixed_action(monkeypatch, row, changes):
     # The mutated table must fail some identity; the rebuilding reference,
     # which keeps its own table, still holds there, so the differential test
     # against it would catch the mutation too.
-    D = default_solver_depth(1, None)
+    D = 10  # 2m + 8 at m = 1
     assert not _mixed_action_failures(D)
     monkeypatch.setattr(ModuleParams, "layers", _with_row(row, **changes))
     failures = _mixed_action_failures(D)
@@ -748,27 +744,29 @@ def test_a_wrong_mixed_image_fails_the_mixed_action(monkeypatch):
         return image.scale(-1) if (g.i <= space.p) != (g.j <= space.p) else image
 
     monkeypatch.setattr(gkmodule, "pi_generator", flipped)
-    assert _mixed_action_failures(default_solver_depth(1, None))
+    assert _mixed_action_failures(10)  # 2m + 8 at m = 1
 
 
 def test_default_samples_structure():
     params = ModuleParams(4, 4, 1, 1)
-    samples = list(default_samples(params, 10))
-    kts = [(f.kt.k, f.kt.l) for f in samples]
+    samples = list(default_samples(params))
+    kts = [(kt.k, kt.l) for kt, _, _ in samples]
     for pair in [(0, 1), (1, 0), (1, 2), (2, 1)]:
         assert pair in kts
     assert len(samples) > 4  # the full product basis at one type is included
+    for kt, h1, h2 in samples:
+        assert (h1.block_homogeneous_degree("x"), h2.block_homogeneous_degree("y")) == (kt.k, kt.l)
 
 
 def test_obstruction_exists_at_m_zero():
-    res = garfinkle_obstruction(ModuleParams(4, 4, 0, 1), 8)
+    res = garfinkle_obstruction(ModuleParams(4, 4, 0, 1))
     assert res.exists
     assert res.certificate is None
     assert res.xi_scalars  # the solver records the scalar targets it matched
 
 
 def test_obstruction_infeasible_at_m_positive():
-    res = garfinkle_obstruction(ModuleParams(4, 4, 1, 1), 10)
+    res = garfinkle_obstruction(ModuleParams(4, 4, 1, 1))
     assert not res.exists
     assert res.witness is None
     assert res.certificate  # an explicit inconsistent row is named
@@ -777,36 +775,13 @@ def test_obstruction_infeasible_at_m_positive():
 
 def test_obstruction_both_signs_agree():
     for sign in (1, -1):
-        assert garfinkle_obstruction(ModuleParams(4, 4, 0, sign), 8).exists
-        assert not garfinkle_obstruction(ModuleParams(4, 4, 1, sign), 10).exists
-
-
-@pytest.mark.parametrize("m", [0, 1])
-def test_obstruction_images_are_the_truncated_full_images(monkeypatch, m):
-    # The solver applies each pi(M_ij) capped at its comparison degree D - 2;
-    # every capped image must be the full image truncated there.
-    D = 11
-    full_apply = WeylOperator.apply
-    calls = []
-
-    def spy(op, f, max_degree=None):
-        calls.append((op, f, max_degree))
-        return full_apply(op, f, max_degree=max_degree)
-
-    monkeypatch.setattr(WeylOperator, "apply", spy)
-    garfinkle_obstruction.cache_clear()
-    garfinkle_obstruction(ModuleParams(4, 4, m, -1), D)
-    garfinkle_obstruction.cache_clear()
-    monkeypatch.undo()
-    assert calls
-    for op, f, cap in calls:
-        assert cap == D - 2
-        assert op.apply(f, max_degree=cap) == op.apply(f).truncate(D - 2)
+        assert garfinkle_obstruction(ModuleParams(4, 4, 0, sign)).exists
+        assert not garfinkle_obstruction(ModuleParams(4, 4, 1, sign)).exists
 
 
 def test_obstruction_result_is_frozen():
     # the memoized result is shared by every caller, so no caller may change it
-    res = garfinkle_obstruction(ModuleParams(4, 4, 0, 1), 8)
+    res = garfinkle_obstruction(ModuleParams(4, 4, 0, 1))
     assert isinstance(res.xi_scalars, tuple)
     coeffs, _lam = res.witness
     assert isinstance(coeffs, tuple) and list(coeffs) == sorted(coeffs)
@@ -817,50 +792,55 @@ def test_obstruction_result_is_frozen():
 
 
 def test_obstruction_call_forms_solve_once():
-    # D is positional-only, so each (params, D) has one call form and one entry
+    # params is positional-only, so each parameter set has one call form and
+    # one entry
     params = ModuleParams(4, 4, 1, 1)
     garfinkle_obstruction.cache_clear()
-    first = garfinkle_obstruction(params, 10)
-    assert garfinkle_obstruction(params, 10) is first
-    assert garfinkle_obstruction(ModuleParams(4, 4, 1, 1), 10) is first
+    first = garfinkle_obstruction(params)
+    assert garfinkle_obstruction(params) is first
+    assert garfinkle_obstruction(ModuleParams(4, 4, 1, 1)) is first
     with pytest.raises(TypeError):
-        garfinkle_obstruction(params, D=10)
-    # lru_cache counts the refused keyword call as a miss, so count entries
+        garfinkle_obstruction(params=params)
+    with pytest.raises(TypeError):
+        garfinkle_obstruction(params, 10)
+    # lru_cache counts the refused calls as misses, so count entries
     info = garfinkle_obstruction.cache_info()
     assert (info.currsize, info.hits) == (1, 2)
-    garfinkle_obstruction(params, 12)
+    garfinkle_obstruction(ModuleParams(4, 4, 1, -1))
     assert garfinkle_obstruction.cache_info().currsize == 2
 
 
 def _eager_obstruction(params, D):
-    """The solver as it stood before it imaged samples on first read: every
-    generator image of every sample up front, and each candidate checked as
-    the sum of its coefficients times those images."""
-    import gkverify.gkmodule as gkmodule
-
+    """The expansion solver the harmonic system replaced, restated: every
+    M generator (mixed ones included) imaged on every default sample's
+    typical element, built at degree D, and compared at validity D - 2;
+    rows fed sample by sample until the rank settles, then each candidate
+    (Y, lambda) checked on every sample and a violated row fed back.
+    Returns (exists, n_samples, xi_scalars, witness)."""
     space = params.space
     gens = generators(params.p, params.q, "M")
     lam_col = len(gens)
     rhs_col = lam_col + 1
     validity = D - 2
     prepared = []
-    for f in gkmodule.default_samples(params, D):
+    for kt, h1, h2 in default_samples(params):
+        f = typical_element(params, h1, h2, D)
         fpoly = f.expansion.truncate(validity)
         images = [pi_generator(g, space).apply(f.expansion, max_degree=validity) for g in gens]
         keys = set(fpoly._terms)
         for img in images:
             keys.update(img._terms)
-        lam_k = params.scalar("xi", f.kt)
+        lam_k = params.scalar("xi", kt)
         den = math.lcm(fpoly.den * lam_k.denominator, *(img.den for img in images))
-        prepared.append((f.kt, lam_k, fpoly, images, sorted(keys), den))
-    xi_values = tuple(entry[1] for entry in prepared)
-    assert len(prepared) >= 2 and (params.m == 0 or len(set(xi_values)) >= 2)
+        prepared.append((lam_k, fpoly, images, sorted(keys), den))
+    xi_values = tuple(entry[0] for entry in prepared)
+    if len(prepared) < 2 or (params.m >= 1 and len(set(xi_values)) < 2):
+        raise DegenerateSampleError(f"{len(prepared)} samples")
 
     rref = SparseRREF(rhs_col=rhs_col)
-    n_rows = 0
 
     def build_row(s_idx, key):
-        _, lam_k, fpoly, images, _, den = prepared[s_idx]
+        lam_k, fpoly, images, _, den = prepared[s_idx]
         row = {}
         for idx, img in enumerate(images):
             c = img._terms.get(key)
@@ -874,47 +854,25 @@ def _eager_obstruction(params, D):
                 row[rhs_col] = -(fc // lam_k.denominator) * lam_k.numerator
         return row
 
-    def feed(row):
-        nonlocal n_rows
-        if not row:
-            return None
-        n_rows += 1
-        return rref.add_row(row)[0]
-
-    def result(exists, witness=None, certificate=None):
-        return ObstructionResult(
-            exists, witness, certificate, validity, len(prepared), n_rows, xi_values
-        )
-
-    def infeasible(s_idx, key):
-        kt = prepared[s_idx][0]
-        return result(
-            False,
-            certificate=(
-                f"monomial {space.unpack(key)} of sample {s_idx} "
-                f"(K-type k={kt.k}, l={kt.l}) reduces to 0 = 1"
-            ),
-        )
+    def infeasible():
+        return False, len(prepared), xi_values, None
 
     for s_idx, entry in enumerate(prepared):
         stable = 0
-        for key in entry[4]:
-            status = feed(build_row(s_idx, key))
+        for key in entry[3]:
+            status = rref.add_row(build_row(s_idx, key))[0]
             if status == "inconsistent":
-                return infeasible(s_idx, key)
-            if status == "pivot":
-                stable = 0
-            elif status == "dependent":
-                stable += 1
-                if stable >= 60:
-                    break
+                return infeasible()
+            stable = 0 if status == "pivot" else stable + 1
+            if stable >= 60:
+                break
 
     while True:
         sol = rref.particular_solution()
         lam = sol.get(lam_col, Fraction(0))
         coeffs = {g: sol.get(idx, Fraction(0)) for idx, g in enumerate(gens)}
         violation = None
-        for s_idx, (_, lam_k, fpoly, images, _, _) in enumerate(prepared):
+        for s_idx, (lam_k, fpoly, images, _, _) in enumerate(prepared):
             residual = fpoly.scale(lam - lam_k)
             for g, img in zip(gens, images):
                 if coeffs[g]:
@@ -923,94 +881,58 @@ def _eager_obstruction(params, D):
                 violation = (s_idx, min(residual._terms))
                 break
         if violation is None:
-            return result(True, witness=(tuple(sorted(coeffs.items())), lam))
-        status = feed(build_row(*violation))
+            witness = ({f"({g.i},{g.j})": str(c) for g, c in coeffs.items() if c}, str(lam))
+            return True, len(prepared), xi_values, witness
+        status = rref.add_row(build_row(*violation))[0]
         if status == "inconsistent":
-            return infeasible(*violation)
+            return infeasible()
         assert status == "pivot"
 
 
+def _valid_tuples(n_max):
+    out = []
+    for n in range(4, n_max + 1, 2):
+        for p in range(2, n - 1):
+            out.extend((p, n - p, m) for m in range(n // 2 - 2))
+    return out
+
+
+DIFFERENTIAL_TUPLES = list(
+    dict.fromkeys(
+        list(DEFAULT_SWEEP)
+        + _valid_tuples(10)
+        + [(3, 5, 1), (6, 6, 2), (6, 6, 3), (4, 8, 3), (5, 7, 2)]
+    )
+)
+
+
+def _obstruction_outcome(solve):
+    try:
+        return solve()
+    except DegenerateSampleError:
+        return "DegenerateSampleError"
+
+
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("p,q,m", list(DEFAULT_SWEEP) + [(3, 5, 1), (6, 6, 2), (4, 8, 3)])
+@pytest.mark.parametrize("p,q,m", DIFFERENTIAL_TUPLES)
 def test_obstruction_matches_the_eager_reference(p, q, m, sign):
-    # images formed on first read and one pi(Y) per candidate leave every
-    # row, the certificate and the witness as the eager solver had them
+    # the harmonic system on h1 h2 decides as the expansion solver did at
+    # its depth 2m + 8, on the same samples with the same Xi targets, and
+    # both refuse the same degenerate sample sets
     params = ModuleParams(p, q, m, sign)
-    D = default_solver_depth(m, None)
     garfinkle_obstruction.cache_clear()
-    lazy = garfinkle_obstruction(params, D)
-    assert lazy.to_dict() == _eager_obstruction(params, D).to_dict()
 
+    def harmonic():
+        res = garfinkle_obstruction(params)
+        witness = res.to_dict()["witness"]
+        if witness is not None:
+            witness = (witness["generator_coefficients"], witness["lambda"])
+        return res.exists, res.n_samples, res.xi_scalars, witness
 
-def _mixed_eigenseries(space, c, s, D):
-    """x_2^s g(x_1 y_1) up to degree D, where g(u) = sum a_j u^j solves
-    pi(M_(1,p+1)) g = -(u + d_x1 d_y1) g = c g up to degree D - 2:
-    a_(j+1) = -(c a_j + a_(j-1)) / (j + 1)^2, a_0 = 1."""
-    n, y1 = space.p + space.q, space.p
-    coeffs, prev, a = [], Fraction(0), Fraction(1)
-    for j in range((D - s) // 2 + 1):
-        coeffs.append(a)
-        prev, a = a, -(c * a + prev) / (j + 1) ** 2
-    entries = []
-    for j, a in enumerate(coeffs):
-        exps = [0] * n
-        exps[0], exps[1], exps[y1] = j, s, j
-        entries.append((tuple(exps), a))
-    return MultiPoly.from_monomials(space, entries)
-
-
-@pytest.mark.parametrize("sign", [1, -1])
-def test_nonzero_candidate_matches_the_eager_reference(monkeypatch, sign):
-    # No default sample set reaches phase 2 with a nonzero Y, so this one is
-    # built to: sample s is an eigenseries of pi(M_(1,5)) with eigenvalue
-    # its own Xi scalar, so (Y, lambda) = (M_(1,5), 0) solves the system.
-    import gkverify.gkmodule as gkmodule
-
-    params = ModuleParams(4, 4, 1, sign)
-    D = 10
-    kts = ktype_enumeration(params, 2, 2)[:3]
-    samples = [
-        SimpleNamespace(
-            kt=kt, expansion=_mixed_eigenseries(params.space, params.scalar("xi", kt), s, D)
-        )
-        for s, kt in enumerate(kts)
-    ]
-    assert len({params.scalar("xi", kt) for kt in kts}) == 3
-    monkeypatch.setattr(gkmodule, "default_samples", lambda params, D: iter(samples))
-    garfinkle_obstruction.cache_clear()
-    lazy = garfinkle_obstruction(params, D)
-    garfinkle_obstruction.cache_clear()
-    assert lazy.exists
-    coeffs, lam = lazy.witness
-    assert lam == 0
-    assert {g: c for g, c in coeffs if c} == {Generator(1, 5, "M"): 1}
-    assert lazy.to_dict() == _eager_obstruction(params, D).to_dict()
-
-
-@pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("p,q,m", [(4, 6, 1), (3, 3, 0)])
-def test_candidate_image_is_the_sum_of_generator_images(p, q, m, sign):
-    # the solver checks a candidate (Y, lambda) with one capped pi(Y) per
-    # sample; it must equal the coefficients times the capped generator images
-    params = ModuleParams(p, q, m, sign)
-    D = default_solver_depth(m, None)
-    v = D - 2
-    space = params.space
-    gens = generators(p, q, "M")
-    rng = random.Random(p * 100 + q * 10 + m + sign)
-    for f in default_samples(params, D):
-        images = [pi_generator(g, space).apply(f.expansion, max_degree=v) for g in gens]
-        for _ in range(3):
-            picked = rng.sample(range(len(gens)), rng.randint(3, len(gens)))
-            coeffs = {}
-            for idx in picked:
-                num = rng.choice([-1, 1]) * rng.randint(1, 9)
-                coeffs[gens[idx]] = Fraction(num, rng.randint(1, 7))
-            y = LieElement((p, q), "M", coeffs)
-            expected = MultiPoly.zero(space)
-            for idx in picked:
-                expected = expected + images[idx].scale(coeffs[gens[idx]])
-            assert pi_lie(y).apply(f.expansion, max_degree=v) == expected
+    new = _obstruction_outcome(harmonic)
+    assert new == _obstruction_outcome(lambda: _eager_obstruction(params, 2 * m + 8))
+    if new != "DegenerateSampleError":
+        assert new[0] == (m == 0)
 
 
 # -- the mixed action on the separated form --------------------------------------------
@@ -1175,7 +1097,7 @@ def _eliminate_dropping_the_carried_y(cells):
 def test_an_x_elimination_that_drops_the_carried_y_fails_the_mixed_action(monkeypatch):
     import gkverify.gkmodule as gkmodule
 
-    D = default_solver_depth(1, None)
+    D = 10  # 2m + 8 at m = 1
     assert not _mixed_action_failures(D)
     monkeypatch.setattr(gkmodule, "_eliminate", _eliminate_dropping_the_carried_y)
     assert _mixed_action_failures(D)

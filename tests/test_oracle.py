@@ -12,7 +12,8 @@ sympy applying the two factors one after the other.  The integer
 echelon form is checked against sympy's rank, ``rref`` and matrix product.
 Typical elements are restated from their documented formulas, and so are
 both sides of the four-layer mixed action, with only the harmonics and the
-rows of ``ModuleParams.layers`` taken from the package.
+rows of ``ModuleParams.layers`` taken from the package, and so is the
+obstruction's harmonic system, with only the harmonics and the Xi values.
 """
 
 import itertools
@@ -493,3 +494,37 @@ def test_a_wrong_layer_row_fails_the_sympy_oracle(monkeypatch, family, D, row, f
         if not oracle:
             return
     pytest.fail("the mutated layer table passed the oracle")
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("p,q,m", [(3, 3, 0), (4, 4, 1)])
+def test_harmonic_obstruction_system_matches_sympy(p, q, m, sign):
+    # the obstruction's harmonic system restated in sympy: unknowns c_ij for
+    # the rotations v_i d_j - v_j d_i inside each block and lambda, and for
+    # every default sample the coefficients of sum c_ij (v_i d_j - v_j d_i)
+    # (h1 h2) + (lambda - Xi) h1 h2; only the harmonics and the Xi values
+    # come from the package, and linsolve must agree with `exists`
+    from gkverify.gkmodule import ModuleParams, default_samples, garfinkle_obstruction
+
+    params = ModuleParams(p, q, m, sign)
+    v = _symbols(params.space)
+    pairs = [
+        (v[i], v[j])
+        for block in (range(p), range(p, p + q))
+        for i, j in itertools.combinations(block, 2)
+    ]
+    cs = sympy.symbols(f"c0:{len(pairs)}")
+    lam = sympy.Symbol("lam")
+    equations = []
+    for kt, h1, h2 in default_samples(params):
+        h = sympy.expand(_sympy_poly(h1, v) * _sympy_poly(h2, v))
+        xi = params.scalar("xi", kt)
+        rotated = sum(
+            c * (a * sympy.diff(h, b) - b * sympy.diff(h, a)) for c, (a, b) in zip(cs, pairs)
+        )
+        e = sympy.expand(rotated + (lam - sympy.Rational(xi.numerator, xi.denominator)) * h)
+        equations.extend(sympy.Poly(e, *v).coeffs())
+    solutions = sympy.linsolve(equations, [*cs, lam])
+    exists = solutions != sympy.EmptySet
+    assert exists == (m == 0)
+    assert garfinkle_obstruction(params).exists == exists
