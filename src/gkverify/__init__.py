@@ -12,13 +12,13 @@ exact echelon form as primitive integer rows; series and eigenvalues as
   compact M basis (where it is real), the sign transport from the
   signature basis, and its universal enveloping algebra in PBW normal form
   (``liealg``),
-* truncated expansions of the distinguished vectors of each module family
+* the distinguished vectors of each module family in separated form
   (``TypicalElement``, which carries its family, K-type and harmonics, and
-  the sample plans that yield them), one eigenvalue check for the Casimirs and the symmetric-square element
-  (all rows of ``liealg.closed_form``), the four-layer mixed
-  generator action, and the obstruction solver that decides whether a
-  degree-two annihilator element with the required eigenvalue exists
-  (``gkmodule``),
+  the sample plans that yield them), one eigenvalue check for the Casimirs
+  and the symmetric-square element (all rows of ``liealg.closed_form``), the
+  four-layer mixed generator action, and the obstruction solver that decides
+  whether a degree-two annihilator element with the required eigenvalue
+  exists (``gkmodule``),
 * the symmetric square of the adjoint representation, its invariant
   decomposition, and the combined annihilator-ideal criterion (``symsq``),
 * a named check registry and command line runner (``checks``, ``cli``).
@@ -77,10 +77,7 @@ from .gkmodule import (
     ModuleParams,
     ObstructionResult,
     PsiPoleError,
-    TruncatedElement,
     TypicalElement,
-    apply_operator,
-    closed_apply,
     default_samples,
     eigenvalue_check,
     garfinkle_obstruction,
@@ -156,7 +153,6 @@ __all__ = [
     "closed_operator",
     "KType",
     "ModuleParams",
-    "TruncatedElement",
     "TypicalElement",
     "PsiPoleError",
     "DegenerateDenominatorError",
@@ -165,8 +161,6 @@ __all__ = [
     "typical_element",
     "ktype_elements",
     "product_elements",
-    "apply_operator",
-    "closed_apply",
     "verify_membership",
     "eigenvalue_check",
     "EigenvalueReport",

@@ -15,11 +15,10 @@ ModuleParams holds that family rule and is the only code that reads the sign:
 the series block, the series and partner weights, mu, the killing and
 lowering sl2 generators, and the four-row table of the mixed action.
 
-All series work is truncated at an explicit total degree D, and every
-comparison records its validity: the degree up to which stored coefficients
-are exact.  Applying an operator adds the smallest |a| - |alpha| over its
-terms v^a d^alpha (an Euler operator 0, a Laplacian -2, r^2 +2), and no
-term above the result's validity is formed.
+A typical element is truncated at an explicit total degree D, and every
+zero test records its validity: the degree up to which the tested sum is
+exact.  A factor v^a d^alpha shifts it by the smallest |a| - |alpha| over its
+terms (an Euler operator 0, a Laplacian -2, r^2 +2).
 
 A TypicalElement is held in its separated form, sum_j w_j A_j B_j with A_j
 = h1 (r_x^2)^(j + mu_x) in the x variables and B_j = h2 (r_y^2)^(j + mu_y)
@@ -31,8 +30,7 @@ and the factors of each mixed-action layer.  So eigenvalue_check, the three
 steps of verify_membership and p_action_check are each one zero test on
 products X Y of single-block polynomials, grouped by bidegree and tested by
 an elimination among the X that carries the Y; none expands an element, and
-all three refuse other elements.  closed_apply applies the composed
-operator to any element.
+all three refuse other elements.
 
 The obstruction solver at the bottom, garfinkle_obstruction, asks whether
 some pair (Y, lambda) of a Lie-algebra element and a scalar satisfies pi(Y) f
@@ -57,7 +55,6 @@ from .liealg import (
     STOCK_OPERATORS,
     Generator,
     closed_form,
-    closed_operator,
     generators,
     pi_generator,
     same_block,
@@ -83,7 +80,6 @@ __all__ = [
     "KType",
     "ActionLayer",
     "ModuleParams",
-    "TruncatedElement",
     "TypicalElement",
     "PsiPoleError",
     "DegenerateDenominatorError",
@@ -92,8 +88,6 @@ __all__ = [
     "typical_element",
     "ktype_elements",
     "product_elements",
-    "apply_operator",
-    "closed_apply",
     "verify_membership",
     "eigenvalue_check",
     "p_action_check",
@@ -259,54 +253,14 @@ class ModuleParams:
         return table[which]
 
 
-class TruncatedElement:
-    """A polynomial truncation of a series, exact up to total degree `validity`."""
-
-    __slots__ = ("expansion", "validity")
-
-    def __init__(self, expansion: MultiPoly, validity: int) -> None:
-        if validity < 0:
-            raise TruncationError("validity became negative; increase D")
-        self.expansion = expansion.truncate(validity)
-        self.validity = validity
-
-    @property
-    def space(self) -> VariableSpace:
-        return self.expansion.space
-
-    def is_zero(self) -> bool:
-        return self.expansion.is_zero()
-
-    def __add__(self, other: "TruncatedElement") -> "TruncatedElement":
-        v = min(self.validity, other.validity)
-        return TruncatedElement(self.expansion + other.expansion, v)
-
-    def __sub__(self, other: "TruncatedElement") -> "TruncatedElement":
-        v = min(self.validity, other.validity)
-        return TruncatedElement(self.expansion - other.expansion, v)
-
-    def scale(self, c) -> "TruncatedElement":
-        return TruncatedElement(self.expansion.scale(c), self.validity)
-
-    def agrees_with(self, other: "TruncatedElement") -> bool:
-        """Equality of the two stored series up to the smaller validity."""
-        v = min(self.validity, other.validity)
-        return self.expansion.truncate(v) == other.expansion.truncate(v)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({len(self.expansion)} terms, validity={self.validity})"
-
-
-class TypicalElement(TruncatedElement):
+class TypicalElement:
     """h1 h2 rho^mu Psi_kappa of the family `params` at K-type `kt`, exact to
     degree `validity`.  `separated` holds the (w_j, A_j, B_j) with k + l +
     2 mu + 4 j <= validity: A_j = h1 (r_x^2)^(j + mu_x), B_j = h2 (r_y^2)^(j
     + mu_y), mu on the series block and 0 on the other, w_j = c_j / 2^(2 j
-    + mu) from psi_series.  `expansion`, the sum of the w_j A_j B_j, is
-    formed on first read.  Only typical_element builds one; sums and
-    multiples are plain TruncatedElements, with no single K-type."""
+    + mu) from psi_series.  Only typical_element builds one."""
 
-    __slots__ = ("params", "kt", "h1", "h2", "separated", "_expansion", "_parts")
+    __slots__ = ("validity", "params", "kt", "h1", "h2", "separated", "_expansion", "_parts")
 
     def __init__(self, validity: int, params: ModuleParams, kt: KType,
                  h1: MultiPoly, h2: MultiPoly) -> None:
@@ -325,6 +279,8 @@ class TypicalElement(TruncatedElement):
 
     @property
     def expansion(self) -> MultiPoly:
+        """The sum of the w_j A_j B_j, formed on first read."""
+        # no check reads it; kept because gkbench's Tracer._note reads it on every typical_element
         if self._expansion is None:
             self._expansion = _product_sum(self.space, self.separated)
         return self._expansion
@@ -405,19 +361,7 @@ def typical_element(
     return TypicalElement(D, params, kt, h1, h2)
 
 
-# -- operator application -------------------------------------------------------
-
-
-def apply_operator(op, f: TruncatedElement) -> TruncatedElement:
-    """Generic application with the exact validity rule.
-
-    The new validity is the old one plus the smallest |a| - |alpha| over the
-    operator's terms v^a d^alpha; a negative result raises TruncationError.
-    The operator is applied with that validity as its cap, so no term above
-    it is formed.
-    """
-    validity = f.validity + op.min_degree_shift()
-    return TruncatedElement(op.apply(f.expansion, max_degree=validity), validity)
+# -- the separated zero test ------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -427,7 +371,7 @@ def _gain(space: VariableSpace, word: Tuple[str, ...]) -> int:
     return sum(STOCK_OPERATORS[kind](space, block).min_degree_shift() for kind, block in word)
 
 
-def _validity(terms, f: TruncatedElement) -> int:
+def _validity(terms, f: TypicalElement) -> int:
     """The validity of the sum of c * word(f) over the (c, word) terms: the
     smallest f.validity + _gain(word).  Raises TruncationError when some
     factor, applied rightmost first, would leave a negative validity."""
@@ -549,15 +493,6 @@ def _power(terms, n: int):
     return tuple((c, word) for word, c in out.items() if c)
 
 
-def closed_apply(which: str, f: TruncatedElement) -> TruncatedElement:
-    """Apply a closed form of liealg.closed_form (a Casimir, Xi or an sl2
-    generator) as the composed closed_operator, at the validity and with the
-    TruncationError guard of _validity; nothing above it is formed."""
-    space = f.space
-    top = _validity(closed_form(which, space.p, space.q), f)
-    return TruncatedElement(closed_operator(space, which).apply(f.expansion, max_degree=top), top)
-
-
 # -- module checks ----------------------------------------------------------------
 
 
@@ -608,8 +543,9 @@ class EigenvalueReport:
 
 def eigenvalue_check(which: str, f: TypicalElement) -> EigenvalueReport:
     """Does the closed form `which` act on f by its scalar at f's K-type?
-    One zero test on f's separated form: closed_apply(which, f) - scalar f,
-    the scalar joined to the empty word, must vanish up to its validity."""
+    One zero test on f's separated form: the closed form applied to f minus
+    scalar f, the scalar joined to the empty word, must vanish up to its
+    validity."""
     kt, space = _require_typical(f).kt, f.space
     scalar = f.params.scalar(which, kt)
     terms = _minus_identity(closed_form(which, space.p, space.q), scalar)
@@ -839,8 +775,8 @@ def garfinkle_obstruction(params: ModuleParams, /) -> ObstructionResult:
 
     The unknowns are the coefficients of the block generators and lambda.
     Each sample adds one row per monomial of degree k + l of E, from one
-    uncapped pi_generator(g).apply(h1 h2) per block generator g, formed when
-    the sample is first read.  The rows enter one SparseRREF; a row that
+    pi_generator(g).apply(h1 h2) per block generator g, formed when the
+    sample is first read.  The rows enter one SparseRREF; a row that
     reduces to 0 = 1 ends the solve with that certificate, so the samples
     after it are never read.  Otherwise the particular solution is the
     witness, and E is checked to vanish on every sample.  For m = 0 every

@@ -33,11 +33,9 @@ truncated radial power series in rho_x = r_x^2/2, rho_y = r_y^2/2.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice
 from math import comb, gcd, lcm
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -407,39 +405,25 @@ class MultiPoly(SparseRational):
 
     # -- ring operations ---------------------------------------------------
 
-    def mul(self, other: "MultiPoly", max_degree: Optional[int] = None) -> "MultiPoly":
-        """Product, optionally discarding all terms above max_degree."""
+    def mul(self, other: "MultiPoly") -> "MultiPoly":
+        """The product; a degree past the encoding cap raises ValueError."""
         self._require_same_ctx(other)
         if not self._terms or not other._terms:
             return MultiPoly.zero(self.space)
         full = self.degree() + other.degree()
-        cap = full if max_degree is None else min(full, max_degree)
-        if cap > MAX_EXP:
-            raise ValueError(f"product degree {cap} exceeds encoding cap {MAX_EXP}")
+        if full > MAX_EXP:
+            raise ValueError(f"product degree {full} exceeds encoding cap {MAX_EXP}")
         if len(self._terms) <= len(other._terms):
             outer, inner = self._terms, other._terms
         else:
             outer, inner = other._terms, self._terms
         acc: Dict[int, int] = {}
         get = acc.get
-        if cap == full:
-            inner_items = inner.items()
-            for k1, c1 in outer.items():
-                for k2, c2 in inner_items:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + c1 * c2
-        else:
-            ds = self.space.deg_shift
-            inner_items = sorted(inner.items())
-            inner_keys = [k for k, _ in inner_items]
-            for k1, c1 in outer.items():
-                lim = cap - (k1 >> ds)
-                if lim < 0:
-                    continue
-                stop = bisect.bisect_left(inner_keys, (lim + 1) << ds)
-                for k2, c2 in islice(inner_items, stop):
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + c1 * c2
+        inner_items = inner.items()
+        for k1, c1 in outer.items():
+            for k2, c2 in inner_items:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
         return MultiPoly.reduced(self.space, acc, self.den * other.den)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":

@@ -36,12 +36,11 @@ checked on every pair, so the commutator raises exactly when ``compose``
 would.
 
 Application to a polynomial evaluates d^alpha on each monomial as a falling
-factorial and shifts exponents; both directions are exact.  Nothing is
-sorted: under a degree cap a term reads a list of the monomials of f up to
-its bound, filtered once per distinct bound, and a term without derivatives
-only adds its monomial key to each input key; a derivative term reads only
-the fields its support marks.  Composition and application multiply int
-numerators and reduce once, over the product of the two denominators.
+factorial and shifts exponents; both directions are exact.  A term without
+derivatives only adds its monomial key to each input key; a derivative term
+reads only the fields its support marks.  Composition and application
+multiply int numerators and reduce once, over the product of the two
+denominators.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .poly import (
     BITS,
@@ -191,18 +190,14 @@ class WeylOperator(SparseRational):
 
     # -- action on polynomials ----------------------------------------------
 
-    def apply(self, f: MultiPoly, max_degree: Optional[int] = None) -> MultiPoly:
-        """The polynomial self(f), optionally without any term above max_degree.
+    def apply(self, f: MultiPoly) -> MultiPoly:
+        """The polynomial self(f).
 
         A term v^a d^alpha sends a monomial of degree d to degree
-        d + |a| - |alpha|, so under a cap it reads only the monomials of f of
-        degree at most max_degree - |a| + |alpha|, and no term above the cap
-        is ever formed.  A term bounded below deg f reads a list of those
-        monomials, filtered from f once per distinct bound; f is not sorted.
-        A term without derivatives shifts each key by its monomial key, and
-        a derivative term tests the exponents of a monomial before it
-        multiplies coefficients.  The encoding cap is guarded on the capped
-        degree of the result, which no exponent of it exceeds.
+        d + |a| - |alpha|.  A term without derivatives shifts each key by its
+        monomial key, and a derivative term tests the exponents of a
+        monomial before it multiplies coefficients.  The encoding cap is
+        guarded on the degree of the result, which no exponent of it exceeds.
         """
         if not isinstance(f, MultiPoly):
             raise TypeError(f"cannot apply an operator to {type(f).__name__}")
@@ -211,30 +206,14 @@ class WeylOperator(SparseRational):
         sp = self.space
         if not self._terms or f.is_zero():
             return MultiPoly.zero(sp)
-        ds = sp.deg_shift
-        top = f.degree()
-        full = top + self.degree_raise()
-        cap = full if max_degree is None else min(full, max_degree)
-        if cap > MAX_EXP:
-            raise ValueError(f"application degree {cap} exceeds encoding cap {MAX_EXP}")
-        f_items = f._terms.items()
-        # input degree bound -> the monomials of f of at most that degree
-        below: Dict[int, list] = {}
+        full = f.degree() + self.degree_raise()
+        if full > MAX_EXP:
+            raise ValueError(f"application degree {full} exceeds encoding cap {MAX_EXP}")
+        items = f._terms.items()
         out: Dict[int, int] = {}
         get = out.get
         support = sp.support
         for (km, ka), c in self._terms.items():
-            # the largest input degree whose image stays within the cap
-            lim = cap - (km >> ds) + (ka >> ds)
-            if lim < 0:
-                continue
-            if lim >= top:
-                items = f_items
-            else:
-                items = below.get(lim)
-                if items is None:
-                    stop = lim + 1
-                    items = below[lim] = [(k, v) for k, v in f_items if k >> ds < stop]
             if not ka:
                 for ke, ce in items:
                     nk = ke + km

@@ -59,26 +59,22 @@ def test_degenerate_samples_raise_on_every_call(p, q, m):
 
 
 def test_solver_images_only_the_samples_it_reads(monkeypatch):
-    # at (4, 6, 1) each sample read costs one uncapped apply per block
-    # generator (6 + 15 = 21), all on h1 h2, in sample order, and no typical
-    # element is built or expanded; a degenerate sample set is refused from
-    # its K-types, before any image
+    # at (4, 6, 1) each sample read costs one apply per block generator (6 +
+    # 15 = 21), all on h1 h2, in sample order, and no typical element is
+    # built; a degenerate sample set is refused from its K-types, before any
+    # image
     import gkverify.gkmodule as gkmodule
     from gkverify.liealg import generators, pi_generator, same_block
 
-    calls, built, read = [], [], []
+    calls, built = [], []
     apply = WeylOperator.apply
 
-    def spy(op, f, max_degree=None):
-        calls.append((op, f, max_degree))
-        return apply(op, f, max_degree=max_degree)
+    def spy(op, f):
+        calls.append((op, f))
+        return apply(op, f)
 
     monkeypatch.setattr(WeylOperator, "apply", spy)
     monkeypatch.setattr(gkmodule, "typical_element", lambda *a: built.append(a))
-    expansion = gkmodule.TypicalElement.expansion.fget
-    monkeypatch.setattr(
-        gkmodule.TypicalElement, "expansion", property(lambda f: read.append(f) or expansion(f))
-    )
     space = ModuleParams(4, 6, 1).space
     block = [pi_generator(g, space) for g in generators(4, 6, "M") if same_block(g, 4)]
     assert len(block) == 21
@@ -94,9 +90,9 @@ def test_solver_images_only_the_samples_it_reads(monkeypatch):
         assert len(calls) == 21 * n_read, sign
         for s, (_, h1, h2) in enumerate(samples):
             group = calls[21 * s: 21 * (s + 1)]
-            assert [op for op, _, _ in group] == block
-            assert all(f == h1.mul(h2) and cap is None for _, f, cap in group)
-    assert built == [] and read == []
+            assert [op for op, _ in group] == block
+            assert all(f == h1.mul(h2) for _, f in group)
+    assert built == []
     for p, q, m in DEGENERATE_TUPLES:
         for sign in (1, -1):
             calls.clear()
@@ -178,14 +174,43 @@ def test_default_depth_covers_large_k_l():
     assert all(r.status == "pass" for r in results), [r.to_dict() for r in results]
 
 
-def test_apply_linearity_below_the_direct_degree_is_an_error():
-    # at D = 5 the capped Laplacian image is valid to degree 3, below the
-    # degree 4 of the uncapped image it would be compared with
-    (result,) = execute_jobs(
-        plan_jobs([REGISTRY["module.apply_linearity"]], [(4, 4, 0)], 3, 3, 5)
+def test_no_check_reads_a_whole_expansion(monkeypatch):
+    # every suite over the default sweep, in-process: each check passes, and
+    # none reads TypicalElement.expansion; the zero tests read the separated
+    # form, and module.apply_linearity reads plain harmonic products
+    import gkverify.gkmodule as gkmodule
+    from gkverify.checks import selected_checks
+    from gkverify.cli import DEFAULT_SWEEP
+
+    reads = []
+    expansion = gkmodule.TypicalElement.expansion.fget
+    monkeypatch.setattr(
+        gkmodule.TypicalElement, "expansion", property(lambda f: reads.append(f) or expansion(f))
     )
-    assert result.status == "error", result.to_dict()
-    assert result.detail["error"].startswith("TruncationError: "), result.detail
+    _clear_memos()
+    results = execute_jobs(plan_jobs(selected_checks(["all"]), DEFAULT_SWEEP, 3, 3, None))
+    assert len({r.name for r in results}) == len(REGISTRY)
+    assert all(r.status == "pass" for r in results), [r.to_dict() for r in results]
+    assert reads == []
+
+
+@pytest.mark.parametrize("p,q,m", [(4, 4, 1), (4, 6, 2)])
+def test_apply_linearity_fails_on_a_wrong_image(monkeypatch, p, q, m):
+    # an apply that adds the square of each image it forms is not linear;
+    # one that raises the degree of each image by two breaks the degree shift
+    real = WeylOperator.apply
+    run = CheckRun(p, q, m, None, 3, 3)
+    check = REGISTRY["module.apply_linearity"].fn
+    assert check(run) == (True, None, {"operators_checked": 3})
+
+    def squared(op, f):
+        image = real(op, f)
+        return image + image.mul(image)
+
+    monkeypatch.setattr(WeylOperator, "apply", squared)
+    assert check(run) == (False, None, {"failed": "linearity"})
+    monkeypatch.setattr(WeylOperator, "apply", lambda op, f: real(op, f).var_mul(0, 2))
+    assert check(run) == (False, None, {"failed": "degree_shift"})
 
 
 def test_wrong_xi_closed_form_is_a_failure(monkeypatch):

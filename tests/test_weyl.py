@@ -1,6 +1,5 @@
 """Normal-ordered differential operators: composition, application, brackets."""
 
-import bisect
 import itertools
 from fractions import Fraction
 from math import comb
@@ -8,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gkverify.liealg import Generator, generators, pi_generator, sl2_triple
+from gkverify.liealg import generators, pi_generator, sl2_triple
 from gkverify.poly import MAX_EXP, ONE, MultiPoly, VariableSpace, euler, laplacian, rsq
 from gkverify.weyl import WeylOperator, euler_op, laplacian_op, falling, rsq_op
 
@@ -30,16 +29,6 @@ def _op_from_entries(entries, space=SPACE):
 
 operators = st.lists(
     st.tuples(small_exps, small_exps, small_coeffs), min_size=0, max_size=3
-).map(_op_from_entries)
-
-wide_operators = st.lists(
-    st.tuples(
-        st.lists(st.integers(0, 4), min_size=NV, max_size=NV).map(tuple),
-        st.lists(st.integers(0, 4), min_size=NV, max_size=NV).map(tuple),
-        small_coeffs,
-    ),
-    min_size=0,
-    max_size=4,
 ).map(_op_from_entries)
 
 polys = st.lists(
@@ -214,31 +203,7 @@ def test_operator_linearity(A, B, f):
     assert A.scale(Fraction(2, 3)).apply(f) == A.apply(f).scale(Fraction(2, 3))
 
 
-# pi of every M_ij: x_i y_j + d_xi d_yj (shifts +2 and -2) across the blocks,
-# v_i d_j - v_j d_i (shift 0) inside one
-PI_OPERATORS = [
-    pi_generator(Generator(i, j, "M"), SPACE) for i in range(1, NV + 1) for j in range(i + 1, NV + 1)
-]
-
-wide_polys = st.lists(
-    st.tuples(st.lists(st.integers(0, 4), min_size=NV, max_size=NV).map(tuple), small_coeffs),
-    min_size=0,
-    max_size=8,
-).map(lambda entries: MultiPoly.from_monomials(SPACE, entries))
-
-
-@given(
-    st.one_of(wide_operators, st.sampled_from(PI_OPERATORS)),
-    wide_polys,
-    st.integers(-2, 36),
-)
-@settings(max_examples=120, deadline=None)
-def test_capped_apply_is_the_truncated_apply(A, f, cap):
-    # caps below every output degree, inside the range and above it
-    assert A.apply(f, max_degree=cap) == A.apply(f).truncate(cap)
-
-
-def test_capped_apply_at_the_encoding_cap():
+def test_apply_at_the_encoding_cap():
     x126 = MultiPoly.from_monomials(SPACE, [((126, 0, 0, 0), 1)])
     raise_one = WeylOperator.term(SPACE, (2, 0, 0, 0), (1, 0, 0, 0))  # x1^2 d1
     raise_two = WeylOperator.term(SPACE, (3, 0, 0, 0), (1, 0, 0, 0))  # x1^3 d1
@@ -249,13 +214,9 @@ def test_capped_apply_at_the_encoding_cap():
     assert raise_one.apply(x126) == top
     with pytest.raises(ValueError, match="exceeds encoding cap"):
         raise_two.apply(x126)
+    assert (raise_one + lower_one).apply(x126) == top + below
     with pytest.raises(ValueError, match="exceeds encoding cap"):
-        raise_two.apply(x126, max_degree=128)
-    assert raise_two.apply(x126, max_degree=127).is_zero()
-    both = raise_two + raise_one + lower_one
-    assert both.apply(x126, max_degree=127) == top + below
-    assert both.apply(x126, max_degree=126) == below
-    assert both.apply(x126, max_degree=124).is_zero()
+        (raise_two + raise_one + lower_one).apply(x126)
 
 
 def test_block_operators_match_polynomial_maps():
@@ -374,32 +335,22 @@ def test_commutator_refuses_other_operands():
         d1.commutator(MultiPoly.variable(SPACE, 0))
 
 
-# -- application against the sort-and-bisect reference ----------------------------
+# -- application against the sorted reference ---------------------------------------
 
 
-def _sorted_apply(A, f, max_degree=None):
-    """``apply`` as it was with a sorted input: f is sorted once when some
-    term needs fewer monomials than f has, and each such term stops at its
-    bound by bisection.  Also returns the number of (term, monomial) pairs
-    whose exponents admit the term's derivative."""
+def _sorted_apply(A, f):
+    """``apply`` over f's monomials in sorted order, unpacking every
+    derivative exponent from the field shifts.  Also returns the number of
+    (term, monomial) pairs whose exponents admit the term's derivative."""
     sp = A.space
     if not A._terms or f.is_zero():
         return MultiPoly.zero(sp), 0
-    ds = sp.deg_shift
-    top = f.degree()
-    full = top + A.degree_raise()
-    cap = full if max_degree is None else min(full, max_degree)
     f_sorted = sorted(f._terms.items())
-    f_keys = [k for k, _ in f_sorted]
     out = {}
     formed = 0
     for (km, ka), c in A._terms.items():
-        lim = cap - (km >> ds) + (ka >> ds)
-        if lim < 0:
-            continue
-        stop = bisect.bisect_left(f_keys, (lim + 1) << ds)
         alist = [(sh, (ka >> sh) & MAX_EXP) for sh in sp.shifts if (ka >> sh) & MAX_EXP]
-        for ke, ce in itertools.islice(f_sorted, stop):
+        for ke, ce in f_sorted:
             mult = c * ce
             for sh, al in alist:
                 e = (ke >> sh) & MAX_EXP
@@ -469,7 +420,7 @@ def _edge_operator(space):
     )
 
 
-@given(operator_poly_pairs, st.one_of(st.none(), st.integers(-3, 3)))
+@given(operator_poly_pairs)
 @settings(max_examples=300, deadline=None)
 @example(
     (
@@ -477,7 +428,6 @@ def _edge_operator(space):
         + WeylOperator.term(SPACE, NO_DERIV, (0, 1, 0, 0), Fraction(1, 3)),
         MultiPoly.zero(SPACE),
     ),
-    0,
 )
 @example(
     (
@@ -488,21 +438,18 @@ def _edge_operator(space):
             SPACE, [((2, 1, 0, 0), 1), ((0, 3, 0, 0), 5), ((1, 0, 0, 0), 1)]
         ),
     ),
-    -1,
 )
-@example((_edge_operator(VariableSpace(1, 1)), _edge_poly(VariableSpace(1, 1))), None)
-@example((_edge_operator(SPACE), _edge_poly(SPACE)), None)
-@example((_edge_operator(VariableSpace(8, 8)), _edge_poly(VariableSpace(8, 8))), -1)
-def test_apply_matches_the_sorted_reference(pair, offset):
-    # the cap sits below, at or above deg f, or is absent
+@example((_edge_operator(VariableSpace(1, 1)), _edge_poly(VariableSpace(1, 1))))
+@example((_edge_operator(SPACE), _edge_poly(SPACE)))
+@example((_edge_operator(VariableSpace(8, 8)), _edge_poly(VariableSpace(8, 8))))
+def test_apply_matches_the_sorted_reference(pair):
     A, f = pair
-    cap = None if offset is None else f.degree() + offset
     counted = MultiPoly(f.space, {k: _Counted(v) for k, v in f._terms.items()}, f.den)
     _Counted.products = 0
-    got = A.apply(counted, max_degree=cap)
-    want, formed = _sorted_apply(A, f, cap)
+    got = A.apply(counted)
+    want, formed = _sorted_apply(A, f)
     assert got._terms == want._terms
     assert got.den == want.den
     # a coefficient product is formed only where the exponents admit the
-    # derivative, and only below the cap
+    # derivative
     assert _Counted.products == formed
