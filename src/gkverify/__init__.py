@@ -12,11 +12,12 @@ exact echelon form as primitive integer rows; series and eigenvalues as
   compact M basis (where it is real), the sign transport from the
   signature basis, and its universal enveloping algebra in PBW normal form
   (``liealg``),
-* the distinguished vectors of each module family in separated form
+* the distinguished vectors of each module family as labelled terms
   (``TypicalElement``, which carries its family, K-type and harmonics, and
   the sample plans that yield them), one eigenvalue check for the Casimirs
-  and the symmetric-square element (all rows of ``liealg.closed_form``), the
-  four-layer mixed generator action, and the obstruction solver that decides
+  and the symmetric-square element (all rows of ``liealg.closed_form``) and
+  the four-layer mixed generator action, both decided by Fraction sums on
+  the K-type labels, and the obstruction solver that decides
   whether a degree-two annihilator element with the required eigenvalue
   exists (``gkmodule``),
 * the symmetric square of the adjoint representation, its invariant

@@ -559,14 +559,23 @@ _register_table("pq", _casimir_closed_form, (
 @_register(
     "casimir.sl2_relation",
     "pq",
-    "the full Casimir image equals the commutant Casimir shifted by the dimension constant",
+    "the full Casimir image equals the commutant Casimir shifted by the dimension constant, "
+    "and each block of size b has [L, R] = 4E + 2b and [E, R] = 2R",
 )
 def _casimir_sl2(run: CheckRun):
+    # the block relations are what the module zero tests' label rules rest on
     space = run.space
     n = run.p + run.q
     shift = WeylOperator.identity(space).scale(Fraction(-n * n, 4) + n)
-    ok = pi_casimir(space, "g") == sl2_casimir_op(space) + shift
-    return ok, None, {"n": n}
+    if pi_casimir(space, "g") != sl2_casimir_op(space) + shift:
+        return False, None, {"n": n, "failed": "casimir"}
+    for block, size in (("x", run.p), ("y", run.q)):
+        lap, r2, e = (op(space, block) for op in (laplacian_op, rsq_op, euler_op))
+        if lap.commutator(r2) != e.scale(4) + WeylOperator.identity(space).scale(2 * size):
+            return False, None, {"n": n, "failed": f"[L, R] on {block}"}
+        if e.commutator(r2) != r2.scale(2):
+            return False, None, {"n": n, "failed": f"[E, R] on {block}"}
+    return True, None, {"n": n}
 
 
 def _eigenvalue_sweep(which: str, run: CheckRun):

@@ -20,17 +20,22 @@ zero test records its validity: the degree up to which the tested sum is
 exact.  A factor v^a d^alpha shifts it by the smallest |a| - |alpha| over its
 terms (an Euler operator 0, a Laplacian -2, r^2 +2).
 
-A TypicalElement is held in its separated form, sum_j w_j A_j B_j with A_j
-= h1 (r_x^2)^(j + mu_x) in the x variables and B_j = h2 (r_y^2)^(j + mu_y)
-in the y variables, and expanded only when read; the sample plans
-ktype_elements and product_elements yield them one at a time.  Each factor
-of a liealg.closed_form word (the Casimirs, the symmetric-square element Xi
-and the sl2 triple) acts on one block, and so do x_i, y_j, their partials
-and the factors of each mixed-action layer.  So eigenvalue_check, the three
-steps of verify_membership and p_action_check are each one zero test on
-products X Y of single-block polynomials, grouped by bidegree and tested by
-an elimination among the X that carries the Y; none expands an element, and
-all three refuse other elements.
+A TypicalElement holds the terms w_j h1 (r_x^2)^(j + mu_x) h2 (r_y^2)^(j +
+mu_y) as (w_j, a_x, a_y) and forms polynomials only when its separated form
+or expansion is read; the sample plans ktype_elements and product_elements
+yield typical elements one at a time.  Each factor of a liealg.closed_form
+word (the Casimirs, the symmetric-square element Xi and the sl2 triple)
+acts on one block and sends a label h (r^2)^a, h harmonic there, to a known
+multiple of another label; so do x_i, y_j and their partials, moving the
+harmonic to dagger(v h) or d_v h, and the factors of each mixed-action
+layer.  So eigenvalue_check, the three steps of verify_membership and
+p_action_check sum Fractions per label (x label, y label) and test every
+sum for zero; none forms a polynomial of the series, and all three refuse
+other elements.  That test is exact by the Fischer decomposition: every
+polynomial in a block is uniquely a sum of harmonics times powers of r^2,
+so the h (r^2)^a, for one nonzero harmonic h of each degree and every a,
+are independent, and so are the products of an independent x-family with
+an independent y-family.
 
 The obstruction solver at the bottom, garfinkle_obstruction, asks whether
 some pair (Y, lambda) of a Lie-algebra element and a scalar satisfies pi(Y) f
@@ -255,27 +260,38 @@ class ModuleParams:
 
 class TypicalElement:
     """h1 h2 rho^mu Psi_kappa of the family `params` at K-type `kt`, exact to
-    degree `validity`.  `separated` holds the (w_j, A_j, B_j) with k + l +
-    2 mu + 4 j <= validity: A_j = h1 (r_x^2)^(j + mu_x), B_j = h2 (r_y^2)^(j
-    + mu_y), mu on the series block and 0 on the other, w_j = c_j / 2^(2 j
-    + mu) from psi_series.  Only typical_element builds one."""
-
-    __slots__ = ("validity", "params", "kt", "h1", "h2", "separated", "_expansion", "_parts")
+    degree `validity`.  `terms` holds the (w_j, a_x, a_y) with k + l + 2 mu
+    + 4 j <= validity: the term w_j h1 (r_x^2)^a_x h2 (r_y^2)^a_y with a =
+    j + mu on the series block and j on the other, w_j = c_j / 2^(2 j + mu)
+    from psi_series.  Only typical_element builds one."""
 
     def __init__(self, validity: int, params: ModuleParams, kt: KType,
                  h1: MultiPoly, h2: MultiPoly) -> None:
         self.validity, self.params, self.kt, self.h1, self.h2 = validity, params, kt, h1, h2
         mu = params.mu(kt)
         coeffs = psi_series(params.weights(kt)[0], validity - kt.k - kt.l - 2 * mu).coeffs
-        n, mx = len(coeffs), mu if params.series_block == "x" else 0
-        a, b = _radius_powers(h1, "x", mx, n), _radius_powers(h2, "y", mu - mx, n)
-        self.separated = tuple((coeffs[j, j] / (1 << (2 * j + mu)), a[j], b[j]) for j in range(n))
+        mx = mu if params.series_block == "x" else 0
+        self.terms = tuple(
+            (coeffs[j, j] / (1 << (2 * j + mu)), j + mx, j + mu - mx) for j in range(len(coeffs))
+        )
+        self._separated: Optional[Tuple] = None
         self._expansion: Optional[MultiPoly] = None
         self._parts: Dict = {}  # p_action_check's memo
 
     @property
     def space(self) -> VariableSpace:
         return self.h1.space
+
+    @property
+    def separated(self) -> Tuple[Tuple[Fraction, MultiPoly, MultiPoly], ...]:
+        """The (w_j, A_j, B_j) with A_j = h1 (r_x^2)^a_x and B_j = h2
+        (r_y^2)^a_y, formed on first read."""
+        # no check reads it; kept for expansion and for the tests
+        if self._separated is None:
+            n, (_, ax, ay) = len(self.terms), self.terms[0]
+            a, b = _radius_powers(self.h1, "x", ax, n), _radius_powers(self.h2, "y", ay, n)
+            self._separated = tuple((w, a[j], b[j]) for j, (w, _, _) in enumerate(self.terms))
+        return self._separated
 
     @property
     def expansion(self) -> MultiPoly:
@@ -361,7 +377,7 @@ def typical_element(
     return TypicalElement(D, params, kt, h1, h2)
 
 
-# -- the separated zero test ------------------------------------------------------
+# -- zero tests on K-type labels -------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -383,92 +399,43 @@ def _validity(terms, f: TypicalElement) -> int:
     return min(f.validity + _gain(space, word) for _, word in terms)
 
 
-def _cells(terms, f: TypicalElement, top: int) -> Dict[Tuple[int, int], list]:
-    """The sum of c * word(f) over the (c, word) terms up to degree top, as
-    products (c w_j sx sy, X, Y) grouped by their bidegree (dx, dy).  The
-    blocks commute, so a word's x factors act, in order, on A_j alone and
-    its y factors on B_j.  An image is formed once per call, as a scalar and
-    a homogeneous polynomial: L and R act on the polynomial, E multiplies
-    the scalar by the degree.  A product above top forms no image."""
-    space = f.space
-    images: Dict[Tuple[int, int, Tuple[str, ...]], Tuple[Fraction, MultiPoly, int]] = {}
-
-    def image(side: int, j: int, sub: Tuple[str, ...]):
-        key = (side, j, sub)
-        if key not in images:
-            if not sub:
-                g = f.separated[j][side]
-                images[key] = (ONE, g, g.degree())
-            else:
-                s, g, d = image(side, j, sub[1:])
-                kind, block = sub[0]
-                images[key] = (
-                    (s * d, g, d) if kind == "E"
-                    else (s, laplacian(g, block), d - 2) if kind == "L"
-                    else (s, g.mul(rsq(space, block)), d + 2)
-                )
-        return images[key]
-
-    cells: Dict[Tuple[int, int], list] = {}
-    for c, word in terms:
-        xs = tuple(factor for factor in word if factor[1] == "x")
-        ys = tuple(factor for factor in word if factor[1] == "y")
-        for j, (w, _, _) in enumerate(f.separated):
-            dx = image(1, j, ())[2] + _gain(space, xs)
-            dy = image(2, j, ())[2] + _gain(space, ys)
-            if dx + dy > top:
-                break  # the degree grows with j
-            sx, x, _ = image(1, j, xs)
-            sy, y, _ = image(2, j, ys)
-            coeff = c * w * sx * sy
-            if coeff and x and y:
-                cells.setdefault((dx, dy), []).append((coeff, x, y))
-    return cells
-
-
-def _eliminate(cells) -> List[Dict]:
-    """Reduce the X of each cell, a list of (s, c, X) for products c X Y_s,
-    against the X kept so far, carrying the Y along: X_i Y_i + X_k Y_k =
-    (X_i - r X_k) Y_i + X_k (Y_k + r Y_i), r read at X_k's pivot monomial.
-    The kept X of a cell are independent, so the sum is zero iff each kept
-    X's combination {s: M_s} of the Y, returned here, sums to zero."""
-    combos = []
-    for cell in cells:
-        kept: List[Tuple[int, MultiPoly, Dict]] = []
-        for s, c, x in cell:
-            for key, xk, combo in kept:
-                a = x._terms.get(key)
-                if a:
-                    r = Fraction(a * xk.den, x.den * xk._terms[key])
-                    x = x - xk.scale(r)
-                    combo[s] = combo.get(s, ZERO) + r * c
-            if x:
-                kept.append((max(x._terms), x, {s: c}))
-        combos.extend(combo for _, _, combo in kept)
-    return combos
-
-
-def _sums_to_zero(combo: Dict, y) -> bool:
-    """Whether sum M_s y(s) over {s: M_s} is zero, in one int dict."""
-    terms = [(m, y(s)) for s, m in combo.items()]
-    den, out = lcm(*(m.denominator * g.den for m, g in terms)), {}
-    for m, g in terms:
-        w = m.numerator * (den // (m.denominator * g.den))
-        for k, c in g._terms.items():
-            out[k] = out.get(k, 0) + w * c
-    return not any(out.values())
-
-
-def _cell_vanishes(products) -> bool:
-    """Whether the sum of c X Y over one bidegree cell's products is zero."""
-    cell = [(s, c, x) for s, (c, x, _) in enumerate(products)]
-    return all(_sums_to_zero(combo, lambda s: products[s][2]) for combo in _eliminate([cell]))
+def _factor_rule(kind: str, a: int, k: int, n: int) -> Tuple[int, int]:
+    """(s, a'): the stock factor `kind` ("E", "R" or "L" of a closed_form
+    word) sends h (r^2)^a, h harmonic of degree k in a block of n variables,
+    to s h (r^2)^a'.  The Euler operator multiplies by the degree k + 2a,
+    r^2 raises a, and the Laplacian gives 2a (2a + 2k + n - 2) (r^2)^(a-1) h
+    (from [L, R] = 4E + 2n and L h = 0; casimir.sl2_relation checks the
+    commutators)."""
+    if kind == "E":
+        return k + 2 * a, a
+    if kind == "R":
+        return 1, a + 1
+    return 2 * a * (2 * a + 2 * k + n - 2), a - 1
 
 
 def _vanishes(terms, f: TypicalElement) -> Tuple[bool, int]:
-    """(whether sum c * word(f) vanishes up to its validity, that validity)."""
+    """(whether sum c * word(f) vanishes up to its validity, that validity).
+
+    The blocks commute, so a word's x factors act on the x label of each
+    term w_j of f and its y factors on the y label, rightmost first, each
+    by _factor_rule.  The multiples c w_j s are summed per label (a_x, a_y)
+    of degree k + l + 2 a_x + 2 a_y up to the validity, and each sum must
+    be zero."""
     top = _validity(terms, f)
-    return all(map(_cell_vanishes, _cells(terms, f, top).values())), top
+    kt, space = f.kt, f.space
+    degree, size = {"x": kt.k, "y": kt.l}, {"x": space.p, "y": space.q}
+    sums: Dict[Tuple[int, int], Fraction] = {}
+    for c, word in terms:
+        for w, ax, ay in f.terms:
+            s, a = c * w, {"x": ax, "y": ay}
+            for kind, block in reversed(word):
+                t, a[block] = _factor_rule(kind, a[block], degree[block], size[block])
+                s *= t
+            if kt.k + kt.l + 2 * (a["x"] + a["y"]) > top:
+                break  # the degree grows with j
+            key = a["x"], a["y"]
+            sums[key] = sums.get(key, ZERO) + s
+    return not any(sums.values()), top
 
 
 def _minus_identity(terms, scalar: Fraction):
@@ -510,7 +477,7 @@ class MembershipReport:
 
 def verify_membership(f: TypicalElement) -> MembershipReport:
     """Check the three defining conditions of f's family on f, each one zero
-    test on f's separated form as in eigenvalue_check: H - sign m, the
+    test on f's labels as in eigenvalue_check: H - sign m, the
     killing generator and the (m+1)-th power of the lowering one (one list
     of binomial words) must each annihilate f.
 
@@ -543,7 +510,7 @@ class EigenvalueReport:
 
 def eigenvalue_check(which: str, f: TypicalElement) -> EigenvalueReport:
     """Does the closed form `which` act on f by its scalar at f's K-type?
-    One zero test on f's separated form: the closed form applied to f minus
+    One zero test on f's labels (_vanishes): the closed form applied to f minus
     scalar f, the scalar joined to the empty word, must vanish up to its
     validity."""
     kt, space = _require_typical(f).kt, f.space
@@ -556,18 +523,35 @@ def eigenvalue_check(which: str, f: TypicalElement) -> EigenvalueReport:
 # -- mixed-generator action ---------------------------------------------------------
 
 
+def _coordinate_rule(kind: str, a: int, k: int, n: int) -> Tuple[Tuple[Fraction, str, int], ...]:
+    """v h (r^2)^a ("mul") or d_v (h (r^2)^a) ("diff"), for h harmonic of
+    degree k in a block of n variables and v one of them, as terms (s,
+    moved, a'): s times the moved harmonic, "v" for V h = dagger(v h) and
+    "d" for d_v h, times (r^2)^a'.  With c = 1/(2k + n - 2), the harmonic
+    part of v h is V h = v h - c r^2 d_v h, and d_v (r^2)^a = 2a v (r^2)^(a-1)
+    gives the second row.  At k = 0, d_v h = 0 and c is not read."""
+    c = Fraction(1, 2 * k + n - 2) if k else ZERO
+    if kind == "mul":
+        return (ONE, "v", a), (c, "d", a + 1)
+    return (1 + 2 * a * c, "d", a), (Fraction(2 * a), "v", a - 1)
+
+
 def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
     """Verify the four-layer expansion of the mixed generator action on f.
 
     Two exact steps (1-based i <= p, j <= q): -pi(M_{i, p+j}) =
     sqrt(-1) pi(X_{i, p+j}) must equal x_i y_j + d_{x_i} d_{y_j} term for
     term, and x_i y_j f + d_{y_j}(d_{x_i} f) minus the layers of
-    f.params.layers(f.kt) must vanish at validity v = f.validity - 2.  That
-    sum is the products c X Y of _slots, whose c and bidegrees do not depend
-    on (i, j), X on i alone and Y on j alone: its cells are eliminated once
-    per (f, i), and each j sums the carried combinations of its Y.  A zero
-    layer denominator raises DegenerateDenominatorError where neither
-    moved harmonic vanishes."""
+    f.params.layers(f.kt) must vanish at validity v = f.validity - 2.
+    Every term of that sum is a multiple of a label (kind_x, a_x, kind_y,
+    a_y), F_x h1 (r_x^2)^a_x F_y h2 (r_y^2)^a_y with F_x h1 = d_{x_i} h1
+    ("d") or dagger(x_i h1) ("v") and F_y likewise along y_j.  The
+    multiples do not depend on (i, j): _action_labels sums them once per
+    f.  Each (i, j) checks the lemmas of _coordinate_rule on its two
+    variables (_fischer, once per variable), drops the "d" labels whose
+    harmonic d_{x_i} h1 or d_{y_j} h2 is zero, and needs every other sum
+    zero.  A zero layer denominator raises DegenerateDenominatorError
+    where neither moved harmonic vanishes."""
     params, kt = _require_typical(f).params, f.kt
     if not (1 <= i <= params.p and 1 <= j <= params.q):
         raise ValueError("need 1 <= i <= p and 1 <= j <= q")
@@ -579,70 +563,71 @@ def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
     op = pi_generator(Generator(i, params.p + j, "M"), space).scale(-1)
     if op != WeylOperator(space, {(xy, 0): 1, (0, xy): 1}):
         return False
+    sums = f._parts.get("labels")
+    if sums is None:
+        sums = f._parts["labels"] = _action_labels(f)
+    no_d = {}  # block -> whether its "d" harmonic, d_{x_i} h1 or d_{y_j} h2, is zero
+    for block, var in (("x", xi), ("y", yj)):
+        if var not in f._parts:
+            f._parts[var] = _fischer(f, var)
+        holds, no_d[block] = f._parts[var]
+        if not holds:
+            return False
     for layer in params.layers(kt):
         kinds = {params.weight_block: layer.weight, params.series_block: layer.radial}
-        # the x harmonic moves along x_i, the y harmonic along y_j
-        if layer.den == 0 and _factors(f, xi, kinds["x"])[0] and _factors(f, yj, kinds["y"])[0]:
+        if layer.den == 0 and not any(kinds[b] == "d" and no_d[b] for b in "xy"):
             raise DegenerateDenominatorError(
                 f"coefficient denominator vanished at K-type (k={kt.k}, l={kt.l})"
             )
-    combos = f._parts.get((xi, "elim"))
-    if combos is None:
-        cells: Dict[Tuple[int, int], list] = {}
-        for c, bidegree, (kind, n), y in _slots(f):
-            cells.setdefault(bidegree, []).append((y, c, _factors(f, xi, kind)[n]))
-        combos = f._parts[xi, "elim"] = _eliminate(cells.values())
-    return all(_sums_to_zero(c, lambda ref: _factors(f, yj, ref[0])[ref[1]]) for c in combos)
+    return not any(
+        s for (kx, _, ky, _), s in sums.items()
+        if not (kx == "d" and no_d["x"] or ky == "d" and no_d["y"])
+    )
 
 
-def _slots(f: TypicalElement) -> Tuple:
-    """The products (c, (dx, dy), x factor, y factor) of p_action_check's
-    sum, memoized on f; a factor (kind, n) is _factors(f, var, kind)[n].
-    A term w A_n B_n of f gives x_i A_n y_j B_n (if of degree <= v) and
-    d_{x_i} A_n d_{y_j} B_n; a layer num/den h_x h_y rho_s^e Psi_kappa gives
-    -num/den c / 2^(a + b) h_x (r_x^2)^a h_y (r_y^2)^b for each term c
-    rho_x^a rho_y^b of its series up to degree v - deg h_x - deg h_y."""
-    got = f._parts.get(None)
-    if got is None:
-        params, kt, v = f.params, f.kt, f.validity - 2
-        slots = []
-        for n, (w, a, b) in enumerate(f.separated):
-            da, db = a.degree(), b.degree()
-            if da + db <= v - 2:
-                slots.append((w, (da + 1, db + 1), ("mul", n), ("mul", n)))
-            slots.append((w, (da - 1, db - 1), ("diff", n), ("diff", n)))
-        for layer in params.layers(kt):
-            kinds = {params.weight_block: layer.weight, params.series_block: layer.radial}
-            kx, ky = kinds["x"], kinds["y"]  # each moved harmonic's degree is 1 off its own
-            dx, dy = kt.k + (1 if kx == "v" else -1), kt.l + (1 if ky == "v" else -1)
-            e, reach = layer.exponent, v - dx - dy
-            if not (layer.den and layer.num) or min(dx, dy) < 0 or reach < 2 * e:
-                continue  # zero at every (i, j) that gets here
-            series = psi_series(layer.kappa, reach - 2 * e).shift_rho(params.series_block, e)
-            for (a, b), c in series.coeffs.items():
-                coeff = -layer.num / layer.den * c / (1 << (a + b))
-                slots.append((coeff, (dx + 2 * a, dy + 2 * b), (kx, a), (ky, b)))
-        got = f._parts[None] = tuple(slots)
-    return got
+def _action_labels(f: TypicalElement) -> Dict[Tuple[str, int, str, int], Fraction]:
+    """p_action_check's sum as {label: multiple}, for every (i, j).  A term
+    w h1 (r_x^2)^a h2 (r_y^2)^b of f gives x_i y_j of it (if of degree <=
+    v) and d_{y_j} d_{x_i} of it, each block by _coordinate_rule; a layer
+    num/den F_x h1 F_y h2 rho_s^e Psi_kappa gives -num/den c / 2^(a + b) at
+    (kind_x, a, kind_y, b) for each term c rho_x^a rho_y^b of its series
+    up to degree v - deg F_x h1 - deg F_y h2."""
+    params, kt, v = f.params, f.kt, f.validity - 2
+    p, q = params.p, params.q
+    sums: Dict[Tuple[str, int, str, int], Fraction] = {}
+    for w, ax, ay in f.terms:
+        near = kt.k + kt.l + 2 * (ax + ay) + 2 <= v
+        for kind in ("mul", "diff") if near else ("diff",):
+            for sx, kx, bx in _coordinate_rule(kind, ax, kt.k, p):
+                for sy, ky, by in _coordinate_rule(kind, ay, kt.l, q):
+                    key = kx, bx, ky, by
+                    sums[key] = sums.get(key, ZERO) + w * sx * sy
+    for layer in params.layers(kt):
+        kinds = {params.weight_block: layer.weight, params.series_block: layer.radial}
+        kx, ky = kinds["x"], kinds["y"]  # each moved harmonic's degree is 1 off its own
+        dx, dy = kt.k + (1 if kx == "v" else -1), kt.l + (1 if ky == "v" else -1)
+        e, reach = layer.exponent, v - dx - dy
+        if not (layer.den and layer.num) or min(dx, dy) < 0 or reach < 2 * e:
+            continue  # zero at every (i, j) that gets here
+        series = psi_series(layer.kappa, reach - 2 * e).shift_rho(params.series_block, e)
+        for (a, b), c in series.coeffs.items():
+            key = kx, a, ky, b
+            sums[key] = sums.get(key, ZERO) - layer.num / layer.den * c / (1 << (a + b))
+    return sums
 
 
-def _factors(f: TypicalElement, var: int, kind: str) -> List[MultiPoly]:
-    """The factors of one kind on var's block, memoized on f: var A_n ("mul")
-    and d_var A_n ("diff") for each block factor A_n of f, or the block's
-    harmonic h moved along var, d_var h ("d") or dagger(var h) ("v",
-    nonzero when h is), times (r^2)^n for every n that _slots reads."""
-    got = f._parts.get((var, kind))
-    if got is None:
-        at, block, h = (2, "x", f.h1) if var < f.params.p else (3, "y", f.h2)
-        if kind in ("mul", "diff"):
-            own = [t[at - 1] for t in f.separated]
-            got = [a.var_mul(var) for a in own] if kind == "mul" else [a.diff(var) for a in own]
-        else:
-            moved = h.diff(var) if kind == "d" else dagger(h.var_mul(var), block)
-            top = max((slot[at][1] for slot in _slots(f) if slot[at][0] == kind), default=0)
-            got = _radius_powers(moved, block, 0, top + 1)
-        f._parts[var, kind] = got
-    return got
+def _fischer(f: TypicalElement, var: int) -> Tuple[bool, bool]:
+    """(whether _coordinate_rule's lemmas hold for var on f's harmonic h of
+    var's block, whether d_var h is zero): V = dagger(var h) must be
+    block-harmonic and nonzero, and var h - V = c r^2 d_var h with the c
+    that the rule reads."""
+    p, q, kt = f.params.p, f.params.q, f.kt
+    block, h, k, n = ("x", f.h1, kt.k, p) if var < p else ("y", f.h2, kt.l, q)
+    moved, d = h.var_mul(var), h.diff(var)
+    v = dagger(moved, block)
+    _, (c, _, _) = _coordinate_rule("mul", 0, k, n)
+    holds = bool(v) and laplacian(v, block).is_zero()
+    return holds and moved - v == rsq(f.space, block).mul(d).scale(c), d.is_zero()
 
 
 # -- sample plans ----------------------------------------------------------------------

@@ -176,22 +176,39 @@ def test_default_depth_covers_large_k_l():
 
 def test_no_check_reads_a_whole_expansion(monkeypatch):
     # every suite over the default sweep, in-process: each check passes, and
-    # none reads TypicalElement.expansion; the zero tests read the separated
-    # form, and module.apply_linearity reads plain harmonic products
+    # none reads TypicalElement.expansion or TypicalElement.separated; the
+    # zero tests read the labels of f.terms, and module.apply_linearity reads
+    # plain harmonic products
     import gkverify.gkmodule as gkmodule
     from gkverify.checks import selected_checks
     from gkverify.cli import DEFAULT_SWEEP
 
     reads = []
-    expansion = gkmodule.TypicalElement.expansion.fget
-    monkeypatch.setattr(
-        gkmodule.TypicalElement, "expansion", property(lambda f: reads.append(f) or expansion(f))
-    )
+    for name in ("expansion", "separated"):
+        real = getattr(gkmodule.TypicalElement, name).fget
+        monkeypatch.setattr(
+            gkmodule.TypicalElement,
+            name,
+            property(lambda f, real=real, name=name: reads.append((name, f)) or real(f)),
+        )
     _clear_memos()
     results = execute_jobs(plan_jobs(selected_checks(["all"]), DEFAULT_SWEEP, 3, 3, None))
     assert len({r.name for r in results}) == len(REGISTRY)
     assert all(r.status == "pass" for r in results), [r.to_dict() for r in results]
     assert reads == []
+
+
+def test_a_scaled_laplacian_fails_the_sl2_relation(monkeypatch):
+    # the block commutators [L, R] = 4E + 2n and [E, R] = 2R, which the
+    # module zero tests' label rules rest on, are read off laplacian_op
+    import gkverify.checks as checks
+
+    run = CheckRun(4, 6, 1, None, 3, 3)
+    check = REGISTRY["casimir.sl2_relation"].fn
+    assert check(run) == (True, None, {"n": 10})
+    real = checks.laplacian_op
+    monkeypatch.setattr(checks, "laplacian_op", lambda space, block: real(space, block).scale(2))
+    assert check(run) == (False, None, {"n": 10, "failed": "[L, R] on x"})
 
 
 @pytest.mark.parametrize("p,q,m", [(4, 4, 1), (4, 6, 2)])

@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -978,7 +977,7 @@ def test_obstruction_matches_the_eager_reference(p, q, m, sign):
         assert new[0] == (m == 0)
 
 
-# -- the mixed action on the separated form --------------------------------------------
+# -- the mixed action on K-type labels ------------------------------------------------
 
 
 def _run_paction_suite():
@@ -1061,32 +1060,6 @@ def test_p_action_check_matches_the_expanded_sum_under_a_zero_denominator(monkey
     assert (True in outcomes) == (row < 3)
 
 
-def _eliminate_dropping_the_carried_y(cells):
-    # the x-elimination with the carried combination dropped: a kept X
-    # keeps its own Y alone
-    combos = []
-    for cell in cells:
-        kept = []
-        for s, c, x in cell:
-            for key, xk, _ in kept:
-                a = x._terms.get(key)
-                if a:
-                    x = x - xk.scale(Fraction(a * xk.den, x.den * xk._terms[key]))
-            if x:
-                kept.append((max(x._terms), x, {s: c}))
-        combos.extend(combo for _, _, combo in kept)
-    return combos
-
-
-def test_an_x_elimination_that_drops_the_carried_y_fails_the_mixed_action(monkeypatch):
-    import gkverify.gkmodule as gkmodule
-
-    D = 10  # 2m + 8 at m = 1
-    assert not _mixed_action_failures(D)
-    monkeypatch.setattr(gkmodule, "_eliminate", _eliminate_dropping_the_carried_y)
-    assert _mixed_action_failures(D)
-
-
 def test_paction_suite_expands_no_radial_series(monkeypatch):
     # each layer's series is read term by term from psi_series, never
     # expanded as a whole
@@ -1101,48 +1074,11 @@ def test_paction_suite_expands_no_radial_series(monkeypatch):
     assert calls == []
 
 
-def test_memoized_radial_layer_is_the_fresh_expansion():
-    # the slots of each layer, summed with the x and y factors of every
-    # (i, j), are -num/den h_x h_y times the freshly expanded radial series,
-    # on every element the paction suite reads at (4,6,1)
-    import gkverify.gkmodule as gkmodule
-
-    compared = 0
-    for sign in (1, -1):
-        params = ModuleParams(4, 6, 1, sign)
-        wb, sb = params.weight_block, params.series_block
-        for f in ktype_elements(params, 2, 2, default_depth(1, 6, None)):
-            v = f.validity - 2
-            slots = gkmodule._slots(f)
-            for i, j in itertools.product(range(1, 5), range(1, 7)):
-                xi, yj = i - 1, 4 + j - 1
-                for layer in params.layers(f.kt):
-                    kinds = {wb: layer.weight, sb: layer.radial}
-                    kx, ky = kinds["x"], kinds["y"]
-                    xs, ys = gkmodule._factors(f, xi, kx), gkmodule._factors(f, yj, ky)
-                    hx, hy = xs[0], ys[0]
-                    reach = v - hx.degree() - hy.degree()
-                    if not (hx and hy and layer.num) or reach < 2 * layer.exponent:
-                        continue
-                    radial = _radial_series(layer.kappa, layer.exponent, sb, f.space, reach)
-                    want = hx.mul(hy).mul(radial).scale(-layer.num / layer.den)
-                    # the layer's slots: its two kinds, rho_s carrying e more
-                    mine = [
-                        (c, xs[a], ys[b]) for c, _, (kx2, a), (ky2, b) in slots
-                        if (kx2, ky2) == (kx, ky)
-                        and (b - a if sb == "y" else a - b) == layer.exponent
-                    ]
-                    assert gkmodule._product_sum(f.space, mine) == want, (sign, f.kt, i, j)
-                    compared += 1
-    assert compared > 100
-
-
 def test_paction_four_term_work_counts(monkeypatch):
-    # At (4,6,1): no WeylOperator.apply, no expansion and no _product_sum;
-    # per element one slot list, one factor list per variable and kind (p +
-    # q of each kind that both blocks read), one x-elimination per
-    # (element, i), all kept on the element itself and on no module-level
-    # table, and one layer table per (params, K-type).
+    # At (4,6,1): no WeylOperator.apply, no expansion and no separated form;
+    # per element one label table and one Fischer check per variable (each
+    # with one dagger), all kept on the element itself and on no
+    # module-level table, and one layer table per (params, K-type).
     import gc
 
     import gkverify.gkmodule as gkmodule
@@ -1162,29 +1098,21 @@ def test_paction_four_term_work_counts(monkeypatch):
         applies.append(self)
         return real_apply(self, *args, **kwargs)
 
-    eliminations = []
-    real_eliminate = gkmodule._eliminate
-
-    def count_eliminate(cells):
-        eliminations.append(None)
-        return real_eliminate(cells)
-
-    daggers = []
-    real_dagger = gkmodule.dagger
-
-    def count_dagger(P, block):
-        daggers.append(block)
-        return real_dagger(P, block)
-
-    sums = []
-    real_sum = gkmodule._product_sum
-    monkeypatch.setattr(
-        gkmodule, "_product_sum", lambda *args: sums.append(args) or real_sum(*args)
+    tables, fischer, daggers = [], [], []
+    real_labels, real_fischer, real_dagger = (
+        gkmodule._action_labels, gkmodule._fischer, gkmodule.dagger
     )
     monkeypatch.setattr(gkmodule, "typical_element", keep)
     monkeypatch.setattr(WeylOperator, "apply", count_apply)
-    monkeypatch.setattr(gkmodule, "_eliminate", count_eliminate)
-    monkeypatch.setattr(gkmodule, "dagger", count_dagger)
+    monkeypatch.setattr(
+        gkmodule, "_action_labels", lambda f: tables.append(f) or real_labels(f)
+    )
+    monkeypatch.setattr(
+        gkmodule, "_fischer", lambda f, var: fischer.append((f, var)) or real_fischer(f, var)
+    )
+    monkeypatch.setattr(
+        gkmodule, "dagger", lambda P, block: daggers.append(block) or real_dagger(P, block)
+    )
     ModuleParams.layers.cache_clear()
     (result,) = execute_jobs(
         plan_jobs([REGISTRY["paction.four_term"]], [(4, 6, 1)], 3, 3, None)
@@ -1192,25 +1120,19 @@ def test_paction_four_term_work_counts(monkeypatch):
     assert result.status == "pass"
     p, q = 4, 6
     assert result.detail["identities_checked"] == p * q * len(elements)
-    assert applies == [] and sums == []
-    assert len(eliminations) == p * len(elements)
+    assert applies == []
+    assert [id(f) for f in tables] == [id(f) for f in elements]
+    assert sorted((id(f), var) for f, var in fischer) == sorted(
+        (id(f), var) for f in elements for var in range(p + q)
+    )
+    assert len(daggers) == len(fischer)
     info = ModuleParams.layers.cache_info()
     assert info.misses == info.currsize == len({(f.params, f.kt) for f in elements})
-    dagger_count = 0
     for f in elements:
-        assert f._expansion is None
-        # the factor list of each kind that some slot reads, on every
-        # variable of its block, and one x-elimination per i
-        kinds = [{slot[at][0] for slot in f._parts[None]} for at in (2, 3)]
-        lists = [(var, kind) for var in range(p + q) for kind in kinds[var >= p]]
-        want = [None] + lists + [(i, "elim") for i in range(p)]
-        assert sorted(f._parts, key=str) == sorted(want, key=str)
-        assert {"mul", "diff", "v"} <= kinds[0] & kinds[1]
-        dagger_count += sum(kind == "v" for _, kind in lists)
-        assert f._parts[p, "diff"] == [b.diff(p) for _, _, b in f.separated]
-        assert f._parts[1, "mul"] == [a.var_mul(1) for _, a, _ in f.separated]
-        assert f._parts[1, "v"][0] == real_dagger(f.h1.var_mul(1), "x")
-    assert len(daggers) == dagger_count
+        assert f._expansion is None and f._separated is None
+        assert sorted(f._parts, key=str) == sorted(["labels", *range(p + q)], key=str)
+        assert f._parts["labels"] == real_labels(f)
+        assert all(f._parts[var][0] for var in range(p + q))
     # the memo is held by its element alone, and each part by the memo
     f = elements[0]
     for part in f._parts.values():
@@ -1239,16 +1161,16 @@ def test_paction_four_term_small_depth_errors(D, error):
 
 def test_radial_layer_pole_raises_on_every_call(monkeypatch):
     # a layer series parameter at a pole raises PsiPoleError on every call,
-    # and no slot list is kept
+    # and no memo is kept
     f = next(ktype_elements(ModuleParams(4, 6, 1, 1), 1, 1, 14))
     monkeypatch.setattr(ModuleParams, "layers", _with_row(3, kappa=lambda layer: Fraction(-1)))
     for _ in range(3):
         with pytest.raises(PsiPoleError):
             p_action_check(f, 1, 1)
-        assert None not in f._parts
+        assert f._parts == {}
 
 
-# -- the separated form and its zero test ---------------------------------------------
+# -- the separated form and the label zero test ---------------------------------------
 
 
 @pytest.mark.parametrize("p,q,m", DEFAULT_SWEEP)
@@ -1279,9 +1201,9 @@ def _applied_power(which, n, f):
     return g
 
 
-@pytest.mark.parametrize("p,q,m", DEFAULT_SWEEP)
+@pytest.mark.parametrize("p,q,m", list(DEFAULT_SWEEP) + [(3, 5, 1)])
 def test_zero_test_matches_the_staged_pass(p, q, m):
-    """The separated zero test against the staged words it replaced, on
+    """The label zero test against the staged words of the expansion, on
     every closed form with its own scalar, one off by one and none, and on
     the (m+1)-fold lowering: the same verdict at the same validity."""
     import gkverify.gkmodule as gkmodule
@@ -1332,50 +1254,6 @@ def test_power_is_the_binomial_word_list():
         assert dict((w, c) for c, w in gkmodule._power(lower, n)) == want
     # merged words that cancel are dropped: (Rx - Rx)^2 = 0
     assert gkmodule._power(((ONE, ("Rx",)), (-ONE, ("Rx",))), 2) == ()
-
-
-def _block_poly(space, block, rng, degree):
-    # a random nonzero polynomial in one block's variables, homogeneous of degree
-    idx = list(space.block_range(block))
-    entries = []
-    for _ in range(4):
-        exps = [0] * space.nvars
-        for _ in range(degree):
-            exps[rng.choice(idx)] += 1
-        entries.append((tuple(exps), Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
-    poly = MultiPoly.from_monomials(space, entries)
-    return poly if poly else _block_poly(space, block, rng, degree)
-
-
-def test_cell_elimination_with_two_independent_x_images():
-    """A hand-built cell whose x-images span two dimensions, so a reduced
-    X is kept beside another and the carried Y decide: X1 Y1 + X2 Y2 +
-    (X1 + X2) Y3 - X1 (Y1 + Y3) - X2 (Y2 + Y3) = 0 in every order, and
-    any one coefficient changed leaves a nonzero sum."""
-    import gkverify.gkmodule as gkmodule
-
-    space = VariableSpace(3, 3)
-    rng = random.Random(24)
-    cubes = [e + (0, 0, 0) for e in itertools.product(range(4), repeat=3) if sum(e) == 3]
-    for _ in range(20):
-        x1, x2 = (_block_poly(space, "x", rng, 3) for _ in range(2))
-        # a monomial that x1 lacks, kept in x2, makes x2 independent of x1
-        fresh = next(e for e in cubes if space.pack(e) not in x1._terms)
-        x2 = x2 + MultiPoly.from_monomials(space, [(fresh, 1 - x2.coefficient(fresh))])
-        y1, y2, y3 = (_block_poly(space, "y", rng, 2) for _ in range(3))
-        c = Fraction(rng.randint(1, 6), rng.randint(1, 6))
-        products = [
-            (ONE, x1, y1), (ONE, x2, y2), (c, x1 + x2, y3),
-            (-ONE, x1, y1 + y3.scale(c)), (-ONE, x2, y2 + y3.scale(c)),
-        ]
-        for order in itertools.permutations(range(5)):
-            cell = [products[i] for i in order]
-            assert gkmodule._cell_vanishes(cell), order
-        for i in range(5):
-            off = list(products)
-            off[i] = (off[i][0] + 1, off[i][1], off[i][2])
-            assert not gkmodule._product_sum(space, off).is_zero()
-            assert not gkmodule._cell_vanishes(off), i
 
 
 def _module_fails(D=14):
@@ -1442,57 +1320,73 @@ def test_a_wrong_psi_parameter_fails(monkeypatch):
     assert _module_fails()
 
 
-def _cell_vanishes_dropping_y(products):
-    # the elimination with the carried y-image dropped: X_k keeps Y_k alone
-    kept = []
-    for c, x, y in products:
-        y = y.scale(c)
-        for key, xk, _ in kept:
-            a = x._terms.get(key)
-            if a:
-                x = x - xk.scale(Fraction(a * xk.den, x.den * xk._terms[key]))
-        if x:
-            kept.append((max(x._terms), x, y))
-    return not any(y for _, _, y in kept)
-
-
-def test_an_elimination_that_drops_the_carried_y_fails(monkeypatch):
+def _wrong_factor_rule(mutant):
+    # _factor_rule with n - 1 in the Laplacian rule, or without the 2a term
+    # of the Euler rule
     import gkverify.gkmodule as gkmodule
 
-    monkeypatch.setattr(gkmodule, "_cell_vanishes", _cell_vanishes_dropping_y)
+    real = gkmodule._factor_rule
+
+    def rule(kind, a, k, n):
+        if kind == "L" and mutant == "L_n_minus_1":
+            return real(kind, a, k, n - 1)
+        if kind == "E" and mutant == "E_without_2a":
+            return k, a
+        return real(kind, a, k, n)
+
+    return rule
+
+
+@pytest.mark.parametrize("mutant", ["L_n_minus_1", "E_without_2a"])
+def test_a_wrong_label_rule_fails_the_scalar_checks(monkeypatch, mutant):
+    import gkverify.gkmodule as gkmodule
+
+    assert not _module_fails()
+    monkeypatch.setattr(gkmodule, "_factor_rule", _wrong_factor_rule(mutant))
     assert _module_fails()
 
 
-def test_scalar_checks_never_expand_an_element(monkeypatch):
-    """eigenvalue_check, verify_membership and p_action_check never form
-    f.expansion, and every Laplacian they apply reads a polynomial in one
-    block only."""
+def test_a_wrong_fischer_constant_fails_the_mixed_action(monkeypatch):
+    # c = 1/(2k + n - 1) in _coordinate_rule: the Fischer check sees it, and
+    # with that check forced to hold the label sums see it too
     import gkverify.gkmodule as gkmodule
 
-    sums = []
-    real_sum = gkmodule._product_sum
+    real_rule, real_fischer = gkmodule._coordinate_rule, gkmodule._fischer
+    D = 10  # 2m + 8 at m = 1
+    assert not _mixed_action_failures(D)
     monkeypatch.setattr(
-        gkmodule, "_product_sum", lambda *args: sums.append(args) or real_sum(*args)
+        gkmodule, "_coordinate_rule", lambda kind, a, k, n: real_rule(kind, a, k, n + 1)
     )
-    inputs = []
-    real_laplacian = gkmodule.laplacian
+    assert _mixed_action_failures(D)
+    monkeypatch.setattr(gkmodule, "_fischer", lambda f, var: (True, real_fischer(f, var)[1]))
+    assert _mixed_action_failures(D)
 
-    def spy(g, block):
-        inputs.append((g, block))
-        return real_laplacian(g, block)
 
-    monkeypatch.setattr(gkmodule, "laplacian", spy)
-    elements = 0
-    for sign in (1, -1):
-        for f in ktype_elements(ModuleParams(4, 6, 1, sign), 3, 3, 14):
-            for which in ("op", "oq", "g", "xi"):
-                assert eigenvalue_check(which, f).ok
-            assert verify_membership(f).ok
-            for i, j in itertools.product(range(1, 5), range(1, 7)):
-                assert p_action_check(f, i, j)
-            assert f._expansion is None
-            elements += 1
-    assert elements and not sums
+def test_scalar_checks_never_expand_an_element(monkeypatch):
+    """eigenvalue_check and verify_membership form no polynomial: they call
+    neither laplacian nor MultiPoly.mul.  p_action_check forms neither
+    f.separated nor f.expansion, and every Laplacian it applies reads a
+    polynomial in one block only."""
+    import gkverify.gkmodule as gkmodule
+
+    inputs, products = [], []
+    real_laplacian, real_mul = gkmodule.laplacian, MultiPoly.mul
+    elements = [
+        f for sign in (1, -1) for f in ktype_elements(ModuleParams(4, 6, 1, sign), 3, 3, 14)
+    ]
+    monkeypatch.setattr(
+        gkmodule, "laplacian", lambda g, b: inputs.append((g, b)) or real_laplacian(g, b)
+    )
+    monkeypatch.setattr(MultiPoly, "mul", lambda a, b: products.append(a) or real_mul(a, b))
+    for f in elements:
+        for which in ("op", "oq", "g", "xi"):
+            assert eigenvalue_check(which, f).ok
+        assert verify_membership(f).ok
+    assert elements and inputs == [] and products == []
+    for f in elements:
+        for i, j in itertools.product(range(1, 5), range(1, 7)):
+            assert p_action_check(f, i, j)
+        assert f._expansion is None and f._separated is None
     assert inputs
     for g, block in inputs:
         other = {"x": "y", "y": "x"}[block]

@@ -1,6 +1,6 @@
 """Truncated expansions of module elements, the tests' reference layer.
 
-The package decides every module identity on the separated form of a
+The package decides every module identity on the K-type labels of a
 typical element and never expands one.  The tests compare those zero tests
 with whole expansions: a TruncatedElement is a polynomial exact up to
 total degree `validity`, and apply_operator and closed_apply apply an
