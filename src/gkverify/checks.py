@@ -14,7 +14,10 @@ Every invariant the library promises is addressable here as a dotted name,
   annihilator criterion.
 
 A check is a function of a resolved parameter context returning
-``(ok, validity, detail)`` where ``detail`` is a JSON-serializable dict.
+``(ok, validity, instances, detail)``: ``instances`` counts what it examined,
+the failing instance included, and ``detail`` is a JSON-serializable dict.
+The runner reports a check that examined nothing as an error, whatever its
+``ok``, so no verdict rests on an empty plan.
 Its suite is the prefix of its name, and it resolves its working depth
 through gkmodule.default_depth, which applies a given ``max_degree`` itself;
 the obstruction solver and ``module.apply_linearity`` form no series and
@@ -36,7 +39,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, islice, product
+from itertools import combinations_with_replacement, islice, product
 from math import comb, gcd
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -141,7 +144,7 @@ class CheckRun:
         return default_depth(self.m, self.k_max + self.l_max, self.max_degree)
 
 
-CheckFn = Callable[[CheckRun], Tuple[bool, Optional[int], Dict]]
+CheckFn = Callable[[CheckRun], Tuple[bool, Optional[int], int, Dict]]
 
 
 @dataclass(frozen=True)
@@ -195,12 +198,12 @@ def _lie_homomorphism(run: CheckRun):
     basis = [LieElement.basis(g, sig) for g in gens]
     images = [pi_generator(g, space) for g in gens]
     pairs = 0
-    for ia, ib in combinations(range(len(gens)), 2):
+    for ia, ib in combinations_with_replacement(range(len(gens)), 2):
+        pairs += 1
         lhs = images[ia].commutator(images[ib])
         if lhs != pi_lie(bracket(basis[ia], basis[ib])):
-            return False, None, {"failed_pair": [list(gens[ia]), list(gens[ib])]}
-        pairs += 1
-    return True, None, {"pairs_checked": pairs}
+            return False, None, pairs, {"failed_pair": [list(gens[ia]), list(gens[ib])]}
+    return True, None, pairs, {}
 
 
 @_register(
@@ -216,10 +219,10 @@ def _lie_commutant(run: CheckRun):
     for g in gens:
         op = pi_generator(g, space)
         for z in triple:
-            if not op.commutator(z).is_zero():
-                return False, None, {"failed_generator": list(g)}
             checked += 1
-    return True, None, {"commutators_checked": checked}
+            if not op.commutator(z).is_zero():
+                return False, None, checked, {"failed_generator": list(g)}
+    return True, None, checked, {}
 
 
 @_register(
@@ -234,12 +237,12 @@ def _lie_duality(run: CheckRun):
     checked = 0
     for a, ea in zip(gens, basis):
         for b, eb in zip(gens, basis):
+            checked += 1
             val = form_B(ea, eb) * dual_sign(b, run.p)
             expect = ONE if a == b else ZERO
             if val != expect:
-                return False, None, {"failed_pair": [list(a), list(b)]}
-            checked += 1
-    return True, None, {"pairs_checked": checked}
+                return False, None, checked, {"failed_pair": [list(a), list(b)]}
+    return True, None, checked, {}
 
 
 @_register(
@@ -255,7 +258,7 @@ def _lie_jacobi(run: CheckRun):
     n = len(gens)
     # distinct triples, drawn without replacement as base-n indices
     picks = rng.sample(range(n**3), min(150, n**3))
-    for idx in picks:
+    for seen, idx in enumerate(picks, 1):
         a, b, c = (basis[gens[idx // n**e % n]] for e in range(3))
         jac = (
             bracket(a, bracket(b, c))
@@ -263,8 +266,8 @@ def _lie_jacobi(run: CheckRun):
             + bracket(c, bracket(a, b))
         )
         if not jac.is_zero():
-            return False, None, {"failed": True}
-    return True, None, {"triples_checked": len(picks)}
+            return False, None, seen, {"failed": True}
+    return True, None, len(picks), {}
 
 
 @_register(
@@ -280,7 +283,7 @@ def _lie_pbw_confluence(run: CheckRun):
     total = n**2 + n**3 + n**4
     # distinct words of length 2..4, drawn without replacement by index
     picks = rng.sample(range(total), min(25, total))
-    for idx in picks:
+    for seen, idx in enumerate(picks, 1):
         length = 2
         while idx >= n**length:
             idx -= n**length
@@ -289,10 +292,10 @@ def _lie_pbw_confluence(run: CheckRun):
         u = EnvelopingElement(sig, "X", {word: ONE})
         nf = pbw_normal_form(u)
         if nf != straighten(u, last=True):
-            return False, None, {"failed_word_length": length}
+            return False, None, seen, {"failed_word_length": length}
         if pbw_normal_form(nf) != nf:
-            return False, None, {"not_idempotent": True}
-    return True, None, {"words_checked": len(picks)}
+            return False, None, seen, {"not_idempotent": True}
+    return True, None, len(picks), {}
 
 
 @_register(
@@ -308,10 +311,10 @@ def _lie_symbol_roundtrip(run: CheckRun):
     tensors.append(SymSquareTensor(sig, "X", {(a, a): ONE}))
     if a != b:
         tensors.append(SymSquareTensor(sig, "X", {(a, b): ONE, (b, a): ONE}))
-    for t in tensors:
+    for seen, t in enumerate(tensors, 1):
         if degree2_symbol(gamma2(t)) != dict(t.coeffs):
-            return False, None, {"failed_tensor_terms": len(t.coeffs)}
-    return True, None, {"tensors_checked": len(tensors)}
+            return False, None, seen, {"failed_tensor_terms": len(t.coeffs)}
+    return True, None, len(tensors), {}
 
 
 # -- weyl suite --------------------------------------------------------------------
@@ -333,14 +336,14 @@ def _weyl_ccr(run: CheckRun):
         for j in range(nv):
             dj = WeylOperator.diff(space, j)
             vj = WeylOperator.var(space, j)
+            checked += 1
             comm = di.commutator(vj)
             expect = ident if i == j else WeylOperator.zero(space)
             if comm != expect:
-                return False, None, {"failed_pair": [i, j]}
+                return False, None, checked, {"failed_pair": [i, j]}
             if not di.commutator(dj).is_zero() or not vi.commutator(vj).is_zero():
-                return False, None, {"failed_pair": [i, j]}
-            checked += 1
-    return True, None, {"pairs_checked": checked}
+                return False, None, checked, {"failed_pair": [i, j]}
+    return True, None, checked, {}
 
 
 def _op_family(space: VariableSpace) -> List[WeylOperator]:
@@ -385,10 +388,10 @@ def _weyl_compose_apply(run: CheckRun):
         for B, B_polys in zip(ops, applied):
             AB = A.compose(B)
             for f, Bf in zip(polys, B_polys):
-                if AB.apply(f) != A.apply(Bf):
-                    return False, None, {"failed": True}
                 checked += 1
-    return True, None, {"applications_checked": checked}
+                if AB.apply(f) != A.apply(Bf):
+                    return False, None, checked, {"failed": True}
+    return True, None, checked, {}
 
 
 @_register(
@@ -403,13 +406,11 @@ def _weyl_jacobi(run: CheckRun):
     # each distinct [B,C] and [A,[B,C]] is formed once: 16 + 64 commutators
     inner = {(b, c): ops[b].commutator(ops[c]) for b in idx for c in idx}
     outer = {(a, b, c): ops[a].commutator(bc) for a in idx for (b, c), bc in inner.items()}
-    checked = 0
-    for a, b, c in product(idx, repeat=3):
+    for seen, (a, b, c) in enumerate(product(idx, repeat=3), 1):
         jac = outer[a, b, c] + outer[b, c, a] + outer[c, a, b]
         if not jac.is_zero():
-            return False, None, {"failed": True}
-        checked += 1
-    return True, None, {"triples_checked": checked}
+            return False, None, seen, {"failed": True}
+    return True, None, len(idx) ** 3, {}
 
 
 @_register(
@@ -426,12 +427,12 @@ def _weyl_degree(run: CheckRun):
             C = A.compose(B)
             if C.is_zero():
                 continue
-            if C.degree_raise() > A.degree_raise() + B.degree_raise():
-                return False, None, {"failed": "degree_raise"}
-            if C.max_derivative_order() > A.max_derivative_order() + B.max_derivative_order():
-                return False, None, {"failed": "derivative_order"}
             checked += 1
-    return True, None, {"compositions_checked": checked}
+            if C.degree_raise() > A.degree_raise() + B.degree_raise():
+                return False, None, checked, {"failed": "degree_raise"}
+            if C.max_derivative_order() > A.max_derivative_order() + B.max_derivative_order():
+                return False, None, checked, {"failed": "derivative_order"}
+    return True, None, checked, {}
 
 
 @_register(
@@ -447,20 +448,17 @@ def _weyl_harmonic_dimension(run: CheckRun):
         nblk = space.block_size(block)
         for k in range(k_top + 1):
             basis = harmonic_basis(space, block, k)
+            seen, where = len(sizes) + 1, {"failed_block": block, "degree": k}
             if len(basis) != harmonic_dim(nblk, k):
-                return False, None, {"failed_block": block, "degree": k}
+                return False, None, seen, where
             rr = SparseRREF()
             for h in basis:
                 if rr.add_row(h._terms)[0] != "pivot":
-                    return False, None, {
-                        "failed_block": block,
-                        "degree": k,
-                        "dependent_basis": True,
-                    }
+                    return False, None, seen, {**where, "dependent_basis": True}
                 if not laplacian(h, block).is_zero():
-                    return False, None, {"failed_block": block, "degree": k}
+                    return False, None, seen, where
             sizes[f"{block}{k}"] = len(basis)
-    return True, None, {"basis_sizes": sizes}
+    return True, None, len(sizes), {"basis_sizes": sizes}
 
 
 @_register(
@@ -479,12 +477,12 @@ def _weyl_dagger(run: CheckRun):
             for h in basis[:2]:
                 P = MultiPoly.variable(space, first).mul(h)
                 Pd = dagger(P, block)
+                checked += 1
                 if not laplacian(Pd, block).is_zero():
-                    return False, None, {"failed_block": block, "degree": k}
+                    return False, None, checked, {"failed_block": block, "degree": k}
                 if Pd != P:
                     corrected += 1
-                checked += 1
-    return True, None, {"products_checked": checked, "corrections_applied": corrected}
+    return True, None, checked, {"corrections_applied": corrected}
 
 
 @_register(
@@ -501,13 +499,11 @@ def _weyl_euler(run: CheckRun):
             if harmonic_dim(space.block_size(block), k) == 0:
                 continue
             h = harmonic_basis(space, block, k)[0]
-            if euler(h, block) != h.scale(k):
-                return False, None, {"failed_block": block, "degree": k}
-            f = h.mul(rsq(space, block))
-            if euler(f, block) != f.scale(k + 2):
-                return False, None, {"failed_block": block, "degree": k}
-            checked += 2
-    return True, None, {"polynomials_checked": checked}
+            for f, degree in ((h, k), (h.mul(rsq(space, block)), k + 2)):
+                checked += 1
+                if euler(f, block) != f.scale(degree):
+                    return False, None, checked, {"failed_block": block, "degree": k}
+    return True, None, checked, {}
 
 
 @_register(
@@ -522,19 +518,19 @@ def _weyl_field_axioms(run: CheckRun):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
     n_triples = 40
-    for _ in range(n_triples):
+    for seen in range(1, n_triples + 1):
         a, b, c = rand_q(), rand_q(), rand_q()
         if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c):
-            return False, None, {"failed": "associativity"}
+            return False, None, seen, {"failed": "associativity"}
         if a * (b + c) != a * b + a * c:
-            return False, None, {"failed": "distributivity"}
+            return False, None, seen, {"failed": "distributivity"}
         if a + (-a) != ZERO or a - a != ZERO:
-            return False, None, {"failed": "additive_inverse"}
+            return False, None, seen, {"failed": "additive_inverse"}
         if a != ZERO and a * (1 / a) != ONE:
-            return False, None, {"failed": "multiplicative_inverse"}
+            return False, None, seen, {"failed": "multiplicative_inverse"}
         if gcd(a.numerator, a.denominator) != 1:
-            return False, None, {"failed": "reduction"}
-    return True, None, {"triples_checked": n_triples}
+            return False, None, seen, {"failed": "reduction"}
+    return True, None, n_triples, {}
 
 
 # -- casimir suite -----------------------------------------------------------------
@@ -543,7 +539,7 @@ def _weyl_field_axioms(run: CheckRun):
 def _casimir_closed_form(which: str, block: str, run: CheckRun):
     space = run.space
     ok = pi_casimir(space, which) == closed_operator(space, which)
-    return ok, None, {"block": block}
+    return ok, None, 1, {"block": block}
 
 
 _register_table("pq", _casimir_closed_form, (
@@ -568,14 +564,14 @@ def _casimir_sl2(run: CheckRun):
     n = run.p + run.q
     shift = WeylOperator.identity(space).scale(Fraction(-n * n, 4) + n)
     if pi_casimir(space, "g") != sl2_casimir_op(space) + shift:
-        return False, None, {"n": n, "failed": "casimir"}
-    for block, size in (("x", run.p), ("y", run.q)):
+        return False, None, 1, {"n": n, "failed": "casimir"}
+    for seen, (block, size) in enumerate((("x", run.p), ("y", run.q)), 1):
         lap, r2, e = (op(space, block) for op in (laplacian_op, rsq_op, euler_op))
         if lap.commutator(r2) != e.scale(4) + WeylOperator.identity(space).scale(2 * size):
-            return False, None, {"n": n, "failed": f"[L, R] on {block}"}
+            return False, None, 2 * seen, {"n": n, "failed": f"[L, R] on {block}"}
         if e.commutator(r2) != r2.scale(2):
-            return False, None, {"n": n, "failed": f"[E, R] on {block}"}
-    return True, None, {"n": n}
+            return False, None, 2 * seen + 1, {"n": n, "failed": f"[E, R] on {block}"}
+    return True, None, 5, {"n": n}
 
 
 def _eigenvalue_sweep(which: str, run: CheckRun):
@@ -585,21 +581,16 @@ def _eigenvalue_sweep(which: str, run: CheckRun):
         for f in ktype_elements(params, run.k_max, run.l_max, run.depth()):
             report = eigenvalue_check(which, f)
             if not report.ok:
-                return False, report.validity, {
+                return False, report.validity, len(validities) + 1, {
                     "failed_sign": params.sign,
                     "failed_ktype": [f.kt.k, f.kt.l],
                 }
             scalars.append(str(report.scalar))
             validities.append(report.validity)
-    min_validity = min(validities, default=None)
-    detail = {"checked": len(validities), "scalars": sorted(set(scalars))}
-    if not validities:
-        return False, None, detail
+    ok, detail = True, {"scalars": sorted(set(scalars))}
     if which == "xi" and run.m == 0:
-        detail["zero_at_m0"] = all(s == "0" for s in scalars)
-        if not detail["zero_at_m0"]:
-            return False, min_validity, detail
-    return True, min_validity, detail
+        ok = detail["zero_at_m0"] = all(s == "0" for s in scalars)
+    return ok, min(validities, default=None), len(validities), detail
 
 
 _register_table("pqm", _eigenvalue_sweep, (
@@ -624,8 +615,7 @@ _register_table("pqm", _eigenvalue_sweep, (
     "the enumerated lowest-layer types match the even-window rule exactly",
 )
 def _module_window(run: CheckRun):
-    allowed_count = 0
-    rejected_count = 0
+    allowed = seen = 0
     for params in run.families():
         space = params.space
         enumerated = {
@@ -633,6 +623,7 @@ def _module_window(run: CheckRun):
         }
         for k in range(run.k_max + 1):
             for l in range(run.l_max + 1):
+                seen += 1
                 kt = KType(k, l, run.p, run.q)
                 d = kt.kappa_plus - kt.kappa_minus
                 manual = (
@@ -642,7 +633,7 @@ def _module_window(run: CheckRun):
                     and run.m - d >= 0
                 )
                 if manual != ((k, l) in enumerated):
-                    return False, None, {"mismatch_at": [k, l]}
+                    return False, None, seen, {"mismatch_at": [k, l]}
                 h1 = harmonic_basis(space, "x", k)[0]
                 h2 = harmonic_basis(space, "y", l)[0]
                 # the base degree k + l + 2 mu is at most k + l + 2m, so only
@@ -653,12 +644,9 @@ def _module_window(run: CheckRun):
                 except ValueError:
                     built = False
                 if built != manual:
-                    return False, None, {"construction_mismatch_at": [k, l]}
-                if manual:
-                    allowed_count += 1
-                else:
-                    rejected_count += 1
-    return True, None, {"allowed": allowed_count, "rejected": rejected_count}
+                    return False, None, seen, {"construction_mismatch_at": [k, l]}
+                allowed += manual
+    return True, None, seen, {"allowed": allowed}
 
 
 @_register(
@@ -672,7 +660,7 @@ def _module_membership(run: CheckRun):
         for f in ktype_elements(params, run.k_max, run.l_max, run.depth()):
             report = verify_membership(f)
             if not report.ok:
-                return False, report.validity, {
+                return False, report.validity, len(validities) + 1, {
                     "failed_sign": params.sign,
                     "failed_ktype": [f.kt.k, f.kt.l],
                     "weight_ok": report.weight_ok,
@@ -680,20 +668,20 @@ def _module_membership(run: CheckRun):
                     "power_ok": report.power_ok,
                 }
             validities.append(report.validity)
-    n = len(validities)
-    return n > 0, min(validities, default=None), {"vectors_checked": n}
+    return True, min(validities, default=None), len(validities), {}
 
 
-def _unguarded_pole(kappas: Sequence[int]) -> Optional[str]:
-    """The first of the integer poles kappas that psi_series accepts, as a
-    string, or None when it refuses every one with PsiPoleError."""
-    for kappa in kappas:
+def _unguarded_pole(kappas: Sequence[int]) -> Tuple[int, Optional[str]]:
+    """How many of the integer poles kappas were tried, and the first that
+    psi_series accepts, as a string, or None when it refuses every one with
+    PsiPoleError."""
+    for tried, kappa in enumerate(kappas, 1):
         try:
             psi_series(Fraction(kappa), 4)
         except PsiPoleError:
             continue
-        return str(kappa)
-    return None
+        return tried, str(kappa)
+    return len(kappas), None
 
 
 @_register(
@@ -707,22 +695,21 @@ def _module_series(run: CheckRun):
     for params in run.families():
         for kt in ktype_enumeration(params, run.k_max, run.l_max):
             kappas.add(params.weights(kt)[0])
-    for kappa in sorted(kappas):
+    for seen, kappa in enumerate(sorted(kappas), 1):
         series = psi_series(kappa, cutoff)
         if any(a != b for (a, b) in series.coeffs):
-            return False, None, {"off_diagonal_terms": str(kappa)}
+            return False, None, seen, {"off_diagonal_terms": str(kappa)}
         coeffs = {a: c for (a, _), c in series.coeffs.items()}
         if coeffs[0] != ONE:
-            return False, None, {"bad_constant_term": str(kappa)}
+            return False, None, seen, {"bad_constant_term": str(kappa)}
         for j in range(max(coeffs)):
             rhs = coeffs[j] * (Fraction(-1) / ((j + 1) * (kappa + j)))
             if coeffs[j + 1] != rhs:
-                return False, None, {"recurrence_fails_at": j, "parameter": str(kappa)}
-    poles = (0, -2)
-    missing = _unguarded_pole(poles)
+                return False, None, seen, {"recurrence_fails_at": j, "parameter": str(kappa)}
+    tried, missing = _unguarded_pole((0, -2))
     if missing is not None:
-        return False, None, {"missing_pole_guard": missing}
-    return True, None, {"parameters_checked": len(kappas), "poles_refused": len(poles)}
+        return False, None, len(kappas) + tried, {"missing_pole_guard": missing}
+    return True, None, len(kappas) + tried, {}
 
 
 @_register(
@@ -743,13 +730,12 @@ def _module_radial_uniformity(run: CheckRun):
         for f in islice(product_elements(params, kts[0], run.depth()), 8):
             report = verify_membership(f)
             if not report.ok:
-                return False, report.validity, {
+                return False, report.validity, len(validities) + 1, {
                     "failed_sign": params.sign,
                     "ktype": [f.kt.k, f.kt.l],
                 }
             validities.append(report.validity)
-    n = len(validities)
-    return n > 0, min(validities, default=None), {"products_checked": n}
+    return True, min(validities, default=None), len(validities), {}
 
 
 @_register(
@@ -768,11 +754,9 @@ def _module_apply_linearity(run: CheckRun):
         kt
         for kt in ktype_enumeration(params, run.k_max, run.l_max)
         if kt.multiplicity >= 2
-    ]
+    ] or ktype_enumeration(params, run.k_max, run.l_max)
     if not kts:
-        kts = ktype_enumeration(params, run.k_max, run.l_max)
-    if not kts:
-        return False, None, {"failed": "no_ktype"}
+        return True, None, 0, {}
     kt = kts[0]
     bx = harmonic_basis(space, "x", kt.k)
     by = harmonic_basis(space, "y", kt.l)
@@ -780,14 +764,14 @@ def _module_apply_linearity(run: CheckRun):
     c = Fraction(3, 7)
     d = P.degree()
     ops = [laplacian_op(space, "x"), rsq_op(space, "y"), sl2_triple(space)[1]]
-    for A in ops:
+    for seen, A in enumerate(ops, 1):
         image = A.apply(P)
         if A.apply(P + Q.scale(c)) != image + A.apply(Q).scale(c):
-            return False, None, {"failed": "linearity"}
+            return False, None, seen, {"failed": "linearity"}
         low, high = d + A.min_degree_shift(), d + A.degree_raise()
         if not all(low <= sum(exps) <= high for exps in image.monomials()):
-            return False, None, {"failed": "degree_shift"}
-    return True, None, {"operators_checked": len(ops)}
+            return False, None, seen, {"failed": "degree_shift"}
+    return True, None, len(ops), {}
 
 
 # -- paction suite -----------------------------------------------------------------
@@ -810,14 +794,14 @@ def _paction_four_term(run: CheckRun):
                 continue
             for i in range(1, run.p + 1):
                 for j in range(1, run.q + 1):
+                    checked += 1
                     if not p_action_check(f, i, j):
-                        return False, D - 2, {
+                        return False, D - 2, checked, {
                             "failed_sign": params.sign,
                             "failed_ktype": [kt.k, kt.l],
                             "failed_index": [i, j],
                         }
-                    checked += 1
-    return checked > 0, D - 2, {"identities_checked": checked, "degenerate_skipped": skipped}
+    return True, D - 2, checked, {"degenerate_skipped": skipped}
 
 
 @_register(
@@ -826,23 +810,21 @@ def _paction_four_term(run: CheckRun):
     "series poles are refused, and valid parameters never reach a vanishing layer denominator",
 )
 def _paction_degenerate_guard(run: CheckRun):
-    poles = (0, -1, -3)
-    missing = _unguarded_pole(poles)
+    seen, missing = _unguarded_pole((0, -1, -3))
     if missing is not None:
-        return False, None, {"missing_pole_guard": missing}
-    scanned = 0
+        return False, None, seen, {"missing_pole_guard": missing}
     for params in run.families():
         for kt in ktype_enumeration(params, 12, 12):
+            seen += 1
             where = [kt.k, kt.l, params.sign]
             layers = params.layers(kt)
             if any(layer.den == 0 for layer in layers):
-                return False, None, {"vanishing_denominator_at": where}
+                return False, None, seen, {"vanishing_denominator_at": where}
             # the element's own series parameter and those of its four layers
             for kappa in (params.weights(kt)[0], *(layer.kappa for layer in layers)):
                 if kappa.denominator == 1 and kappa <= 0:
-                    return False, None, {"series_pole_at": where}
-            scanned += 1
-    return True, None, {"poles_refused": len(poles), "types_scanned": scanned}
+                    return False, None, seen, {"series_pole_at": where}
+    return True, None, seen, {}
 
 
 # -- symsq suite -------------------------------------------------------------------
@@ -858,16 +840,16 @@ def _symsq_q_transport(run: CheckRun):
     qx = build_Q(sig, "X")
     qm = build_Q(sig, "M")
     if transport(qx) != qm or transport(qm) != qx:
-        return False, None, {"failed": "transport"}
+        return False, None, 1, {"failed": "transport"}
     gens = generators(*sig, "X")
-    for g in gens:
+    for seen, g in enumerate(gens, 1):
         if not adjoint_action(LieElement.basis(g, sig), qx).is_zero():
-            return False, None, {"failed_generator": list(g)}
-    return True, None, {"generators_checked": len(gens)}
+            return False, None, seen, {"failed_generator": list(g)}
+    return True, None, len(gens), {}
 
 
 def _symsq_gamma2(identity: Callable[[Tuple[int, int]], bool], run: CheckRun):
-    return identity(run.sig), None, {}
+    return identity(run.sig), None, 1, {}
 
 
 _register_table("pq", _symsq_gamma2, (
@@ -889,10 +871,10 @@ def _symsq_xi_transport(run: CheckRun):
     sig = run.sig
     xi = build_Xi(sig)
     if xi != xi_closed_form(sig):
-        return False, None, {"failed": "closed_form"}
+        return False, None, 1, {"failed": "closed_form"}
     if transport(transport(xi)) != xi:
-        return False, None, {"failed": "roundtrip"}
-    return True, None, {"terms": len(xi.coeffs)}
+        return False, None, 2, {"failed": "roundtrip"}
+    return True, None, 2, {"terms": len(xi.coeffs)}
 
 
 @_register(
@@ -904,8 +886,8 @@ def _symsq_s4(run: CheckRun):
     n = run.p + run.q
     count, all_zero = s4_vanishing(run.sig)
     if count != comb(n, 4):
-        return False, None, {"count": count, "expected": comb(n, 4)}
-    return all_zero, None, {"tensors_checked": count}
+        return False, None, count, {"count": count, "expected": comb(n, 4)}
+    return all_zero, None, count, {}
 
 
 @_register(
@@ -924,15 +906,11 @@ def _symsq_decomposition(run: CheckRun):
         n * (n + 1) // 2 - 1,
         n * (n + 1) * (n + 2) * (n - 3) // 12,
     )
+    detail = {"dims": list(rep.dims), "total": rep.total_dim}
     if rep.dims != expected or rep.total_dim != total:
-        return False, None, {"dims": list(rep.dims), "total": rep.total_dim}
-    ok = rep.all_ok()
-    return ok, None, {
-        "dims": list(rep.dims),
-        "total": rep.total_dim,
-        "images_checked": rep.images_checked,
-        "certificates": dict(rep.certificates),
-    }
+        return False, None, rep.images_checked, detail
+    detail["certificates"] = dict(rep.certificates)
+    return rep.all_ok(), None, rep.images_checked, detail
 
 
 # -- garfinkle suite ---------------------------------------------------------------
@@ -944,17 +922,18 @@ def _symsq_decomposition(run: CheckRun):
     "a degree-two annihilator element with the required scalar exists exactly when m is zero",
 )
 def _garfinkle_obstruction(run: CheckRun):
-    per_sign = {}
+    per_sign, samples = {}, 0
     for params in run.families():
         res = garfinkle_obstruction(params)
+        samples += res.n_samples
         if res.exists != (run.m == 0):
-            return False, None, {
+            return False, None, samples, {
                 "failed_sign": params.sign,
                 "exists": res.exists,
                 "expected": run.m == 0,
             }
         per_sign[str(params.sign)] = res.to_dict()
-    return True, None, {"per_sign": per_sign}
+    return True, None, samples, {"per_sign": per_sign}
 
 
 @_register(
@@ -963,17 +942,18 @@ def _garfinkle_obstruction(run: CheckRun):
     "the annihilator criterion matches the prediction, failing only at the obstruction step",
 )
 def _garfinkle_theorem(run: CheckRun):
-    per_sign = {}
+    per_sign, samples = {}, 0
     for params in run.families():
         rep = theorem_ingredients(params, run.max_degree)
+        samples += rep.obstruction.n_samples
         if not rep.matches_prediction():
-            return False, None, {"failed_sign": params.sign, "report": rep.to_dict()}
+            return False, None, samples, {"failed_sign": params.sign, "report": rep.to_dict()}
         if run.m >= 1 and not (
             rep.casimir_step_ok and rep.s4_step_ok and not rep.obstruction.exists
         ):
-            return False, None, {"failed_sign": params.sign, "report": rep.to_dict()}
+            return False, None, samples, {"failed_sign": params.sign, "report": rep.to_dict()}
         per_sign[str(params.sign)] = rep.to_dict()
-    return True, None, {"per_sign": per_sign}
+    return True, None, samples, {"per_sign": per_sign}
 
 
 # -- execution ---------------------------------------------------------------------
@@ -992,6 +972,7 @@ class CheckResult:
     params: Dict[str, int]
     status: str  # "pass" | "fail" | "error"
     validity: Optional[int]
+    instances: Optional[int]  # None when the check raised
     detail: Dict
     elapsed: float
 
@@ -1001,6 +982,7 @@ class CheckResult:
             "params": dict(self.params),
             "status": self.status,
             "validity": self.validity,
+            "instances": self.instances,
             "detail": self.detail,
             "elapsed": round(self.elapsed, 6),
         }
@@ -1060,12 +1042,15 @@ def _execute_one(job: Tuple[CheckDef, CheckRun, Dict[str, int]]) -> CheckResult:
     cd, run, params = job
     start = perf_counter()
     try:
-        ok, validity, detail = cd.fn(run)
+        ok, validity, instances, detail = cd.fn(run)
         status = "pass" if ok else "fail"
+        if instances == 0:
+            status, validity, detail = "error", None, {"error": "no instances examined"}
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        status, validity = "error", None
+        status, validity, instances = "error", None, None
         detail = {"error": f"{type(exc).__name__}: {exc}"}
-    return CheckResult(cd.name, params, status, validity, detail, perf_counter() - start)
+    elapsed = perf_counter() - start
+    return CheckResult(cd.name, params, status, validity, instances, detail, elapsed)
 
 
 def execute_jobs(

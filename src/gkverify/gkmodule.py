@@ -764,8 +764,9 @@ def garfinkle_obstruction(params: ModuleParams, /) -> ObstructionResult:
     sample is first read.  The rows enter one SparseRREF; a row that
     reduces to 0 = 1 ends the solve with that certificate, so the samples
     after it are never read.  Otherwise the particular solution is the
-    witness, and E is checked to vanish on every sample.  For m = 0 every
-    Xi_kt is 0 and the witness is zero.
+    witness, and E is checked to vanish on every sample.  When every Xi_kt
+    is 0, as for m = 0, the system is homogeneous: the zero witness is
+    returned with no row formed and no sample imaged.
 
     Fewer than two samples, or (for m >= 1) samples sharing one eigenvalue,
     are solvable for a reason unrelated to the module and raise
@@ -785,6 +786,9 @@ def garfinkle_obstruction(params: ModuleParams, /) -> ObstructionResult:
             f"{len(samples)} default samples with Xi eigenvalues "
             f"{sorted(set(map(str, xi_values)))} cannot decide the system at {params}"
         )
+    if not any(xi_values):
+        witness = (tuple((g, ZERO) for g in gens), ZERO)
+        return ObstructionResult(True, witness, None, len(samples), 0, xi_values)
 
     rref = SparseRREF(rhs_col=rhs_col)
     n_rows = 0

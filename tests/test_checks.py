@@ -2,7 +2,7 @@
 
 import pytest
 
-from gkverify.checks import REGISTRY, CheckRun, execute_jobs, plan_jobs
+from gkverify.checks import REGISTRY, CheckDef, CheckRun, execute_jobs, plan_jobs, selected_checks
 from gkverify.gkmodule import DegenerateSampleError, ModuleParams, garfinkle_obstruction
 from gkverify.symsq import s4_vanishing, xi_closed_form
 from gkverify.weyl import WeylOperator
@@ -24,8 +24,56 @@ VECTOR_CHECKS = [
 
 @pytest.mark.parametrize("name", VECTOR_CHECKS)
 def test_check_that_sees_no_vector_fails(name):
-    ok, _validity, detail = REGISTRY[name].fn(EMPTY_WINDOW)
-    assert ok is False, detail
+    # the body counts no instance, so the runner gives it no verdict
+    _ok, _validity, instances, detail = REGISTRY[name].fn(EMPTY_WINDOW)
+    assert instances == 0, detail
+
+
+def _verdict(name, p, q, m):
+    """(status, validity, instances, detail) of one check run by execute_jobs."""
+    (r,) = execute_jobs(plan_jobs([REGISTRY[name]], [(p, q, m)], 3, 3, None))
+    return r.status, r.validity, r.instances, r.detail
+
+
+def test_a_check_that_examines_nothing_is_an_error(monkeypatch):
+    # one rule in the runner, whatever the body's own verdict; a body that
+    # raises reports no count at all
+    def body(ok):
+        return lambda run: (ok, 7, 0, {"seen": "nothing"})
+
+    def boom(run):
+        raise RuntimeError("boom")
+
+    for name, fn in (("lie.vacuous_pass", body(True)), ("lie.vacuous_fail", body(False)),
+                     ("lie.raises", boom)):
+        monkeypatch.setitem(REGISTRY, name, CheckDef(name, "lie", "pq", "test only", fn))
+    empty = ("error", None, 0, {"error": "no instances examined"})
+    assert _verdict("lie.vacuous_pass", 2, 2, None) == empty
+    assert _verdict("lie.vacuous_fail", 2, 2, None) == empty
+    (r,) = execute_jobs(plan_jobs([REGISTRY["lie.raises"]], [(2, 2, None)], 3, 3, None))
+    assert (r.status, r.to_dict()["instances"], r.detail) == (
+        "error", None, {"error": "RuntimeError: boom"}
+    )
+
+
+def test_a_tuple_with_no_ktype_gives_no_verdict():
+    # at (2, 14, 1) every check that samples vectors examines none: each is an
+    # error, not a failure, the obstruction refuses its empty sample set, and
+    # the window check still passes on the 32 types it rejects
+    results = {r.name: r for r in execute_jobs(
+        plan_jobs(selected_checks(["all"]), [(2, 14, 1)], 3, 3, None)
+    )}
+    for name in VECTOR_CHECKS:
+        r = results[name]
+        assert (r.status, r.instances, r.detail) == (
+            "error", 0, {"error": "no instances examined"}
+        ), r.to_dict()
+    for name in ("garfinkle.obstruction", "garfinkle.theorem"):
+        assert results[name].detail["error"].startswith("DegenerateSampleError: ")
+        assert results[name].instances is None
+    window = results["module.parameter_window"]
+    assert (window.status, window.instances, window.detail) == ("pass", 32, {"allowed": 0})
+    assert not [r.to_dict() for r in results.values() if r.status != "error" and not r.instances]
 
 
 # No default sample at (2, 10, 1) and (10, 2, 1); at (2, 8, 1) the three
@@ -93,6 +141,12 @@ def test_solver_images_only_the_samples_it_reads(monkeypatch):
             assert [op for op, _ in group] == block
             assert all(f == h1.mul(h2) for _, f in group)
     assert built == []
+    # at m = 0 every Xi eigenvalue is 0: the zero witness needs no image
+    for sign in (1, -1):
+        calls.clear()
+        res = garfinkle_obstruction(ModuleParams(4, 4, 0, sign))
+        assert (res.exists, res.n_rows, res.witness[1], calls) == (True, 0, 0, [])
+        assert not any(c for _, c in res.witness[0])
     for p, q, m in DEGENERATE_TUPLES:
         for sign in (1, -1):
             calls.clear()
@@ -146,9 +200,8 @@ def test_parameter_window_probes_at_the_base_degree(monkeypatch):
         return real(params, h1, h2, D)
 
     monkeypatch.setattr(checks, "typical_element", spy)
-    ok, _validity, detail = REGISTRY["module.parameter_window"].fn(CheckRun(4, 6, 1, None, 3, 3))
-    assert ok is True
-    assert detail == {"allowed": 12, "rejected": 20}
+    result = REGISTRY["module.parameter_window"].fn(CheckRun(4, 6, 1, None, 3, 3))
+    assert result == (True, None, 32, {"allowed": 12})
     assert len(depths) == 32
     assert all(D == k + l + 2 for k, l, D in depths)
 
@@ -159,8 +212,8 @@ def test_parameter_window_probes_at_the_base_degree(monkeypatch):
 def test_lie_samples_count_distinct_instances(p, q, triples, words):
     # one generator at (1, 1): its one triple and its words of length 2, 3, 4
     run = CheckRun(p, q, None, None, 3, 3)
-    assert REGISTRY["lie.jacobi"].fn(run) == (True, None, {"triples_checked": triples})
-    assert REGISTRY["lie.pbw_confluence"].fn(run) == (True, None, {"words_checked": words})
+    assert REGISTRY["lie.jacobi"].fn(run) == (True, None, triples, {})
+    assert REGISTRY["lie.pbw_confluence"].fn(run) == (True, None, words, {})
 
 
 def test_default_depth_covers_large_k_l():
@@ -175,8 +228,9 @@ def test_default_depth_covers_large_k_l():
 
 
 def test_no_check_reads_a_whole_expansion(monkeypatch):
-    # every suite over the default sweep, in-process: each check passes, and
-    # none reads TypicalElement.expansion or TypicalElement.separated; the
+    # every suite over the default sweep, in-process: each check passes on at
+    # least one instance, and none reads TypicalElement.expansion or
+    # TypicalElement.separated; the
     # zero tests read the labels of f.terms, and module.apply_linearity reads
     # plain harmonic products
     import gkverify.gkmodule as gkmodule
@@ -195,6 +249,7 @@ def test_no_check_reads_a_whole_expansion(monkeypatch):
     results = execute_jobs(plan_jobs(selected_checks(["all"]), DEFAULT_SWEEP, 3, 3, None))
     assert len({r.name for r in results}) == len(REGISTRY)
     assert all(r.status == "pass" for r in results), [r.to_dict() for r in results]
+    assert all(r.instances >= 1 for r in results), [r.to_dict() for r in results]
     assert reads == []
 
 
@@ -203,12 +258,12 @@ def test_a_scaled_laplacian_fails_the_sl2_relation(monkeypatch):
     # module zero tests' label rules rest on, are read off laplacian_op
     import gkverify.checks as checks
 
-    run = CheckRun(4, 6, 1, None, 3, 3)
-    check = REGISTRY["casimir.sl2_relation"].fn
-    assert check(run) == (True, None, {"n": 10})
+    assert _verdict("casimir.sl2_relation", 4, 6, 1) == ("pass", None, 5, {"n": 10})
     real = checks.laplacian_op
     monkeypatch.setattr(checks, "laplacian_op", lambda space, block: real(space, block).scale(2))
-    assert check(run) == (False, None, {"n": 10, "failed": "[L, R] on x"})
+    assert _verdict("casimir.sl2_relation", 4, 6, 1) == (
+        "fail", None, 2, {"n": 10, "failed": "[L, R] on x"}
+    )
 
 
 @pytest.mark.parametrize("p,q,m", [(4, 4, 1), (4, 6, 2)])
@@ -216,18 +271,18 @@ def test_apply_linearity_fails_on_a_wrong_image(monkeypatch, p, q, m):
     # an apply that adds the square of each image it forms is not linear;
     # one that raises the degree of each image by two breaks the degree shift
     real = WeylOperator.apply
-    run = CheckRun(p, q, m, None, 3, 3)
-    check = REGISTRY["module.apply_linearity"].fn
-    assert check(run) == (True, None, {"operators_checked": 3})
+    assert _verdict("module.apply_linearity", p, q, m) == ("pass", None, 3, {})
 
     def squared(op, f):
         image = real(op, f)
         return image + image.mul(image)
 
     monkeypatch.setattr(WeylOperator, "apply", squared)
-    assert check(run) == (False, None, {"failed": "linearity"})
+    assert _verdict("module.apply_linearity", p, q, m) == ("fail", None, 2, {"failed": "linearity"})
     monkeypatch.setattr(WeylOperator, "apply", lambda op, f: real(op, f).var_mul(0, 2))
-    assert check(run) == (False, None, {"failed": "degree_shift"})
+    assert _verdict("module.apply_linearity", p, q, m) == (
+        "fail", None, 2, {"failed": "degree_shift"}
+    )
 
 
 def test_wrong_xi_closed_form_is_a_failure(monkeypatch):
@@ -241,8 +296,7 @@ def test_wrong_xi_closed_form_is_a_failure(monkeypatch):
 
     monkeypatch.setattr(symsq, "xi_closed_form", scaled)
     monkeypatch.setattr(checks, "xi_closed_form", scaled)
-    (result,) = execute_jobs(plan_jobs([REGISTRY["symsq.xi_transport"]], [(2, 4, 0)], 3, 3, None))
-    assert (result.status, result.detail) == ("fail", {"failed": "closed_form"})
+    assert _verdict("symsq.xi_transport", 2, 4, 0) == ("fail", None, 1, {"failed": "closed_form"})
 
 
 def test_jobs_run_serially_only():

@@ -1119,7 +1119,7 @@ def test_paction_four_term_work_counts(monkeypatch):
     )
     assert result.status == "pass"
     p, q = 4, 6
-    assert result.detail["identities_checked"] == p * q * len(elements)
+    assert result.instances == p * q * len(elements)
     assert applies == []
     assert [id(f) for f in tables] == [id(f) for f in elements]
     assert sorted((id(f), var) for f, var in fischer) == sorted(

@@ -13,8 +13,9 @@ SCRIPT = ROOT / "scripts" / "sweep_diff.py"
 
 def _report(elapsed, validity):
     check = {
-        "detail": {"checked": 6, "scalars": ["-3"]},
+        "detail": {"scalars": ["-3"]},
         "elapsed": elapsed,
+        "instances": 6,
         "name": "casimir.g_eigenvalue",
         "params": {"m": 0, "p": 2, "q": 4},
         "status": "pass",
@@ -61,11 +62,11 @@ def test_unreadable_report_exits_2(tmp_path):
 def test_every_difference_is_listed_in_document_order(tmp_path):
     a = _report(0.04, 8)
     b = _report(0.04, 6)
-    b["checks"][0]["detail"]["checked"] = 4
+    b["checks"][0]["instances"] = 4
     done = _diff(tmp_path, a, b)
     assert done.returncode == 1
     assert done.stdout.splitlines() == [
-        "$.checks[0].detail.checked: 6 != 4",
+        "$.checks[0].instances: 6 != 4",
         "$.checks[0].validity: 8 != 6",
     ]
 
