@@ -16,7 +16,8 @@ another.  Runs are deterministic: two runs with the same configuration
 produce identical reports except for the ``elapsed`` timing fields.  The exit status is 0
 exactly when every executed check passed, 1 when any failed or errored,
 and 2 for configuration errors, among them an ``--out`` path that cannot be
-opened; it is opened before any check runs.
+opened (it is opened before any check runs) and the ``symsq`` suite at
+p + q < 4.
 """
 
 from __future__ import annotations
@@ -103,6 +104,10 @@ class SuiteConfig:
         for p, q, _ in tuples:
             if p < 1 or q < 1:
                 raise ConfigError("need p >= 1 and q >= 1")
+            if p + q < 4 and "symsq" in suites:
+                raise ConfigError(
+                    f"the symsq suite needs p + q >= 4 (p={p}, q={q}); restrict --suite"
+                )
         if set(suites) & MODULE_SUITES:
             for p, q, m in tuples:
                 try:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from types import MappingProxyType
 from typing import (
     Dict,
@@ -53,7 +54,7 @@ from typing import (
 )
 
 from .poly import ONE, ZERO, ScalarLike, SparseRational, VariableSpace, _numerators, exact
-from .weyl import WeylOperator, euler_op, laplacian_op, rsq_op
+from .weyl import WeylOperator, _leibniz, euler_op, laplacian_op, rsq_op
 
 Matrix = List[List[Fraction]]
 Signature = Tuple[int, int]
@@ -519,17 +520,26 @@ def pi_env(u: Combination) -> WeylOperator:
 
     Takes an enveloping element or a symmetric tensor, whose ordered pairs
     are words of length two.  The operators act on VariableSpace(*u.sig).
+    Each word runs one ``_leibniz`` pass, its composed prefix after its last
+    letter's image (the identity stands in for a missing one), into one dict
+    over the common denominator of the word images, reduced once.
     """
     _require_words(u)
     _require_m_flavor(u.flavor)
     space = VariableSpace(*u.sig)
-    total = WeylOperator.zero(space)
+    one = WeylOperator.identity(space)
+    # (c, A, B) with pi(word) = A after B
+    parts = []
     for word, c in u._terms.items():
-        op = pi_generator(word[0], space) if word else WeylOperator.identity(space)
-        for g in word[1:]:
-            op = op.compose(pi_generator(g, space))
-        total = total + op.scale(c)
-    return total.scale(Fraction(1, u.den))
+        a = one if len(word) < 2 else pi_generator(word[0], space)
+        for g in word[1:-1]:
+            a = a.compose(pi_generator(g, space))
+        parts.append((c, a, pi_generator(word[-1], space) if word else one))
+    den = lcm(*(a.den * b.den for _, a, b in parts))
+    acc: Dict[Tuple[int, int], int] = {}
+    for c, a, b in parts:
+        _leibniz(space, a.rows(), b.rows(), acc, c * (den // (a.den * b.den)), 0)
+    return WeylOperator.reduced(space, acc, u.den * den)
 
 
 # -- the commuting sl2 and closed Casimir forms ---------------------------------------

@@ -34,6 +34,18 @@ invariant subspace under an invariant definite pairing is invariant.  A
 generating set suffices because the elements that stabilize a subspace form
 a Lie subalgebra, and so do the elements that leave the pairing invariant.
 
+The adjoint sweep never builds an image tensor.  For symmetric t,
+ad(x) t = F + F^T with F(g1, b) = sum_a [x, a]_g1 t(a, b), so the image's
+unordered row holds F(u, v) + F(v, u) off the diagonal and 2 F(u, u) on it,
+accumulated from t's numerators over t's terms indexed by their left slot;
+x = M_(i,i+1) brackets only the 2(n - 2) generators sharing an index with
+it to something nonzero, and only those left slots are read.  The row is
+the reduced image's row times a positive integer, and a residual vanishes
+for both or for neither, so each membership is decided as for the tensor.
+adjoint_action stays the tensor-level action, and the tests compare the
+two.  The ad-invariance of the form visits only the nonzero structure
+constants (see _form_ad_invariance_certificate).
+
 The theorem assembly at the bottom shares its two pure ingredients with the
 checks that run them on their own: garfinkle_obstruction and s4_vanishing
 are memoized, so each is solved once per parameter set.  The obstruction is
@@ -48,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gkmodule import (
     ModuleParams,
@@ -358,35 +370,81 @@ def _form_ad_invariance_certificate(n: int, xs: Sequence[Generator]) -> bool:
     """Bracket skewness of the form for every x in xs and generator pair.
 
     With the form diagonal, the form value against a generator reads off a
-    single bracket coefficient, so the skewness condition becomes a pair of
-    structure-constant lookups per triple.
+    single bracket coefficient, so the skewness condition is
+    [x, a]_b + [x, b]_a == 0 for every pair (a, b) of generators.  Only the
+    pairs with [x, a]_b != 0 are visited: a nonzero sum has a nonzero term,
+    so either [x, a]_b != 0 and the pair (a, b) is visited, or
+    [x, b]_a != 0 and the pair (b, a) is, with the same sum.
     """
     table = _bracket_table((n, 0), "M")
     gens = generators(n, 0, "M")
     for x in xs:
         for a in gens:
-            row_xa = table[(x, a)]
-            for b in gens:
-                if row_xa.get(b, 0) + table[(x, b)].get(a, 0):
+            for b, s in table[(x, a)].items():
+                if s + table[(x, b)].get(a, 0):
                     return False
     return True
+
+
+def _adjoint_rows(
+    n: int, xs: Sequence[Generator], tensors: Sequence[SymSquareTensor]
+) -> Iterator[Dict[int, int]]:
+    """An unordered-coordinate row of ad(x) t for each t in tensors, then
+    each x in xs, each a positive multiple of _coords(adjoint_action(x, t)).
+
+    For a symmetric t, ad(x) t = F + F^T with F(g1, b) = sum_a [x, a]_g1 t(a, b),
+    so the row holds F(u, v) + F(v, u) at an unordered pair {u, v} and
+    2 F(u, u) on the diagonal: each product [x, a]_g1 t(a, b) is added at
+    {g1, b}, twice when g1 == b.  The terms of t are indexed by their left
+    slot once, and each x visits only the left slots a with [x, a] != 0.
+    The sums are t's numerators, unreduced, so the row is the reduced image's
+    row times a positive integer (or both are zero).
+    """
+    table = _bracket_table((n, 0), "M")
+    gens = generators(n, 0, "M")
+    # per x: each left slot a with [x, a] != 0, and [x, a] by generator key i * 256 + j
+    moves = [
+        [
+            (a, [(g.i * 256 + g.j, s) for g, s in table[(x, a)].items()])
+            for a in gens
+            if (x, a) in table
+        ]
+        for x in xs
+    ]
+    for t in tensors:
+        by_left: Dict[Generator, List[Tuple[int, int]]] = {}
+        for (a, b), c in t._terms.items():
+            by_left.setdefault(a, []).append((b.i * 256 + b.j, c))
+        for visits in moves:
+            row: Dict[int, int] = {}
+            get = row.get
+            for a, brackets in visits:
+                right = by_left.get(a)
+                if right is None:
+                    continue
+                for u, s in brackets:
+                    for v, c in right:
+                        # _pair_coord of the generators keyed u and v
+                        k = (u << 16) + v if u <= v else (v << 16) + u
+                        row[k] = get(k, 0) + (2 * s * c if u == v else s * c)
+            yield row
 
 
 def _span_invariant(
     n: int, xs: Sequence[Generator], tensors: Sequence[SymSquareTensor]
 ) -> Tuple[bool, int]:
     """Whether every adjoint image ad(x) t, x in xs, lies in the span of the
-    tensors (by exact membership), and how many images were checked."""
-    sig = (n, 0)
+    tensors (by exact membership), and how many images were checked.
+
+    The images are the rows of _adjoint_rows.  Each is a positive multiple
+    of the image tensor's own row, and a row's residual against the span is
+    zero exactly when that of any nonzero multiple is, so membership is
+    decided as for the tensor itself.
+    """
     span = SparseRREF()
     for t in tensors:
         span.add_row(_coords(t))
-    ok = True
-    for x in xs:
-        ex = LieElement.basis(x, sig)
-        for t in tensors:
-            if span.residual(_coords(adjoint_action(ex, t))):
-                ok = False
+    ok = not any(span.residual(row) for row in _adjoint_rows(n, xs, tensors))
     return ok, len(xs) * len(tensors)
 
 

@@ -40,7 +40,9 @@ factorial and shifts exponents; both directions are exact.  A term without
 derivatives only adds its monomial key to each input key; a derivative term
 reads only the fields its support marks.  Composition and application
 multiply int numerators and reduce once, over the product of the two
-denominators.
+denominators.  ``liealg.pi_env`` runs the same kernel once per word, the
+composed prefix after the last letter's image, into one dict for the whole
+combination, and reduces that once.
 """
 
 from __future__ import annotations
@@ -279,6 +281,8 @@ def _leibniz(
 ) -> None:
     """Add sign * (A after B) numerators into acc, over A.den * B.den.
 
+    ``sign`` is any int: +-1 from ``compose`` and ``commutator``, a word's
+    coefficient from ``liealg.pi_env``.
     ``a_rows`` and ``b_rows`` are ``A.rows()`` and ``B.rows()``.  The
     variables a term pair can contract are support(alpha) & support(b): one
     AND of the two supports, with no exponent unpacked.  Only the

@@ -89,6 +89,16 @@ def test_missing_m_with_module_suites_is_rejected(capsys):
     assert code == 0, err
 
 
+@pytest.mark.parametrize("suite", ["symsq", "lie,symsq"])
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 1)])
+def test_symsq_refuses_signatures_below_four(capsys, suite, p, q):
+    # so(p + q) has no four-index tensor, and the decomposition needs n >= 4
+    code, out, err = _run(["run", "--p", str(p), "--q", str(q), "--suite", suite], capsys)
+    assert code == 2
+    assert out == ""
+    assert "configuration error: the symsq suite needs p + q >= 4" in err
+
+
 def test_truncation_failure_surfaces_as_error_exit(capsys):
     code, out, _ = _run(
         [

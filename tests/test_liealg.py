@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkverify import liealg
 from gkverify.liealg import (
     EnvelopingElement,
     Generator,
@@ -32,7 +34,7 @@ from gkverify.liealg import (
     transport,
 )
 from gkverify.poly import ONE, ZERO, VariableSpace
-from gkverify.symsq import SymSquareTensor
+from gkverify.symsq import SymSquareTensor, build_S4
 from gkverify.weyl import WeylOperator
 
 SIG = (2, 2)
@@ -353,6 +355,63 @@ def test_pi_env_respects_products():
     assert pi_env(u) == expect
     with pytest.raises(ValueError):
         pi_env(EnvelopingElement(sig, "X", {(GENS[0],): ONE}))
+
+
+def _pi_env_reference(u):
+    """pi_env word by word: compose each word, scale it, add it to the total."""
+    space = VariableSpace(*u.sig)
+    total = WeylOperator.zero(space)
+    for word, c in u._terms.items():
+        op = liealg.pi_generator(word[0], space) if word else WeylOperator.identity(space)
+        for g in word[1:]:
+            op = op.compose(liealg.pi_generator(g, space))
+        total = total + op.scale(c)
+    return total.scale(Fraction(1, u.den))
+
+
+def _pi_env_cases(sig):
+    """Words of length 0 to 3 over a denominator, a combination whose images
+    cancel to zero, the transported Casimir words and every S4 tensor."""
+    gens = generators(*sig, "M")
+    rng = random.Random(sum(sig))
+    words = [()] + [tuple(rng.choice(gens) for _ in range(k)) for k in (1, 1, 2, 2, 3, 3)]
+    mixed = {w: Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3])) for w in words}
+    yield "mixed", EnvelopingElement(sig, "M", mixed)
+    x, y = next((x, y) for x in gens for y in gens if _bracket_table(sig, "M")[(x, y)])
+    commutator = {(x, y): 1, (y, x): -1}
+    commutator.update({(g,): -c for g, c in _bracket_table(sig, "M")[(x, y)].items()})
+    yield "cancelling", EnvelopingElement(sig, "M", commutator)
+    for which in ("op", "oq", "g"):
+        yield which, transport(casimir(which, sig))
+    for idx in combinations(range(1, sum(sig) + 1), 4):
+        yield idx, build_S4(sig, *idx)
+
+
+@pytest.mark.parametrize("sig", [(2, 2), (3, 3), (1, 5), (4, 4)])
+def test_pi_env_matches_word_by_word_reference(sig):
+    seen = set()
+    for label, u in _pi_env_cases(sig):
+        got = pi_env(u)
+        assert got == _pi_env_reference(u), label
+        if label == "cancelling" or isinstance(label, tuple):
+            assert got.is_zero(), label
+        seen.add(label if isinstance(label, str) else "S4")
+    assert seen == {"mixed", "cancelling", "op", "oq", "g", "S4"}
+
+
+def test_pi_env_keeps_generator_denominators(monkeypatch):
+    # every pi(generator) has denominator 1; pi_env must not rely on it
+    sig = (2, 2)
+    real = liealg.pi_generator
+    halved = {g for g in generators(*sig, "M") if g.j - g.i == 1}
+
+    def scaled(g, space):
+        return real(g, space).scale(Fraction(1, 2 if g in halved else 3))
+
+    monkeypatch.setattr(liealg, "pi_generator", scaled)
+    for label, u in _pi_env_cases(sig):
+        assert pi_env(u) == _pi_env_reference(u), label
+    assert scaled(MGENS[0], VariableSpace(*sig)).den == 2
 
 
 def test_constructors_refuse_unknown_flavors_and_bad_keys():

@@ -1,7 +1,7 @@
 """Symmetric-square tensors: transport, invariance, decomposition, the criterion."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +22,9 @@ from gkverify.linalg import SparseRREF, rref_nullspace
 from gkverify.poly import ONE, ZERO, VariableSpace
 from gkverify.symsq import (
     SymSquareTensor,
+    _adjoint_rows,
+    _coords,
+    _form_ad_invariance_certificate,
     _pair_coord,
     _span_invariant,
     adjoint_action,
@@ -342,6 +345,69 @@ def test_generating_set_sweep_matches_all_generator_reference(n):
         assert _reference_sweep(n, piece.basis)
         assert _span_invariant(n, xs, piece.basis)[0]
         assert rep.invariance_ok[piece.label]
+
+
+def _content_free(row):
+    """row divided by the positive gcd of its nonzero entries."""
+    row = {k: v for k, v in row.items() if v}
+    g = gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if row else row
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_adjoint_rows_are_positive_multiples_of_the_image_rows(n):
+    # every generator, not only the generating set, against the tensor-level
+    # action; equal content-free rows share the primitive form and the sign.
+    # Each spanning tensor's images are all diagonal or all off-diagonal, so
+    # sums of neighbours are added to weigh the diagonal against the rest.
+    rep = decompose_S2(n)
+    gens = generators(n, 0, "M")
+    spanning = [t for piece in rep.subspaces for t in piece.basis]
+    tensors = spanning + [s + t for s, t in zip(spanning, spanning[1:])]
+    rows = _adjoint_rows(n, gens, tensors)
+    nonzero = 0
+    for t in tensors:
+        for x in gens:
+            want = _content_free(_coords(adjoint_action(LieElement.basis(x, (n, 0)), t)))
+            assert _content_free(next(rows)) == want, (t, x)
+            nonzero += bool(want)
+    assert next(rows, None) is None
+    assert nonzero > len(tensors)
+
+
+def _dense_ad_invariance(n, xs):
+    """The skewness condition over every x in xs and every generator pair."""
+    table = symsq._bracket_table((n, 0), "M")
+    gens = generators(n, 0, "M")
+    return all(
+        table[(x, a)].get(b, 0) + table[(x, b)].get(a, 0) == 0
+        for x in xs
+        for a in gens
+        for b in gens
+    )
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_sparse_ad_invariance_matches_dense_loop(n):
+    xs = generating_set(n)
+    assert _form_ad_invariance_certificate(n, xs)
+    assert _dense_ad_invariance(n, xs)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_flipped_structure_constant_fails_both_ad_invariance_loops(monkeypatch, n):
+    real = symsq._bracket_table((n, 0), "M")
+    xs = generating_set(n)
+    flips = [(x, a, b) for x in xs for a in generators(n, 0, "M") for b in real[(x, a)]]
+    assert len(flips) == (n - 1) * 2 * (n - 2)
+    for x, a, b in flips:
+        flipped = type(real)(real)
+        flipped[(x, a)] = {**real[(x, a)], b: -real[(x, a)][b]}
+        monkeypatch.setattr(symsq, "_bracket_table", lambda sig, flavor: flipped)
+        assert not _form_ad_invariance_certificate(n, xs), (x, a, b)
+        assert not _dense_ad_invariance(n, xs), (x, a, b)
+    monkeypatch.undo()
+    assert _form_ad_invariance_certificate(n, xs)
 
 
 def _flip_first_slot(t):
