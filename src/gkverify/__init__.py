@@ -12,20 +12,21 @@ exact echelon form as primitive integer rows; series and eigenvalues as
   compact M basis (where it is real), the sign transport from the
   signature basis, and its universal enveloping algebra in PBW normal form
   (``liealg``),
-* the distinguished vectors of each module family as labelled terms
+* the distinguished vectors of each module family as whole series
   (``TypicalElement``, which carries its family, K-type and harmonics, and
   the sample plans that yield them), one eigenvalue check for the Casimirs
   and the symmetric-square element (all rows of ``liealg.closed_form``) and
-  the four-layer mixed generator action, both decided by Fraction sums on
-  the K-type labels, and the obstruction solver that decides
+  the four-layer mixed generator action, both decided on the K-type labels
+  for every term of the series, and the obstruction solver that decides
   whether a degree-two annihilator element with the required eigenvalue
   exists (``gkmodule``),
 * the symmetric square of the adjoint representation, its invariant
   decomposition, and the combined annihilator-ideal criterion (``symsq``),
 * a named check registry and command line runner (``checks``, ``cli``).
 
-All arithmetic is exact; every reported equality of truncated series states
-agreement up to an explicitly tracked validity degree.
+All arithmetic is exact, and no check truncates a series: each label sum
+of a module identity is a polynomial in the series index of known degree,
+and it is tested at one more index than that degree.
 """
 
 from .poly import (
@@ -35,7 +36,6 @@ from .poly import (
     MultiPoly,
     NonHomogeneousError,
     RadialSeries,
-    TruncationError,
     VariableSpace,
     dagger,
     euler,
@@ -125,7 +125,6 @@ __all__ = [
     "rho",
     "NonHomogeneousError",
     "DegenerateDaggerError",
-    "TruncationError",
     "WeylOperator",
     "euler_op",
     "laplacian_op",

@@ -6,7 +6,7 @@ Every invariant the library promises is addressable here as a dotted name,
 * ``lie``: bracket, form, and realization identities of the Lie algebra,
 * ``weyl``: operator algebra, harmonic decomposition, exact arithmetic,
 * ``casimir``: closed operator forms and eigenvalue checks,
-* ``module``: membership and structure of the truncated module vectors, and
+* ``module``: membership and structure of the module's typical elements, and
   linearity and degree shifts of operator application,
 * ``paction``: the four-layer mixed generator action and its guards,
 * ``symsq``: symmetric-square tensors, transport, and decomposition,
@@ -14,17 +14,15 @@ Every invariant the library promises is addressable here as a dotted name,
   annihilator criterion.
 
 A check is a function of a resolved parameter context returning
-``(ok, validity, instances, detail)``: ``instances`` counts what it examined,
+``(ok, instances, detail)``: ``instances`` counts what it examined,
 the failing instance included, and ``detail`` is a JSON-serializable dict.
 The runner reports a check that examined nothing as an error, whatever its
 ``ok``, so no verdict rests on an empty plan.
-Its suite is the prefix of its name, and it resolves its working depth
-through gkmodule.default_depth, which applies a given ``max_degree`` itself;
-the obstruction solver and ``module.apply_linearity`` form no series and
-take no depth.  Families of same-shaped checks are registered from one
-table each over one shared body: the three ``casimir.*_closed_form``
-checks, the four ``casimir.*_eigenvalue`` sweeps and the two
-``symsq.gamma2_*`` identities.
+Its suite is the prefix of its name.  No check takes a depth: the module
+checks decide their identities for the whole series.  Families of
+same-shaped checks are registered from one table each over one shared
+body: the three ``casimir.*_closed_form`` checks, the four
+``casimir.*_eigenvalue`` sweeps and the two ``symsq.gamma2_*`` identities.
 Checks are deterministic: sampled families use fixed seeds derived from the
 parameters, so two runs with the same configuration produce identical
 reports apart from timing.  Scope controls fan-out: an ``once`` check runs
@@ -80,7 +78,6 @@ from .gkmodule import (
     KType,
     ModuleParams,
     PsiPoleError,
-    default_depth,
     eigenvalue_check,
     garfinkle_obstruction,
     ktype_elements,
@@ -123,7 +120,6 @@ class CheckRun:
     p: Optional[int]
     q: Optional[int]
     m: Optional[int]
-    max_degree: Optional[int]
     k_max: int
     l_max: int
 
@@ -139,12 +135,8 @@ class CheckRun:
         """The +1 and the -1 family at (p, q, m), in that order."""
         return tuple(ModuleParams(self.p, self.q, self.m, sign) for sign in (1, -1))
 
-    def depth(self) -> int:
-        """Working truncation degree for module-level checks."""
-        return default_depth(self.m, self.k_max + self.l_max, self.max_degree)
 
-
-CheckFn = Callable[[CheckRun], Tuple[bool, Optional[int], int, Dict]]
+CheckFn = Callable[[CheckRun], Tuple[bool, int, Dict]]
 
 
 @dataclass(frozen=True)
@@ -202,8 +194,8 @@ def _lie_homomorphism(run: CheckRun):
         pairs += 1
         lhs = images[ia].commutator(images[ib])
         if lhs != pi_lie(bracket(basis[ia], basis[ib])):
-            return False, None, pairs, {"failed_pair": [list(gens[ia]), list(gens[ib])]}
-    return True, None, pairs, {}
+            return False, pairs, {"failed_pair": [list(gens[ia]), list(gens[ib])]}
+    return True, pairs, {}
 
 
 @_register(
@@ -221,8 +213,8 @@ def _lie_commutant(run: CheckRun):
         for z in triple:
             checked += 1
             if not op.commutator(z).is_zero():
-                return False, None, checked, {"failed_generator": list(g)}
-    return True, None, checked, {}
+                return False, checked, {"failed_generator": list(g)}
+    return True, checked, {}
 
 
 @_register(
@@ -241,8 +233,8 @@ def _lie_duality(run: CheckRun):
             val = form_B(ea, eb) * dual_sign(b, run.p)
             expect = ONE if a == b else ZERO
             if val != expect:
-                return False, None, checked, {"failed_pair": [list(a), list(b)]}
-    return True, None, checked, {}
+                return False, checked, {"failed_pair": [list(a), list(b)]}
+    return True, checked, {}
 
 
 @_register(
@@ -266,8 +258,8 @@ def _lie_jacobi(run: CheckRun):
             + bracket(c, bracket(a, b))
         )
         if not jac.is_zero():
-            return False, None, seen, {"failed": True}
-    return True, None, len(picks), {}
+            return False, seen, {"failed": True}
+    return True, len(picks), {}
 
 
 @_register(
@@ -292,10 +284,10 @@ def _lie_pbw_confluence(run: CheckRun):
         u = EnvelopingElement(sig, "X", {word: ONE})
         nf = pbw_normal_form(u)
         if nf != straighten(u, last=True):
-            return False, None, seen, {"failed_word_length": length}
+            return False, seen, {"failed_word_length": length}
         if pbw_normal_form(nf) != nf:
-            return False, None, seen, {"not_idempotent": True}
-    return True, None, len(picks), {}
+            return False, seen, {"not_idempotent": True}
+    return True, len(picks), {}
 
 
 @_register(
@@ -313,8 +305,8 @@ def _lie_symbol_roundtrip(run: CheckRun):
         tensors.append(SymSquareTensor(sig, "X", {(a, b): ONE, (b, a): ONE}))
     for seen, t in enumerate(tensors, 1):
         if degree2_symbol(gamma2(t)) != dict(t.coeffs):
-            return False, None, seen, {"failed_tensor_terms": len(t.coeffs)}
-    return True, None, len(tensors), {}
+            return False, seen, {"failed_tensor_terms": len(t.coeffs)}
+    return True, len(tensors), {}
 
 
 # -- weyl suite --------------------------------------------------------------------
@@ -340,10 +332,10 @@ def _weyl_ccr(run: CheckRun):
             comm = di.commutator(vj)
             expect = ident if i == j else WeylOperator.zero(space)
             if comm != expect:
-                return False, None, checked, {"failed_pair": [i, j]}
+                return False, checked, {"failed_pair": [i, j]}
             if not di.commutator(dj).is_zero() or not vi.commutator(vj).is_zero():
-                return False, None, checked, {"failed_pair": [i, j]}
-    return True, None, checked, {}
+                return False, checked, {"failed_pair": [i, j]}
+    return True, checked, {}
 
 
 def _op_family(space: VariableSpace) -> List[WeylOperator]:
@@ -390,8 +382,8 @@ def _weyl_compose_apply(run: CheckRun):
             for f, Bf in zip(polys, B_polys):
                 checked += 1
                 if AB.apply(f) != A.apply(Bf):
-                    return False, None, checked, {"failed": True}
-    return True, None, checked, {}
+                    return False, checked, {"failed": True}
+    return True, checked, {}
 
 
 @_register(
@@ -409,8 +401,8 @@ def _weyl_jacobi(run: CheckRun):
     for seen, (a, b, c) in enumerate(product(idx, repeat=3), 1):
         jac = outer[a, b, c] + outer[b, c, a] + outer[c, a, b]
         if not jac.is_zero():
-            return False, None, seen, {"failed": True}
-    return True, None, len(idx) ** 3, {}
+            return False, seen, {"failed": True}
+    return True, len(idx) ** 3, {}
 
 
 @_register(
@@ -429,10 +421,10 @@ def _weyl_degree(run: CheckRun):
                 continue
             checked += 1
             if C.degree_raise() > A.degree_raise() + B.degree_raise():
-                return False, None, checked, {"failed": "degree_raise"}
+                return False, checked, {"failed": "degree_raise"}
             if C.max_derivative_order() > A.max_derivative_order() + B.max_derivative_order():
-                return False, None, checked, {"failed": "derivative_order"}
-    return True, None, checked, {}
+                return False, checked, {"failed": "derivative_order"}
+    return True, checked, {}
 
 
 @_register(
@@ -450,15 +442,15 @@ def _weyl_harmonic_dimension(run: CheckRun):
             basis = harmonic_basis(space, block, k)
             seen, where = len(sizes) + 1, {"failed_block": block, "degree": k}
             if len(basis) != harmonic_dim(nblk, k):
-                return False, None, seen, where
+                return False, seen, where
             rr = SparseRREF()
             for h in basis:
                 if rr.add_row(h._terms)[0] != "pivot":
-                    return False, None, seen, {**where, "dependent_basis": True}
+                    return False, seen, {**where, "dependent_basis": True}
                 if not laplacian(h, block).is_zero():
-                    return False, None, seen, where
+                    return False, seen, where
             sizes[f"{block}{k}"] = len(basis)
-    return True, None, len(sizes), {"basis_sizes": sizes}
+    return True, len(sizes), {"basis_sizes": sizes}
 
 
 @_register(
@@ -479,10 +471,10 @@ def _weyl_dagger(run: CheckRun):
                 Pd = dagger(P, block)
                 checked += 1
                 if not laplacian(Pd, block).is_zero():
-                    return False, None, checked, {"failed_block": block, "degree": k}
+                    return False, checked, {"failed_block": block, "degree": k}
                 if Pd != P:
                     corrected += 1
-    return True, None, checked, {"corrections_applied": corrected}
+    return True, checked, {"corrections_applied": corrected}
 
 
 @_register(
@@ -502,8 +494,8 @@ def _weyl_euler(run: CheckRun):
             for f, degree in ((h, k), (h.mul(rsq(space, block)), k + 2)):
                 checked += 1
                 if euler(f, block) != f.scale(degree):
-                    return False, None, checked, {"failed_block": block, "degree": k}
-    return True, None, checked, {}
+                    return False, checked, {"failed_block": block, "degree": k}
+    return True, checked, {}
 
 
 @_register(
@@ -521,16 +513,16 @@ def _weyl_field_axioms(run: CheckRun):
     for seen in range(1, n_triples + 1):
         a, b, c = rand_q(), rand_q(), rand_q()
         if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c):
-            return False, None, seen, {"failed": "associativity"}
+            return False, seen, {"failed": "associativity"}
         if a * (b + c) != a * b + a * c:
-            return False, None, seen, {"failed": "distributivity"}
+            return False, seen, {"failed": "distributivity"}
         if a + (-a) != ZERO or a - a != ZERO:
-            return False, None, seen, {"failed": "additive_inverse"}
+            return False, seen, {"failed": "additive_inverse"}
         if a != ZERO and a * (1 / a) != ONE:
-            return False, None, seen, {"failed": "multiplicative_inverse"}
+            return False, seen, {"failed": "multiplicative_inverse"}
         if gcd(a.numerator, a.denominator) != 1:
-            return False, None, seen, {"failed": "reduction"}
-    return True, None, n_triples, {}
+            return False, seen, {"failed": "reduction"}
+    return True, n_triples, {}
 
 
 # -- casimir suite -----------------------------------------------------------------
@@ -539,7 +531,7 @@ def _weyl_field_axioms(run: CheckRun):
 def _casimir_closed_form(which: str, block: str, run: CheckRun):
     space = run.space
     ok = pi_casimir(space, which) == closed_operator(space, which)
-    return ok, None, 1, {"block": block}
+    return ok, 1, {"block": block}
 
 
 _register_table("pq", _casimir_closed_form, (
@@ -564,33 +556,31 @@ def _casimir_sl2(run: CheckRun):
     n = run.p + run.q
     shift = WeylOperator.identity(space).scale(Fraction(-n * n, 4) + n)
     if pi_casimir(space, "g") != sl2_casimir_op(space) + shift:
-        return False, None, 1, {"n": n, "failed": "casimir"}
+        return False, 1, {"n": n, "failed": "casimir"}
     for seen, (block, size) in enumerate((("x", run.p), ("y", run.q)), 1):
         lap, r2, e = (op(space, block) for op in (laplacian_op, rsq_op, euler_op))
         if lap.commutator(r2) != e.scale(4) + WeylOperator.identity(space).scale(2 * size):
-            return False, None, 2 * seen, {"n": n, "failed": f"[L, R] on {block}"}
+            return False, 2 * seen, {"n": n, "failed": f"[L, R] on {block}"}
         if e.commutator(r2) != r2.scale(2):
-            return False, None, 2 * seen + 1, {"n": n, "failed": f"[E, R] on {block}"}
-    return True, None, 5, {"n": n}
+            return False, 2 * seen + 1, {"n": n, "failed": f"[E, R] on {block}"}
+    return True, 5, {"n": n}
 
 
 def _eigenvalue_sweep(which: str, run: CheckRun):
-    validities = []
     scalars = []
     for params in run.families():
-        for f in ktype_elements(params, run.k_max, run.l_max, run.depth()):
+        for f in ktype_elements(params, run.k_max, run.l_max):
             report = eigenvalue_check(which, f)
             if not report.ok:
-                return False, report.validity, len(validities) + 1, {
+                return False, len(scalars) + 1, {
                     "failed_sign": params.sign,
                     "failed_ktype": [f.kt.k, f.kt.l],
                 }
             scalars.append(str(report.scalar))
-            validities.append(report.validity)
     ok, detail = True, {"scalars": sorted(set(scalars))}
     if which == "xi" and run.m == 0:
         ok = detail["zero_at_m0"] = all(s == "0" for s in scalars)
-    return ok, min(validities, default=None), len(validities), detail
+    return ok, len(scalars), detail
 
 
 _register_table("pqm", _eigenvalue_sweep, (
@@ -633,20 +623,19 @@ def _module_window(run: CheckRun):
                     and run.m - d >= 0
                 )
                 if manual != ((k, l) in enumerated):
-                    return False, None, seen, {"mismatch_at": [k, l]}
+                    return False, seen, {"mismatch_at": [k, l]}
                 h1 = harmonic_basis(space, "x", k)[0]
                 h2 = harmonic_basis(space, "y", l)[0]
-                # the base degree k + l + 2 mu is at most k + l + 2m, so only
-                # the window can refuse construction at that depth
+                # only the window can refuse construction
                 try:
-                    typical_element(params, h1, h2, k + l + 2 * run.m)
+                    typical_element(params, h1, h2)
                     built = True
                 except ValueError:
                     built = False
                 if built != manual:
-                    return False, None, seen, {"construction_mismatch_at": [k, l]}
+                    return False, seen, {"construction_mismatch_at": [k, l]}
                 allowed += manual
-    return True, None, seen, {"allowed": allowed}
+    return True, seen, {"allowed": allowed}
 
 
 @_register(
@@ -655,20 +644,20 @@ def _module_window(run: CheckRun):
     "each sampled vector has the right weight, is annihilated, and is killed by the expected power",
 )
 def _module_membership(run: CheckRun):
-    validities = []
+    seen = 0
     for params in run.families():
-        for f in ktype_elements(params, run.k_max, run.l_max, run.depth()):
+        for f in ktype_elements(params, run.k_max, run.l_max):
+            seen += 1
             report = verify_membership(f)
             if not report.ok:
-                return False, report.validity, len(validities) + 1, {
+                return False, seen, {
                     "failed_sign": params.sign,
                     "failed_ktype": [f.kt.k, f.kt.l],
                     "weight_ok": report.weight_ok,
                     "annihilated_ok": report.annihilated_ok,
                     "power_ok": report.power_ok,
                 }
-            validities.append(report.validity)
-    return True, min(validities, default=None), len(validities), {}
+    return True, seen, {}
 
 
 def _unguarded_pole(kappas: Sequence[int]) -> Tuple[int, Optional[str]]:
@@ -698,18 +687,18 @@ def _module_series(run: CheckRun):
     for seen, kappa in enumerate(sorted(kappas), 1):
         series = psi_series(kappa, cutoff)
         if any(a != b for (a, b) in series.coeffs):
-            return False, None, seen, {"off_diagonal_terms": str(kappa)}
+            return False, seen, {"off_diagonal_terms": str(kappa)}
         coeffs = {a: c for (a, _), c in series.coeffs.items()}
         if coeffs[0] != ONE:
-            return False, None, seen, {"bad_constant_term": str(kappa)}
+            return False, seen, {"bad_constant_term": str(kappa)}
         for j in range(max(coeffs)):
             rhs = coeffs[j] * (Fraction(-1) / ((j + 1) * (kappa + j)))
             if coeffs[j + 1] != rhs:
-                return False, None, seen, {"recurrence_fails_at": j, "parameter": str(kappa)}
+                return False, seen, {"recurrence_fails_at": j, "parameter": str(kappa)}
     tried, missing = _unguarded_pole((0, -2))
     if missing is not None:
-        return False, None, len(kappas) + tried, {"missing_pole_guard": missing}
-    return True, None, len(kappas) + tried, {}
+        return False, len(kappas) + tried, {"missing_pole_guard": missing}
+    return True, len(kappas) + tried, {}
 
 
 @_register(
@@ -718,7 +707,7 @@ def _module_series(run: CheckRun):
     "every harmonic product at one lowest-layer type yields a vector passing membership",
 )
 def _module_radial_uniformity(run: CheckRun):
-    validities = []
+    seen = 0
     for params in run.families():
         kts = [
             kt
@@ -727,15 +716,11 @@ def _module_radial_uniformity(run: CheckRun):
         ]
         if not kts:
             continue
-        for f in islice(product_elements(params, kts[0], run.depth()), 8):
-            report = verify_membership(f)
-            if not report.ok:
-                return False, report.validity, len(validities) + 1, {
-                    "failed_sign": params.sign,
-                    "ktype": [f.kt.k, f.kt.l],
-                }
-            validities.append(report.validity)
-    return True, min(validities, default=None), len(validities), {}
+        for f in islice(product_elements(params, kts[0]), 8):
+            seen += 1
+            if not verify_membership(f).ok:
+                return False, seen, {"failed_sign": params.sign, "ktype": [f.kt.k, f.kt.l]}
+    return True, seen, {}
 
 
 @_register(
@@ -744,10 +729,10 @@ def _module_radial_uniformity(run: CheckRun):
     "operator application is linear on harmonic products and moves degree by the operator's shifts",
 )
 def _module_apply_linearity(run: CheckRun):
-    # on the first and the last harmonic product P, Q of one K-type, with no
-    # depth: A(P + cQ) = A(P) + c A(Q), and every degree of A(P) lies in
-    # deg P + [A.min_degree_shift(), A.degree_raise()], the shift rule that
-    # the validities of the zero tests are read from
+    # on the first and the last harmonic product P, Q of one K-type:
+    # A(P + cQ) = A(P) + c A(Q), and every degree of A(P) lies in deg P +
+    # [A.min_degree_shift(), A.degree_raise()], the degree shifts that
+    # WeylOperator reports
     params = run.families()[0]
     space = params.space
     kts = [
@@ -756,7 +741,7 @@ def _module_apply_linearity(run: CheckRun):
         if kt.multiplicity >= 2
     ] or ktype_enumeration(params, run.k_max, run.l_max)
     if not kts:
-        return True, None, 0, {}
+        return True, 0, {}
     kt = kts[0]
     bx = harmonic_basis(space, "x", kt.k)
     by = harmonic_basis(space, "y", kt.l)
@@ -767,11 +752,11 @@ def _module_apply_linearity(run: CheckRun):
     for seen, A in enumerate(ops, 1):
         image = A.apply(P)
         if A.apply(P + Q.scale(c)) != image + A.apply(Q).scale(c):
-            return False, None, seen, {"failed": "linearity"}
+            return False, seen, {"failed": "linearity"}
         low, high = d + A.min_degree_shift(), d + A.degree_raise()
         if not all(low <= sum(exps) <= high for exps in image.monomials()):
-            return False, None, seen, {"failed": "degree_shift"}
-    return True, None, len(ops), {}
+            return False, seen, {"failed": "degree_shift"}
+    return True, len(ops), {}
 
 
 # -- paction suite -----------------------------------------------------------------
@@ -785,9 +770,8 @@ def _module_apply_linearity(run: CheckRun):
 def _paction_four_term(run: CheckRun):
     checked = 0
     skipped = 0
-    D = run.depth()
     for params in run.families():
-        for f in ktype_elements(params, min(run.k_max, 2), min(run.l_max, 2), D):
+        for f in ktype_elements(params, min(run.k_max, 2), min(run.l_max, 2)):
             kt = f.kt
             if any(layer.den == 0 for layer in params.layers(kt)):
                 skipped += 1
@@ -796,12 +780,12 @@ def _paction_four_term(run: CheckRun):
                 for j in range(1, run.q + 1):
                     checked += 1
                     if not p_action_check(f, i, j):
-                        return False, D - 2, checked, {
+                        return False, checked, {
                             "failed_sign": params.sign,
                             "failed_ktype": [kt.k, kt.l],
                             "failed_index": [i, j],
                         }
-    return True, D - 2, checked, {"degenerate_skipped": skipped}
+    return True, checked, {"degenerate_skipped": skipped}
 
 
 @_register(
@@ -812,19 +796,19 @@ def _paction_four_term(run: CheckRun):
 def _paction_degenerate_guard(run: CheckRun):
     seen, missing = _unguarded_pole((0, -1, -3))
     if missing is not None:
-        return False, None, seen, {"missing_pole_guard": missing}
+        return False, seen, {"missing_pole_guard": missing}
     for params in run.families():
         for kt in ktype_enumeration(params, 12, 12):
             seen += 1
             where = [kt.k, kt.l, params.sign]
             layers = params.layers(kt)
             if any(layer.den == 0 for layer in layers):
-                return False, None, seen, {"vanishing_denominator_at": where}
+                return False, seen, {"vanishing_denominator_at": where}
             # the element's own series parameter and those of its four layers
             for kappa in (params.weights(kt)[0], *(layer.kappa for layer in layers)):
                 if kappa.denominator == 1 and kappa <= 0:
-                    return False, None, seen, {"series_pole_at": where}
-    return True, None, seen, {}
+                    return False, seen, {"series_pole_at": where}
+    return True, seen, {}
 
 
 # -- symsq suite -------------------------------------------------------------------
@@ -840,16 +824,16 @@ def _symsq_q_transport(run: CheckRun):
     qx = build_Q(sig, "X")
     qm = build_Q(sig, "M")
     if transport(qx) != qm or transport(qm) != qx:
-        return False, None, 1, {"failed": "transport"}
+        return False, 1, {"failed": "transport"}
     gens = generators(*sig, "X")
     for seen, g in enumerate(gens, 1):
         if not adjoint_action(LieElement.basis(g, sig), qx).is_zero():
-            return False, None, seen, {"failed_generator": list(g)}
-    return True, None, len(gens), {}
+            return False, seen, {"failed_generator": list(g)}
+    return True, len(gens), {}
 
 
 def _symsq_gamma2(identity: Callable[[Tuple[int, int]], bool], run: CheckRun):
-    return identity(run.sig), None, 1, {}
+    return identity(run.sig), 1, {}
 
 
 _register_table("pq", _symsq_gamma2, (
@@ -871,10 +855,10 @@ def _symsq_xi_transport(run: CheckRun):
     sig = run.sig
     xi = build_Xi(sig)
     if xi != xi_closed_form(sig):
-        return False, None, 1, {"failed": "closed_form"}
+        return False, 1, {"failed": "closed_form"}
     if transport(transport(xi)) != xi:
-        return False, None, 2, {"failed": "roundtrip"}
-    return True, None, 2, {"terms": len(xi.coeffs)}
+        return False, 2, {"failed": "roundtrip"}
+    return True, 2, {"terms": len(xi.coeffs)}
 
 
 @_register(
@@ -886,8 +870,8 @@ def _symsq_s4(run: CheckRun):
     n = run.p + run.q
     count, all_zero = s4_vanishing(run.sig)
     if count != comb(n, 4):
-        return False, None, count, {"count": count, "expected": comb(n, 4)}
-    return all_zero, None, count, {}
+        return False, count, {"count": count, "expected": comb(n, 4)}
+    return all_zero, count, {}
 
 
 @_register(
@@ -908,9 +892,9 @@ def _symsq_decomposition(run: CheckRun):
     )
     detail = {"dims": list(rep.dims), "total": rep.total_dim}
     if rep.dims != expected or rep.total_dim != total:
-        return False, None, rep.images_checked, detail
+        return False, rep.images_checked, detail
     detail["certificates"] = dict(rep.certificates)
-    return rep.all_ok(), None, rep.images_checked, detail
+    return rep.all_ok(), rep.images_checked, detail
 
 
 # -- garfinkle suite ---------------------------------------------------------------
@@ -927,13 +911,13 @@ def _garfinkle_obstruction(run: CheckRun):
         res = garfinkle_obstruction(params)
         samples += res.n_samples
         if res.exists != (run.m == 0):
-            return False, None, samples, {
+            return False, samples, {
                 "failed_sign": params.sign,
                 "exists": res.exists,
                 "expected": run.m == 0,
             }
         per_sign[str(params.sign)] = res.to_dict()
-    return True, None, samples, {"per_sign": per_sign}
+    return True, samples, {"per_sign": per_sign}
 
 
 @_register(
@@ -944,16 +928,16 @@ def _garfinkle_obstruction(run: CheckRun):
 def _garfinkle_theorem(run: CheckRun):
     per_sign, samples = {}, 0
     for params in run.families():
-        rep = theorem_ingredients(params, run.max_degree)
+        rep = theorem_ingredients(params)
         samples += rep.obstruction.n_samples
         if not rep.matches_prediction():
-            return False, None, samples, {"failed_sign": params.sign, "report": rep.to_dict()}
+            return False, samples, {"failed_sign": params.sign, "report": rep.to_dict()}
         if run.m >= 1 and not (
             rep.casimir_step_ok and rep.s4_step_ok and not rep.obstruction.exists
         ):
-            return False, None, samples, {"failed_sign": params.sign, "report": rep.to_dict()}
+            return False, samples, {"failed_sign": params.sign, "report": rep.to_dict()}
         per_sign[str(params.sign)] = rep.to_dict()
-    return True, None, samples, {"per_sign": per_sign}
+    return True, samples, {"per_sign": per_sign}
 
 
 # -- execution ---------------------------------------------------------------------
@@ -971,7 +955,6 @@ class CheckResult:
     name: str
     params: Dict[str, int]
     status: str  # "pass" | "fail" | "error"
-    validity: Optional[int]
     instances: Optional[int]  # None when the check raised
     detail: Dict
     elapsed: float
@@ -981,7 +964,6 @@ class CheckResult:
             "name": self.name,
             "params": dict(self.params),
             "status": self.status,
-            "validity": self.validity,
             "instances": self.instances,
             "detail": self.detail,
             "elapsed": round(self.elapsed, 6),
@@ -1016,24 +998,32 @@ def plan_jobs(
     tuples: Sequence[Tuple[int, int, Optional[int]]],
     k_max: int,
     l_max: int,
-    max_degree: Optional[int],
+    max_degree: Optional[int] = None,
 ) -> List[Tuple[CheckDef, CheckRun, Dict[str, int]]]:
-    """Expand each check over the parameter tuples according to its scope."""
+    """Expand each check over the parameter tuples according to its scope.
+
+    No check takes a depth.  ``max_degree`` is kept only because the
+    benchmark worker still passes ``None`` in its place; any other value
+    raises ValueError.  ROADMAP item 9 drops that argument from the worker
+    and then deletes the parameter.
+    """
+    if max_degree is not None:
+        raise ValueError(f"checks take no depth; max_degree must be None, got {max_degree!r}")
     jobs: List[Tuple[CheckDef, CheckRun, Dict[str, int]]] = []
     for cd in defs:
         if cd.scope == "once":
-            jobs.append((cd, CheckRun(None, None, None, max_degree, k_max, l_max), {}))
+            jobs.append((cd, CheckRun(None, None, None, k_max, l_max), {}))
         elif cd.scope == "pq":
             seen = set()
             for p, q, _ in tuples:
                 if (p, q) in seen:
                     continue
                 seen.add((p, q))
-                run = CheckRun(p, q, None, max_degree, k_max, l_max)
+                run = CheckRun(p, q, None, k_max, l_max)
                 jobs.append((cd, run, {"p": p, "q": q}))
         else:
             for p, q, m in tuples:
-                run = CheckRun(p, q, m, max_degree, k_max, l_max)
+                run = CheckRun(p, q, m, k_max, l_max)
                 jobs.append((cd, run, {"p": p, "q": q, "m": m}))
     return jobs
 
@@ -1042,15 +1032,15 @@ def _execute_one(job: Tuple[CheckDef, CheckRun, Dict[str, int]]) -> CheckResult:
     cd, run, params = job
     start = perf_counter()
     try:
-        ok, validity, instances, detail = cd.fn(run)
+        ok, instances, detail = cd.fn(run)
         status = "pass" if ok else "fail"
         if instances == 0:
-            status, validity, detail = "error", None, {"error": "no instances examined"}
+            status, detail = "error", {"error": "no instances examined"}
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        status, validity, instances = "error", None, None
+        status, instances = "error", None
         detail = {"error": f"{type(exc).__name__}: {exc}"}
     elapsed = perf_counter() - start
-    return CheckResult(cd.name, params, status, validity, instances, detail, elapsed)
+    return CheckResult(cd.name, params, status, instances, detail, elapsed)
 
 
 def execute_jobs(

@@ -15,27 +15,32 @@ ModuleParams holds that family rule and is the only code that reads the sign:
 the series block, the series and partner weights, mu, the killing and
 lowering sl2 generators, and the four-row table of the mixed action.
 
-A typical element is truncated at an explicit total degree D, and every
-zero test records its validity: the degree up to which the tested sum is
-exact.  A factor v^a d^alpha shifts it by the smallest |a| - |alpha| over its
-terms (an Euler operator 0, a Laplacian -2, r^2 +2).
+A TypicalElement is the whole series: the terms w_j h1 (r_x^2)^(j + mu_x)
+h2 (r_y^2)^(j + mu_y), j >= 0, with w_0 = 1/2^mu and w_j / w_(j+1) =
+-2 (j + 1)(2 kappa + 2 j), are held as those parameters alone; the sample
+plans ktype_elements and product_elements yield typical elements one at a
+time.  Each factor of a liealg.closed_form word (the Casimirs, the
+symmetric-square element Xi and the sl2 triple) acts on one block and sends
+a label h (r^2)^a, h harmonic there, to a known multiple of another label;
+so do x_i, y_j and their partials, moving the harmonic to dagger(v h) or
+d_v h, and the factors of each mixed-action layer.  That test is exact by
+the Fischer decomposition: every polynomial in a block is uniquely a sum of
+harmonics times powers of r^2, so the h (r^2)^a, for one nonzero harmonic h
+of each degree and every a, are independent, and so are the products of an
+independent x-family with an independent y-family.
 
-A TypicalElement holds the terms w_j h1 (r_x^2)^(j + mu_x) h2 (r_y^2)^(j +
-mu_y) as (w_j, a_x, a_y) and forms polynomials only when its separated form
-or expansion is read; the sample plans ktype_elements and product_elements
-yield typical elements one at a time.  Each factor of a liealg.closed_form
-word (the Casimirs, the symmetric-square element Xi and the sl2 triple)
-acts on one block and sends a label h (r^2)^a, h harmonic there, to a known
-multiple of another label; so do x_i, y_j and their partials, moving the
-harmonic to dagger(v h) or d_v h, and the factors of each mixed-action
-layer.  So eigenvalue_check, the three steps of verify_membership and
-p_action_check sum Fractions per label (x label, y label) and test every
-sum for zero; none forms a polynomial of the series, and all three refuse
-other elements.  That test is exact by the Fischer decomposition: every
-polynomial in a block is uniquely a sum of harmonics times powers of r^2,
-so the h (r^2)^a, for one nonzero harmonic h of each degree and every a,
-are independent, and so are the products of an independent x-family with
-an independent y-family.
+So eigenvalue_check, the three steps of verify_membership and
+p_action_check are identities between label sums, one per label, and each
+holds for the whole series, with no truncation.  A term shifts a label by a
+fixed amount per block, so the labels of one diagonal (a_x - a_y fixed) are
+indexed by one integer t, and the term of index j = t - d reaches label t.
+Divided by w_t, the sum at label t is a polynomial P(t): each term gives its
+coefficient, times w_(t-d) / w_t (a product of d factors quadratic in t),
+times its label rules (E adds 1 to the degree in t, L adds 2).  P has
+degree at most the largest term bound, so it is zero for every t >= 0 when
+it is zero at t = 0 .. bound; _holds evaluates it there in integers.  A
+term whose index t - d is negative is no term of the series, and the factor
+(i + 1) of w_(t-d) / w_t vanishes at i = -1 for exactly those.
 
 The obstruction solver at the bottom, garfinkle_obstruction, asks whether
 some pair (Y, lambda) of a Lie-algebra element and a scalar satisfies pi(Y) f
@@ -44,20 +49,17 @@ sample, lambda_kappa being the symmetric-square eigenvalue.  Its samples are
 harmonic pairs (kt, h1, h2), and the question is exact on h1 h2 alone: only
 the block generators enter, and no series is formed or truncated.  It
 returns a verified witness or an exact infeasibility certificate.
-default_depth is the one place that resolves the working depth of the
-module checks: the given one, else its rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .liealg import (
-    STOCK_OPERATORS,
     Generator,
     closed_form,
     generators,
@@ -70,7 +72,6 @@ from .poly import (
     ZERO,
     MultiPoly,
     RadialSeries,
-    TruncationError,
     VariableSpace,
     dagger,
     exact,
@@ -97,7 +98,6 @@ __all__ = [
     "eigenvalue_check",
     "p_action_check",
     "ktype_enumeration",
-    "default_depth",
     "default_samples",
     "garfinkle_obstruction",
     "MembershipReport",
@@ -259,23 +259,19 @@ class ModuleParams:
 
 
 class TypicalElement:
-    """h1 h2 rho^mu Psi_kappa of the family `params` at K-type `kt`, exact to
-    degree `validity`.  `terms` holds the (w_j, a_x, a_y) with k + l + 2 mu
-    + 4 j <= validity: the term w_j h1 (r_x^2)^a_x h2 (r_y^2)^a_y with a =
-    j + mu on the series block and j on the other, w_j = c_j / 2^(2 j + mu)
-    from psi_series.  Only typical_element builds one."""
+    """h1 h2 rho^mu Psi_kappa of the family `params` at K-type `kt`, the
+    whole series: the terms w_j h1 (r_x^2)^(j + mu_x) h2 (r_y^2)^(j + mu_y),
+    j >= 0, with mu_s = mu on the series block and 0 on the other, w_j =
+    c_j / 2^(2 j + mu) from psi_series at kappa = params.weights(kt)[0].
+    `blocks` maps each block to (harmonic degree, block size, mu_block).
+    Only typical_element builds one."""
 
-    def __init__(self, validity: int, params: ModuleParams, kt: KType,
-                 h1: MultiPoly, h2: MultiPoly) -> None:
-        self.validity, self.params, self.kt, self.h1, self.h2 = validity, params, kt, h1, h2
+    def __init__(self, params: ModuleParams, kt: KType, h1: MultiPoly, h2: MultiPoly) -> None:
+        self.params, self.kt, self.h1, self.h2 = params, kt, h1, h2
         mu = params.mu(kt)
-        coeffs = psi_series(params.weights(kt)[0], validity - kt.k - kt.l - 2 * mu).coeffs
         mx = mu if params.series_block == "x" else 0
-        self.terms = tuple(
-            (coeffs[j, j] / (1 << (2 * j + mu)), j + mx, j + mu - mx) for j in range(len(coeffs))
-        )
-        self._separated: Optional[Tuple] = None
-        self._expansion: Optional[MultiPoly] = None
+        self.kappa = _series_parameter(params.weights(kt)[0])
+        self.blocks = {"x": (kt.k, params.p, mx), "y": (kt.l, params.q, mu - mx)}
         self._parts: Dict = {}  # p_action_check's memo
 
     @property
@@ -283,31 +279,14 @@ class TypicalElement:
         return self.h1.space
 
     @property
-    def separated(self) -> Tuple[Tuple[Fraction, MultiPoly, MultiPoly], ...]:
-        """The (w_j, A_j, B_j) with A_j = h1 (r_x^2)^a_x and B_j = h2
-        (r_y^2)^a_y, formed on first read."""
-        # no check reads it; kept for expansion and for the tests
-        if self._separated is None:
-            n, (_, ax, ay) = len(self.terms), self.terms[0]
-            a, b = _radius_powers(self.h1, "x", ax, n), _radius_powers(self.h2, "y", ay, n)
-            self._separated = tuple((w, a[j], b[j]) for j, (w, _, _) in enumerate(self.terms))
-        return self._separated
-
-    @property
     def expansion(self) -> MultiPoly:
-        """The sum of the w_j A_j B_j, formed on first read."""
-        # no check reads it; kept because gkbench's Tracer._note reads it on every typical_element
-        if self._expansion is None:
-            self._expansion = _product_sum(self.space, self.separated)
-        return self._expansion
-
-
-def _radius_powers(h: MultiPoly, block: str, start: int, n: int) -> List[MultiPoly]:
-    """h (r_block^2)^(start + j) for j < n, by repeated multiplication."""
-    r2, out = rsq(h.space, block), [h]
-    for _ in range(start + n - 1):
-        out.append(out[-1].mul(r2))
-    return out[start:]
+        """The leading term w_0 h1 h2 (r_s^2)^mu, formed on each read.  No
+        check reads it: gkbench's Tracer._note reads it on every traced
+        typical_element, and ROADMAP item 9 deletes it."""
+        mu, out = self.params.mu(self.kt), self.h1.mul(self.h2)
+        for _ in range(mu):
+            out = out.mul(rsq(self.space, self.params.series_block))
+        return out.scale(Fraction(1, 1 << mu))
 
 
 def _require_typical(f) -> TypicalElement:
@@ -316,19 +295,12 @@ def _require_typical(f) -> TypicalElement:
     return f
 
 
-def _product_sum(space: VariableSpace, products) -> MultiPoly:
-    """The sum of c a b over the (c, a, b) products, in one int dict over
-    the products' lcm."""
-    den, out = lcm(*(c.denominator * a.den * b.den for c, a, b in products)), {}
-    get = out.get
-    for c, a, b in products:
-        w = c.numerator * (den // (c.denominator * a.den * b.den))
-        for ka, ca in a._terms.items():
-            ca *= w
-            for kb, cb in b._terms.items():
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-    return MultiPoly.reduced(space, out, den)
+def _series_parameter(alpha) -> Fraction:
+    """alpha as a Fraction; PsiPoleError at the poles of Psi_alpha."""
+    alpha = Fraction(exact(alpha))
+    if alpha.denominator == 1 and alpha <= 0:
+        raise PsiPoleError(f"series parameter {alpha} is a non-positive integer")
+    return alpha
 
 
 def psi_series(alpha: Fraction, cutoff: int) -> RadialSeries:
@@ -338,9 +310,7 @@ def psi_series(alpha: Fraction, cutoff: int) -> RadialSeries:
     parameter must be an int or a Fraction avoiding the poles at non-positive
     integers.
     """
-    alpha = Fraction(exact(alpha))
-    if alpha.denominator == 1 and alpha <= 0:
-        raise PsiPoleError(f"series parameter {alpha} is a non-positive integer")
+    alpha = _series_parameter(alpha)
     coeffs: Dict[Tuple[int, int], Fraction] = {}
     c = Fraction(1)
     for j in range(cutoff // 4 + 1):
@@ -359,10 +329,8 @@ def _require_block_harmonic(h: MultiPoly, block: str) -> int:
     return deg
 
 
-def typical_element(
-    params: ModuleParams, h1: MultiPoly, h2: MultiPoly, D: int
-) -> TypicalElement:
-    """h1 h2 rho^mu Psi_kappa truncated at total degree D.
+def typical_element(params: ModuleParams, h1: MultiPoly, h2: MultiPoly) -> TypicalElement:
+    """h1 h2 rho^mu Psi_kappa, the whole series.
 
     h1 must be a pure-x harmonic, h2 a pure-y harmonic; their degrees fix the
     K-type, which must lie in the family's window (both radial exponents
@@ -370,33 +338,82 @@ def typical_element(
     """
     k = _require_block_harmonic(h1, "x")
     l = _require_block_harmonic(h2, "y")
-    kt = KType(k, l, params.p, params.q)
-    base = k + l + 2 * params.mu(kt)
-    if D < base:
-        raise TruncationError(f"D={D} is below the base degree {base}")
-    return TypicalElement(D, params, kt, h1, h2)
+    return TypicalElement(params, KType(k, l, params.p, params.q), h1, h2)
 
 
-# -- zero tests on K-type labels -------------------------------------------------
+# -- whole-series identities on K-type labels ---------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _gain(space: VariableSpace, word: Tuple[str, ...]) -> int:
-    """The validity change of a closed_form word: the sum of its factors'
-    smallest |a| - |alpha| (the factors shift every term alike)."""
-    return sum(STOCK_OPERATORS[kind](space, block).min_degree_shift() for kind, block in word)
+class _Term(NamedTuple):
+    """One term of a label diagonal: at label t it contributes const *
+    w_(t-d)(base + delta) / w_t(base) * rule(t - d), an integer polynomial
+    in t of degree at most rule_degree + 2 d - delta (see _w_ratio)."""
+
+    const: int
+    d: int
+    delta: int
+    rule_degree: int
+    rule: Callable[[int], int]
+
+    @property
+    def bound(self) -> int:
+        return self.rule_degree + 2 * self.d - self.delta
 
 
-def _validity(terms, f: TypicalElement) -> int:
-    """The validity of the sum of c * word(f) over the (c, word) terms: the
-    smallest f.validity + _gain(word).  Raises TruncationError when some
-    factor, applied rightmost first, would leave a negative validity."""
-    space = f.space
-    # word[i:] is the part of a word applied once its factor i has acted
-    lowest = min(_gain(space, word[i:]) for _, word in terms for i in range(len(word) + 1))
-    if f.validity + lowest < 0:
-        raise TruncationError("validity became negative; increase D")
-    return min(f.validity + _gain(space, word) for _, word in terms)
+def _w_ratio(two_base: int, delta: int, j: int, t: int) -> int:
+    """w_j(base + delta) / w_t(base) for t >= j + delta >= j, where w_j(alpha)
+    = c_j(alpha) / 4^j with c_j the psi_series coefficients at alpha: the
+    product over i = j .. t - 1 of -2 (i + 1), times 2 base + 2 i for i >= j
+    + delta, times (2 base)(2 base + 2)...(2 base + 2 delta - 2).  At delta =
+    0 each factor is -2 (i + 1)(2 base + 2 i) = w_i / w_(i+1).  At j < 0 <= t
+    the factor i = -1 is zero, so the indices before the series starts give
+    0 with no special case."""
+    out = 1
+    for i in range(delta):
+        out *= two_base + 2 * i
+    for i in range(j, t):
+        out *= -2 * (i + 1) * (two_base + 2 * i if i >= j + delta else 1)
+    return out
+
+
+def _diagonals(placed) -> Dict:
+    """The placed terms (key, s_x, parameter, const, rule degree, rule) as
+    {key: (2 base, [_Term])}, grouped by their label diagonal `key`; term j
+    of a placed term reaches the label a_x = j + s_x.  Each series is
+    written in the w_j of psi_series at its own parameter: divided by
+    w_t(base), base the least parameter on the diagonal, term j of the
+    series at base + delta contributes const * _w_ratio(2 base, delta, j, t),
+    polynomial in t once t >= j + delta.  So a term fixes d = t - j = shift
+    + s_x, shift the least making every d >= delta.  The constants of a
+    diagonal are cleared to integers over their common denominator."""
+    groups: Dict = {}
+    for key, *entry in placed:
+        groups.setdefault(key, []).append(entry)
+    out = {}
+    for key, entries in groups.items():
+        base = min(lam for _, lam, *_ in entries)
+        shift = max(lam - base - sx for sx, lam, *_ in entries)
+        den = lcm(*(Fraction(const).denominator for _, _, const, *_ in entries))
+        out[key] = (int(2 * base), [
+            _Term(int(const * den), int(shift + sx), int(lam - base), degree, rule)
+            for sx, lam, const, degree, rule in entries
+        ])
+    return out
+
+
+def _diagonal_value(two_base: int, terms, t: int):
+    """The sum at label t of one diagonal, divided by w_t(base)."""
+    return sum(
+        term.const * _w_ratio(two_base, term.delta, t - term.d, t) * term.rule(t - term.d)
+        for term in terms
+    )
+
+
+def _holds(two_base: int, terms) -> bool:
+    """Whether the diagonal's label sums vanish at every t >= 0: its
+    polynomial is zero at t = 0 .. the largest term bound."""
+    top = max(term.bound for term in terms)
+    return not any(_diagonal_value(two_base, terms, t) for t in range(top + 1))
 
 
 def _factor_rule(kind: str, a: int, k: int, n: int) -> Tuple[int, int]:
@@ -413,34 +430,46 @@ def _factor_rule(kind: str, a: int, k: int, n: int) -> Tuple[int, int]:
     return 2 * a * (2 * a + 2 * k + n - 2), a - 1
 
 
-def _vanishes(terms, f: TypicalElement) -> Tuple[bool, int]:
-    """(whether sum c * word(f) vanishes up to its validity, that validity).
+_DEGREE = {"E": 1, "R": 0, "L": 2}  # the degree in a of each _factor_rule multiple
 
-    The blocks commute, so a word's x factors act on the x label of each
-    term w_j of f and its y factors on the y label, rightmost first, each
-    by _factor_rule.  The multiples c w_j s are summed per label (a_x, a_y)
-    of degree k + l + 2 a_x + 2 a_y up to the validity, and each sum must
-    be zero."""
-    top = _validity(terms, f)
-    kt, space = f.kt, f.space
-    degree, size = {"x": kt.k, "y": kt.l}, {"x": space.p, "y": space.q}
-    sums: Dict[Tuple[int, int], Fraction] = {}
+
+def _word_rule(f: TypicalElement, word: Tuple[str, ...], j: int) -> int:
+    """The multiple that the word gives the label of f's term j, its x
+    factors acting on a_x = j + mu_x and its y factors on a_y, rightmost
+    first, each by _factor_rule."""
+    a = {block: j + start for block, (_, _, start) in f.blocks.items()}
+    s = 1
+    for kind, block in reversed(word):
+        k, n, _ = f.blocks[block]
+        r, a[block] = _factor_rule(kind, a[block], k, n)
+        s *= r
+    return s
+
+
+def _word_diagonals(terms, f: TypicalElement) -> Dict:
+    """The (c, word) terms by label diagonal (_diagonals): a word moves the
+    label (a_x, a_y) of term j to (j + mu_x + net_x, j + mu_y + net_y), so
+    its diagonal is fixed by net_x - net_y, and on one diagonal the word of
+    least net_x reaches label t from term t."""
+    placed = []
     for c, word in terms:
-        for w, ax, ay in f.terms:
-            s, a = c * w, {"x": ax, "y": ay}
-            for kind, block in reversed(word):
-                t, a[block] = _factor_rule(kind, a[block], degree[block], size[block])
-                s *= t
-            if kt.k + kt.l + 2 * (a["x"] + a["y"]) > top:
-                break  # the degree grows with j
-            key = a["x"], a["y"]
-            sums[key] = sums.get(key, ZERO) + s
-    return not any(sums.values()), top
+        net = {"x": 0, "y": 0}
+        for kind, block in word:
+            net[block] = _factor_rule(kind, net[block], *f.blocks[block][:2])[1]
+        degree = sum(_DEGREE[kind] for kind, _ in word)
+        rule = partial(_word_rule, f, word)
+        placed.append((net["x"] - net["y"], net["x"], f.kappa, c, degree, rule))
+    return _diagonals(placed)
+
+
+def _vanishes(terms, f: TypicalElement) -> bool:
+    """Whether sum c * word(f) is zero, for the whole series: every label
+    diagonal of _word_diagonals _holds, in integers at kappa."""
+    return all(_holds(*diag) for diag in _word_diagonals(terms, f).values())
 
 
 def _minus_identity(terms, scalar: Fraction):
-    """The (c, word) terms with -scalar joined to their empty word, which
-    has gain 0: every form this takes has a word of gain <= 0."""
+    """The (c, word) terms with -scalar joined to their empty word."""
     empty = sum((c for c, word in terms if not word), -scalar)
     return tuple((c, word) for c, word in terms if word) + ((empty, ()),)
 
@@ -468,7 +497,6 @@ class MembershipReport:
     weight_ok: bool
     annihilated_ok: bool
     power_ok: bool
-    validity: int
 
     @property
     def ok(self) -> bool:
@@ -476,28 +504,18 @@ class MembershipReport:
 
 
 def verify_membership(f: TypicalElement) -> MembershipReport:
-    """Check the three defining conditions of f's family on f, each one zero
-    test on f's labels as in eigenvalue_check: H - sign m, the
-    killing generator and the (m+1)-th power of the lowering one (one list
-    of binomial words) must each annihilate f.
-
-    Requires enough validity that the weakest check still sees degree m + 4;
-    raises TruncationError otherwise.  The reported validity is that of the
-    weakest check, the (m+1)-fold lowering.
-    """
+    """Check the three defining conditions of f's family on f, for the whole
+    series, each one zero test on f's labels as in eigenvalue_check: H -
+    sign m, the killing generator and the (m+1)-th power of the lowering one
+    (one list of binomial words) must each annihilate f."""
     params = _require_typical(f).params
-    m = params.m
-    power_validity = f.validity - 2 * (m + 1)
-    if min(f.validity - 2, power_validity) < m + 4:
-        raise TruncationError(
-            f"validity {f.validity} too small for the m={m} membership checks"
-        )
-    p, q = params.p, params.q
+    p, q, m = params.p, params.q, params.m
     killer, lower = params.sl2_roles
-    weight_ok = _vanishes(_minus_identity(closed_form("H", p, q), params.sign * m), f)[0]
-    annihilated_ok = _vanishes(closed_form(killer, p, q), f)[0]
-    power_ok = _vanishes(_power(closed_form(lower, p, q), m + 1), f)[0]
-    return MembershipReport(weight_ok, annihilated_ok, power_ok, power_validity)
+    return MembershipReport(
+        _vanishes(_minus_identity(closed_form("H", p, q), params.sign * m), f),
+        _vanishes(closed_form(killer, p, q), f),
+        _vanishes(_power(closed_form(lower, p, q), m + 1), f),
+    )
 
 
 @dataclass
@@ -505,19 +523,17 @@ class EigenvalueReport:
     name: str
     scalar: Fraction
     ok: bool
-    validity: int
 
 
 def eigenvalue_check(which: str, f: TypicalElement) -> EigenvalueReport:
-    """Does the closed form `which` act on f by its scalar at f's K-type?
-    One zero test on f's labels (_vanishes): the closed form applied to f minus
-    scalar f, the scalar joined to the empty word, must vanish up to its
-    validity."""
+    """Does the closed form `which` act on the whole series f by its scalar
+    at f's K-type?  One zero test on f's labels (_vanishes): the closed form
+    applied to f minus scalar f, the scalar joined to the empty word, must
+    vanish."""
     kt, space = _require_typical(f).kt, f.space
     scalar = f.params.scalar(which, kt)
     terms = _minus_identity(closed_form(which, space.p, space.q), scalar)
-    ok, validity = _vanishes(terms, f)
-    return EigenvalueReport(which, scalar, ok, validity)
+    return EigenvalueReport(which, scalar, _vanishes(terms, f))
 
 
 # -- mixed-generator action ---------------------------------------------------------
@@ -529,7 +545,8 @@ def _coordinate_rule(kind: str, a: int, k: int, n: int) -> Tuple[Tuple[Fraction,
     moved, a'): s times the moved harmonic, "v" for V h = dagger(v h) and
     "d" for d_v h, times (r^2)^a'.  With c = 1/(2k + n - 2), the harmonic
     part of v h is V h = v h - c r^2 d_v h, and d_v (r^2)^a = 2a v (r^2)^(a-1)
-    gives the second row.  At k = 0, d_v h = 0 and c is not read."""
+    gives the second row.  At k = 0, d_v h = 0 and c is not read.  Each s
+    has degree at most 1 in a: 0 for "mul", 1 for "diff"."""
     c = Fraction(1, 2 * k + n - 2) if k else ZERO
     if kind == "mul":
         return (ONE, "v", a), (c, "d", a + 1)
@@ -537,41 +554,40 @@ def _coordinate_rule(kind: str, a: int, k: int, n: int) -> Tuple[Tuple[Fraction,
 
 
 def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
-    """Verify the four-layer expansion of the mixed generator action on f.
+    """Verify the four-layer expansion of the mixed generator action on the
+    whole series f.
 
     Two exact steps (1-based i <= p, j <= q): -pi(M_{i, p+j}) =
     sqrt(-1) pi(X_{i, p+j}) must equal x_i y_j + d_{x_i} d_{y_j} term for
     term, and x_i y_j f + d_{y_j}(d_{x_i} f) minus the layers of
-    f.params.layers(f.kt) must vanish at validity v = f.validity - 2.
-    Every term of that sum is a multiple of a label (kind_x, a_x, kind_y,
-    a_y), F_x h1 (r_x^2)^a_x F_y h2 (r_y^2)^a_y with F_x h1 = d_{x_i} h1
-    ("d") or dagger(x_i h1) ("v") and F_y likewise along y_j.  The
-    multiples do not depend on (i, j): _action_labels sums them once per
-    f.  Each (i, j) checks the lemmas of _coordinate_rule on its two
-    variables (_fischer, once per variable), drops the "d" labels whose
-    harmonic d_{x_i} h1 or d_{y_j} h2 is zero, and needs every other sum
-    zero.  A zero layer denominator raises DegenerateDenominatorError
-    where neither moved harmonic vanishes."""
+    f.params.layers(f.kt) must vanish.  Every term of that sum is a
+    multiple of a label (kind_x, a_x, kind_y, a_y), F_x h1 (r_x^2)^a_x F_y
+    h2 (r_y^2)^a_y with F_x h1 = d_{x_i} h1 ("d") or dagger(x_i h1) ("v")
+    and F_y likewise along y_j.  The multiples do not depend on (i, j):
+    _action_labels decides each diagonal once per f.  Each (i, j) checks
+    the lemmas of _coordinate_rule on its two variables (_fischer, once per
+    variable), drops the diagonals of "d" labels whose harmonic d_{x_i} h1
+    or d_{y_j} h2 is zero, and needs every other diagonal to hold.  A zero
+    layer denominator raises DegenerateDenominatorError where neither moved
+    harmonic vanishes."""
     params, kt = _require_typical(f).params, f.kt
     if not (1 <= i <= params.p and 1 <= j <= params.q):
         raise ValueError("need 1 <= i <= p and 1 <= j <= q")
-    if f.validity < 2:
-        raise TruncationError("validity became negative; increase D")
     space = params.space
     xi, yj = i - 1, params.p + j - 1
     xy = space.unit_key(xi) + space.unit_key(yj)
     op = pi_generator(Generator(i, params.p + j, "M"), space).scale(-1)
     if op != WeylOperator(space, {(xy, 0): 1, (0, xy): 1}):
         return False
-    sums = f._parts.get("labels")
-    if sums is None:
-        sums = f._parts["labels"] = _action_labels(f)
+    holds = f._parts.get("labels")
+    if holds is None:
+        holds = f._parts["labels"] = _action_labels(f)
     no_d = {}  # block -> whether its "d" harmonic, d_{x_i} h1 or d_{y_j} h2, is zero
     for block, var in (("x", xi), ("y", yj)):
         if var not in f._parts:
             f._parts[var] = _fischer(f, var)
-        holds, no_d[block] = f._parts[var]
-        if not holds:
+        lemma, no_d[block] = f._parts[var]
+        if not lemma:
             return False
     for layer in params.layers(kt):
         kinds = {params.weight_block: layer.weight, params.series_block: layer.radial}
@@ -579,41 +595,74 @@ def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
             raise DegenerateDenominatorError(
                 f"coefficient denominator vanished at K-type (k={kt.k}, l={kt.l})"
             )
-    return not any(
-        s for (kx, _, ky, _), s in sums.items()
+    return all(
+        ok for (kx, ky, _), ok in holds.items()
         if not (kx == "d" and no_d["x"] or ky == "d" and no_d["y"])
     )
 
 
-def _action_labels(f: TypicalElement) -> Dict[Tuple[str, int, str, int], Fraction]:
-    """p_action_check's sum as {label: multiple}, for every (i, j).  A term
-    w h1 (r_x^2)^a h2 (r_y^2)^b of f gives x_i y_j of it (if of degree <=
-    v) and d_{y_j} d_{x_i} of it, each block by _coordinate_rule; a layer
-    num/den F_x h1 F_y h2 rho_s^e Psi_kappa gives -num/den c / 2^(a + b) at
-    (kind_x, a, kind_y, b) for each term c rho_x^a rho_y^b of its series
-    up to degree v - deg F_x h1 - deg F_y h2."""
-    params, kt, v = f.params, f.kt, f.validity - 2
-    p, q = params.p, params.q
-    sums: Dict[Tuple[str, int, str, int], Fraction] = {}
-    for w, ax, ay in f.terms:
-        near = kt.k + kt.l + 2 * (ax + ay) + 2 <= v
-        for kind in ("mul", "diff") if near else ("diff",):
-            for sx, kx, bx in _coordinate_rule(kind, ax, kt.k, p):
-                for sy, ky, by in _coordinate_rule(kind, ay, kt.l, q):
-                    key = kx, bx, ky, by
-                    sums[key] = sums.get(key, ZERO) + w * sx * sy
+def _rule_lines(kind: str, k: int, n: int, start: int) -> List[Tuple[str, int, int, int, int]]:
+    """The rows of _coordinate_rule(kind, start + j, k, n) as (moved, a' at j
+    = 0, den, u, v) with den s = u + v j in integers: each s has degree at
+    most 1 in a, so its rows at a = start and start + 1 fix it."""
+    out = []
+    for (s0, moved, a0), (s1, _, _) in zip(
+        _coordinate_rule(kind, start, k, n), _coordinate_rule(kind, start + 1, k, n)
+    ):
+        den = lcm(s0.denominator, s1.denominator)
+        out.append((moved, a0, den, int(s0 * den), int((s1 - s0) * den)))
+    return out
+
+
+def _moved_rule(ux: int, vx: int, uy: int, vy: int, j: int) -> int:
+    """The cleared multiple that x_i y_j or d_{y_j} d_{x_i} gives f's term j
+    at one label: the product of its two rows of _rule_lines."""
+    return (ux + vx * j) * (uy + vy * j)
+
+
+def _one(j: int) -> int:
+    return 1
+
+
+def _action_diagonals(f: TypicalElement) -> Dict:
+    """p_action_check's sum by label diagonal (_diagonals), keyed (kind_x,
+    kind_y, a_x - a_y), for every (i, j).  f's term j gives x_i y_j and
+    d_{y_j} d_{x_i} of it, each block by _coordinate_rule, in the w_j of
+    psi_series at kappa over 2^mu; a layer num/den F_x h1 F_y h2 rho_s^e
+    Psi_lambda gives -num/den c_j(lambda) / 2^(2 j + e), that is
+    -num/den 2^(mu - e) w_j(lambda) / 2^mu, at (kind_x, j + e_x, kind_y, j
+    + e_y), e on the series block.  A layer with a zero num or den, or whose
+    moved harmonic has negative degree, is left out: it is zero at every
+    (i, j) that gets past the guards."""
+    params, kt, kappa = f.params, f.kt, f.kappa
+    placed = []
+    for kind, degree in (("mul", 0), ("diff", 2)):
+        lines = {b: _rule_lines(kind, k, n, start) for b, (k, n, start) in f.blocks.items()}
+        for kx, bx, den_x, ux, vx in lines["x"]:
+            for ky, by, den_y, uy, vy in lines["y"]:
+                rule = partial(_moved_rule, ux, vx, uy, vy)
+                const = Fraction(1, den_x * den_y)
+                placed.append(((kx, ky, bx - by), bx, kappa, const, degree, rule))
+    mu = params.mu(kt)
     for layer in params.layers(kt):
         kinds = {params.weight_block: layer.weight, params.series_block: layer.radial}
         kx, ky = kinds["x"], kinds["y"]  # each moved harmonic's degree is 1 off its own
         dx, dy = kt.k + (1 if kx == "v" else -1), kt.l + (1 if ky == "v" else -1)
-        e, reach = layer.exponent, v - dx - dy
-        if not (layer.den and layer.num) or min(dx, dy) < 0 or reach < 2 * e:
-            continue  # zero at every (i, j) that gets here
-        series = psi_series(layer.kappa, reach - 2 * e).shift_rho(params.series_block, e)
-        for (a, b), c in series.coeffs.items():
-            key = kx, a, ky, b
-            sums[key] = sums.get(key, ZERO) - layer.num / layer.den * c / (1 << (a + b))
-    return sums
+        if not (layer.den and layer.num) or min(dx, dy) < 0:
+            continue
+        lam = _series_parameter(layer.kappa)
+        if (lam - kappa).denominator != 1:
+            raise ValueError(f"layer parameter {lam} is not kappa = {kappa} plus an integer")
+        e = {params.series_block: layer.exponent, params.weight_block: 0}
+        const = -layer.num / layer.den * Fraction(2) ** (mu - layer.exponent)
+        placed.append(((kx, ky, e["x"] - e["y"]), e["x"], lam, const, 0, _one))
+    return _diagonals(placed)
+
+
+def _action_labels(f: TypicalElement) -> Dict[Tuple[str, str, int], bool]:
+    """{(kind_x, kind_y, a_x - a_y): whether that diagonal of
+    p_action_check's sum vanishes for the whole series}, by _holds."""
+    return {key: _holds(*diag) for key, diag in _action_diagonals(f).items()}
 
 
 def _fischer(f: TypicalElement, var: int) -> Tuple[bool, bool]:
@@ -660,20 +709,18 @@ def _product_harmonics(params: ModuleParams, kt: KType) -> Iterator[Tuple]:
             yield kt, h1, h2
 
 
-def ktype_elements(
-    params: ModuleParams, k_max: int, l_max: int, D: int
-) -> Iterator[TypicalElement]:
-    """The typical element, built at degree D, of each (kt, h1, h2) of
-    _ktype_harmonics: one per K-type with k <= k_max, l <= l_max."""
+def ktype_elements(params: ModuleParams, k_max: int, l_max: int) -> Iterator[TypicalElement]:
+    """The typical element of each (kt, h1, h2) of _ktype_harmonics: one per
+    K-type with k <= k_max, l <= l_max."""
     for _, h1, h2 in _ktype_harmonics(params, k_max, l_max):
-        yield typical_element(params, h1, h2, D)
+        yield typical_element(params, h1, h2)
 
 
-def product_elements(params: ModuleParams, kt: KType, D: int) -> Iterator[TypicalElement]:
-    """The typical elements of every harmonic product at K-type kt, built at
-    degree D, in basis order with the x harmonic outermost."""
+def product_elements(params: ModuleParams, kt: KType) -> Iterator[TypicalElement]:
+    """The typical elements of every harmonic product at K-type kt, in basis
+    order with the x harmonic outermost."""
     for _, h1, h2 in _product_harmonics(params, kt):
-        yield typical_element(params, h1, h2, D)
+        yield typical_element(params, h1, h2)
 
 
 def default_samples(params: ModuleParams) -> Iterator[Tuple[KType, MultiPoly, MultiPoly]]:
@@ -726,14 +773,6 @@ class ObstructionResult:
             "n_rows": self.n_rows,
             "xi_scalars": [str(s) for s in self.xi_scalars],
         }
-
-
-def default_depth(m: int, kl_max: int, given: Optional[int]) -> int:
-    """Working truncation degree of the module-level checks on K-types with
-    k + l <= kl_max: the given depth, else 2m + 6 + max(6, kl_max), a
-    headroom of 6 over the largest base degree k + l + 2m and never below
-    2m + 12."""
-    return given if given is not None else 2 * m + 6 + max(6, kl_max)
 
 
 @lru_cache(maxsize=None)

@@ -198,28 +198,6 @@ class LieElement(Combination):
         return m
 
 
-def lie_from_matrix(z: Matrix, sig: Signature, flavor: str) -> LieElement:
-    """Read generator coordinates off a matrix known to lie in the algebra.
-
-    The reconstruction is re-checked entry by entry, so feeding a matrix
-    outside the span raises instead of silently projecting.
-    """
-    p, q = sig
-    n = p + q
-    coeffs: Dict[Generator, Fraction] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            entry = z[i - 1][j - 1]
-            c = entry * epsilon(j, p) if flavor == "X" else entry
-            if c:
-                coeffs[Generator(i, j, flavor)] = c
-    elt = LieElement(sig, flavor, coeffs)
-    back = elt.to_matrix()
-    if back != z:
-        raise ValueError("matrix does not lie in the generator span")
-    return elt
-
-
 _NO_TERMS: Mapping[Generator, int] = MappingProxyType({})
 
 

@@ -60,10 +60,6 @@ class DegenerateDaggerError(ZeroDivisionError):
     """Raised when the harmonic projection denominator 2d+n-4 vanishes."""
 
 
-class TruncationError(ValueError):
-    """Raised when a series cutoff is too small to support a comparison."""
-
-
 @dataclass(frozen=True)
 class VariableSpace:
     """The ambient variables x_1..x_p, y_1..y_q."""
@@ -139,9 +135,6 @@ class VariableSpace:
 
     def unpack(self, key: int) -> Exponents:
         return tuple((key >> sh) & MAX_EXP for sh in self.shifts)
-
-    def degree_of(self, key: int) -> int:
-        return key >> self.deg_shift
 
     def exponent_of(self, key: int, i: int) -> int:
         return (key >> self.shift_of(i)) & MAX_EXP
@@ -385,12 +378,6 @@ class MultiPoly(SparseRational):
         sp, den = self.space, self.den
         return {sp.unpack(k): Fraction(c, den) for k, c in self._terms.items()}
 
-    def leading_key(self) -> int:
-        """Packed key of the graded-lex largest monomial."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self._terms)
-
     def block_homogeneous_degree(self, block: str) -> int:
         """Common degree in the block's variables; raises if mixed, 0 if zero poly."""
         shift, mask, spread, top = self.space.block_sum(block)
@@ -428,14 +415,6 @@ class MultiPoly(SparseRational):
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         return self.mul(other)
-
-    def truncate(self, max_degree: int) -> "MultiPoly":
-        """Drop all terms of total degree above max_degree."""
-        if self.degree() <= max_degree:
-            return self
-        bound = (max_degree + 1) << self.space.deg_shift
-        out = {k: c for k, c in self._terms.items() if k < bound}
-        return MultiPoly.reduced(self.space, out, self.den)
 
     def diff(self, i: int) -> "MultiPoly":
         """Partial derivative in variable i (0-based)."""
@@ -662,11 +641,9 @@ class RadialSeries:
             raise ValueError("block must be 'x' or 'y'")
         return RadialSeries(out, self.cutoff + 2 * j)
 
-    def expand(
-        self, space: VariableSpace, max_degree: Optional[int] = None
-    ) -> MultiPoly:
-        """The series as a polynomial, complete up to min(cutoff, max_degree)."""
-        limit = self.cutoff if max_degree is None else min(self.cutoff, max_degree)
+    def expand(self, space: VariableSpace, top: Optional[int] = None) -> MultiPoly:
+        """The series as a polynomial, complete up to min(cutoff, top)."""
+        limit = self.cutoff if top is None else min(self.cutoff, top)
         # c rho_x^a rho_y^b = (c / 2^(a+b)) (r_x^2)^a (r_y^2)^b: integer
         # powers of r^2, weighted by numerators over one common denominator
         weights = [

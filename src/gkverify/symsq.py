@@ -48,10 +48,9 @@ constants (see _form_ad_invariance_certificate).
 
 The theorem assembly at the bottom shares its two pure ingredients with the
 checks that run them on their own: garfinkle_obstruction and s4_vanishing
-are memoized, so each is solved once per parameter set.  The obstruction is
-memoized on the parameters alone, so the assembly reads the obstruction
-check's memo entry under any given depth.  Its TheoremReport stores only the
-step results and derives the verdict.
+are memoized, so each is solved once per parameter set, and the assembly reads
+the obstruction check's memo entry.  Its TheoremReport stores only the step
+results and derives the verdict.
 """
 
 from __future__ import annotations
@@ -60,12 +59,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .gkmodule import (
     ModuleParams,
     ObstructionResult,
-    default_depth,
     default_samples,
     eigenvalue_check,
     garfinkle_obstruction,
@@ -88,7 +86,7 @@ from .liealg import (
     transport,
 )
 from .linalg import SparseRREF
-from .poly import ONE, ZERO, ScalarLike
+from .poly import ONE, ScalarLike
 
 Sig = Tuple[int, int]
 PairKey = Tuple[Generator, Generator]
@@ -356,14 +354,16 @@ def _generating_set_certificate(n: int, xs: Sequence[Generator]) -> bool:
 
 
 def _form_diagonal_certificate(n: int) -> bool:
-    """The invariant form takes -1 on each canonical generator, 0 across pairs."""
-    basis = [LieElement.basis(g, (n, 0)) for g in generators(n, 0, "M")]
-    for ia, ea in enumerate(basis):
-        for ib, eb in enumerate(basis):
-            want = -ONE if ia == ib else ZERO
-            if form_B(ea, eb) != want:
-                return False
-    return True
+    """The invariant form takes -1 on each canonical generator, 0 across pairs.
+
+    Only the N diagonal values are computed.  form_B sums over the
+    generators its two arguments share, and two distinct basis elements,
+    each one canonical generator, share none, so every off-diagonal value
+    is 0 without a call.
+    """
+    return all(
+        form_B(e, e) == -ONE for e in (LieElement.basis(g, (n, 0)) for g in generators(n, 0, "M"))
+    )
 
 
 def _form_ad_invariance_certificate(n: int, xs: Sequence[Generator]) -> bool:
@@ -567,14 +567,14 @@ class TheoremReport:
         }
 
 
-def theorem_ingredients(params: ModuleParams, D: Optional[int] = None) -> TheoremReport:
+def theorem_ingredients(params: ModuleParams) -> TheoremReport:
     """Run the three inclusion steps and report the assembled dichotomy.
 
     Step one verifies that the full Casimir acts by its closed scalar on the
-    typical elements of the default samples, built at default_depth(m, 4,
-    D), which places the one-dimensional piece inside the graded annihilator
-    symbol.  Step two verifies that every alternating tensor maps to the
-    zero operator, placing the second piece.  Step three runs the exact
+    whole-series typical elements of the default samples, which places the
+    one-dimensional piece inside the graded annihilator symbol.  Step two
+    verifies that every alternating tensor maps to the zero operator,
+    placing the second piece.  Step three runs the exact
     solvability question for the traceless piece on the same samples; a
     witness there is exactly what the third inclusion needs.  The report is
     consistent with the dichotomy when all three steps place their piece,
@@ -584,11 +584,9 @@ def theorem_ingredients(params: ModuleParams, D: Optional[int] = None) -> Theore
     garfinkle_obstruction, so after the symsq.s4_vanishing and
     garfinkle.obstruction checks have run at the same parameters this
     function solves neither again; the shared ObstructionResult is frozen.
-    The obstruction forms no series, so D does not reach it.
     """
-    depth = default_depth(params.m, 4, D)
     casimir_ok = all(
-        eigenvalue_check("g", typical_element(params, h1, h2, depth)).ok
+        eigenvalue_check("g", typical_element(params, h1, h2)).ok
         for _, h1, h2 in default_samples(params)
     )
     s4_count, s4_ok = s4_vanishing((params.p, params.q))

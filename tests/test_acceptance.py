@@ -116,10 +116,9 @@ def test_criterion_3_membership(capsys):
     ok = True
     checked = 0
     for p, q, m in SWEEP:
-        D = 2 * m + 12
         for sign in (1, -1):
             params = ModuleParams(p, q, m, sign)
-            for f in ktype_elements(params, 3, 3, D):
+            for f in ktype_elements(params, 3, 3):
                 report = verify_membership(f)
                 if not report.ok:
                     ok = False
@@ -140,10 +139,9 @@ def test_criterion_4_eigenvalues(capsys):
     zero_scalars_ok = True
     kappa_map = {}
     for p, q, m in SWEEP:
-        D = 2 * m + 12
         for sign in (1, -1):
             params = ModuleParams(p, q, m, sign)
-            for f in ktype_elements(params, 3, 3, D):
+            for f in ktype_elements(params, 3, 3):
                 for which in ("op", "oq", "g"):
                     if not eigenvalue_check(which, f).ok:
                         ok = False
@@ -174,10 +172,9 @@ def test_criterion_5_mixed_action(capsys):
     ok = True
     checked = 0
     for p, q, m in SWEEP:
-        D = 2 * m + 12
         for sign in (1, -1):
             params = ModuleParams(p, q, m, sign)
-            for f in ktype_elements(params, 2, 2, D):
+            for f in ktype_elements(params, 2, 2):
                 if sign == 1 and f.kt.kappa_minus == 1:
                     continue
                 if sign == -1 and f.kt.kappa_plus == 1:

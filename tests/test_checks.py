@@ -8,7 +8,7 @@ from gkverify.symsq import s4_vanishing, xi_closed_form
 from gkverify.weyl import WeylOperator
 
 # At (2, 14, 1) the window needs k - l = 5 or 7, so no K-type has k, l <= 3.
-EMPTY_WINDOW = CheckRun(2, 14, 1, None, 3, 3)
+EMPTY_WINDOW = CheckRun(2, 14, 1, 3, 3)
 
 VECTOR_CHECKS = [
     "casimir.op_eigenvalue",
@@ -25,21 +25,21 @@ VECTOR_CHECKS = [
 @pytest.mark.parametrize("name", VECTOR_CHECKS)
 def test_check_that_sees_no_vector_fails(name):
     # the body counts no instance, so the runner gives it no verdict
-    _ok, _validity, instances, detail = REGISTRY[name].fn(EMPTY_WINDOW)
+    _ok, instances, detail = REGISTRY[name].fn(EMPTY_WINDOW)
     assert instances == 0, detail
 
 
 def _verdict(name, p, q, m):
-    """(status, validity, instances, detail) of one check run by execute_jobs."""
-    (r,) = execute_jobs(plan_jobs([REGISTRY[name]], [(p, q, m)], 3, 3, None))
-    return r.status, r.validity, r.instances, r.detail
+    """(status, instances, detail) of one check run by execute_jobs."""
+    (r,) = execute_jobs(plan_jobs([REGISTRY[name]], [(p, q, m)], 3, 3))
+    return r.status, r.instances, r.detail
 
 
 def test_a_check_that_examines_nothing_is_an_error(monkeypatch):
     # one rule in the runner, whatever the body's own verdict; a body that
     # raises reports no count at all
     def body(ok):
-        return lambda run: (ok, 7, 0, {"seen": "nothing"})
+        return lambda run: (ok, 0, {"seen": "nothing"})
 
     def boom(run):
         raise RuntimeError("boom")
@@ -47,10 +47,10 @@ def test_a_check_that_examines_nothing_is_an_error(monkeypatch):
     for name, fn in (("lie.vacuous_pass", body(True)), ("lie.vacuous_fail", body(False)),
                      ("lie.raises", boom)):
         monkeypatch.setitem(REGISTRY, name, CheckDef(name, "lie", "pq", "test only", fn))
-    empty = ("error", None, 0, {"error": "no instances examined"})
+    empty = ("error", 0, {"error": "no instances examined"})
     assert _verdict("lie.vacuous_pass", 2, 2, None) == empty
     assert _verdict("lie.vacuous_fail", 2, 2, None) == empty
-    (r,) = execute_jobs(plan_jobs([REGISTRY["lie.raises"]], [(2, 2, None)], 3, 3, None))
+    (r,) = execute_jobs(plan_jobs([REGISTRY["lie.raises"]], [(2, 2, None)], 3, 3))
     assert (r.status, r.to_dict()["instances"], r.detail) == (
         "error", None, {"error": "RuntimeError: boom"}
     )
@@ -61,7 +61,7 @@ def test_a_tuple_with_no_ktype_gives_no_verdict():
     # error, not a failure, the obstruction refuses its empty sample set, and
     # the window check still passes on the 32 types it rejects
     results = {r.name: r for r in execute_jobs(
-        plan_jobs(selected_checks(["all"]), [(2, 14, 1)], 3, 3, None)
+        plan_jobs(selected_checks(["all"]), [(2, 14, 1)], 3, 3)
     )}
     for name in VECTOR_CHECKS:
         r = results[name]
@@ -87,7 +87,7 @@ def test_degenerate_samples_are_an_error(p, q, m):
         with pytest.raises(DegenerateSampleError):
             garfinkle_obstruction(ModuleParams(p, q, m, sign))
     defs = [REGISTRY["garfinkle.obstruction"], REGISTRY["garfinkle.theorem"]]
-    results = execute_jobs(plan_jobs(defs, [(p, q, m)], 3, 3, None))
+    results = execute_jobs(plan_jobs(defs, [(p, q, m)], 3, 3))
     assert [r.name for r in results] == ["garfinkle.obstruction", "garfinkle.theorem"]
     for r in results:
         assert r.status == "error", r.to_dict()
@@ -162,16 +162,10 @@ def _clear_memos():
 
 
 @pytest.mark.parametrize(
-    "p,q,m,max_degree",
-    [
-        pytest.param(4, 4, 0, None, id="4-4-0"),
-        pytest.param(4, 6, 1, None, id="4-6-1"),
-        # under --max-degree both checks resolve the depth through one rule
-        pytest.param(4, 6, 1, 12, id="4-6-1-D12"),
-    ],
+    "p,q,m", [pytest.param(4, 4, 0, id="4-4-0"), pytest.param(4, 6, 1, id="4-6-1")]
 )
-def test_theorem_reads_the_sibling_results(p, q, m, max_degree):
-    run = CheckRun(p, q, m, max_degree, 3, 3)
+def test_theorem_reads_the_sibling_results(p, q, m):
+    run = CheckRun(p, q, m, 3, 3)
     theorem = REGISTRY["garfinkle.theorem"].fn
     _clear_memos()
     cold = theorem(run)
@@ -188,22 +182,21 @@ def test_theorem_reads_the_sibling_results(p, q, m, max_degree):
 
 
 def test_parameter_window_probes_at_the_base_degree(monkeypatch):
-    # every probe is built at k + l + 2m, never at the working depth, and the
-    # refusals still come from the window rule
+    # one probe per (k, l) and family, each a whole series with no depth, and
+    # the refusals still come from the window rule
     import gkverify.checks as checks
 
-    depths = []
+    probes = []
     real = checks.typical_element
 
-    def spy(params, h1, h2, D):
-        depths.append((h1.degree(), h2.degree(), D))
-        return real(params, h1, h2, D)
+    def spy(params, h1, h2):
+        probes.append((params.sign, h1.degree(), h2.degree()))
+        return real(params, h1, h2)
 
     monkeypatch.setattr(checks, "typical_element", spy)
-    result = REGISTRY["module.parameter_window"].fn(CheckRun(4, 6, 1, None, 3, 3))
-    assert result == (True, None, 32, {"allowed": 12})
-    assert len(depths) == 32
-    assert all(D == k + l + 2 for k, l, D in depths)
+    result = REGISTRY["module.parameter_window"].fn(CheckRun(4, 6, 1, 3, 3))
+    assert result == (True, 32, {"allowed": 12})
+    assert sorted(probes) == [(s, k, l) for s in (-1, 1) for k in range(4) for l in range(4)]
 
 
 @pytest.mark.parametrize(
@@ -211,42 +204,27 @@ def test_parameter_window_probes_at_the_base_degree(monkeypatch):
 )
 def test_lie_samples_count_distinct_instances(p, q, triples, words):
     # one generator at (1, 1): its one triple and its words of length 2, 3, 4
-    run = CheckRun(p, q, None, None, 3, 3)
-    assert REGISTRY["lie.jacobi"].fn(run) == (True, None, triples, {})
-    assert REGISTRY["lie.pbw_confluence"].fn(run) == (True, None, words, {})
-
-
-def test_default_depth_covers_large_k_l():
-    # the working depth keeps a headroom of 6 over the base degree k + l + 2m
-    assert CheckRun(4, 6, 1, None, 3, 3).depth() == 14
-    assert CheckRun(4, 4, 0, None, 8, 8).depth() == 22
-    assert CheckRun(4, 4, 0, 16, 8, 8).depth() == 16
-    defs = [d for d in REGISTRY.values() if d.suite in ("casimir", "module")]
-    results = execute_jobs(plan_jobs(defs, [(4, 4, 0)], 8, 8, None))
-    assert len(results) == 13
-    assert all(r.status == "pass" for r in results), [r.to_dict() for r in results]
+    run = CheckRun(p, q, None, 3, 3)
+    assert REGISTRY["lie.jacobi"].fn(run) == (True, triples, {})
+    assert REGISTRY["lie.pbw_confluence"].fn(run) == (True, words, {})
 
 
 def test_no_check_reads_a_whole_expansion(monkeypatch):
     # every suite over the default sweep, in-process: each check passes on at
-    # least one instance, and none reads TypicalElement.expansion or
-    # TypicalElement.separated; the
-    # zero tests read the labels of f.terms, and module.apply_linearity reads
+    # least one instance, and none reads TypicalElement.expansion; the zero
+    # tests read the labels of the series, and module.apply_linearity reads
     # plain harmonic products
     import gkverify.gkmodule as gkmodule
     from gkverify.checks import selected_checks
     from gkverify.cli import DEFAULT_SWEEP
 
     reads = []
-    for name in ("expansion", "separated"):
-        real = getattr(gkmodule.TypicalElement, name).fget
-        monkeypatch.setattr(
-            gkmodule.TypicalElement,
-            name,
-            property(lambda f, real=real, name=name: reads.append((name, f)) or real(f)),
-        )
+    real = gkmodule.TypicalElement.expansion.fget
+    monkeypatch.setattr(
+        gkmodule.TypicalElement, "expansion", property(lambda f: reads.append(f) or real(f))
+    )
     _clear_memos()
-    results = execute_jobs(plan_jobs(selected_checks(["all"]), DEFAULT_SWEEP, 3, 3, None))
+    results = execute_jobs(plan_jobs(selected_checks(["all"]), DEFAULT_SWEEP, 3, 3))
     assert len({r.name for r in results}) == len(REGISTRY)
     assert all(r.status == "pass" for r in results), [r.to_dict() for r in results]
     assert all(r.instances >= 1 for r in results), [r.to_dict() for r in results]
@@ -258,11 +236,11 @@ def test_a_scaled_laplacian_fails_the_sl2_relation(monkeypatch):
     # module zero tests' label rules rest on, are read off laplacian_op
     import gkverify.checks as checks
 
-    assert _verdict("casimir.sl2_relation", 4, 6, 1) == ("pass", None, 5, {"n": 10})
+    assert _verdict("casimir.sl2_relation", 4, 6, 1) == ("pass", 5, {"n": 10})
     real = checks.laplacian_op
     monkeypatch.setattr(checks, "laplacian_op", lambda space, block: real(space, block).scale(2))
     assert _verdict("casimir.sl2_relation", 4, 6, 1) == (
-        "fail", None, 2, {"n": 10, "failed": "[L, R] on x"}
+        "fail", 2, {"n": 10, "failed": "[L, R] on x"}
     )
 
 
@@ -271,17 +249,17 @@ def test_apply_linearity_fails_on_a_wrong_image(monkeypatch, p, q, m):
     # an apply that adds the square of each image it forms is not linear;
     # one that raises the degree of each image by two breaks the degree shift
     real = WeylOperator.apply
-    assert _verdict("module.apply_linearity", p, q, m) == ("pass", None, 3, {})
+    assert _verdict("module.apply_linearity", p, q, m) == ("pass", 3, {})
 
     def squared(op, f):
         image = real(op, f)
         return image + image.mul(image)
 
     monkeypatch.setattr(WeylOperator, "apply", squared)
-    assert _verdict("module.apply_linearity", p, q, m) == ("fail", None, 2, {"failed": "linearity"})
+    assert _verdict("module.apply_linearity", p, q, m) == ("fail", 2, {"failed": "linearity"})
     monkeypatch.setattr(WeylOperator, "apply", lambda op, f: real(op, f).var_mul(0, 2))
     assert _verdict("module.apply_linearity", p, q, m) == (
-        "fail", None, 2, {"failed": "degree_shift"}
+        "fail", 2, {"failed": "degree_shift"}
     )
 
 
@@ -296,11 +274,20 @@ def test_wrong_xi_closed_form_is_a_failure(monkeypatch):
 
     monkeypatch.setattr(symsq, "xi_closed_form", scaled)
     monkeypatch.setattr(checks, "xi_closed_form", scaled)
-    assert _verdict("symsq.xi_transport", 2, 4, 0) == ("fail", None, 1, {"failed": "closed_form"})
+    assert _verdict("symsq.xi_transport", 2, 4, 0) == ("fail", 1, {"failed": "closed_form"})
+
+
+def test_plan_jobs_refuses_a_depth():
+    # the benchmark worker passes None in the place of the retired depth
+    defs = [REGISTRY["lie.duality"]]
+    assert plan_jobs(defs, [(2, 2, 0)], 3, 3, None) == plan_jobs(defs, [(2, 2, 0)], 3, 3)
+    for depth in (0, 12):
+        with pytest.raises(ValueError, match="max_degree must be None"):
+            plan_jobs(defs, [(2, 2, 0)], 3, 3, depth)
 
 
 def test_jobs_run_serially_only():
-    jobs = plan_jobs([REGISTRY["lie.duality"]], [(2, 2, 0)], 3, 3, None)
+    jobs = plan_jobs([REGISTRY["lie.duality"]], [(2, 2, 0)], 3, 3)
     assert [r.status for r in execute_jobs(jobs, threads=1)] == ["pass"]
     for threads in (0, 2):
         with pytest.raises(ValueError, match="threads must be 1"):

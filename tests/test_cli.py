@@ -99,28 +99,21 @@ def test_symsq_refuses_signatures_below_four(capsys, suite, p, q):
     assert "configuration error: the symsq suite needs p + q >= 4" in err
 
 
-def test_truncation_failure_surfaces_as_error_exit(capsys):
-    code, out, _ = _run(
-        [
-            "run",
-            "--p", "2", "--q", "4", "--m", "0",
-            "--max-degree", "2",
-            "--suite", "module",
-            "--format", "json",
-        ],
-        capsys,
-    )
-    assert code == 1
-    report = json.loads(out)
-    assert report["summary"]["errors"] > 0
-    errored = [c for c in report["checks"] if c["status"] == "error"]
-    assert any("TruncationError" in c["detail"].get("error", "") for c in errored)
-    # too small a depth is an error, never a counterexample
-    for depth in range(2, 6):
-        argv = ["run", "--p", "4", "--q", "4", "--m", "0", "--max-degree", str(depth)]
-        code, out, _ = _run(argv + ["--suite", "module", "--format", "json"], capsys)
-        failed = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
-        assert (code, failed) == (1, []), depth
+def test_max_degree_is_a_config_error(tmp_path, capsys):
+    # the module checks hold for the whole series and take no depth: the
+    # retired flag and config key are unknown options, and no check runs
+    argv = ["run", "--p", "4", "--q", "4", "--m", "0"]
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv + ["--max-degree", "12"])
+    out, err = capsys.readouterr()
+    assert exited.value.code == 2 and out == ""
+    assert "unrecognized arguments: --max-degree 12" in err
+    cfg = tmp_path / "depth.cfg"
+    cfg.write_text("max_degree = 12\n")
+    code, out, err = _run(argv + ["--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert f"configuration error: {cfg}:1: unknown key 'max_degree'" in err
+    assert "max_degree" not in cli._OPTIONS
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -182,7 +175,6 @@ EVERY_OPTION = {
     "p": 2,
     "q": 4,
     "m": 0,
-    "max_degree": 12,
     "k_max": 2,
     "l_max": 1,
     "suite": "lie,weyl",

@@ -22,7 +22,6 @@ from gkverify.liealg import (
     gamma2,
     generator_matrix,
     generators,
-    lie_from_matrix,
     pbw_normal_form,
     pi_casimir,
     pi_env,
@@ -36,6 +35,28 @@ from gkverify.liealg import (
 from gkverify.poly import ONE, ZERO, VariableSpace
 from gkverify.symsq import SymSquareTensor, build_S4
 from gkverify.weyl import WeylOperator
+
+
+def lie_from_matrix(z, sig, flavor):
+    """Read generator coordinates off a matrix known to lie in the algebra.
+
+    The reconstruction is re-checked entry by entry, so feeding a matrix
+    outside the span raises instead of silently projecting.
+    """
+    p, q = sig
+    n = p + q
+    coeffs = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            entry = z[i - 1][j - 1]
+            c = entry * liealg.epsilon(j, p) if flavor == "X" else entry
+            if c:
+                coeffs[Generator(i, j, flavor)] = c
+    elt = LieElement(sig, flavor, coeffs)
+    if elt.to_matrix() != z:
+        raise ValueError("matrix does not lie in the generator span")
+    return elt
+
 
 SIG = (2, 2)
 GENS = generators(*SIG, "X")

@@ -17,7 +17,10 @@ obstruction's harmonic system, with only the harmonics and the Xi values.
 The label rules of the module zero tests (how E, R, L, v_i and d_{v_i} act
 on h (r^2)^a for a block harmonic h) are checked against sympy applying
 each operator to h (r^2)^a, with only the harmonics and the rules taken
-from the package.
+from the package.  The whole-series identities of the eigenvalue forms and
+the membership steps are restated with a symbol t for the series index,
+with only the closed-form rows and the eigenvalues taken from the package,
+and must cancel to 0.
 """
 
 import itertools
@@ -361,11 +364,14 @@ def _oracle_typical(p, q, m, sign, h1, h2, D, v):
 @pytest.mark.parametrize("p,q,m,kl_max,count", [(2, 4, 0, 2, 10), (2, 6, 1, 1, 2)])
 def test_separated_typical_elements_match_sympy(p, q, m, kl_max, count, sign):
     # every harmonic product at every K-type with k, l <= kl_max (the window:
-    # kappa_plus - kappa_minus in -m, -m + 2, ..., m), at an even and an odd
-    # depth; only the harmonics come from the package.  At (2,6,1) the sign
-    # -1 element carries rho_x^mu with mu = 1.
+    # kappa_plus - kappa_minus in -m, -m + 2, ..., m), cut by the tests'
+    # reference at an even and an odd depth, and the package's leading term
+    # against the oracle's part of least degree; only the harmonics come
+    # from the package.  At (2,6,1) the sign -1 element carries rho_x^mu
+    # with mu = 1.
     from gkverify.gkmodule import ModuleParams, typical_element
     from gkverify.poly import harmonic_basis
+    from truncated_reference import TruncatedTypical
 
     space = VariableSpace(p, q)
     v = _symbols(space)
@@ -379,15 +385,19 @@ def test_separated_typical_elements_match_sympy(p, q, m, kl_max, count, sign):
             for h1 in harmonic_basis(space, "x", k):
                 for h2 in harmonic_basis(space, "y", l):
                     D = 9 + (h1 is harmonic_basis(space, "x", k)[0])  # both parities
-                    f = typical_element(params, h1, h2, D)
+                    f = typical_element(params, h1, h2)
                     want = _oracle_typical(
                         p, q, m, sign, _sympy_poly(h1, v), _sympy_poly(h2, v), D, v
                     )
-                    got = {
-                        exps: sympy.Rational(c.numerator, c.denominator)
-                        for exps, c in f.expansion.monomials().items()
-                    }
-                    assert got == want, (sign, k, l, D)
+                    for poly, top in ((TruncatedTypical(f, D).expansion, D), (f.expansion, 0)):
+                        got = {
+                            exps: sympy.Rational(c.numerator, c.denominator)
+                            for exps, c in poly.monomials().items()
+                        }
+                        low = min(map(sum, want)) + top
+                        assert got == {e: c for e, c in want.items() if sum(e) <= low}, (
+                            sign, k, l, D
+                        )
                     compared += 1
     assert compared == count
 
@@ -436,11 +446,12 @@ def _mixed_action_verdicts(params, D, v):
     """Yield (oracle, package) verdicts of the mixed action at every (i, j)
     of the first element of each K-type with k, l <= 2: x_i y_j F + d_{x_i}
     d_{y_j} F against the layers of ModuleParams.layers, monomial by
-    monomial up to degree D - 2, with F restated by _oracle_typical."""
+    monomial up to degree D - 2, with F restated by _oracle_typical, and
+    p_action_check's verdict for the whole series."""
     from gkverify.gkmodule import ktype_elements, p_action_check
 
     p, q = params.p, params.q
-    for f in ktype_elements(params, 2, 2, D):
+    for f in ktype_elements(params, 2, 2):
         h1, h2 = _sympy_poly(f.h1, v), _sympy_poly(f.h2, v)
         terms = _oracle_typical(p, q, params.m, params.sign, h1, h2, D, v)
         F = sympy.Poly.from_dict(terms, *v).as_expr()
@@ -613,3 +624,96 @@ def test_a_wrong_label_rule_fails_the_sympy_oracle(mutant):
         "c_over_2k_plus_n": (_factor_rule, _c_over_2k_plus_n),
     }[mutant]
     assert next(_label_rule_mismatches(2, 4, *rules), None) is not None
+
+
+def _t_identity(terms, k, l, p, q, kappa, l_rule=None):
+    """The whole-series identity sum c * word(f) = 0 on the element of K-type
+    (k, l) at mu = 0, restated in t: f has the terms w_j h1 (r_x^2)^j h2
+    (r_y^2)^j with w_j / w_(j+1) = -4 (j + 1)(kappa + j) (from c_(j+1) = -c_j
+    / ((j + 1)(kappa + j)) and w_j = c_j / 4^j).  A word moves the label (j,
+    j) by its net r^2 powers, E multiplies by the degree, R raises the
+    power, and L multiplies by 2a (2a + 2 deg h + n - 2) and lowers it
+    (l_rule replaces that multiple).  On each diagonal the label whose
+    largest term index is t collects term t - d of a word d above the least
+    net_x there; divided by w_t, its sum must cancel to 0 as a rational
+    function of t.  Returns the per-diagonal results."""
+    t = sympy.Symbol("t")
+    deg, size = {"x": k, "y": l}, {"x": p, "y": q}
+    l_rule = l_rule or (lambda a, hdeg, n: 2 * a * (2 * a + 2 * hdeg + n - 2))
+    placed = []
+    for c, word in terms:
+        net = {"x": 0, "y": 0}
+        for factor in word:
+            net[factor[1]] += {"E": 0, "R": 1, "L": -1}[factor[0]]
+        placed.append((net["x"] - net["y"], net["x"], c, word))
+    out = {}
+    for diag in {d for d, *_ in placed}:
+        words = [(nx, c, word) for d, nx, c, word in placed if d == diag]
+        low = min(nx for nx, _, _ in words)
+        total = 0
+        for nx, c, word in words:
+            d = nx - low
+            j = t - d
+            ratio = sympy.prod([-4 * (j + r + 1) * (kappa + j + r) for r in range(d)])
+            a = {"x": j, "y": j}
+            s = sympy.Rational(c.numerator, c.denominator)
+            for kind, block in reversed(word):
+                if kind == "E":
+                    s *= deg[block] + 2 * a[block]
+                elif kind == "R":
+                    a[block] += 1
+                else:
+                    s *= l_rule(a[block], deg[block], size[block])
+                    a[block] -= 1
+            total += s * ratio
+        out[diag] = sympy.cancel(total)
+    return out
+
+
+def _t_identities(sign, scalar_off=0, l_rule=None):
+    """{(k, l, name): nonzero diagonal results} at (2,4,0) for the family of
+    the given sign, over its K-types with k, l <= 3: kappa_plus = k + 1 and
+    kappa_minus = l + 2 must be equal (m = 0), the series parameter is
+    kappa_plus for sign +1 and kappa_minus for sign -1, and mu = 0.  The four
+    eigenvalue forms carry their scalars (plus scalar_off) on the empty
+    word; the membership steps are H, the killing generator (X+ for sign
+    +1, X- for sign -1) and the lowering one (the other), its first power."""
+    from gkverify.gkmodule import KType, ModuleParams
+    from gkverify.liealg import closed_form
+
+    p, q, m = 2, 4, 0
+    params = ModuleParams(p, q, m, sign)
+    killer, lower = ("X+", "X-") if sign == 1 else ("X-", "X+")
+    out = {}
+    for k, l in itertools.product(range(4), repeat=2):
+        if k + 1 != l + 2:
+            continue
+        kappa = k + 1 if sign == 1 else l + 2
+        lists = {name: closed_form(name, p, q) for name in ("H", killer, lower)}
+        for which in ("op", "oq", "g", "xi"):
+            scalar = params.scalar(which, KType(k, l, p, q)) + scalar_off
+            lists[which] = closed_form(which, p, q) + ((-scalar, ()),)
+        for name, terms in lists.items():
+            results = _t_identity(terms, k, l, p, q, kappa, l_rule)
+            out[k, l, name] = [r for r in results.values() if r != 0]
+    return out
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_whole_series_identities_cancel_in_sympy(sign):
+    identities = _t_identities(sign)
+    assert len(identities) == 3 * 7
+    assert all(nonzero == [] for nonzero in identities.values()), identities
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_wrong_scalars_and_rules_leave_a_nonzero_identity(sign):
+    forms = ("op", "oq", "g", "xi")
+    shifted = _t_identities(sign, scalar_off=1)
+    assert all(shifted[key] for key in shifted if key[2] in forms)
+    # with n - 1 in the Laplacian rule every identity with an L factor fails:
+    # all but the weight step H at (2,4,0)
+    wrong = _t_identities(sign, l_rule=lambda a, hdeg, n: 2 * a * (2 * a + 2 * hdeg + n - 3))
+    assert {key for key, nonzero in wrong.items() if not nonzero} == {
+        key for key in wrong if key[2] == "H"
+    }

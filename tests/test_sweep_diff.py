@@ -11,15 +11,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "sweep_diff.py"
 
 
-def _report(elapsed, validity):
+def _report(elapsed, scalar):
     check = {
-        "detail": {"scalars": ["-3"]},
+        "detail": {"scalars": [scalar]},
         "elapsed": elapsed,
         "instances": 6,
         "name": "casimir.g_eigenvalue",
         "params": {"m": 0, "p": 2, "q": 4},
         "status": "pass",
-        "validity": validity,
     }
     return {"checks": [check], "summary": {"passed": 1, "elapsed": elapsed}}
 
@@ -36,19 +35,19 @@ def _diff(tmp_path, a, b):
 
 
 def test_reports_differing_only_in_elapsed_agree(tmp_path):
-    done = _diff(tmp_path, _report(0.04, 8), _report(1.5, 8))
+    done = _diff(tmp_path, _report(0.04, "-3"), _report(1.5, "-3"))
     assert done.returncode == 0
     assert done.stdout == ""
 
 
-def test_changed_validity_exits_1_with_its_path(tmp_path):
-    done = _diff(tmp_path, _report(0.04, 8), _report(0.04, 6))
+def test_changed_scalar_exits_1_with_its_path(tmp_path):
+    done = _diff(tmp_path, _report(0.04, "-3"), _report(0.04, "-2"))
     assert done.returncode == 1
-    assert done.stdout.strip() == "$.checks[0].validity: 8 != 6"
+    assert done.stdout.strip() == "$.checks[0].detail.scalars[0]: '-3' != '-2'"
 
 
 def test_unreadable_report_exits_2(tmp_path):
-    done = _diff(tmp_path, _report(0.04, 8), "{not json")
+    done = _diff(tmp_path, _report(0.04, "-3"), "{not json")
     assert done.returncode == 2
     missing = subprocess.run(
         [sys.executable, str(SCRIPT), str(tmp_path / "a.json"), str(tmp_path / "absent.json")],
@@ -60,14 +59,14 @@ def test_unreadable_report_exits_2(tmp_path):
 
 
 def test_every_difference_is_listed_in_document_order(tmp_path):
-    a = _report(0.04, 8)
-    b = _report(0.04, 6)
+    a = _report(0.04, "-3")
+    b = _report(0.04, "-2")
     b["checks"][0]["instances"] = 4
     done = _diff(tmp_path, a, b)
     assert done.returncode == 1
     assert done.stdout.splitlines() == [
+        "$.checks[0].detail.scalars[0]: '-3' != '-2'",
         "$.checks[0].instances: 6 != 4",
-        "$.checks[0].validity: 8 != 6",
     ]
 
 

@@ -25,6 +25,7 @@ from gkverify.symsq import (
     _adjoint_rows,
     _coords,
     _form_ad_invariance_certificate,
+    _form_diagonal_certificate,
     _pair_coord,
     _span_invariant,
     adjoint_action,
@@ -408,6 +409,45 @@ def test_flipped_structure_constant_fails_both_ad_invariance_loops(monkeypatch, 
         assert not _dense_ad_invariance(n, xs), (x, a, b)
     monkeypatch.undo()
     assert _form_ad_invariance_certificate(n, xs)
+
+
+def _dense_form_diagonal(n):
+    """The form on every ordered pair of basis elements: -1 on the diagonal
+    and 0 off it, the N^2 loop that _form_diagonal_certificate replaced."""
+    basis = [LieElement.basis(g, (n, 0)) for g in generators(n, 0, "M")]
+    return all(
+        symsq.form_B(ea, eb) == (-ONE if ia == ib else ZERO)
+        for ia, ea in enumerate(basis)
+        for ib, eb in enumerate(basis)
+    )
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 10])
+def test_form_diagonal_certificate_matches_dense_loop(monkeypatch, n):
+    from gkverify.liealg import _entries
+
+    calls = []
+    real = symsq.form_B
+    monkeypatch.setattr(symsq, "form_B", lambda a, b: calls.append(a) or real(a, b))
+    assert _form_diagonal_certificate(n)
+    assert len(calls) == n * (n - 1) // 2
+    assert _dense_form_diagonal(n)
+
+    def successor_pairing(a, b):
+        # pairs each generator of a with the next canonical generator in b
+        gens = generators(n, 0, "M")
+        total = ZERO
+        for g, ca in a.coeffs.items():
+            partner = gens[(gens.index(g) + 1) % len(gens)]
+            cb = b.coeffs.get(partner)
+            if cb is not None:
+                mij, mji = _entries(g, n)
+                total += ca * cb * mij * mji
+        return total
+
+    monkeypatch.setattr(symsq, "form_B", successor_pairing)
+    assert not _form_diagonal_certificate(n)
+    assert not _dense_form_diagonal(n)
 
 
 def _flip_first_slot(t):
