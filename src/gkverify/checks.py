@@ -58,6 +58,7 @@ from .linalg import SparseRREF
 from .weyl import WeylOperator, euler_op, laplacian_op, rsq_op
 from .liealg import (
     EnvelopingElement,
+    Generator,
     LieElement,
     bracket,
     closed_operator,
@@ -230,9 +231,8 @@ def _lie_duality(run: CheckRun):
     for a, ea in zip(gens, basis):
         for b, eb in zip(gens, basis):
             checked += 1
-            val = form_B(ea, eb) * dual_sign(b, run.p)
-            expect = ONE if a == b else ZERO
-            if val != expect:
+            # dual_sign is +-1, so form_B * dual_sign == 1 iff form_B == dual_sign
+            if form_B(ea, eb) != (dual_sign(b, run.p) if a == b else 0):
                 return False, checked, {"failed_pair": [list(a), list(b)]}
     return True, checked, {}
 
@@ -250,13 +250,18 @@ def _lie_jacobi(run: CheckRun):
     n = len(gens)
     # distinct triples, drawn without replacement as base-n indices
     picks = rng.sample(range(n**3), min(150, n**3))
+    # each distinct inner bracket [b, c] is formed once
+    inner: Dict[Tuple[Generator, Generator], LieElement] = {}
+
+    def outer(a: Generator, b: Generator, c: Generator) -> LieElement:
+        bc = inner.get((b, c))
+        if bc is None:
+            bc = inner[b, c] = bracket(basis[b], basis[c])
+        return bracket(basis[a], bc)
+
     for seen, idx in enumerate(picks, 1):
-        a, b, c = (basis[gens[idx // n**e % n]] for e in range(3))
-        jac = (
-            bracket(a, bracket(b, c))
-            + bracket(b, bracket(c, a))
-            + bracket(c, bracket(a, b))
-        )
+        a, b, c = (gens[idx // n**e % n] for e in range(3))
+        jac = outer(a, b, c) + outer(b, c, a) + outer(c, a, b)
         if not jac.is_zero():
             return False, seen, {"failed": True}
     return True, len(picks), {}

@@ -140,6 +140,11 @@ class KType:
         return Fraction(2 * self.l + self.q, 2)
 
     @property
+    def gap2(self) -> int:
+        """2 (kappa_plus - kappa_minus) = 2k + p - 2l - q, an int."""
+        return 2 * self.k + self.p - 2 * self.l - self.q
+
+    @property
     def multiplicity(self) -> int:
         return harmonic_dim(self.p, self.k) * harmonic_dim(self.q, self.l)
 
@@ -213,16 +218,17 @@ class ModuleParams:
         return kt.kappa_minus, kt.kappa_plus
 
     def allows(self, kt: KType) -> bool:
-        """kappa_plus - kappa_minus is one of -m, -m+2, ..., m."""
-        d = kt.kappa_plus - kt.kappa_minus
-        return d.denominator == 1 and abs(d) <= self.m and (self.m + d) % 2 == 0
+        """kappa_plus - kappa_minus is one of -m, -m+2, ..., m: in ints,
+        |gap2| <= 2m and 2m + gap2 = 0 mod 4 (so gap2 is even)."""
+        d2 = kt.gap2
+        return abs(d2) <= 2 * self.m and (2 * self.m + d2) % 4 == 0
 
     def mu(self, kt: KType) -> int:
-        """Radial exponent at this K-type, (m + kappa_s - kappa_o)/2."""
+        """Radial exponent at this K-type, (m + kappa_s - kappa_o)/2, which
+        is (2m + sign * gap2)/4."""
         if not self.allows(kt):
             raise ValueError(f"(k={kt.k}, l={kt.l}) is not a K-type of this family")
-        s, o = self.weights(kt)
-        return int((self.m + s - o) / 2)
+        return (2 * self.m + self.sign * kt.gap2) // 4
 
     @lru_cache(maxsize=None)
     def layers(self, kt: KType) -> Tuple[ActionLayer, ...]:

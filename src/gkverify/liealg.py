@@ -224,32 +224,38 @@ def _bracket_table(sig: Signature, flavor: str) -> _StructureConstants:
 
         [G_ij, G_kl] = w_j d_jk G_il - w_j d_jl G_ik - w_i d_ik G_jl + w_i d_il G_jk
 
-    so every constant is the int +1 or -1 in both flavors.  The tests check
-    the table against the dense matrix commutators.  Row keys follow the
+    so every constant is the int +1 or -1 in both flavors.  A pair that
+    shares no index commutes, so the build visits only the pairs that share
+    one, read from a per-index list of generators.  Two distinct generators
+    share at most one index, so exactly one delta of the formula fires and
+    every row is a single generator with its sign.  The tests check the
+    table against the dense matrix commutators.  Row keys follow the
     generator order (``pbw_normal_form`` pushes them in that order).
     """
     p, q = sig
     gens = generators(p, q, flavor)
     index = {(g.i, g.j): g for g in gens}
     w = {a: epsilon(a, p) if flavor == "X" else 1 for a in range(1, p + q + 1)}
+    touching: Dict[int, List[Generator]] = {a: [] for a in w}
+    for g in gens:
+        touching[g.i].append(g)
+        touching[g.j].append(g)
     table = _StructureConstants()
     for ga in gens:
         i, j = ga.i, ga.j
-        for gb in gens:
+        for gb in touching[i] + touching[j]:
+            if gb is ga:
+                continue
             k, l = gb.i, gb.j
-            row: Dict[Generator, int] = {}
-            for hit, c, a, b in (
-                (j == k, w[j], i, l),
-                (j == l, -w[j], i, k),
-                (i == k, -w[i], j, l),
-                (i == l, w[i], j, k),
-            ):
-                if hit and a != b:
-                    g, sign = (index[(a, b)], c) if a < b else (index[(b, a)], -c)
-                    row[g] = row.get(g, 0) + sign
-            row = {g: c for g, c in sorted(row.items()) if c}
-            if row:
-                table[(ga, gb)] = row
+            if j == k:
+                c, a, b = w[j], i, l
+            elif j == l:
+                c, a, b = -w[j], i, k
+            elif i == k:
+                c, a, b = -w[i], j, l
+            else:  # i == l
+                c, a, b = w[i], j, k
+            table[(ga, gb)] = {index[(a, b)]: c} if a < b else {index[(b, a)]: -c}
     return table
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
 
 from .linalg import rref_nullspace
 
@@ -248,11 +248,12 @@ class SparseRational:
 
         ``den`` must be positive.  Zero numerators (cancelled terms) are
         dropped, and the dict is reused when there are none and no common
-        factor divides out.
+        factor divides out.  Zero gets den 1 whatever ``den`` was; over
+        den 1 nothing divides out, so no gcd is taken.
         """
         if 0 in terms.values():
             terms = {k: v for k, v in terms.items() if v}
-        if not terms:
+        if not terms or den == 1:
             return cls._make(ctx, terms)
         g = gcd(den, *terms.values())
         if g != 1:
@@ -351,17 +352,6 @@ class MultiPoly(SparseRational):
     @staticmethod
     def variable(space: VariableSpace, i: int) -> "MultiPoly":
         return MultiPoly(space, {space.unit_key(i): 1})
-
-    @staticmethod
-    def from_monomials(
-        space: VariableSpace, entries: Iterable[Tuple[Exponents, ScalarLike]]
-    ) -> "MultiPoly":
-        terms: Dict[int, Fraction] = {}
-        for exps, c in entries:
-            if exact(c):
-                key = space.pack(exps)
-                terms[key] = terms.get(key, ZERO) + Fraction(c)
-        return MultiPoly(space, *_numerators(terms))
 
     # -- inspection --------------------------------------------------------
 

@@ -38,7 +38,10 @@ would.
 Application to a polynomial evaluates d^alpha on each monomial as a falling
 factorial and shifts exponents; both directions are exact.  A term without
 derivatives only adds its monomial key to each input key; a derivative term
-reads only the fields its support marks.  Composition and application
+reads only the fields its support marks.  Each operator keeps, built on its
+first application, its degree raise and each term's key shift and
+(shift, alpha_i) derivative fields, so repeated applications of one
+operator unpack nothing.  Composition and application
 multiply int numerators and reduce once, over the product of the two
 denominators.  ``liealg.pi_env`` runs the same kernel once per word, the
 composed prefix after the last letter's image, into one dict for the whole
@@ -78,10 +81,11 @@ class WeylOperator(SparseRational):
 
     The keys of ``_terms`` are (monomial key, derivative key) pairs; the
     context is the VariableSpace.  ``rows()`` keeps the terms with their
-    supports for the Leibniz kernel, built on first use.
+    supports for the Leibniz kernel and ``_shape()`` keeps what ``apply``
+    reads of them, each built on first use.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_shape_table")
 
     @property
     def space(self) -> VariableSpace:
@@ -91,10 +95,8 @@ class WeylOperator(SparseRational):
         """(km, ka, c, support(km), support(ka)) for every term, in term order.
 
         Built on first use and kept, so an operator composed many times (a
-        cached generator image) computes its supports once.  ``apply`` does
-        not use them: it reads each derivative key's support directly,
-        which costs less than building the rows of an operator applied
-        only a few times.
+        cached generator image) computes its supports once.  ``apply`` reads
+        ``_shape()`` instead, which holds only what application needs.
         """
         try:
             return self._rows
@@ -104,6 +106,31 @@ class WeylOperator(SparseRational):
                 (km, ka, c, support(km), support(ka)) for (km, ka), c in self._terms.items()
             ]
             return rows
+
+    def _shape(self) -> Tuple[int, list]:
+        """(degree_raise(), terms) with (km - ka, c, alpha) for every term, in
+        term order, where alpha holds (shift, alpha_i) for each derivative
+        variable, read from the set bits of support(ka), highest shift first
+        (empty for a term without derivatives).
+
+        Built on first use and kept, so an operator applied many times reads
+        its degree raise and derivative fields once.
+        """
+        try:
+            return self._shape_table
+        except AttributeError:
+            support = self.ctx.support
+            terms = []
+            for (km, ka), c in self._terms.items():
+                alpha = []
+                sup_ka = support(ka)
+                while sup_ka:
+                    sh = sup_ka.bit_length() - 1
+                    sup_ka ^= 1 << sh
+                    alpha.append((sh, (ka >> sh) & MAX_EXP))
+                terms.append((km - ka, c, alpha))
+            shape = self._shape_table = (self.degree_raise(), terms)
+            return shape
 
     # -- constructors ------------------------------------------------------
 
@@ -148,12 +175,17 @@ class WeylOperator(SparseRational):
         )
 
     def degree_raise(self) -> int:
-        """Largest |a| - |alpha| over the terms: how far application can raise degree."""
-        ds = self.space.deg_shift
-        return max(
-            ((km >> ds) - (ka >> ds) for km, ka in self._terms),
-            default=0,
-        )
+        """Largest |a| - |alpha| over the terms: how far application can raise degree.
+
+        Read from ``_shape()`` once the operator has been applied; an
+        operator that is never applied (a composition whose degrees are
+        only compared) is not made to build it.
+        """
+        try:
+            return self._shape_table[0]
+        except AttributeError:
+            ds = self.space.deg_shift
+            return max(((km >> ds) - (ka >> ds) for km, ka in self._terms), default=0)
 
     # -- composition ---------------------------------------------------------
 
@@ -198,7 +230,8 @@ class WeylOperator(SparseRational):
         A term v^a d^alpha sends a monomial of degree d to degree
         d + |a| - |alpha|.  A term without derivatives shifts each key by its
         monomial key, and a derivative term tests the exponents of a
-        monomial before it multiplies coefficients.  The encoding cap is
+        monomial before it multiplies coefficients; both read the term's
+        shift and derivative fields from ``_shape()``.  The encoding cap is
         guarded on the degree of the result, which no exponent of it exceeds.
         """
         if not isinstance(f, MultiPoly):
@@ -208,30 +241,22 @@ class WeylOperator(SparseRational):
         sp = self.space
         if not self._terms or f.is_zero():
             return MultiPoly.zero(sp)
-        full = f.degree() + self.degree_raise()
+        high, terms = self._shape()
+        full = f.degree() + high
         if full > MAX_EXP:
             raise ValueError(f"application degree {full} exceeds encoding cap {MAX_EXP}")
         items = f._terms.items()
         out: Dict[int, int] = {}
         get = out.get
-        support = sp.support
-        for (km, ka), c in self._terms.items():
-            if not ka:
+        for delta, c, alpha in terms:
+            if not alpha:
                 for ke, ce in items:
-                    nk = ke + km
+                    nk = ke + delta
                     out[nk] = get(nk, 0) + c * ce
                 continue
-            # (shift, alpha_i) of each derivative variable: the set bits of its support
-            alist = []
-            sup_ka = support(ka)
-            while sup_ka:
-                sh = sup_ka.bit_length() - 1
-                sup_ka ^= 1 << sh
-                alist.append((sh, (ka >> sh) & MAX_EXP))
-            delta = km - ka
             for ke, ce in items:
                 mult = 1
-                for sh, al in alist:
+                for sh, al in alpha:
                     e = (ke >> sh) & MAX_EXP
                     if e < al:
                         break

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gkverify import liealg
 from gkverify.checks import REGISTRY, CheckDef, CheckRun, execute_jobs, plan_jobs, selected_checks
 from gkverify.gkmodule import DegenerateSampleError, ModuleParams, garfinkle_obstruction
 from gkverify.symsq import s4_vanishing, xi_closed_form
@@ -292,3 +293,30 @@ def test_jobs_run_serially_only():
     for threads in (0, 2):
         with pytest.raises(ValueError, match="threads must be 1"):
             execute_jobs(jobs, threads=threads)
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (4, 4)])
+def test_jacobi_counts_every_triple_it_draws(p, q):
+    # the memo of inner brackets changes no count: every drawn triple is one
+    # instance (27 at (1, 2), where fewer than 150 triples exist)
+    n = (p + q) * (p + q - 1) // 2
+    assert _verdict("lie.jacobi", p, q, None)[:2] == ("pass", min(150, n**3))
+
+
+def test_a_flipped_structure_constant_fails_jacobi_and_homomorphism(monkeypatch):
+    # one constant's sign flipped at (4, 4), in both flavors' tables: the
+    # Jacobi memo must still see it (X flavor), and so must the operator
+    # realization (M flavor)
+    real = liealg._bracket_table
+    mutants = {}
+    for flavor in ("X", "M"):
+        table = mutants[flavor] = liealg._StructureConstants(real((4, 4), flavor))
+        key = next(iter(table))  # the pair (G_12, G_13)
+        table[key] = {g: -c for g, c in table[key].items()}
+    monkeypatch.setattr(
+        liealg,
+        "_bracket_table",
+        lambda sig, flavor: mutants[flavor] if sig == (4, 4) else real(sig, flavor),
+    )
+    assert _verdict("lie.jacobi", 4, 4, None)[:2] == ("fail", 18)
+    assert _verdict("lie.homomorphism", 4, 4, None)[:2] == ("fail", 2)

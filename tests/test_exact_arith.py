@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkverify import ONE, ZERO
-from gkverify.liealg import generators, pi_generator
+from gkverify.liealg import LieElement, generators, pi_generator
 from gkverify.linalg import SparseRREF
 from gkverify.poly import MultiPoly, VariableSpace
 from gkverify.weyl import WeylOperator
+from helpers import from_monomials
 
 rationals = st.fractions(
     min_value=Fraction(-10), max_value=Fraction(10), max_denominator=50
@@ -41,9 +42,9 @@ def test_constants():
 def test_frozen_product():
     # (3/4 x1 + 2/5 y1)(-1/2 x1 + y1) = -3/8 x1^2 + 11/20 x1 y1 + 2/5 y1^2, by hand
     space = VariableSpace(1, 1)
-    a = MultiPoly.from_monomials(space, [((1, 0), Fraction(3, 4)), ((0, 1), Fraction(2, 5))])
-    b = MultiPoly.from_monomials(space, [((1, 0), Fraction(-1, 2)), ((0, 1), 1)])
-    expect = MultiPoly.from_monomials(
+    a = from_monomials(space, [((1, 0), Fraction(3, 4)), ((0, 1), Fraction(2, 5))])
+    b = from_monomials(space, [((1, 0), Fraction(-1, 2)), ((0, 1), 1)])
+    expect = from_monomials(
         space,
         [((2, 0), Fraction(-3, 8)), ((1, 1), Fraction(11, 20)), ((0, 2), Fraction(2, 5))],
     )
@@ -105,7 +106,7 @@ def test_components_stay_reduced(a, b):
     space = VariableSpace(1, 1)
     A = WeylOperator.term(space, (1, 1), (1, 0), a)
     B = WeylOperator.term(space, (2, 0), (0, 1), b) + WeylOperator.diff(space, 0).scale(b)
-    f = MultiPoly.from_monomials(space, [((3, 1), b), ((0, 2), a)])
+    f = from_monomials(space, [((3, 1), b), ((0, 2), a)])
     AB = A.compose(B)
     for obj in (AB, f, A.apply(f), AB.apply(f)):
         assert type(obj.den) is int and obj.den > 0
@@ -118,6 +119,37 @@ def test_components_stay_reduced(a, b):
         for c in poly.monomials().values():
             assert type(c) is Fraction
             assert gcd(c.numerator, c.denominator) == 1
+
+
+def _reduced_cases():
+    """(class, context, two distinct keys) for each SparseRational kind."""
+    space = VariableSpace(1, 2)
+    g, h = generators(1, 2, "X")[:2]
+    return [
+        (MultiPoly, space, space.unit_key(0), space.unit_key(1)),
+        (WeylOperator, space, (space.unit_key(0), 0), (0, space.unit_key(1))),
+        (LieElement, ((1, 2), "X"), g, h),
+    ]
+
+
+@pytest.mark.parametrize("den", [1, 6, 2**61 - 1])
+def test_reduced_gives_zero_den_one_and_keeps_den_one_terms(den):
+    # zero is canonical only with den 1, whatever den the kernel passed;
+    # over den 1 nothing divides out, so the numerators stay as they are,
+    # even when they share a factor
+    for cls, ctx, a, b in _reduced_cases():
+        for terms in ({}, {a: 0}, {a: 0, b: 0}):
+            zero = cls.reduced(ctx, terms, den)
+            assert (zero._terms, zero.den) == ({}, 1)
+        x = cls.reduced(ctx, {a: 3, b: -5}, den)
+        cancelled = x - x
+        assert type(cancelled) is cls and (cancelled._terms, cancelled.den) == ({}, 1)
+        kept = {a: 6, b: -4}
+        one = cls.reduced(ctx, kept, 1)
+        assert one._terms is kept and one._terms == {a: 6, b: -4} and one.den == 1
+        if den > 1:
+            scaled = cls.reduced(ctx, {a: 6 * den, b: -4 * den}, den)
+            assert (scaled._terms, scaled.den) == ({a: 6, b: -4}, 1)
 
 
 @given(rationals)

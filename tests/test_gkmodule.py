@@ -49,6 +49,7 @@ from gkverify.liealg import (
 )
 from gkverify.linalg import SparseRREF
 from gkverify.weyl import WeylOperator, rsq_op
+from helpers import from_monomials
 from truncated_reference import (
     TruncatedElement,
     TruncatedTypical,
@@ -134,14 +135,27 @@ def test_minus_rule_is_the_plus_rule_with_the_blocks_swapped(p, q, m):
         assert minus.layers(kt) == plus.layers(mirror)
 
 
-def test_window_rule_matches_double_integrality():
-    params = ModuleParams(4, 6, 2, 1)
-    for k in range(5):
-        for l in range(5):
-            kt = KType(k, l, 4, 6)
-            d = kt.kappa_plus - kt.kappa_minus
-            manual = (params.m + d) % 2 == 0 and abs(d) <= params.m
-            assert params.allows(kt) == manual
+@pytest.mark.parametrize("p,q,m", list(DEFAULT_SWEEP) + [(6, 6, 3), (8, 8, 4)])
+def test_integer_window_and_mu_match_the_fraction_formula(p, q, m):
+    # allows and mu decide on the int gap2 = 2k + p - 2l - q; here they are
+    # restated on the Fraction weights: the window is double integrality,
+    # kappa_plus - kappa_minus in -m, -m + 2, ..., m
+    for sign in (1, -1):
+        params = ModuleParams(p, q, m, sign)
+        for k in range(7):
+            for l in range(7):
+                kt = KType(k, l, p, q)
+                kp, km = Fraction(2 * k + p, 2), Fraction(2 * l + q, 2)
+                d = kp - km
+                allowed = d.denominator == 1 and abs(d) <= m and (m + d) % 2 == 0
+                assert params.allows(kt) == allowed, (sign, k, l)
+                if not allowed:
+                    with pytest.raises(ValueError):
+                        params.mu(kt)
+                    continue
+                s, o = (kp, km) if sign == 1 else (km, kp)
+                mu = params.mu(kt)
+                assert type(mu) is int and mu == (m + s - o) / 2, (sign, k, l)
 
 
 def test_psi_series_recurrence():
@@ -431,7 +445,7 @@ def _dense_element(space, validity):
         for picks in itertools.combinations_with_replacement(range(space.nvars), d):
             exponents.append(tuple(picks.count(v) for v in range(space.nvars)))
     entries = [(exps, 1) for exps in sorted(exponents)]
-    return TruncatedElement(MultiPoly.from_monomials(space, entries), validity)
+    return TruncatedElement(from_monomials(space, entries), validity)
 
 
 @pytest.mark.parametrize("which", CLOSED_FORMS)

@@ -124,7 +124,7 @@ def test_bracket_jacobi(a, b, c):
 def _dense_product(ma, mb):
     n = len(ma)
     return [
-        [sum((ma[i][k] * mb[k][j] for k in range(n)), ZERO) for j in range(n)]
+        [sum(ma[i][k] * mb[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
 
@@ -141,14 +141,17 @@ def test_bracket_matches_matrix_commutator(a, b):
     assert lie_from_matrix(comm, SIG, "X") == bracket(a, b)
 
 
-@pytest.mark.parametrize("sig", [(2, 2), (1, 3), (3, 3), (2, 5), (4, 0), (1, 1), (0, 4)])
+@pytest.mark.parametrize(
+    "sig", [(2, 2), (1, 3), (3, 3), (2, 5), (4, 0), (1, 1), (0, 4), (1, 7), (4, 4), (7, 1)]
+)
 @pytest.mark.parametrize("flavor", ["X", "M"])
 def test_bracket_table_matches_dense_commutators(sig, flavor):
     # the table from the bracket formula equals the dense commutator read by
     # lie_from_matrix, row for row and in key order (pbw_normal_form depends
     # on that order)
     gens = generators(*sig, flavor)
-    mats = {g: generator_matrix(g, sig) for g in gens}
+    # the entries are 0 and +-1, so the dense products run on ints
+    mats = {g: [[int(x) for x in row] for row in generator_matrix(g, sig)] for g in gens}
     table = _bracket_table(sig, flavor)
     assert all(row for row in table.values())
     for a in gens:

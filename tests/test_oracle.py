@@ -41,8 +41,9 @@ from gkverify.liealg import (
     pi_generator,
 )
 from gkverify.linalg import SparseRREF
-from gkverify.poly import MultiPoly, VariableSpace, laplacian
+from gkverify.poly import VariableSpace, laplacian
 from gkverify.weyl import WeylOperator
+from helpers import from_monomials
 
 
 def _symbols(space):
@@ -61,7 +62,7 @@ def _textbook_image(g, p, v):
 
 def _to_multipoly(expr, space, v):
     terms = sympy.Poly(expr, *v).terms()
-    return MultiPoly.from_monomials(
+    return from_monomials(
         space, [(exps, Fraction(int(c.p), int(c.q))) for exps, c in terms]
     )
 

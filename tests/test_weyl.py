@@ -7,9 +7,11 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gkverify.liealg import generators, pi_generator, sl2_triple
+from gkverify.checks import _op_family, _poly_family
+from gkverify.liealg import closed_operator, generators, pi_generator, sl2_triple
 from gkverify.poly import MAX_EXP, ONE, MultiPoly, VariableSpace, euler, laplacian, rsq
 from gkverify.weyl import WeylOperator, euler_op, laplacian_op, falling, rsq_op
+from helpers import from_monomials
 
 SPACE = VariableSpace(2, 2)
 NV = SPACE.nvars
@@ -33,7 +35,7 @@ operators = st.lists(
 
 polys = st.lists(
     st.tuples(small_exps, small_coeffs), min_size=0, max_size=4
-).map(lambda entries: MultiPoly.from_monomials(SPACE, entries))
+).map(lambda entries: from_monomials(SPACE, entries))
 
 
 def test_canonical_commutation_relations():
@@ -69,8 +71,8 @@ def test_apply_frozen_value():
     op = WeylOperator.term(SPACE, (1, 0, 0, 0), (1, 0, 0, 0), 1) + WeylOperator.diff(
         SPACE, 1
     )
-    f = MultiPoly.from_monomials(SPACE, [((2, 1, 0, 0), ONE)])
-    expect = MultiPoly.from_monomials(SPACE, [((2, 1, 0, 0), Fraction(2)), ((2, 0, 0, 0), ONE)])
+    f = from_monomials(SPACE, [((2, 1, 0, 0), ONE)])
+    expect = from_monomials(SPACE, [((2, 1, 0, 0), Fraction(2)), ((2, 0, 0, 0), ONE)])
     assert op.apply(f) == expect
 
 
@@ -204,12 +206,12 @@ def test_operator_linearity(A, B, f):
 
 
 def test_apply_at_the_encoding_cap():
-    x126 = MultiPoly.from_monomials(SPACE, [((126, 0, 0, 0), 1)])
+    x126 = from_monomials(SPACE, [((126, 0, 0, 0), 1)])
     raise_one = WeylOperator.term(SPACE, (2, 0, 0, 0), (1, 0, 0, 0))  # x1^2 d1
     raise_two = WeylOperator.term(SPACE, (3, 0, 0, 0), (1, 0, 0, 0))  # x1^3 d1
     lower_one = WeylOperator.diff(SPACE, 0)
-    top = MultiPoly.from_monomials(SPACE, [((127, 0, 0, 0), 126)])
-    below = MultiPoly.from_monomials(SPACE, [((125, 0, 0, 0), 126)])
+    top = from_monomials(SPACE, [((127, 0, 0, 0), 126)])
+    below = from_monomials(SPACE, [((125, 0, 0, 0), 126)])
     # the guard reads the result's degree, not the operator's monomial degree
     assert raise_one.apply(x126) == top
     with pytest.raises(ValueError, match="exceeds encoding cap"):
@@ -220,7 +222,7 @@ def test_apply_at_the_encoding_cap():
 
 
 def test_block_operators_match_polynomial_maps():
-    f = MultiPoly.from_monomials(
+    f = from_monomials(
         SPACE, [((2, 0, 1, 0), ONE), ((0, 1, 0, 2), Fraction(1, 3))]
     )
     for block in ("x", "y"):
@@ -390,7 +392,7 @@ def _mixed_operators_in(space):
 
 def _wide_polys_in(space):
     return st.lists(st.tuples(_exps(space, 4), small_coeffs), min_size=0, max_size=8).map(
-        lambda entries: MultiPoly.from_monomials(space, entries)
+        lambda entries: from_monomials(space, entries)
     )
 
 
@@ -406,7 +408,7 @@ def _edge_poly(space):
     nv = space.nvars
     exps = [(127,) + (0,) * (nv - 1), (0,) * (nv - 1) + (127,), (64,) + (0,) * (nv - 1)]
     exps += [(63,) + (0,) * (nv - 2) + (64,)] if nv > 1 else [(3,)]
-    return MultiPoly.from_monomials(space, [(e, Fraction(i + 1, 2)) for i, e in enumerate(exps)])
+    return from_monomials(space, [(e, Fraction(i + 1, 2)) for i, e in enumerate(exps)])
 
 
 def _edge_operator(space):
@@ -434,7 +436,7 @@ def _edge_operator(space):
         WeylOperator.term(SPACE, (2, 0, 0, 0), NO_DERIV)
         + WeylOperator.term(SPACE, (0, 0, 1, 0), (1, 0, 0, 0), Fraction(-1, 2))
         + WeylOperator.term(SPACE, NO_DERIV, (0, 2, 0, 0), 3),
-        MultiPoly.from_monomials(
+        from_monomials(
             SPACE, [((2, 1, 0, 0), 1), ((0, 3, 0, 0), 5), ((1, 0, 0, 0), 1)]
         ),
     ),
@@ -453,3 +455,48 @@ def test_apply_matches_the_sorted_reference(pair):
     # a coefficient product is formed only where the exponents admit the
     # derivative
     assert _Counted.products == formed
+
+
+# -- the per-operator apply table ------------------------------------------------------
+
+
+def _fresh_shape(A):
+    """``_shape()`` recomputed from unpacked keys: the degree raise, and per
+    term (km - ka, c, [(shift, alpha_i) for each nonzero alpha_i, highest
+    shift first])."""
+    sp = A.space
+    high = max((sum(sp.unpack(km)) - sum(sp.unpack(ka)) for km, ka in A._terms), default=0)
+    terms = [
+        (km - ka, c, [(sh, (ka >> sh) & MAX_EXP) for sh in sp.shifts if (ka >> sh) & MAX_EXP])
+        for (km, ka), c in A._terms.items()
+    ]
+    return high, terms
+
+
+@given(operator_poly_pairs)
+@settings(max_examples=100, deadline=None)
+def test_cached_shape_equals_a_fresh_recomputation(pair):
+    A, f = pair
+    want = _fresh_shape(A)
+    # before the table exists degree_raise reads the terms; after, the table
+    assert A.degree_raise() == want[0]
+    A.apply(f)
+    assert A._shape() == want
+    assert A.degree_raise() == want[0]
+    assert WeylOperator.zero(A.space)._shape() == (0, [])
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (4, 4), (1, 7), (7, 1)])
+def test_cached_apply_matches_the_sorted_reference_on_the_check_operators(p, q):
+    # the weyl suite's operators and the closed-form images, each applied
+    # twice: the first application builds the table, the second reads it
+    space = VariableSpace(p, q)
+    ops = _op_family(space) + [
+        closed_operator(space, which) for which in ("H", "X+", "X-", "op", "oq", "g", "xi")
+    ]
+    polys = _poly_family(space)
+    for A in ops:
+        for _ in range(2):
+            for f in polys:
+                assert A.apply(f) == _sorted_apply(A, f)[0]
+        assert A._shape() == _fresh_shape(A)
