@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement, islice, product
 from math import comb, gcd
 from time import perf_counter
@@ -46,6 +46,7 @@ from .poly import (
     ONE,
     ZERO,
     MultiPoly,
+    RadialSeries,
     VariableSpace,
     dagger,
     euler,
@@ -54,6 +55,7 @@ from .poly import (
     laplacian,
     rsq,
 )
+from . import gkmodule
 from .linalg import SparseRREF
 from .weyl import WeylOperator, euler_op, laplacian_op, rsq_op
 from .liealg import (
@@ -70,7 +72,6 @@ from .liealg import (
     pbw_normal_form,
     pi_casimir,
     pi_generator,
-    pi_lie,
     sl2_casimir_op,
     sl2_triple,
     straighten,
@@ -190,11 +191,16 @@ def _lie_homomorphism(run: CheckRun):
     gens = generators(*sig, "M")
     basis = [LieElement.basis(g, sig) for g in gens]
     images = [pi_generator(g, space) for g in gens]
+    image_of = dict(zip(gens, images))
+    zero = WeylOperator.zero(space)
     pairs = 0
     for ia, ib in combinations_with_replacement(range(len(gens)), 2):
         pairs += 1
         lhs = images[ia].commutator(images[ib])
-        if lhs != pi_lie(bracket(basis[ia], basis[ib])):
+        # a bracket of two generators is +-1 generator or 0: a cached image, negated, or zero
+        br = bracket(basis[ia], basis[ib])
+        rhs = sum((image_of[g].scale(Fraction(c, br.den)) for g, c in br._terms.items()), zero)
+        if lhs != rhs:
             return False, pairs, {"failed_pair": [list(gens[ia]), list(gens[ib])]}
     return True, pairs, {}
 
@@ -678,6 +684,33 @@ def _unguarded_pole(kappas: Sequence[int]) -> Tuple[int, Optional[str]]:
     return len(kappas), None
 
 
+def _w_ratio_failure(kappa: Fraction, series_at: Callable[[Fraction], RadialSeries]):
+    """The first [delta, j, t] at which gkmodule._w_ratio(2 kappa, delta, j,
+    t), the ratio the whole-series identities read, differs from
+    w_j(kappa + delta) / w_t(kappa), w_j = c_j / 4^j with c_j the
+    coefficients of series_at(alpha) = psi_series(alpha, ...), or is not 0
+    at j = -1; None if it agrees everywhere.  delta runs over the offsets
+    0, 1, 2 of _action_diagonals, and j <= t over the stored indices with
+    t >= j + delta."""
+
+    def w(alpha: Fraction) -> List[Tuple[int, int]]:  # (numerator, denominator) of each w_j
+        coeffs = sorted(series_at(alpha).coeffs.items())
+        return [(c.numerator, c.denominator << 2 * j) for (j, _), c in coeffs]
+
+    two = int(2 * kappa)
+    base = w(kappa)
+    for delta in (0, 1, 2):
+        shifted = w(kappa + delta)
+        for t, (nt, dt) in enumerate(base):
+            if gkmodule._w_ratio(two, delta, -1, t):
+                return [delta, -1, t]
+            for j in range(t - delta + 1):
+                nj, dj = shifted[j]
+                if gkmodule._w_ratio(two, delta, j, t) * nt * dj != nj * dt:
+                    return [delta, j, t]
+    return None
+
+
 @_register(
     "module.series_recurrence",
     "pqm",
@@ -685,12 +718,13 @@ def _unguarded_pole(kappas: Sequence[int]) -> Tuple[int, Optional[str]]:
 )
 def _module_series(run: CheckRun):
     cutoff = 24
+    series_at = lru_cache(maxsize=None)(lambda alpha: psi_series(alpha, cutoff))
     kappas = set()
     for params in run.families():
         for kt in ktype_enumeration(params, run.k_max, run.l_max):
             kappas.add(params.weights(kt)[0])
     for seen, kappa in enumerate(sorted(kappas), 1):
-        series = psi_series(kappa, cutoff)
+        series = series_at(kappa)
         if any(a != b for (a, b) in series.coeffs):
             return False, seen, {"off_diagonal_terms": str(kappa)}
         coeffs = {a: c for (a, _), c in series.coeffs.items()}
@@ -700,6 +734,9 @@ def _module_series(run: CheckRun):
             rhs = coeffs[j] * (Fraction(-1) / ((j + 1) * (kappa + j)))
             if coeffs[j + 1] != rhs:
                 return False, seen, {"recurrence_fails_at": j, "parameter": str(kappa)}
+        failed = _w_ratio_failure(kappa, series_at)
+        if failed is not None:
+            return False, seen, {"w_ratio_fails_at": failed, "parameter": str(kappa)}
     tried, missing = _unguarded_pole((0, -2))
     if missing is not None:
         return False, len(kappas) + tried, {"missing_pole_guard": missing}

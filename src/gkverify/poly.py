@@ -47,6 +47,8 @@ MAX_EXP = (1 << BITS) - 1
 Exponents = Tuple[int, ...]
 Coeff = Fraction
 ScalarLike = Union[int, Fraction]
+# (shift, mask, spread, top, fields) of one block; see VariableSpace.block_layout
+BlockLayout = Tuple[int, int, int, int, Tuple[Tuple[int, int], ...]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -150,41 +152,33 @@ class VariableSpace:
         return len(self.block_range(block))
 
     @cached_property
-    def _block_sums(self) -> Dict[str, Tuple[int, int, int, int]]:
+    def _blocks(self) -> Dict[str, BlockLayout]:
         out = {}
         for block in ("x", "y"):
             idxs = self.block_range(block)
             if not idxs:
-                out[block] = (0, 0, 0, 0)
+                out[block] = (0, 0, 0, 0, ())
                 continue
             n = len(idxs)
+            shift = self.shift_of(idxs[-1])
             spread = sum(1 << (BITS * i) for i in range(n))
-            out[block] = (self.shift_of(idxs[-1]), (1 << (BITS * n)) - 1, spread, BITS * (n - 1))
+            fields = tuple((self.shifts[i] - shift, 2 * self.units[i]) for i in idxs)
+            out[block] = (shift, (1 << (BITS * n)) - 1, spread, BITS * (n - 1), fields)
         return out
 
-    @cached_property
-    def block_fields(self) -> Dict[str, Tuple[int, int, Tuple[Tuple[int, int], ...]]]:
-        """Per block, (shift, mask, fields): block_sum's shift and mask, which
-        cut out a key's block part sub = (key >> shift) & mask, and one
-        (offset, 2 * unit_key) per variable of the block in variable order,
-        where (sub >> offset) & MAX_EXP is the variable's exponent."""
-        out = {}
-        for block in ("x", "y"):
-            shift, mask = self.block_sum(block)[:2]
-            fields = tuple(
-                (self.shifts[i] - shift, 2 * self.units[i]) for i in self.block_range(block)
-            )
-            out[block] = (shift, mask, fields)
-        return out
+    def block_layout(self, block: str) -> BlockLayout:
+        """(shift, mask, spread, top, fields) of the block, cached per space.
 
-    def block_sum(self, block: str) -> Tuple[int, int, int, int]:
-        """(shift, mask, spread, top) such that
-        (((key >> shift) & mask) * spread >> top) & MAX_EXP is the block
-        degree of a packed key.  Multiplying the block's fields by
-        1 + 2^BITS + 2^(2 BITS) + ... adds them all into its top field; no
-        partial sum carries, because none exceeds the total degree."""
+        sub = (key >> shift) & mask cuts out a key's block part, and
+        ((sub * spread) >> top) & MAX_EXP is its block degree: multiplying
+        the block's fields by 1 + 2^BITS + 2^(2 BITS) + ... adds them all
+        into its top field, and no partial sum carries, because none exceeds
+        the total degree.  ``fields`` holds one (offset, 2 * unit_key) per
+        variable of the block in variable order, where (sub >> offset) &
+        MAX_EXP is the variable's exponent.
+        """
         try:
-            return self._block_sums[block]
+            return self._blocks[block]
         except KeyError:
             raise ValueError("block must be 'x' or 'y'") from None
 
@@ -192,6 +186,12 @@ class VariableSpace:
         if i < self.p:
             return f"x{i + 1}"
         return f"y{i - self.p + 1}"
+
+    def factors(self, key: int, prefix: str = "") -> List[str]:
+        """The display factors of a packed key in variable order: prefix +
+        name for each nonzero exponent e, followed by ^e when e > 1."""
+        named = ((prefix + self.var_name(i), e) for i, e in enumerate(self.unpack(key)) if e)
+        return [name if e == 1 else f"{name}^{e}" for name, e in named]
 
 
 def exact(c: ScalarLike) -> ScalarLike:
@@ -320,6 +320,16 @@ class SparseRational:
             return self
         return self.reduced(self.ctx, {k: v * n for k, v in self._terms.items()}, self.den * d)
 
+    def _show(self, factors) -> str:
+        """The terms as (c)*f1*f2..., keys descending, with factors(key) the
+        key's display factors ("1" when there are none); "0" for zero."""
+        if not self._terms:
+            return "0"
+        return " + ".join(
+            f"({Fraction(self._terms[k], self.den)})*{'*'.join(factors(k)) or '1'}"
+            for k in sorted(self._terms, reverse=True)
+        )
+
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -370,7 +380,7 @@ class MultiPoly(SparseRational):
 
     def block_homogeneous_degree(self, block: str) -> int:
         """Common degree in the block's variables; raises if mixed, 0 if zero poly."""
-        shift, mask, spread, top = self.space.block_sum(block)
+        shift, mask, spread, top, _ = self.space.block_layout(block)
         degs = {(((k >> shift) & mask) * spread >> top) & MAX_EXP for k in self._terms}
         if not degs:
             return 0
@@ -435,22 +445,7 @@ class MultiPoly(SparseRational):
     # -- comparison / display ----------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        sp = self.space
-        parts = []
-        for k in sorted(self._terms, reverse=True):
-            c = Fraction(self._terms[k], self.den)
-            factors = []
-            for i in range(sp.nvars):
-                e = sp.exponent_of(k, i)
-                if e == 1:
-                    factors.append(sp.var_name(i))
-                elif e > 1:
-                    factors.append(f"{sp.var_name(i)}^{e}")
-            mono = "*".join(factors) if factors else "1"
-            parts.append(f"({c})*{mono}")
-        return " + ".join(parts)
+        return self._show(self.space.factors)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.space.p},{self.space.q}; {len(self._terms)} terms)"
@@ -462,7 +457,7 @@ class MultiPoly(SparseRational):
 def euler(f: MultiPoly, block: str) -> MultiPoly:
     """Euler operator sum_i v_i d/dv_i over the block; diagonal on monomials."""
     sp = f.space
-    shift, mask, spread, top = sp.block_sum(block)
+    shift, mask, spread, top, _ = sp.block_layout(block)
     out: Dict[int, int] = {}
     for k, c in f._terms.items():
         d = (((k >> shift) & mask) * spread >> top) & MAX_EXP
@@ -475,16 +470,13 @@ def laplacian(f: MultiPoly, block: str) -> MultiPoly:
     """Sum of second partials over the block's variables.
 
     A term's moves depend only on its block part (see
-    VariableSpace.block_fields): one (2 unit_key, e (e - 1)) per variable
+    VariableSpace.block_layout): one (2 unit_key, e (e - 1)) per variable
     of exponent e >= 2, in variable order.  They are listed once per
     distinct block part within the call, so a term costs one mask, one
     lookup and its own moves.
     """
     sp = f.space
-    try:
-        shift, mask, fields = sp.block_fields[block]
-    except KeyError:
-        raise ValueError("block must be 'x' or 'y'") from None
+    shift, mask, _, _, fields = sp.block_layout(block)
     moves_of: Dict[int, List[Tuple[int, int]]] = {}
     out: Dict[int, int] = {}
     get = out.get

@@ -38,14 +38,15 @@ would.
 Application to a polynomial evaluates d^alpha on each monomial as a falling
 factorial and shifts exponents; both directions are exact.  A term without
 derivatives only adds its monomial key to each input key; a derivative term
-reads only the fields its support marks.  Each operator keeps, built on its
-first application, its degree raise and each term's key shift and
-(shift, alpha_i) derivative fields, so repeated applications of one
-operator unpack nothing.  Composition and application
-multiply int numerators and reduce once, over the product of the two
-denominators.  ``liealg.pi_env`` runs the same kernel once per word, the
-composed prefix after the last letter's image, into one dict for the whole
-combination, and reduces that once.
+reads only the fields its support marks.  Each operator keeps one table,
+``rows()``, built on its first composition or application: per term the
+keys, the coefficient, the two supports and the (shift, alpha_i) derivative
+fields.  The Leibniz kernel reads the supports and application reads the
+derivative fields, so repeated use of one operator unpacks nothing.
+Composition and application multiply int numerators and reduce once, over
+the product of the two denominators.  ``liealg.pi_env`` runs the same kernel
+once per word, the composed prefix after the last letter's image, into one
+dict for the whole combination, and reduces that once.
 """
 
 from __future__ import annotations
@@ -80,57 +81,40 @@ class WeylOperator(SparseRational):
     """A normal-ordered differential operator; treat instances as immutable.
 
     The keys of ``_terms`` are (monomial key, derivative key) pairs; the
-    context is the VariableSpace.  ``rows()`` keeps the terms with their
-    supports for the Leibniz kernel and ``_shape()`` keeps what ``apply``
-    reads of them, each built on first use.
+    context is the VariableSpace.  ``rows()`` is the one table that
+    composition and application read, built on first use.
     """
 
-    __slots__ = ("_rows", "_shape_table")
+    __slots__ = ("_rows",)
 
     @property
     def space(self) -> VariableSpace:
         return self.ctx
 
     def rows(self) -> list:
-        """(km, ka, c, support(km), support(ka)) for every term, in term order.
+        """(km, ka, c, support(km), support(ka), alpha) for every term, in
+        term order, where alpha holds (shift, alpha_i) for each derivative
+        variable, read from the set bits of support(ka), highest shift first
+        (empty for a term without derivatives).
 
-        Built on first use and kept, so an operator composed many times (a
-        cached generator image) computes its supports once.  ``apply`` reads
-        ``_shape()`` instead, which holds only what application needs.
+        Built on first use and kept, so an operator composed or applied many
+        times (a cached generator image) unpacks its keys once.
         """
         try:
             return self._rows
         except AttributeError:
             support = self.ctx.support
-            rows = self._rows = [
-                (km, ka, c, support(km), support(ka)) for (km, ka), c in self._terms.items()
-            ]
-            return rows
-
-    def _shape(self) -> Tuple[int, list]:
-        """(degree_raise(), terms) with (km - ka, c, alpha) for every term, in
-        term order, where alpha holds (shift, alpha_i) for each derivative
-        variable, read from the set bits of support(ka), highest shift first
-        (empty for a term without derivatives).
-
-        Built on first use and kept, so an operator applied many times reads
-        its degree raise and derivative fields once.
-        """
-        try:
-            return self._shape_table
-        except AttributeError:
-            support = self.ctx.support
-            terms = []
+            rows = self._rows = []
             for (km, ka), c in self._terms.items():
-                alpha = []
                 sup_ka = support(ka)
-                while sup_ka:
-                    sh = sup_ka.bit_length() - 1
-                    sup_ka ^= 1 << sh
+                alpha = []
+                bits = sup_ka
+                while bits:
+                    sh = bits.bit_length() - 1
+                    bits ^= 1 << sh
                     alpha.append((sh, (ka >> sh) & MAX_EXP))
-                terms.append((km - ka, c, alpha))
-            shape = self._shape_table = (self.degree_raise(), terms)
-            return shape
+                rows.append((km, ka, c, support(km), sup_ka, alpha))
+            return rows
 
     # -- constructors ------------------------------------------------------
 
@@ -175,17 +159,9 @@ class WeylOperator(SparseRational):
         )
 
     def degree_raise(self) -> int:
-        """Largest |a| - |alpha| over the terms: how far application can raise degree.
-
-        Read from ``_shape()`` once the operator has been applied; an
-        operator that is never applied (a composition whose degrees are
-        only compared) is not made to build it.
-        """
-        try:
-            return self._shape_table[0]
-        except AttributeError:
-            ds = self.space.deg_shift
-            return max(((km >> ds) - (ka >> ds) for km, ka in self._terms), default=0)
+        """Largest |a| - |alpha| over the terms: how far application can raise degree."""
+        ds = self.space.deg_shift
+        return max(((km >> ds) - (ka >> ds) for km, ka in self._terms), default=0)
 
     # -- composition ---------------------------------------------------------
 
@@ -231,8 +207,10 @@ class WeylOperator(SparseRational):
         d + |a| - |alpha|.  A term without derivatives shifts each key by its
         monomial key, and a derivative term tests the exponents of a
         monomial before it multiplies coefficients; both read the term's
-        shift and derivative fields from ``_shape()``.  The encoding cap is
-        guarded on the degree of the result, which no exponent of it exceeds.
+        key shift km - ka and derivative fields from ``rows()``.  The
+        encoding cap is guarded on the degree of the result, which no
+        exponent of it exceeds: each row's degree raise is tested against
+        the room f leaves, before the row adds anything.
         """
         if not isinstance(f, MultiPoly):
             raise TypeError(f"cannot apply an operator to {type(f).__name__}")
@@ -241,14 +219,16 @@ class WeylOperator(SparseRational):
         sp = self.space
         if not self._terms or f.is_zero():
             return MultiPoly.zero(sp)
-        high, terms = self._shape()
-        full = f.degree() + high
-        if full > MAX_EXP:
-            raise ValueError(f"application degree {full} exceeds encoding cap {MAX_EXP}")
+        ds = sp.deg_shift
+        room = MAX_EXP - f.degree()
         items = f._terms.items()
         out: Dict[int, int] = {}
         get = out.get
-        for delta, c, alpha in terms:
+        for km, ka, c, _, _, alpha in self.rows():
+            if (km >> ds) - (ka >> ds) > room:
+                full = f.degree() + self.degree_raise()
+                raise ValueError(f"application degree {full} exceeds encoding cap {MAX_EXP}")
+            delta = km - ka
             if not alpha:
                 for ke, ce in items:
                     nk = ke + delta
@@ -269,28 +249,8 @@ class WeylOperator(SparseRational):
     # -- display ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         sp = self.space
-        parts = []
-        for km, ka in sorted(self._terms, reverse=True):
-            c = Fraction(self._terms[(km, ka)], self.den)
-            factors = []
-            for i in range(sp.nvars):
-                e = sp.exponent_of(km, i)
-                if e == 1:
-                    factors.append(sp.var_name(i))
-                elif e > 1:
-                    factors.append(f"{sp.var_name(i)}^{e}")
-            for i in range(sp.nvars):
-                e = sp.exponent_of(ka, i)
-                if e == 1:
-                    factors.append(f"D{sp.var_name(i)}")
-                elif e > 1:
-                    factors.append(f"D{sp.var_name(i)}^{e}")
-            mono = "*".join(factors) if factors else "1"
-            parts.append(f"({c})*{mono}")
-        return " + ".join(parts)
+        return self._show(lambda key: sp.factors(key[0]) + sp.factors(key[1], "D"))
 
     def __repr__(self) -> str:
         return f"WeylOperator({self.space.p},{self.space.q}; {len(self._terms)} terms)"
@@ -308,8 +268,8 @@ def _leibniz(
 
     ``sign`` is any int: +-1 from ``compose`` and ``commutator``, a word's
     coefficient from ``liealg.pi_env``.
-    ``a_rows`` and ``b_rows`` are ``A.rows()`` and ``B.rows()``.  The
-    variables a term pair can contract are support(alpha) & support(b): one
+    ``a_rows`` and ``b_rows`` are ``A.rows()`` and ``B.rows()``, of which
+    the kernel reads the keys, coefficients and supports.  The variables a term pair can contract are support(alpha) & support(b): one
     AND of the two supports, with no exponent unpacked.  Only the
     contractions with |gamma| >= least are formed, so for least >= 1 a pair
     with no shared variable costs that AND and nothing more.  Otherwise only
@@ -320,9 +280,9 @@ def _leibniz(
     ds = sp.deg_shift
     over = ds + BITS
     deg_one = 1 << ds
-    for kma, kaa, ca, _, sup_alpha in a_rows:
+    for kma, kaa, ca, _, sup_alpha, _ in a_rows:
         sca = sign * ca
-        for kmb, kab, cb, sup_b, _ in b_rows:
+        for kmb, kab, cb, sup_b, _, _ in b_rows:
             km = kma + kmb
             kd = kaa + kab
             # the uncontracted key has the largest degree of the pair's keys;

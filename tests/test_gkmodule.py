@@ -1386,14 +1386,25 @@ def test_a_cross_block_factor_on_the_wrong_block_fails(monkeypatch, which, index
     assert _module_fails()
 
 
+def _series_verdict():
+    (r,) = execute_jobs(plan_jobs([REGISTRY["module.series_recurrence"]], [(4, 6, 1)], 2, 2))
+    return r.status, r.instances, r.detail
+
+
 def test_a_wrong_psi_parameter_fails(monkeypatch):
-    # kappa + 1 in the w ratio of the series
+    # kappa + 1 in the w ratio of the series: the identities fail, and so
+    # does the check that ties the ratio to psi_series
     import gkverify.gkmodule as gkmodule
 
     real = gkmodule._w_ratio
     assert not _module_fails()
+    passing = _series_verdict()
+    assert passing[0] == "pass"
     monkeypatch.setattr(gkmodule, "_w_ratio", lambda two, delta, j, t: real(two + 2, delta, j, t))
     assert _module_fails()
+    status, instances, detail = _series_verdict()
+    assert (status, instances) == ("fail", 1)
+    assert detail["w_ratio_fails_at"] == [0, 0, 1]
 
 
 def _wrong_factor_rule(mutant):

@@ -196,6 +196,18 @@ def test_monomials_roundtrip():
     assert from_monomials(SPACE, f.monomials().items()) == f
 
 
+def test_display_frozen_values():
+    space = VariableSpace(2, 2)
+    x1, y2 = MultiPoly.variable(space, 0), MultiPoly.variable(space, 3)
+    f = MultiPoly.reduced(
+        space, {space.pack((2, 0, 1, 0)): 1, space.pack((0, 3, 0, 2)): -5, 0: 7}, 3
+    )
+    assert str(MultiPoly.zero(space)) == "0"
+    assert str(MultiPoly.one(space).scale(Fraction(3, 2))) == "(3/2)*1"
+    assert str(x1.mul(y2)) == "(1)*x1*y2"
+    assert str(f) == "(-5/3)*x2^3*y2^2 + (1/3)*x1^2*y1 + (7/3)*1"
+
+
 def test_block_homogeneous_degree():
     x1 = MultiPoly.variable(SPACE, 0)
     y1 = MultiPoly.variable(SPACE, 2)
@@ -275,8 +287,13 @@ def test_unknown_block_is_refused():
             SPACE.block_size(bad)
         with pytest.raises(ValueError, match="block must be"):
             harmonic_basis(SPACE, bad, 1)
-        with pytest.raises(ValueError, match="block must be"):
-            laplacian(MultiPoly.one(SPACE), bad)
+        for f in (MultiPoly.zero(SPACE), MultiPoly.one(SPACE)):
+            with pytest.raises(ValueError, match="block must be 'x' or 'y'"):
+                laplacian(f, bad)
+            with pytest.raises(ValueError, match="block must be 'x' or 'y'"):
+                euler(f, bad)
+            with pytest.raises(ValueError, match="block must be 'x' or 'y'"):
+                f.block_homogeneous_degree(bad)
     assert (SPACE.block_size("x"), SPACE.block_size("y")) == (2, 4)
 
 

@@ -207,18 +207,39 @@ def test_operator_linearity(A, B, f):
 
 def test_apply_at_the_encoding_cap():
     x126 = from_monomials(SPACE, [((126, 0, 0, 0), 1)])
-    raise_one = WeylOperator.term(SPACE, (2, 0, 0, 0), (1, 0, 0, 0))  # x1^2 d1
-    raise_two = WeylOperator.term(SPACE, (3, 0, 0, 0), (1, 0, 0, 0))  # x1^3 d1
-    lower_one = WeylOperator.diff(SPACE, 0)
     top = from_monomials(SPACE, [((127, 0, 0, 0), 126)])
     below = from_monomials(SPACE, [((125, 0, 0, 0), 126)])
-    # the guard reads the result's degree, not the operator's monomial degree
-    assert raise_one.apply(x126) == top
-    with pytest.raises(ValueError, match="exceeds encoding cap"):
-        raise_two.apply(x126)
-    assert (raise_one + lower_one).apply(x126) == top + below
-    with pytest.raises(ValueError, match="exceeds encoding cap"):
-        (raise_two + raise_one + lower_one).apply(x126)
+    ident = WeylOperator.identity(SPACE)
+    # the boundary is the same whether apply builds the operator's table or
+    # an earlier compose did
+    for built in (False, True):
+        raise_one = WeylOperator.term(SPACE, (2, 0, 0, 0), (1, 0, 0, 0))  # x1^2 d1
+        raise_two = WeylOperator.term(SPACE, (3, 0, 0, 0), (1, 0, 0, 0))  # x1^3 d1
+        lower_one = WeylOperator.diff(SPACE, 0)
+        mixed = raise_one + lower_one
+        over = raise_two + raise_one + lower_one
+        if built:
+            for op in (raise_one, raise_two, mixed, over):
+                op.compose(ident)
+        # the guard reads the result's degree, not the operator's monomial degree
+        assert raise_one.apply(x126) == top
+        with pytest.raises(ValueError, match="degree 128 exceeds encoding cap 127"):
+            raise_two.apply(x126)
+        assert mixed.apply(x126) == top + below
+        with pytest.raises(ValueError, match="degree 128 exceeds encoding cap 127"):
+            over.apply(x126)
+
+
+def test_display_frozen_values():
+    space = VariableSpace(2, 2)
+    op = (
+        WeylOperator.term(space, (1, 0, 0, 2), (0, 0, 3, 0), Fraction(1, 2))
+        + WeylOperator.term(space, (0, 0, 0, 0), (2, 1, 0, 0), -4)
+        + WeylOperator.term(space, (0, 1, 1, 0), (0, 0, 0, 1), 3)
+    )
+    assert str(WeylOperator.zero(space)) == "0"
+    assert str(WeylOperator.identity(space).scale(Fraction(-2, 5))) == "(-2/5)*1"
+    assert str(op) == "(1/2)*x1*y2^2*Dy1^3 + (3)*x2*y1*Dy2 + (-4)*Dx1^2*Dx2"
 
 
 def test_block_operators_match_polynomial_maps():
@@ -457,46 +478,89 @@ def test_apply_matches_the_sorted_reference(pair):
     assert _Counted.products == formed
 
 
-# -- the per-operator apply table ------------------------------------------------------
+# -- the per-operator table ------------------------------------------------------------
 
 
-def _fresh_shape(A):
-    """``_shape()`` recomputed from unpacked keys: the degree raise, and per
-    term (km - ka, c, [(shift, alpha_i) for each nonzero alpha_i, highest
-    shift first])."""
+def _fresh_rows(A):
+    """``rows()`` recomputed from unpacked keys: per term (km, ka, c,
+    support(km), support(ka), [(shift, alpha_i) for each nonzero alpha_i,
+    highest shift first])."""
     sp = A.space
-    high = max((sum(sp.unpack(km)) - sum(sp.unpack(ka)) for km, ka in A._terms), default=0)
-    terms = [
-        (km - ka, c, [(sh, (ka >> sh) & MAX_EXP) for sh in sp.shifts if (ka >> sh) & MAX_EXP])
+
+    def support(key):
+        return sum(1 << sh for sh, e in zip(sp.shifts, sp.unpack(key)) if e)
+
+    return [
+        (km, ka, c, support(km), support(ka),
+         [(sh, e) for sh, e in zip(sp.shifts, sp.unpack(ka)) if e])
         for (km, ka), c in A._terms.items()
     ]
-    return high, terms
+
+
+def _fresh_degree_raise(A):
+    sp = A.space
+    return max((sum(sp.unpack(km)) - sum(sp.unpack(ka)) for km, ka in A._terms), default=0)
+
+
+def _copy(A):
+    """A with the same terms and no table built yet."""
+    return WeylOperator(A.space, dict(A._terms), A.den)
 
 
 @given(operator_poly_pairs)
 @settings(max_examples=100, deadline=None)
-def test_cached_shape_equals_a_fresh_recomputation(pair):
+def test_rows_equal_a_fresh_recomputation(pair):
     A, f = pair
-    want = _fresh_shape(A)
-    # before the table exists degree_raise reads the terms; after, the table
-    assert A.degree_raise() == want[0]
+    want = _fresh_rows(A)
+    assert A.degree_raise() == _fresh_degree_raise(A)
     A.apply(f)
-    assert A._shape() == want
-    assert A.degree_raise() == want[0]
-    assert WeylOperator.zero(A.space)._shape() == (0, [])
+    assert A.rows() == want
+    assert A.degree_raise() == _fresh_degree_raise(A)
+    assert WeylOperator.zero(A.space).rows() == []
+    assert WeylOperator.identity(A.space).rows() == [(0, 0, 1, 0, 0, [])]
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (4, 4), (1, 7), (7, 1)])
 def test_cached_apply_matches_the_sorted_reference_on_the_check_operators(p, q):
-    # the weyl suite's operators and the closed-form images, each applied
-    # twice: the first application builds the table, the second reads it
+    # the weyl suite's operators, the closed-form images, zero and the
+    # identity, each applied twice: the first application builds the table,
+    # the second reads it
     space = VariableSpace(p, q)
     ops = _op_family(space) + [
         closed_operator(space, which) for which in ("H", "X+", "X-", "op", "oq", "g", "xi")
-    ]
+    ] + [WeylOperator.zero(space), WeylOperator.identity(space)]
     polys = _poly_family(space)
     for A in ops:
         for _ in range(2):
             for f in polys:
                 assert A.apply(f) == _sorted_apply(A, f)[0]
-        assert A._shape() == _fresh_shape(A)
+        assert A.rows() == _fresh_rows(A)
+        assert A.degree_raise() == _fresh_degree_raise(A)
+
+
+_FIRST = ("compose", "commutator", "apply", "degree_raise")
+
+
+def _results(A, B, f, first):
+    """compose, commutator, apply and degree_raise on fresh copies of A and
+    B, with `first` called before the others."""
+    A, B = _copy(A), _copy(B)
+    calls = {
+        "compose": lambda: A.compose(B),
+        "commutator": lambda: A.commutator(B),
+        "apply": lambda: (A.apply(f), B.apply(f)),
+        "degree_raise": lambda: (A.degree_raise(), B.degree_raise()),
+    }
+    order = (first,) + tuple(name for name in _FIRST if name != first)
+    return {name: calls[name]() for name in order}
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (1, 3), (3, 2)])
+def test_results_do_not_depend_on_which_method_built_the_table(p, q):
+    space = VariableSpace(p, q)
+    ops = _op_family(space) + [closed_operator(space, "g"), WeylOperator.identity(space)]
+    f = _poly_family(space)[3]
+    for A, B in itertools.product(ops, repeat=2):
+        want = _results(A, B, f, "degree_raise")
+        for first in _FIRST[:3]:
+            assert _results(A, B, f, first) == want, first
