@@ -58,13 +58,11 @@ from .liealg import (
     dual_sign,
     form_B,
     gamma2,
-    generator_matrix,
     generators,
     pbw_normal_form,
     pi_casimir,
     pi_env,
     pi_generator,
-    pi_lie,
     sl2_casimir_op,
     sl2_triple,
     transport,
@@ -102,7 +100,6 @@ from .symsq import (
     decompose_S2,
     gamma2_q_identity,
     gamma2_xi_identity,
-    pairing,
     s4_vanishing,
     theorem_ingredients,
     xi_closed_form,
@@ -133,7 +130,6 @@ __all__ = [
     "LieElement",
     "EnvelopingElement",
     "generators",
-    "generator_matrix",
     "dual_sign",
     "bracket",
     "form_B",
@@ -144,7 +140,6 @@ __all__ = [
     "gamma2",
     "casimir",
     "pi_generator",
-    "pi_lie",
     "pi_env",
     "pi_casimir",
     "sl2_triple",
@@ -175,7 +170,6 @@ __all__ = [
     "build_S2",
     "build_Xi",
     "xi_closed_form",
-    "pairing",
     "adjoint_action",
     "gamma2_q_identity",
     "gamma2_xi_identity",

@@ -690,8 +690,8 @@ def _w_ratio_failure(kappa: Fraction, series_at: Callable[[Fraction], RadialSeri
     w_j(kappa + delta) / w_t(kappa), w_j = c_j / 4^j with c_j the
     coefficients of series_at(alpha) = psi_series(alpha, ...), or is not 0
     at j = -1; None if it agrees everywhere.  delta runs over the offsets
-    0, 1, 2 of _action_diagonals, and j <= t over the stored indices with
-    t >= j + delta."""
+    0, 1, 2 of the mixed action's layers, and j <= t over the stored
+    indices with t >= j + delta."""
 
     def w(alpha: Fraction) -> List[Tuple[int, int]]:  # (numerator, denominator) of each w_j
         coeffs = sorted(series_at(alpha).coeffs.items())

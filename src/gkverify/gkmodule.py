@@ -19,27 +19,29 @@ A TypicalElement is the whole series: the terms w_j h1 (r_x^2)^(j + mu_x)
 h2 (r_y^2)^(j + mu_y), j >= 0, with w_0 = 1/2^mu and w_j / w_(j+1) =
 -2 (j + 1)(2 kappa + 2 j), are held as those parameters alone; the sample
 plans ktype_elements and product_elements yield typical elements one at a
-time.  Each factor of a liealg.closed_form word (the Casimirs, the
-symmetric-square element Xi and the sl2 triple) acts on one block and sends
-a label h (r^2)^a, h harmonic there, to a known multiple of another label;
-so do x_i, y_j and their partials, moving the harmonic to dagger(v h) or
-d_v h, and the factors of each mixed-action layer.  That test is exact by
-the Fischer decomposition: every polynomial in a block is uniquely a sum of
+time.  One table, _label_rule, says how a factor acts on a label h (r^2)^a
+of its block, h harmonic there: E, R and L (the factors of the
+liealg.closed_form words of the Casimirs, Xi and the sl2 triple) give a
+multiple of h (r^2)^a', and V and D (v and d_v, v = x_i or y_j) multiples
+of dagger(v h) (r^2)^a' and d_v h (r^2)^a'.  That test is exact by the
+Fischer decomposition: every polynomial in a block is uniquely a sum of
 harmonics times powers of r^2, so the h (r^2)^a, for one nonzero harmonic h
 of each degree and every a, are independent, and so are the products of an
 independent x-family with an independent y-family.
 
 So eigenvalue_check, the three steps of verify_membership and
 p_action_check are identities between label sums, one per label, and each
-holds for the whole series, with no truncation.  A term shifts a label by a
-fixed amount per block, so the labels of one diagonal (a_x - a_y fixed) are
-indexed by one integer t, and the term of index j = t - d reaches label t.
+holds for the whole series, with no truncation: _placed expands their (c,
+word) terms by the table's rows, and _verdicts decides them.  A term
+shifts a label by a fixed amount per block, so the labels of one diagonal
+(kind_x, kind_y, a_x - a_y fixed) are indexed by one integer t, and the
+term of index j = t - d reaches label t.
 Divided by w_t, the sum at label t is a polynomial P(t): each term gives its
 coefficient, times w_(t-d) / w_t (a product of d factors quadratic in t),
-times its label rules (E adds 1 to the degree in t, L adds 2).  P has
-degree at most the largest term bound, so it is zero for every t >= 0 when
-it is zero at t = 0 .. bound; _holds evaluates it there in integers.  A
-term whose index t - d is negative is no term of the series, and the factor
+times its rows' multiples (each at most quadratic in t).  P has degree at
+most the largest term bound, so it is zero for every t >= 0 when it is
+zero at t = 0 .. bound; _holds evaluates it there in integers.  A term
+whose index t - d is negative is no term of the series, and the factor
 (i + 1) of w_(t-d) / w_t vanishes at i = -1 for exactly those.
 
 The obstruction solver at the bottom, garfinkle_obstruction, asks whether
@@ -55,9 +57,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import lcm
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .liealg import (
     Generator,
@@ -350,20 +352,100 @@ def typical_element(params: ModuleParams, h1: MultiPoly, h2: MultiPoly) -> Typic
 # -- whole-series identities on K-type labels ---------------------------------------
 
 
+def _label_rule(kind: str, a: int, k: int, n: int) -> Tuple[Tuple[int, int, str, int], ...]:
+    """The one table of how a factor moves a label: `kind` sends h (r^2)^a,
+    h harmonic of degree k in a block of n variables, to the sum over its
+    rows (s, den, moved, a') of s/den times the moved harmonic times
+    (r^2)^a'.  moved is "h" for h itself, "v" for V h = dagger(v h) and "d"
+    for d_v h, v a variable of the block; s is an integer polynomial of
+    degree at most 2 in a, and den and a' - a do not depend on a.
+    - E, the Euler operator, multiplies by the degree k + 2a;
+    - R, r^2, raises a;
+    - L, the Laplacian, gives 2a (2a + 2k + n - 2) h (r^2)^(a-1), from [L, R]
+      = 4E + 2n and L h = 0 (casimir.sl2_relation checks the commutators);
+    - V, v times: with c = 1/(2k + n - 2) the harmonic part of v h is V h =
+      v h - c r^2 d_v h (p_action_check checks that lemma, _fischer);
+    - D, d_v: with d_v (r^2)^a = 2a v (r^2)^(a-1), it gives (1 + 2a c) d_v h
+      (r^2)^a + 2a V h (r^2)^(a-1).
+    At k = 0, d_v h = 0 and c is not read: its row is 0 over 1."""
+    if kind == "E":
+        return ((k + 2 * a, 1, "h", a),)
+    if kind == "R":
+        return ((1, 1, "h", a + 1),)
+    if kind == "L":
+        return ((2 * a * (2 * a + 2 * k + n - 2), 1, "h", a - 1),)
+    c, den = (1, 2 * k + n - 2) if k else (0, 1)  # c = 1/(2k + n - 2) as c/den
+    if kind == "V":
+        return ((1, 1, "v", a), (c, den, "d", a + 1))
+    if kind == "D":
+        return ((den + 2 * a * c, den, "d", a), (2 * a, 1, "v", a - 1))
+    raise ValueError(f"unknown factor kind {kind!r}")
+
+
+def _placed(terms, f: TypicalElement) -> List[Tuple]:
+    """The (c, word) terms applied to f as placed terms (key, s_x, 2 lambda,
+    const, coeffs) for _diagonals, one per choice of a _label_rule row for
+    each factor, rightmost first, on an unmoved harmonic only.  Term j goes
+    from ("h", j + mu_block) per block to (moved_x, j + s_x, moved_y, j +
+    s_y), keyed (moved_x, moved_y, s_x - s_y), times const * P(j): c over
+    the rows' dens, and P (coeffs, lowest first; none if P = 0) the product
+    of the rows' s, each fitted in j to its values at j = 0, 1, 2."""
+    two_kappa = int(2 * f.kappa)
+    out = []
+    for c, word in terms:
+        branches = [(1, [1], {b: ("h", start) for b, (_, _, start) in f.blocks.items()})]
+        for kind, block in reversed(word):
+            k, n, _ = f.blocks[block]
+            grown = []
+            for dens, coeffs, labels in branches:
+                moved, a = labels[block]
+                if moved != "h":
+                    raise ValueError(f"{kind}{block} acts on a moved harmonic in {word}")
+                rows = [_label_rule(kind, a + j, k, n) for j in range(3)]
+                for (s0, den, moved, a2), (s1, *_), (s2, *_) in zip(*rows):
+                    lead = (s0 - 2 * s1 + s2) // 2
+                    coeffs2 = _times(coeffs, (s0, s1 - s0 - lead, lead))
+                    grown.append((dens * den, coeffs2, {**labels, block: (moved, a2)}))
+            branches = grown
+        for dens, coeffs, labels in branches:
+            (mx, sx), (my, sy) = labels["x"], labels["y"]
+            if coeffs:
+                out.append(((mx, my, sx - sy), sx, two_kappa, Fraction(c, dens), tuple(coeffs)))
+    return out
+
+
+def _times(u: List[int], v) -> List[int]:
+    """u * v, coefficients lowest first, without zero top coefficients."""
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 class _Term(NamedTuple):
     """One term of a label diagonal: at label t it contributes const *
-    w_(t-d)(base + delta) / w_t(base) * rule(t - d), an integer polynomial
-    in t of degree at most rule_degree + 2 d - delta (see _w_ratio)."""
+    w_(t-d)(base + delta) / w_t(base) * P(t - d), P the integer polynomial
+    with coefficients `coeffs`, lowest first: a polynomial in t of degree
+    at most deg P + 2 d - delta (see _w_ratio)."""
 
     const: int
     d: int
     delta: int
-    rule_degree: int
-    rule: Callable[[int], int]
+    coeffs: Tuple[int, ...]
 
     @property
     def bound(self) -> int:
-        return self.rule_degree + 2 * self.d - self.delta
+        return len(self.coeffs) - 1 + 2 * self.d - self.delta
+
+    def rule(self, j: int) -> int:
+        """P(j), by Horner's rule."""
+        out = 0
+        for c in reversed(self.coeffs):
+            out = out * j + c
+        return out
 
 
 def _w_ratio(two_base: int, delta: int, j: int, t: int) -> int:
@@ -383,26 +465,27 @@ def _w_ratio(two_base: int, delta: int, j: int, t: int) -> int:
 
 
 def _diagonals(placed) -> Dict:
-    """The placed terms (key, s_x, parameter, const, rule degree, rule) as
-    {key: (2 base, [_Term])}, grouped by their label diagonal `key`; term j
-    of a placed term reaches the label a_x = j + s_x.  Each series is
-    written in the w_j of psi_series at its own parameter: divided by
-    w_t(base), base the least parameter on the diagonal, term j of the
-    series at base + delta contributes const * _w_ratio(2 base, delta, j, t),
-    polynomial in t once t >= j + delta.  So a term fixes d = t - j = shift
-    + s_x, shift the least making every d >= delta.  The constants of a
-    diagonal are cleared to integers over their common denominator."""
+    """The placed terms (key, s_x, 2 lambda, const, coeffs) as {key: (2 base,
+    [_Term])}, grouped by their label diagonal `key`; term j of a placed
+    term reaches the label a_x = j + s_x.  Each series is written in the w_j
+    of psi_series at its own parameter lambda: divided by w_t(base), base
+    the least parameter on the diagonal, term j of the series at base +
+    delta contributes const * _w_ratio(2 base, delta, j, t), polynomial in t
+    once t >= j + delta.  So a term fixes d = t - j = shift + s_x, shift the
+    least making every d >= delta.  The constants of a diagonal are cleared
+    to integers over their common denominator."""
     groups: Dict = {}
     for key, *entry in placed:
         groups.setdefault(key, []).append(entry)
     out = {}
     for key, entries in groups.items():
-        base = min(lam for _, lam, *_ in entries)
-        shift = max(lam - base - sx for sx, lam, *_ in entries)
-        den = lcm(*(Fraction(const).denominator for _, _, const, *_ in entries))
-        out[key] = (int(2 * base), [
-            _Term(int(const * den), int(shift + sx), int(lam - base), degree, rule)
-            for sx, lam, const, degree, rule in entries
+        two_base = min(two for _, two, _, _ in entries)
+        shift = max((two - two_base) // 2 - sx for sx, two, _, _ in entries)
+        den = lcm(*(const.denominator for _, _, const, _ in entries))
+        out[key] = (two_base, [
+            _Term(const.numerator * (den // const.denominator), shift + sx,
+                  (two - two_base) // 2, coeffs)
+            for sx, two, const, coeffs in entries
         ])
     return out
 
@@ -422,56 +505,15 @@ def _holds(two_base: int, terms) -> bool:
     return not any(_diagonal_value(two_base, terms, t) for t in range(top + 1))
 
 
-def _factor_rule(kind: str, a: int, k: int, n: int) -> Tuple[int, int]:
-    """(s, a'): the stock factor `kind` ("E", "R" or "L" of a closed_form
-    word) sends h (r^2)^a, h harmonic of degree k in a block of n variables,
-    to s h (r^2)^a'.  The Euler operator multiplies by the degree k + 2a,
-    r^2 raises a, and the Laplacian gives 2a (2a + 2k + n - 2) (r^2)^(a-1) h
-    (from [L, R] = 4E + 2n and L h = 0; casimir.sl2_relation checks the
-    commutators)."""
-    if kind == "E":
-        return k + 2 * a, a
-    if kind == "R":
-        return 1, a + 1
-    return 2 * a * (2 * a + 2 * k + n - 2), a - 1
-
-
-_DEGREE = {"E": 1, "R": 0, "L": 2}  # the degree in a of each _factor_rule multiple
-
-
-def _word_rule(f: TypicalElement, word: Tuple[str, ...], j: int) -> int:
-    """The multiple that the word gives the label of f's term j, its x
-    factors acting on a_x = j + mu_x and its y factors on a_y, rightmost
-    first, each by _factor_rule."""
-    a = {block: j + start for block, (_, _, start) in f.blocks.items()}
-    s = 1
-    for kind, block in reversed(word):
-        k, n, _ = f.blocks[block]
-        r, a[block] = _factor_rule(kind, a[block], k, n)
-        s *= r
-    return s
-
-
-def _word_diagonals(terms, f: TypicalElement) -> Dict:
-    """The (c, word) terms by label diagonal (_diagonals): a word moves the
-    label (a_x, a_y) of term j to (j + mu_x + net_x, j + mu_y + net_y), so
-    its diagonal is fixed by net_x - net_y, and on one diagonal the word of
-    least net_x reaches label t from term t."""
-    placed = []
-    for c, word in terms:
-        net = {"x": 0, "y": 0}
-        for kind, block in word:
-            net[block] = _factor_rule(kind, net[block], *f.blocks[block][:2])[1]
-        degree = sum(_DEGREE[kind] for kind, _ in word)
-        rule = partial(_word_rule, f, word)
-        placed.append((net["x"] - net["y"], net["x"], f.kappa, c, degree, rule))
-    return _diagonals(placed)
+def _verdicts(placed) -> Dict[Tuple[str, str, int], bool]:
+    """{(kind_x, kind_y, a_x - a_y): whether that label diagonal of the
+    placed terms vanishes for the whole series}, by _holds."""
+    return {key: _holds(*diag) for key, diag in _diagonals(placed).items()}
 
 
 def _vanishes(terms, f: TypicalElement) -> bool:
-    """Whether sum c * word(f) is zero, for the whole series: every label
-    diagonal of _word_diagonals _holds, in integers at kappa."""
-    return all(_holds(*diag) for diag in _word_diagonals(terms, f).values())
+    """Whether sum c * word(f) is zero, for the whole series."""
+    return all(_verdicts(_placed(terms, f)).values())
 
 
 def _minus_identity(terms, scalar: Fraction):
@@ -545,18 +587,8 @@ def eigenvalue_check(which: str, f: TypicalElement) -> EigenvalueReport:
 # -- mixed-generator action ---------------------------------------------------------
 
 
-def _coordinate_rule(kind: str, a: int, k: int, n: int) -> Tuple[Tuple[Fraction, str, int], ...]:
-    """v h (r^2)^a ("mul") or d_v (h (r^2)^a) ("diff"), for h harmonic of
-    degree k in a block of n variables and v one of them, as terms (s,
-    moved, a'): s times the moved harmonic, "v" for V h = dagger(v h) and
-    "d" for d_v h, times (r^2)^a'.  With c = 1/(2k + n - 2), the harmonic
-    part of v h is V h = v h - c r^2 d_v h, and d_v (r^2)^a = 2a v (r^2)^(a-1)
-    gives the second row.  At k = 0, d_v h = 0 and c is not read.  Each s
-    has degree at most 1 in a: 0 for "mul", 1 for "diff"."""
-    c = Fraction(1, 2 * k + n - 2) if k else ZERO
-    if kind == "mul":
-        return (ONE, "v", a), (c, "d", a + 1)
-    return (1 + 2 * a * c, "d", a), (Fraction(2 * a), "v", a - 1)
+# x_i y_j + d_{y_j} d_{x_i} as (c, word) terms over the V and D rows of _label_rule
+_ACTION = ((ONE, (("V", "x"), ("V", "y"))), (ONE, (("D", "y"), ("D", "x"))))
 
 
 def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
@@ -570,12 +602,13 @@ def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
     multiple of a label (kind_x, a_x, kind_y, a_y), F_x h1 (r_x^2)^a_x F_y
     h2 (r_y^2)^a_y with F_x h1 = d_{x_i} h1 ("d") or dagger(x_i h1) ("v")
     and F_y likewise along y_j.  The multiples do not depend on (i, j):
-    _action_labels decides each diagonal once per f.  Each (i, j) checks
-    the lemmas of _coordinate_rule on its two variables (_fischer, once per
-    variable), drops the diagonals of "d" labels whose harmonic d_{x_i} h1
-    or d_{y_j} h2 is zero, and needs every other diagonal to hold.  A zero
-    layer denominator raises DegenerateDenominatorError where neither moved
-    harmonic vanishes."""
+    the words V_x V_y and D_x D_y of _ACTION, placed by the V and D rows of
+    _label_rule, and the layers (_layer_terms) go through _verdicts once
+    per f.  Each (i, j) checks the lemma of the V row on its two variables
+    (_fischer, once per variable), drops the diagonals of "d" labels whose
+    harmonic d_{x_i} h1 or d_{y_j} h2 is zero, and needs every other
+    diagonal to hold.  A zero layer denominator raises
+    DegenerateDenominatorError where neither moved harmonic vanishes."""
     params, kt = _require_typical(f).params, f.kt
     if not (1 <= i <= params.p and 1 <= j <= params.q):
         raise ValueError("need 1 <= i <= p and 1 <= j <= q")
@@ -587,7 +620,7 @@ def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
         return False
     holds = f._parts.get("labels")
     if holds is None:
-        holds = f._parts["labels"] = _action_labels(f)
+        holds = f._parts["labels"] = _verdicts(_placed(_ACTION, f) + _layer_terms(f))
     no_d = {}  # block -> whether its "d" harmonic, d_{x_i} h1 or d_{y_j} h2, is zero
     for block, var in (("x", xi), ("y", yj)):
         if var not in f._parts:
@@ -607,49 +640,17 @@ def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
     )
 
 
-def _rule_lines(kind: str, k: int, n: int, start: int) -> List[Tuple[str, int, int, int, int]]:
-    """The rows of _coordinate_rule(kind, start + j, k, n) as (moved, a' at j
-    = 0, den, u, v) with den s = u + v j in integers: each s has degree at
-    most 1 in a, so its rows at a = start and start + 1 fix it."""
-    out = []
-    for (s0, moved, a0), (s1, _, _) in zip(
-        _coordinate_rule(kind, start, k, n), _coordinate_rule(kind, start + 1, k, n)
-    ):
-        den = lcm(s0.denominator, s1.denominator)
-        out.append((moved, a0, den, int(s0 * den), int((s1 - s0) * den)))
-    return out
-
-
-def _moved_rule(ux: int, vx: int, uy: int, vy: int, j: int) -> int:
-    """The cleared multiple that x_i y_j or d_{y_j} d_{x_i} gives f's term j
-    at one label: the product of its two rows of _rule_lines."""
-    return (ux + vx * j) * (uy + vy * j)
-
-
-def _one(j: int) -> int:
-    return 1
-
-
-def _action_diagonals(f: TypicalElement) -> Dict:
-    """p_action_check's sum by label diagonal (_diagonals), keyed (kind_x,
-    kind_y, a_x - a_y), for every (i, j).  f's term j gives x_i y_j and
-    d_{y_j} d_{x_i} of it, each block by _coordinate_rule, in the w_j of
-    psi_series at kappa over 2^mu; a layer num/den F_x h1 F_y h2 rho_s^e
-    Psi_lambda gives -num/den c_j(lambda) / 2^(2 j + e), that is
-    -num/den 2^(mu - e) w_j(lambda) / 2^mu, at (kind_x, j + e_x, kind_y, j
-    + e_y), e on the series block.  A layer with a zero num or den, or whose
-    moved harmonic has negative degree, is left out: it is zero at every
-    (i, j) that gets past the guards."""
+def _layer_terms(f: TypicalElement) -> List[Tuple]:
+    """The layers of p_action_check as placed terms (_diagonals): a layer
+    num/den F_x h1 F_y h2 rho_s^e Psi_lambda gives -num/den c_j(lambda) /
+    2^(2 j + e), that is -num/den 2^(mu - e) w_j(lambda) / 2^mu, at (kind_x,
+    j + e_x, kind_y, j + e_y), e on the series block; f's own terms are in
+    the w_j of psi_series at kappa over 2^mu.  A layer with a zero num or
+    den, or whose moved harmonic has negative degree, is left out: it is
+    zero at every (i, j) that gets past the guards."""
     params, kt, kappa = f.params, f.kt, f.kappa
-    placed = []
-    for kind, degree in (("mul", 0), ("diff", 2)):
-        lines = {b: _rule_lines(kind, k, n, start) for b, (k, n, start) in f.blocks.items()}
-        for kx, bx, den_x, ux, vx in lines["x"]:
-            for ky, by, den_y, uy, vy in lines["y"]:
-                rule = partial(_moved_rule, ux, vx, uy, vy)
-                const = Fraction(1, den_x * den_y)
-                placed.append(((kx, ky, bx - by), bx, kappa, const, degree, rule))
     mu = params.mu(kt)
+    out = []
     for layer in params.layers(kt):
         kinds = {params.weight_block: layer.weight, params.series_block: layer.radial}
         kx, ky = kinds["x"], kinds["y"]  # each moved harmonic's degree is 1 off its own
@@ -661,26 +662,20 @@ def _action_diagonals(f: TypicalElement) -> Dict:
             raise ValueError(f"layer parameter {lam} is not kappa = {kappa} plus an integer")
         e = {params.series_block: layer.exponent, params.weight_block: 0}
         const = -layer.num / layer.den * Fraction(2) ** (mu - layer.exponent)
-        placed.append(((kx, ky, e["x"] - e["y"]), e["x"], lam, const, 0, _one))
-    return _diagonals(placed)
-
-
-def _action_labels(f: TypicalElement) -> Dict[Tuple[str, str, int], bool]:
-    """{(kind_x, kind_y, a_x - a_y): whether that diagonal of
-    p_action_check's sum vanishes for the whole series}, by _holds."""
-    return {key: _holds(*diag) for key, diag in _action_diagonals(f).items()}
+        out.append(((kx, ky, e["x"] - e["y"]), e["x"], int(2 * lam), const, (1,)))
+    return out
 
 
 def _fischer(f: TypicalElement, var: int) -> Tuple[bool, bool]:
-    """(whether _coordinate_rule's lemmas hold for var on f's harmonic h of
-    var's block, whether d_var h is zero): V = dagger(var h) must be
-    block-harmonic and nonzero, and var h - V = c r^2 d_var h with the c
-    that the rule reads."""
+    """(whether the lemma of _label_rule's V row holds for var on f's
+    harmonic h of var's block, whether d_var h is zero): V = dagger(var h)
+    must be block-harmonic and nonzero, and var h - V = c r^2 d_var h with
+    c the multiple of the row's "d" label, 1/(2k + n - 2)."""
     p, q, kt = f.params.p, f.params.q, f.kt
     block, h, k, n = ("x", f.h1, kt.k, p) if var < p else ("y", f.h2, kt.l, q)
     moved, d = h.var_mul(var), h.diff(var)
     v = dagger(moved, block)
-    _, (c, _, _) = _coordinate_rule("mul", 0, k, n)
+    c = sum(Fraction(s, den) for s, den, kind, _ in _label_rule("V", 0, k, n) if kind == "d")
     holds = bool(v) and laplacian(v, block).is_zero()
     return holds and moved - v == rsq(f.space, block).mul(d).scale(c), d.is_zero()
 

@@ -56,7 +56,6 @@ from typing import (
 from .poly import ONE, ZERO, ScalarLike, SparseRational, VariableSpace, _numerators, exact
 from .weyl import WeylOperator, _leibniz, euler_op, laplacian_op, rsq_op
 
-Matrix = List[List[Fraction]]
 Signature = Tuple[int, int]
 
 
@@ -107,13 +106,6 @@ def _entries(g: Generator, p: int) -> Tuple[int, int]:
     if g.flavor == "X":
         return epsilon(g.j, p), -epsilon(g.i, p)
     raise ValueError(f"unknown flavor {g.flavor!r}")
-
-
-def generator_matrix(g: Generator, sig: Signature) -> Matrix:
-    n = sig[0] + sig[1]
-    m = [[ZERO] * n for _ in range(n)]
-    m[g.i - 1][g.j - 1], m[g.j - 1][g.i - 1] = _entries(g, sig[0])
-    return m
 
 
 # -- coefficient combinations ---------------------------------------------------
@@ -186,16 +178,6 @@ class LieElement(Combination):
     @staticmethod
     def basis(g: Generator, sig: Signature) -> "LieElement":
         return LieElement(sig, g.flavor, {g: 1})
-
-    def to_matrix(self) -> Matrix:
-        n = self.sig[0] + self.sig[1]
-        m = [[ZERO] * n for _ in range(n)]
-        for g, c in self.coeffs.items():
-            mij, mji = _entries(g, self.sig[0])
-            i0, j0 = g.i - 1, g.j - 1
-            m[i0][j0] = m[i0][j0] + c * mij
-            m[j0][i0] = m[j0][i0] + c * mji
-        return m
 
 
 _NO_TERMS: Mapping[Generator, int] = MappingProxyType({})
@@ -277,7 +259,8 @@ def form_B(a: LieElement, b: LieElement) -> Fraction:
     """The invariant form B(X, Y) = trace(XY) / 2.
 
     trace(G_g G_h) vanishes for g != h and is 2 m_ij m_ji for g = h, so the
-    form is a sum over the generators the two elements share.
+    form is a sum over the generators the two elements share; when it is
+    zero, as for two elements sharing none, it is the shared ZERO.
     """
     a._require_same_ctx(b)
     p = a.sig[0]
@@ -287,7 +270,7 @@ def form_B(a: LieElement, b: LieElement) -> Fraction:
         if cb is not None:
             mij, mji = _entries(g, p)
             total += ca * cb * mij * mji
-    return Fraction(total, a.den * b.den)
+    return Fraction(total, a.den * b.den) if total else ZERO
 
 
 # -- enveloping algebra ----------------------------------------------------------
@@ -485,18 +468,6 @@ def pi_generator(g: Generator, space: VariableSpace) -> WeylOperator:
 def _require_m_flavor(flavor: str) -> None:
     if flavor != "M":
         raise ValueError("pi is defined on the M flavor; transport X words first")
-
-
-def pi_lie(a: LieElement) -> WeylOperator:
-    _require_m_flavor(a.flavor)
-    space = VariableSpace(*a.sig)
-    # each generator image has denominator 1, so the sum is over a.den
-    acc: Dict[Tuple[int, int], int] = {}
-    get = acc.get
-    for g, c in a._terms.items():
-        for key, v in pi_generator(g, space)._terms.items():
-            acc[key] = get(key, 0) + c * v
-    return WeylOperator.reduced(space, acc, a.den)
 
 
 def pi_env(u: Combination) -> WeylOperator:

@@ -611,18 +611,6 @@ class RadialSeries:
             ab: c for ab, c in coeffs.items() if exact(c) and 2 * (ab[0] + ab[1]) <= cutoff
         }
 
-    def shift_rho(self, block: str, j: int = 1) -> "RadialSeries":
-        """Multiply by rho_block^j; the guaranteed degree grows by 2j."""
-        if j < 0:
-            raise ValueError("negative shift")
-        if block == "x":
-            out = {(a + j, b): c for (a, b), c in self.coeffs.items()}
-        elif block == "y":
-            out = {(a, b + j): c for (a, b), c in self.coeffs.items()}
-        else:
-            raise ValueError("block must be 'x' or 'y'")
-        return RadialSeries(out, self.cutoff + 2 * j)
-
     def expand(self, space: VariableSpace, top: Optional[int] = None) -> MultiPoly:
         """The series as a polynomial, complete up to min(cutoff, top)."""
         limit = self.cutoff if top is None else min(self.cutoff, top)

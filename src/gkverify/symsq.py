@@ -105,18 +105,6 @@ class SymSquareTensor(Combination):
                 raise ValueError("tensor coefficients are not symmetric")
 
 
-def pairing(s: SymSquareTensor, t: SymSquareTensor) -> Fraction:
-    """Coefficient dot product over ordered pairs (the trace pairing, M flavor)."""
-    s._require_same_ctx(t)
-    a, b = (s._terms, t._terms) if len(s) <= len(t) else (t._terms, s._terms)
-    acc = 0
-    for k, v in a.items():
-        w = b.get(k)
-        if w is not None:
-            acc += v * w
-    return Fraction(acc, s.den * t.den)
-
-
 # -- the named tensors -----------------------------------------------------------------
 
 

@@ -26,7 +26,6 @@ from gkverify.liealg import (
     generators,
     pi_casimir,
     pi_generator,
-    pi_lie,
     sl2_casimir_op,
     sl2_triple,
 )
@@ -39,6 +38,7 @@ from gkverify.symsq import (
     theorem_ingredients,
 )
 from gkverify.weyl import WeylOperator
+from helpers import pi_lie
 
 SWEEP = ((2, 4, 0), (3, 3, 0), (4, 4, 0), (4, 4, 1), (4, 6, 2))
 SWEEP_SIGS = tuple(dict.fromkeys((p, q) for p, q, _ in SWEEP))

@@ -49,7 +49,7 @@ from gkverify.liealg import (
 )
 from gkverify.linalg import SparseRREF
 from gkverify.weyl import WeylOperator, rsq_op
-from helpers import from_monomials
+from helpers import from_monomials, shift_rho, wrong_label_rule
 from truncated_reference import (
     TruncatedElement,
     TruncatedTypical,
@@ -656,7 +656,7 @@ def _radial_series(kappa, exponent, block, space, reach, memo=None):
     key = (kappa, exponent, block, space, reach)
     if key not in memo:
         series = psi_series(kappa, reach - 2 * exponent)
-        memo[key] = series.shift_rho(block, exponent).expand(space, reach)
+        memo[key] = shift_rho(series, block, exponent).expand(space, reach)
     return memo[key]
 
 
@@ -1143,13 +1143,13 @@ def test_paction_four_term_work_counts(monkeypatch):
         return real_apply(self, *args, **kwargs)
 
     tables, fischer, daggers = [], [], []
-    real_labels, real_fischer, real_dagger = (
-        gkmodule._action_labels, gkmodule._fischer, gkmodule.dagger
+    real_placed, real_fischer, real_dagger = (
+        gkmodule._placed, gkmodule._fischer, gkmodule.dagger
     )
     monkeypatch.setattr(gkmodule, "typical_element", keep)
     monkeypatch.setattr(WeylOperator, "apply", count_apply)
     monkeypatch.setattr(
-        gkmodule, "_action_labels", lambda f: tables.append(f) or real_labels(f)
+        gkmodule, "_placed", lambda terms, f: tables.append(f) or real_placed(terms, f)
     )
     monkeypatch.setattr(
         gkmodule, "_fischer", lambda f, var: fischer.append((f, var)) or real_fischer(f, var)
@@ -1177,7 +1177,8 @@ def test_paction_four_term_work_counts(monkeypatch):
     assert info.misses == info.currsize == len({(f.params, f.kt) for f in elements})
     for f in elements:
         assert sorted(f._parts, key=str) == sorted(["labels", *range(p + q)], key=str)
-        assert f._parts["labels"] == real_labels(f)
+        placed = real_placed(gkmodule._ACTION, f) + gkmodule._layer_terms(f)
+        assert f._parts["labels"] == gkmodule._verdicts(placed)
         assert all(f._parts[var][0] for var in range(p + q))
     # the memo is held by its element alone, and each part by the memo
     f = elements[0]
@@ -1407,45 +1408,45 @@ def test_a_wrong_psi_parameter_fails(monkeypatch):
     assert detail["w_ratio_fails_at"] == [0, 0, 1]
 
 
-def _wrong_factor_rule(mutant):
-    # _factor_rule with n - 1 in the Laplacian rule, or without the 2a term
-    # of the Euler rule
-    import gkverify.gkmodule as gkmodule
-
-    real = gkmodule._factor_rule
-
-    def rule(kind, a, k, n):
-        if kind == "L" and mutant == "L_n_minus_1":
-            return real(kind, a, k, n - 1)
-        if kind == "E" and mutant == "E_without_2a":
-            return k, a
-        return real(kind, a, k, n)
-
-    return rule
-
-
 @pytest.mark.parametrize("mutant", ["L_n_minus_1", "E_without_2a"])
 def test_a_wrong_label_rule_fails_the_scalar_checks(monkeypatch, mutant):
+    # n - 1 in the Laplacian row of _label_rule, or the Euler row without 2a
     import gkverify.gkmodule as gkmodule
 
     assert not _module_fails()
-    monkeypatch.setattr(gkmodule, "_factor_rule", _wrong_factor_rule(mutant))
+    monkeypatch.setattr(gkmodule, "_label_rule", wrong_label_rule(mutant))
     assert _module_fails()
 
 
-def test_a_wrong_fischer_constant_fails_the_mixed_action(monkeypatch):
-    # c = 1/(2k + n - 1) in _coordinate_rule: the Fischer check sees it, and
-    # with that check forced to hold the label sums see it too
+def _four_term_verdict():
+    # paction.four_term at (4,6,1): status, instances and the failing K-type
+    (r,) = execute_jobs(plan_jobs([REGISTRY["paction.four_term"]], [(4, 6, 1)], 3, 3))
+    return r.status, r.instances, r.detail.get("failed_ktype")
+
+
+@pytest.mark.parametrize(
+    "mutant", ["c_over_2k_plus_n_minus_1", "D_without_2ac", "V_without_c_row"]
+)
+def test_a_wrong_coordinate_row_fails_the_mixed_action(monkeypatch, mutant):
+    # c = 1/(2k + n - 1) in the V and D rows of _label_rule, the D row of
+    # d_v h without its 2a c part, or v h without its c row: the Fischer
+    # check sees the two that change the V rows, and with that check forced
+    # to hold the label sums see all three; paction.four_term fails at its
+    # 25th instance, the first at K-type (1,1)
     import gkverify.gkmodule as gkmodule
 
-    real_rule, real_fischer = gkmodule._coordinate_rule, gkmodule._fischer
+    real_fischer = gkmodule._fischer
     assert not _mixed_action_failures()
-    monkeypatch.setattr(
-        gkmodule, "_coordinate_rule", lambda kind, a, k, n: real_rule(kind, a, k, n + 1)
-    )
+    assert _four_term_verdict() == ("pass", 192, None)
+    monkeypatch.setattr(gkmodule, "_label_rule", wrong_label_rule(mutant))
+    f = next(f for f in ktype_elements(ModuleParams(4, 6, 1, 1), 2, 2) if f.kt.k)
+    lemmas = [gkmodule._fischer(f, var)[0] for var in range(4)]
+    assert all(lemmas) == (mutant == "D_without_2ac")
     assert _mixed_action_failures()
+    assert _four_term_verdict() == ("fail", 25, [1, 1])
     monkeypatch.setattr(gkmodule, "_fischer", lambda f, var: (True, real_fischer(f, var)[1]))
     assert _mixed_action_failures()
+    assert _four_term_verdict() == ("fail", 25, [1, 1])
 
 
 def test_scalar_checks_never_expand_an_element(monkeypatch):

@@ -32,7 +32,8 @@ from gkverify.liealg import (
     transport,
     transport_sign,
 )
-from gkverify.symsq import SymSquareTensor, adjoint_action, pairing
+from gkverify.symsq import SymSquareTensor, adjoint_action
+from helpers import pairing
 
 SIGS = [(2, 2), (1, 3), (3, 2)]
 FLAVORS = ["X", "M"]

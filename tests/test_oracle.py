@@ -14,10 +14,10 @@ Typical elements are restated from their documented formulas, and so are
 both sides of the four-layer mixed action, with only the harmonics and the
 rows of ``ModuleParams.layers`` taken from the package, and so is the
 obstruction's harmonic system, with only the harmonics and the Xi values.
-The label rules of the module zero tests (how E, R, L, v_i and d_{v_i} act
-on h (r^2)^a for a block harmonic h) are checked against sympy applying
-each operator to h (r^2)^a, with only the harmonics and the rules taken
-from the package.  The whole-series identities of the eigenvalue forms and
+The one table of label rules of the module zero tests (how E, R, L, v_i
+and d_{v_i} act on h (r^2)^a for a block harmonic h) is checked against
+sympy applying each operator to h (r^2)^a, with only the harmonics and the
+table taken from the package.  The whole-series identities of the eigenvalue forms and
 the membership steps are restated with a symbol t for the series index,
 with only the closed-form rows and the eigenvalues taken from the package,
 and must cancel to 0.
@@ -43,7 +43,7 @@ from gkverify.liealg import (
 from gkverify.linalg import SparseRREF
 from gkverify.poly import VariableSpace, laplacian
 from gkverify.weyl import WeylOperator
-from helpers import from_monomials
+from helpers import from_monomials, wrong_label_rule
 
 
 def _symbols(space):
@@ -546,15 +546,15 @@ def test_harmonic_obstruction_system_matches_sympy(p, q, m, sign):
     assert garfinkle_obstruction(params).exists == exists
 
 
-def _label_rule_mismatches(p, q, factor_rule, coordinate_rule):
-    """Yield (block, k, a, operator) wherever sympy's image of h (r^2)^a
-    differs from the rule's, for every harmonic basis element h of degree
-    k <= 3 of either block and every a <= 3.  factor_rule(kind, a, k, n)
-    gives (s, a') for E, R and L: s h (r^2)^a'.  coordinate_rule(kind, a,
-    k, n) gives the terms (s, moved, a') of v h (r^2)^a ("mul") and of
-    d_v (h (r^2)^a) ("diff") for each variable v of the block: s times the
-    harmonic part V of v h ("v") or d_v h ("d") times (r^2)^a'.  V is v h -
-    r^2 d_v h / (2k + n - 2), and sympy checks that it is harmonic."""
+def _label_rule_mismatches(p, q, label_rule):
+    """Yield (block, k, a, kind) wherever sympy's image of h (r^2)^a differs
+    from the rule's, for every harmonic basis element h of degree k <= 3 of
+    either block and every a <= 3.  label_rule(kind, a, k, n) gives the rows
+    (s, den, moved, a') of E, R and L, and of V (v times) and D (d_v) for
+    each variable v of the block: the image is the sum of s/den times the
+    moved harmonic times (r^2)^a', moved being h ("h"), the harmonic part V
+    of v h ("v") or d_v h ("d").  V is v h - r^2 d_v h / (2k + n - 2), and
+    sympy checks that it is harmonic."""
     from gkverify.poly import harmonic_basis
 
     space = VariableSpace(p, q)
@@ -572,6 +572,12 @@ def _label_rule_mismatches(p, q, factor_rule, coordinate_rule):
             # g (r^2)^a, zero for a < 0 (where every rule's s is zero)
             return g * powers[a] if a >= 0 else ring.zero
 
+        def wrong(kind, image, a, k, moved):
+            want = ring.zero
+            for s, den, m, a2 in label_rule(kind, a, k, n):
+                want += times(moved[m], a2) * sympy.QQ(s, den)
+            return image != want
+
         for k in range(4):
             for h in harmonic_basis(space, block, k):
                 hp = ring(_sympy_poly(h, v))
@@ -579,8 +585,7 @@ def _label_rule_mismatches(p, q, factor_rule, coordinate_rule):
                     g = times(hp, a)
                     images = {"E": sum(t * g.diff(t) for t in vs), "R": r2 * g, "L": lap(g)}
                     for kind, image in images.items():
-                        s, a2 = factor_rule(kind, a, k, n)
-                        if image != times(hp, a2) * s:
+                        if wrong(kind, image, a, k, {"h": hp}):
                             yield block, k, a, kind
                     for t in vs:
                         d = hp.diff(t)
@@ -589,42 +594,23 @@ def _label_rule_mismatches(p, q, factor_rule, coordinate_rule):
                             harmonic -= r2 * d * sympy.QQ(1, 2 * k + n - 2)
                         assert lap(harmonic) == 0
                         moved = {"v": harmonic, "d": d}
-                        for kind, image in (("mul", t * g), ("diff", g.diff(t))):
-                            want = ring.zero
-                            for s, m, a2 in coordinate_rule(kind, a, k, n):
-                                want += times(moved[m], a2) * sympy.QQ(s.numerator, s.denominator)
-                            if image != want:
+                        for kind, image in (("V", t * g), ("D", g.diff(t))):
+                            if wrong(kind, image, a, k, moved):
                                 yield block, k, a, (kind, str(t))
 
 
 @pytest.mark.parametrize("p,q", [(2, 4), (3, 3)])
 def test_label_rules_match_sympy(p, q):
-    from gkverify.gkmodule import _coordinate_rule, _factor_rule
+    from gkverify.gkmodule import _label_rule
 
-    assert list(_label_rule_mismatches(p, q, _factor_rule, _coordinate_rule)) == []
-
-
-def _l_rule_with_n_minus_1(kind, a, k, n):
-    from gkverify.gkmodule import _factor_rule
-
-    return _factor_rule(kind, a, k, n - 1 if kind == "L" else n)
+    assert list(_label_rule_mismatches(p, q, _label_rule)) == []
 
 
-def _c_over_2k_plus_n(kind, a, k, n):
-    from gkverify.gkmodule import _coordinate_rule
-
-    return _coordinate_rule(kind, a, k, n + 2)  # c = 1/(2k + n)
-
-
-@pytest.mark.parametrize("mutant", ["L_n_minus_1", "c_over_2k_plus_n"])
+@pytest.mark.parametrize(
+    "mutant", ["L_n_minus_1", "c_over_2k_plus_n", "D_without_2ac", "V_without_c_row"]
+)
 def test_a_wrong_label_rule_fails_the_sympy_oracle(mutant):
-    from gkverify.gkmodule import _coordinate_rule, _factor_rule
-
-    rules = {
-        "L_n_minus_1": (_l_rule_with_n_minus_1, _coordinate_rule),
-        "c_over_2k_plus_n": (_factor_rule, _c_over_2k_plus_n),
-    }[mutant]
-    assert next(_label_rule_mismatches(2, 4, *rules), None) is not None
+    assert next(_label_rule_mismatches(2, 4, wrong_label_rule(mutant)), None) is not None
 
 
 def _t_identity(terms, k, l, p, q, kappa, l_rule=None):

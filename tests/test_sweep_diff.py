@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "sweep_diff.py"
 
@@ -95,18 +97,28 @@ def test_sweep_against_forwards_run_arguments(tmp_path):
     assert "exited with 2" in refused.stderr
 
 
-def test_default_sweep_matches_the_golden_report(tmp_path):
-    # the behaviour contract of a refactor: the default sweep's JSON report,
-    # apart from timing, is the one pinned in tests/data/default_sweep.json
+_GOLDEN = [
+    ([], "default_sweep.json"),
+    (["--p", "6", "--q", "6", "--m", "3", "--suite", "casimir,module,paction"],
+     "p6_q6_m3_module_suites.json"),
+]
+
+
+@pytest.mark.parametrize("args,name", _GOLDEN, ids=["default", "p6_q6_m3_module_suites"])
+def test_default_sweep_matches_the_golden_report(tmp_path, args, name):
+    # the behaviour contract of a refactor: the JSON report of the default
+    # sweep, and of one module-suite run at (6,6,3), apart from timing, is
+    # the one pinned in tests/data
     out = tmp_path / "sweep.json"
     run = subprocess.run(
-        [sys.executable, "-m", "gkverify.cli", "run", "--format", "json", "--out", str(out)],
+        [sys.executable, "-m", "gkverify.cli", "run", *args, "--format", "json",
+         "--out", str(out)],
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    golden = ROOT / "tests" / "data" / "default_sweep.json"
+    golden = ROOT / "tests" / "data" / name
     done = subprocess.run(
         [sys.executable, str(SCRIPT), str(golden), str(out)],
         capture_output=True,

@@ -37,7 +37,6 @@ from gkverify.symsq import (
     gamma2_q_identity,
     gamma2_xi_identity,
     generating_set,
-    pairing,
     s4_vanishing,
     theorem_ingredients,
     transport,
@@ -46,6 +45,7 @@ from gkverify.symsq import (
 from gkverify import symsq
 from gkverify.gkmodule import ModuleParams
 from gkverify.weyl import WeylOperator
+from helpers import pairing
 
 SIG = (2, 2)
 MGENS = generators(*SIG, "M")

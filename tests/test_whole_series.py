@@ -17,6 +17,7 @@ import gkverify.gkmodule as gkmodule
 from gkverify.cli import DEFAULT_SWEEP
 from gkverify.gkmodule import ModuleParams, ktype_elements, p_action_check
 from gkverify.liealg import closed_form
+from helpers import wrong_label_rule
 from truncated_reference import (
     TruncatedTypical,
     action_labels_at,
@@ -53,6 +54,21 @@ def _term_values(two_base, term, count):
     return [gkmodule._diagonal_value(two_base, [term], t) for t in range(count)]
 
 
+def test_label_rule_rows_are_quadratic_in_a():
+    # _placed fits each row's s from three values of a, so every row of the
+    # table must be an integer quadratic in a, with den and a' - a constant
+    for kind, k, n in itertools.product("ERLVD", range(4), range(2, 7)):
+        rows = [gkmodule._label_rule(kind, a, k, n) for a in range(8)]
+        for a, at in enumerate(rows):
+            assert [(den, moved, a2 - a) for _, den, moved, a2 in at] == [
+                (den, moved, a2) for _, den, moved, a2 in rows[0]
+            ]
+        for column in zip(*rows):
+            s = [row[0] for row in column]
+            assert all(_difference(s[i:], 3) == 0 for i in range(5)), (kind, k, n)
+            assert (s[0] - 2 * s[1] + s[2]) % 2 == 0  # an integer leading coefficient
+
+
 @pytest.mark.parametrize("p,q,m", DEFAULT_SWEEP)
 def test_degree_bounds_hold_and_are_attained(p, q, m):
     # every word of every term list the checks build and every term of each
@@ -63,13 +79,14 @@ def test_degree_bounds_hold_and_are_attained(p, q, m):
     for params in _families(p, q, m):
         for f in ktype_elements(params, 3, 3):
             for name, terms in _identities(f).items():
-                for two_base, diag in gkmodule._word_diagonals(terms, f).values():
+                for two_base, diag in gkmodule._diagonals(gkmodule._placed(terms, f)).values():
                     for term in diag:
                         values = _term_values(two_base, term, term.bound + 2)
                         assert _difference(values, term.bound + 1) == 0, (f.kt, name, term)
                         if _difference(values, term.bound):
                             attained.add(name)
-            for key, (two_base, terms) in gkmodule._action_diagonals(f).items():
+            placed = gkmodule._placed(gkmodule._ACTION, f) + gkmodule._layer_terms(f)
+            for key, (two_base, terms) in gkmodule._diagonals(placed).items():
                 top = max(term.bound for term in terms)
                 for term in terms:
                     values = _term_values(two_base, term, term.bound + 2)
@@ -141,12 +158,8 @@ def test_mutations_fail_the_whole_series_identities(monkeypatch, p, q, m):
     # the Laplacian rule with n - 1 fails every identity with an L factor
     # (all but the weight step), except Xi at p = q on the K-types with mu =
     # 0: there Xi is op - oq, which changes by 2 a_x - 2 a_y, and a_x = a_y
-    real_rule = gkmodule._factor_rule
     with monkeypatch.context() as patch:
-        patch.setattr(
-            gkmodule, "_factor_rule",
-            lambda kind, a, k, n: real_rule(kind, a, k, n - 1 if kind == "L" else n),
-        )
+        patch.setattr(gkmodule, "_label_rule", wrong_label_rule("L_n_minus_1"))
         passing = {key for key, ok in _verdicts(p, q, m).items() if ok}
         assert passing == {
             key for key in keys

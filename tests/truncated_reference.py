@@ -20,6 +20,7 @@ compare it with the depth-D path it replaced, kept here:
   the result's validity is formed.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
@@ -28,6 +29,7 @@ from gkverify.gkmodule import DegenerateDenominatorError, ModuleParams, psi_seri
 from gkverify.liealg import STOCK_OPERATORS, Generator, closed_form, closed_operator, pi_generator
 from gkverify.poly import ZERO, MultiPoly, VariableSpace, rsq
 from gkverify.weyl import WeylOperator
+from helpers import shift_rho
 
 
 class TruncationError(ValueError):
@@ -142,8 +144,8 @@ def _validity(terms, g) -> int:
 def label_zero_test(terms, g):
     """(whether sum c * word(g) vanishes up to its validity, that validity),
     the Fraction multiples c w_j s summed per label (a_x, a_y) of degree k +
-    l + 2 a_x + 2 a_y up to the validity, each factor by the package's
-    gkmodule._factor_rule."""
+    l + 2 a_x + 2 a_y up to the validity, each factor by its one row of the
+    package's gkmodule._label_rule."""
     top = _validity(terms, g)
     kt, space = g.kt, g.space
     degree, size = {"x": kt.k, "y": kt.l}, {"x": space.p, "y": space.q}
@@ -152,8 +154,10 @@ def label_zero_test(terms, g):
         for w, ax, ay in g.terms:
             s, a = c * w, {"x": ax, "y": ay}
             for kind, block in reversed(word):
-                t, a[block] = gkmodule._factor_rule(kind, a[block], degree[block], size[block])
-                s *= t
+                ((t, den, _, a[block]),) = gkmodule._label_rule(
+                    kind, a[block], degree[block], size[block]
+                )
+                s *= Fraction(t, den)
             if kt.k + kt.l + 2 * (a["x"] + a["y"]) > top:
                 break  # the degree grows with j
             key = a["x"], a["y"]
@@ -184,20 +188,20 @@ def action_labels_at(g):
     """The depth-D label sums of p_action_check, as {(kind_x, a_x, kind_y,
     a_y): multiple} up to v = g.validity - 2: a term w h1 (r_x^2)^a h2
     (r_y^2)^b of g gives x_i y_j of it (if of degree <= v) and d_{y_j}
-    d_{x_i} of it, each block by gkmodule._coordinate_rule; a layer num/den
-    F_x h1 F_y h2 rho_s^e Psi_kappa gives -num/den c / 2^(a + b) at (kind_x,
-    a, kind_y, b) for each term c rho_x^a rho_y^b of its series up to
-    degree v - deg F_x h1 - deg F_y h2."""
+    d_{x_i} of it, each block by the V and D rows of gkmodule._label_rule;
+    a layer num/den F_x h1 F_y h2 rho_s^e Psi_kappa gives -num/den c /
+    2^(a + b) at (kind_x, a, kind_y, b) for each term c rho_x^a rho_y^b of
+    its series up to degree v - deg F_x h1 - deg F_y h2."""
     params, kt, v = g.params, g.kt, g.validity - 2
     p, q = params.p, params.q
     sums = {}
     for w, ax, ay in g.terms:
         near = kt.k + kt.l + 2 * (ax + ay) + 2 <= v
-        for kind in ("mul", "diff") if near else ("diff",):
-            for sx, kx, bx in gkmodule._coordinate_rule(kind, ax, kt.k, p):
-                for sy, ky, by in gkmodule._coordinate_rule(kind, ay, kt.l, q):
+        for kind in ("V", "D") if near else ("D",):
+            for sx, den_x, kx, bx in gkmodule._label_rule(kind, ax, kt.k, p):
+                for sy, den_y, ky, by in gkmodule._label_rule(kind, ay, kt.l, q):
                     key = kx, bx, ky, by
-                    sums[key] = sums.get(key, ZERO) + w * sx * sy
+                    sums[key] = sums.get(key, ZERO) + w * Fraction(sx * sy, den_x * den_y)
     for layer in params.layers(kt):
         kinds = {params.weight_block: layer.weight, params.series_block: layer.radial}
         kx, ky = kinds["x"], kinds["y"]
@@ -205,7 +209,7 @@ def action_labels_at(g):
         e, reach = layer.exponent, v - dx - dy
         if not (layer.den and layer.num) or min(dx, dy) < 0 or reach < 2 * e:
             continue
-        series = psi_series(layer.kappa, reach - 2 * e).shift_rho(params.series_block, e)
+        series = shift_rho(psi_series(layer.kappa, reach - 2 * e), params.series_block, e)
         for (a, b), c in series.coeffs.items():
             key = kx, a, ky, b
             sums[key] = sums.get(key, ZERO) - layer.num / layer.den * c / (1 << (a + b))
