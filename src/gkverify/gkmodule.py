@@ -254,16 +254,18 @@ class ModuleParams:
         The full Casimir acts by one scalar on the whole family, so "g" needs
         no K-type.
         """
-        p, q, n, c = self.p, self.q, self.n, self.m * (self.m + 2)
-        table = {"g": Fraction(c) - Fraction(n * n, 4) + n}
+        n, c = self.n, self.m * (self.m + 2)
+        if which == "g":
+            return Fraction(c) - Fraction(n * n, 4) + n
         if kt is not None:
             kp, km = kt.kappa_plus, kt.kappa_minus
-            table["op"] = (kp - 1) ** 2 - Fraction((p - 2) ** 2, 4)
-            table["oq"] = (km - 1) ** 2 - Fraction((q - 2) ** 2, 4)
-            table["xi"] = (kp - km) * (kp + km - 2) - Fraction(p - q, n) * c
-        if which not in table:
-            raise ValueError(f"no eigenvalue is known for {which!r} at K-type {kt}")
-        return table[which]
+            if which == "op":
+                return (kp - 1) ** 2 - Fraction((self.p - 2) ** 2, 4)
+            if which == "oq":
+                return (km - 1) ** 2 - Fraction((self.q - 2) ** 2, 4)
+            if which == "xi":
+                return (kp - km) * (kp + km - 2) - Fraction(self.p - self.q, n) * c
+        raise ValueError(f"no eigenvalue is known for {which!r} at K-type {kt}")
 
 
 class TypicalElement:

@@ -255,6 +255,25 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     return LieElement.reduced(a.ctx, out, a.den * b.den)
 
 
+def jacobiator(sig: Signature, a: Generator, b: Generator, c: Generator) -> Dict[Generator, int]:
+    """[a, [b, c]] + [b, [c, a]] + [c, [a, b]] for three generators of one
+    flavor, as int coefficients read from the structure constants: each
+    term is the sum over g of [b, c]_g [a, g].  Empty exactly when the
+    Jacobi identity holds for the triple.
+    """
+    table = _bracket_table(sig, a.flavor)
+    out: Dict[Generator, int] = {}
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        for g, s in table[(y, z)].items():
+            for h, t in table[(x, g)].items():
+                v = out.get(h, 0) + s * t
+                if v:
+                    out[h] = v
+                else:
+                    del out[h]
+    return out
+
+
 def form_B(a: LieElement, b: LieElement) -> Fraction:
     """The invariant form B(X, Y) = trace(XY) / 2.
 
@@ -465,6 +484,19 @@ def pi_generator(g: Generator, space: VariableSpace) -> WeylOperator:
     return WeylOperator(space, terms)
 
 
+def pi_bracket(a: Generator, b: Generator, space: VariableSpace) -> WeylOperator:
+    """pi([a, b]) for two M-flavor generators, read from the structure
+    constants: a bracket row is one generator with +-1, so its image is the
+    cached pi_generator or its negation, and a commuting pair gives zero.
+    """
+    row = _bracket_table((space.p, space.q), "M")[(a, b)]
+    if not row:
+        return WeylOperator.zero(space)
+    ((g, c),) = row.items()
+    image = pi_generator(g, space)
+    return image.neg() if c == -1 else image.scale(c)
+
+
 def _require_m_flavor(flavor: str) -> None:
     if flavor != "M":
         raise ValueError("pi is defined on the M flavor; transport X words first")
@@ -493,7 +525,7 @@ def pi_env(u: Combination) -> WeylOperator:
     den = lcm(*(a.den * b.den for _, a, b in parts))
     acc: Dict[Tuple[int, int], int] = {}
     for c, a, b in parts:
-        _leibniz(space, a.rows(), b.rows(), acc, c * (den // (a.den * b.den)), 0)
+        _leibniz(space, a.rows(), b.rows(), acc, c * (den // (a.den * b.den)))
     return WeylOperator.reduced(space, acc, u.den * den)
 
 

@@ -26,14 +26,14 @@ The degree cap is checked on the total degree (key >> deg_shift) of the
 uncontracted pair, the largest of its keys; each exponent is at most the
 total, so this accepts exactly the keys ``pack`` accepts.
 
-The commutator [A, B] = AB - BA runs the same Leibniz kernel twice into one
-dict, once for AB and once, negated, for BA, over the same support lists.
-The uncontracted (gamma = 0) terms of the two products have the same key
-pair (km_a + km_b, kd_a + kd_b) and the same coefficient c_a * c_b, so they
-cancel exactly; the kernel never forms them, and a term pair whose supports
-do not meet costs one AND after the degree-cap check.  The cap is still
-checked on every pair, so the commutator raises exactly when ``compose``
-would.
+The commutator [A, B] = AB - BA makes one pass over the term pairs.  For
+terms c_a v^a d^alpha and c_b v^b d^beta both orders have the uncontracted
+key pair (km_a + km_b, kd_a + kd_b) and coefficient c_a * c_b, so those
+terms cancel and are never formed; the pair's degree cap is checked once,
+on that key, so the commutator raises exactly when ``compose`` would.  The
+pair adds AB's contractions over support(alpha) & support(b) and, negated,
+BA's over support(beta) & support(a), through ``_contract``, the one
+Leibniz expansion that ``compose`` uses too.
 
 Application to a polynomial evaluates d^alpha on each monomial as a falling
 factorial and shifts exponents; both directions are exact.  A term without
@@ -173,22 +173,35 @@ class WeylOperator(SparseRational):
         """
         self._require_same_ctx(other)
         acc: Dict[TermKey, int] = {}
-        _leibniz(self.space, self.rows(), other.rows(), acc, 1, 0)
+        _leibniz(self.space, self.rows(), other.rows(), acc, 1)
         return WeylOperator.reduced(self.space, acc, self.den * other.den)
 
     def commutator(self, other: "WeylOperator") -> "WeylOperator":
         """self other - other self, with only the contracted terms formed.
 
-        Both orders are accumulated into one dict by ``_leibniz`` with
-        |gamma| >= 1, since their uncontracted terms cancel exactly, and
-        the sum is reduced once over the product of the denominators.
+        One pass over the term pairs: each pair's cap is checked once, then
+        ``_contract`` adds AB's contractions and, negated, BA's, into one
+        dict reduced once over the product of the denominators.
         """
         self._require_same_ctx(other)
+        sp = self.space
+        over = sp.deg_shift + BITS
+        deg_one = 1 << sp.deg_shift
         acc: Dict[TermKey, int] = {}
-        a_rows, b_rows = self.rows(), other.rows()
-        _leibniz(self.space, a_rows, b_rows, acc, 1, 1)
-        _leibniz(self.space, b_rows, a_rows, acc, -1, 1)
-        return WeylOperator.reduced(self.space, acc, self.den * other.den)
+        b_rows = other.rows()
+        for kma, kaa, ca, sup_a, sup_alpha, _ in self.rows():
+            for kmb, kab, cb, sup_b, sup_beta, _ in b_rows:
+                km = kma + kmb
+                kd = kaa + kab
+                if (km | kd) >> over:
+                    raise ValueError("composition would exceed the degree cap")
+                ab = sup_alpha & sup_b
+                ba = sup_beta & sup_a
+                if ab:
+                    _contract(acc, km, kd, kaa, kmb, ab, ca * cb, deg_one)
+                if ba:
+                    _contract(acc, km, kd, kab, kma, ba, -ca * cb, deg_one)
+        return WeylOperator.reduced(sp, acc, self.den * other.den)
 
     def power(self, k: int) -> "WeylOperator":
         if k < 0:
@@ -262,66 +275,86 @@ def _leibniz(
     b_rows: list,
     acc: Dict[TermKey, int],
     sign: int,
-    least: int,
 ) -> None:
     """Add sign * (A after B) numerators into acc, over A.den * B.den.
 
-    ``sign`` is any int: +-1 from ``compose`` and ``commutator``, a word's
-    coefficient from ``liealg.pi_env``.
-    ``a_rows`` and ``b_rows`` are ``A.rows()`` and ``B.rows()``, of which
-    the kernel reads the keys, coefficients and supports.  The variables a term pair can contract are support(alpha) & support(b): one
-    AND of the two supports, with no exponent unpacked.  Only the
-    contractions with |gamma| >= least are formed, so for least >= 1 a pair
-    with no shared variable costs that AND and nothing more.  Otherwise only
-    the shared fields are read, in variable order (highest shift first),
-    which fixes the insertion order of acc.  The degree cap is checked on
-    every pair's uncontracted key, formed or not.
+    ``sign`` is any int: 1 from ``compose``, a word's coefficient from
+    ``liealg.pi_env``.  ``a_rows`` and ``b_rows`` are ``A.rows()`` and
+    ``B.rows()``, of which the kernel reads the keys, coefficients and
+    supports.  Each pair adds its uncontracted term, then, when
+    support(alpha) & support(b) is not empty, its contractions through
+    ``_contract``; that one AND decides it with no exponent unpacked.  The
+    uncontracted term comes first, which fixes the insertion order of acc.
+    The degree cap is checked on every pair's uncontracted key.
     """
-    ds = sp.deg_shift
-    over = ds + BITS
-    deg_one = 1 << ds
+    over = sp.deg_shift + BITS
+    deg_one = 1 << sp.deg_shift
     for kma, kaa, ca, _, sup_alpha, _ in a_rows:
         sca = sign * ca
         for kmb, kab, cb, sup_b, _, _ in b_rows:
             km = kma + kmb
             kd = kaa + kab
             # the uncontracted key has the largest degree of the pair's keys;
-            # a degree above MAX_EXP has a bit at or above ds + BITS
+            # a degree above MAX_EXP has a bit at or above deg_shift + BITS
             if (km | kd) >> over:
                 raise ValueError("composition would exceed the degree cap")
-            shared = sup_alpha & sup_b
-            if least and not shared:
-                continue
-            # per shared variable, highest shift first:
-            # (C(alpha_i, g) * falling(b_i, g), g * unit_i)
-            choices = []
-            while shared:
-                sh = shared.bit_length() - 1
-                shared ^= 1 << sh
-                al = (kaa >> sh) & MAX_EXP
-                bi = (kmb >> sh) & MAX_EXP
-                unit = deg_one + (1 << sh)
-                choices.append(
-                    [(comb(al, g) * falling(bi, g), g * unit) for g in range(min(al, bi) + 1)]
-                )
             base = sca * cb
-            for sel in itertools.product(*choices):
-                mult = 1
-                sub = 0
-                for f, u in sel:
-                    mult *= f
-                    sub += u
-                # the degree field of sub is |gamma|
-                if (sub >> ds) < least:
-                    continue
-                key = (km - sub, kd - sub)
-                add = base if mult == 1 else base * mult
-                cur = acc.get(key)
-                cur = add if cur is None else cur + add
-                if cur:
-                    acc[key] = cur
-                elif key in acc:
-                    del acc[key]
+            key = (km, kd)
+            cur = acc.get(key)
+            cur = base if cur is None else cur + base
+            if cur:
+                acc[key] = cur
+            elif key in acc:
+                del acc[key]
+            shared = sup_alpha & sup_b
+            if shared:
+                _contract(acc, km, kd, kaa, kmb, shared, base, deg_one)
+
+
+def _contract(
+    acc: Dict[TermKey, int],
+    km: int,
+    kd: int,
+    k_alpha: int,
+    k_b: int,
+    shared: int,
+    base: int,
+    deg_one: int,
+) -> None:
+    """Add base times every contraction with |gamma| >= 1 of d^alpha across
+    v^b into acc, at (km - g, kd - g) for the uncontracted keys (km, kd).
+
+    ``k_alpha`` and ``k_b`` are the packed keys of alpha and b, and
+    ``shared`` is support(alpha) & support(b), the only fields read, in
+    variable order (highest shift first), which fixes the insertion order
+    of acc.  Each shared field has alpha_i, b_i >= 1, so the first
+    selection is the only one with gamma = 0, and it is skipped.
+    """
+    # per shared variable: (C(alpha_i, g) * falling(b_i, g), g * unit_i)
+    choices = []
+    while shared:
+        sh = shared.bit_length() - 1
+        shared ^= 1 << sh
+        al = (k_alpha >> sh) & MAX_EXP
+        bi = (k_b >> sh) & MAX_EXP
+        unit = deg_one + (1 << sh)
+        choices.append(
+            [(comb(al, g) * falling(bi, g), g * unit) for g in range(min(al, bi) + 1)]
+        )
+    for sel in itertools.islice(itertools.product(*choices), 1, None):
+        mult = 1
+        sub = 0
+        for f, u in sel:
+            mult *= f
+            sub += u
+        key = (km - sub, kd - sub)
+        add = base * mult
+        cur = acc.get(key)
+        cur = add if cur is None else cur + add
+        if cur:
+            acc[key] = cur
+        elif key in acc:
+            del acc[key]
 
 
 # -- stock operators ----------------------------------------------------------

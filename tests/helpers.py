@@ -1,10 +1,14 @@
 """Definitions that only the tests use."""
 
 from fractions import Fraction
+from itertools import product
+from math import comb
 from typing import Dict, Iterable, Tuple
 
 from gkverify.liealg import LieElement, pi_generator
 from gkverify.poly import (
+    BITS,
+    MAX_EXP,
     ZERO,
     Exponents,
     MultiPoly,
@@ -15,7 +19,7 @@ from gkverify.poly import (
     exact,
 )
 from gkverify.symsq import SymSquareTensor
-from gkverify.weyl import WeylOperator
+from gkverify.weyl import WeylOperator, falling
 
 
 def from_monomials(
@@ -41,6 +45,55 @@ def pi_lie(a: LieElement) -> WeylOperator:
         for key, v in pi_generator(g, space)._terms.items():
             acc[key] = acc.get(key, 0) + c * v
     return WeylOperator.reduced(space, acc, a.den)
+
+
+def two_pass_commutator(A: WeylOperator, B: WeylOperator, ba: bool = True) -> WeylOperator:
+    """[A, B] as two Leibniz passes into one dict: A after B, then, negated,
+    B after A, each forming only the contractions with |gamma| >= 1 (the
+    uncontracted terms of the two orders cancel) and checking the degree cap
+    on every pair.  With ``ba=False`` the second pass is left out: a wrong
+    kernel that misses every contraction of B's derivatives with A's
+    variables."""
+    A._require_same_ctx(B)
+    acc: Dict[Tuple[int, int], int] = {}
+    _contracted_pass(A.space, A.rows(), B.rows(), acc, 1)
+    if ba:
+        _contracted_pass(A.space, B.rows(), A.rows(), acc, -1)
+    return WeylOperator.reduced(A.space, acc, A.den * B.den)
+
+
+def _contracted_pass(sp: VariableSpace, a_rows, b_rows, acc, sign) -> None:
+    """Add sign * (A after B) into acc, only its terms with |gamma| >= 1."""
+    ds = sp.deg_shift
+    deg_one = 1 << ds
+    for kma, kaa, ca, _, sup_alpha, _ in a_rows:
+        for kmb, kab, cb, sup_b, _, _ in b_rows:
+            km, kd = kma + kmb, kaa + kab
+            if (km | kd) >> (ds + BITS):
+                raise ValueError("composition would exceed the degree cap")
+            shared = sup_alpha & sup_b
+            choices = []
+            while shared:
+                sh = shared.bit_length() - 1
+                shared ^= 1 << sh
+                al, bi = (kaa >> sh) & MAX_EXP, (kmb >> sh) & MAX_EXP
+                unit = deg_one + (1 << sh)
+                choices.append(
+                    [(comb(al, g) * falling(bi, g), g * unit) for g in range(min(al, bi) + 1)]
+                )
+            for sel in product(*choices):
+                sub = sum(u for _, u in sel)
+                if not sub:
+                    continue
+                mult = 1
+                for f, _ in sel:
+                    mult *= f
+                key = (km - sub, kd - sub)
+                cur = acc.get(key, 0) + sign * ca * cb * mult
+                if cur:
+                    acc[key] = cur
+                else:
+                    acc.pop(key, None)
 
 
 def pairing(s: SymSquareTensor, t: SymSquareTensor) -> Fraction:

@@ -7,6 +7,7 @@ from gkverify.checks import REGISTRY, CheckDef, CheckRun, execute_jobs, plan_job
 from gkverify.gkmodule import DegenerateSampleError, ModuleParams, garfinkle_obstruction
 from gkverify.symsq import s4_vanishing, xi_closed_form
 from gkverify.weyl import WeylOperator
+from helpers import two_pass_commutator
 
 # At (2, 14, 1) the window needs k - l = 5 or 7, so no K-type has k, l <= 3.
 EMPTY_WINDOW = CheckRun(2, 14, 1, 3, 3)
@@ -320,3 +321,15 @@ def test_a_flipped_structure_constant_fails_jacobi_and_homomorphism(monkeypatch)
     )
     assert _verdict("lie.jacobi", 4, 4, None)[:2] == ("fail", 18)
     assert _verdict("lie.homomorphism", 4, 4, None)[:2] == ("fail", 2)
+
+
+def test_a_commutator_without_its_second_order_fails_the_realization(monkeypatch):
+    # a commutator kernel that forms only AB's contractions, never BA's,
+    # must be caught by the bracket realization and by the commutation
+    # relations
+    monkeypatch.setattr(WeylOperator, "commutator", lambda A, B: two_pass_commutator(A, B, ba=False))
+    for name in ("lie.homomorphism", "weyl.canonical_commutation"):
+        assert _verdict(name, 4, 4, None)[:2] == ("fail", 1), name
+    monkeypatch.undo()
+    for name in ("lie.homomorphism", "weyl.canonical_commutation"):
+        assert _verdict(name, 4, 4, None)[0] == "pass", name

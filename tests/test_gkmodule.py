@@ -270,6 +270,38 @@ def test_xi_scalar_is_the_casimir_combination(p, q, m):
         params.scalar("H", kt)
 
 
+@pytest.mark.parametrize("p,q,m", DEFAULT_SWEEP + ((6, 6, 3), (8, 8, 4)))
+def test_each_scalar_is_its_table_entry(p, q, m):
+    # scalar computes one entry; the whole op/oq/xi/g table, written out
+    # here, must agree at every allowed K-type with k, l <= 3, and a missing
+    # name or K-type must raise the same error
+    n, c = p + q, m * (m + 2)
+    for sign in (1, -1):
+        params = ModuleParams(p, q, m, sign)
+        allowed = [kt for kt in itertools.starmap(KType, itertools.product(
+            range(4), range(4), [p], [q])) if params.allows(kt)]
+        assert allowed
+        for kt in allowed:
+            kp, km = kt.kappa_plus, kt.kappa_minus
+            table = {
+                "g": Fraction(c) - Fraction(n * n, 4) + n,
+                "op": (kp - 1) ** 2 - Fraction((p - 2) ** 2, 4),
+                "oq": (km - 1) ** 2 - Fraction((q - 2) ** 2, 4),
+                "xi": (kp - km) * (kp + km - 2) - Fraction(p - q, n) * c,
+            }
+            for which, value in table.items():
+                got = params.scalar(which, kt)
+                assert (type(got), got) == (Fraction, value)
+            assert params.scalar("g") == table["g"]
+            with pytest.raises(ValueError) as err:
+                params.scalar("H", kt)
+            assert str(err.value) == f"no eigenvalue is known for 'H' at K-type {kt}"
+        for which in ("op", "oq", "xi", "H"):
+            with pytest.raises(ValueError) as err:
+                params.scalar(which)
+            assert str(err.value) == f"no eigenvalue is known for {which!r} at K-type None"
+
+
 def test_eigenvalue_reports_spot():
     params = ModuleParams(4, 4, 1, 1)
     space = params.space

@@ -10,6 +10,7 @@ coefficients, in key order where ``pbw_normal_form`` fixes one.  Every result
 must also be in canonical form.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -17,6 +18,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gkverify import liealg
 from gkverify.liealg import (
     EnvelopingElement,
     Generator,
@@ -27,13 +29,16 @@ from gkverify.liealg import (
     epsilon,
     form_B,
     generators,
+    jacobiator,
     pbw_normal_form,
+    pi_bracket,
     straighten,
     transport,
     transport_sign,
 )
+from gkverify.poly import VariableSpace
 from gkverify.symsq import SymSquareTensor, adjoint_action
-from helpers import pairing
+from helpers import pairing, pi_lie
 
 SIGS = [(2, 2), (1, 3), (3, 2)]
 FLAVORS = ["X", "M"]
@@ -345,3 +350,59 @@ def test_tensor_kernels_match_reference(case):
     assert_matches(adjoint_action(x, s), ref_adjoint(rx, rs, ref_table(sig, flavor)))
     value = pairing(s, t)
     assert type(value) is Fraction and value == ref_pairing(rs, rt)
+
+
+# -- table reads against the LieElement path, at every signature with p + q <= 8 ----
+
+ALL_SIGS = [(p, n - p) for n in range(2, 9) for p in range(1, n)]
+SIG_IDS = [f"{p}-{q}" for p, q in ALL_SIGS]
+
+
+@pytest.mark.parametrize("sig", ALL_SIGS, ids=SIG_IDS)
+def test_table_read_bracket_images_match_the_lie_element_path(sig):
+    # pi([a, b]) from one table row against pi of the formed bracket, for
+    # every ordered pair of M-flavor generators (pi is defined on M only)
+    space = VariableSpace(*sig)
+    gens = generators(*sig, "M")
+    basis = {g: LieElement.basis(g, sig) for g in gens}
+    for a in gens:
+        for b in gens:
+            assert pi_bracket(a, b, space) == pi_lie(bracket(basis[a], basis[b]))
+
+
+@pytest.mark.parametrize("sig", ALL_SIGS, ids=SIG_IDS)
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("flip", [False, True], ids=["table", "flipped"])
+def test_table_jacobiators_match_the_lie_element_path(sig, flavor, flip, monkeypatch):
+    # on the table, and on a copy with its first constant's sign flipped
+    # (read by both paths through liealg), where some Jacobiators are not zero
+    gens = generators(*sig, flavor)
+    real = liealg._bracket_table
+    table = real(sig, flavor)
+    if flip:
+        if not table:
+            return  # one generator: nothing to flip
+        table = liealg._StructureConstants(table)
+        key = next(iter(table))
+        table[key] = {g: -c for g, c in table[key].items()}
+        monkeypatch.setattr(
+            liealg,
+            "_bracket_table",
+            lambda s, f: table if (s, f) == (sig, flavor) else real(s, f),
+        )
+    basis = {g: LieElement.basis(g, sig) for g in gens}
+
+    def formed(a, b, c):
+        return bracket(basis[a], bracket(basis[b], basis[c]))
+
+    rng = random.Random(100 * sig[0] + sig[1])
+    triples = [tuple(rng.choice(gens) for _ in range(3)) for _ in range(100)]
+    if flip:
+        triples += [(a, *key) for a in gens]
+    nonzero = 0
+    for a, b, c in triples:
+        jac = formed(a, b, c) + formed(b, c, a) + formed(c, a, b)
+        got = jacobiator(sig, a, b, c)
+        assert jac.den == 1 and got == jac._terms
+        nonzero += bool(got)
+    assert bool(nonzero) == flip

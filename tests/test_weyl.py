@@ -11,7 +11,7 @@ from gkverify.checks import _op_family, _poly_family
 from gkverify.liealg import closed_operator, generators, pi_generator, sl2_triple
 from gkverify.poly import MAX_EXP, ONE, MultiPoly, VariableSpace, euler, laplacian, rsq
 from gkverify.weyl import WeylOperator, euler_op, laplacian_op, falling, rsq_op
-from helpers import from_monomials
+from helpers import from_monomials, two_pass_commutator
 
 SPACE = VariableSpace(2, 2)
 NV = SPACE.nvars
@@ -348,6 +348,46 @@ def test_commutator_degree_cap_boundary():
     assert raised == 8
     # [x1^100 d1, x1^27] = 27 x1^126 sits at the cap and is formed
     assert pairs[4][0].commutator(pairs[4][1]) == WeylOperator.term(SPACE, (126, 0, 0, 0), e, 27)
+
+
+@pytest.mark.parametrize("p, q", [(1, 7), (4, 4), (7, 1)])
+def test_one_pass_commutator_matches_the_two_pass_form(p, q):
+    # the check family, every generator image and the sl2 triple, pairwise
+    space = VariableSpace(p, q)
+    ops = _op_family(space) + [pi_generator(g, space) for g in generators(p, q, "M")]
+    ops += list(sl2_triple(space))
+    for A in ops:
+        for B in ops:
+            assert A.commutator(B) == two_pass_commutator(A, B)
+    # lifted by x_1^s or d_n^s so that some pairs cross the degree cap: the
+    # one-pass kernel raises exactly when compose and the two-pass form do
+    e = (0,) * space.nvars
+    raised = agreed = 0
+    for s in (124, 125, 126):
+        lifts = [
+            WeylOperator.term(space, (s,) + e[1:], e),
+            WeylOperator.term(space, e, e[:-1] + (s,)),
+        ]
+        for lift in lifts:
+            for A in ops:
+                try:
+                    X = lift.compose(A)
+                except ValueError:
+                    continue
+                for B in _op_family(space) + list(sl2_triple(space)):
+                    for L, R in ((X, B), (B, X)):
+                        try:
+                            L.compose(R)
+                        except ValueError:
+                            raised += 1
+                            with pytest.raises(ValueError, match="degree cap"):
+                                L.commutator(R)
+                            with pytest.raises(ValueError, match="degree cap"):
+                                two_pass_commutator(L, R)
+                        else:
+                            agreed += 1
+                            assert L.commutator(R) == two_pass_commutator(L, R)
+    assert raised and agreed
 
 
 def test_commutator_refuses_other_operands():
