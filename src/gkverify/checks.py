@@ -562,12 +562,12 @@ def _casimir_sl2(run: CheckRun):
 def _eigenvalue_sweep(which: str, run: CheckRun):
     scalars = []
     for params in run.families():
-        for f in ktype_elements(params, run.k_max, run.l_max):
-            report = eigenvalue_check(which, f)
+        for kt in ktype_enumeration(params, run.k_max, run.l_max):
+            report = eigenvalue_check(which, params, kt)
             if not report.ok:
                 return False, len(scalars) + 1, {
                     "failed_sign": params.sign,
-                    "failed_ktype": [f.kt.k, f.kt.l],
+                    "failed_ktype": [kt.k, kt.l],
                 }
             scalars.append(str(report.scalar))
     ok, detail = True, {"scalars": sorted(set(scalars))}
@@ -639,13 +639,13 @@ def _module_window(run: CheckRun):
 def _module_membership(run: CheckRun):
     seen = 0
     for params in run.families():
-        for f in ktype_elements(params, run.k_max, run.l_max):
+        for kt in ktype_enumeration(params, run.k_max, run.l_max):
             seen += 1
-            report = verify_membership(f)
+            report = verify_membership(params, kt)
             if not report.ok:
                 return False, seen, {
                     "failed_sign": params.sign,
-                    "failed_ktype": [f.kt.k, f.kt.l],
+                    "failed_ktype": [kt.k, kt.l],
                     "weight_ok": report.weight_ok,
                     "annihilated_ok": report.annihilated_ok,
                     "power_ok": report.power_ok,
@@ -740,10 +740,12 @@ def _module_radial_uniformity(run: CheckRun):
         ]
         if not kts:
             continue
-        for f in islice(product_elements(params, kts[0]), 8):
+        kt = kts[0]
+        ok = verify_membership(params, kt).ok  # one label, so one verdict for every product
+        for _ in islice(product_elements(params, kt), 8):
             seen += 1
-            if not verify_membership(f).ok:
-                return False, seen, {"failed_sign": params.sign, "ktype": [f.kt.k, f.kt.l]}
+            if not ok:
+                return False, seen, {"failed_sign": params.sign, "ktype": [kt.k, kt.l]}
     return True, seen, {}
 
 

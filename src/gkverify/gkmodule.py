@@ -15,15 +15,18 @@ ModuleParams holds that family rule and is the only code that reads the sign:
 the series block, the series and partner weights, mu, the killing and
 lowering sl2 generators, and the four-row table of the mixed action.
 
-A TypicalElement is the whole series: the terms w_j h1 (r_x^2)^(j + mu_x)
-h2 (r_y^2)^(j + mu_y), j >= 0, with w_0 = 1/2^mu and w_j / w_(j+1) =
--2 (j + 1)(2 kappa + 2 j), are held as those parameters alone; the sample
-plans ktype_elements and product_elements yield typical elements one at a
-time.  One table, _label_rule, says how a factor acts on a label h (r^2)^a
-of its block, h harmonic there: E, R and L (the factors of the
-liealg.closed_form words of the Casimirs, Xi and the sl2 triple) give a
-multiple of h (r^2)^a', and V and D (v and d_v, v = x_i or y_j) multiples
-of dagger(v h) (r^2)^a' and d_v h (r^2)^a'.  That test is exact by the
+The whole series is the terms w_j h1 (r_x^2)^(j + mu_x) h2 (r_y^2)^(j +
+mu_y), j >= 0, with w_0 = 1/2^mu and w_j / w_(j+1) = -2 (j + 1)(2 kappa +
+2 j).  Its frame, kappa and each block's (degree, size, mu_block), is read
+off the K-type label (params, kt) by one helper, _frame, and so
+eigenvalue_check and verify_membership take that label and no element.  A
+TypicalElement adds the harmonics h1, h2, which only p_action_check reads;
+the sample plans ktype_elements and product_elements yield typical
+elements one at a time.  One table, _label_rule, says how a factor acts on
+a label h (r^2)^a of its block, h harmonic there: E, R and L (the factors
+of the liealg.closed_form words of the Casimirs, Xi and the sl2 triple)
+give a multiple of h (r^2)^a', and V and D (v and d_v, v = x_i or y_j)
+multiples of dagger(v h) (r^2)^a' and d_v h (r^2)^a'.  That test is exact by the
 Fischer decomposition: every polynomial in a block is uniquely a sum of
 harmonics times powers of r^2, so the h (r^2)^a, for one nonzero harmonic h
 of each degree and every a, are independent, and so are the products of an
@@ -268,20 +271,27 @@ class ModuleParams:
         raise ValueError(f"no eigenvalue is known for {which!r} at K-type {kt}")
 
 
+def _frame(params: ModuleParams, kt: KType) -> Tuple[Fraction, Dict[str, Tuple[int, int, int]]]:
+    """(kappa, blocks) of the family's whole series at K-type kt: the series
+    parameter params.weights(kt)[0], and per block (harmonic degree, block
+    size, mu_block), mu_block = mu on the series block and 0 on the other.
+    params.mu raises ValueError outside the window."""
+    mu = params.mu(kt)
+    mx = mu if params.series_block == "x" else 0
+    kappa = _series_parameter(params.weights(kt)[0])
+    return kappa, {"x": (kt.k, params.p, mx), "y": (kt.l, params.q, mu - mx)}
+
+
 class TypicalElement:
     """h1 h2 rho^mu Psi_kappa of the family `params` at K-type `kt`, the
-    whole series: the terms w_j h1 (r_x^2)^(j + mu_x) h2 (r_y^2)^(j + mu_y),
-    j >= 0, with mu_s = mu on the series block and 0 on the other, w_j =
-    c_j / 2^(2 j + mu) from psi_series at kappa = params.weights(kt)[0].
-    `blocks` maps each block to (harmonic degree, block size, mu_block).
-    Only typical_element builds one."""
+    whole series, with (kappa, blocks) = _frame(params, kt), so construction
+    refuses a K-type outside the window.  The label identities take (params,
+    kt) instead; p_action_check takes one to read its harmonics.  Only
+    typical_element builds one."""
 
     def __init__(self, params: ModuleParams, kt: KType, h1: MultiPoly, h2: MultiPoly) -> None:
         self.params, self.kt, self.h1, self.h2 = params, kt, h1, h2
-        mu = params.mu(kt)
-        mx = mu if params.series_block == "x" else 0
-        self.kappa = _series_parameter(params.weights(kt)[0])
-        self.blocks = {"x": (kt.k, params.p, mx), "y": (kt.l, params.q, mu - mx)}
+        self.kappa, self.blocks = _frame(params, kt)
         self._parts: Dict = {}  # p_action_check's memo
 
     @property
@@ -297,12 +307,6 @@ class TypicalElement:
         for _ in range(mu):
             out = out.mul(rsq(self.space, self.params.series_block))
         return out.scale(Fraction(1, 1 << mu))
-
-
-def _require_typical(f) -> TypicalElement:
-    if not isinstance(f, TypicalElement):
-        raise TypeError(f"need a TypicalElement, got {type(f).__name__}")
-    return f
 
 
 def _series_parameter(alpha) -> Fraction:
@@ -384,20 +388,22 @@ def _label_rule(kind: str, a: int, k: int, n: int) -> Tuple[Tuple[int, int, str,
     raise ValueError(f"unknown factor kind {kind!r}")
 
 
-def _placed(terms, f: TypicalElement) -> List[Tuple]:
-    """The (c, word) terms applied to f as placed terms (key, s_x, 2 lambda,
-    const, coeffs) for _diagonals, one per choice of a _label_rule row for
-    each factor, rightmost first, on an unmoved harmonic only.  Term j goes
-    from ("h", j + mu_block) per block to (moved_x, j + s_x, moved_y, j +
-    s_y), keyed (moved_x, moved_y, s_x - s_y), times const * P(j): c over
-    the rows' dens, and P (coeffs, lowest first; none if P = 0) the product
-    of the rows' s, each fitted in j to its values at j = 0, 1, 2."""
-    two_kappa = int(2 * f.kappa)
+def _placed(terms, params: ModuleParams, kt: KType) -> List[Tuple]:
+    """The (c, word) terms applied to the family's whole series at K-type kt
+    as placed terms (key, s_x, 2 lambda, const, coeffs) for _diagonals, one
+    per choice of a _label_rule row for each factor, rightmost first, on an
+    unmoved harmonic only.  Term j goes from ("h", j + mu_block) per block
+    (_frame) to (moved_x, j + s_x, moved_y, j + s_y), keyed (moved_x,
+    moved_y, s_x - s_y), times const * P(j): c over the rows' dens, and P
+    (coeffs, lowest first; none if P = 0) the product of the rows' s, each
+    fitted in j to its values at j = 0, 1, 2."""
+    kappa, blocks = _frame(params, kt)
+    two_kappa = int(2 * kappa)
     out = []
     for c, word in terms:
-        branches = [(1, [1], {b: ("h", start) for b, (_, _, start) in f.blocks.items()})]
+        branches = [(1, [1], {b: ("h", start) for b, (_, _, start) in blocks.items()})]
         for kind, block in reversed(word):
-            k, n, _ = f.blocks[block]
+            k, n, _ = blocks[block]
             grown = []
             for dens, coeffs, labels in branches:
                 moved, a = labels[block]
@@ -513,9 +519,10 @@ def _verdicts(placed) -> Dict[Tuple[str, str, int], bool]:
     return {key: _holds(*diag) for key, diag in _diagonals(placed).items()}
 
 
-def _vanishes(terms, f: TypicalElement) -> bool:
-    """Whether sum c * word(f) is zero, for the whole series."""
-    return all(_verdicts(_placed(terms, f)).values())
+def _vanishes(terms, params: ModuleParams, kt: KType) -> bool:
+    """Whether sum c * word(f) is zero, for the whole series f of the family
+    at K-type kt."""
+    return all(_verdicts(_placed(terms, params, kt)).values())
 
 
 def _minus_identity(terms, scalar: Fraction):
@@ -553,18 +560,17 @@ class MembershipReport:
         return self.weight_ok and self.annihilated_ok and self.power_ok
 
 
-def verify_membership(f: TypicalElement) -> MembershipReport:
-    """Check the three defining conditions of f's family on f, for the whole
-    series, each one zero test on f's labels as in eigenvalue_check: H -
-    sign m, the killing generator and the (m+1)-th power of the lowering one
-    (one list of binomial words) must each annihilate f."""
-    params = _require_typical(f).params
+def verify_membership(params: ModuleParams, kt: KType) -> MembershipReport:
+    """Check the three defining conditions of the family on its whole series
+    at K-type kt, each one zero test on the labels as in eigenvalue_check:
+    H - sign m, the killing generator and the (m+1)-th power of the lowering
+    one (one list of binomial words) must each annihilate it."""
     p, q, m = params.p, params.q, params.m
     killer, lower = params.sl2_roles
     return MembershipReport(
-        _vanishes(_minus_identity(closed_form("H", p, q), params.sign * m), f),
-        _vanishes(closed_form(killer, p, q), f),
-        _vanishes(_power(closed_form(lower, p, q), m + 1), f),
+        _vanishes(_minus_identity(closed_form("H", p, q), params.sign * m), params, kt),
+        _vanishes(closed_form(killer, p, q), params, kt),
+        _vanishes(_power(closed_form(lower, p, q), m + 1), params, kt),
     )
 
 
@@ -575,15 +581,14 @@ class EigenvalueReport:
     ok: bool
 
 
-def eigenvalue_check(which: str, f: TypicalElement) -> EigenvalueReport:
-    """Does the closed form `which` act on the whole series f by its scalar
-    at f's K-type?  One zero test on f's labels (_vanishes): the closed form
-    applied to f minus scalar f, the scalar joined to the empty word, must
-    vanish."""
-    kt, space = _require_typical(f).kt, f.space
-    scalar = f.params.scalar(which, kt)
-    terms = _minus_identity(closed_form(which, space.p, space.q), scalar)
-    return EigenvalueReport(which, scalar, _vanishes(terms, f))
+def eigenvalue_check(which: str, params: ModuleParams, kt: KType) -> EigenvalueReport:
+    """Does the closed form `which` act on the family's whole series at
+    K-type kt by its scalar there?  One zero test on the labels (_vanishes):
+    the closed form applied to the series minus scalar times the series, the
+    scalar joined to the empty word, must vanish."""
+    scalar = params.scalar(which, kt)
+    terms = _minus_identity(closed_form(which, params.p, params.q), scalar)
+    return EigenvalueReport(which, scalar, _vanishes(terms, params, kt))
 
 
 # -- mixed-generator action ---------------------------------------------------------
@@ -611,7 +616,9 @@ def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
     harmonic d_{x_i} h1 or d_{y_j} h2 is zero, and needs every other
     diagonal to hold.  A zero layer denominator raises
     DegenerateDenominatorError where neither moved harmonic vanishes."""
-    params, kt = _require_typical(f).params, f.kt
+    if not isinstance(f, TypicalElement):
+        raise TypeError(f"need a TypicalElement, got {type(f).__name__}")
+    params, kt = f.params, f.kt
     if not (1 <= i <= params.p and 1 <= j <= params.q):
         raise ValueError("need 1 <= i <= p and 1 <= j <= q")
     space = params.space
@@ -622,7 +629,7 @@ def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
         return False
     holds = f._parts.get("labels")
     if holds is None:
-        holds = f._parts["labels"] = _verdicts(_placed(_ACTION, f) + _layer_terms(f))
+        holds = f._parts["labels"] = _verdicts(_placed(_ACTION, params, kt) + _layer_terms(f))
     no_d = {}  # block -> whether its "d" harmonic, d_{x_i} h1 or d_{y_j} h2, is zero
     for block, var in (("x", xi), ("y", yj)):
         if var not in f._parts:

@@ -67,7 +67,6 @@ from .gkmodule import (
     default_samples,
     eigenvalue_check,
     garfinkle_obstruction,
-    typical_element,
 )
 from .liealg import (
     Combination,
@@ -559,8 +558,10 @@ def theorem_ingredients(params: ModuleParams) -> TheoremReport:
     """Run the three inclusion steps and report the assembled dichotomy.
 
     Step one verifies that the full Casimir acts by its closed scalar on the
-    whole-series typical elements of the default samples, which places the
-    one-dimensional piece inside the graded annihilator symbol.  Step two
+    whole series at each distinct K-type of the default samples, the plan
+    the obstruction reads, which places the one-dimensional piece inside
+    the graded annihilator symbol; that identity reads the K-type label
+    alone, so no typical element is built.  Step two
     verifies that every alternating tensor maps to the zero operator,
     placing the second piece.  Step three runs the exact
     solvability question for the traceless piece on the same samples; a
@@ -573,10 +574,8 @@ def theorem_ingredients(params: ModuleParams) -> TheoremReport:
     garfinkle.obstruction checks have run at the same parameters this
     function solves neither again; the shared ObstructionResult is frozen.
     """
-    casimir_ok = all(
-        eigenvalue_check("g", typical_element(params, h1, h2)).ok
-        for _, h1, h2 in default_samples(params)
-    )
+    kts = dict.fromkeys(kt for kt, _, _ in default_samples(params))
+    casimir_ok = all(eigenvalue_check("g", params, kt).ok for kt in kts)
     s4_count, s4_ok = s4_vanishing((params.p, params.q))
     obstruction = garfinkle_obstruction(params)
     return TheoremReport(params, casimir_ok, s4_count, s4_ok, obstruction)

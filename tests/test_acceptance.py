@@ -16,6 +16,7 @@ from gkverify.gkmodule import (
     ModuleParams,
     eigenvalue_check,
     ktype_elements,
+    ktype_enumeration,
     p_action_check,
     verify_membership,
 )
@@ -118,8 +119,8 @@ def test_criterion_3_membership(capsys):
     for p, q, m in SWEEP:
         for sign in (1, -1):
             params = ModuleParams(p, q, m, sign)
-            for f in ktype_elements(params, 3, 3):
-                report = verify_membership(f)
+            for kt in ktype_enumeration(params, 3, 3):
+                report = verify_membership(params, kt)
                 if not report.ok:
                     ok = False
                 checked += 1
@@ -141,17 +142,17 @@ def test_criterion_4_eigenvalues(capsys):
     for p, q, m in SWEEP:
         for sign in (1, -1):
             params = ModuleParams(p, q, m, sign)
-            for f in ktype_elements(params, 3, 3):
+            for kt in ktype_enumeration(params, 3, 3):
                 for which in ("op", "oq", "g"):
-                    if not eigenvalue_check(which, f).ok:
+                    if not eigenvalue_check(which, params, kt).ok:
                         ok = False
-                xi_rep = eigenvalue_check("xi", f)
+                xi_rep = eigenvalue_check("xi", params, kt)
                 if not xi_rep.ok:
                     ok = False
                 if m == 0 and xi_rep.scalar != 0:
                     zero_scalars_ok = False
                 if (p, q, m, sign) == (4, 4, 1, 1):
-                    key = (int(f.kt.kappa_plus), int(f.kt.kappa_minus))
+                    key = (int(kt.kappa_plus), int(kt.kappa_minus))
                     kappa_map[key] = xi_rep.scalar
     split_ok = {kappa_map.get((3, 2)), kappa_map.get((2, 3))} == {
         Fraction(3),

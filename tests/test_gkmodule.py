@@ -208,12 +208,8 @@ def test_membership_triple_spot():
     for p, q, m in [(2, 4, 0), (4, 4, 1)]:
         for sign in (1, -1):
             params = ModuleParams(p, q, m, sign)
-            space = params.space
             for kt in ktype_enumeration(params, 2, 2):
-                h1 = harmonic_basis(space, "x", kt.k)[0]
-                h2 = harmonic_basis(space, "y", kt.l)[0]
-                f = typical_element(params, h1, h2)
-                report = verify_membership(f)
+                report = verify_membership(params, kt)
                 assert report.ok, (p, q, m, sign, kt.k, kt.l)
 
 
@@ -308,12 +304,11 @@ def test_eigenvalue_reports_spot():
     kt = KType(1, 0, 4, 4)
     h1 = harmonic_basis(space, "x", 1)[0]
     h2 = harmonic_basis(space, "y", 0)[0]
-    f = typical_element(params, h1, h2)
-    assert f.kt == kt
+    assert typical_element(params, h1, h2).kt == kt
     for which in ("op", "oq", "g"):
-        report = eigenvalue_check(which, f)
+        report = eigenvalue_check(which, params, kt)
         assert report.ok, report.name
-    xi_report = eigenvalue_check("xi", f)
+    xi_report = eigenvalue_check("xi", params, kt)
     assert xi_report.ok and xi_report.scalar == 3
 
 
@@ -333,9 +328,9 @@ def test_zero_tests_match_the_comparisons_they_replaced(p, q, m):
                 applied = closed_apply(which, g)
                 old_ok = applied.agrees_with(truncated(g).scale(params.scalar(which, g.kt)))
                 assert eigenvalue_at(which, g) == (old_ok, applied.validity), which
-                assert eigenvalue_check(which, g.f).ok == old_ok, which
+                assert eigenvalue_check(which, params, g.kt).ok == old_ok, which
             old_weight_ok = closed_apply("H", g).agrees_with(truncated(g).scale(sign * m))
-            assert verify_membership(g.f).weight_ok == old_weight_ok
+            assert verify_membership(params, g.kt).weight_ok == old_weight_ok
             checked += 1
     assert checked
 
@@ -347,27 +342,27 @@ def test_a_wrong_scalar_fails_the_zero_tests(monkeypatch):
     import gkverify.gkmodule as gkmodule
 
     params = ModuleParams(4, 6, 1, 1)
-    samples = [f for sign in (1, -1)
-               for f in ktype_elements(dataclasses.replace(params, sign=sign), 2, 2)]
+    families = [dataclasses.replace(params, sign=sign) for sign in (1, -1)]
+    samples = [(P, kt) for P in families for kt in ktype_enumeration(P, 2, 2)]
     assert len(samples) >= 4
-    for f in samples:
-        assert verify_membership(f).weight_ok
+    for P, kt in samples:
+        assert verify_membership(P, kt).weight_ok
     shift, true_scalar = gkmodule._minus_identity, ModuleParams.scalar
     for off in (1, -1):
         # the weight target sign m, shifted by one: H - (sign m + off) must
         # not annihilate any sample
         with monkeypatch.context() as patch:
             patch.setattr(gkmodule, "_minus_identity", lambda terms, s: shift(terms, s + off))
-            for f in samples:
-                assert not verify_membership(f).weight_ok
+            for P, kt in samples:
+                assert not verify_membership(P, kt).weight_ok
         with monkeypatch.context() as patch:
             patch.setattr(
                 ModuleParams, "scalar",
                 lambda self, which, kt=None: true_scalar(self, which, kt) + off,
             )
-            for f in samples:
+            for P, kt in samples:
                 for which in ("op", "oq", "g", "xi"):
-                    assert not eigenvalue_check(which, f).ok, (off, which)
+                    assert not eigenvalue_check(which, P, kt).ok, (off, which)
             (result,) = execute_jobs(
                 plan_jobs([REGISTRY["casimir.g_eigenvalue"]], [(4, 6, 1)], 3, 3)
             )
@@ -612,7 +607,7 @@ def test_membership_holds_on_harmonic_combinations(cs):
         return
     h1 = harmonic_basis(space, "x", 2)[0]
     f = typical_element(params, h1, h2)
-    assert verify_membership(f).ok
+    assert verify_membership(params, f.kt).ok
 
 
 def test_p_action_spot():
@@ -649,14 +644,18 @@ def test_typical_element_carries_its_family():
 
 
 def test_sums_and_multiples_are_not_typical():
+    # p_action_check takes a typical element and nothing else; the label
+    # identities take (params, kt) and have no form that takes an element
     params = ModuleParams(4, 4, 1, 1)
-    cut = TruncatedTypical(next(ktype_elements(params, 1, 1)), 10)
+    f = next(ktype_elements(params, 1, 1))
+    cut = TruncatedTypical(f, 10)
     t = truncated(cut)
     for g in (t + t, t - t, t.scale(2), t, t.expansion, cut):
         with pytest.raises(TypeError):
-            eigenvalue_check("g", g)
-        with pytest.raises(TypeError):
             p_action_check(g, 1, 1)
+    for g in (f, cut):
+        with pytest.raises(TypeError):
+            eigenvalue_check("g", g)
         with pytest.raises(TypeError):
             verify_membership(g)
 
@@ -1181,7 +1180,8 @@ def test_paction_four_term_work_counts(monkeypatch):
     monkeypatch.setattr(gkmodule, "typical_element", keep)
     monkeypatch.setattr(WeylOperator, "apply", count_apply)
     monkeypatch.setattr(
-        gkmodule, "_placed", lambda terms, f: tables.append(f) or real_placed(terms, f)
+        gkmodule, "_placed",
+        lambda terms, params, kt: tables.append((params, kt)) or real_placed(terms, params, kt),
     )
     monkeypatch.setattr(
         gkmodule, "_fischer", lambda f, var: fischer.append((f, var)) or real_fischer(f, var)
@@ -1200,7 +1200,7 @@ def test_paction_four_term_work_counts(monkeypatch):
     p, q = 4, 6
     assert result.instances == p * q * len(elements)
     assert applies == [] and expansions == []
-    assert [id(f) for f in tables] == [id(f) for f in elements]
+    assert tables == [(f.params, f.kt) for f in elements]
     assert sorted((id(f), var) for f, var in fischer) == sorted(
         (id(f), var) for f in elements for var in range(p + q)
     )
@@ -1209,7 +1209,7 @@ def test_paction_four_term_work_counts(monkeypatch):
     assert info.misses == info.currsize == len({(f.params, f.kt) for f in elements})
     for f in elements:
         assert sorted(f._parts, key=str) == sorted(["labels", *range(p + q)], key=str)
-        placed = real_placed(gkmodule._ACTION, f) + gkmodule._layer_terms(f)
+        placed = real_placed(gkmodule._ACTION, f.params, f.kt) + gkmodule._layer_terms(f)
         assert f._parts["labels"] == gkmodule._verdicts(placed)
         assert all(f._parts[var][0] for var in range(p + q))
     # the memo is held by its element alone, and each part by the memo
@@ -1332,7 +1332,8 @@ def test_zero_test_matches_the_staged_pass(p, q, m):
                     want = ((staged - truncated(f).scale(s)).is_zero(), staged.validity)
                     shifted = gkmodule._minus_identity(terms, s)
                     assert label_zero_test(shifted, f) == want, (sign, f.kt, which, s)
-                    assert gkmodule._vanishes(shifted, f.f) == want[0], (sign, f.kt, which, s)
+                    got = gkmodule._vanishes(shifted, params, f.kt)
+                    assert got == want[0], (sign, f.kt, which, s)
                     verdicts.add(want[0])
                 if which == killer:
                     assert staged.is_zero()
@@ -1340,12 +1341,12 @@ def test_zero_test_matches_the_staged_pass(p, q, m):
             terms = gkmodule._power(closed_form(lower, p, q), m + 1)
             got = label_zero_test(terms, f)
             assert got == (power.is_zero(), power.validity) == (True, D - 2 * (m + 1))
-            assert gkmodule._vanishes(terms, f.f)
+            assert gkmodule._vanishes(terms, params, f.kt)
             # one step short of the power does not annihilate
             short = _applied_power(lower, m, f)
             terms = gkmodule._power(closed_form(lower, p, q), m)
             assert label_zero_test(terms, f) == (short.is_zero(), short.validity)
-            assert not short.is_zero() and not gkmodule._vanishes(terms, f.f)
+            assert not short.is_zero() and not gkmodule._vanishes(terms, params, f.kt)
     assert verdicts == {True, False}
 
 
@@ -1366,13 +1367,15 @@ def test_power_is_the_binomial_word_list():
 
 def _module_fails():
     # whether some eigenvalue or membership check fails at (4,6,1) on the
-    # elements with k, l <= 2 of both signs (all pass unmutated, as
-    # test_scalar_checks_never_expand_an_element asserts)
+    # K-types with k, l <= 2 of both signs (all pass unmutated, as
+    # test_label_checks_build_no_element asserts)
     for sign in (1, -1):
-        for f in ktype_elements(ModuleParams(4, 6, 1, sign), 2, 2):
-            if not all(eigenvalue_check(which, f).ok for which in ("op", "oq", "g", "xi")):
+        params = ModuleParams(4, 6, 1, sign)
+        for kt in ktype_enumeration(params, 2, 2):
+            forms = ("op", "oq", "g", "xi")
+            if not all(eigenvalue_check(which, params, kt).ok for which in forms):
                 return True
-            if not verify_membership(f).ok:
+            if not verify_membership(params, kt).ok:
                 return True
     return False
 
@@ -1481,31 +1484,58 @@ def test_a_wrong_coordinate_row_fails_the_mixed_action(monkeypatch, mutant):
     assert _four_term_verdict() == ("fail", 25, [1, 1])
 
 
-def test_scalar_checks_never_expand_an_element(monkeypatch):
-    """eigenvalue_check and verify_membership form no polynomial: they call
-    neither laplacian nor MultiPoly.mul.  p_action_check does not read
-    f.expansion, and every Laplacian it applies reads a polynomial in one
+def test_label_checks_build_no_element(monkeypatch):
+    """The label identities read (params, kt) alone.  At (4,6,1) the four
+    casimir.*_eigenvalue checks and module.membership call none of
+    typical_element, harmonic_basis, laplacian and MultiPoly.mul, and the
+    Casimir step of symsq.theorem_ingredients calls no typical_element.
+    typical_element still refuses every (k, l) outside the window with k, l
+    <= 3.  Every Laplacian p_action_check applies reads a polynomial in one
     block only."""
-    import gkverify.gkmodule as gkmodule
+    import sys
 
-    inputs, products = [], []
-    real_laplacian, real_mul = gkmodule.laplacian, MultiPoly.mul
+    import gkverify.gkmodule as gkmodule
+    from gkverify.symsq import theorem_ingredients
+
+    calls = {name: [] for name in ("typical_element", "harmonic_basis", "laplacian")}
+    real = {name: getattr(gkmodule, name) for name in calls}
+
+    def spy(name):
+        return lambda *args: calls[name].append(args) or real[name](*args)
+
+    spies = {name: spy(name) for name in calls}
+    for module in [m for key, m in sys.modules.items() if key.startswith("gkverify")]:
+        for name in calls:
+            if getattr(module, name, None) is real[name]:
+                monkeypatch.setattr(module, name, spies[name])
+    products, real_mul = [], MultiPoly.mul
+    monkeypatch.setattr(MultiPoly, "mul", lambda a, b: products.append(a) or real_mul(a, b))
+    names = [f"casimir.{w}_eigenvalue" for w in ("op", "oq", "g", "xi")] + ["module.membership"]
+    results = execute_jobs(plan_jobs([REGISTRY[n] for n in names], [(4, 6, 1)], 3, 3))
+    assert [(r.status, r.instances) for r in results] == [("pass", 12)] * 5
+    assert calls == {name: [] for name in calls} and products == []
+    for sign in (1, -1):
+        params = ModuleParams(4, 6, 1, sign)
+        assert theorem_ingredients(params).casimir_step_ok
+        assert calls["typical_element"] == []
+        refused = 0
+        for k, l in itertools.product(range(4), repeat=2):
+            if params.allows(KType(k, l, 4, 6)):
+                continue
+            h1 = harmonic_basis(params.space, "x", k)[0]
+            h2 = harmonic_basis(params.space, "y", l)[0]
+            with pytest.raises(ValueError):
+                typical_element(params, h1, h2)
+            refused += 1
+        assert refused == 10
+    calls["laplacian"].clear()
     elements = [
         f for sign in (1, -1) for f in ktype_elements(ModuleParams(4, 6, 1, sign), 3, 3)
     ]
-    monkeypatch.setattr(
-        gkmodule, "laplacian", lambda g, b: inputs.append((g, b)) or real_laplacian(g, b)
-    )
-    monkeypatch.setattr(MultiPoly, "mul", lambda a, b: products.append(a) or real_mul(a, b))
-    for f in elements:
-        for which in ("op", "oq", "g", "xi"):
-            assert eigenvalue_check(which, f).ok
-        assert verify_membership(f).ok
-    assert elements and inputs == [] and products == []
     for f in elements:
         for i, j in itertools.product(range(1, 5), range(1, 7)):
             assert p_action_check(f, i, j)
-    assert inputs
-    for g, block in inputs:
+    assert calls["laplacian"]
+    for g, block in calls["laplacian"]:
         other = {"x": "y", "y": "x"}[block]
         assert g.block_homogeneous_degree(other) == 0

@@ -15,7 +15,7 @@ import pytest
 
 import gkverify.gkmodule as gkmodule
 from gkverify.cli import DEFAULT_SWEEP
-from gkverify.gkmodule import ModuleParams, ktype_elements, p_action_check
+from gkverify.gkmodule import ModuleParams, ktype_elements, ktype_enumeration, p_action_check
 from gkverify.liealg import closed_form
 from helpers import wrong_label_rule
 from truncated_reference import (
@@ -33,15 +33,15 @@ def _families(p, q, m):
     return [ModuleParams(p, q, m, sign) for sign in (1, -1)]
 
 
-def _identities(f, off=0):
-    """{name: (c, word) terms} of the four eigenvalue forms, each with its
-    scalar plus `off`, and of the three membership steps."""
-    p, q = f.params.p, f.params.q
+def _identities(params, kt, off=0):
+    """{name: (c, word) terms} of the four eigenvalue forms at K-type kt,
+    each with its scalar plus `off`, and of the three membership steps."""
+    p, q = params.p, params.q
     out = {}
     for which in FORMS:
-        scalar = f.params.scalar(which, f.kt) + off
+        scalar = params.scalar(which, kt) + off
         out[which] = gkmodule._minus_identity(closed_form(which, p, q), scalar)
-    out.update(zip(STEPS, membership_steps(f.params)))
+    out.update(zip(STEPS, membership_steps(params)))
     return out
 
 
@@ -78,14 +78,15 @@ def test_degree_bounds_hold_and_are_attained(p, q, m):
     attained = set()
     for params in _families(p, q, m):
         for f in ktype_elements(params, 3, 3):
-            for name, terms in _identities(f).items():
-                for two_base, diag in gkmodule._diagonals(gkmodule._placed(terms, f)).values():
+            for name, terms in _identities(params, f.kt).items():
+                placed = gkmodule._placed(terms, params, f.kt)
+                for two_base, diag in gkmodule._diagonals(placed).values():
                     for term in diag:
                         values = _term_values(two_base, term, term.bound + 2)
                         assert _difference(values, term.bound + 1) == 0, (f.kt, name, term)
                         if _difference(values, term.bound):
                             attained.add(name)
-            placed = gkmodule._placed(gkmodule._ACTION, f) + gkmodule._layer_terms(f)
+            placed = gkmodule._placed(gkmodule._ACTION, params, f.kt) + gkmodule._layer_terms(f)
             for key, (two_base, terms) in gkmodule._diagonals(placed).items():
                 top = max(term.bound for term in terms)
                 for term in terms:
@@ -110,9 +111,10 @@ def test_whole_series_verdicts_match_the_depth_30_reference(p, q, m):
         for f in ktype_elements(params, 4, 4):
             g = TruncatedTypical(f, 30)
             for off in (0, 1):
-                for name, terms in _identities(f, off).items():
+                for name, terms in _identities(params, f.kt, off).items():
                     want, _ = label_zero_test(terms, g)
-                    assert gkmodule._vanishes(terms, f) == want, (params.sign, f.kt, name, off)
+                    got = gkmodule._vanishes(terms, params, f.kt)
+                    assert got == want, (params.sign, f.kt, name, off)
                     verdicts.add(want)
             sums = action_labels_at(g)
             for i, j in itertools.product(range(1, p + 1), range(1, q + 1)):
@@ -131,11 +133,11 @@ def _verdicts(p, q, m):
     three membership steps on the elements with k, l <= 3."""
     out = {}
     for params in _families(p, q, m):
-        for f in ktype_elements(params, 3, 3):
-            where = (params.sign, f.kt.k, f.kt.l, params.mu(f.kt))
+        for kt in ktype_enumeration(params, 3, 3):
+            where = (params.sign, kt.k, kt.l, params.mu(kt))
             for which in FORMS:
-                out[(*where, which)] = gkmodule.eigenvalue_check(which, f).ok
-            report = gkmodule.verify_membership(f)
+                out[(*where, which)] = gkmodule.eigenvalue_check(which, params, kt).ok
+            report = gkmodule.verify_membership(params, kt)
             for name, ok in zip(STEPS, (report.weight_ok, report.annihilated_ok, report.power_ok)):
                 out[(*where, name)] = ok
     return out
