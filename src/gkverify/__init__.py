@@ -80,6 +80,7 @@ from .gkmodule import (
     default_samples,
     eigenvalue_check,
     garfinkle_obstruction,
+    ktype_box,
     ktype_elements,
     ktype_enumeration,
     p_action_check,
@@ -160,6 +161,7 @@ __all__ = [
     "eigenvalue_check",
     "EigenvalueReport",
     "p_action_check",
+    "ktype_box",
     "ktype_enumeration",
     "default_samples",
     "garfinkle_obstruction",

@@ -82,6 +82,7 @@ from .gkmodule import (
     PsiPoleError,
     eigenvalue_check,
     garfinkle_obstruction,
+    ktype_box,
     ktype_elements,
     ktype_enumeration,
     p_action_check,
@@ -604,8 +605,9 @@ def _module_window(run: CheckRun):
         enumerated = {
             (kt.k, kt.l) for kt in ktype_enumeration(params, run.k_max, run.l_max)
         }
-        for k in range(run.k_max + 1):
-            for l in range(run.l_max + 1):
+        ks, ls = ktype_box(params, run.k_max, run.l_max)
+        for k in ks:
+            for l in ls:
                 seen += 1
                 kt = KType(k, l, run.p, run.q)
                 d = kt.kappa_plus - kt.kappa_minus

@@ -102,6 +102,7 @@ __all__ = [
     "verify_membership",
     "eigenvalue_check",
     "p_action_check",
+    "ktype_box",
     "ktype_enumeration",
     "default_samples",
     "garfinkle_obstruction",
@@ -692,23 +693,43 @@ def _fischer(f: TypicalElement, var: int) -> Tuple[bool, bool]:
 # -- sample plans ----------------------------------------------------------------------
 
 
-def ktype_enumeration(params: ModuleParams, k_max: int, l_max: int) -> List[KType]:
-    """All K-types of the family with k <= k_max, l <= l_max, ordered by (k, l)."""
-    out = []
-    for k in range(k_max + 1):
-        for l in range(l_max + 1):
-            kt = KType(k, l, params.p, params.q)
+def _window(params: ModuleParams) -> Iterator[KType]:
+    """The K-types of the family with k + l <= p + q, by k + l, then k.  The
+    plans need none further: each diagonal k - l = d of the window has |d|
+    <= |q - p|/2 + m <= p + q - 5 and K-types at k + l = |d| and |d| + 2."""
+    for total in range(params.n + 1):
+        for k in range(total + 1):
+            kt = KType(k, total - k, params.p, params.q)
             if params.allows(kt):
-                out.append(kt)
-    return out
+                yield kt
 
 
-def _ktype_harmonics(params: ModuleParams, k_max: int, l_max: int) -> Iterator[Tuple]:
-    """(kt, h1, h2) per K-type of ktype_enumeration(params, k_max, l_max), in
-    its order, with the first harmonic basis element of each block."""
+@lru_cache(maxsize=None)
+def ktype_box(params: ModuleParams, k_max: int, l_max: int) -> Tuple[range, range]:
+    """The (k, l) ranges every sample plan reads: k <= k_max, l <= l_max when
+    that box holds a K-type of the family, else the box of the same size
+    whose corner is the family's K-type of least k + l, which then comes
+    first.  The window is never empty: p + q is even, so its diagonal k - l
+    = (q - p)/2 - m holds a K-type."""
+    ks, ls = range(k_max + 1), range(l_max + 1)
+    if any(params.allows(KType(k, l, params.p, params.q)) for k in ks for l in ls):
+        return ks, ls
+    corner = next(_window(params))
+    return range(corner.k, corner.k + k_max + 1), range(corner.l, corner.l + l_max + 1)
+
+
+def ktype_enumeration(params: ModuleParams, k_max: int, l_max: int) -> List[KType]:
+    """All K-types of the family in ktype_box(params, k_max, l_max), ordered
+    by (k, l)."""
+    ks, ls = ktype_box(params, k_max, l_max)
+    kts = (KType(k, l, params.p, params.q) for k in ks for l in ls)
+    return [kt for kt in kts if params.allows(kt)]
+
+
+def _first_harmonics(params: ModuleParams, kt: KType) -> Tuple:
+    """(kt, h1, h2) with the first harmonic basis element of each block."""
     space = params.space
-    for kt in ktype_enumeration(params, k_max, l_max):
-        yield kt, harmonic_basis(space, "x", kt.k)[0], harmonic_basis(space, "y", kt.l)[0]
+    return kt, harmonic_basis(space, "x", kt.k)[0], harmonic_basis(space, "y", kt.l)[0]
 
 
 def _product_harmonics(params: ModuleParams, kt: KType) -> Iterator[Tuple]:
@@ -720,9 +741,10 @@ def _product_harmonics(params: ModuleParams, kt: KType) -> Iterator[Tuple]:
 
 
 def ktype_elements(params: ModuleParams, k_max: int, l_max: int) -> Iterator[TypicalElement]:
-    """The typical element of each (kt, h1, h2) of _ktype_harmonics: one per
-    K-type with k <= k_max, l <= l_max."""
-    for _, h1, h2 in _ktype_harmonics(params, k_max, l_max):
+    """The typical element with the first harmonics (_first_harmonics) of
+    each K-type of ktype_enumeration(params, k_max, l_max), in its order."""
+    for kt in ktype_enumeration(params, k_max, l_max):
+        _, h1, h2 = _first_harmonics(params, kt)
         yield typical_element(params, h1, h2)
 
 
@@ -734,16 +756,28 @@ def product_elements(params: ModuleParams, kt: KType) -> Iterator[TypicalElement
 
 
 def default_samples(params: ModuleParams) -> Iterator[Tuple[KType, MultiPoly, MultiPoly]]:
-    """The default sampling plan, as (kt, h1, h2): the plan of ktype_elements
-    over k, l <= 2, then every harmonic product at the smallest of those
-    K-types with k + l >= 1 (least multiplicity, then least (k, l)).  The
-    obstruction solver reads the harmonics; the Casimir step of
-    symsq.theorem_ingredients builds their typical elements."""
-    yield from _ktype_harmonics(params, 2, 2)
-    enriched = [kt for kt in ktype_enumeration(params, 2, 2) if kt.k + kt.l >= 1]
+    """The default sampling plan, as (kt, h1, h2): the first harmonics of
+    each K-type of ktype_enumeration(params, 2, 2), then every harmonic
+    product at the smallest of those K-types with k + l >= 1 (least
+    multiplicity, then least (k, l)).  At m >= 1, when those K-types hold
+    one Xi scalar, the first harmonics of the first K-type of the window
+    (_window) with another one follow.  It exists: Xi = (kappa_plus -
+    kappa_minus)(kappa_plus + kappa_minus - 2) - const moves along every
+    diagonal but the one with kappa_plus = kappa_minus, and at m >= 1 the
+    window holds another one.  The obstruction solver reads the harmonics;
+    the Casimir step of symsq.theorem_ingredients reads the K-types."""
+    kts = ktype_enumeration(params, 2, 2)
+    yield from (_first_harmonics(params, kt) for kt in kts)
+    enriched = [kt for kt in kts if kt.k + kt.l >= 1]
     if enriched:
         best = min(enriched, key=lambda kt: (kt.multiplicity, kt.k, kt.l))
         yield from _product_harmonics(params, best)
+    xis = {params.scalar("xi", kt) for kt in kts}
+    if params.m >= 1 and len(xis) == 1:
+        for kt in _window(params):
+            if params.scalar("xi", kt) not in xis:
+                yield _first_harmonics(params, kt)
+                break
 
 
 # -- the obstruction solver -----------------------------------------------------------

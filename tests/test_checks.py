@@ -2,15 +2,21 @@
 
 import pytest
 
+import gkverify.gkmodule as gkmodule
+import gkverify.symsq as symsq
 from gkverify import liealg
 from gkverify.checks import REGISTRY, CheckDef, CheckRun, execute_jobs, plan_jobs, selected_checks
-from gkverify.gkmodule import DegenerateSampleError, ModuleParams, garfinkle_obstruction
-from gkverify.symsq import s4_vanishing, xi_closed_form
+from gkverify.gkmodule import (
+    DegenerateSampleError,
+    KType,
+    ModuleParams,
+    garfinkle_obstruction,
+    ktype_box,
+    ktype_enumeration,
+)
+from gkverify.symsq import s4_vanishing, theorem_ingredients, xi_closed_form
 from gkverify.weyl import WeylOperator
 from helpers import two_pass_commutator
-
-# At (2, 14, 1) the window needs k - l = 5 or 7, so no K-type has k, l <= 3.
-EMPTY_WINDOW = CheckRun(2, 14, 1, 3, 3)
 
 VECTOR_CHECKS = [
     "casimir.op_eigenvalue",
@@ -25,9 +31,15 @@ VECTOR_CHECKS = [
 
 
 @pytest.mark.parametrize("name", VECTOR_CHECKS)
-def test_check_that_sees_no_vector_fails(name):
-    # the body counts no instance, so the runner gives it no verdict
-    _ok, instances, detail = REGISTRY[name].fn(EMPTY_WINDOW)
+def test_check_that_sees_no_vector_fails(monkeypatch, name):
+    # the plans count from the window, so no valid tuple leaves one empty;
+    # on an enumeration emptied by hand the body counts no instance, and so
+    # the runner gives it no verdict
+    import gkverify.checks as checks
+
+    for module in (checks, gkmodule):
+        monkeypatch.setattr(module, "ktype_enumeration", lambda *args: [])
+    _ok, instances, detail = REGISTRY[name].fn(CheckRun(4, 6, 1, 3, 3))
     assert instances == 0, detail
 
 
@@ -58,49 +70,74 @@ def test_a_check_that_examines_nothing_is_an_error(monkeypatch):
     )
 
 
-def test_a_tuple_with_no_ktype_gives_no_verdict():
-    # at (2, 14, 1) every check that samples vectors examines none: each is an
-    # error, not a failure, the obstruction refuses its empty sample set, and
-    # the window check still passes on the 32 types it rejects
-    results = {r.name: r for r in execute_jobs(
-        plan_jobs(selected_checks(["all"]), [(2, 14, 1)], 3, 3)
-    )}
-    for name in VECTOR_CHECKS:
-        r = results[name]
-        assert (r.status, r.instances, r.detail) == (
-            "error", 0, {"error": "no instances examined"}
-        ), r.to_dict()
-    for name in ("garfinkle.obstruction", "garfinkle.theorem"):
-        assert results[name].detail["error"].startswith("DegenerateSampleError: ")
-        assert results[name].instances is None
-    window = results["module.parameter_window"]
-    assert (window.status, window.instances, window.detail) == ("pass", 32, {"allowed": 0})
-    assert not [r.to_dict() for r in results.values() if r.status != "error" and not r.instances]
-
-
-# No default sample at (2, 10, 1) and (10, 2, 1); at (2, 8, 1) the three
-# samples share the one Xi eigenvalue -16/5.
+# The k, l <= 2 box holds no K-type at (2, 10, 1) and (10, 2, 1), nor the
+# k, l <= 3 box at (2, 14, 1), where the window needs k - l = 5 or 7; at
+# (2, 8, 1) the k, l <= 2 box holds one K-type, whose samples share the Xi
+# eigenvalue -16/5.
 DEGENERATE_TUPLES = [(2, 10, 1), (10, 2, 1), (2, 8, 1)]
+LATE_WINDOWS = DEGENERATE_TUPLES + [(2, 14, 1)]
+
+
+def test_a_window_past_the_box_gives_verdicts():
+    # every check examines window K-types and passes, and the obstruction
+    # is infeasible for both signs; at (2, 14, 1) every plan counts from the
+    # corner (5, 0), the K-type of least k + l
+    results = execute_jobs(plan_jobs(selected_checks(["all"]), LATE_WINDOWS, 3, 3))
+    assert all(r.status == "pass" and r.instances for r in results), [
+        r.to_dict() for r in results if r.status != "pass" or not r.instances
+    ]
+    at = {(r.name, r.params.get("q")): r for r in results if r.params.get("p") == 2}
+    for q in (8, 10, 14):
+        per_sign = at["garfinkle.obstruction", q].detail["per_sign"]
+        assert [rep["exists"] for rep in per_sign.values()] == [False, False]
+    window = at["module.parameter_window", 14]
+    assert (window.instances, window.detail) == (32, {"allowed": 12})
+    for sign in (1, -1):
+        params = ModuleParams(2, 14, 1, sign)
+        assert ktype_box(params, 3, 3) == (range(5, 9), range(4))
+        assert ktype_enumeration(params, 3, 3)[0] == KType(5, 0, 2, 14)
+
+
+def _one_ktype_plan(params):
+    """A hand-built sample set that cannot decide the system at m >= 1:
+    every harmonic product at the first K-type of the window, all with one
+    Xi eigenvalue."""
+    (kt,) = ktype_enumeration(params, 0, 0)
+    return list(gkmodule._product_harmonics(params, kt))
+
+
+def _use_plan(monkeypatch, plan):
+    """Make `plan` the default sample plan, with the solver's memo cleared."""
+    for module in (gkmodule, symsq):
+        monkeypatch.setattr(module, "default_samples", plan)
+    garfinkle_obstruction.cache_clear()
 
 
 @pytest.mark.parametrize("p,q,m", DEGENERATE_TUPLES)
-def test_degenerate_samples_are_an_error(p, q, m):
-    for sign in (1, -1):
-        with pytest.raises(DegenerateSampleError):
-            garfinkle_obstruction(ModuleParams(p, q, m, sign))
+def test_degenerate_samples_are_an_error(monkeypatch, p, q, m):
+    # a plan with one Xi eigenvalue, or with fewer than two samples, is
+    # refused by the solver, and the runner reports both garfinkle checks
+    # as errors
+    plans = (_one_ktype_plan, lambda params: _one_ktype_plan(params)[:1], lambda params: [])
+    for plan in plans:
+        _use_plan(monkeypatch, plan)
+        for sign in (1, -1):
+            with pytest.raises(DegenerateSampleError):
+                garfinkle_obstruction(ModuleParams(p, q, m, sign))
     defs = [REGISTRY["garfinkle.obstruction"], REGISTRY["garfinkle.theorem"]]
     results = execute_jobs(plan_jobs(defs, [(p, q, m)], 3, 3))
     assert [r.name for r in results] == ["garfinkle.obstruction", "garfinkle.theorem"]
     for r in results:
         assert r.status == "error", r.to_dict()
         assert r.detail["error"].startswith("DegenerateSampleError: "), r.detail
+    garfinkle_obstruction.cache_clear()
 
 
 @pytest.mark.parametrize("p,q,m", DEGENERATE_TUPLES)
-def test_degenerate_samples_raise_on_every_call(p, q, m):
+def test_degenerate_samples_raise_on_every_call(monkeypatch, p, q, m):
     # a raised error is not memoized: each call solves again and raises again
     params = ModuleParams(p, q, m, 1)
-    garfinkle_obstruction.cache_clear()
+    _use_plan(monkeypatch, _one_ktype_plan)
     for calls in (1, 2, 3):
         with pytest.raises(DegenerateSampleError):
             garfinkle_obstruction(params)
@@ -113,7 +150,6 @@ def test_solver_images_only_the_samples_it_reads(monkeypatch):
     # 15 = 21), all on h1 h2, in sample order, and no typical element is
     # built; a degenerate sample set is refused from its K-types, before any
     # image
-    import gkverify.gkmodule as gkmodule
     from gkverify.liealg import generators, pi_generator, same_block
 
     calls, built = [], []
@@ -149,6 +185,7 @@ def test_solver_images_only_the_samples_it_reads(monkeypatch):
         res = garfinkle_obstruction(ModuleParams(4, 4, 0, sign))
         assert (res.exists, res.n_rows, res.witness[1], calls) == (True, 0, 0, [])
         assert not any(c for _, c in res.witness[0])
+    _use_plan(monkeypatch, _one_ktype_plan)
     for p, q, m in DEGENERATE_TUPLES:
         for sign in (1, -1):
             calls.clear()
@@ -156,6 +193,22 @@ def test_solver_images_only_the_samples_it_reads(monkeypatch):
                 garfinkle_obstruction(ModuleParams(p, q, m, sign))
             assert calls == [], (p, q, m, sign)
     garfinkle_obstruction.cache_clear()
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_a_wrong_casimir_scalar_fails_the_theorem(monkeypatch, off):
+    # the Casimir step can fail: with the full Casimir's scalar off by one
+    # it holds at no K-type, for both signs, and garfinkle.theorem fails
+    true_scalar = ModuleParams.scalar
+    monkeypatch.setattr(
+        ModuleParams, "scalar",
+        lambda self, which, kt=None: true_scalar(self, which, kt) + off * (which == "g"),
+    )
+    for sign in (1, -1):
+        assert not theorem_ingredients(ModuleParams(4, 6, 1, sign)).casimir_step_ok
+    status, _, detail = _verdict("garfinkle.theorem", 4, 6, 1)
+    assert status == "fail"
+    assert detail["report"]["casimir_step_ok"] is False
 
 
 def _clear_memos():

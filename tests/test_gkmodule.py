@@ -19,6 +19,7 @@ from gkverify.gkmodule import (
     default_samples,
     eigenvalue_check,
     garfinkle_obstruction,
+    ktype_box,
     ktype_elements,
     ktype_enumeration,
     p_action_check,
@@ -1008,6 +1009,55 @@ def _valid_tuples(n_max):
         for p in range(2, n - 1):
             out.extend((p, n - p, m) for m in range(n // 2 - 2))
     return out
+
+
+def test_ktype_box_counts_from_the_window():
+    # the k <= k_max, l <= l_max box is kept when it holds a K-type; else a
+    # box of the same size moves to the K-type of least k + l, which the
+    # enumeration gives first
+    for p, q, m in _valid_tuples(16):
+        params = ModuleParams(p, q, m)
+        grid = itertools.product(range(p + q + 1), repeat=2)
+        window = [KType(k, l, p, q) for k, l in grid if params.allows(KType(k, l, p, q))]
+        least = min(kt.k + kt.l for kt in window)
+        for k_max, l_max in [(0, 0), (2, 2), (3, 1), (3, 3)]:
+            ks, ls = ktype_box(params, k_max, l_max)
+            kts = ktype_enumeration(params, k_max, l_max)
+            assert kts == [kt for kt in window if kt.k in ks and kt.l in ls]
+            assert (len(ks), len(ls)) == (k_max + 1, l_max + 1)
+            if any(kt.k <= k_max and kt.l <= l_max for kt in window):
+                assert (ks.start, ls.start) == (0, 0)
+            else:
+                corner = kts[0]
+                assert (ks.start, ls.start, corner.k + corner.l) == (corner.k, corner.l, least)
+
+
+def test_default_samples_hold_two_xi_scalars():
+    # every valid tuple with p + q <= 14 and m >= 1, both signs: the plan
+    # holds two distinct Xi eigenvalues; it adds a window K-type past the
+    # k, l <= 2 box only where that box holds one, and then only the first
+    # with another eigenvalue
+    grown = set()
+    for p, q, m in _valid_tuples(14):
+        for sign in (1, -1) if m else ():
+            params = ModuleParams(p, q, m, sign)
+            kts = list(dict.fromkeys(kt for kt, _, _ in default_samples(params)))
+            box = ktype_enumeration(params, 2, 2)
+            xis = [params.scalar("xi", kt) for kt in kts]
+            assert kts[:len(box)] == box and len(set(xis)) >= 2, (p, q, m, sign)
+            if len(set(xis[:len(box)])) < 2:
+                assert len(kts) == len(box) + 1, (p, q, m, sign)
+                last = kts[-1]
+                earlier = [
+                    kt for kt in itertools.starmap(KType, itertools.product(
+                        range(last.k + last.l + 1), range(last.k + last.l + 1), [p], [q]))
+                    if params.allows(kt) and (kt.k + kt.l, kt.k) < (last.k + last.l, last.k)
+                ]
+                assert {params.scalar("xi", kt) for kt in earlier} == {xis[0]}
+                grown.add((p, q, m))
+            else:
+                assert kts == box
+    assert {(2, 8, 1), (8, 2, 1), (4, 10, 1), (2, 12, 3)} <= grown
 
 
 DIFFERENTIAL_TUPLES = list(
