@@ -285,14 +285,14 @@ def _frame(params: ModuleParams, kt: KType) -> Tuple[Fraction, Dict[str, Tuple[i
 
 class TypicalElement:
     """h1 h2 rho^mu Psi_kappa of the family `params` at K-type `kt`, the
-    whole series, with (kappa, blocks) = _frame(params, kt), so construction
+    whole series, with kappa read from _frame(params, kt), so construction
     refuses a K-type outside the window.  The label identities take (params,
     kt) instead; p_action_check takes one to read its harmonics.  Only
     typical_element builds one."""
 
     def __init__(self, params: ModuleParams, kt: KType, h1: MultiPoly, h2: MultiPoly) -> None:
         self.params, self.kt, self.h1, self.h2 = params, kt, h1, h2
-        self.kappa, self.blocks = _frame(params, kt)
+        self.kappa = _frame(params, kt)[0]
         self._parts: Dict = {}  # p_action_check's memo
 
     @property

@@ -625,6 +625,8 @@ def test_p_action_spot():
 
 
 def test_typical_element_carries_its_family():
+    from gkverify.gkmodule import _frame
+
     params = ModuleParams(4, 4, 1, -1)
     space = params.space
     h1 = harmonic_basis(space, "x", 2)[1]
@@ -634,11 +636,11 @@ def test_typical_element_carries_its_family():
     assert (f.params, f.kt, f.h1, f.h2) == (params, KType(2, 1, 4, 4), h1, h2)
     # sign -1 at (kappa_plus, kappa_minus) = (4, 3): the series parameter is
     # kappa_minus and mu = 0; at (3, 4) it is 4, and rho_x carries mu = 1
-    assert (f.kappa, f.blocks) == (3, {"x": (2, 4, 0), "y": (1, 4, 0)})
+    assert (f.kappa, _frame(params, f.kt)) == (3, (3, {"x": (2, 4, 0), "y": (1, 4, 0)}))
     assert f.expansion == h1.mul(h2)
     h1, h2 = harmonic_basis(space, "x", 1)[0], harmonic_basis(space, "y", 2)[1]
     f = typical_element(params, h1, h2)
-    assert (f.kappa, f.blocks) == (4, {"x": (1, 4, 1), "y": (2, 4, 0)})
+    assert (f.kappa, _frame(params, f.kt)) == (4, (4, {"x": (1, 4, 1), "y": (2, 4, 0)}))
     # the leading term w_0 h1 h2 (r_x^2)^mu, with w_0 = 1/2^mu
     assert f.expansion == h1.mul(h2).mul(rsq(space, "x")).scale(Fraction(1, 2))
     assert f.expansion == truncate(TruncatedTypical(f, 10).expansion, 5)
