@@ -336,12 +336,14 @@ def _op_family(space: VariableSpace) -> List[WeylOperator]:
     mixed = next(
         g for g in generators(space.p, space.q, "M") if g.i <= space.p < g.j
     )
+    x1 = WeylOperator.var(space, 0)
     return [
         euler_op(space, "x"),
         laplacian_op(space, "x"),
         rsq_op(space, "y"),
         WeylOperator.diff(space, 0),
-        WeylOperator.var(space, space.nvars - 1),
+        # x_1^2 times the last variable: the x Laplacian contracts twice with it
+        x1.compose(x1).compose(WeylOperator.var(space, space.nvars - 1)),
         pi_generator(mixed, space),
     ]
 

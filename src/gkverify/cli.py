@@ -119,8 +119,13 @@ _OPTIONS: Dict[str, Tuple[type, str]] = {
     "p": (int, "first block size"),
     "q": (int, "second block size"),
     "m": (int, "family parameter"),
-    "k_max": (int, "largest first-block K-type degree to sample"),
-    "l_max": (int, "largest second-block K-type degree to sample"),
+    "k_max": (
+        int,
+        "first-block size of the sampled K-type box: k <= k_max if that box holds "
+        "a K-type of the family, else k0 <= k <= k0 + k_max from the family's "
+        "K-type (k0, l0) of least k + l",
+    ),
+    "l_max": (int, "second-block size of that box: l <= l_max, or l0 <= l <= l0 + l_max"),
     "suite": (str, "comma-separated suites: " + ", ".join(ALL_SUITES) + ", or all"),
     "format": (str, "report format: text or json"),
     "out": (str, "write the report here"),

@@ -186,9 +186,10 @@ _NO_TERMS: Mapping[Generator, int] = MappingProxyType({})
 class _StructureConstants(dict):
     """Bracket rows keyed by ordered generator pairs.
 
-    Only nonzero rows are stored (most pairs commute, and a table stays
-    cached for each signature and flavor); a commuting pair reads as an
-    empty mapping.
+    Only nonzero rows are stored (most pairs commute); a commuting pair
+    reads as an empty mapping.  A row is a read-only mapping shared by every
+    pair with the same bracket, and a table by every signature with the
+    same structure constants, so a write to a row raises.
     """
 
     __slots__ = ()
@@ -197,7 +198,6 @@ class _StructureConstants(dict):
         return _NO_TERMS
 
 
-@lru_cache(maxsize=None)
 def _bracket_table(sig: Signature, flavor: str) -> _StructureConstants:
     """Structure constants for all ordered pairs of canonical generators.
 
@@ -206,22 +206,37 @@ def _bracket_table(sig: Signature, flavor: str) -> _StructureConstants:
 
         [G_ij, G_kl] = w_j d_jk G_il - w_j d_jl G_ik - w_i d_ik G_jl + w_i d_il G_jk
 
-    so every constant is the int +1 or -1 in both flavors.  A pair that
-    shares no index commutes, so the build visits only the pairs that share
-    one, read from a per-index list of generators.  Two distinct generators
-    share at most one index, so exactly one delta of the formula fires and
-    every row is a single generator with its sign.  The tests check the
-    table against the dense matrix commutators.  Row keys follow the
-    generator order (``pbw_normal_form`` pushes them in that order).
+    so every constant is the int +1 or -1 in both flavors.  The M flavor's
+    weights are all 1, so its table depends on n = p + q alone, and the X
+    flavor's on p and n; this returns the one table built for that key
+    (``_shared_table``), the same object for every signature that shares it.
     """
     p, q = sig
-    gens = generators(p, q, flavor)
+    return _shared_table(p + q, p if flavor == "X" else 0, flavor)
+
+
+@lru_cache(maxsize=None)
+def _shared_table(n: int, p: int, flavor: str) -> _StructureConstants:
+    """The bracket table of ``_bracket_table`` for n generator indices, the
+    first p of them with weight +1 in flavor X (p = 0 in flavor M).
+
+    A pair that shares no index commutes, so the build visits only the
+    pairs that share one, read from a per-index list of generators.  Two
+    distinct generators share at most one index, so exactly one delta of
+    the formula fires and every row is a single generator with its sign;
+    the table holds one read-only row per (generator, sign), shared by all
+    the pairs with that bracket.  The tests check the table against the
+    dense matrix commutators.  Row keys follow the generator order
+    (``pbw_normal_form`` pushes them in that order).
+    """
+    gens = generators(p, n - p, flavor)
     index = {(g.i, g.j): g for g in gens}
-    w = {a: epsilon(a, p) if flavor == "X" else 1 for a in range(1, p + q + 1)}
+    w = {a: epsilon(a, p) if flavor == "X" else 1 for a in range(1, n + 1)}
     touching: Dict[int, List[Generator]] = {a: [] for a in w}
     for g in gens:
         touching[g.i].append(g)
         touching[g.j].append(g)
+    rows: Dict[Tuple[Generator, int], Mapping[Generator, int]] = {}
     table = _StructureConstants()
     for ga in gens:
         i, j = ga.i, ga.j
@@ -237,7 +252,11 @@ def _bracket_table(sig: Signature, flavor: str) -> _StructureConstants:
                 c, a, b = -w[i], j, l
             else:  # i == l
                 c, a, b = w[i], j, k
-            table[(ga, gb)] = {index[(a, b)]: c} if a < b else {index[(b, a)]: -c}
+            g, c = (index[(a, b)], c) if a < b else (index[(b, a)], -c)
+            row = rows.get((g, c))
+            if row is None:
+                row = rows[(g, c)] = MappingProxyType({g: c})
+            table[(ga, gb)] = row
     return table
 
 
@@ -487,14 +506,20 @@ def pi_generator(g: Generator, space: VariableSpace) -> WeylOperator:
 def pi_bracket(a: Generator, b: Generator, space: VariableSpace) -> WeylOperator:
     """pi([a, b]) for two M-flavor generators, read from the structure
     constants: a bracket row is one generator with +-1, so its image is the
-    cached pi_generator or its negation, and a commuting pair gives zero.
+    cached pi_generator or its cached negation, and a commuting pair gives
+    zero.  The result may be a shared operator; treat it as immutable.
     """
     row = _bracket_table((space.p, space.q), "M")[(a, b)]
     if not row:
         return WeylOperator.zero(space)
     ((g, c),) = row.items()
-    image = pi_generator(g, space)
-    return image.neg() if c == -1 else image.scale(c)
+    return pi_generator(g, space) if c == 1 else _pi_negated(g, space)
+
+
+@lru_cache(maxsize=None)
+def _pi_negated(g: Generator, space: VariableSpace) -> WeylOperator:
+    """-pi_generator(g, space), kept like pi_generator."""
+    return pi_generator(g, space).neg()
 
 
 def _require_m_flavor(flavor: str) -> None:

@@ -73,7 +73,6 @@ from .liealg import (
     Generator,
     LieElement,
     _bracket_table,
-    bracket,
     canonical,
     casimir,
     dual_sign,
@@ -327,16 +326,23 @@ def _generating_set_certificate(n: int, xs: Sequence[Generator]) -> bool:
     That subalgebra is the smallest subspace holding xs and closed under
     ad(x) for x in xs (it is spanned by left-normed brackets).  Each element
     that raises the exact rank of the span is bracketed with every x, and the
-    final rank is compared with the number of generators.
+    final rank is compared with the number of generators.  Elements are int
+    coordinate rows: a bracket sums the table's rows [x, g] over the terms
+    of v, and a row's scale changes no rank.
     """
-    sig = (n, 0)
+    table = _bracket_table((n, 0), "M")
     column = {g: idx for idx, g in enumerate(generators(n, 0, "M"))}
     span = SparseRREF()
-    frontier = [LieElement.basis(x, sig) for x in xs]
+    frontier: List[Dict[Generator, int]] = [{x: 1} for x in xs]
     while frontier:
         v = frontier.pop()
-        if span.add_row({column[g]: c for g, c in v._terms.items()})[0] == "pivot":
-            frontier.extend(bracket(LieElement.basis(x, sig), v) for x in xs)
+        if span.add_row({column[g]: c for g, c in v.items()})[0] == "pivot":
+            for x in xs:
+                w: Dict[Generator, int] = {}
+                for g, c in v.items():
+                    for h, s in table[(x, g)].items():
+                        w[h] = w.get(h, 0) + c * s
+                frontier.append({h: c for h, c in w.items() if c})
     return span.rank == len(column)
 
 

@@ -22,9 +22,14 @@ the supports of its monomial and derivative keys (``VariableSpace.support``,
 one bit per nonzero exponent field), built once per operator, and
 support(alpha) & support(b) is the pair's contractible set.  Only those
 shared fields of alpha and b are unpacked, to find the contraction ranges.
-The degree cap is checked on the total degree (key >> deg_shift) of the
-uncontracted pair, the largest of its keys; each exponent is at most the
-total, so this accepts exactly the keys ``pack`` accepts.
+A field's factors m_g = C(alpha_i, g) * falling(b_i, g) come from the
+recurrence m_g = m_(g-1) * (alpha_i - g + 1) * (b_i - g + 1) / g, exact in
+ints.  Almost every contracting pair shares one variable; its contractions
+g = 1 .. min(alpha_i, b_i) are added in one loop, and only two or more
+shared variables take the product of the per-field lists.  The degree cap
+is checked on the total degree (key >> deg_shift) of the uncontracted pair,
+the largest of its keys; each exponent is at most the total, so this
+accepts exactly the keys ``pack`` accepts.
 
 The commutator [A, B] = AB - BA makes one pass over the term pairs.  For
 terms c_a v^a d^alpha and c_b v^b d^beta both orders have the uncontracted
@@ -53,7 +58,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
 from typing import Dict, Tuple
 
 from .poly import (
@@ -328,9 +332,31 @@ def _contract(
     ``shared`` is support(alpha) & support(b), the only fields read, in
     variable order (highest shift first), which fixes the insertion order
     of acc.  Each shared field has alpha_i, b_i >= 1, so the first
-    selection is the only one with gamma = 0, and it is skipped.
+    selection is the only one with gamma = 0, and it is skipped.  The
+    factors m_g follow the recurrence of the module docstring; one shared
+    field adds its contractions g = 1, 2, ... in one loop, and two or more
+    take the product of the per-field lists.
     """
-    # per shared variable: (C(alpha_i, g) * falling(b_i, g), g * unit_i)
+    if not shared & (shared - 1):
+        sh = shared.bit_length() - 1
+        al = (k_alpha >> sh) & MAX_EXP
+        bi = (k_b >> sh) & MAX_EXP
+        unit = deg_one + (1 << sh)
+        mult = 1
+        for g in range(1, min(al, bi) + 1):
+            mult = mult * (al - g + 1) * (bi - g + 1) // g
+            km -= unit
+            kd -= unit
+            key = (km, kd)
+            add = base * mult
+            cur = acc.get(key)
+            cur = add if cur is None else cur + add
+            if cur:
+                acc[key] = cur
+            elif key in acc:
+                del acc[key]
+        return
+    # per shared variable: (m_g, g * unit_i) for g = 0 .. min(alpha_i, b_i)
     choices = []
     while shared:
         sh = shared.bit_length() - 1
@@ -338,9 +364,12 @@ def _contract(
         al = (k_alpha >> sh) & MAX_EXP
         bi = (k_b >> sh) & MAX_EXP
         unit = deg_one + (1 << sh)
-        choices.append(
-            [(comb(al, g) * falling(bi, g), g * unit) for g in range(min(al, bi) + 1)]
-        )
+        mult = 1
+        field = [(1, 0)]
+        for g in range(1, min(al, bi) + 1):
+            mult = mult * (al - g + 1) * (bi - g + 1) // g
+            field.append((mult, g * unit))
+        choices.append(field)
     for sel in itertools.islice(itertools.product(*choices), 1, None):
         mult = 1
         sub = 0

@@ -1,7 +1,7 @@
 """Definitions that only the tests use."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import comb
 from typing import Dict, Iterable, Tuple
 
@@ -140,3 +140,36 @@ def wrong_label_rule(mutant: str):
         return rows
 
     return rule
+
+
+def product_contract(acc, km, kd, k_alpha, k_b, shared, base, deg_one, off_at=None) -> None:
+    """The product-over-choices form of ``weyl._contract``, with the same
+    signature, adding the same keys in the same order: per shared field
+    (highest shift first) the list of (C(alpha_i, g) * falling(b_i, g),
+    g * unit_i), then every selection but the all-zero one.  With
+    ``off_at`` the factor of the contraction g = off_at is one too large
+    in every field: a wrong multiplier."""
+    choices = []
+    while shared:
+        sh = shared.bit_length() - 1
+        shared ^= 1 << sh
+        al, bi = (k_alpha >> sh) & MAX_EXP, (k_b >> sh) & MAX_EXP
+        unit = deg_one + (1 << sh)
+        choices.append(
+            [
+                (comb(al, g) * falling(bi, g) + (g == off_at), g * unit)
+                for g in range(min(al, bi) + 1)
+            ]
+        )
+    for sel in islice(product(*choices), 1, None):
+        mult = 1
+        sub = 0
+        for f, u in sel:
+            mult *= f
+            sub += u
+        key = (km - sub, kd - sub)
+        cur = acc.get(key, 0) + base * mult
+        if cur:
+            acc[key] = cur
+        else:
+            acc.pop(key, None)

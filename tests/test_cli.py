@@ -244,3 +244,14 @@ def test_unwritable_out_is_a_config_error_before_any_check(where, tmp_path, monk
     assert code == 2
     assert f"configuration error: cannot write report to {dest}: " in err
     assert ran == [] and out == ""
+
+
+def test_run_help_describes_the_moved_k_type_box(capsys):
+    # --k-max and --l-max size a box that moves to the family's least K-type
+    # when the box at the origin holds none of its K-types
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "k0 <= k <= k0 + k_max" in text and "l0 <= l <= l0 + l_max" in text
+    assert "K-type degree to sample" not in text

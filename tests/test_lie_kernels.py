@@ -18,7 +18,8 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gkverify import liealg
+from gkverify import liealg, weyl
+from gkverify.checks import execute_jobs, plan_jobs, selected_checks
 from gkverify.liealg import (
     EnvelopingElement,
     Generator,
@@ -32,6 +33,7 @@ from gkverify.liealg import (
     jacobiator,
     pbw_normal_form,
     pi_bracket,
+    pi_generator,
     straighten,
     transport,
     transport_sign,
@@ -406,3 +408,77 @@ def test_table_jacobiators_match_the_lie_element_path(sig, flavor, flip, monkeyp
         assert jac.den == 1 and got == jac._terms
         nonzero += bool(got)
     assert bool(nonzero) == flip
+
+
+# -- shared bracket tables -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_signatures_share_a_table_exactly_when_its_constants_agree(flavor):
+    # the M table depends on n alone, the X table on p and n
+    for s1 in ALL_SIGS:
+        for s2 in ALL_SIGS:
+            same = sum(s1) == sum(s2) and (flavor == "M" or s1[0] == s2[0])
+            assert (_bracket_table(s1, flavor) is _bracket_table(s2, flavor)) == same
+
+
+@pytest.mark.parametrize("sig", [(1, 1), (2, 2), (4, 4), (1, 7), (5, 3)])
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_one_read_only_row_per_generator_and_sign(sig, flavor):
+    table = _bracket_table(sig, flavor)
+    by_value = {}
+    for row in table.values():
+        ((g, c),) = row.items()
+        by_value.setdefault((g, c), set()).add(id(row))
+    assert all(len(ids) == 1 for ids in by_value.values())
+    # every generator is the bracket of some pair once n >= 3, with both signs
+    n = sum(sig)
+    assert len(by_value) == (2 * len(generators(*sig, flavor)) if n >= 3 else 0)
+    for row in table.values():
+        with pytest.raises(TypeError):
+            row[next(iter(row))] = 0
+    with pytest.raises(TypeError):
+        table[("no", "pair")][generators(*sig, flavor)[0]] = 1
+
+
+@pytest.mark.parametrize("sig", [(2, 2), (1, 3), (3, 2)])
+def test_bracket_images_are_cached_and_match_the_negation(sig):
+    space = VariableSpace(*sig)
+    gens = generators(*sig, "M")
+    for a in gens:
+        for b in gens:
+            got = pi_bracket(a, b, space)
+            assert pi_bracket(a, b, space) is got or got.is_zero()
+            row = _bracket_table(sig, "M")[(a, b)]
+            for g, c in row.items():
+                image = pi_generator(g, space)
+                assert got is (image if c == 1 else liealg._pi_negated(g, space))
+                assert got == image.scale(c)
+
+
+def _lie_weyl_verdicts(tuples):
+    """{(check, params): (status, instances, detail)} of the lie and weyl suites."""
+    jobs = plan_jobs(selected_checks(("lie", "weyl")), tuples, 3, 3)
+    return {
+        (r.name, tuple(sorted(r.params.items()))): (r.status, r.instances, r.detail)
+        for r in execute_jobs(jobs)
+    }
+
+
+def test_shared_tables_change_no_verdict_of_a_sweep():
+    # every signature with p + q <= 8 in one check-major run, as the
+    # benchmark plans it, sharing tables and images across signatures,
+    # against each signature run alone after clearing every liealg and weyl
+    # cache
+    tuples = [(p, q, None) for p in range(1, 8) for q in range(1, 9 - p)]
+    assert len(tuples) == 28
+    shared = _lie_weyl_verdicts(tuples)
+    cold = {}
+    for t in tuples:
+        for mod in (liealg, weyl):
+            for fn in vars(mod).values():
+                if hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
+        cold.update(_lie_weyl_verdicts([t]))
+    assert shared == cold
+    assert all(status == "pass" for status, _, _ in shared.values())

@@ -27,11 +27,14 @@ import itertools
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from gkverify import weyl
+from gkverify.checks import REGISTRY, execute_jobs, plan_jobs
 from gkverify.liealg import (
     Generator,
     _bracket_table,
@@ -43,7 +46,7 @@ from gkverify.liealg import (
 from gkverify.linalg import SparseRREF
 from gkverify.poly import VariableSpace, laplacian
 from gkverify.weyl import WeylOperator
-from helpers import from_monomials, wrong_label_rule
+from helpers import from_monomials, product_contract, wrong_label_rule
 
 
 def _symbols(space):
@@ -239,11 +242,11 @@ def _fixed_operator(space, v, terms):
     return op, act
 
 
-@pytest.mark.parametrize("p, q", [(1, 2), (2, 2)])
-def test_composition_matches_sympy_differentiation(p, q):
-    # (A B) f against A(B(f)), both factors differentiated by sympy, on the
-    # fixed polynomials and on two of degree 6 and 7, where every
-    # contraction of the products survives
+def _composition_mismatches(p, q):
+    """How many (A, B, f) of the fixed operators and polynomials give
+    (A B) f other than A(B(f)), both factors differentiated by sympy, on
+    the fixed polynomials and on two of degree 6 and 7, where every
+    contraction of the products survives."""
     space = VariableSpace(p, q)
     v = _symbols(space)
     ops = [_fixed_operator(space, v, terms) for terms in FIXED_OPERATORS]
@@ -253,10 +256,29 @@ def test_composition_matches_sympy_differentiation(p, q):
         (first + mid + last) ** 3 * first**2 * last**2,
     ]
     mine = [_to_multipoly(f, space, v) for f in fixed]
+    wrong = 0
     for (A, a), (B, b) in itertools.product(ops, repeat=2):
         composed = A.compose(B)
         for f, mf in zip(fixed, mine):
-            assert composed.apply(mf).monomials() == _qq_coefficients(a(b(f)), v)
+            wrong += composed.apply(mf).monomials() != _qq_coefficients(a(b(f)), v)
+    return wrong
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 2)])
+def test_composition_matches_sympy_differentiation(p, q):
+    assert _composition_mismatches(p, q) == 0
+
+
+def test_a_wrong_contraction_multiplier_fails_the_oracle_and_the_check(monkeypatch):
+    # the factor of every second-order contraction one too large: the sympy
+    # composition oracle and the registered weyl.compose_apply check both see it
+    (r,) = execute_jobs(plan_jobs([REGISTRY["weyl.compose_apply"]], [(2, 2, None)], 3, 3))
+    assert r.status == "pass"
+    monkeypatch.setattr(weyl, "_contract", partial(product_contract, off_at=2))
+    assert _composition_mismatches(1, 2) > 0
+    for p, q in ((1, 1), (2, 2), (7, 1)):
+        (r,) = execute_jobs(plan_jobs([REGISTRY["weyl.compose_apply"]], [(p, q, None)], 3, 3))
+        assert r.status == "fail", (p, q)
 
 
 def _sympy_generator(g, p, n):

@@ -102,17 +102,20 @@ _GOLDEN = [
     (["--p", "6", "--q", "6", "--m", "3", "--suite", "casimir,module,paction"],
      "p6_q6_m3_module_suites.json"),
     (["--p", "1", "--q", "7", "--suite", "lie,weyl"], "p1_q7_lie_weyl.json"),
+    (["--p", "7", "--q", "1", "--suite", "lie,weyl"], "p7_q1_lie_weyl.json"),
 ]
 
 
 @pytest.mark.parametrize(
-    "args,name", _GOLDEN, ids=["default", "p6_q6_m3_module_suites", "p1_q7_lie_weyl"]
+    "args,name",
+    _GOLDEN,
+    ids=["default", "p6_q6_m3_module_suites", "p1_q7_lie_weyl", "p7_q1_lie_weyl"],
 )
 def test_default_sweep_matches_the_golden_report(tmp_path, args, name):
     # the behaviour contract of a refactor: the JSON report of the default
     # sweep, of one module-suite run at (6,6,3) and of the lie and weyl
-    # suites at (1,7), with a one-variable block and n = 8, apart from
-    # timing, is the one pinned in tests/data
+    # suites at (1,7) and (7,1), each with a one-variable block and n = 8,
+    # apart from timing, is the one pinned in tests/data
     out = tmp_path / "sweep.json"
     run = subprocess.run(
         [sys.executable, "-m", "gkverify.cli", "run", *args, "--format", "json",

@@ -10,6 +10,7 @@ from gkverify.liealg import (
     EnvelopingElement,
     Generator,
     LieElement,
+    bracket,
     closed_form,
     closed_operator,
     gamma2,
@@ -504,3 +505,33 @@ def test_theorem_report_serializes():
     d = rep.to_dict()
     assert d["joseph_consistent"] is True
     assert d["predicted"] is True
+
+
+def _reference_generating_set(n, xs):
+    """The generating-set certificate formed through LieElement brackets."""
+    sig = (n, 0)
+    column = {g: idx for idx, g in enumerate(generators(n, 0, "M"))}
+    span = SparseRREF()
+    frontier = [LieElement.basis(x, sig) for x in xs]
+    while frontier:
+        v = frontier.pop()
+        if span.add_row({column[g]: c for g, c in v._terms.items()})[0] == "pivot":
+            frontier.extend(bracket(LieElement.basis(x, sig), v) for x in xs)
+    return span.rank == len(column)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+def test_table_rows_generating_set_matches_the_lie_element_path(n):
+    # the generating set, each set missing one element, pairs of far
+    # neighbours and one generator with a long chain
+    gens = generators(n, 0, "M")
+    xs = generating_set(n)
+    cases = [xs] + [xs[:d] + xs[d + 1 :] for d in range(n - 1)]
+    cases += [(gens[0], gens[-1]), (Generator(1, 2, "M"), Generator(2, n, "M"))]
+    cases += [tuple(g for g in gens if g.i == 1)]
+    seen = set()
+    for xs_ in cases:
+        got = symsq._generating_set_certificate(n, xs_)
+        assert got == _reference_generating_set(n, xs_), xs_
+        seen.add(got)
+    assert seen == {True, False}

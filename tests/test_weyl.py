@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from gkverify.checks import _op_family, _poly_family
 from gkverify.liealg import closed_operator, generators, pi_generator, sl2_triple
 from gkverify.poly import MAX_EXP, ONE, MultiPoly, VariableSpace, euler, laplacian, rsq
-from gkverify.weyl import WeylOperator, euler_op, laplacian_op, falling, rsq_op
-from helpers import from_monomials, two_pass_commutator
+from gkverify.weyl import WeylOperator, _contract, euler_op, laplacian_op, falling, rsq_op
+from helpers import from_monomials, product_contract, two_pass_commutator
 
 SPACE = VariableSpace(2, 2)
 NV = SPACE.nvars
@@ -604,3 +604,78 @@ def test_results_do_not_depend_on_which_method_built_the_table(p, q):
         want = _results(A, B, f, "degree_raise")
         for first in _FIRST[:3]:
             assert _results(A, B, f, first) == want, first
+
+
+# -- the contraction kernel against its product-over-choices form -----------------------
+
+
+def _contract_case(space, alpha, b):
+    """(km, kd, k_alpha, k_b, shared) for d^alpha moved across v^b, with a
+    variable of the pair's own in the last field of each key."""
+    sp = space
+    extra = [0] * sp.nvars
+    extra[-1] = 1
+    k_alpha, k_b = sp.pack(alpha), sp.pack(b)
+    km = k_b + sp.pack(tuple(extra))
+    kd = k_alpha + sp.pack(tuple(extra))
+    return km, kd, k_alpha, k_b, sp.support(k_alpha) & sp.support(k_b)
+
+
+def _contract_cases():
+    space = VariableSpace(3, 2)
+    nv = space.nvars
+    rng = range(1, 5)
+    # one shared field, at the first and at a middle variable
+    for i in (0, 2):
+        for al in rng:
+            for bi in rng:
+                alpha, b = [0] * nv, [0] * nv
+                alpha[i], b[i] = al, bi
+                alpha[1] = 2  # a derivative that b does not share
+                yield space, tuple(alpha), tuple(b)
+    # two and three shared fields
+    for fields in ((0, 3), (1, 2, 3)):
+        for als in itertools.product(range(1, 4), repeat=len(fields)):
+            for bis in itertools.product((1, 3), repeat=len(fields)):
+                alpha, b = [0] * nv, [0] * nv
+                for i, al, bi in zip(fields, als, bis):
+                    alpha[i], b[i] = al, bi
+                yield space, tuple(alpha), tuple(b)
+
+
+def test_contract_matches_the_product_form_in_insertion_order():
+    # into an empty dict and into one holding the negated first contraction,
+    # which must be deleted, so the key order after a cancellation is read too
+    cases = 0
+    for space, alpha, b in _contract_cases():
+        km, kd, k_alpha, k_b, shared = _contract_case(space, alpha, b)
+        deg_one = 1 << space.deg_shift
+        for base in (1, -7):
+            want, got = {}, {}
+            product_contract(want, km, kd, k_alpha, k_b, shared, base, deg_one)
+            _contract(got, km, kd, k_alpha, k_b, shared, base, deg_one)
+            assert list(got.items()) == list(want.items()), (alpha, b)
+            first, value = next(iter(want.items()))
+            want, got = {first: -value, (0, 0): 1}, {first: -value, (0, 0): 1}
+            product_contract(want, km, kd, k_alpha, k_b, shared, base, deg_one)
+            _contract(got, km, kd, k_alpha, k_b, shared, base, deg_one)
+            assert first not in got
+            assert list(got.items()) == list(want.items()), (alpha, b)
+        cases += 1
+    assert cases == 2 * 16 + 9 * 4 + 27 * 8
+
+
+def test_contract_factors_are_the_leibniz_coefficients():
+    # one field: m_g = C(alpha, g) * falling(b, g) at (km - g unit, kd - g unit)
+    space = VariableSpace(1, 1)
+    deg_one = 1 << space.deg_shift
+    for al in range(1, 6):
+        for bi in range(1, 6):
+            k_alpha, k_b = space.pack((al, 0)), space.pack((bi, 0))
+            got = {}
+            _contract(got, k_b, k_alpha, k_alpha, k_b, space.support(k_alpha), 1, deg_one)
+            unit = space.unit_key(0)
+            assert got == {
+                (k_b - g * unit, k_alpha - g * unit): comb(al, g) * falling(bi, g)
+                for g in range(1, min(al, bi) + 1)
+            }
