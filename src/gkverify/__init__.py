@@ -27,158 +27,26 @@ exact echelon form as primitive integer rows; series and eigenvalues as
 All arithmetic is exact, and no check truncates a series: each label sum
 of a module identity is a polynomial in the series index of known degree,
 and it is tested at one more index than that degree.
+
+Each module's ``__all__`` is its public API, written once where the names
+are defined; the package re-exports those five lists and adds
+``__version__``.
 """
 
-from .poly import (
-    ONE,
-    ZERO,
-    DegenerateDaggerError,
-    MultiPoly,
-    NonHomogeneousError,
-    RadialSeries,
-    VariableSpace,
-    dagger,
-    euler,
-    harmonic_basis,
-    harmonic_dim,
-    laplacian,
-    rho,
-    rsq,
-)
-from .weyl import WeylOperator, euler_op, laplacian_op, rsq_op
-from .liealg import (
-    EnvelopingElement,
-    Generator,
-    LieElement,
-    bracket,
-    casimir,
-    closed_form,
-    closed_operator,
-    degree2_symbol,
-    dual_sign,
-    form_B,
-    gamma2,
-    generators,
-    pbw_normal_form,
-    pi_casimir,
-    pi_env,
-    pi_generator,
-    sl2_casimir_op,
-    sl2_triple,
-    transport,
-    transport_sign,
-)
-from .gkmodule import (
-    DegenerateDenominatorError,
-    DegenerateSampleError,
-    EigenvalueReport,
-    KType,
-    ModuleParams,
-    ObstructionResult,
-    PsiPoleError,
-    TypicalElement,
-    default_samples,
-    eigenvalue_check,
-    garfinkle_obstruction,
-    ktype_box,
-    ktype_elements,
-    ktype_enumeration,
-    p_action_check,
-    product_elements,
-    psi_series,
-    typical_element,
-    verify_membership,
-)
-from .symsq import (
-    DecompositionReport,
-    SymSquareTensor,
-    TheoremReport,
-    adjoint_action,
-    build_Q,
-    build_S2,
-    build_S4,
-    build_Xi,
-    decompose_S2,
-    gamma2_q_identity,
-    gamma2_xi_identity,
-    s4_vanishing,
-    theorem_ingredients,
-    xi_closed_form,
-)
+from . import poly, weyl, liealg, gkmodule, symsq
+from .poly import *
+from .weyl import *
+from .liealg import *
+from .gkmodule import *
+from .symsq import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ZERO",
-    "ONE",
-    "VariableSpace",
-    "MultiPoly",
-    "RadialSeries",
-    "harmonic_basis",
-    "harmonic_dim",
-    "dagger",
-    "euler",
-    "laplacian",
-    "rsq",
-    "rho",
-    "NonHomogeneousError",
-    "DegenerateDaggerError",
-    "WeylOperator",
-    "euler_op",
-    "laplacian_op",
-    "rsq_op",
-    "Generator",
-    "LieElement",
-    "EnvelopingElement",
-    "generators",
-    "dual_sign",
-    "bracket",
-    "form_B",
-    "transport_sign",
-    "transport",
-    "pbw_normal_form",
-    "degree2_symbol",
-    "gamma2",
-    "casimir",
-    "pi_generator",
-    "pi_env",
-    "pi_casimir",
-    "sl2_triple",
-    "sl2_casimir_op",
-    "closed_form",
-    "closed_operator",
-    "KType",
-    "ModuleParams",
-    "TypicalElement",
-    "PsiPoleError",
-    "DegenerateDenominatorError",
-    "DegenerateSampleError",
-    "psi_series",
-    "typical_element",
-    "ktype_elements",
-    "product_elements",
-    "verify_membership",
-    "eigenvalue_check",
-    "EigenvalueReport",
-    "p_action_check",
-    "ktype_box",
-    "ktype_enumeration",
-    "default_samples",
-    "garfinkle_obstruction",
-    "ObstructionResult",
-    "SymSquareTensor",
-    "build_Q",
-    "build_S4",
-    "build_S2",
-    "build_Xi",
-    "xi_closed_form",
-    "adjoint_action",
-    "gamma2_q_identity",
-    "gamma2_xi_identity",
-    "s4_vanishing",
-    "decompose_S2",
-    "DecompositionReport",
-    "theorem_ingredients",
-    "TheoremReport",
+    *poly.__all__,
+    *weyl.__all__,
+    *liealg.__all__,
+    *gkmodule.__all__,
+    *symsq.__all__,
     "__version__",
 ]

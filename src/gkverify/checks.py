@@ -75,6 +75,7 @@ from .liealg import (
     sl2_casimir_op,
     sl2_triple,
     straighten,
+    transport,
 )
 from .gkmodule import (
     KType,
@@ -101,7 +102,6 @@ from .symsq import (
     gamma2_xi_identity,
     s4_vanishing,
     theorem_ingredients,
-    transport,
     xi_closed_form,
 )
 

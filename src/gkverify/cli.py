@@ -222,7 +222,7 @@ def run_command(args: argparse.Namespace) -> int:
     try:
         config = _build_config(args)
         # open the report before any check runs, so a bad path costs no sweep
-        out = open(config.out, "w", encoding="utf-8") if config.out else None
+        out = open(config.out, "w", encoding="utf-8") if config.out is not None else None
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -285,14 +285,14 @@ def _frame(params: ModuleParams, kt: KType) -> Tuple[Fraction, Dict[str, Tuple[i
 
 class TypicalElement:
     """h1 h2 rho^mu Psi_kappa of the family `params` at K-type `kt`, the
-    whole series, with kappa read from _frame(params, kt), so construction
-    refuses a K-type outside the window.  The label identities take (params,
-    kt) instead; p_action_check takes one to read its harmonics.  Only
-    typical_element builds one."""
+    whole series, with kappa read from _frame(params, kt), which
+    construction calls so that it refuses a K-type outside the window.  The
+    label identities take (params, kt) instead; p_action_check takes one to
+    read its harmonics.  Only typical_element builds one."""
 
     def __init__(self, params: ModuleParams, kt: KType, h1: MultiPoly, h2: MultiPoly) -> None:
+        _frame(params, kt)
         self.params, self.kt, self.h1, self.h2 = params, kt, h1, h2
-        self.kappa = _frame(params, kt)[0]
         self._parts: Dict = {}  # p_action_check's memo
 
     @property
@@ -630,7 +630,8 @@ def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
         return False
     holds = f._parts.get("labels")
     if holds is None:
-        holds = f._parts["labels"] = _verdicts(_placed(_ACTION, params, kt) + _layer_terms(f))
+        placed = _placed(_ACTION, params, kt) + _layer_terms(params, kt)
+        holds = f._parts["labels"] = _verdicts(placed)
     no_d = {}  # block -> whether its "d" harmonic, d_{x_i} h1 or d_{y_j} h2, is zero
     for block, var in (("x", xi), ("y", yj)):
         if var not in f._parts:
@@ -650,15 +651,16 @@ def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
     )
 
 
-def _layer_terms(f: TypicalElement) -> List[Tuple]:
+def _layer_terms(params: ModuleParams, kt: KType) -> List[Tuple]:
     """The layers of p_action_check as placed terms (_diagonals): a layer
     num/den F_x h1 F_y h2 rho_s^e Psi_lambda gives -num/den c_j(lambda) /
     2^(2 j + e), that is -num/den 2^(mu - e) w_j(lambda) / 2^mu, at (kind_x,
-    j + e_x, kind_y, j + e_y), e on the series block; f's own terms are in
-    the w_j of psi_series at kappa over 2^mu.  A layer with a zero num or
-    den, or whose moved harmonic has negative degree, is left out: it is
-    zero at every (i, j) that gets past the guards."""
-    params, kt, kappa = f.params, f.kt, f.kappa
+    j + e_x, kind_y, j + e_y), e on the series block; the typical element's
+    own terms are in the w_j of psi_series at kappa = _frame(params, kt)[0]
+    over 2^mu.  A layer with a zero num or den, or whose moved harmonic has
+    negative degree, is left out: it is zero at every (i, j) that gets past
+    the guards."""
+    kappa = _frame(params, kt)[0]
     mu = params.mu(kt)
     out = []
     for layer in params.layers(kt):

@@ -56,6 +56,29 @@ from typing import (
 from .poly import ONE, ZERO, ScalarLike, SparseRational, VariableSpace, _numerators, exact
 from .weyl import WeylOperator, _leibniz, euler_op, laplacian_op, rsq_op
 
+__all__ = [
+    "Generator",
+    "LieElement",
+    "EnvelopingElement",
+    "generators",
+    "dual_sign",
+    "bracket",
+    "form_B",
+    "transport_sign",
+    "transport",
+    "pbw_normal_form",
+    "degree2_symbol",
+    "gamma2",
+    "casimir",
+    "pi_generator",
+    "pi_env",
+    "pi_casimir",
+    "sl2_triple",
+    "sl2_casimir_op",
+    "closed_form",
+    "closed_operator",
+]
+
 Signature = Tuple[int, int]
 
 

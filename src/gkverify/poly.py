@@ -36,10 +36,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
 
 from .linalg import rref_nullspace
+
+__all__ = [
+    "ZERO",
+    "ONE",
+    "VariableSpace",
+    "MultiPoly",
+    "RadialSeries",
+    "harmonic_basis",
+    "harmonic_dim",
+    "dagger",
+    "euler",
+    "laplacian",
+    "rsq",
+    "rho",
+    "NonHomogeneousError",
+    "DegenerateDaggerError",
+]
 
 BITS = 7
 MAX_EXP = (1 << BITS) - 1
@@ -521,20 +539,8 @@ def harmonic_dim(n: int, k: int) -> int:
 
 def _block_monomial_keys(space: VariableSpace, block: str, k: int) -> List[int]:
     """Packed keys of all degree-k monomials in the block's variables."""
-    idxs = list(space.block_range(block))
-    keys: List[int] = []
-
-    def rec(pos: int, remaining: int, acc: int) -> None:
-        if pos == len(idxs) - 1:
-            keys.append(acc + remaining * space.unit_key(idxs[pos]))
-            return
-        for e in range(remaining + 1):
-            rec(pos + 1, remaining - e, acc + e * space.unit_key(idxs[pos]))
-
-    if not idxs:
-        return [0] if k == 0 else []
-    rec(0, k, 0)
-    return keys
+    units = [space.units[i] for i in space.block_range(block)]
+    return [sum(c) for c in combinations_with_replacement(units, k)]
 
 
 @lru_cache(maxsize=None)

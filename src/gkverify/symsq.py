@@ -7,9 +7,8 @@ c(a, b) = c(b, a) enforced at construction.  Builders write each displayed
 summand into its ordered slot, so double sums over both orders land
 symmetrically on their own; they and the adjoint action run on numerators
 and reduce once per tensor.  An ordered pair is a generator word of length
-two, so liealg.transport, which this module re-exports, changes a tensor's
-flavor, liealg.pi_env gives its operator image, and liealg.gamma2 reads it
-as an enveloping element as is.
+two, so liealg.transport changes a tensor's flavor, liealg.pi_env gives its
+operator image, and liealg.gamma2 reads it as an enveloping element as is.
 
 The coefficient dot product over ordered pairs realizes the invariant trace
 pairing in the M flavor, because the invariant form takes value -1 on every
@@ -85,6 +84,23 @@ from .liealg import (
 )
 from .linalg import SparseRREF
 from .poly import ONE, ScalarLike
+
+__all__ = [
+    "SymSquareTensor",
+    "build_Q",
+    "build_S4",
+    "build_S2",
+    "build_Xi",
+    "xi_closed_form",
+    "adjoint_action",
+    "gamma2_q_identity",
+    "gamma2_xi_identity",
+    "s4_vanishing",
+    "decompose_S2",
+    "DecompositionReport",
+    "theorem_ingredients",
+    "TheoremReport",
+]
 
 Sig = Tuple[int, int]
 PairKey = Tuple[Generator, Generator]

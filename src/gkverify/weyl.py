@@ -71,6 +71,13 @@ from .poly import (
     exact,
 )
 
+__all__ = [
+    "WeylOperator",
+    "euler_op",
+    "laplacian_op",
+    "rsq_op",
+]
+
 TermKey = Tuple[int, int]
 
 

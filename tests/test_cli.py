@@ -246,6 +246,24 @@ def test_unwritable_out_is_a_config_error_before_any_check(where, tmp_path, monk
     assert ran == [] and out == ""
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_out_is_a_config_error_before_any_check(source, tmp_path, monkeypatch, capsys):
+    # an empty path cannot be opened, so it is an error, not a request for stdout
+    ran = []
+    monkeypatch.setattr(cli, "execute_jobs", lambda jobs: ran.append(jobs) or [])
+    argv = ["run", "--p", "2", "--q", "2", "--suite", "weyl"]
+    if source == "flag":
+        argv += ["--out", ""]
+    else:
+        cfg = tmp_path / "empty_out.cfg"
+        cfg.write_text("out =\n")
+        argv += ["--config", str(cfg)]
+    code, out, err = _run(argv, capsys)
+    assert code == 2
+    assert "configuration error: cannot write report to : " in err
+    assert ran == [] and out == ""
+
+
 def test_run_help_describes_the_moved_k_type_box(capsys):
     # --k-max and --l-max size a box that moves to the family's least K-type
     # when the box at the origin holds none of its K-types

@@ -3,6 +3,9 @@
 from pathlib import Path
 
 import gkverify
+from gkverify import gkmodule, liealg, poly, symsq, weyl
+
+MODULES = (poly, weyl, liealg, gkmodule, symsq)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -14,6 +17,22 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from gkverify import *", namespace)
     assert set(gkverify.__all__) <= set(namespace)
+
+
+def test_each_public_name_is_listed_once_by_its_own_module():
+    # the package list is the module lists, so no name can be exported twice
+    # or missed; a module lists only what it defines, not what it imports
+    assert gkverify.__all__ == [
+        *(name for module in MODULES for name in module.__all__), "__version__"
+    ]
+    assert len(set(gkverify.__all__)) == len(gkverify.__all__)
+    strays = [
+        (module.__name__, name)
+        for module in MODULES
+        for name in module.__all__
+        if callable(obj := getattr(module, name)) and obj.__module__ != module.__name__
+    ]
+    assert strays == []
 
 
 def _readme_block(heading: str) -> str:

@@ -24,6 +24,7 @@ from gkverify.poly import (
     MultiPoly,
     RadialSeries,
     VariableSpace,
+    _block_monomial_keys,
     dagger,
     euler,
     laplacian,
@@ -109,6 +110,22 @@ def ref_laplacian(a, block, space=SPACE):
             if e >= 2:
                 _acc(out, k - 2 * space.unit_key(i), c * (e * (e - 1)))
     return out
+
+
+def ref_block_monomial_keys(space, block, k):
+    """Degree-k block monomials, one variable's exponent at a time."""
+    idxs = list(space.block_range(block))
+    keys = []
+
+    def rec(pos, remaining, acc):
+        if pos == len(idxs) - 1:
+            keys.append(acc + remaining * space.unit_key(idxs[pos]))
+            return
+        for e in range(remaining + 1):
+            rec(pos + 1, remaining - e, acc + e * space.unit_key(idxs[pos]))
+
+    rec(0, k, 0)
+    return keys
 
 
 def ref_rho(block):
@@ -253,6 +270,17 @@ def test_laplacian_edge_fields_match_reference(space, monomials):
         assert _fr(lap) == ref_laplacian(_fr(f), block, space)
         if space.block_size(block) == 0:
             assert lap.is_zero()
+
+
+@pytest.mark.parametrize("p,q", [(p, n - p) for n in range(1, 9) for p in range(n + 1)])
+def test_block_monomial_keys_match_reference(p, q):
+    space = VariableSpace(p, q)
+    for block in "xy":
+        if space.block_size(block) == 0:
+            continue
+        for k in range(7):
+            keys = _block_monomial_keys(space, block, k)
+            assert sorted(keys) == sorted(ref_block_monomial_keys(space, block, k))
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), coeffs), max_size=4), blocks)

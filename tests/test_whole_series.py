@@ -86,7 +86,8 @@ def test_degree_bounds_hold_and_are_attained(p, q, m):
                         assert _difference(values, term.bound + 1) == 0, (f.kt, name, term)
                         if _difference(values, term.bound):
                             attained.add(name)
-            placed = gkmodule._placed(gkmodule._ACTION, params, f.kt) + gkmodule._layer_terms(f)
+            placed = gkmodule._placed(gkmodule._ACTION, params, f.kt)
+            placed += gkmodule._layer_terms(params, f.kt)
             for key, (two_base, terms) in gkmodule._diagonals(placed).items():
                 top = max(term.bound for term in terms)
                 for term in terms:
