@@ -12,9 +12,9 @@ exact echelon form as primitive integer rows; series and eigenvalues as
   compact M basis (where it is real), the sign transport from the
   signature basis, and its universal enveloping algebra in PBW normal form
   (``liealg``),
-* the distinguished vectors of each module family as whole series
-  (``TypicalElement``, which carries its family, K-type and harmonics, and
-  the sample plans that yield them), one eigenvalue check for the Casimirs
+* the distinguished vectors of each module family as whole series, each
+  fixed by its K-type label and a pair of block harmonics (and the sample
+  plans that yield them), one eigenvalue check for the Casimirs
   and the symmetric-square element (all rows of ``liealg.closed_form``) and
   the four-layer mixed generator action, both decided on the K-type labels
   for every term of the series, and the obstruction solver that decides

@@ -6,8 +6,8 @@ Every invariant the library promises is addressable here as a dotted name,
 * ``lie``: bracket, form, and realization identities of the Lie algebra,
 * ``weyl``: operator algebra, harmonic decomposition, exact arithmetic,
 * ``casimir``: closed operator forms and eigenvalue checks,
-* ``module``: membership and structure of the module's typical elements, and
-  linearity and degree shifts of operator application,
+* ``module``: membership, the window and the radial series of the module's
+  K-types, and linearity and degree shifts of operator application,
 * ``paction``: the four-layer mixed generator action and its guards,
 * ``symsq``: symmetric-square tensors, transport, and decomposition,
 * ``garfinkle``: the degree-two obstruction solver and the combined
@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement, islice, product
+from itertools import combinations_with_replacement, product
 from math import comb, gcd
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -84,12 +84,9 @@ from .gkmodule import (
     eigenvalue_check,
     garfinkle_obstruction,
     ktype_box,
-    ktype_elements,
     ktype_enumeration,
     p_action_check,
-    product_elements,
     psi_series,
-    typical_element,
     verify_membership,
 )
 from .symsq import (
@@ -603,7 +600,6 @@ _register_table("pqm", _eigenvalue_sweep, (
 def _module_window(run: CheckRun):
     allowed = seen = 0
     for params in run.families():
-        space = params.space
         enumerated = {
             (kt.k, kt.l) for kt in ktype_enumeration(params, run.k_max, run.l_max)
         }
@@ -621,11 +617,9 @@ def _module_window(run: CheckRun):
                 )
                 if manual != ((k, l) in enumerated):
                     return False, seen, {"mismatch_at": [k, l]}
-                h1 = harmonic_basis(space, "x", k)[0]
-                h2 = harmonic_basis(space, "y", l)[0]
-                # only the window can refuse construction
+                # only the window can refuse the series' frame
                 try:
-                    typical_element(params, h1, h2)
+                    gkmodule._frame(params, kt)
                     built = True
                 except ValueError:
                     built = False
@@ -735,21 +729,19 @@ def _module_series(run: CheckRun):
     "every harmonic product at one lowest-layer type yields a vector passing membership",
 )
 def _module_radial_uniformity(run: CheckRun):
+    # the K-type's label gives one membership verdict for every harmonic
+    # product there, so up to 8 of them are counted and none is built
+    def enriched(kt):
+        return kt.k + kt.l >= 1 and kt.multiplicity >= 2
+
     seen = 0
     for params in run.families():
-        kts = [
-            kt
-            for kt in ktype_enumeration(params, run.k_max, run.l_max)
-            if kt.k + kt.l >= 1 and kt.multiplicity >= 2
-        ]
-        if not kts:
-            continue
-        kt = kts[0]
-        ok = verify_membership(params, kt).ok  # one label, so one verdict for every product
-        for _ in islice(product_elements(params, kt), 8):
-            seen += 1
-            if not ok:
-                return False, seen, {"failed_sign": params.sign, "ktype": [kt.k, kt.l]}
+        kts = [kt for kt in ktype_enumeration(params, run.k_max, run.l_max) if enriched(kt)]
+        # a box with none moves to the window's first such K-type
+        kt = kts[0] if kts else next(filter(enriched, gkmodule._window(params)))
+        if not verify_membership(params, kt).ok:
+            return False, seen + 1, {"failed_sign": params.sign, "ktype": [kt.k, kt.l]}
+        seen += min(8, kt.multiplicity)
     return True, seen, {}
 
 
@@ -770,8 +762,6 @@ def _module_apply_linearity(run: CheckRun):
         for kt in ktype_enumeration(params, run.k_max, run.l_max)
         if kt.multiplicity >= 2
     ] or ktype_enumeration(params, run.k_max, run.l_max)
-    if not kts:
-        return True, 0, {}
     kt = kts[0]
     bx = harmonic_basis(space, "x", kt.k)
     by = harmonic_basis(space, "y", kt.l)
@@ -801,20 +791,20 @@ def _paction_four_term(run: CheckRun):
     checked = 0
     skipped = 0
     for params in run.families():
-        for f in ktype_elements(params, min(run.k_max, 2), min(run.l_max, 2)):
-            kt = f.kt
+        for kt in ktype_enumeration(params, min(run.k_max, 2), min(run.l_max, 2)):
             if any(layer.den == 0 for layer in params.layers(kt)):
                 skipped += 1
                 continue
-            for i in range(1, run.p + 1):
-                for j in range(1, run.q + 1):
-                    checked += 1
-                    if not p_action_check(f, i, j):
-                        return False, checked, {
-                            "failed_sign": params.sign,
-                            "failed_ktype": [kt.k, kt.l],
-                            "failed_index": [i, j],
-                        }
+            _, h1, h2 = gkmodule._first_harmonics(params, kt)
+            failed = p_action_check(params, h1, h2)
+            if failed is not None:
+                i, j = failed
+                return False, checked + (i - 1) * run.q + j, {
+                    "failed_sign": params.sign,
+                    "failed_ktype": [kt.k, kt.l],
+                    "failed_index": [i, j],
+                }
+            checked += run.p * run.q
     return True, checked, {"degenerate_skipped": skipped}
 
 

@@ -19,10 +19,9 @@ The whole series is the terms w_j h1 (r_x^2)^(j + mu_x) h2 (r_y^2)^(j +
 mu_y), j >= 0, with w_0 = 1/2^mu and w_j / w_(j+1) = -2 (j + 1)(2 kappa +
 2 j).  Its frame, kappa and each block's (degree, size, mu_block), is read
 off the K-type label (params, kt) by one helper, _frame, and so
-eigenvalue_check and verify_membership take that label and no element.  A
-TypicalElement adds the harmonics h1, h2, which only p_action_check reads;
-the sample plans ktype_elements and product_elements yield typical
-elements one at a time.  One table, _label_rule, says how a factor acts on
+eigenvalue_check and verify_membership take that label and no harmonics.
+Only p_action_check reads the harmonics h1, h2 of a sample, which fix the
+K-type by their degrees.  One table, _label_rule, says how a factor acts on
 a label h (r^2)^a of its block, h harmonic there: E, R and L (the factors
 of the liealg.closed_form words of the Casimirs, Xi and the sl2 triple)
 give a multiple of h (r^2)^a', and V and D (v and d_v, v = x_i or y_j)
@@ -91,14 +90,10 @@ __all__ = [
     "KType",
     "ActionLayer",
     "ModuleParams",
-    "TypicalElement",
     "PsiPoleError",
     "DegenerateDenominatorError",
     "DegenerateSampleError",
     "psi_series",
-    "typical_element",
-    "ktype_elements",
-    "product_elements",
     "verify_membership",
     "eigenvalue_check",
     "p_action_check",
@@ -283,33 +278,6 @@ def _frame(params: ModuleParams, kt: KType) -> Tuple[Fraction, Dict[str, Tuple[i
     return kappa, {"x": (kt.k, params.p, mx), "y": (kt.l, params.q, mu - mx)}
 
 
-class TypicalElement:
-    """h1 h2 rho^mu Psi_kappa of the family `params` at K-type `kt`, the
-    whole series, with kappa read from _frame(params, kt), which
-    construction calls so that it refuses a K-type outside the window.  The
-    label identities take (params, kt) instead; p_action_check takes one to
-    read its harmonics.  Only typical_element builds one."""
-
-    def __init__(self, params: ModuleParams, kt: KType, h1: MultiPoly, h2: MultiPoly) -> None:
-        _frame(params, kt)
-        self.params, self.kt, self.h1, self.h2 = params, kt, h1, h2
-        self._parts: Dict = {}  # p_action_check's memo
-
-    @property
-    def space(self) -> VariableSpace:
-        return self.h1.space
-
-    @property
-    def expansion(self) -> MultiPoly:
-        """The leading term w_0 h1 h2 (r_s^2)^mu, formed on each read.  No
-        check reads it: gkbench's Tracer._note reads it on every traced
-        typical_element, and ROADMAP item 9 deletes it."""
-        mu, out = self.params.mu(self.kt), self.h1.mul(self.h2)
-        for _ in range(mu):
-            out = out.mul(rsq(self.space, self.params.series_block))
-        return out.scale(Fraction(1, 1 << mu))
-
-
 def _series_parameter(alpha) -> Fraction:
     """alpha as a Fraction; PsiPoleError at the poles of Psi_alpha."""
     alpha = Fraction(exact(alpha))
@@ -342,18 +310,6 @@ def _require_block_harmonic(h: MultiPoly, block: str) -> int:
     if not laplacian(h, block).is_zero():
         raise ValueError(f"factor of degree {deg} is not {block}-harmonic")
     return deg
-
-
-def typical_element(params: ModuleParams, h1: MultiPoly, h2: MultiPoly) -> TypicalElement:
-    """h1 h2 rho^mu Psi_kappa, the whole series.
-
-    h1 must be a pure-x harmonic, h2 a pure-y harmonic; their degrees fix the
-    K-type, which must lie in the family's window (both radial exponents
-    non-negative integers).
-    """
-    k = _require_block_harmonic(h1, "x")
-    l = _require_block_harmonic(h2, "y")
-    return TypicalElement(params, KType(k, l, params.p, params.q), h1, h2)
 
 
 # -- whole-series identities on K-type labels ---------------------------------------
@@ -599,44 +555,65 @@ def eigenvalue_check(which: str, params: ModuleParams, kt: KType) -> EigenvalueR
 _ACTION = ((ONE, (("V", "x"), ("V", "y"))), (ONE, (("D", "y"), ("D", "x"))))
 
 
-def p_action_check(f: TypicalElement, i: int, j: int) -> bool:
+def p_action_check(
+    params: ModuleParams, h1: MultiPoly, h2: MultiPoly
+) -> Optional[Tuple[int, int]]:
     """Verify the four-layer expansion of the mixed generator action on the
-    whole series f.
+    family's whole series with harmonics h1, h2 at every 1-based i <= p, j
+    <= q: the first (i, j), i outer, at which it fails, or None.
 
-    Two exact steps (1-based i <= p, j <= q): -pi(M_{i, p+j}) =
-    sqrt(-1) pi(X_{i, p+j}) must equal x_i y_j + d_{x_i} d_{y_j} term for
-    term, and x_i y_j f + d_{y_j}(d_{x_i} f) minus the layers of
-    f.params.layers(f.kt) must vanish.  Every term of that sum is a
-    multiple of a label (kind_x, a_x, kind_y, a_y), F_x h1 (r_x^2)^a_x F_y
-    h2 (r_y^2)^a_y with F_x h1 = d_{x_i} h1 ("d") or dagger(x_i h1) ("v")
-    and F_y likewise along y_j.  The multiples do not depend on (i, j):
-    the words V_x V_y and D_x D_y of _ACTION, placed by the V and D rows of
-    _label_rule, and the layers (_layer_terms) go through _verdicts once
-    per f.  Each (i, j) checks the lemma of the V row on its two variables
-    (_fischer, once per variable), drops the diagonals of "d" labels whose
-    harmonic d_{x_i} h1 or d_{y_j} h2 is zero, and needs every other
-    diagonal to hold.  A zero layer denominator raises
-    DegenerateDenominatorError where neither moved harmonic vanishes."""
-    if not isinstance(f, TypicalElement):
-        raise TypeError(f"need a TypicalElement, got {type(f).__name__}")
-    params, kt = f.params, f.kt
-    if not (1 <= i <= params.p and 1 <= j <= params.q):
-        raise ValueError("need 1 <= i <= p and 1 <= j <= q")
+    h1 must be a pure-x harmonic and h2 a pure-y harmonic; their degrees fix
+    the K-type kt, which must lie in the family's window (_frame refuses it
+    otherwise).  Two exact steps at each (i, j), in _action_at:
+    -pi(M_{i, p+j}) = sqrt(-1) pi(X_{i, p+j}) must equal x_i y_j + d_{x_i}
+    d_{y_j} term for term, and x_i y_j f + d_{y_j}(d_{x_i} f) minus the
+    layers of params.layers(kt) must vanish, f the whole series.  Every term
+    of that sum is a multiple of a label (kind_x, a_x, kind_y, a_y), F_x h1
+    (r_x^2)^a_x F_y h2 (r_y^2)^a_y with F_x h1 = d_{x_i} h1 ("d") or
+    dagger(x_i h1) ("v") and F_y likewise along y_j.  The multiples do not
+    depend on (i, j): the words V_x V_y and D_x D_y of _ACTION, placed by
+    the V and D rows of _label_rule, and the layers (_layer_terms) go
+    through _verdicts once per call.  Each (i, j) checks the lemma of the V
+    row on its two variables (_fischer, once per variable and call), drops
+    the diagonals of "d" labels whose harmonic d_{x_i} h1 or d_{y_j} h2 is
+    zero, and needs every other diagonal to hold.  A zero layer denominator
+    raises DegenerateDenominatorError at the first (i, j) where neither
+    moved harmonic vanishes."""
+    for h in (h1, h2):
+        if not isinstance(h, MultiPoly):
+            raise TypeError(f"need a block harmonic MultiPoly, got {type(h).__name__}")
+    k, l = _require_block_harmonic(h1, "x"), _require_block_harmonic(h2, "y")
+    kt = KType(k, l, params.p, params.q)
+    _frame(params, kt)
+    memo: Dict = {}
+    for i in range(1, params.p + 1):
+        for j in range(1, params.q + 1):
+            if not _action_at(params, kt, h1, h2, i, j, memo):
+                return i, j
+    return None
+
+
+def _action_at(params: ModuleParams, kt: KType, h1: MultiPoly, h2: MultiPoly,
+               i: int, j: int, memo: Dict) -> bool:
+    """p_action_check's step at (i, j) on the sample (kt, h1, h2).  `memo`
+    holds what every (i, j) of one sample shares, each entry formed on first
+    need: the label verdicts under "labels", and _fischer's result under
+    each variable's index."""
     space = params.space
     xi, yj = i - 1, params.p + j - 1
     xy = space.unit_key(xi) + space.unit_key(yj)
     op = pi_generator(Generator(i, params.p + j, "M"), space).scale(-1)
     if op != WeylOperator(space, {(xy, 0): 1, (0, xy): 1}):
         return False
-    holds = f._parts.get("labels")
+    holds = memo.get("labels")
     if holds is None:
         placed = _placed(_ACTION, params, kt) + _layer_terms(params, kt)
-        holds = f._parts["labels"] = _verdicts(placed)
+        holds = memo["labels"] = _verdicts(placed)
     no_d = {}  # block -> whether its "d" harmonic, d_{x_i} h1 or d_{y_j} h2, is zero
-    for block, var in (("x", xi), ("y", yj)):
-        if var not in f._parts:
-            f._parts[var] = _fischer(f, var)
-        lemma, no_d[block] = f._parts[var]
+    for block, var, h in (("x", xi, h1), ("y", yj, h2)):
+        if var not in memo:
+            memo[var] = _fischer(params, kt, h, var)
+        lemma, no_d[block] = memo[var]
         if not lemma:
             return False
     for layer in params.layers(kt):
@@ -678,18 +655,17 @@ def _layer_terms(params: ModuleParams, kt: KType) -> List[Tuple]:
     return out
 
 
-def _fischer(f: TypicalElement, var: int) -> Tuple[bool, bool]:
-    """(whether the lemma of _label_rule's V row holds for var on f's
-    harmonic h of var's block, whether d_var h is zero): V = dagger(var h)
-    must be block-harmonic and nonzero, and var h - V = c r^2 d_var h with
-    c the multiple of the row's "d" label, 1/(2k + n - 2)."""
-    p, q, kt = f.params.p, f.params.q, f.kt
-    block, h, k, n = ("x", f.h1, kt.k, p) if var < p else ("y", f.h2, kt.l, q)
+def _fischer(params: ModuleParams, kt: KType, h: MultiPoly, var: int) -> Tuple[bool, bool]:
+    """(whether the lemma of _label_rule's V row holds for var on the
+    harmonic h of var's block at K-type kt, whether d_var h is zero): V =
+    dagger(var h) must be block-harmonic and nonzero, and var h - V = c r^2
+    d_var h with c the multiple of the row's "d" label, 1/(2k + n - 2)."""
+    block, k, n = ("x", kt.k, params.p) if var < params.p else ("y", kt.l, params.q)
     moved, d = h.var_mul(var), h.diff(var)
     v = dagger(moved, block)
     c = sum(Fraction(s, den) for s, den, kind, _ in _label_rule("V", 0, k, n) if kind == "d")
     holds = bool(v) and laplacian(v, block).is_zero()
-    return holds and moved - v == rsq(f.space, block).mul(d).scale(c), d.is_zero()
+    return holds and moved - v == rsq(params.space, block).mul(d).scale(c), d.is_zero()
 
 
 # -- sample plans ----------------------------------------------------------------------
@@ -740,21 +716,6 @@ def _product_harmonics(params: ModuleParams, kt: KType) -> Iterator[Tuple]:
     for h1 in harmonic_basis(params.space, "x", kt.k):
         for h2 in harmonic_basis(params.space, "y", kt.l):
             yield kt, h1, h2
-
-
-def ktype_elements(params: ModuleParams, k_max: int, l_max: int) -> Iterator[TypicalElement]:
-    """The typical element with the first harmonics (_first_harmonics) of
-    each K-type of ktype_enumeration(params, k_max, l_max), in its order."""
-    for kt in ktype_enumeration(params, k_max, l_max):
-        _, h1, h2 = _first_harmonics(params, kt)
-        yield typical_element(params, h1, h2)
-
-
-def product_elements(params: ModuleParams, kt: KType) -> Iterator[TypicalElement]:
-    """The typical elements of every harmonic product at K-type kt, in basis
-    order with the x harmonic outermost."""
-    for _, h1, h2 in _product_harmonics(params, kt):
-        yield typical_element(params, h1, h2)
 
 
 def default_samples(params: ModuleParams) -> Iterator[Tuple[KType, MultiPoly, MultiPoly]]:

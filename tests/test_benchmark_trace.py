@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["module_action", "annihilator"])
+@pytest.mark.parametrize("workload", ["lie_realization", "module_action", "annihilator"])
 def test_traced_worker_passes_every_check(tmp_path, workload):
     trace = tmp_path / "trace.json"
     run = subprocess.run(

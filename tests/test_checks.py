@@ -30,17 +30,93 @@ VECTOR_CHECKS = [
 ]
 
 
+# the checks that read the first K-type of their plan, and the error they
+# raise when the plan holds none
+FIRST_KTYPE_READERS = {
+    "module.radial_uniformity": "StopIteration",
+    "module.apply_linearity": "IndexError",
+}
+
+
 @pytest.mark.parametrize("name", VECTOR_CHECKS)
 def test_check_that_sees_no_vector_fails(monkeypatch, name):
     # the plans count from the window, so no valid tuple leaves one empty;
-    # on an enumeration emptied by hand the body counts no instance, and so
-    # the runner gives it no verdict
+    # on an enumeration and a window emptied by hand the runner gives no
+    # check a verdict: the body counts no instance, or finds no K-type to
+    # read and raises
     import gkverify.checks as checks
 
     for module in (checks, gkmodule):
         monkeypatch.setattr(module, "ktype_enumeration", lambda *args: [])
-    _ok, instances, detail = REGISTRY[name].fn(CheckRun(4, 6, 1, 3, 3))
-    assert instances == 0, detail
+    monkeypatch.setattr(gkmodule, "_window", lambda params: iter(()))
+    status, instances, detail = _verdict(name, 4, 6, 1)
+    if name in FIRST_KTYPE_READERS:
+        assert (status, instances) == ("error", None), detail
+        assert detail["error"].startswith(FIRST_KTYPE_READERS[name]), detail
+    else:
+        assert (status, instances, detail) == ("error", 0, {"error": "no instances examined"})
+
+
+def _valid_tuples(n_max):
+    """Every (p, q, m) that ModuleParams accepts with p + q <= n_max."""
+    return [
+        (p, n - p, m)
+        for n in range(6, n_max + 1, 2)
+        for p in range(2, n - 1)
+        for m in range(n // 2 - 2)
+    ]
+
+
+def test_every_module_plan_examines_an_instance_in_every_box():
+    # every valid tuple with p + q <= 12, both signs, every k_max, l_max <=
+    # 3: the enumeration is never empty, and each pqm check of the module
+    # and paction suites examines at least one instance and passes
+    tuples = _valid_tuples(12)
+    assert len(tuples) == 70
+    names = [
+        name for name, cd in REGISTRY.items()
+        if cd.scope == "pqm" and name.split(".")[0] in ("module", "paction")
+    ]
+    assert len(names) == 7
+    # the box each check reads: paction.four_term caps it at 2, and
+    # paction.degenerate_guard reads its own; each distinct one runs once
+    read = {"paction.four_term": lambda k, l: (min(k, 2), min(l, 2)),
+            "paction.degenerate_guard": lambda k, l: ()}
+    ran = set()
+    for p, q, m in tuples:
+        for k_max in range(4):
+            for l_max in range(4):
+                for sign in (1, -1):
+                    assert ktype_enumeration(ModuleParams(p, q, m, sign), k_max, l_max)
+                run = CheckRun(p, q, m, k_max, l_max)
+                for name in names:
+                    box = read.get(name, lambda k, l: (k, l))(k_max, l_max)
+                    if (name, p, q, m, box) in ran:
+                        continue
+                    ran.add((name, p, q, m, box))
+                    ok, instances, detail = REGISTRY[name].fn(run)
+                    assert ok and instances >= 1, (p, q, m, k_max, l_max, name, detail)
+
+
+@pytest.mark.parametrize(
+    "p,q,m,kt,instances",
+    [(3, 3, 0, (1, 1), 16), (4, 4, 0, (1, 1), 16), (4, 6, 1, (1, 1), 16)],
+)
+def test_radial_uniformity_moves_an_empty_box_to_the_window(monkeypatch, p, q, m, kt, instances):
+    # at k_max = l_max = 0 the box holds (0, 0) alone, which has no harmonic
+    # product of positive degree; the check reads the first K-type of the
+    # window that has one, for each sign, and builds no harmonic
+    import gkverify.checks as checks
+
+    for module in (checks, gkmodule):
+        monkeypatch.setattr(module, "harmonic_basis", lambda *a: pytest.fail("built a harmonic"))
+    for sign in (1, -1):
+        params = ModuleParams(p, q, m, sign)
+        assert ktype_enumeration(params, 0, 0) == [KType(0, 0, p, q)]
+        first = next(k for k in gkmodule._window(params) if k.k + k.l >= 1)
+        assert (first.k, first.l) == kt
+    (r,) = execute_jobs(plan_jobs([REGISTRY["module.radial_uniformity"]], [(p, q, m)], 0, 0))
+    assert (r.status, r.instances, r.detail) == ("pass", instances, {})
 
 
 def _verdict(name, p, q, m):
@@ -147,9 +223,9 @@ def test_degenerate_samples_raise_on_every_call(monkeypatch, p, q, m):
 
 def test_solver_images_only_the_samples_it_reads(monkeypatch):
     # at (4, 6, 1) each sample read costs one apply per block generator (6 +
-    # 15 = 21), all on h1 h2, in sample order, and no typical element is
-    # built; a degenerate sample set is refused from its K-types, before any
-    # image
+    # 15 = 21), all on h1 h2, in sample order, and no sample's harmonics
+    # are tested as a typical element's; a degenerate sample set is refused
+    # from its K-types, before any image
     from gkverify.liealg import generators, pi_generator, same_block
 
     calls, built = [], []
@@ -160,7 +236,7 @@ def test_solver_images_only_the_samples_it_reads(monkeypatch):
         return apply(op, f)
 
     monkeypatch.setattr(WeylOperator, "apply", spy)
-    monkeypatch.setattr(gkmodule, "typical_element", lambda *a: built.append(a))
+    monkeypatch.setattr(gkmodule, "_require_block_harmonic", lambda *a: built.append(a))
     space = ModuleParams(4, 6, 1).space
     block = [pi_generator(g, space) for g in generators(4, 6, "M") if same_block(g, 4)]
     assert len(block) == 21
@@ -237,18 +313,20 @@ def test_theorem_reads_the_sibling_results(p, q, m):
 
 
 def test_parameter_window_probes_at_the_base_degree(monkeypatch):
-    # one probe per (k, l) and family, each a whole series with no depth, and
-    # the refusals still come from the window rule
+    # one probe of the series' frame per (k, l) and family, with no depth
+    # and no harmonic, and the refusals still come from the window rule
     import gkverify.checks as checks
+    import gkverify.gkmodule as gkmodule
 
     probes = []
-    real = checks.typical_element
+    real = gkmodule._frame
 
-    def spy(params, h1, h2):
-        probes.append((params.sign, h1.degree(), h2.degree()))
-        return real(params, h1, h2)
+    def spy(params, kt):
+        probes.append((params.sign, kt.k, kt.l))
+        return real(params, kt)
 
-    monkeypatch.setattr(checks, "typical_element", spy)
+    monkeypatch.setattr(gkmodule, "_frame", spy)
+    monkeypatch.setattr(checks, "harmonic_basis", lambda *a: pytest.fail("built a harmonic"))
     result = REGISTRY["module.parameter_window"].fn(CheckRun(4, 6, 1, 3, 3))
     assert result == (True, 32, {"allowed": 12})
     assert sorted(probes) == [(s, k, l) for s in (-1, 1) for k in range(4) for l in range(4)]
@@ -266,17 +344,17 @@ def test_lie_samples_count_distinct_instances(p, q, triples, words):
 
 def test_no_check_reads_a_whole_expansion(monkeypatch):
     # every suite over the default sweep, in-process: each check passes on at
-    # least one instance, and none reads TypicalElement.expansion; the zero
-    # tests read the labels of the series, and module.apply_linearity reads
-    # plain harmonic products
-    import gkverify.gkmodule as gkmodule
+    # least one instance, and none expands a radial series; the zero tests
+    # read the labels of the series, and module.apply_linearity reads plain
+    # harmonic products
     from gkverify.checks import selected_checks
     from gkverify.cli import DEFAULT_SWEEP
+    from gkverify.poly import RadialSeries
 
     reads = []
-    real = gkmodule.TypicalElement.expansion.fget
+    real = RadialSeries.expand
     monkeypatch.setattr(
-        gkmodule.TypicalElement, "expansion", property(lambda f: reads.append(f) or real(f))
+        RadialSeries, "expand", lambda *args, **kw: reads.append(args) or real(*args, **kw)
     )
     _clear_memos()
     results = execute_jobs(plan_jobs(selected_checks(["all"]), DEFAULT_SWEEP, 3, 3))

@@ -15,17 +15,13 @@ from gkverify.gkmodule import (
     KType,
     ModuleParams,
     PsiPoleError,
-    TypicalElement,
     default_samples,
     eigenvalue_check,
     garfinkle_obstruction,
     ktype_box,
-    ktype_elements,
     ktype_enumeration,
     p_action_check,
-    product_elements,
     psi_series,
-    typical_element,
     verify_membership,
 )
 from gkverify.poly import (
@@ -55,16 +51,17 @@ from truncated_reference import (
     TruncatedElement,
     TruncatedTypical,
     TruncationError,
+    action_steps,
     apply_operator,
     capped_apply,
     closed_apply,
     default_depth,
     eigenvalue_at,
+    first_samples,
     label_zero_test,
     p_action_at,
     truncate,
     truncated,
-    truncated_element,
     truncated_elements,
 )
 
@@ -198,11 +195,12 @@ def test_typical_element_requires_depth():
     space = params.space
     h1 = harmonic_basis(space, "x", 1)[0]
     h2 = harmonic_basis(space, "y", 0)[0]
-    f = typical_element(params, h1, h2)
     with pytest.raises(TruncationError):
-        TruncatedTypical(f, 2)  # base degree is 3
-    assert TruncatedTypical(f, 6).terms == ((Fraction(1, 2), 0, 1),)
-    assert TruncatedTypical(f, 7).terms == ((Fraction(1, 2), 0, 1), (Fraction(-1, 24), 1, 2))
+        TruncatedTypical(params, h1, h2, 2)  # base degree is 3
+    assert TruncatedTypical(params, h1, h2, 6).terms == ((Fraction(1, 2), 0, 1),)
+    assert TruncatedTypical(params, h1, h2, 7).terms == (
+        (Fraction(1, 2), 0, 1), (Fraction(-1, 24), 1, 2)
+    )
 
 
 def test_membership_triple_spot():
@@ -219,10 +217,10 @@ def test_weight_is_signed_m():
     space = params.space
     h1 = harmonic_basis(space, "x", 1)[0]
     h2 = harmonic_basis(space, "y", 0)[0]
-    f = truncated_element(params, h1, h2, 12)
+    f = TruncatedTypical(params, h1, h2, 12)
     assert closed_apply("H", f).agrees_with(truncated(f))
     params_minus = ModuleParams(4, 4, 1, -1)
-    g = truncated_element(params_minus, h1, h2, 12)
+    g = TruncatedTypical(params_minus, h1, h2, 12)
     assert closed_apply("H", g).agrees_with(truncated(g).scale(-1))
 
 
@@ -305,7 +303,7 @@ def test_eigenvalue_reports_spot():
     kt = KType(1, 0, 4, 4)
     h1 = harmonic_basis(space, "x", 1)[0]
     h2 = harmonic_basis(space, "y", 0)[0]
-    assert typical_element(params, h1, h2).kt == kt
+    assert TruncatedTypical(params, h1, h2, 3).kt == kt
     for which in ("op", "oq", "g"):
         report = eigenvalue_check(which, params, kt)
         assert report.ok, report.name
@@ -375,7 +373,7 @@ def test_apply_operator_validity_bookkeeping():
     space = params.space
     h1 = harmonic_basis(space, "x", 1)[0]
     h2 = harmonic_basis(space, "y", 0)[0]
-    f = truncated_element(params, h1, h2, 10)
+    f = TruncatedTypical(params, h1, h2, 10)
     full = closed_apply("g", f)  # the closed form reaches fourth derivative order
     assert full.validity == f.validity - 4
     block = closed_apply("op", f)  # block form pairs each Laplacian with a square
@@ -408,7 +406,7 @@ def test_closed_apply_matches_one_pass_operator(p, q):
         kt = ktype_enumeration(params, 1, 1)[-1]
         h1 = harmonic_basis(space, "x", kt.k)[0]
         h2 = harmonic_basis(space, "y", kt.l)[0]
-        f = truncated_element(params, h1, h2, 8)
+        f = TruncatedTypical(params, h1, h2, 8)
         for which in CLOSED_FORMS:
             staged = closed_apply(which, f)
             one_pass = apply_operator(closed_operator(space, which), f)
@@ -456,7 +454,7 @@ def test_closed_apply_matches_uncapped_words(p, q):
             h1 = harmonic_basis(space, "x", kt.k)[-1]
             h2 = harmonic_basis(space, "y", kt.l)[-1]
             for D in (9, 10):
-                f = truncated_element(params, h1, h2, D)
+                f = TruncatedTypical(params, h1, h2, D)
                 for which in CLOSED_FORMS:
                     capped = closed_apply(which, f)
                     full = _uncapped_words(closed_form(which, p, q), f)
@@ -526,7 +524,7 @@ def test_euler_pass_on_a_synthetic_closed_form(monkeypatch, p, q):
         for kt in ktype_enumeration(params, 1, 1):
             h1 = harmonic_basis(space, "x", kt.k)[-1]
             h2 = harmonic_basis(space, "y", kt.l)[-1]
-            samples += [truncated_element(params, h1, h2, D) for D in (9, 10)]
+            samples += [TruncatedTypical(params, h1, h2, D) for D in (9, 10)]
     try:
         for f in samples:
             got = closed_apply("synthetic", f)
@@ -542,7 +540,7 @@ def test_closed_apply_refuses_a_negative_validity():
     space = params.space
     h1 = harmonic_basis(space, "x", 1)[0]
     h2 = harmonic_basis(space, "y", 0)[0]
-    f = truncated_element(params, h1, h2, 10)
+    f = TruncatedTypical(params, h1, h2, 10)
     low = TruncatedElement(f.expansion, 3)
     with pytest.raises(TruncationError):
         closed_apply("g", low)  # the Lx Ly word leaves validity -1
@@ -568,7 +566,7 @@ def test_xi_row_matches_three_casimir_application(p, q, m):
         for kt in ktype_enumeration(params, 2, 2):
             h1 = harmonic_basis(space, "x", kt.k)[0]
             h2 = harmonic_basis(space, "y", kt.l)[0]
-            f = truncated_element(params, h1, h2, D)
+            f = TruncatedTypical(params, h1, h2, D)
             merged = closed_apply("xi", f)
             separate = _xi_by_three_casimirs(f)
             assert merged.agrees_with(separate), (p, q, m, sign, kt)
@@ -607,8 +605,8 @@ def test_membership_holds_on_harmonic_combinations(cs):
     if h2.is_zero():
         return
     h1 = harmonic_basis(space, "x", 2)[0]
-    f = typical_element(params, h1, h2)
-    assert verify_membership(params, f.kt).ok
+    assert p_action_check(params, h1, h2) is None
+    assert verify_membership(params, KType(2, 1, 2, 4)).ok
 
 
 def test_p_action_spot():
@@ -616,69 +614,78 @@ def test_p_action_spot():
     space = params.space
     h1 = harmonic_basis(space, "x", 1)[0]
     h2 = harmonic_basis(space, "y", 0)[0]
-    f = typical_element(params, h1, h2)
-    for i in (1, 4):
-        for j in (1, 4):
-            assert p_action_check(f, i, j)
-    params_minus = ModuleParams(4, 4, 1, -1)
-    assert p_action_check(typical_element(params_minus, h1, h2), 2, 3)
+    assert p_action_check(params, h1, h2) is None
+    assert p_action_check(ModuleParams(4, 4, 1, -1), h1, h2) is None
 
 
 def test_typical_element_carries_its_family():
+    # the tests' cut typical element reads its K-type off the harmonics'
+    # degrees, and its part of least degree is the leading term
     from gkverify.gkmodule import _frame
 
     params = ModuleParams(4, 4, 1, -1)
     space = params.space
     h1 = harmonic_basis(space, "x", 2)[1]
     h2 = harmonic_basis(space, "y", 1)[0]
-    f = typical_element(params, h1, h2)
-    assert isinstance(f, TypicalElement)
-    assert (f.params, f.kt, f.h1, f.h2) == (params, KType(2, 1, 4, 4), h1, h2)
+    g = TruncatedTypical(params, h1, h2, 3)
+    assert (g.params, g.kt, g.h1, g.h2) == (params, KType(2, 1, 4, 4), h1, h2)
     # sign -1 at (kappa_plus, kappa_minus) = (4, 3): the series parameter is
     # kappa_minus and mu = 0; at (3, 4) it is 4, and rho_x carries mu = 1
-    assert _frame(params, f.kt) == (3, {"x": (2, 4, 0), "y": (1, 4, 0)})
-    assert f.expansion == h1.mul(h2)
+    assert _frame(params, g.kt) == (3, {"x": (2, 4, 0), "y": (1, 4, 0)})
+    assert g.expansion == h1.mul(h2)
     h1, h2 = harmonic_basis(space, "x", 1)[0], harmonic_basis(space, "y", 2)[1]
-    f = typical_element(params, h1, h2)
-    assert _frame(params, f.kt) == (4, {"x": (1, 4, 1), "y": (2, 4, 0)})
+    g = TruncatedTypical(params, h1, h2, 5)
+    assert _frame(params, g.kt) == (4, {"x": (1, 4, 1), "y": (2, 4, 0)})
     # the leading term w_0 h1 h2 (r_x^2)^mu, with w_0 = 1/2^mu
-    assert f.expansion == h1.mul(h2).mul(rsq(space, "x")).scale(Fraction(1, 2))
-    assert f.expansion == truncate(TruncatedTypical(f, 10).expansion, 5)
+    assert g.expansion == h1.mul(h2).mul(rsq(space, "x")).scale(Fraction(1, 2))
+    assert g.expansion == truncate(TruncatedTypical(params, h1, h2, 10).expansion, 5)
+    assert p_action_check(params, h1, h2) is None
 
 
 def test_sums_and_multiples_are_not_typical():
-    # p_action_check takes a typical element and nothing else; the label
-    # identities take (params, kt) and have no form that takes an element
+    # p_action_check takes the harmonics of one sample and nothing else: a
+    # cut element or a sum of them is refused, and so is an expansion,
+    # which is not block-pure; the label identities take (params, kt) and
+    # have no form that takes an element
     params = ModuleParams(4, 4, 1, 1)
-    f = next(ktype_elements(params, 1, 1))
-    cut = TruncatedTypical(f, 10)
+    _, h1, h2 = next(first_samples(params, 1, 1))
+    cut = TruncatedTypical(params, h1, h2, 10)
     t = truncated(cut)
-    for g in (t + t, t - t, t.scale(2), t, t.expansion, cut):
+    for g in (t + t, t - t, t.scale(2), t, cut):
+        with pytest.raises(TypeError):
+            p_action_check(params, g, h2)
+        with pytest.raises(TypeError):
+            p_action_check(params, h1, g)
         with pytest.raises(TypeError):
             p_action_check(g, 1, 1)
-    for g in (f, cut):
-        with pytest.raises(TypeError):
-            eigenvalue_check("g", g)
-        with pytest.raises(TypeError):
-            verify_membership(g)
+    with pytest.raises(ValueError, match="not homogeneous in block 'y'"):
+        p_action_check(params, t.expansion, h2)
+    with pytest.raises(ValueError, match="must involve only the x block"):
+        p_action_check(params, h2, h2)
+    with pytest.raises(TypeError):
+        eigenvalue_check("g", cut)
+    with pytest.raises(TypeError):
+        verify_membership(cut)
 
 
 def test_sample_plans_follow_the_enumeration_and_the_bases():
+    import gkverify.gkmodule as gkmodule
+
     params = ModuleParams(4, 6, 1, 1)
     space = params.space
     kts = ktype_enumeration(params, 2, 3)
-    firsts = list(ktype_elements(params, 2, 3))
-    assert [f.kt for f in firsts] == kts
-    for f in firsts:
-        assert f.h1 == harmonic_basis(space, "x", f.kt.k)[0]
-        assert f.h2 == harmonic_basis(space, "y", f.kt.l)[0]
+    firsts = list(first_samples(params, 2, 3))
+    assert [kt for kt, _, _ in firsts] == kts
+    for kt, h1, h2 in firsts:
+        assert h1 == harmonic_basis(space, "x", kt.k)[0]
+        assert h2 == harmonic_basis(space, "y", kt.l)[0]
     kt = kts[1]
     bx = harmonic_basis(space, "x", kt.k)
     by = harmonic_basis(space, "y", kt.l)
-    products = list(product_elements(params, kt))
-    assert [(f.h1, f.h2) for f in products] == [(h1, h2) for h1 in bx for h2 in by]
+    products = list(gkmodule._product_harmonics(params, kt))
+    assert [(h1, h2) for _, h1, h2 in products] == [(h1, h2) for h1 in bx for h2 in by]
     assert len(products) == kt.multiplicity
-    assert all(f.kt == kt for f in products)
+    assert all(got == kt for got, _, _ in products)
 
 
 def _radial_series(kappa, exponent, block, space, reach, memo=None):
@@ -787,6 +794,20 @@ def _checked(check, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _assert_one_call_stops_at_the_first(g, outcomes):
+    """p_action_check on g's sample against the outcomes of its step at
+    every (i, j), in the call's order (i outer): it returns the first (i,
+    j) whose step answers False, raises the error of the first that
+    raises, and returns None when every step holds."""
+    first = next(((ij, out) for ij, out in outcomes if out is not True), None)
+    got = _checked(p_action_check, g.params, g.h1, g.h2)
+    if first is None:
+        assert got is None, g.kt
+    else:
+        ij, out = first
+        assert got == (ij if out is False else out), (g.kt, ij)
+
+
 @pytest.mark.parametrize("p,q,m", [(2, 4, 0), (3, 3, 0), (4, 4, 1), (3, 5, 1)])
 def test_p_action_check_matches_the_rebuilding_check(p, q, m):
     # every (i, j) on every K-type with k, l <= 2 of both signs, cut at
@@ -797,28 +818,31 @@ def test_p_action_check_matches_the_rebuilding_check(p, q, m):
         params = ModuleParams(p, q, m, sign)
         radial = {}
         for g in truncated_elements(params, 2, 2, D):
+            step = action_steps(g)
             for i in range(1, p + 1):
                 for j in range(1, q + 1):
                     want = _checked(_expanded_p_action_check, g, i, j, _restated_rows, radial)
-                    assert _checked(p_action_check, g.f, i, j) == want, (sign, g.kt, i, j)
+                    assert _checked(step, i, j) == want, (sign, g.kt, i, j)
                     compared += 1
     assert compared > 0
 
 
 def _mixed_action_failures():
-    # the (f, i, j) at which p_action_check answers False, over the (4,6,1)
-    # elements with k, l <= 2 of both signs; K-types with a vanishing layer
-    # denominator are skipped, as paction.four_term skips them
+    # the (g, i, j) at which the package's step answers False, over the
+    # (4,6,1) samples with k, l <= 2 of both signs, each cut at depth 10 for
+    # the reference; K-types with a vanishing layer denominator are
+    # skipped, as paction.four_term skips them, and p_action_check stops at
+    # each sample's first failure
     failures = []
     for sign in (1, -1):
         params = ModuleParams(4, 6, 1, sign)
-        for f in ktype_elements(params, 2, 2):
-            if any(layer.den == 0 for layer in params.layers(f.kt)):
+        for g in truncated_elements(params, 2, 2, 10):
+            if any(layer.den == 0 for layer in params.layers(g.kt)):
                 continue
-            for i in range(1, 5):
-                for j in range(1, 7):
-                    if not p_action_check(f, i, j):
-                        failures.append((f, i, j))
+            step = action_steps(g)
+            outcomes = [((i, j), step(i, j)) for i in range(1, 5) for j in range(1, 7)]
+            _assert_one_call_stops_at_the_first(g, outcomes)
+            failures += [(g, i, j) for (i, j), ok in outcomes if not ok]
     return failures
 
 
@@ -848,8 +872,8 @@ def test_a_wrong_layer_fails_the_mixed_action(monkeypatch, row, changes):
     monkeypatch.setattr(ModuleParams, "layers", _with_row(row, **changes))
     failures = _mixed_action_failures()
     assert failures
-    for f, i, j in failures[:3]:
-        assert _expanded_p_action_check(TruncatedTypical(f, 10), i, j, _restated_rows)
+    for g, i, j in failures[:3]:
+        assert _expanded_p_action_check(g, i, j, _restated_rows)
 
 
 def test_a_wrong_mixed_image_fails_the_mixed_action(monkeypatch):
@@ -940,7 +964,7 @@ def _eager_obstruction(params, D):
     validity = D - 2
     prepared = []
     for kt, h1, h2 in default_samples(params):
-        f = truncated_element(params, h1, h2, D)
+        f = TruncatedTypical(params, h1, h2, D)
         fpoly = truncate(f.expansion, validity)
         images = [capped_apply(pi_generator(g, space), f.expansion, validity) for g in gens]
         keys = set(fpoly._terms)
@@ -1122,11 +1146,13 @@ def test_p_action_check_matches_the_expanded_sum(p, q, m):
         params = ModuleParams(p, q, m, sign)
         radial = {}
         for g in truncated_elements(params, 2, 2, D):
+            step = action_steps(g)
             for i in range(1, p + 1):
                 for j in range(1, q + 1):
                     want = _checked(_expanded_p_action_check, g, i, j, _table_rows, radial)
-                    assert _checked(p_action_check, g.f, i, j) == want, (sign, g.kt, i, j)
+                    assert _checked(step, i, j) == want, (sign, g.kt, i, j)
                     compared += 1
+            assert p_action_check(params, g.h1, g.h2) is None
     assert compared > 0
 
 
@@ -1144,12 +1170,14 @@ def test_p_action_check_matches_the_expanded_sum_at_small_depths():
                 h2 = harmonic_basis(params.space, "y", kt.l)[0]
                 if D < kt.k + kt.l + 2 * params.mu(kt):
                     continue
-                g = truncated_element(params, h1, h2, D)
+                g = TruncatedTypical(params, h1, h2, D)
+                step = action_steps(g)
                 for i, j in itertools.product(range(1, 4), repeat=2):
                     want = _checked(_expanded_p_action_check, g, i, j)
                     assert _checked(p_action_at, g, i, j) == want, (D, sign, kt, i, j)
-                    assert p_action_check(g.f, i, j)
+                    assert step(i, j)
                     outcomes.add(want)
+                assert p_action_check(params, h1, h2) is None
     assert outcomes == {True, "TruncationError: validity became negative; increase D"}
 
 
@@ -1161,10 +1189,13 @@ def test_p_action_check_matches_the_expanded_sum_under_a_flipped_row(monkeypatch
     verdicts = set()
     for sign in (1, -1):
         for g in truncated_elements(ModuleParams(4, 4, 1, sign), 2, 2, 12):
+            step, outcomes = action_steps(g), []
             for i, j in itertools.product(range(1, 5), repeat=2):
                 want = _checked(_expanded_p_action_check, g, i, j)
-                assert _checked(p_action_check, g.f, i, j) == want, (sign, g.kt, i, j)
+                assert _checked(step, i, j) == want, (sign, g.kt, i, j)
+                outcomes.append(((i, j), want))
                 verdicts.add(want)
+            _assert_one_call_stops_at_the_first(g, outcomes)
     assert False in verdicts
 
 
@@ -1178,10 +1209,13 @@ def test_p_action_check_matches_the_expanded_sum_under_a_zero_denominator(monkey
     for sign in (1, -1):
         params = ModuleParams(4, 4, 1, sign)
         for g in truncated_elements(params, 2, 2, 12):
+            step, ordered = action_steps(g), []
             for i, j in itertools.product(range(1, 5), repeat=2):
                 want = _checked(_expanded_p_action_check, g, i, j)
-                assert _checked(p_action_check, g.f, i, j) == want, (sign, g.kt, i, j)
+                assert _checked(step, i, j) == want, (sign, g.kt, i, j)
+                ordered.append(((i, j), want))
                 outcomes.add(want if isinstance(want, bool) else want.split(":")[0])
+            _assert_one_call_stops_at_the_first(g, ordered)
     assert "DegenerateDenominatorError" in outcomes
     # rows 0 to 2 differentiate a harmonic, and skip the (i, j) where it vanishes
     assert (True in outcomes) == (row < 3)
@@ -1202,21 +1236,15 @@ def test_paction_suite_expands_no_radial_series(monkeypatch):
 
 
 def test_paction_four_term_work_counts(monkeypatch):
-    # At (4,6,1): no WeylOperator.apply and no expansion; per element one
-    # diagonal table and one Fischer check per variable (each with one
-    # dagger), all kept on the element itself and on no module-level table,
-    # and one layer table per (params, K-type).
-    import gc
+    # At (4,6,1): no WeylOperator.apply; one p_action_check call per sample
+    # of the plan, each placing one diagonal table and running one Fischer
+    # check per variable (each with one dagger); one layer table per
+    # (params, K-type).  The call keeps nothing: a second run does the same
+    # work again, and no module-level table holds a polynomial.
+    from collections import Counter
 
+    import gkverify.checks as checks
     import gkverify.gkmodule as gkmodule
-
-    elements = []
-    real_typical = gkmodule.typical_element
-
-    def keep(*args):
-        f = real_typical(*args)
-        elements.append(f)
-        return f
 
     applies = []
     real_apply = WeylOperator.apply
@@ -1225,51 +1253,49 @@ def test_paction_four_term_work_counts(monkeypatch):
         applies.append(self)
         return real_apply(self, *args, **kwargs)
 
-    tables, fischer, daggers = [], [], []
-    real_placed, real_fischer, real_dagger = (
-        gkmodule._placed, gkmodule._fischer, gkmodule.dagger
+    calls, tables, fischer, daggers = [], [], [], []
+    real_check, real_placed, real_fischer, real_dagger = (
+        checks.p_action_check, gkmodule._placed, gkmodule._fischer, gkmodule.dagger
     )
-    monkeypatch.setattr(gkmodule, "typical_element", keep)
     monkeypatch.setattr(WeylOperator, "apply", count_apply)
+    monkeypatch.setattr(
+        checks, "p_action_check",
+        lambda params, h1, h2: calls.append((params, h1, h2)) or real_check(params, h1, h2),
+    )
     monkeypatch.setattr(
         gkmodule, "_placed",
         lambda terms, params, kt: tables.append((params, kt)) or real_placed(terms, params, kt),
     )
     monkeypatch.setattr(
-        gkmodule, "_fischer", lambda f, var: fischer.append((f, var)) or real_fischer(f, var)
+        gkmodule, "_fischer",
+        lambda params, kt, h, var: fischer.append((params, kt, var))
+        or real_fischer(params, kt, h, var),
     )
     monkeypatch.setattr(
         gkmodule, "dagger", lambda P, block: daggers.append(block) or real_dagger(P, block)
     )
-    expansions = []
-    real_expansion = TypicalElement.expansion.fget
-    monkeypatch.setattr(
-        TypicalElement, "expansion", property(lambda f: expansions.append(f) or real_expansion(f))
-    )
-    ModuleParams.layers.cache_clear()
-    (result,) = execute_jobs(plan_jobs([REGISTRY["paction.four_term"]], [(4, 6, 1)], 3, 3))
-    assert result.status == "pass"
     p, q = 4, 6
-    assert result.instances == p * q * len(elements)
-    assert applies == [] and expansions == []
-    assert tables == [(f.params, f.kt) for f in elements]
-    assert sorted((id(f), var) for f, var in fischer) == sorted(
-        (id(f), var) for f in elements for var in range(p + q)
-    )
-    assert len(daggers) == len(fischer)
-    info = ModuleParams.layers.cache_info()
-    assert info.misses == info.currsize == len({(f.params, f.kt) for f in elements})
-    for f in elements:
-        assert sorted(f._parts, key=str) == sorted(["labels", *range(p + q)], key=str)
-        placed = real_placed(gkmodule._ACTION, f.params, f.kt)
-        placed += gkmodule._layer_terms(f.params, f.kt)
-        assert f._parts["labels"] == gkmodule._verdicts(placed)
-        assert all(f._parts[var][0] for var in range(p + q))
-    # the memo is held by its element alone, and each part by the memo
-    f = elements[0]
-    for part in f._parts.values():
-        assert all(r is f._parts for r in gc.get_referrers(part))
-    assert all(r is f for r in gc.get_referrers(f._parts))
+    samples = [
+        (params, kt, h1, h2)
+        for params in (ModuleParams(p, q, 1, 1), ModuleParams(p, q, 1, -1))
+        for kt, h1, h2 in first_samples(params, 2, 2)
+    ]
+    ModuleParams.layers.cache_clear()
+    for run in (1, 2):
+        (result,) = execute_jobs(plan_jobs([REGISTRY["paction.four_term"]], [(p, q, 1)], 3, 3))
+        assert (result.status, result.instances) == ("pass", p * q * len(samples))
+        assert len(calls) == run * len(samples) == run * 8
+        assert calls == run * [(params, h1, h2) for params, _, h1, h2 in samples]
+        assert tables == run * [(params, kt) for params, kt, _, _ in samples]
+        assert len(fischer) == run * (p + q) * len(samples) == run * 80
+        assert Counter(fischer) == Counter(
+            (params, kt, var) for params, kt, _, _ in samples for var in range(p + q)
+            for _ in range(run)
+        )
+        assert len(daggers) == len(fischer)
+        assert applies == []
+        info = ModuleParams.layers.cache_info()
+        assert info.misses == info.currsize == len(samples)
     for value in vars(gkmodule).values():
         if isinstance(value, dict):
             assert not any(isinstance(v, (MultiPoly, tuple, list)) for v in value.values())
@@ -1303,24 +1329,37 @@ def test_paction_four_term_small_depth_errors(D, error):
 
 def test_radial_layer_pole_raises_on_every_call(monkeypatch):
     # a layer series parameter at a pole raises PsiPoleError on every call,
-    # and no memo is kept
-    f = next(ktype_elements(ModuleParams(4, 6, 1, 1), 1, 1))
+    # and the step keeps nothing in its memo
+    import gkverify.gkmodule as gkmodule
+
+    params = ModuleParams(4, 6, 1, 1)
+    kt, h1, h2 = next(first_samples(params, 1, 1))
     monkeypatch.setattr(ModuleParams, "layers", _with_row(3, kappa=lambda layer: Fraction(-1)))
+    memo = {}
     for _ in range(3):
         with pytest.raises(PsiPoleError):
-            p_action_check(f, 1, 1)
-        assert f._parts == {}
+            p_action_check(params, h1, h2)
+        with pytest.raises(PsiPoleError):
+            gkmodule._action_at(params, kt, h1, h2, 1, 1, memo)
+        assert memo == {}
 
 
 def test_layer_parameter_off_kappa_by_a_fraction_is_refused(monkeypatch):
     # a layer series whose parameter is not kappa plus an integer has no
-    # polynomial ratio to f's series, so the diagonal cannot be decided
-    f = next(ktype_elements(ModuleParams(4, 6, 1, 1), 1, 1))
+    # polynomial ratio to the sample's series, so the diagonal cannot be
+    # decided
+    import gkverify.gkmodule as gkmodule
+
+    params = ModuleParams(4, 6, 1, 1)
+    kt, h1, h2 = next(first_samples(params, 1, 1))
     half = _with_row(3, kappa=lambda layer: layer.kappa + Fraction(1, 2))
     monkeypatch.setattr(ModuleParams, "layers", half)
     with pytest.raises(ValueError, match="is not kappa = .* plus an integer"):
-        p_action_check(f, 1, 1)
-    assert f._parts == {}
+        p_action_check(params, h1, h2)
+    memo = {}
+    with pytest.raises(ValueError, match="is not kappa = .* plus an integer"):
+        gkmodule._action_at(params, kt, h1, h2, 1, 1, memo)
+    assert memo == {}
 
 
 # -- the separated form and the label zero test ---------------------------------------
@@ -1342,7 +1381,8 @@ def test_separated_expansion_is_the_radial_layer(p, q, m):
                 kappa, block = params.weights(f.kt)[0], params.series_block
                 want = h.mul(_radial_series(kappa, mu, block, f.space, D - h.degree()))
                 assert f.expansion == want, (p, q, m, sign, f.kt, D)
-                assert f.f.expansion == truncate(want, f.kt.k + f.kt.l + 2 * mu)
+                base = f.kt.k + f.kt.l + 2 * mu
+                assert TruncatedTypical(params, f.h1, f.h2, base).expansion == truncate(want, base)
                 # terms of different j never collide: each is one bidegree
                 bidegrees = [(a.degree(), b.degree()) for _, a, b in f.separated]
                 assert len(set(bidegrees)) == len(bidegrees)
@@ -1527,12 +1567,15 @@ def test_a_wrong_coordinate_row_fails_the_mixed_action(monkeypatch, mutant):
     assert not _mixed_action_failures()
     assert _four_term_verdict() == ("pass", 192, None)
     monkeypatch.setattr(gkmodule, "_label_rule", wrong_label_rule(mutant))
-    f = next(f for f in ktype_elements(ModuleParams(4, 6, 1, 1), 2, 2) if f.kt.k)
-    lemmas = [gkmodule._fischer(f, var)[0] for var in range(4)]
+    params = ModuleParams(4, 6, 1, 1)
+    kt, h1, _ = next(sample for sample in first_samples(params, 2, 2) if sample[0].k)
+    lemmas = [gkmodule._fischer(params, kt, h1, var)[0] for var in range(4)]
     assert all(lemmas) == (mutant == "D_without_2ac")
     assert _mixed_action_failures()
     assert _four_term_verdict() == ("fail", 25, [1, 1])
-    monkeypatch.setattr(gkmodule, "_fischer", lambda f, var: (True, real_fischer(f, var)[1]))
+    monkeypatch.setattr(
+        gkmodule, "_fischer", lambda *args: (True, real_fischer(*args)[1])
+    )
     assert _mixed_action_failures()
     assert _four_term_verdict() == ("fail", 25, [1, 1])
 
@@ -1540,17 +1583,18 @@ def test_a_wrong_coordinate_row_fails_the_mixed_action(monkeypatch, mutant):
 def test_label_checks_build_no_element(monkeypatch):
     """The label identities read (params, kt) alone.  At (4,6,1) the four
     casimir.*_eigenvalue checks and module.membership call none of
-    typical_element, harmonic_basis, laplacian and MultiPoly.mul, and the
-    Casimir step of symsq.theorem_ingredients calls no typical_element.
-    typical_element still refuses every (k, l) outside the window with k, l
-    <= 3.  Every Laplacian p_action_check applies reads a polynomial in one
-    block only."""
+    _require_block_harmonic (the test of a sample's harmonics),
+    harmonic_basis, laplacian and MultiPoly.mul, and the Casimir step of
+    symsq.theorem_ingredients tests no harmonic.  p_action_check still
+    refuses every (k, l) outside the window with k, l <= 3.  Every
+    Laplacian p_action_check applies reads a polynomial in one block
+    only."""
     import sys
 
     import gkverify.gkmodule as gkmodule
     from gkverify.symsq import theorem_ingredients
 
-    calls = {name: [] for name in ("typical_element", "harmonic_basis", "laplacian")}
+    calls = {name: [] for name in ("_require_block_harmonic", "harmonic_basis", "laplacian")}
     real = {name: getattr(gkmodule, name) for name in calls}
 
     def spy(name):
@@ -1569,8 +1613,9 @@ def test_label_checks_build_no_element(monkeypatch):
     assert calls == {name: [] for name in calls} and products == []
     for sign in (1, -1):
         params = ModuleParams(4, 6, 1, sign)
+        calls["_require_block_harmonic"].clear()
         assert theorem_ingredients(params).casimir_step_ok
-        assert calls["typical_element"] == []
+        assert calls["_require_block_harmonic"] == []
         refused = 0
         for k, l in itertools.product(range(4), repeat=2):
             if params.allows(KType(k, l, 4, 6)):
@@ -1578,16 +1623,14 @@ def test_label_checks_build_no_element(monkeypatch):
             h1 = harmonic_basis(params.space, "x", k)[0]
             h2 = harmonic_basis(params.space, "y", l)[0]
             with pytest.raises(ValueError):
-                typical_element(params, h1, h2)
+                p_action_check(params, h1, h2)
             refused += 1
         assert refused == 10
     calls["laplacian"].clear()
-    elements = [
-        f for sign in (1, -1) for f in ktype_elements(ModuleParams(4, 6, 1, sign), 3, 3)
-    ]
-    for f in elements:
-        for i, j in itertools.product(range(1, 5), range(1, 7)):
-            assert p_action_check(f, i, j)
+    for sign in (1, -1):
+        params = ModuleParams(4, 6, 1, sign)
+        for _, h1, h2 in first_samples(params, 3, 3):
+            assert p_action_check(params, h1, h2) is None
     assert calls["laplacian"]
     for g, block in calls["laplacian"]:
         other = {"x": "y", "y": "x"}[block]

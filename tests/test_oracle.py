@@ -392,7 +392,7 @@ def test_separated_typical_elements_match_sympy(p, q, m, kl_max, count, sign):
     # against the oracle's part of least degree; only the harmonics come
     # from the package.  At (2,6,1) the sign -1 element carries rho_x^mu
     # with mu = 1.
-    from gkverify.gkmodule import ModuleParams, typical_element
+    from gkverify.gkmodule import ModuleParams
     from gkverify.poly import harmonic_basis
     from truncated_reference import TruncatedTypical
 
@@ -408,11 +408,14 @@ def test_separated_typical_elements_match_sympy(p, q, m, kl_max, count, sign):
             for h1 in harmonic_basis(space, "x", k):
                 for h2 in harmonic_basis(space, "y", l):
                     D = 9 + (h1 is harmonic_basis(space, "x", k)[0])  # both parities
-                    f = typical_element(params, h1, h2)
                     want = _oracle_typical(
                         p, q, m, sign, _sympy_poly(h1, v), _sympy_poly(h2, v), D, v
                     )
-                    for poly, top in ((TruncatedTypical(f, D).expansion, D), (f.expansion, 0)):
+                    base = min(map(sum, want))
+                    for poly, top in (
+                        (TruncatedTypical(params, h1, h2, D).expansion, D),
+                        (TruncatedTypical(params, h1, h2, base).expansion, 0),
+                    ):
                         got = {
                             exps: sympy.Rational(c.numerator, c.denominator)
                             for exps, c in poly.monomials().items()
@@ -470,21 +473,23 @@ def _mixed_action_verdicts(params, D, v):
     of the first element of each K-type with k, l <= 2: x_i y_j F + d_{x_i}
     d_{y_j} F against the layers of ModuleParams.layers, monomial by
     monomial up to degree D - 2, with F restated by _oracle_typical, and
-    p_action_check's verdict for the whole series."""
-    from gkverify.gkmodule import ktype_elements, p_action_check
+    the verdict of p_action_check's step at (i, j) for the whole series."""
+    from gkverify.gkmodule import _action_at
+    from truncated_reference import first_samples
 
     p, q = params.p, params.q
-    for f in ktype_elements(params, 2, 2):
-        h1, h2 = _sympy_poly(f.h1, v), _sympy_poly(f.h2, v)
+    for kt, h1p, h2p in first_samples(params, 2, 2):
+        h1, h2 = _sympy_poly(h1p, v), _sympy_poly(h2p, v)
         terms = _oracle_typical(p, q, params.m, params.sign, h1, h2, D, v)
         F = sympy.Poly.from_dict(terms, *v).as_expr()
+        memo = {}
         for i in range(1, p + 1):
             for j in range(1, q + 1):
                 xi, yj = v[i - 1], v[p + j - 1]
                 lhs = _truncated(xi * yj * F + sympy.diff(F, xi, yj), v, D - 2)
-                rows = params.layers(f.kt)
+                rows = params.layers(kt)
                 rhs = _oracle_layers_side(p, params.sign, rows, h1, h2, i, j, D - 2, v)
-                yield lhs == rhs, p_action_check(f, i, j)
+                yield lhs == rhs, _action_at(params, kt, h1p, h2p, i, j, memo)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -492,12 +497,15 @@ def test_mixed_action_layers_match_sympy(sign):
     # (2,4,0): both sides of the four-layer identity restated in sympy from
     # the documented formulas; only the harmonics and the layer rows come
     # from the package, and p_action_check must give the oracle's verdict
-    from gkverify.gkmodule import ModuleParams
+    from gkverify.gkmodule import ModuleParams, p_action_check
+    from truncated_reference import first_samples
 
     v = _symbols(VariableSpace(2, 4))
-    verdicts = list(_mixed_action_verdicts(ModuleParams(2, 4, 0, sign), 10, v))
+    params = ModuleParams(2, 4, 0, sign)
+    verdicts = list(_mixed_action_verdicts(params, 10, v))
     assert len(verdicts) == 2 * 8
     assert all(oracle and package for oracle, package in verdicts)
+    assert all(p_action_check(params, h1, h2) is None for _, h1, h2 in first_samples(params, 2, 2))
 
 
 # rows 1 and 2 have num = 0 on the whole m = 0 window, so their sign flips

@@ -103,19 +103,21 @@ _GOLDEN = [
      "p6_q6_m3_module_suites.json"),
     (["--p", "1", "--q", "7", "--suite", "lie,weyl"], "p1_q7_lie_weyl.json"),
     (["--p", "7", "--q", "1", "--suite", "lie,weyl"], "p7_q1_lie_weyl.json"),
+    (["--p", "2", "--q", "10", "--m", "1"], "p2_q10_m1.json"),
 ]
 
 
 @pytest.mark.parametrize(
     "args,name",
     _GOLDEN,
-    ids=["default", "p6_q6_m3_module_suites", "p1_q7_lie_weyl", "p7_q1_lie_weyl"],
+    ids=["default", "p6_q6_m3_module_suites", "p1_q7_lie_weyl", "p7_q1_lie_weyl", "p2_q10_m1"],
 )
 def test_default_sweep_matches_the_golden_report(tmp_path, args, name):
     # the behaviour contract of a refactor: the JSON report of the default
-    # sweep, of one module-suite run at (6,6,3) and of the lie and weyl
-    # suites at (1,7) and (7,1), each with a one-variable block and n = 8,
-    # apart from timing, is the one pinned in tests/data
+    # sweep, of one module-suite run at (6,6,3), of the lie and weyl suites
+    # at (1,7) and (7,1), each with a one-variable block and n = 8, and of
+    # every suite at (2,10,1), whose k, l <= 2 box is empty and moves to the
+    # window's corner, apart from timing, is the one pinned in tests/data
     out = tmp_path / "sweep.json"
     run = subprocess.run(
         [sys.executable, "-m", "gkverify.cli", "run", *args, "--format", "json",

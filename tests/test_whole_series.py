@@ -15,14 +15,15 @@ import pytest
 
 import gkverify.gkmodule as gkmodule
 from gkverify.cli import DEFAULT_SWEEP
-from gkverify.gkmodule import ModuleParams, ktype_elements, ktype_enumeration, p_action_check
+from gkverify.gkmodule import ModuleParams, ktype_enumeration, p_action_check
 from gkverify.liealg import closed_form
 from helpers import wrong_label_rule
 from truncated_reference import (
-    TruncatedTypical,
     action_labels_at,
+    action_steps,
     label_zero_test,
     membership_steps,
+    truncated_elements,
 )
 
 FORMS = ("op", "oq", "g", "xi")
@@ -77,24 +78,24 @@ def test_degree_bounds_hold_and_are_attained(p, q, m):
     # and for some word the difference of order bound does not
     attained = set()
     for params in _families(p, q, m):
-        for f in ktype_elements(params, 3, 3):
-            for name, terms in _identities(params, f.kt).items():
-                placed = gkmodule._placed(terms, params, f.kt)
+        for kt in ktype_enumeration(params, 3, 3):
+            for name, terms in _identities(params, kt).items():
+                placed = gkmodule._placed(terms, params, kt)
                 for two_base, diag in gkmodule._diagonals(placed).values():
                     for term in diag:
                         values = _term_values(two_base, term, term.bound + 2)
-                        assert _difference(values, term.bound + 1) == 0, (f.kt, name, term)
+                        assert _difference(values, term.bound + 1) == 0, (kt, name, term)
                         if _difference(values, term.bound):
                             attained.add(name)
-            placed = gkmodule._placed(gkmodule._ACTION, params, f.kt)
-            placed += gkmodule._layer_terms(params, f.kt)
+            placed = gkmodule._placed(gkmodule._ACTION, params, kt)
+            placed += gkmodule._layer_terms(params, kt)
             for key, (two_base, terms) in gkmodule._diagonals(placed).items():
                 top = max(term.bound for term in terms)
                 for term in terms:
                     values = _term_values(two_base, term, term.bound + 2)
-                    assert _difference(values, term.bound + 1) == 0, (f.kt, key, term)
+                    assert _difference(values, term.bound + 1) == 0, (kt, key, term)
                 sums = [gkmodule._diagonal_value(two_base, terms, t) for t in range(top + 2)]
-                assert _difference(sums, top + 1) == 0, (f.kt, key)
+                assert _difference(sums, top + 1) == 0, (kt, key)
     assert attained >= {"g", "kill", "power"}
 
 
@@ -109,23 +110,29 @@ def test_whole_series_verdicts_match_the_depth_30_reference(p, q, m):
     # the verdict of the depth-D label path at D = 30
     verdicts = set()
     for params in _families(p, q, m):
-        for f in ktype_elements(params, 4, 4):
-            g = TruncatedTypical(f, 30)
+        for g in truncated_elements(params, 4, 4, 30):
             for off in (0, 1):
-                for name, terms in _identities(params, f.kt, off).items():
+                for name, terms in _identities(params, g.kt, off).items():
                     want, _ = label_zero_test(terms, g)
-                    got = gkmodule._vanishes(terms, params, f.kt)
-                    assert got == want, (params.sign, f.kt, name, off)
+                    got = gkmodule._vanishes(terms, params, g.kt)
+                    assert got == want, (params.sign, g.kt, name, off)
                     verdicts.add(want)
             sums = action_labels_at(g)
+            step, failed = action_steps(g), None
             for i, j in itertools.product(range(1, p + 1), range(1, q + 1)):
-                got = p_action_check(f, i, j)
-                no_d = {"x": f._parts[i - 1][1], "y": f._parts[p + j - 1][1]}
+                got = step(i, j)
+                no_d = {
+                    "x": gkmodule._fischer(params, g.kt, g.h1, i - 1)[1],
+                    "y": gkmodule._fischer(params, g.kt, g.h2, p + j - 1)[1],
+                }
                 want = not any(
                     s for (kx, _, ky, _), s in sums.items()
                     if not (kx == "d" and no_d["x"] or ky == "d" and no_d["y"])
                 )
-                assert got == want, (params.sign, f.kt, i, j)
+                assert got == want, (params.sign, g.kt, i, j)
+                if not got and failed is None:
+                    failed = i, j
+            assert p_action_check(params, g.h1, g.h2) == failed, (params.sign, g.kt)
     assert verdicts == {True, False}
 
 

@@ -1,9 +1,12 @@
 """Truncated expansions of module elements, the tests' reference layer.
 
 The package decides every module identity for the whole series, on the
-K-type labels of a typical element, and never truncates one.  The tests
+K-type labels of a sample (kt, h1, h2), and never truncates one.  The tests
 compare it with the depth-D path it replaced, kept here:
 
+* first_samples yields the sample with the first harmonics of each K-type
+  of a plan, and action_steps runs the package's mixed-action step on a
+  sample one (i, j) at a time.
 * TruncatedTypical cuts a typical element at total degree D: it holds the
   terms (w_j, a_x, a_y) of degree k + l + 2 a_x + 2 a_y <= D, and forms
   their separated form and expansion when read.
@@ -25,7 +28,7 @@ from functools import lru_cache
 from math import lcm
 
 from gkverify import gkmodule
-from gkverify.gkmodule import DegenerateDenominatorError, ModuleParams, psi_series
+from gkverify.gkmodule import DegenerateDenominatorError, KType, ModuleParams, psi_series
 from gkverify.liealg import STOCK_OPERATORS, Generator, closed_form, closed_operator, pi_generator
 from gkverify.poly import ZERO, MultiPoly, VariableSpace, rsq
 from gkverify.weyl import WeylOperator
@@ -56,20 +59,23 @@ def default_depth(m: int, kl_max: int) -> int:
 
 
 class TruncatedTypical:
-    """The typical element f cut at total degree D, exact to degree
-    `validity` = D.  `terms` holds the (w_j, a_x, a_y) with k + l + 2 mu + 4
-    j <= D: the term w_j h1 (r_x^2)^a_x h2 (r_y^2)^a_y with a = j + mu on the
-    series block and j on the other, w_j = c_j / 2^(2 j + mu) from
-    psi_series."""
+    """The typical element of the family `params` with harmonics h1, h2, cut
+    at total degree D, exact to degree `validity` = D.  Its K-type is read
+    off the harmonics' degrees and must lie in the window, as the package's
+    p_action_check requires.  `terms` holds the (w_j, a_x, a_y) with k + l
+    + 2 mu + 4 j <= D: the term w_j h1 (r_x^2)^a_x h2 (r_y^2)^a_y with a = j
+    + mu on the series block and j on the other, w_j = c_j / 2^(2 j + mu)
+    from psi_series."""
 
-    def __init__(self, f: gkmodule.TypicalElement, D: int) -> None:
-        params, kt = f.params, f.kt
+    def __init__(self, params: ModuleParams, h1: MultiPoly, h2: MultiPoly, D: int) -> None:
+        k = gkmodule._require_block_harmonic(h1, "x")
+        kt = KType(k, gkmodule._require_block_harmonic(h2, "y"), params.p, params.q)
+        gkmodule._frame(params, kt)
         mu = params.mu(kt)
         base = kt.k + kt.l + 2 * mu
         if D < base:
             raise TruncationError(f"D={D} is below the base degree {base}")
-        self.f, self.validity = f, D
-        self.params, self.kt, self.h1, self.h2 = params, kt, f.h1, f.h2
+        self.params, self.kt, self.h1, self.h2, self.validity = params, kt, h1, h2, D
         coeffs = psi_series(params.weights(kt)[0], D - base).coeffs
         mx = mu if params.series_block == "x" else 0
         self.terms = tuple(
@@ -109,14 +115,26 @@ def _radius_powers(h, block, start, n):
     return out[start:]
 
 
-def truncated_element(params: ModuleParams, h1, h2, D: int) -> TruncatedTypical:
-    return TruncatedTypical(gkmodule.typical_element(params, h1, h2), D)
+def first_samples(params: ModuleParams, k_max: int, l_max: int):
+    """The sample (kt, h1, h2) with the first harmonics of each K-type of
+    ktype_enumeration(params, k_max, l_max), in its order: the samples that
+    paction.four_term checks at k_max, l_max <= 2."""
+    for kt in gkmodule.ktype_enumeration(params, k_max, l_max):
+        yield gkmodule._first_harmonics(params, kt)
 
 
 def truncated_elements(params: ModuleParams, k_max: int, l_max: int, D: int):
-    """ktype_elements(params, k_max, l_max), each cut at degree D."""
-    for f in gkmodule.ktype_elements(params, k_max, l_max):
-        yield TruncatedTypical(f, D)
+    """first_samples(params, k_max, l_max), each cut at degree D."""
+    for _, h1, h2 in first_samples(params, k_max, l_max):
+        yield TruncatedTypical(params, h1, h2, D)
+
+
+def action_steps(g):
+    """The package's mixed-action step at (i, j) on the sample of g,
+    gkmodule._action_at, as a function of (i, j) whose calls share one
+    memo, as the (i, j) of one p_action_check call do."""
+    memo = {}
+    return lambda i, j: gkmodule._action_at(g.params, g.kt, g.h1, g.h2, i, j, memo)
 
 
 # -- the depth-D label zero tests ---------------------------------------------------
@@ -217,9 +235,9 @@ def action_labels_at(g):
 
 
 def p_action_at(g, i, j):
-    """p_action_check(g.f, i, j) on the label sums of action_labels_at, at
-    validity g.validity - 2: the same operator step, Fischer lemmas, "d"
-    drops and DegenerateDenominatorError guard."""
+    """p_action_check's step at (i, j) on the label sums of
+    action_labels_at, at validity g.validity - 2: the same operator step,
+    Fischer lemmas, "d" drops and DegenerateDenominatorError guard."""
     params, kt = g.params, g.kt
     if g.validity < 2:
         raise TruncationError("validity became negative; increase D")
@@ -232,7 +250,8 @@ def p_action_at(g, i, j):
     sums = action_labels_at(g)
     no_d = {}
     for block, var in (("x", xi), ("y", yj)):
-        lemma, no_d[block] = gkmodule._fischer(g.f, var)
+        h = g.h1 if block == "x" else g.h2
+        lemma, no_d[block] = gkmodule._fischer(params, kt, h, var)
         if not lemma:
             return False
     for layer in params.layers(kt):
