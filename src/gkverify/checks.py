@@ -329,12 +329,16 @@ def _weyl_ccr(run: CheckRun):
     return True, checked, {}
 
 
-def _op_family(space: VariableSpace) -> List[WeylOperator]:
+@lru_cache(maxsize=None)
+def _op_family(space: VariableSpace) -> Tuple[WeylOperator, ...]:
+    """The weyl suite's six operators on the space, built once per space and
+    shared by its checks (so each operator's ``rows()`` is built once too);
+    the products the checks compose from them are not kept."""
     mixed = next(
         g for g in generators(space.p, space.q, "M") if g.i <= space.p < g.j
     )
     x1 = WeylOperator.var(space, 0)
-    return [
+    return (
         euler_op(space, "x"),
         laplacian_op(space, "x"),
         rsq_op(space, "y"),
@@ -342,7 +346,7 @@ def _op_family(space: VariableSpace) -> List[WeylOperator]:
         # x_1^2 times the last variable: the x Laplacian contracts twice with it
         x1.compose(x1).compose(WeylOperator.var(space, space.nvars - 1)),
         pi_generator(mixed, space),
-    ]
+    )
 
 
 def _poly_family(space: VariableSpace) -> List[MultiPoly]:

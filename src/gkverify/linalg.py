@@ -129,9 +129,9 @@ def rref_nullspace(rows: Iterable[Row], columns: Iterable[int]) -> List[Row]:
     """Exact nullspace basis of the linear map given by rows over columns.
 
     Each returned vector is a primitive int dict over column keys whose
-    graded-largest support key has a positive coefficient; vectors are
-    ordered by that leading key, descending.  The count always equals
-    len(columns) - rank(rows).
+    graded-largest support key has a positive coefficient, with its keys in
+    ascending order; vectors are ordered by that leading key, descending.
+    The count always equals len(columns) - rank(rows).
     """
     rref = SparseRREF()
     for row in rows:
@@ -141,8 +141,9 @@ def rref_nullspace(rows: Iterable[Row], columns: Iterable[int]) -> List[Row]:
         if f in rref.rows:
             continue
         # every row holding the free column f has its smaller pivot there,
-        # so f is the leading key of its vector
-        hits = [(pc, rref.rows[pc]) for pc in rref.holders.get(f, ())]
+        # so f is the leading key of its vector; the holders are read in
+        # key order, so the vector's term order does not hang on set order
+        hits = [(pc, rref.rows[pc]) for pc in sorted(rref.holders.get(f, ()))]
         scale = lcm(*(row[pc] for pc, row in hits))
         vec = {pc: -row[f] * (scale // row[pc]) for pc, row in hits}
         vec[f] = scale

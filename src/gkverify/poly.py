@@ -71,6 +71,9 @@ BlockLayout = Tuple[int, int, int, int, Tuple[Tuple[int, int], ...]]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# The interned spaces, keyed by (p, q); see VariableSpace.
+_SPACES: Dict[Tuple[int, int], "VariableSpace"] = {}
+
 
 class NonHomogeneousError(ValueError):
     """Raised when an operation needs a block-homogeneous polynomial."""
@@ -80,16 +83,39 @@ class DegenerateDaggerError(ZeroDivisionError):
     """Raised when the harmonic projection denominator 2d+n-4 vanishes."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class VariableSpace:
-    """The ambient variables x_1..x_p, y_1..y_q."""
+    """The ambient variables x_1..x_p, y_1..y_q.
+
+    Interned: ``VariableSpace(p, q) is VariableSpace(p, q)``, so every
+    check, module family and operator over one signature shares one space
+    and its cached ``shifts``, ``units``, ``low_bits`` and block layouts,
+    and equality and hashing are identity.  The arguments are validated
+    before the table is read or written: p and q must be ints (not bools)
+    with p, q >= 0 and p + q >= 1, else TypeError or ValueError, and a
+    refused pair leaves nothing in the table, so ``VariableSpace(2.0, 2)``
+    raises instead of aliasing ``VariableSpace(2, 2)``.
+    """
 
     p: int
     q: int
 
-    def __post_init__(self) -> None:
-        if self.p < 0 or self.q < 0 or self.p + self.q == 0:
+    def __new__(cls, p: int, q: int) -> "VariableSpace":
+        for name, v in (("p", p), ("q", q)):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise TypeError(f"VariableSpace {name} must be an int, not {type(v).__name__}")
+        if p < 0 or q < 0 or p + q == 0:
             raise ValueError("need p, q >= 0 with p + q >= 1")
+        space = _SPACES.get((p, q))
+        if space is None:
+            space = object.__new__(cls)
+            object.__setattr__(space, "p", int(p))
+            object.__setattr__(space, "q", int(q))
+            space = _SPACES.setdefault((p, q), space)
+        return space
+
+    def __reduce__(self):
+        return (VariableSpace, (self.p, self.q))
 
     @cached_property
     def nvars(self) -> int:
@@ -547,21 +573,40 @@ def _block_monomial_keys(space: VariableSpace, block: str, k: int) -> List[int]:
 def harmonic_basis(space: VariableSpace, block: str, degree: int) -> Tuple[MultiPoly, ...]:
     """All degree-`degree` harmonics of the block, as an exact nullspace basis.
 
-    The basis is a plain tuple of polynomials (cached per space, block and
-    degree, so callers share it).  Elements are monic in the graded-lex leading monomial and ordered by that
-    leading monomial, descending.  The basis size always equals the two-term
-    binomial dimension count; that identity is asserted here.  A negative
-    degree raises ValueError.
+    The basis is a plain tuple of polynomials, cached per space, block and
+    degree, so callers share it.  Elements are monic in the graded-lex
+    leading monomial and ordered by that leading monomial, descending.  The
+    nullspace is solved once per (block size, degree) by ``_shape_basis``,
+    in the block's own coordinates, and re-keyed here: each key's fields
+    move to the block's offset and its degree to ``deg_shift``.  That map
+    keeps the order of keys, so the basis, term order included, is the one
+    a nullspace over the space's own keys gives.  A negative degree or an
+    empty block raises ValueError.
     """
     if degree < 0:
         raise ValueError(f"harmonic degree {degree} is negative")
     nblk = space.block_size(block)
     if nblk == 0:
         raise ValueError(f"block {block!r} is empty")
-    cols = _block_monomial_keys(space, block, degree)
+    shift, mask, _, _, _ = space.block_layout(block)
+    top = degree << space.deg_shift
+    return tuple(
+        MultiPoly._make(space, {(k & mask) << shift | top: v for k, v in h._terms.items()}, h.den)
+        for h in _shape_basis(nblk, degree)
+    )
+
+
+@lru_cache(maxsize=None)
+def _shape_basis(nblk: int, degree: int) -> Tuple[MultiPoly, ...]:
+    """The degree-`degree` harmonics of ``VariableSpace(nblk, 0)``: one exact
+    nullspace of the Laplacian on the degree-`degree` monomials, whose size
+    must equal the two-term binomial dimension count (AssertionError
+    otherwise)."""
+    space = VariableSpace(nblk, 0)
+    cols = _block_monomial_keys(space, "x", degree)
     rows: Dict[int, Dict[int, int]] = {}
     for src in cols:
-        for i in space.block_range(block):
+        for i in range(nblk):
             e = space.exponent_of(src, i)
             if e >= 2:
                 tgt = src - 2 * space.unit_key(i)

@@ -43,11 +43,15 @@ Leibniz expansion that ``compose`` uses too.
 Application to a polynomial evaluates d^alpha on each monomial as a falling
 factorial and shifts exponents; both directions are exact.  A term without
 derivatives only adds its monomial key to each input key; a derivative term
-reads only the fields its support marks.  Each operator keeps one table,
-``rows()``, built on its first composition or application: per term the
-keys, the coefficient, the two supports and the (shift, alpha_i) derivative
-fields.  The Leibniz kernel reads the supports and application reads the
-derivative fields, so repeated use of one operator unpacks nothing.
+reads only the fields its support marks, and a term with one derivative
+field, the common case, runs its own loop over the input with that one
+exponent test.  The degree cap reads f's degree from its largest key.  Each
+operator keeps one table, ``rows()``, a tuple built on its first
+composition or application: per term the keys, the coefficient, the two
+supports (computed inline, as ``VariableSpace.support`` does) and the
+(shift, alpha_i) derivative fields.  The Leibniz kernel reads the supports
+and application reads the derivative fields, so repeated use of one
+operator unpacks nothing.
 Composition and application multiply int numerators and reduce once, over
 the product of the two denominators.  ``liealg.pi_env`` runs the same kernel
 once per word, the composed prefix after the last letter's image, into one
@@ -102,30 +106,37 @@ class WeylOperator(SparseRational):
     def space(self) -> VariableSpace:
         return self.ctx
 
-    def rows(self) -> list:
+    def rows(self) -> tuple:
         """(km, ka, c, support(km), support(ka), alpha) for every term, in
         term order, where alpha holds (shift, alpha_i) for each derivative
         variable, read from the set bits of support(ka), highest shift first
         (empty for a term without derivatives).
 
         Built on first use and kept, so an operator composed or applied many
-        times (a cached generator image) unpacks its keys once.
+        times (a cached generator image) unpacks its keys once.  The
+        supports are ``VariableSpace.support`` written out inline.
         """
         try:
             return self._rows
         except AttributeError:
-            support = self.ctx.support
-            rows = self._rows = []
-            for (km, ka), c in self._terms.items():
-                sup_ka = support(ka)
-                alpha = []
-                bits = sup_ka
-                while bits:
-                    sh = bits.bit_length() - 1
-                    bits ^= 1 << sh
-                    alpha.append((sh, (ka >> sh) & MAX_EXP))
-                rows.append((km, ka, c, support(km), sup_ka, alpha))
-            return rows
+            pass
+        low = self.ctx.low_bits
+        rows = []
+        for (km, ka), c in self._terms.items():
+            s = km | km >> 1
+            s |= s >> 2
+            sup_km = (s | s >> 3) & low
+            s = ka | ka >> 1
+            s |= s >> 2
+            sup_ka = bits = (s | s >> 3) & low
+            alpha = []
+            while bits:
+                sh = bits.bit_length() - 1
+                bits ^= 1 << sh
+                alpha.append((sh, (ka >> sh) & MAX_EXP))
+            rows.append((km, ka, c, sup_km, sup_ka, tuple(alpha)))
+        self._rows = tuple(rows)
+        return self._rows
 
     # -- constructors ------------------------------------------------------
 
@@ -231,20 +242,22 @@ class WeylOperator(SparseRational):
         d + |a| - |alpha|.  A term without derivatives shifts each key by its
         monomial key, and a derivative term tests the exponents of a
         monomial before it multiplies coefficients; both read the term's
-        key shift km - ka and derivative fields from ``rows()``.  The
-        encoding cap is guarded on the degree of the result, which no
-        exponent of it exceeds: each row's degree raise is tested against
-        the room f leaves, before the row adds anything.
+        key shift km - ka and derivative fields from ``rows()``.  A term
+        with one derivative field, the common case, tests that one exponent
+        in its own loop.  The encoding cap is guarded on the degree of the
+        result, which no exponent of it exceeds: each row's degree raise is
+        tested against the room f leaves, before the row adds anything; f's
+        degree is that of its largest key.
         """
         if not isinstance(f, MultiPoly):
             raise TypeError(f"cannot apply an operator to {type(f).__name__}")
-        if f.ctx is not self.ctx and f.ctx != self.ctx:
+        if f.ctx is not self.ctx:
             raise ValueError("operator and polynomial spaces differ")
         sp = self.space
-        if not self._terms or f.is_zero():
+        if not self._terms or not f._terms:
             return MultiPoly.zero(sp)
         ds = sp.deg_shift
-        room = MAX_EXP - f.degree()
+        room = MAX_EXP - (max(f._terms) >> ds)
         items = f._terms.items()
         out: Dict[int, int] = {}
         get = out.get
@@ -257,17 +270,24 @@ class WeylOperator(SparseRational):
                 for ke, ce in items:
                     nk = ke + delta
                     out[nk] = get(nk, 0) + c * ce
-                continue
-            for ke, ce in items:
-                mult = 1
-                for sh, al in alpha:
+            elif len(alpha) == 1:
+                ((sh, al),) = alpha
+                for ke, ce in items:
                     e = (ke >> sh) & MAX_EXP
-                    if e < al:
-                        break
-                    mult *= e if al == 1 else falling(e, al)
-                else:
-                    nk = ke + delta
-                    out[nk] = get(nk, 0) + c * ce * mult
+                    if e >= al:
+                        nk = ke + delta
+                        out[nk] = get(nk, 0) + c * ce * (e if al == 1 else falling(e, al))
+            else:
+                for ke, ce in items:
+                    mult = 1
+                    for sh, al in alpha:
+                        e = (ke >> sh) & MAX_EXP
+                        if e < al:
+                            break
+                        mult *= e if al == 1 else falling(e, al)
+                    else:
+                        nk = ke + delta
+                        out[nk] = get(nk, 0) + c * ce * mult
         return MultiPoly.reduced(sp, out, self.den * f.den)
 
     # -- display ---------------------------------------------------------------
@@ -282,8 +302,8 @@ class WeylOperator(SparseRational):
 
 def _leibniz(
     sp: VariableSpace,
-    a_rows: list,
-    b_rows: list,
+    a_rows: tuple,
+    b_rows: tuple,
     acc: Dict[TermKey, int],
     sign: int,
 ) -> None:

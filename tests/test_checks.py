@@ -4,7 +4,7 @@ import pytest
 
 import gkverify.gkmodule as gkmodule
 import gkverify.symsq as symsq
-from gkverify import liealg
+from gkverify import checks, liealg, poly
 from gkverify.checks import REGISTRY, CheckDef, CheckRun, execute_jobs, plan_jobs, selected_checks
 from gkverify.gkmodule import (
     DegenerateSampleError,
@@ -464,3 +464,19 @@ def test_a_commutator_without_its_second_order_fails_the_realization(monkeypatch
     monkeypatch.undo()
     for name in ("lie.homomorphism", "weyl.canonical_commutation"):
         assert _verdict(name, 4, 4, None)[0] == "pass", name
+
+
+def test_a_lie_realization_pass_builds_each_shape_and_family_once(monkeypatch):
+    # the lie and weyl suites on the 28 signatures p + q <= 8 with p, q >= 1:
+    # one harmonic nullspace per (block size, degree), 7 sizes x 4 degrees,
+    # and one weyl operator family per space
+    nullspaces = []
+    real = poly.rref_nullspace
+    monkeypatch.setattr(poly, "rref_nullspace", lambda *a: nullspaces.append(a) or real(*a))
+    for cached in (poly.harmonic_basis, poly._shape_basis, checks._op_family):
+        cached.cache_clear()
+    tuples = [(p, q, None) for p in range(1, 8) for q in range(1, 9 - p)]
+    results = execute_jobs(plan_jobs(selected_checks(["lie", "weyl"]), tuples, 3, 3))
+    assert {r.status for r in results} == {"pass"}
+    assert len(nullspaces) == 28
+    assert checks._op_family.cache_info().misses == 28

@@ -279,6 +279,8 @@ def test_indexed_echelon_matches_scanning_on_decompose_S2(monkeypatch, n):
 @pytest.mark.parametrize("p,q", [(2, 2), (3, 5), (4, 6), (5, 5)])
 def test_indexed_nullspace_matches_scanning_on_harmonic_bases(monkeypatch, p, q):
     space = VariableSpace(p, q)
+    # uncached, so that the per-shape nullspace runs through the spy
+    monkeypatch.setattr(poly, "_shape_basis", poly._shape_basis.__wrapped__)
     for block in ("x", "y"):
         for degree in range(5):
             runs = []

@@ -1,12 +1,17 @@
 """Sparse polynomials, harmonic bases, and the projection correction."""
 
 from fractions import Fraction
+import copy
+import pickle
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkverify.liealg import EnvelopingElement, Generator, LieElement
+from gkverify import poly
+from gkverify.checks import CheckRun
+from gkverify.gkmodule import ModuleParams
+from gkverify.liealg import EnvelopingElement, Generator, LieElement, pi_generator
 from gkverify.poly import (
     MAX_EXP,
     ONE,
@@ -46,6 +51,45 @@ small_coeffs = st.fractions(
 polys = st.lists(
     st.tuples(exponent_tuples, small_coeffs), min_size=0, max_size=5
 ).map(lambda entries: from_monomials(SPACE, entries))
+
+
+def test_one_space_per_signature():
+    # checks, module families and operators over (p, q) share one space
+    for p, q in ((4, 4), (4, 6), (3, 5)):
+        space = VariableSpace(p, q)
+        assert space is VariableSpace(p, q) is VariableSpace(q=q, p=p)
+        assert space is CheckRun(p, q, 1, 3, 3).space is ModuleParams(p, q, 1, 1).space
+        assert space is ModuleParams(p, q, 0, -1).space
+        assert pi_generator(Generator(1, p + 1, "M"), space).ctx is space
+        assert pickle.loads(pickle.dumps(space)) is space
+        assert copy.deepcopy(space) is space
+    assert VariableSpace(2, 2) != VariableSpace(2, 3)
+    assert VariableSpace(1, 0) is not VariableSpace(0, 1)
+
+
+@pytest.mark.parametrize(
+    "p, q, error",
+    [
+        (2.5, 1, TypeError),
+        (2.0, 2, TypeError),
+        (2, 2.0, TypeError),
+        (True, 1, TypeError),
+        (1, False, TypeError),
+        (Fraction(2), 2, TypeError),
+        ("2", 2, TypeError),
+        (None, 2, TypeError),
+        (-1, 2, ValueError),
+        (0, 0, ValueError),
+    ],
+)
+def test_space_sizes_are_validated_before_interning(p, q, error):
+    VariableSpace(2, 2)  # (2.0, 2) must not find this one
+    table = dict(poly._SPACES)
+    for _ in range(2):  # on every call, not only the first
+        with pytest.raises(error, match="int, not|p, q >= 0"):
+            VariableSpace(p, q)
+    assert poly._SPACES == table
+    assert all(type(s.p) is int and type(s.q) is int for s in poly._SPACES.values())
 
 
 def test_pack_unpack_roundtrip():

@@ -17,7 +17,9 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkverify import poly
 from gkverify.liealg import generators, pi_generator
+from gkverify.linalg import rref_nullspace
 from truncated_reference import truncate
 from gkverify.poly import (
     MAX_EXP,
@@ -27,6 +29,7 @@ from gkverify.poly import (
     _block_monomial_keys,
     dagger,
     euler,
+    harmonic_basis,
     laplacian,
     rho,
 )
@@ -126,6 +129,20 @@ def ref_block_monomial_keys(space, block, k):
 
     rec(0, k, 0)
     return keys
+
+
+def ref_harmonic_basis(space, block, degree):
+    """The harmonics as one nullspace over the space's own keys, per space,
+    block and degree."""
+    cols = _block_monomial_keys(space, block, degree)
+    rows = {}
+    for src in cols:
+        for i in space.block_range(block):
+            e = space.exponent_of(src, i)
+            if e >= 2:
+                rows.setdefault(src - 2 * space.unit_key(i), {})[src] = e * (e - 1)
+    vectors = rref_nullspace(rows.values(), cols)
+    return tuple(MultiPoly.reduced(space, v, v[max(v)]) for v in vectors)
 
 
 def ref_rho(block):
@@ -281,6 +298,33 @@ def test_block_monomial_keys_match_reference(p, q):
         for k in range(7):
             keys = _block_monomial_keys(space, block, k)
             assert sorted(keys) == sorted(ref_block_monomial_keys(space, block, k))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_harmonic_basis_matches_the_per_space_nullspace(n):
+    # one nullspace per (block size, degree), re-keyed into every space with
+    # p + q = n: the same polynomials in the same term order
+    for p in range(n + 1):
+        space = VariableSpace(p, n - p)
+        for block in "xy":
+            if space.block_size(block) == 0:
+                continue
+            for degree in range(7):
+                got = harmonic_basis(space, block, degree)
+                want = ref_harmonic_basis(space, block, degree)
+                assert [(list(h._terms.items()), h.den) for h in got] == [
+                    (list(h._terms.items()), h.den) for h in want
+                ], (p, n - p, block, degree)
+                assert all(h.ctx is space for h in got)
+
+
+def test_harmonic_basis_keeps_its_dimension_assertion(monkeypatch):
+    monkeypatch.setattr(poly, "harmonic_dim", lambda n, k: 3)
+    with pytest.raises(AssertionError, match="got 2, expected 3"):
+        poly._shape_basis.__wrapped__(2, 2)
+    for args in ((VariableSpace(2, 2), "x", -1), (VariableSpace(0, 3), "x", 1)):
+        with pytest.raises(ValueError, match="negative|empty"):
+            harmonic_basis(*args)
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), coeffs), max_size=4), blocks)

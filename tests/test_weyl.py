@@ -1,12 +1,16 @@
 """Normal-ordered differential operators: composition, application, brackets."""
 
+import inspect
 import itertools
+import re
+import textwrap
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gkverify import weyl
 from gkverify.checks import _op_family, _poly_family
 from gkverify.liealg import closed_operator, generators, pi_generator, sl2_triple
 from gkverify.poly import MAX_EXP, ONE, MultiPoly, VariableSpace, euler, laplacian, rsq
@@ -354,7 +358,7 @@ def test_commutator_degree_cap_boundary():
 def test_one_pass_commutator_matches_the_two_pass_form(p, q):
     # the check family, every generator image and the sl2 triple, pairwise
     space = VariableSpace(p, q)
-    ops = _op_family(space) + [pi_generator(g, space) for g in generators(p, q, "M")]
+    ops = list(_op_family(space)) + [pi_generator(g, space) for g in generators(p, q, "M")]
     ops += list(sl2_triple(space))
     for A in ops:
         for B in ops:
@@ -374,7 +378,7 @@ def test_one_pass_commutator_matches_the_two_pass_form(p, q):
                     X = lift.compose(A)
                 except ValueError:
                     continue
-                for B in _op_family(space) + list(sl2_triple(space)):
+                for B in list(_op_family(space)) + list(sl2_triple(space)):
                     for L, R in ((X, B), (B, X)):
                         try:
                             L.compose(R)
@@ -518,23 +522,122 @@ def test_apply_matches_the_sorted_reference(pair):
     assert _Counted.products == formed
 
 
+# -- the fast paths of apply, one kind of row at a time --------------------------------
+
+FAST_SPACE = VariableSpace(2, 3)
+
+
+def _fast_path_operators():
+    """Operators whose rows have no derivative field, one field with
+    alpha_i = 1, 2, 3 or 5, or two and three fields, alone and summed."""
+    sp = FAST_SPACE
+    rows = [
+        _t(sp, coeff=3),
+        _t(sp, mono={0: 2, 3: 1}, coeff=Fraction(-1, 2)),
+        _t(sp, deriv={0: 1}),
+        _t(sp, mono={2: 1}, deriv={4: 1}, coeff=2),
+        _t(sp, deriv={1: 2}, coeff=Fraction(5, 3)),
+        _t(sp, mono={0: 1}, deriv={3: 3}),
+        _t(sp, deriv={2: 5}, coeff=-7),
+        _t(sp, deriv={0: 1, 1: 1}),
+        _t(sp, mono={4: 2}, deriv={0: 2, 3: 3}, coeff=Fraction(1, 4)),
+        _t(sp, deriv={0: 1, 2: 2, 4: 3}, coeff=-1),
+    ]
+    return rows + [sum(rows[1:], rows[0]), rows[2] + rows[4] + rows[7]]
+
+
+def _fast_path_polys():
+    """Every exponent of 0 .. 6 on each variable, below, at and above each
+    alpha_i."""
+    sp = FAST_SPACE
+    monomials = [
+        (exps, Fraction(i % 5 - 2 or 1, i % 3 + 1))
+        for i, exps in enumerate(itertools.product((0, 1, 2, 3, 5, 6), repeat=2))
+    ]
+    spread = [((a, b, c, d, e), 1) for a, b, c, d, e in itertools.product((0, 2, 5), repeat=5)]
+    return [
+        from_monomials(sp, [((a, b, a, b, a), c) for (a, b), c in monomials]),
+        from_monomials(sp, spread),
+        MultiPoly.variable(sp, 0),
+    ]
+
+
+def _fast_path_mismatches():
+    """(operator, polynomial) pairs where apply differs from the sorted
+    reference, in its result or in the coefficient products it forms."""
+    bad = 0
+    for A in _fast_path_operators():
+        for f in _fast_path_polys():
+            counted = MultiPoly(f.space, {k: _Counted(v) for k, v in f._terms.items()}, f.den)
+            _Counted.products = 0
+            got = _copy(A).apply(counted)
+            want, formed = _sorted_apply(A, f)
+            if got._terms != want._terms or got.den != want.den or _Counted.products != formed:
+                bad += 1
+    return bad
+
+
+def test_apply_fast_paths_match_the_sorted_reference():
+    alphas = [alpha for A in _fast_path_operators() for *_, alpha in A.rows()]
+    kinds = {len(alpha) for alpha in alphas}
+    orders = {alpha[0][1] for alpha in alphas if len(alpha) == 1}
+    assert kinds == {0, 1, 2, 3} and orders == {1, 2, 3, 5}
+    assert _fast_path_mismatches() == 0
+
+
+def test_apply_degree_cap_message_on_every_kind_of_row():
+    sp = FAST_SPACE
+    f = from_monomials(sp, [((122, 0, 0, 0, 5), 1), ((1, 1, 1, 1, 1), 2)])
+    for deriv in ({}, {4: 1}, {4: 2}, {0: 1, 4: 1}):
+        over = _t(sp, mono={1: 3}, deriv=deriv) + _t(sp, deriv={4: 1})
+        full = f.degree() + over.degree_raise()
+        assert full > MAX_EXP
+        with pytest.raises(ValueError) as err:
+            over.apply(f)
+        assert str(err.value) == f"application degree {full} exceeds encoding cap 127"
+
+
+def _apply_mutant(old, new):
+    """``WeylOperator.apply`` with the one source line `old` replaced by `new`."""
+    src = textwrap.dedent(inspect.getsource(WeylOperator.apply))
+    assert len(re.findall(re.escape(old), src)) == 1, old
+    namespace = {}
+    exec(src.replace(old, new), vars(weyl), namespace)
+    return namespace["apply"]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # the one-field loop without its e >= alpha_i test
+        ("if e >= al:", "if True:"),
+        # the one-field loop multiplying by e whatever alpha_i is
+        ("c * ce * (e if al == 1 else falling(e, al))", "c * ce * e"),
+    ],
+    ids=["no_exponent_guard", "e_for_falling"],
+)
+def test_apply_fast_path_mutants_fail(monkeypatch, old, new):
+    monkeypatch.setattr(WeylOperator, "apply", _apply_mutant(old, new))
+    assert _fast_path_mismatches() > 0
+
+
 # -- the per-operator table ------------------------------------------------------------
 
 
 def _fresh_rows(A):
     """``rows()`` recomputed from unpacked keys: per term (km, ka, c,
-    support(km), support(ka), [(shift, alpha_i) for each nonzero alpha_i,
-    highest shift first])."""
+    support(km), support(ka), ((shift, alpha_i) for each nonzero alpha_i,
+    highest shift first))."""
     sp = A.space
 
     def support(key):
         return sum(1 << sh for sh, e in zip(sp.shifts, sp.unpack(key)) if e)
 
-    return [
+    return tuple(
         (km, ka, c, support(km), support(ka),
-         [(sh, e) for sh, e in zip(sp.shifts, sp.unpack(ka)) if e])
+         tuple((sh, e) for sh, e in zip(sp.shifts, sp.unpack(ka)) if e))
         for (km, ka), c in A._terms.items()
-    ]
+    )
 
 
 def _fresh_degree_raise(A):
@@ -549,6 +652,9 @@ def _copy(A):
 
 @given(operator_poly_pairs)
 @settings(max_examples=100, deadline=None)
+# the inline supports at fields holding 127 and 64, next to the degree field
+@example((_edge_operator(VariableSpace(1, 1)), _edge_poly(VariableSpace(1, 1))))
+@example((_edge_operator(VariableSpace(8, 8)), _edge_poly(VariableSpace(8, 8))))
 def test_rows_equal_a_fresh_recomputation(pair):
     A, f = pair
     want = _fresh_rows(A)
@@ -556,8 +662,8 @@ def test_rows_equal_a_fresh_recomputation(pair):
     A.apply(f)
     assert A.rows() == want
     assert A.degree_raise() == _fresh_degree_raise(A)
-    assert WeylOperator.zero(A.space).rows() == []
-    assert WeylOperator.identity(A.space).rows() == [(0, 0, 1, 0, 0, [])]
+    assert WeylOperator.zero(A.space).rows() == ()
+    assert WeylOperator.identity(A.space).rows() == ((0, 0, 1, 0, 0, ()),)
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (4, 4), (1, 7), (7, 1)])
@@ -566,7 +672,7 @@ def test_cached_apply_matches_the_sorted_reference_on_the_check_operators(p, q):
     # identity, each applied twice: the first application builds the table,
     # the second reads it
     space = VariableSpace(p, q)
-    ops = _op_family(space) + [
+    ops = list(_op_family(space)) + [
         closed_operator(space, which) for which in ("H", "X+", "X-", "op", "oq", "g", "xi")
     ] + [WeylOperator.zero(space), WeylOperator.identity(space)]
     polys = _poly_family(space)
@@ -598,7 +704,7 @@ def _results(A, B, f, first):
 @pytest.mark.parametrize("p, q", [(2, 2), (1, 3), (3, 2)])
 def test_results_do_not_depend_on_which_method_built_the_table(p, q):
     space = VariableSpace(p, q)
-    ops = _op_family(space) + [closed_operator(space, "g"), WeylOperator.identity(space)]
+    ops = list(_op_family(space)) + [closed_operator(space, "g"), WeylOperator.identity(space)]
     f = _poly_family(space)[3]
     for A, B in itertools.product(ops, repeat=2):
         want = _results(A, B, f, "degree_raise")
