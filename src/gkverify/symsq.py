@@ -33,17 +33,22 @@ invariant subspace under an invariant definite pairing is invariant.  A
 generating set suffices because the elements that stabilize a subspace form
 a Lie subalgebra, and so do the elements that leave the pairing invariant.
 
-The adjoint sweep never builds an image tensor.  For symmetric t,
-ad(x) t = F + F^T with F(g1, b) = sum_a [x, a]_g1 t(a, b), so the image's
-unordered row holds F(u, v) + F(v, u) off the diagonal and 2 F(u, u) on it,
-accumulated from t's numerators over t's terms indexed by their left slot;
-x = M_(i,i+1) brackets only the 2(n - 2) generators sharing an index with
-it to something nonzero, and only those left slots are read.  The row is
-the reduced image's row times a positive integer, and a residual vanishes
-for both or for neither, so each membership is decided as for the tensor.
-adjoint_action stays the tensor-level action, and the tests compare the
-two.  The ad-invariance of the form visits only the nonzero structure
-constants (see _form_ad_invariance_certificate).
+The adjoint sweep never builds an image tensor, and it does work only
+where a generator moves a slot.  For symmetric t, ad(x) t = F + F^T with
+F(g1, b) = sum_a [x, a]_g1 t(a, b), so the image's unordered row holds
+F(u, v) + F(v, u) off the diagonal and 2 F(u, u) on it.  Each family's
+coordinate rows are indexed once by left slot, on int generator keys, as
+slot -> (tensor, right slot, numerator); x = M_(i,i+1) brackets only the
+2(n - 2) generators sharing one index with it to something nonzero, and it
+scatters the products at those slots alone into one row per tensor it
+reaches.  Only those rows are reduced: a tensor with no term at a moved
+slot has a zero image, which lies in every span.  A row is the reduced
+image's row times a positive integer, and a residual vanishes for both or
+for neither, so each membership is decided as for the tensor.  Each basis
+tensor's coordinate row is built once and serves both the joint rank and
+its family's span.  adjoint_action stays the tensor-level action, and the
+tests compare the two.  The ad-invariance of the form visits only the
+nonzero structure constants (see _form_ad_invariance_certificate).
 
 The theorem assembly at the bottom shares its two pure ingredients with the
 checks that run them on their own: garfinkle_obstruction and s4_vanishing
@@ -58,7 +63,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterator, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from .gkmodule import (
     ModuleParams,
@@ -82,7 +88,7 @@ from .liealg import (
     pi_env,
     transport,
 )
-from .linalg import SparseRREF
+from .linalg import Row, SparseRREF
 from .poly import ONE, ScalarLike
 
 __all__ = [
@@ -290,21 +296,23 @@ class InvariantSubspace:
         return len(self.basis)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecompositionReport:
     """Dimension audit and invariance certificates for the four pieces.
 
     subspaces holds the three explicitly spanned pieces; the (2,2) piece
-    enters through its dimension alone.
+    enters through its dimension alone.  Frozen, because decompose_S2
+    memoizes it and every caller at the same n shares the one instance;
+    the two verdict maps are read-only views.
     """
 
     n: int
-    subspaces: List[InvariantSubspace]
+    subspaces: Tuple[InvariantSubspace, ...]
     dims: Tuple[int, int, int, int]
     total_dim: int
     direct_sum_ok: bool
-    invariance_ok: Dict[str, bool]
-    certificates: Dict[str, bool]
+    invariance_ok: Mapping[str, bool]
+    certificates: Mapping[str, bool]
     images_checked: int
 
     def all_ok(self) -> bool:
@@ -395,68 +403,86 @@ def _form_ad_invariance_certificate(n: int, xs: Sequence[Generator]) -> bool:
     return True
 
 
-def _adjoint_rows(
-    n: int, xs: Sequence[Generator], tensors: Sequence[SymSquareTensor]
-) -> Iterator[Dict[int, int]]:
-    """An unordered-coordinate row of ad(x) t for each t in tensors, then
-    each x in xs, each a positive multiple of _coords(adjoint_action(x, t)).
+def _slot_index(rows: Sequence[Row]) -> Dict[int, List[Tuple[int, int, int]]]:
+    """The terms of the tensors whose _coords rows are rows, by left slot.
+
+    A slot is a generator key i * 256 + j, one half of a pair coordinate.
+    Slot a maps to (tensor index, right slot b, numerator of t(a, b)) for
+    every term of every tensor t, over both orders of each off-diagonal
+    pair, in tensor order.
+    """
+    index: Dict[int, List[Tuple[int, int, int]]] = {}
+    for t, row in enumerate(rows):
+        for k, c in row.items():
+            a, b = k >> 16, k & 0xFFFF
+            index.setdefault(a, []).append((t, b, c))
+            if a != b:
+                index.setdefault(b, []).append((t, a, c))
+    return index
+
+
+def _adjoint_rows(n: int, xs: Sequence[Generator], rows: Sequence[Row]) -> Iterator[Dict[int, Row]]:
+    """For each x in xs, the unordered-coordinate rows of ad(x) t for the
+    tensors t that x reaches, by t's index in rows (the tensors' _coords
+    rows); each is a positive multiple of _coords(adjoint_action(x, t)).
 
     For a symmetric t, ad(x) t = F + F^T with F(g1, b) = sum_a [x, a]_g1 t(a, b),
     so the row holds F(u, v) + F(v, u) at an unordered pair {u, v} and
     2 F(u, u) on the diagonal: each product [x, a]_g1 t(a, b) is added at
-    {g1, b}, twice when g1 == b.  The terms of t are indexed by their left
-    slot once, and each x visits only the left slots a with [x, a] != 0.
-    The sums are t's numerators, unreduced, so the row is the reduced image's
+    {g1, b}, twice when g1 == b.  x visits only the left slots a with
+    [x, a] != 0, and _slot_index hands it only the terms held there; a
+    tensor with no term at any of them has a zero image and gets no row.
+    The sums are t's numerators, unreduced, so a row is the reduced image's
     row times a positive integer (or both are zero).
     """
     table = _bracket_table((n, 0), "M")
     gens = generators(n, 0, "M")
-    # per x: each left slot a with [x, a] != 0, and [x, a] by generator key i * 256 + j
-    moves = [
-        [
-            (a, [(g.i * 256 + g.j, s) for g, s in table[(x, a)].items()])
-            for a in gens
-            if (x, a) in table
-        ]
-        for x in xs
-    ]
-    for t in tensors:
-        by_left: Dict[Generator, List[Tuple[int, int]]] = {}
-        for (a, b), c in t._terms.items():
-            by_left.setdefault(a, []).append((b.i * 256 + b.j, c))
-        for visits in moves:
-            row: Dict[int, int] = {}
-            get = row.get
-            for a, brackets in visits:
-                right = by_left.get(a)
-                if right is None:
-                    continue
-                for u, s in brackets:
-                    for v, c in right:
-                        # _pair_coord of the generators keyed u and v
-                        k = (u << 16) + v if u <= v else (v << 16) + u
-                        row[k] = get(k, 0) + (2 * s * c if u == v else s * c)
-            yield row
+    index = _slot_index(rows)
+    for x in xs:
+        reached: Dict[int, Row] = {}
+        for a in gens:
+            terms = index.get(a.i * 256 + a.j) if (x, a) in table else None
+            if terms is None:
+                continue
+            for g, s in table[(x, a)].items():
+                u = g.i * 256 + g.j
+                for t, v, c in terms:
+                    row = reached.get(t)
+                    if row is None:
+                        row = reached[t] = {}
+                    # k is _pair_coord of the generators keyed u and v
+                    if u < v:
+                        k = (u << 16) + v
+                    elif u > v:
+                        k = (v << 16) + u
+                    else:
+                        k = (u << 16) + v
+                        c += c
+                    row[k] = row.get(k, 0) + s * c
+        yield reached
 
 
-def _span_invariant(
-    n: int, xs: Sequence[Generator], tensors: Sequence[SymSquareTensor]
-) -> Tuple[bool, int]:
-    """Whether every adjoint image ad(x) t, x in xs, lies in the span of the
-    tensors (by exact membership), and how many images were checked.
+def _span_invariant(n: int, xs: Sequence[Generator], rows: Sequence[Row]) -> Tuple[bool, int]:
+    """Whether every adjoint image ad(x) t, x in xs, of a tensor t with
+    _coords row in rows lies in the span of rows (by exact membership), and
+    how many images that decides.
 
-    The images are the rows of _adjoint_rows.  Each is a positive multiple
-    of the image tensor's own row, and a row's residual against the span is
-    zero exactly when that of any nonzero multiple is, so membership is
-    decided as for the tensor itself.
+    Only the rows of _adjoint_rows are reduced; every other image is zero
+    and lies in the span.  Each row is a positive multiple of the image
+    tensor's own row, and a row's residual against the span is zero exactly
+    when that of any nonzero multiple is, so membership is decided as for
+    the tensor itself.
     """
     span = SparseRREF()
-    for t in tensors:
-        span.add_row(_coords(t))
-    ok = not any(span.residual(row) for row in _adjoint_rows(n, xs, tensors))
-    return ok, len(xs) * len(tensors)
+    for row in rows:
+        span.add_row(row)
+    ok = not any(
+        span.residual(image) for reached in _adjoint_rows(n, xs, rows) for image in reached.values()
+    )
+    return ok, len(xs) * len(rows)
 
 
+@lru_cache(maxsize=None)
 def decompose_S2(n: int) -> DecompositionReport:
     """Split the symmetric square into its four exact invariant pieces.
 
@@ -470,7 +496,8 @@ def decompose_S2(n: int) -> DecompositionReport:
 
     The report carries the invariance certificate chain described in the
     module docstring, with the adjoint sweeps and the ad-invariance of the
-    form run over generating_set(n).
+    form run over generating_set(n).  It reads n alone, so it is memoized
+    on n: every signature with p + q = n shares one report.
     """
     if n < 4:
         raise ValueError("need n >= 4")
@@ -489,22 +516,24 @@ def decompose_S2(n: int) -> DecompositionReport:
         if not (i == n and j == n)
     ]
 
-    joint = SparseRREF()
-    for t in [q_hat] + s4_list + s2_list:
-        joint.add_row(_coords(t))
-    dims = (1, len(s4_list), len(s2_list), total_dim - joint.rank)
-
-    subspaces = [
+    subspaces = (
         InvariantSubspace("empty", n, (q_hat,)),
         InvariantSubspace("(1,1,1,1)", n, tuple(s4_list)),
         InvariantSubspace("(2)", n, tuple(s2_list)),
-    ]
+    )
+    rows = {piece.label: [_coords(t) for t in piece.basis] for piece in subspaces}
+
+    joint = SparseRREF()
+    for piece_rows in rows.values():
+        for row in piece_rows:
+            joint.add_row(row)
+    dims = (1, len(s4_list), len(s2_list), total_dim - joint.rank)
 
     xs = generating_set(n)
     swept = {}
     images_checked = 0
-    for piece in subspaces:
-        swept[piece.label], count = _span_invariant(n, xs, piece.basis)
+    for label, piece_rows in rows.items():
+        swept[label], count = _span_invariant(n, xs, piece_rows)
         images_checked += count
 
     certificates = {
@@ -524,8 +553,8 @@ def decompose_S2(n: int) -> DecompositionReport:
         dims=dims,
         total_dim=total_dim,
         direct_sum_ok=joint.rank == 1 + len(s4_list) + len(s2_list),
-        invariance_ok=invariance_ok,
-        certificates=certificates,
+        invariance_ok=MappingProxyType(invariance_ok),
+        certificates=MappingProxyType(certificates),
         images_checked=images_checked,
     )
 

@@ -271,7 +271,8 @@ def test_indexed_echelon_matches_scanning_on_decompose_S2(monkeypatch, n):
     for base in (SparseRREF, ScanRREF):
         rec = _Recorder(base)
         monkeypatch.setattr(symsq, "SparseRREF", rec.cls)
-        report = symsq.decompose_S2(n)
+        # uncached, so that both runs eliminate through the recording class
+        report = symsq.decompose_S2.__wrapped__(n)
         runs.append((rec.log, report.dims, report.direct_sum_ok, report.invariance_ok))
     assert runs[0] == runs[1]
 

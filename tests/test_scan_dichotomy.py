@@ -1,10 +1,17 @@
-"""scripts/scan_dichotomy.py, on the tuples whose windows start past the
-k, l <= 2 box; the full scan over p + q <= 12 runs outside the tests."""
+"""scripts/scan_dichotomy.py: the garfinkle suite on the tuples whose
+windows start past the k, l <= 2 box, and every suite at p + q <= 8; the
+scans over p + q <= 12 and beyond run outside the tests."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
+from gkverify import gkmodule
+from gkverify.checks import ALL_SUITES
 from gkverify.gkmodule import ModuleParams, garfinkle_obstruction
+from helpers import wrong_label_rule
 
 ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location(
@@ -25,14 +32,54 @@ def test_valid_tuples_are_the_module_parameters():
 
 
 def test_late_windows_agree_with_the_dichotomy(monkeypatch):
-    assert scan.disagreements(LATE_WINDOWS) == []
+    assert scan.disagreements(scan.run(LATE_WINDOWS)) == []
     # with Xi zero at every K-type no sample plan separates two
     # eigenvalues at m = 1: both checks of every tuple report the error
     monkeypatch.setattr(
         ModuleParams, "scalar", lambda self, which, kt=None: 0 if which == "xi" else 1
     )
     garfinkle_obstruction.cache_clear()
-    bad = scan.disagreements(LATE_WINDOWS)
+    bad = scan.disagreements(scan.run(LATE_WINDOWS))
     garfinkle_obstruction.cache_clear()
     assert len(bad) == 2 * len(LATE_WINDOWS), bad
     assert all("error" in line and "DegenerateSampleError" in line for line in bad), bad
+
+
+def test_every_suite_agrees_at_p_plus_q_up_to_8(monkeypatch, capsys):
+    # 13 tuples, every job passes; a wrong label rule, c = 1/(2k + n - 1)
+    # in the V and D rows, makes the scan report disagreements and exit 1
+    tuples = scan.valid_tuples(8)
+    assert len(tuples) == 13
+    results = scan.run(tuples, ALL_SUITES)
+    assert len(results) == 354
+    assert {r.status for r in results} == {"pass"}
+    assert scan.disagreements(results) == []
+    assert scan.main(["8", "--suite", "all"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "13 tuples with p + q <= 8, suites " + ",".join(ALL_SUITES) + ": 354 jobs (354 pass); "
+        "0 disagree"
+    )
+    monkeypatch.setattr(gkmodule, "_label_rule", wrong_label_rule("c_over_2k_plus_n_minus_1"))
+    garfinkle_obstruction.cache_clear()
+    try:
+        assert scan.main(["8", "--suite", "all"]) == 1
+    finally:
+        garfinkle_obstruction.cache_clear()
+    assert "0 disagree" not in capsys.readouterr().out
+
+
+def test_a_job_that_is_not_a_pass_disagrees():
+    # a fail or an error of any suite is a disagreement, even at m = 0
+    (result,) = [r for r in scan.run([(2, 4, 0)], ["symsq"]) if r.name == "symsq.q_transport"]
+    assert scan.disagreements([result]) == []
+    for status in ("fail", "error"):
+        line = f"symsq.q_transport {result.params}: {status} {result.detail}"
+        assert scan.disagreements([replace(result, status=status)]) == [line]
+
+
+def test_the_default_suite_keeps_its_summary(capsys):
+    assert scan.main(["6"]) == 0
+    assert capsys.readouterr().out == "3 tuples with p + q <= 6: 0 verdicts disagree with m == 0\n"
+    with pytest.raises(SystemExit) as exc:
+        scan.main(["6", "--suite", "nosuch"])
+    assert exc.value.code == 2

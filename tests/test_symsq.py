@@ -1,5 +1,7 @@
 """Symmetric-square tensors: transport, invariance, decomposition, the criterion."""
 
+import json
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import comb, gcd
 
@@ -44,6 +46,7 @@ from gkverify.symsq import (
     xi_closed_form,
 )
 from gkverify import symsq
+from gkverify.checks import execute_jobs, plan_jobs, selected_checks
 from gkverify.gkmodule import ModuleParams
 from gkverify.weyl import WeylOperator
 from helpers import pairing
@@ -345,7 +348,7 @@ def test_generating_set_sweep_matches_all_generator_reference(n):
     assert xs == tuple(Generator(i, i + 1, "M") for i in range(1, n))
     for piece in rep.subspaces:
         assert _reference_sweep(n, piece.basis)
-        assert _span_invariant(n, xs, piece.basis)[0]
+        assert _span_invariant(n, xs, [_coords(t) for t in piece.basis])[0]
         assert rep.invariance_ok[piece.label]
 
 
@@ -357,24 +360,81 @@ def _content_free(row):
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
-def test_adjoint_rows_are_positive_multiples_of_the_image_rows(n):
+def test_adjoint_rows_are_the_image_rows_of_the_reached_tensors(n):
     # every generator, not only the generating set, against the tensor-level
     # action; equal content-free rows share the primitive form and the sign.
     # Each spanning tensor's images are all diagonal or all off-diagonal, so
     # sums of neighbours are added to weigh the diagonal against the rest.
+    # A tensor that the sweep does not reach must have a zero image.
     rep = decompose_S2(n)
     gens = generators(n, 0, "M")
     spanning = [t for piece in rep.subspaces for t in piece.basis]
     tensors = spanning + [s + t for s, t in zip(spanning, spanning[1:])]
-    rows = _adjoint_rows(n, gens, tensors)
-    nonzero = 0
-    for t in tensors:
-        for x in gens:
-            want = _content_free(_coords(adjoint_action(LieElement.basis(x, (n, 0)), t)))
-            assert _content_free(next(rows)) == want, (t, x)
-            nonzero += bool(want)
-    assert next(rows, None) is None
+    sweep = list(_adjoint_rows(n, gens, [_coords(t) for t in tensors]))
+    assert len(sweep) == len(gens)
+    nonzero = skipped = 0
+    for x, reached in zip(gens, sweep):
+        assert set(reached) <= set(range(len(tensors)))
+        for idx, t in enumerate(tensors):
+            image = adjoint_action(LieElement.basis(x, (n, 0)), t)
+            if idx in reached:
+                want = _content_free(_coords(image))
+                assert _content_free(reached[idx]) == want, (t, x)
+                nonzero += bool(want)
+            else:
+                assert image.is_zero(), (t, x)
+                skipped += 1
     assert nonzero > len(tensors)
+    # from n = 6 on, an S4 tensor can miss both indices of x
+    assert (skipped > 0) == (n >= 6)
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_sweep_reduces_only_the_reached_images(monkeypatch, n):
+    # Every echelon form counts its absorbed rows and its residuals; a row
+    # reduced without being absorbed is a swept image.  One form per piece
+    # sweeps: Q is reached by every x, an S4 tensor by the x sharing an
+    # index with it, and every S2 tensor by every x.  The joint rank and
+    # the generating-set closure only absorb.
+    counts = []
+
+    class Counting(SparseRREF):
+        def __init__(self, *args):
+            super().__init__(*args)
+            counts.append([0, 0])
+            self.calls = counts[-1]
+
+        def add_row(self, row):
+            self.calls[0] += 1
+            return super().add_row(row)
+
+        def residual(self, row):
+            self.calls[1] += 1
+            return super().residual(row)
+
+    monkeypatch.setattr(symsq, "SparseRREF", Counting)
+    rep = decompose_S2.__wrapped__(n)
+    assert rep.all_ok()
+    s4, s2 = comb(n, 4), n * (n + 1) // 2 - 1
+    assert rep.images_checked == (n - 1) * (1 + s4 + s2)
+    swept = sorted(residuals - added for added, residuals in counts if residuals > added)
+    reached_s4 = (n - 1) * (s4 - comb(n - 2, 4))
+    assert reached_s4 == {8: 385, 10: 1260}[n]
+    assert swept == sorted([n - 1, reached_s4, (n - 1) * s2])
+
+
+def test_decompose_S2_runs_once_per_n():
+    decompose_S2.cache_clear()
+    jobs = plan_jobs(selected_checks(["symsq"]), [(2, 6, 0), (3, 5, 0), (4, 4, 0)], 3, 3)
+    results = [r for r in execute_jobs(jobs) if r.name == "symsq.decomposition"]
+    assert [r.status for r in results] == ["pass"] * 3
+    assert len({json.dumps(r.detail, sort_keys=True) for r in results}) == 1
+    assert decompose_S2.cache_info()[:2] == (2, 1)  # hits, misses
+    rep = decompose_S2(8)
+    with pytest.raises(FrozenInstanceError):
+        rep.n = 9
+    with pytest.raises(TypeError):
+        rep.certificates["generating_set"] = False
 
 
 def _dense_ad_invariance(n, xs):
@@ -471,7 +531,7 @@ def test_corrupted_spanning_tensor_fails_both_sweeps(monkeypatch, n, builder, la
         return _flip_first_slot(t) if idx == first else t
 
     monkeypatch.setattr(symsq, builder, corrupted)
-    rep = decompose_S2(n)
+    rep = decompose_S2.__wrapped__(n)
     basis = next(s for s in rep.subspaces if s.label == label).basis
     assert not _reference_sweep(n, basis)
     assert not rep.invariance_ok[label]
@@ -484,7 +544,7 @@ def test_generating_set_missing_one_element_fails(monkeypatch, n):
     xs = generating_set(n)
     for drop in range(n - 1):
         monkeypatch.setattr(symsq, "generating_set", lambda n: xs[:drop] + xs[drop + 1 :])
-        rep = decompose_S2(n)
+        rep = decompose_S2.__wrapped__(n)
         assert not rep.certificates["generating_set"], drop
         assert not any(rep.invariance_ok.values()), drop
         assert not rep.all_ok()
