@@ -10,14 +10,17 @@ degree-two annihilator element, and the theorem assembly be consistent,
 exactly when m == 0.  Prints one line per disagreement (a job that is not
 a pass, or a garfinkle verdict that contradicts m == 0) and a summary
 line; with suites other than garfinkle alone, the summary also counts the
-jobs by status.  Exits 1 when any verdict disagrees, 0 otherwise.  The
-package is imported from the checkout's src/.
+jobs by status, and a line before it gives the scan's wall time in seconds
+and the three checks with the largest elapsed time summed over the tuples.
+Exits 1 when any verdict disagrees, 0 otherwise.  The package is imported
+from the checkout's src/.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 from typing import List, Sequence, Tuple
@@ -69,6 +72,15 @@ def disagreements(results: Sequence[CheckResult]) -> List[str]:
     return out
 
 
+def timing_line(results: Sequence[CheckResult], seconds: float) -> str:
+    """The scan's seconds and the three checks with the largest summed elapsed."""
+    per_check: Counter = Counter()
+    for r in results:
+        per_check[r.name] += r.elapsed
+    slowest = ", ".join(f"{name} {t:.2f} s" for name, t in per_check.most_common(3))
+    return f"{seconds:.2f} s in total; largest summed elapsed: {slowest}"
+
+
 def main(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("n_max", nargs="?", type=int, default=12, metavar="N")
@@ -79,7 +91,9 @@ def main(argv: Sequence[str]) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     tuples = valid_tuples(args.n_max)
+    start = time.perf_counter()
     results = run(tuples, suites)
+    seconds = time.perf_counter() - start
     bad = disagreements(results)
     for line in bad:
         print(line)
@@ -87,6 +101,7 @@ def main(argv: Sequence[str]) -> int:
     if suites == DEFAULT_SUITES:
         print(f"{head}: {len(bad)} verdicts disagree with m == 0")
     else:
+        print(timing_line(results, seconds))
         statuses = ", ".join(f"{n} {s}" for s, n in sorted(Counter(r.status for r in results).items()))
         print(f"{head}, suites {','.join(suites)}: {len(results)} jobs ({statuses}); {len(bad)} disagree")
     return 1 if bad else 0

@@ -54,7 +54,7 @@ from typing import (
 )
 
 from .poly import ONE, ZERO, ScalarLike, SparseRational, VariableSpace, _numerators, exact
-from .weyl import WeylOperator, _leibniz, euler_op, laplacian_op, rsq_op
+from .weyl import WeylOperator, _commute, _leibniz, euler_op, laplacian_op, rsq_op
 
 __all__ = [
     "Generator",
@@ -555,25 +555,50 @@ def pi_env(u: Combination) -> WeylOperator:
 
     Takes an enveloping element or a symmetric tensor, whose ordered pairs
     are words of length two.  The operators act on VariableSpace(*u.sig).
-    Each word runs one ``_leibniz`` pass, its composed prefix after its last
-    letter's image (the identity stands in for a missing one), into one dict
-    over the common denominator of the word images, reduced once.
+    A two-letter word (a, b), a != b, whose reversal is a term too is taken
+    together with it through the pair identity
+
+        c AB + c' BA = (c + c') AB - c' [A, B]:
+
+    one ``_leibniz`` pass with c + c' (none when that is 0), then one
+    ``_commute`` pass with -c', which forms only contracted terms (none
+    for commuting letters).  Every other word runs one ``_leibniz`` pass,
+    its composed prefix after its last letter's image (the identity stands
+    in for a missing one).  The passes add into one dict over the common
+    denominator of the word images, reduced once.
     """
     _require_words(u)
     _require_m_flavor(u.flavor)
     space = VariableSpace(*u.sig)
-    one = WeylOperator.identity(space)
-    # (c, A, B) with pi(word) = A after B
+    terms = u._terms
+    # (c, c_rev, A, B) with pi(word) = A after B: c AB - c_rev [A, B]; a
+    # reversed pair is taken at its word with the smaller first letter
     parts = []
-    for word, c in u._terms.items():
-        a = one if len(word) < 2 else pi_generator(word[0], space)
-        for g in word[1:-1]:
-            a = a.compose(pi_generator(g, space))
-        parts.append((c, a, pi_generator(word[-1], space) if word else one))
-    den = lcm(*(a.den * b.den for _, a, b in parts))
+    for word, c in terms.items():
+        c_rev = 0
+        if len(word) == 2 and word[0] != word[1]:
+            if word[0] > word[1]:
+                if word[::-1] in terms:
+                    continue
+            else:
+                c_rev = terms.get(word[::-1], 0)
+        if len(word) < 2:
+            one = WeylOperator.identity(space)
+            a, b = one, (pi_generator(word[0], space) if word else one)
+        else:
+            a = pi_generator(word[0], space)
+            for g in word[1:-1]:
+                a = a.compose(pi_generator(g, space))
+            b = pi_generator(word[-1], space)
+        parts.append((c + c_rev, c_rev, a, b))
+    den = lcm(*(a.den * b.den for _, _, a, b in parts))
     acc: Dict[Tuple[int, int], int] = {}
-    for c, a, b in parts:
-        _leibniz(space, a.rows(), b.rows(), acc, c * (den // (a.den * b.den)))
+    for c, c_rev, a, b in parts:
+        f = den // (a.den * b.den)
+        if c:
+            _leibniz(space, a.rows(), b.rows(), acc, c * f)
+        if c_rev:
+            _commute(space, a.rows(), b.rows(), acc, -c_rev * f)
     return WeylOperator.reduced(space, acc, u.den * den)
 
 

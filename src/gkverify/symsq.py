@@ -45,15 +45,17 @@ reaches.  Only those rows are reduced: a tensor with no term at a moved
 slot has a zero image, which lies in every span.  A row is the reduced
 image's row times a positive integer, and a residual vanishes for both or
 for neither, so each membership is decided as for the tensor.  Each basis
-tensor's coordinate row is built once and serves both the joint rank and
-its family's span.  adjoint_action stays the tensor-level action, and the
-tests compare the two.  The ad-invariance of the form visits only the
-nonzero structure constants (see _form_ad_invariance_certificate).
+tensor's coordinate row is built once and serves both its family's span
+and the joint rank, which is taken by adding the other families' rows to
+the largest family's echelon form once its sweep has only read it.
+adjoint_action stays the tensor-level action, and the tests compare the
+two.  The ad-invariance of the form visits only the nonzero structure
+constants (see _form_ad_invariance_certificate).
 
 The theorem assembly at the bottom shares its two pure ingredients with the
 checks that run them on their own: garfinkle_obstruction and s4_vanishing
-are memoized, so each is solved once per parameter set, and the assembly reads
-the obstruction check's memo entry.  Its TheoremReport stores only the step
+are memoized, so each is solved once per parameter set, by whichever of the
+assembly and its check runs first.  Its TheoremReport stores only the step
 results and derives the verdict.
 """
 
@@ -63,6 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
@@ -164,23 +167,26 @@ def build_S4(sig: Sig, i: int, j: int, k: int, l: int) -> SymSquareTensor:
 
 
 def build_S2(sig: Sig, i: int, j: int) -> SymSquareTensor:
-    """One-index contraction, trace part removed on the diagonal, at (p, q) = sig."""
+    """One-index contraction, trace part removed on the diagonal, at (p, q) = sig.
+
+    The contraction's numerators are over 2.  On the diagonal the tensor is
+    built over 2n instead: n times those numerators, minus Q/n, which is 4
+    on every (g, g) since the M-flavor Q is -2 there.
+    """
     p, q = sig
     n = p + q
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("indices out of range")
-    terms: Dict[PairKey, int] = {}
+    w = n if i == j else 1
+    terms: Dict[PairKey, int] = {(g, g): 4 for g in generators(p, q, "M")} if i == j else {}
     for k in range(1, n + 1):
         if k == i or k == j:
             continue
         gik, s1 = canonical(i, k, "M")
         gkj, s2 = canonical(k, j, "M")
         for key in ((gik, gkj), (gkj, gik)):
-            terms[key] = terms.get(key, 0) + s1 * s2
-    tensor = SymSquareTensor.reduced(((p, q), "M"), terms, 2)
-    if i == j:
-        tensor = tensor - build_Q(sig, "M").scale(Fraction(1, n))
-    return tensor
+            terms[key] = terms.get(key, 0) + w * s1 * s2
+    return SymSquareTensor.reduced(((p, q), "M"), terms, 2 * w)
 
 
 def xi_closed_form(sig: Sig) -> SymSquareTensor:
@@ -204,18 +210,22 @@ def build_Xi(sig: Sig) -> SymSquareTensor:
     """Signature-weighted half sum of diagonal contractions, transported.
 
     Built from the definition: half the weighted sum of S2 diagonal tensors
-    in the M flavor, pulled back through the transport.  The
-    ``symsq.xi_transport`` check compares it with ``xi_closed_form``.
+    in the M flavor, pulled back through the transport.  The signed
+    numerators are summed in one dict over the lcm of the S2 denominators,
+    then halved.  The ``symsq.xi_transport`` check compares it with
+    ``xi_closed_form``.
     """
     p, q = sig
     if p < 1 or q < 1:
         raise ValueError("need p, q >= 1")
-    acc = SymSquareTensor.zero(sig, "M")
-    for i in range(1, p + 1):
-        acc = acc + build_S2(sig, i, i)
-    for i in range(p + 1, p + q + 1):
-        acc = acc - build_S2(sig, i, i)
-    return transport(acc.scale(Fraction(1, 2)))
+    diagonal = [(build_S2(sig, i, i), 1 if i <= p else -1) for i in range(1, p + q + 1)]
+    den = lcm(*(t.den for t, _ in diagonal))
+    acc: Dict[PairKey, int] = {}
+    for t, sign in diagonal:
+        f = sign * (den // t.den)
+        for key, c in t._terms.items():
+            acc[key] = acc.get(key, 0) + f * c
+    return transport(SymSquareTensor.reduced(((p, q), "M"), acc, 2 * den))
 
 
 # -- actions ---------------------------------------------------------------------------
@@ -266,8 +276,11 @@ def gamma2_xi_identity(sig: Sig) -> bool:
 def s4_vanishing(sig: Sig) -> Tuple[int, bool]:
     """Count the alternating tensors and test that every operator image is zero.
 
-    Memoized on the signature, so the theorem assembly reads the result of
-    the S4 check instead of recomputing it.
+    Memoized on the signature, so the images are computed once per
+    signature whichever of garfinkle.theorem (through theorem_ingredients)
+    and symsq.s4_vanishing runs first, and the other reads the memo.  The
+    check-major plan runs the checks by name, so garfinkle.theorem computes
+    them and the S4 check reads them.
     """
     n = sum(sig)
     count = 0
@@ -462,16 +475,19 @@ def _adjoint_rows(n: int, xs: Sequence[Generator], rows: Sequence[Row]) -> Itera
         yield reached
 
 
-def _span_invariant(n: int, xs: Sequence[Generator], rows: Sequence[Row]) -> Tuple[bool, int]:
+def _span_invariant(
+    n: int, xs: Sequence[Generator], rows: Sequence[Row]
+) -> Tuple[bool, int, SparseRREF]:
     """Whether every adjoint image ad(x) t, x in xs, of a tensor t with
-    _coords row in rows lies in the span of rows (by exact membership), and
-    how many images that decides.
+    _coords row in rows lies in the span of rows (by exact membership), how
+    many images that decides, and the echelon form of that span.
 
     Only the rows of _adjoint_rows are reduced; every other image is zero
     and lies in the span.  Each row is a positive multiple of the image
     tensor's own row, and a row's residual against the span is zero exactly
     when that of any nonzero multiple is, so membership is decided as for
-    the tensor itself.
+    the tensor itself.  The sweep only reads the span, so the caller can
+    go on adding rows to it.
     """
     span = SparseRREF()
     for row in rows:
@@ -479,7 +495,7 @@ def _span_invariant(n: int, xs: Sequence[Generator], rows: Sequence[Row]) -> Tup
     ok = not any(
         span.residual(image) for reached in _adjoint_rows(n, xs, rows) for image in reached.values()
     )
-    return ok, len(xs) * len(rows)
+    return ok, len(xs) * len(rows), span
 
 
 @lru_cache(maxsize=None)
@@ -488,7 +504,8 @@ def decompose_S2(n: int) -> DecompositionReport:
 
     The first three pieces come with explicit spanning tensors, built at the
     signature (n, 0), whose joint independence is certified by an exact rank
-    computation; the last piece
+    computation, which adds the other families' rows to the echelon form of
+    the largest family's span once its sweep is done; the last piece
     is the orthocomplement of their span under the trace pairing.  Because
     the pairing weights are positive the pairing is definite on these real
     tensors, so the complement meets the span trivially and its dimension is
@@ -523,18 +540,22 @@ def decompose_S2(n: int) -> DecompositionReport:
     )
     rows = {piece.label: [_coords(t) for t in piece.basis] for piece in subspaces}
 
-    joint = SparseRREF()
-    for piece_rows in rows.values():
-        for row in piece_rows:
-            joint.add_row(row)
-    dims = (1, len(s4_list), len(s2_list), total_dim - joint.rank)
-
     xs = generating_set(n)
     swept = {}
+    spans = {}
     images_checked = 0
     for label, piece_rows in rows.items():
-        swept[label], count = _span_invariant(n, xs, piece_rows)
+        swept[label], count, spans[label] = _span_invariant(n, xs, piece_rows)
         images_checked += count
+
+    # the joint rank: the largest family's span takes the other families' rows
+    largest = max(rows, key=lambda label: len(rows[label]))
+    joint = spans[largest]
+    for label, piece_rows in rows.items():
+        if label != largest:
+            for row in piece_rows:
+                joint.add_row(row)
+    dims = (1, len(s4_list), len(s2_list), total_dim - joint.rank)
 
     certificates = {
         "generating_set": _generating_set_certificate(n, xs),
@@ -621,9 +642,11 @@ def theorem_ingredients(params: ModuleParams) -> TheoremReport:
     and the prediction field records whether the parameter m is zero.
 
     Steps two and three read the memoized s4_vanishing and
-    garfinkle_obstruction, so after the symsq.s4_vanishing and
-    garfinkle.obstruction checks have run at the same parameters this
-    function solves neither again; the shared ObstructionResult is frozen.
+    garfinkle_obstruction, each shared whichever check runs first at the
+    same parameters.  In the check-major plan, which runs the checks by
+    name, garfinkle.obstruction solves before this function and reads its
+    memo here, while this function computes the S4 images and
+    symsq.s4_vanishing reads them; the shared ObstructionResult is frozen.
     """
     kts = dict.fromkeys(kt for kt, _, _ in default_samples(params))
     casimir_ok = all(eigenvalue_check("g", params, kt).ok for kt in kts)

@@ -31,14 +31,15 @@ is checked on the total degree (key >> deg_shift) of the uncontracted pair,
 the largest of its keys; each exponent is at most the total, so this
 accepts exactly the keys ``pack`` accepts.
 
-The commutator [A, B] = AB - BA makes one pass over the term pairs.  For
-terms c_a v^a d^alpha and c_b v^b d^beta both orders have the uncontracted
-key pair (km_a + km_b, kd_a + kd_b) and coefficient c_a * c_b, so those
-terms cancel and are never formed; the pair's degree cap is checked once,
-on that key, so the commutator raises exactly when ``compose`` would.  The
-pair adds AB's contractions over support(alpha) & support(b) and, negated,
-BA's over support(beta) & support(a), through ``_contract``, the one
-Leibniz expansion that ``compose`` uses too.
+The commutator [A, B] = AB - BA is one ``_commute`` pass over the term
+pairs, beside ``_leibniz``.  For terms c_a v^a d^alpha and c_b v^b d^beta
+both orders have the uncontracted key pair (km_a + km_b, kd_a + kd_b) and
+coefficient c_a * c_b, so those terms cancel and are never formed; the
+pair's degree cap is checked once, on that key, so ``_commute`` raises
+exactly when ``compose`` would.  The pair adds AB's contractions over
+support(alpha) & support(b) and, negated, BA's over support(beta) &
+support(a), through ``_contract``, the one Leibniz expansion that
+``compose`` uses too.
 
 Application to a polynomial evaluates d^alpha on each monomial as a falling
 factorial and shifts exponents; both directions are exact.  A term without
@@ -54,8 +55,9 @@ and application reads the derivative fields, so repeated use of one
 operator unpacks nothing.
 Composition and application multiply int numerators and reduce once, over
 the product of the two denominators.  ``liealg.pi_env`` runs the same kernel
-once per word, the composed prefix after the last letter's image, into one
-dict for the whole combination, and reduces that once.
+once per word, the composed prefix after the last letter's image, and once
+per pair of reversed two-letter words, followed by a ``_commute`` pass, into
+one dict for the whole combination, and reduces that once.
 """
 
 from __future__ import annotations
@@ -201,28 +203,13 @@ class WeylOperator(SparseRational):
     def commutator(self, other: "WeylOperator") -> "WeylOperator":
         """self other - other self, with only the contracted terms formed.
 
-        One pass over the term pairs: each pair's cap is checked once, then
-        ``_contract`` adds AB's contractions and, negated, BA's, into one
-        dict reduced once over the product of the denominators.
+        One ``_commute`` pass over the term pairs, into one dict reduced
+        once over the product of the denominators.
         """
         self._require_same_ctx(other)
-        sp = self.space
-        over = sp.deg_shift + BITS
-        deg_one = 1 << sp.deg_shift
+        sp = self.ctx
         acc: Dict[TermKey, int] = {}
-        b_rows = other.rows()
-        for kma, kaa, ca, sup_a, sup_alpha, _ in self.rows():
-            for kmb, kab, cb, sup_b, sup_beta, _ in b_rows:
-                km = kma + kmb
-                kd = kaa + kab
-                if (km | kd) >> over:
-                    raise ValueError("composition would exceed the degree cap")
-                ab = sup_alpha & sup_b
-                ba = sup_beta & sup_a
-                if ab:
-                    _contract(acc, km, kd, kaa, kmb, ab, ca * cb, deg_one)
-                if ba:
-                    _contract(acc, km, kd, kab, kma, ba, -ca * cb, deg_one)
+        _commute(sp, self.rows(), other.rows(), acc, 1)
         return WeylOperator.reduced(sp, acc, self.den * other.den)
 
     def power(self, k: int) -> "WeylOperator":
@@ -340,6 +327,40 @@ def _leibniz(
             shared = sup_alpha & sup_b
             if shared:
                 _contract(acc, km, kd, kaa, kmb, shared, base, deg_one)
+
+
+def _commute(
+    sp: VariableSpace,
+    a_rows: tuple,
+    b_rows: tuple,
+    acc: Dict[TermKey, int],
+    sign: int,
+) -> None:
+    """Add sign * [A, B] numerators into acc, over A.den * B.den.
+
+    ``sign`` is any int: 1 from ``commutator``, minus a reversed word's
+    coefficient over the common denominator from ``liealg.pi_env``.  The rows are read as in
+    ``_leibniz``.  Both orders of a pair share the uncontracted term, which
+    cancels and is never formed; the pair's degree cap is checked once, on
+    that key, so this raises exactly when either composition would.  The
+    pair adds AB's contractions over support(alpha) & support(b) and,
+    negated, BA's over support(beta) & support(a), through ``_contract``.
+    """
+    over = sp.deg_shift + BITS
+    deg_one = 1 << sp.deg_shift
+    for kma, kaa, ca, sup_a, sup_alpha, _ in a_rows:
+        sca = sign * ca
+        for kmb, kab, cb, sup_b, sup_beta, _ in b_rows:
+            km = kma + kmb
+            kd = kaa + kab
+            if (km | kd) >> over:
+                raise ValueError("composition would exceed the degree cap")
+            ab = sup_alpha & sup_b
+            ba = sup_beta & sup_a
+            if ab:
+                _contract(acc, km, kd, kaa, kmb, ab, sca * cb, deg_one)
+            if ba:
+                _contract(acc, km, kd, kab, kma, ba, -sca * cb, deg_one)
 
 
 def _contract(

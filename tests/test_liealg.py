@@ -411,18 +411,28 @@ def _pi_env_reference(u):
     return total.scale(Fraction(1, u.den))
 
 
+def _noncommuting_pair(sig):
+    """The first generator pair (x, y), in generator order, with [x, y] != 0."""
+    gens = generators(*sig, "M")
+    return next((x, y) for x in gens for y in gens if _bracket_table(sig, "M")[(x, y)])
+
+
 def _pi_env_cases(sig):
     """Words of length 0 to 3 over a denominator, a combination whose images
-    cancel to zero, the transported Casimir words and every S4 tensor."""
+    cancel to zero, a reversed pair of non-commuting letters with unequal
+    coefficients and a symmetric one, the transported Casimir words and
+    every S4 tensor."""
     gens = generators(*sig, "M")
     rng = random.Random(sum(sig))
     words = [()] + [tuple(rng.choice(gens) for _ in range(k)) for k in (1, 1, 2, 2, 3, 3)]
     mixed = {w: Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3])) for w in words}
     yield "mixed", EnvelopingElement(sig, "M", mixed)
-    x, y = next((x, y) for x in gens for y in gens if _bracket_table(sig, "M")[(x, y)])
+    x, y = _noncommuting_pair(sig)
     commutator = {(x, y): 1, (y, x): -1}
     commutator.update({(g,): -c for g, c in _bracket_table(sig, "M")[(x, y)].items()})
     yield "cancelling", EnvelopingElement(sig, "M", commutator)
+    yield "reversed", EnvelopingElement(sig, "M", {(x, y): 3, (y, x): Fraction(1, 2)})
+    yield "symmetric", SymSquareTensor(sig, "M", {(x, y): Fraction(-2, 3), (y, x): Fraction(-2, 3)})
     for which in ("op", "oq", "g"):
         yield which, transport(casimir(which, sig))
     for idx in combinations(range(1, sum(sig) + 1), 4):
@@ -438,7 +448,7 @@ def test_pi_env_matches_word_by_word_reference(sig):
         if label == "cancelling" or isinstance(label, tuple):
             assert got.is_zero(), label
         seen.add(label if isinstance(label, str) else "S4")
-    assert seen == {"mixed", "cancelling", "op", "oq", "g", "S4"}
+    assert seen == {"mixed", "cancelling", "reversed", "symmetric", "op", "oq", "g", "S4"}
 
 
 def test_pi_env_keeps_generator_denominators(monkeypatch):
@@ -454,6 +464,26 @@ def test_pi_env_keeps_generator_denominators(monkeypatch):
     for label, u in _pi_env_cases(sig):
         assert pi_env(u) == _pi_env_reference(u), label
     assert scaled(MGENS[0], VariableSpace(*sig)).den == 2
+    # the letters of the pair cases carry denominators 2 and 3
+    x, y = _noncommuting_pair(sig)
+    assert (x in halved, y in halved) == (True, False)
+
+
+@pytest.mark.parametrize("sign", [0, -1])
+def test_a_wrong_pair_correction_fails_the_word_by_word_reference(monkeypatch, sign):
+    # pi_env takes a reversed pair as (c + c') AB - c' [A, B]; a _commute
+    # that adds nothing (sign 0), or a correction of +c' [A, B] (sign -1),
+    # must change the image of every reversed pair of non-commuting letters
+    real = liealg._commute
+
+    def wrong(sp, a_rows, b_rows, acc, s):
+        real(sp, a_rows, b_rows, acc, sign * s)
+
+    monkeypatch.setattr(liealg, "_commute", wrong)
+    for sig in [(2, 2), (1, 5)]:
+        cases = dict((label, u) for label, u in _pi_env_cases(sig) if isinstance(label, str))
+        for label in ("cancelling", "reversed", "symmetric"):
+            assert pi_env(cases[label]) != _pi_env_reference(cases[label]), (sig, label)
 
 
 def test_constructors_refuse_unknown_flavors_and_bad_keys():

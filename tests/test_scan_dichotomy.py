@@ -3,6 +3,7 @@ windows start past the k, l <= 2 box, and every suite at p + q <= 8; the
 scans over p + q <= 12 and beyond run outside the tests."""
 
 import importlib.util
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -55,10 +56,18 @@ def test_every_suite_agrees_at_p_plus_q_up_to_8(monkeypatch, capsys):
     assert {r.status for r in results} == {"pass"}
     assert scan.disagreements(results) == []
     assert scan.main(["8", "--suite", "all"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == (
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == (
         "13 tuples with p + q <= 8, suites " + ",".join(ALL_SUITES) + ": 354 jobs (354 pass); "
         "0 disagree"
     )
+    # the timing line names three checks; no time is pinned
+    timed = r"\d+\.\d\d s"
+    names = "|".join(re.escape(f"{s}.") for s in ALL_SUITES)
+    check = rf"(?:{names})\w+ {timed}"
+    assert re.fullmatch(
+        rf"{timed} in total; largest summed elapsed: {check}, {check}, {check}", lines[-2]
+    ), lines[-2]
     monkeypatch.setattr(gkmodule, "_label_rule", wrong_label_rule("c_over_2k_plus_n_minus_1"))
     garfinkle_obstruction.cache_clear()
     try:
@@ -75,6 +84,17 @@ def test_a_job_that_is_not_a_pass_disagrees():
     for status in ("fail", "error"):
         line = f"symsq.q_transport {result.params}: {status} {result.detail}"
         assert scan.disagreements([replace(result, status=status)]) == [line]
+
+
+def test_the_timing_line_ranks_checks_by_summed_elapsed():
+    result = scan.run([(2, 4, 0)], ["symsq"])[0]
+    timed = [
+        replace(result, name=name, elapsed=t)
+        for name, t in (("a.x", 1.0), ("b.y", 0.5), ("a.x", 2.0), ("c.z", 2.5), ("d.w", 0.1))
+    ]
+    assert scan.timing_line(timed, 7.25) == (
+        "7.25 s in total; largest summed elapsed: a.x 3.00 s, c.z 2.50 s, b.y 0.50 s"
+    )
 
 
 def test_the_default_suite_keeps_its_summary(capsys):

@@ -13,6 +13,7 @@ from gkverify.liealg import (
     Generator,
     LieElement,
     bracket,
+    canonical,
     closed_form,
     closed_operator,
     gamma2,
@@ -218,6 +219,25 @@ def test_s2_family_is_trace_free():
         assert total.is_zero()
 
 
+def _fraction_S2_diagonal(sig, i):
+    """build_S2(sig, i, i) as Fraction arithmetic: the contraction, minus Q/n."""
+    n = sum(sig)
+    coeffs = {}
+    for k in range(1, n + 1):
+        if k != i:
+            gik, s1 = canonical(i, k, "M")
+            gki, s2 = canonical(k, i, "M")
+            for key in ((gik, gki), (gki, gik)):
+                coeffs[key] = coeffs.get(key, 0) + Fraction(s1 * s2, 2)
+    return SymSquareTensor(sig, "M", coeffs) - build_Q(sig, "M").scale(Fraction(1, n))
+
+
+@pytest.mark.parametrize("sig", [(4, 4), (3, 5), (5, 5), (2, 8)])
+def test_s2_diagonal_matches_the_fraction_reference(sig):
+    for i in range(1, sum(sig) + 1):
+        assert build_S2(sig, i, i) == _fraction_S2_diagonal(sig, i), i
+
+
 def test_xi_definition_matches_closed_form():
     for sig in [(2, 2), (2, 4), (3, 3), (4, 4)]:
         assert build_Xi(sig) == xi_closed_form(sig)
@@ -352,6 +372,32 @@ def test_generating_set_sweep_matches_all_generator_reference(n):
         assert rep.invariance_ok[piece.label]
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+def test_joint_rank_matches_a_fresh_echelon_form(n):
+    # decompose_S2 takes the joint rank on the largest family's span
+    rep = decompose_S2(n)
+    fresh = SparseRREF()
+    for piece in rep.subspaces:
+        for t in piece.basis:
+            fresh.add_row(_coords(t))
+    assert rep.total_dim - rep.dims[3] == fresh.rank
+    assert rep.direct_sum_ok == (fresh.rank == sum(rep.dims[:3]))
+    assert rep.direct_sum_ok
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_span_invariant_leaves_its_span_unchanged(n):
+    xs = generating_set(n)
+    for piece in decompose_S2(n).subspaces:
+        rows = [_coords(t) for t in piece.basis]
+        fresh = SparseRREF()
+        for row in rows:
+            fresh.add_row(row)
+        ok, count, span = _span_invariant(n, xs, rows)
+        assert ok and count == len(xs) * len(rows)
+        assert span.rows == fresh.rows and span.holders == fresh.holders
+
+
 def _content_free(row):
     """row divided by the positive gcd of its nonzero entries."""
     row = {k: v for k, v in row.items() if v}
@@ -394,8 +440,9 @@ def test_sweep_reduces_only_the_reached_images(monkeypatch, n):
     # Every echelon form counts its absorbed rows and its residuals; a row
     # reduced without being absorbed is a swept image.  One form per piece
     # sweeps: Q is reached by every x, an S4 tensor by the x sharing an
-    # index with it, and every S2 tensor by every x.  The joint rank and
-    # the generating-set closure only absorb.
+    # index with it, and every S2 tensor by every x.  The joint rank adds
+    # the Q and S2 rows to the S4 form after its sweep, and the
+    # generating-set closure only absorbs.
     counts = []
 
     class Counting(SparseRREF):
@@ -421,6 +468,11 @@ def test_sweep_reduces_only_the_reached_images(monkeypatch, n):
     reached_s4 = (n - 1) * (s4 - comb(n - 2, 4))
     assert reached_s4 == {8: 385, 10: 1260}[n]
     assert swept == sorted([n - 1, reached_s4, (n - 1) * s2])
+    # no form of its own for the joint rank: the three family forms and
+    # the closure, and the S4 form absorbs 1 + s2 rows more than it has
+    assert len(counts) == 4
+    absorbed = sorted(added for added, residuals in counts if residuals > added)
+    assert absorbed == sorted([1, s4 + 1 + s2, s2])
 
 
 def test_decompose_S2_runs_once_per_n():
