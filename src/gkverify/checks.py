@@ -44,7 +44,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .poly import (
     ONE,
-    ZERO,
     MultiPoly,
     RadialSeries,
     VariableSpace,
@@ -501,23 +500,26 @@ def _weyl_euler(run: CheckRun):
     "exact coefficient arithmetic satisfies the field axioms on a fixed-seed sample",
 )
 def _weyl_field_axioms(run: CheckRun):
+    # on one-term constant polynomials, so the package's own arithmetic runs
     rng = random.Random(20240819)
+    one = MultiPoly.one(VariableSpace(1, 0))
 
     def rand_q() -> Fraction:
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
     n_triples = 40
     for seen in range(1, n_triples + 1):
-        a, b, c = rand_q(), rand_q(), rand_q()
+        qa = rand_q()
+        a, b, c = one.scale(qa), one.scale(rand_q()), one.scale(rand_q())
         if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c):
             return False, seen, {"failed": "associativity"}
         if a * (b + c) != a * b + a * c:
             return False, seen, {"failed": "distributivity"}
-        if a + (-a) != ZERO or a - a != ZERO:
+        if a + (-a) or a - a:
             return False, seen, {"failed": "additive_inverse"}
-        if a != ZERO and a * (1 / a) != ONE:
+        if qa and a.scale(1 / qa) != one:
             return False, seen, {"failed": "multiplicative_inverse"}
-        if gcd(a.numerator, a.denominator) != 1:
+        if gcd(a.den, *a._terms.values()) != 1:
             return False, seen, {"failed": "reduction"}
     return True, n_triples, {}
 

@@ -754,15 +754,18 @@ class ObstructionResult:
     every caller at the same parameters shares the one instance.  A witness
     holds the coefficients of the block generators as (generator,
     coefficient) pairs in generator order, then lambda; the mixed
-    coefficients of Y are zero and not listed.
+    coefficients of Y are zero and not listed.  exists reads the witness.
     """
 
-    exists: bool
     witness: Optional[Tuple[Tuple[Tuple[Generator, Fraction], ...], Fraction]]
     certificate: Optional[str]
     n_samples: int
     n_rows: int
     xi_scalars: Tuple[Fraction, ...] = ()
+
+    @property
+    def exists(self) -> bool:
+        return self.witness is not None
 
     def to_dict(self) -> Dict:
         witness = None
@@ -834,7 +837,7 @@ def garfinkle_obstruction(params: ModuleParams, /) -> ObstructionResult:
         )
     if not any(xi_values):
         witness = (tuple((g, ZERO) for g in gens), ZERO)
-        return ObstructionResult(True, witness, None, len(samples), 0, xi_values)
+        return ObstructionResult(witness, None, len(samples), 0, xi_values)
 
     rref = SparseRREF(rhs_col=rhs_col)
     n_rows = 0
@@ -864,7 +867,7 @@ def garfinkle_obstruction(params: ModuleParams, /) -> ObstructionResult:
                     f"monomial {space.unpack(key)} of sample {s_idx} "
                     f"(K-type k={kt.k}, l={kt.l}) reduces to 0 = 1"
                 )
-                return ObstructionResult(False, None, certificate, len(samples), n_rows, xi_values)
+                return ObstructionResult(None, certificate, len(samples), n_rows, xi_values)
 
     sol = rref.particular_solution()
     lam = sol.get(lam_col, ZERO)
@@ -877,4 +880,4 @@ def garfinkle_obstruction(params: ModuleParams, /) -> ObstructionResult:
         if not residual.is_zero():
             raise AssertionError("the particular solution must satisfy every fed row")
     witness = (tuple(zip(gens, coeffs)), lam)
-    return ObstructionResult(True, witness, None, len(samples), n_rows, xi_values)
+    return ObstructionResult(witness, None, len(samples), n_rows, xi_values)

@@ -47,7 +47,10 @@ image's row times a positive integer, and a residual vanishes for both or
 for neither, so each membership is decided as for the tensor.  Each basis
 tensor's coordinate row is built once and serves both its family's span
 and the joint rank, which is taken by adding the other families' rows to
-the largest family's echelon form once its sweep has only read it.
+the largest family's echelon form once its sweep has only read it.  The
+tensor itself is dropped as soon as its row is built: the memoized
+DecompositionReport stores the dimensions, the sweep verdicts and the
+certificates, and derives every other value from them.
 adjoint_action stays the tensor-level action, and the tests compare the
 two.  The ad-invariance of the form visits only the nonzero structure
 constants (see _form_ad_invariance_certificate).
@@ -296,44 +299,53 @@ def s4_vanishing(sig: Sig) -> Tuple[int, bool]:
 # -- the four-piece decomposition -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantSubspace:
-    """One piece of the decomposition with an explicit exact basis."""
-
-    label: str
-    n: int
-    basis: Tuple[SymSquareTensor, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
+def _total_dim(n: int) -> int:
+    """dim S^2(so(n)) = N(N + 1)/2, with N = n(n - 1)/2 generators."""
+    return n * (n - 1) * (n * n - n + 2) // 8
 
 
 @dataclass(frozen=True)
 class DecompositionReport:
     """Dimension audit and invariance certificates for the four pieces.
 
-    subspaces holds the three explicitly spanned pieces; the (2,2) piece
-    enters through its dimension alone.  Frozen, because decompose_S2
+    Stores only the independent facts: the four dimensions, each explicit
+    family's adjoint-sweep verdict by label, and the certificate chain;
+    every other value is read off them.  Frozen, because decompose_S2
     memoizes it and every caller at the same n shares the one instance;
     the two verdict maps are read-only views.
     """
 
     n: int
-    subspaces: Tuple[InvariantSubspace, ...]
     dims: Tuple[int, int, int, int]
-    total_dim: int
-    direct_sum_ok: bool
-    invariance_ok: Mapping[str, bool]
+    swept: Mapping[str, bool]
     certificates: Mapping[str, bool]
-    images_checked: int
+
+    @property
+    def total_dim(self) -> int:
+        return _total_dim(self.n)
+
+    @property
+    def images_checked(self) -> int:
+        """Adjoint images decided: one per generating element and spanning tensor."""
+        return (self.n - 1) * sum(self.dims[:3])
+
+    @property
+    def direct_sum_ok(self) -> bool:
+        """dims[3] is the total minus the joint rank of the explicit families."""
+        return sum(self.dims) == self.total_dim
+
+    @property
+    def invariance_ok(self) -> Dict[str, bool]:
+        """Each piece's invariance under all of so(n): a family's sweep over
+        a certified generating set, and the whole chain for the (2,2) piece."""
+        generated = self.certificates["generating_set"]
+        out = {label: ok and generated for label, ok in self.swept.items()}
+        out["(2,2)"] = all(self.certificates.values())
+        return out
 
     def all_ok(self) -> bool:
-        return (
-            self.direct_sum_ok
-            and all(self.invariance_ok.values())
-            and all(self.certificates.values())
-        )
+        # the certificates imply every invariance verdict
+        return self.direct_sum_ok and all(self.certificates.values())
 
 
 def _pair_coord(a: Generator, b: Generator) -> int:
@@ -477,10 +489,10 @@ def _adjoint_rows(n: int, xs: Sequence[Generator], rows: Sequence[Row]) -> Itera
 
 def _span_invariant(
     n: int, xs: Sequence[Generator], rows: Sequence[Row]
-) -> Tuple[bool, int, SparseRREF]:
+) -> Tuple[bool, SparseRREF]:
     """Whether every adjoint image ad(x) t, x in xs, of a tensor t with
-    _coords row in rows lies in the span of rows (by exact membership), how
-    many images that decides, and the echelon form of that span.
+    _coords row in rows lies in the span of rows (by exact membership), and
+    the echelon form of that span.
 
     Only the rows of _adjoint_rows are reduced; every other image is zero
     and lies in the span.  Each row is a positive multiple of the image
@@ -495,7 +507,7 @@ def _span_invariant(
     ok = not any(
         span.residual(image) for reached in _adjoint_rows(n, xs, rows) for image in reached.values()
     )
-    return ok, len(xs) * len(rows), span
+    return ok, span
 
 
 @lru_cache(maxsize=None)
@@ -511,42 +523,31 @@ def decompose_S2(n: int) -> DecompositionReport:
     tensors, so the complement meets the span trivially and its dimension is
     the total minus that rank (rank plus nullity); no basis of it is built.
 
-    The report carries the invariance certificate chain described in the
-    module docstring, with the adjoint sweeps and the ad-invariance of the
-    form run over generating_set(n).  It reads n alone, so it is memoized
-    on n: every signature with p + q = n shares one report.
+    Each spanning tensor is dropped once its _coords row is built, and the
+    report keeps only the verdicts: the dimensions, each family's sweep
+    verdict and the certificate chain described in the module docstring,
+    with the adjoint sweeps and the ad-invariance of the form run over
+    generating_set(n).  It reads n alone, so it is memoized on n: every
+    signature with p + q = n shares one report.
     """
     if n < 4:
         raise ValueError("need n >= 4")
-    big_n = n * (n - 1) // 2
-    total_dim = big_n * (big_n + 1) // 2
-
     sig = (n, 0)
-    q_hat = build_Q(sig, "M")
-    s4_list = [
-        build_S4(sig, i, j, k, l) for i, j, k, l in combinations(range(1, n + 1), 4)
-    ]
-    s2_list = [
-        build_S2(sig, i, j)
-        for i in range(1, n + 1)
-        for j in range(i, n + 1)
-        if not (i == n and j == n)
-    ]
-
-    subspaces = (
-        InvariantSubspace("empty", n, (q_hat,)),
-        InvariantSubspace("(1,1,1,1)", n, tuple(s4_list)),
-        InvariantSubspace("(2)", n, tuple(s2_list)),
-    )
-    rows = {piece.label: [_coords(t) for t in piece.basis] for piece in subspaces}
+    rows = {
+        "empty": [_coords(build_Q(sig, "M"))],
+        "(1,1,1,1)": [_coords(build_S4(sig, *idx)) for idx in combinations(range(1, n + 1), 4)],
+        "(2)": [
+            _coords(build_S2(sig, i, j))
+            for i in range(1, n + 1)
+            for j in range(i, n + 1)
+            if not (i == n and j == n)
+        ],
+    }
 
     xs = generating_set(n)
-    swept = {}
-    spans = {}
-    images_checked = 0
+    swept, spans = {}, {}
     for label, piece_rows in rows.items():
-        swept[label], count, spans[label] = _span_invariant(n, xs, piece_rows)
-        images_checked += count
+        swept[label], spans[label] = _span_invariant(n, xs, piece_rows)
 
     # the joint rank: the largest family's span takes the other families' rows
     largest = max(rows, key=lambda label: len(rows[label]))
@@ -555,7 +556,7 @@ def decompose_S2(n: int) -> DecompositionReport:
         if label != largest:
             for row in piece_rows:
                 joint.add_row(row)
-    dims = (1, len(s4_list), len(s2_list), total_dim - joint.rank)
+    dims = (*(len(piece_rows) for piece_rows in rows.values()), _total_dim(n) - joint.rank)
 
     certificates = {
         "generating_set": _generating_set_certificate(n, xs),
@@ -563,21 +564,7 @@ def decompose_S2(n: int) -> DecompositionReport:
         "pairing_ad_invariant": _form_ad_invariance_certificate(n, xs),
         "families_invariant": all(swept.values()),
     }
-    invariance_ok = {
-        label: ok and certificates["generating_set"] for label, ok in swept.items()
-    }
-    invariance_ok["(2,2)"] = all(certificates.values())
-
-    return DecompositionReport(
-        n=n,
-        subspaces=subspaces,
-        dims=dims,
-        total_dim=total_dim,
-        direct_sum_ok=joint.rank == 1 + len(s4_list) + len(s2_list),
-        invariance_ok=MappingProxyType(invariance_ok),
-        certificates=MappingProxyType(certificates),
-        images_checked=images_checked,
-    )
+    return DecompositionReport(n, dims, MappingProxyType(swept), MappingProxyType(certificates))
 
 
 # -- the assembled dichotomy ------------------------------------------------------------

@@ -196,9 +196,10 @@ class WeylOperator(SparseRational):
         the product of the two denominators.
         """
         self._require_same_ctx(other)
+        sp = self.ctx
         acc: Dict[TermKey, int] = {}
-        _leibniz(self.space, self.rows(), other.rows(), acc, 1)
-        return WeylOperator.reduced(self.space, acc, self.den * other.den)
+        _leibniz(sp, self.rows(), other.rows(), acc, 1)
+        return WeylOperator.reduced(sp, acc, self.den * other.den)
 
     def commutator(self, other: "WeylOperator") -> "WeylOperator":
         """self other - other self, with only the contracted terms formed.

@@ -410,6 +410,20 @@ def test_wrong_xi_closed_form_is_a_failure(monkeypatch):
     assert _verdict("symsq.xi_transport", 2, 4, 0) == ("fail", 1, {"failed": "closed_form"})
 
 
+def test_field_axioms_fail_without_the_canonical_gcd(monkeypatch):
+    # the check runs the package's polynomial arithmetic, so a reduction
+    # that keeps the common factor of den and the numerators is caught
+    assert _verdict("weyl.field_axioms", 2, 4, 0) == ("pass", 40, {})
+
+    def uncancelled(cls, ctx, terms, den):
+        terms = {k: v for k, v in terms.items() if v}
+        return cls._make(ctx, terms, den if terms else 1)
+
+    monkeypatch.setattr(poly.SparseRational, "reduced", classmethod(uncancelled))
+    status, _, detail = _verdict("weyl.field_axioms", 2, 4, 0)
+    assert status == "fail" and "failed" in detail, detail
+
+
 def test_plan_jobs_refuses_a_depth():
     # the benchmark worker passes None in the place of the retired depth
     defs = [REGISTRY["lie.duality"]]

@@ -5,7 +5,8 @@ denominator that shares no factor with all of them, and hands its
 coefficients out as reduced ``Fraction``s; echelon rows are primitive int
 rows.  These tests pin the arithmetic the package performs on them
 (products, pivot rows, reduction) and check the field axioms on the
-coefficient type, as the ``weyl.field_axioms`` check does at run time.
+coefficient type; the ``weyl.field_axioms`` check runs them at run time on
+one-term constant polynomials.
 """
 
 from fractions import Fraction

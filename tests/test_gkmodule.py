@@ -919,6 +919,14 @@ def test_obstruction_both_signs_agree():
         assert not garfinkle_obstruction(ModuleParams(4, 4, 1, sign)).exists
 
 
+@pytest.mark.parametrize("p,q,m", [*DEFAULT_SWEEP, (6, 6, 3), (2, 10, 1), (3, 5, 1)])
+def test_obstruction_does_not_depend_on_the_sign(p, q, m):
+    # the sample plan and the whole result, witness or certificate, agree
+    plus, minus = ModuleParams(p, q, m, 1), ModuleParams(p, q, m, -1)
+    assert list(default_samples(plus)) == list(default_samples(minus))
+    assert garfinkle_obstruction(plus).to_dict() == garfinkle_obstruction(minus).to_dict()
+
+
 def test_obstruction_result_is_frozen():
     # the memoized result is shared by every caller, so no caller may change it
     res = garfinkle_obstruction(ModuleParams(4, 4, 0, 1))

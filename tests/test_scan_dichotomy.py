@@ -1,5 +1,5 @@
 """scripts/scan_dichotomy.py: the garfinkle suite on the tuples whose
-windows start past the k, l <= 2 box, and every suite at p + q <= 8; the
+windows start past the k, l <= 2 box, and every suite at p + q <= 10; the
 scans over p + q <= 12 and beyond run outside the tests."""
 
 import importlib.util
@@ -46,19 +46,20 @@ def test_late_windows_agree_with_the_dichotomy(monkeypatch):
     assert all("error" in line and "DegenerateSampleError" in line for line in bad), bad
 
 
-def test_every_suite_agrees_at_p_plus_q_up_to_8(monkeypatch, capsys):
-    # 13 tuples, every job passes; a wrong label rule, c = 1/(2k + n - 1)
+def test_every_suite_agrees_at_p_plus_q_up_to_10(monkeypatch, capsys):
+    # 34 tuples up to n = 10, the largest decompose_S2 of the annihilator
+    # benchmark; every job passes.  A wrong label rule, c = 1/(2k + n - 1)
     # in the V and D rows, makes the scan report disagreements and exit 1
-    tuples = scan.valid_tuples(8)
-    assert len(tuples) == 13
+    tuples = scan.valid_tuples(10)
+    assert len(tuples) == 34
     results = scan.run(tuples, ALL_SUITES)
-    assert len(results) == 354
+    assert len(results) == 788
     assert {r.status for r in results} == {"pass"}
     assert scan.disagreements(results) == []
-    assert scan.main(["8", "--suite", "all"]) == 0
+    assert scan.main(["10", "--suite", "all"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == (
-        "13 tuples with p + q <= 8, suites " + ",".join(ALL_SUITES) + ": 354 jobs (354 pass); "
+        "34 tuples with p + q <= 10, suites " + ",".join(ALL_SUITES) + ": 788 jobs (788 pass); "
         "0 disagree"
     )
     # the timing line names three checks; no time is pinned
@@ -71,7 +72,7 @@ def test_every_suite_agrees_at_p_plus_q_up_to_8(monkeypatch, capsys):
     monkeypatch.setattr(gkmodule, "_label_rule", wrong_label_rule("c_over_2k_plus_n_minus_1"))
     garfinkle_obstruction.cache_clear()
     try:
-        assert scan.main(["8", "--suite", "all"]) == 1
+        assert scan.main(["10", "--suite", "all"]) == 1
     finally:
         garfinkle_obstruction.cache_clear()
     assert "0 disagree" not in capsys.readouterr().out

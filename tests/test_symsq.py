@@ -1,8 +1,10 @@
 """Symmetric-square tensors: transport, invariance, decomposition, the criterion."""
 
+import gc
 import json
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd
 
 import pytest
@@ -299,6 +301,43 @@ def test_decomposition_dimensions():
         assert rep.all_ok()
 
 
+def _families(n):
+    """The spanning tensors of the three explicit pieces at (n, 0), by
+    label, in the order decompose_S2 builds them.  The builders are read
+    off the module, so a test that patches one sees its tensors here."""
+    sig = (n, 0)
+    return {
+        "empty": (symsq.build_Q(sig, "M"),),
+        "(1,1,1,1)": tuple(symsq.build_S4(sig, *idx) for idx in combinations(range(1, n + 1), 4)),
+        "(2)": tuple(
+            symsq.build_S2(sig, i, j)
+            for i in range(1, n + 1)
+            for j in range(i, n + 1)
+            if not (i == n and j == n)
+        ),
+    }
+
+
+def test_decompose_S2_report_holds_no_tensor():
+    # the memo keeps verdicts only; the walk does find a tensor planted in a field
+    def reachable(obj):
+        seen, stack = set(), [obj]
+        while stack:
+            o = stack.pop()
+            if id(o) in seen or isinstance(o, type):
+                continue
+            seen.add(id(o))
+            yield o
+            stack.extend(gc.get_referents(o))
+
+    for n in (4, 8, 10):
+        rep = decompose_S2(n)
+        values = [getattr(rep, f.name) for f in fields(rep)]
+        assert not any(isinstance(o, SymSquareTensor) for v in values for o in reachable(v))
+        planted = replace(rep, swept={"empty": build_Q((n, 0), "M")})
+        assert any(isinstance(o, SymSquareTensor) for o in reachable(planted.swept))
+
+
 def _e22_basis(rep):
     """The (2,2) piece as the exact orthocomplement of the three explicit
     pieces: the nullspace of their rows under the pairing weights (2 off the
@@ -308,8 +347,8 @@ def _e22_basis(rep):
     pairs = {_pair_coord(a, b): (a, b) for ai, a in enumerate(gens) for b in gens[ai:]}
     weighted = [
         {_pair_coord(a, b): c * (1 if a == b else 2) for (a, b), c in t._terms.items() if a <= b}
-        for piece in rep.subspaces
-        for t in piece.basis
+        for basis in _families(rep.n).values()
+        for t in basis
     ]
     basis = []
     for vec in rref_nullspace(weighted, sorted(pairs)):
@@ -325,7 +364,7 @@ def test_decomposition_pieces_are_orthogonal():
     rep = decompose_S2(4)
     e22 = _e22_basis(rep)
     assert len(e22) == rep.dims[3]
-    flat = [(s.label, t) for s in rep.subspaces for t in s.basis]
+    flat = [(label, t) for label, basis in _families(4).items() for t in basis]
     flat += [("(2,2)", t) for t in e22]
     for i, (la, ta) in enumerate(flat):
         for lb, tb in flat[i + 1 :]:
@@ -362,14 +401,16 @@ def test_e22_piece_is_invariant_under_every_generator(n):
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_generating_set_sweep_matches_all_generator_reference(n):
     rep = decompose_S2(n)
-    assert rep.images_checked == (n - 1) * sum(s.dimension for s in rep.subspaces)
+    families = _families(n)
+    assert tuple(len(basis) for basis in families.values()) == rep.dims[:3]
+    assert rep.images_checked == (n - 1) * sum(len(basis) for basis in families.values())
     assert rep.certificates["generating_set"]
     xs = generating_set(n)
     assert xs == tuple(Generator(i, i + 1, "M") for i in range(1, n))
-    for piece in rep.subspaces:
-        assert _reference_sweep(n, piece.basis)
-        assert _span_invariant(n, xs, [_coords(t) for t in piece.basis])[0]
-        assert rep.invariance_ok[piece.label]
+    for label, basis in families.items():
+        assert _reference_sweep(n, basis)
+        assert _span_invariant(n, xs, [_coords(t) for t in basis])[0]
+        assert rep.invariance_ok[label]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
@@ -377,8 +418,8 @@ def test_joint_rank_matches_a_fresh_echelon_form(n):
     # decompose_S2 takes the joint rank on the largest family's span
     rep = decompose_S2(n)
     fresh = SparseRREF()
-    for piece in rep.subspaces:
-        for t in piece.basis:
+    for basis in _families(n).values():
+        for t in basis:
             fresh.add_row(_coords(t))
     assert rep.total_dim - rep.dims[3] == fresh.rank
     assert rep.direct_sum_ok == (fresh.rank == sum(rep.dims[:3]))
@@ -388,14 +429,17 @@ def test_joint_rank_matches_a_fresh_echelon_form(n):
 @pytest.mark.parametrize("n", [5, 7])
 def test_span_invariant_leaves_its_span_unchanged(n):
     xs = generating_set(n)
-    for piece in decompose_S2(n).subspaces:
-        rows = [_coords(t) for t in piece.basis]
+    count = 0
+    for basis in _families(n).values():
+        rows = [_coords(t) for t in basis]
         fresh = SparseRREF()
         for row in rows:
             fresh.add_row(row)
-        ok, count, span = _span_invariant(n, xs, rows)
-        assert ok and count == len(xs) * len(rows)
+        ok, span = _span_invariant(n, xs, rows)
+        assert ok
+        count += len(xs) * len(rows)
         assert span.rows == fresh.rows and span.holders == fresh.holders
+    assert decompose_S2(n).images_checked == count
 
 
 def _content_free(row):
@@ -412,9 +456,8 @@ def test_adjoint_rows_are_the_image_rows_of_the_reached_tensors(n):
     # Each spanning tensor's images are all diagonal or all off-diagonal, so
     # sums of neighbours are added to weigh the diagonal against the rest.
     # A tensor that the sweep does not reach must have a zero image.
-    rep = decompose_S2(n)
     gens = generators(n, 0, "M")
-    spanning = [t for piece in rep.subspaces for t in piece.basis]
+    spanning = [t for basis in _families(n).values() for t in basis]
     tensors = spanning + [s + t for s, t in zip(spanning, spanning[1:])]
     sweep = list(_adjoint_rows(n, gens, [_coords(t) for t in tensors]))
     assert len(sweep) == len(gens)
@@ -487,6 +530,8 @@ def test_decompose_S2_runs_once_per_n():
         rep.n = 9
     with pytest.raises(TypeError):
         rep.certificates["generating_set"] = False
+    with pytest.raises(TypeError):
+        rep.swept["(2)"] = False
 
 
 def _dense_ad_invariance(n, xs):
@@ -584,7 +629,7 @@ def test_corrupted_spanning_tensor_fails_both_sweeps(monkeypatch, n, builder, la
 
     monkeypatch.setattr(symsq, builder, corrupted)
     rep = decompose_S2.__wrapped__(n)
-    basis = next(s for s in rep.subspaces if s.label == label).basis
+    basis = _families(n)[label]
     assert not _reference_sweep(n, basis)
     assert not rep.invariance_ok[label]
     assert not rep.certificates["families_invariant"]
