@@ -11,9 +11,11 @@ A typical element is  h1 * h2 * rho_y^mu * Psi_kappa(rho_x rho_y)  (sign +1,
 with the roles of the blocks swapped for sign -1), where h1, h2 are block
 harmonics of degrees k, l, the shifted weights are kappa_plus = k + p/2 and
 kappa_minus = l + q/2, and Psi_alpha(u) = sum_j (-1)^j / (j! (alpha)_j) u^j.
-ModuleParams holds that family rule and is the only code that reads the sign:
-the series block, the series and partner weights, mu, the killing and
-lowering sl2 generators, and the four-row table of the mixed action.
+ModuleParams holds that family rule, the series block, the series and
+partner weights, mu, the killing and lowering sl2 generators and the
+four-row table of the mixed action, read by _frame, verify_membership (with
+H - sign m), _action_at and _layer_terms.  The window, the scalars and the
+sample plans read no sign: ktype_box and garfinkle_obstruction take (p, q, m).
 
 The whole series is the terms w_j h1 (r_x^2)^(j + mu_x) h2 (r_y^2)^(j +
 mu_y), j >= 0, with w_0 = 1/2^mu and w_j / w_(j+1) = -2 (j + 1)(2 kappa +
@@ -168,9 +170,7 @@ class ActionLayer(NamedTuple):
 @dataclass(frozen=True)
 class ModuleParams:
     """Family parameters; sign +1 selects the H-eigenvalue +m family.
-
-    The methods below are the only code that reads the sign.
-    """
+    allows and scalar read no sign."""
 
     p: int
     q: int
@@ -683,23 +683,23 @@ def _window(params: ModuleParams) -> Iterator[KType]:
 
 
 @lru_cache(maxsize=None)
-def ktype_box(params: ModuleParams, k_max: int, l_max: int) -> Tuple[range, range]:
+def ktype_box(p: int, q: int, m: int, k_max: int, l_max: int, /) -> Tuple[range, range]:
     """The (k, l) ranges every sample plan reads: k <= k_max, l <= l_max when
-    that box holds a K-type of the family, else the box of the same size
-    whose corner is the family's K-type of least k + l, which then comes
-    first.  The window is never empty: p + q is even, so its diagonal k - l
-    = (q - p)/2 - m holds a K-type."""
+    that box holds a K-type of the window at (p, q, m), else the box of the
+    same size whose corner is the window's K-type of least k + l, which then
+    comes first.  The window is never empty: p + q is even, so its diagonal
+    k - l = (q - p)/2 - m holds a K-type."""
+    params = ModuleParams(p, q, m)
     ks, ls = range(k_max + 1), range(l_max + 1)
-    if any(params.allows(KType(k, l, params.p, params.q)) for k in ks for l in ls):
+    if any(params.allows(KType(k, l, p, q)) for k in ks for l in ls):
         return ks, ls
     corner = next(_window(params))
     return range(corner.k, corner.k + k_max + 1), range(corner.l, corner.l + l_max + 1)
 
 
 def ktype_enumeration(params: ModuleParams, k_max: int, l_max: int) -> List[KType]:
-    """All K-types of the family in ktype_box(params, k_max, l_max), ordered
-    by (k, l)."""
-    ks, ls = ktype_box(params, k_max, l_max)
+    """All K-types of the family in its ktype_box, ordered by (k, l)."""
+    ks, ls = ktype_box(params.p, params.q, params.m, k_max, l_max)
     kts = (KType(k, l, params.p, params.q) for k in ks for l in ls)
     return [kt for kt in kts if params.allows(kt)]
 
@@ -751,7 +751,7 @@ class ObstructionResult:
     """Outcome of the sampled solvability question for (Y, lambda).
 
     Frozen, with tuple fields, because garfinkle_obstruction memoizes it and
-    every caller at the same parameters shares the one instance.  A witness
+    every caller at the same (p, q, m), either family, shares it.  A witness
     holds the coefficients of the block generators as (generator,
     coefficient) pairs in generator order, then lambda; the mixed
     coefficients of Y are zero and not listed.  exists reads the witness.
@@ -786,7 +786,7 @@ class ObstructionResult:
 
 
 @lru_cache(maxsize=None)
-def garfinkle_obstruction(params: ModuleParams, /) -> ObstructionResult:
+def garfinkle_obstruction(p: int, q: int, m: int, /) -> ObstructionResult:
     """Decide whether some Lie-algebra element Y and scalar lambda satisfy
     pi(Y) f + lambda f = Xi_kt f for the typical element f of every default
     sample (kt, h1, h2), Xi_kt being the symmetric-square eigenvalue at kt.
@@ -819,21 +819,22 @@ def garfinkle_obstruction(params: ModuleParams, /) -> ObstructionResult:
 
     Fewer than two samples, or (for m >= 1) samples sharing one eigenvalue,
     are solvable for a reason unrelated to the module and raise
-    DegenerateSampleError before any image is formed.  The result is
-    memoized on params, so the theorem assembly reads the result of the
-    obstruction check instead of solving again.  A raised error is not
-    memoized.
+    DegenerateSampleError before any image is formed.  The samples and the
+    Xi scalars read no sign, so both families have one system: the result
+    is memoized on (p, q, m), and one solve serves both families and both
+    garfinkle checks.  A raised error is not memoized.
     """
+    params = ModuleParams(p, q, m)
     space = params.space
-    gens = [g for g in generators(params.p, params.q, "M") if same_block(g, params.p)]
+    gens = [g for g in generators(p, q, "M") if same_block(g, p)]
     lam_col = len(gens)
     rhs_col = lam_col + 1
     samples = [(kt, h1, h2, params.scalar("xi", kt)) for kt, h1, h2 in default_samples(params)]
     xi_values = tuple(xi for *_, xi in samples)
-    if len(samples) < 2 or (params.m >= 1 and len(set(xi_values)) < 2):
+    if len(samples) < 2 or (m >= 1 and len(set(xi_values)) < 2):
         raise DegenerateSampleError(
             f"{len(samples)} default samples with Xi eigenvalues "
-            f"{sorted(set(map(str, xi_values)))} cannot decide the system at {params}"
+            f"{sorted(set(map(str, xi_values)))} cannot decide the system at {(p, q, m)}"
         )
     if not any(xi_values):
         witness = (tuple((g, ZERO) for g in gens), ZERO)

@@ -56,10 +56,10 @@ two.  The ad-invariance of the form visits only the nonzero structure
 constants (see _form_ad_invariance_certificate).
 
 The theorem assembly at the bottom shares its two pure ingredients with the
-checks that run them on their own: garfinkle_obstruction and s4_vanishing
-are memoized, so each is solved once per parameter set, by whichever of the
-assembly and its check runs first.  Its TheoremReport stores only the step
-results and derives the verdict.
+checks that run them on their own: garfinkle_obstruction is memoized on
+(p, q, m), which both families share, and s4_vanishing on (p, q), so each
+is solved once, by whichever of the assembly and its check runs first.
+Its TheoremReport stores only the step results and derives the verdict.
 """
 
 from __future__ import annotations
@@ -628,15 +628,15 @@ def theorem_ingredients(params: ModuleParams) -> TheoremReport:
     consistent with the dichotomy when all three steps place their piece,
     and the prediction field records whether the parameter m is zero.
 
-    Steps two and three read the memoized s4_vanishing and
-    garfinkle_obstruction, each shared whichever check runs first at the
-    same parameters.  In the check-major plan, which runs the checks by
-    name, garfinkle.obstruction solves before this function and reads its
-    memo here, while this function computes the S4 images and
+    Steps two and three read the memoized s4_vanishing, keyed on (p, q),
+    and garfinkle_obstruction, keyed on (p, q, m): both families read one
+    entry of each, whichever check runs first.  In the check-major plan,
+    which runs the checks by name, garfinkle.obstruction solves before this
+    function, while this function computes the S4 images and
     symsq.s4_vanishing reads them; the shared ObstructionResult is frozen.
     """
     kts = dict.fromkeys(kt for kt, _, _ in default_samples(params))
     casimir_ok = all(eigenvalue_check("g", params, kt).ok for kt in kts)
     s4_count, s4_ok = s4_vanishing((params.p, params.q))
-    obstruction = garfinkle_obstruction(params)
+    obstruction = garfinkle_obstruction(params.p, params.q, params.m)
     return TheoremReport(params, casimir_ok, s4_count, s4_ok, obstruction)

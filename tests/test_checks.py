@@ -168,10 +168,9 @@ def test_a_window_past_the_box_gives_verdicts():
         assert [rep["exists"] for rep in per_sign.values()] == [False, False]
     window = at["module.parameter_window", 14]
     assert (window.instances, window.detail) == (32, {"allowed": 12})
+    assert ktype_box(2, 14, 1, 3, 3) == (range(5, 9), range(4))
     for sign in (1, -1):
-        params = ModuleParams(2, 14, 1, sign)
-        assert ktype_box(params, 3, 3) == (range(5, 9), range(4))
-        assert ktype_enumeration(params, 3, 3)[0] == KType(5, 0, 2, 14)
+        assert ktype_enumeration(ModuleParams(2, 14, 1, sign), 3, 3)[0] == KType(5, 0, 2, 14)
 
 
 def _one_ktype_plan(params):
@@ -197,9 +196,8 @@ def test_degenerate_samples_are_an_error(monkeypatch, p, q, m):
     plans = (_one_ktype_plan, lambda params: _one_ktype_plan(params)[:1], lambda params: [])
     for plan in plans:
         _use_plan(monkeypatch, plan)
-        for sign in (1, -1):
-            with pytest.raises(DegenerateSampleError):
-                garfinkle_obstruction(ModuleParams(p, q, m, sign))
+        with pytest.raises(DegenerateSampleError):
+            garfinkle_obstruction(p, q, m)
     defs = [REGISTRY["garfinkle.obstruction"], REGISTRY["garfinkle.theorem"]]
     results = execute_jobs(plan_jobs(defs, [(p, q, m)], 3, 3))
     assert [r.name for r in results] == ["garfinkle.obstruction", "garfinkle.theorem"]
@@ -212,19 +210,32 @@ def test_degenerate_samples_are_an_error(monkeypatch, p, q, m):
 @pytest.mark.parametrize("p,q,m", DEGENERATE_TUPLES)
 def test_degenerate_samples_raise_on_every_call(monkeypatch, p, q, m):
     # a raised error is not memoized: each call solves again and raises again
-    params = ModuleParams(p, q, m, 1)
     _use_plan(monkeypatch, _one_ktype_plan)
     for calls in (1, 2, 3):
         with pytest.raises(DegenerateSampleError):
-            garfinkle_obstruction(params)
+            garfinkle_obstruction(p, q, m)
         info = garfinkle_obstruction.cache_info()
         assert (info.misses, info.currsize) == (calls, 0)
+
+
+def test_degenerate_sample_error_names_the_tuple(monkeypatch):
+    # the error is raised by the one solve both families share, so its
+    # message names (p, q, m) and no family
+    _use_plan(monkeypatch, _one_ktype_plan)
+    with pytest.raises(DegenerateSampleError) as raised:
+        garfinkle_obstruction(2, 10, 1)
+    assert str(raised.value).endswith(" cannot decide the system at (2, 10, 1)")
+    assert "sign" not in str(raised.value)
+    (r,) = execute_jobs(plan_jobs([REGISTRY["garfinkle.obstruction"]], [(2, 10, 1)], 3, 3))
+    assert r.detail["error"] == f"DegenerateSampleError: {raised.value}"
+    garfinkle_obstruction.cache_clear()
 
 
 def test_solver_images_only_the_samples_it_reads(monkeypatch):
     # at (4, 6, 1) each sample read costs one apply per block generator (6 +
     # 15 = 21), all on h1 h2, in sample order, and no sample's harmonics
-    # are tested as a typical element's; a degenerate sample set is refused
+    # are tested as a typical element's; both families read that one solve,
+    # so the check images nothing more; a degenerate sample set is refused
     # from its K-types, before any image
     from gkverify.liealg import generators, pi_generator, same_block
 
@@ -241,33 +252,30 @@ def test_solver_images_only_the_samples_it_reads(monkeypatch):
     block = [pi_generator(g, space) for g in generators(4, 6, "M") if same_block(g, 4)]
     assert len(block) == 21
     garfinkle_obstruction.cache_clear()
-    for sign in (1, -1):
-        params = ModuleParams(4, 6, 1, sign)
-        calls.clear()
-        res = garfinkle_obstruction(params)
-        assert not res.exists
-        n_read = int(res.certificate.split(" of sample ")[1].split()[0]) + 1
-        assert 1 <= n_read < res.n_samples, sign
-        samples = list(gkmodule.default_samples(params))[:n_read]
-        assert len(calls) == 21 * n_read, sign
-        for s, (_, h1, h2) in enumerate(samples):
-            group = calls[21 * s: 21 * (s + 1)]
-            assert [op for op, _ in group] == block
-            assert all(f == h1.mul(h2) for _, f in group)
+    res = garfinkle_obstruction(4, 6, 1)
+    assert not res.exists
+    n_read = int(res.certificate.split(" of sample ")[1].split()[0]) + 1
+    assert 1 <= n_read < res.n_samples
+    samples = list(gkmodule.default_samples(ModuleParams(4, 6, 1)))[:n_read]
+    assert len(calls) == 21 * n_read
+    for s, (_, h1, h2) in enumerate(samples):
+        group = calls[21 * s: 21 * (s + 1)]
+        assert [op for op, _ in group] == block
+        assert all(f == h1.mul(h2) for _, f in group)
+    calls.clear()
+    assert REGISTRY["garfinkle.obstruction"].fn(CheckRun(4, 6, 1, 3, 3))[0] is True
+    assert calls == []
     assert built == []
     # at m = 0 every Xi eigenvalue is 0: the zero witness needs no image
-    for sign in (1, -1):
-        calls.clear()
-        res = garfinkle_obstruction(ModuleParams(4, 4, 0, sign))
-        assert (res.exists, res.n_rows, res.witness[1], calls) == (True, 0, 0, [])
-        assert not any(c for _, c in res.witness[0])
+    res = garfinkle_obstruction(4, 4, 0)
+    assert (res.exists, res.n_rows, res.witness[1], calls) == (True, 0, 0, [])
+    assert not any(c for _, c in res.witness[0])
     _use_plan(monkeypatch, _one_ktype_plan)
     for p, q, m in DEGENERATE_TUPLES:
-        for sign in (1, -1):
-            calls.clear()
-            with pytest.raises(DegenerateSampleError):
-                garfinkle_obstruction(ModuleParams(p, q, m, sign))
-            assert calls == [], (p, q, m, sign)
+        calls.clear()
+        with pytest.raises(DegenerateSampleError):
+            garfinkle_obstruction(p, q, m)
+        assert calls == [], (p, q, m)
     garfinkle_obstruction.cache_clear()
 
 
@@ -285,6 +293,21 @@ def test_a_wrong_casimir_scalar_fails_the_theorem(monkeypatch, off):
     status, _, detail = _verdict("garfinkle.theorem", 4, 6, 1)
     assert status == "fail"
     assert detail["report"]["casimir_step_ok"] is False
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_a_wrong_total_dimension_fails_the_decomposition(monkeypatch, off):
+    # the check compares dims with the closed forms: a total dimension off
+    # by one moves dims[3], the total minus the joint rank, and fails it
+    true_total = symsq._total_dim
+    monkeypatch.setattr(symsq, "_total_dim", lambda n: true_total(n) + off)
+    symsq.decompose_S2.cache_clear()
+    try:
+        status, _, detail = _verdict("symsq.decomposition", 4, 4, 0)
+    finally:
+        symsq.decompose_S2.cache_clear()
+    assert status == "fail"
+    assert (detail["dims"][3], detail["total"]) == (300 + off, 406 + off)
 
 
 def _clear_memos():

@@ -34,7 +34,7 @@ from gkverify.poly import (
     laplacian,
     rsq,
 )
-from gkverify.checks import REGISTRY, execute_jobs, plan_jobs
+from gkverify.checks import REGISTRY, CheckRun, execute_jobs, plan_jobs
 from gkverify.cli import DEFAULT_SWEEP
 from gkverify.liealg import (
     STOCK_OPERATORS,
@@ -45,6 +45,7 @@ from gkverify.liealg import (
     pi_generator,
 )
 from gkverify.linalg import SparseRREF
+from gkverify.symsq import theorem_ingredients
 from gkverify.weyl import WeylOperator, rsq_op
 from helpers import from_monomials, shift_rho, wrong_label_rule
 from truncated_reference import (
@@ -899,14 +900,14 @@ def test_default_samples_structure():
 
 
 def test_obstruction_exists_at_m_zero():
-    res = garfinkle_obstruction(ModuleParams(4, 4, 0, 1))
+    res = garfinkle_obstruction(4, 4, 0)
     assert res.exists
     assert res.certificate is None
     assert res.xi_scalars  # the solver records the scalar targets it matched
 
 
 def test_obstruction_infeasible_at_m_positive():
-    res = garfinkle_obstruction(ModuleParams(4, 4, 1, 1))
+    res = garfinkle_obstruction(4, 4, 1)
     assert not res.exists
     assert res.witness is None
     assert res.certificate  # an explicit inconsistent row is named
@@ -914,22 +915,65 @@ def test_obstruction_infeasible_at_m_positive():
 
 
 def test_obstruction_both_signs_agree():
-    for sign in (1, -1):
-        assert garfinkle_obstruction(ModuleParams(4, 4, 0, sign)).exists
-        assert not garfinkle_obstruction(ModuleParams(4, 4, 1, sign)).exists
+    # the garfinkle.obstruction check reads one result for both families
+    for m, exists in ((0, True), (1, False)):
+        ok, _, detail = REGISTRY["garfinkle.obstruction"].fn(CheckRun(4, 4, m, 3, 3))
+        assert ok and [r["exists"] for r in detail["per_sign"].values()] == [exists] * 2
 
 
-@pytest.mark.parametrize("p,q,m", [*DEFAULT_SWEEP, (6, 6, 3), (2, 10, 1), (3, 5, 1)])
-def test_obstruction_does_not_depend_on_the_sign(p, q, m):
-    # the sample plan and the whole result, witness or certificate, agree
+def _valid_tuples(n_max):
+    out = []
+    for n in range(4, n_max + 1, 2):
+        for p in range(2, n - 1):
+            out.extend((p, n - p, m) for m in range(n // 2 - 2))
+    return out
+
+
+def _sign_mismatches(p, q, m):
+    """Every input of the obstruction solver that differs between the two
+    families at (p, q, m): the default_samples triples, ktype_enumeration
+    at four boxes and the Xi scalar at each sample K-type of either."""
     plus, minus = ModuleParams(p, q, m, 1), ModuleParams(p, q, m, -1)
-    assert list(default_samples(plus)) == list(default_samples(minus))
-    assert garfinkle_obstruction(plus).to_dict() == garfinkle_obstruction(minus).to_dict()
+    samples = [list(default_samples(params)) for params in (plus, minus)]
+    out = ["default_samples"] if samples[0] != samples[1] else []
+    for box in [(0, 0), (2, 2), (3, 3), (12, 12)]:
+        if ktype_enumeration(plus, *box) != ktype_enumeration(minus, *box):
+            out.append(box)
+    for kt in dict.fromkeys(kt for plan in samples for kt, _, _ in plan):
+        if plus.scalar("xi", kt) != minus.scalar("xi", kt):
+            out.append(kt)
+    return out
+
+
+@pytest.mark.parametrize("p,q,m", _valid_tuples(12))
+def test_obstruction_does_not_depend_on_the_sign(p, q, m):
+    # garfinkle_obstruction(p, q, m) solves once for both families: every
+    # value the solver reads is the same for the +1 and the -1 family
+    assert _sign_mismatches(p, q, m) == []
+
+
+@pytest.mark.parametrize("mutant", ["xi", "allows"])
+def test_a_sign_reading_solver_input_fails_the_sign_test(monkeypatch, mutant):
+    # mutation gate: an Xi scalar or a window rule that reads the sign must
+    # show as a mismatch at some tuple
+    if mutant == "xi":
+        true_scalar = ModuleParams.scalar
+        monkeypatch.setattr(
+            ModuleParams, "scalar",
+            lambda self, which, kt=None: true_scalar(self, which, kt) + (self.sign == -1),
+        )
+    else:
+        true_allows = ModuleParams.allows
+        monkeypatch.setattr(
+            ModuleParams, "allows",
+            lambda self, kt: true_allows(self, kt) and (self.sign == 1 or kt.k + kt.l != 2),
+        )
+    assert any(_sign_mismatches(*t) for t in _valid_tuples(8))
 
 
 def test_obstruction_result_is_frozen():
     # the memoized result is shared by every caller, so no caller may change it
-    res = garfinkle_obstruction(ModuleParams(4, 4, 0, 1))
+    res = garfinkle_obstruction(4, 4, 0)
     assert isinstance(res.xi_scalars, tuple)
     coeffs, _lam = res.witness
     assert isinstance(coeffs, tuple) and list(coeffs) == sorted(coeffs)
@@ -940,22 +984,22 @@ def test_obstruction_result_is_frozen():
 
 
 def test_obstruction_call_forms_solve_once():
-    # params is positional-only, so each parameter set has one call form and
-    # one entry
-    params = ModuleParams(4, 4, 1, 1)
+    # p, q, m are positional-only, so each tuple has one call form and one
+    # entry, which both families read
     garfinkle_obstruction.cache_clear()
-    first = garfinkle_obstruction(params)
-    assert garfinkle_obstruction(params) is first
-    assert garfinkle_obstruction(ModuleParams(4, 4, 1, 1)) is first
+    first = garfinkle_obstruction(4, 4, 1)
+    assert garfinkle_obstruction(4, 4, 1) is first
     with pytest.raises(TypeError):
-        garfinkle_obstruction(params=params)
+        garfinkle_obstruction(p=4, q=4, m=1)
     with pytest.raises(TypeError):
-        garfinkle_obstruction(params, 10)
+        garfinkle_obstruction(4, 4, 1, 10)
+    with pytest.raises(TypeError):
+        garfinkle_obstruction(ModuleParams(4, 4, 1, 1))
     # lru_cache counts the refused calls as misses, so count entries
     info = garfinkle_obstruction.cache_info()
-    assert (info.currsize, info.hits) == (1, 2)
-    garfinkle_obstruction(ModuleParams(4, 4, 1, -1))
-    assert garfinkle_obstruction.cache_info().currsize == 2
+    assert (info.currsize, info.hits) == (1, 1)
+    assert theorem_ingredients(ModuleParams(4, 4, 1, -1)).obstruction is first
+    assert garfinkle_obstruction.cache_info().currsize == 1
 
 
 def _eager_obstruction(params, D):
@@ -1037,14 +1081,6 @@ def _eager_obstruction(params, D):
         assert status == "pivot"
 
 
-def _valid_tuples(n_max):
-    out = []
-    for n in range(4, n_max + 1, 2):
-        for p in range(2, n - 1):
-            out.extend((p, n - p, m) for m in range(n // 2 - 2))
-    return out
-
-
 def test_ktype_box_counts_from_the_window():
     # the k <= k_max, l <= l_max box is kept when it holds a K-type; else a
     # box of the same size moves to the K-type of least k + l, which the
@@ -1055,7 +1091,7 @@ def test_ktype_box_counts_from_the_window():
         window = [KType(k, l, p, q) for k, l in grid if params.allows(KType(k, l, p, q))]
         least = min(kt.k + kt.l for kt in window)
         for k_max, l_max in [(0, 0), (2, 2), (3, 1), (3, 3)]:
-            ks, ls = ktype_box(params, k_max, l_max)
+            ks, ls = ktype_box(p, q, m, k_max, l_max)
             kts = ktype_enumeration(params, k_max, l_max)
             assert kts == [kt for kt in window if kt.k in ks and kt.l in ls]
             assert (len(ks), len(ls)) == (k_max + 1, l_max + 1)
@@ -1120,7 +1156,7 @@ def test_obstruction_matches_the_eager_reference(p, q, m, sign):
     garfinkle_obstruction.cache_clear()
 
     def harmonic():
-        res = garfinkle_obstruction(params)
+        res = garfinkle_obstruction(p, q, m)
         witness = res.to_dict()["witness"]
         if witness is not None:
             witness = (witness["generator_coefficients"], witness["lambda"])

@@ -573,7 +573,7 @@ def test_harmonic_obstruction_system_matches_sympy(p, q, m, sign):
     solutions = sympy.linsolve(equations, [*cs, lam])
     exists = solutions != sympy.EmptySet
     assert exists == (m == 0)
-    assert garfinkle_obstruction(params).exists == exists
+    assert garfinkle_obstruction(p, q, m).exists == exists
 
 
 def _label_rule_mismatches(p, q, label_rule):

@@ -11,7 +11,7 @@ import pytest
 
 from gkverify import gkmodule
 from gkverify.checks import ALL_SUITES
-from gkverify.gkmodule import ModuleParams, garfinkle_obstruction
+from gkverify.gkmodule import ModuleParams, garfinkle_obstruction, ktype_box
 from helpers import wrong_label_rule
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +44,23 @@ def test_late_windows_agree_with_the_dichotomy(monkeypatch):
     garfinkle_obstruction.cache_clear()
     assert len(bad) == 2 * len(LATE_WINDOWS), bad
     assert all("error" in line and "DegenerateSampleError" in line for line in bad), bad
+
+
+def test_the_scan_solves_and_boxes_once_per_tuple():
+    # the obstruction and the K-type box read no sign, so both families
+    # share one entry: over the 70 tuples with p + q <= 12, both garfinkle
+    # checks solve 70 times (one miss and three hits per tuple), and the
+    # all-suite plan reads three boxes per tuple, (3, 3), (2, 2) and (12, 12)
+    for memo in (garfinkle_obstruction, ktype_box):
+        memo.cache_clear()
+    tuples = scan.valid_tuples(12)
+    assert scan.disagreements(scan.run(tuples)) == []
+    assert garfinkle_obstruction.cache_info()[:2] == (210, 70)  # hits, misses
+    assert garfinkle_obstruction.cache_info().currsize == 70
+    assert ktype_box.cache_info().currsize == 70
+    assert {r.status for r in scan.run(tuples, ALL_SUITES)} == {"pass"}
+    assert garfinkle_obstruction.cache_info().misses == 70
+    assert ktype_box.cache_info().currsize == 210
 
 
 def test_every_suite_agrees_at_p_plus_q_up_to_10(monkeypatch, capsys):
