@@ -94,8 +94,21 @@ def epsilon(i: int, p: int) -> int:
     return 1 if i <= p else -1
 
 
+def _require_flavor(flavor: str) -> None:
+    if flavor not in ("X", "M"):
+        raise ValueError(f"flavor must be 'X' or 'M', not {flavor!r}")
+
+
+@lru_cache(maxsize=None)
 def canonical(i: int, j: int, flavor: str) -> Tuple[Generator, int]:
-    """Map arbitrary (i, j), i != j, to the stored generator and a sign."""
+    """Map arbitrary (i, j), i != j, to the stored generator and a sign.
+
+    Memoized, so every call with one key hands out the same Generator
+    object, which ``generators`` shares too; a dict keyed by generators
+    then finds them by identity.  An unknown flavor raises, and so gets no
+    memo entry.
+    """
+    _require_flavor(flavor)
     if i == j:
         raise ValueError("generators need i != j")
     if i < j:
@@ -104,9 +117,20 @@ def canonical(i: int, j: int, flavor: str) -> Tuple[Generator, int]:
 
 
 def generators(p: int, q: int, flavor: str = "X") -> List[Generator]:
-    """All canonical generators, ordered lexicographically by (i, j)."""
-    n = p + q
-    return [Generator(i, j, flavor) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    """All canonical generators, ordered lexicographically by (i, j).
+
+    A fresh list, which the caller may change, over the one tuple kept per
+    (p + q, flavor); its entries are the objects ``canonical`` returns.
+    An unknown flavor raises before the tuple is looked up.
+    """
+    _require_flavor(flavor)
+    return list(_generator_tuple(p + q, flavor))
+
+
+@lru_cache(maxsize=None)
+def _generator_tuple(n: int, flavor: str) -> Tuple[Generator, ...]:
+    """The generators of ``generators`` for n indices, built once."""
+    return tuple(canonical(i, j, flavor)[0] for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
 def same_block(g: Generator, p: int) -> bool:
@@ -155,8 +179,7 @@ class Combination(SparseRational):
     __slots__ = ()
 
     def __init__(self, sig: Signature, flavor: str, coeffs: Mapping[Hashable, ScalarLike]) -> None:
-        if flavor not in ("X", "M"):
-            raise ValueError(f"flavor must be 'X' or 'M', not {flavor!r}")
+        _require_flavor(flavor)
         n = sig[0] + sig[1]
         for key, c in coeffs.items():
             exact(c)
@@ -562,7 +585,14 @@ def pi_env(u: Combination) -> WeylOperator:
 
     one ``_leibniz`` pass with c + c' (none when that is 0), then one
     ``_commute`` pass with -c', which forms only contracted terms (none
-    for commuting letters).  Every other word runs one ``_leibniz`` pass,
+    for commuting letters).  The ``_commute`` pass is skipped when the
+    ``_leibniz`` pass ran and A and B act on disjoint variables (the OR of
+    the supports in their ``rows()``, fields 3 and 4, share no bit), as for
+    the letters of an S4 tensor, which share no index: every contraction
+    lies in such an intersection, so the pass would add nothing, and its
+    degree-cap test reads the pair keys that ``_leibniz`` has just tested.
+    An antisymmetric pair (c + c' = 0) keeps its pass, since that is where
+    its cap is tested.  Every other word runs one ``_leibniz`` pass,
     its composed prefix after its last letter's image (the identity stands
     in for a missing one).  The passes add into one dict over the common
     denominator of the word images, reduced once.
@@ -595,11 +625,22 @@ def pi_env(u: Combination) -> WeylOperator:
     acc: Dict[Tuple[int, int], int] = {}
     for c, c_rev, a, b in parts:
         f = den // (a.den * b.den)
+        a_rows, b_rows = a.rows(), b.rows()
         if c:
-            _leibniz(space, a.rows(), b.rows(), acc, c * f)
+            _leibniz(space, a_rows, b_rows, acc, c * f)
+            if c_rev and not _variables(a_rows) & _variables(b_rows):
+                continue
         if c_rev:
-            _commute(space, a.rows(), b.rows(), acc, -c_rev * f)
+            _commute(space, a_rows, b_rows, acc, -c_rev * f)
     return WeylOperator.reduced(space, acc, u.den * den)
+
+
+def _variables(rows: tuple) -> int:
+    """The variables an operator's ``rows()`` touch, as support bits."""
+    out = 0
+    for row in rows:
+        out |= row[3] | row[4]
+    return out
 
 
 # -- the commuting sl2 and closed Casimir forms ---------------------------------------

@@ -25,13 +25,15 @@ six-term alternating tensors, the traceless one-index-contracted family)
 and the last piece as the exact orthocomplement of the first three, whose
 dimension is read off by rank plus nullity.  Its invariance certificate is a
 chain of finite checks rather than one large membership sweep: the n - 1
-elements M_(i,i+1) generate so(n) (an exact bracket closure), the form is
-diagonal on generators, the form is ad-invariant under each of those
-elements, each explicit family is mapped into its own span by each of them
-(exact membership of every adjoint image), and the orthocomplement of an
-invariant subspace under an invariant definite pairing is invariant.  A
-generating set suffices because the elements that stabilize a subspace form
-a Lie subalgebra, and so do the elements that leave the pairing invariant.
+elements M_(i,i+1) generate so(n) (a walk over the bracket table, whose
+rows are 0 or one generator with a sign, reaches every generator from
+them), the form is diagonal on generators, the form is ad-invariant under
+each of those elements, each explicit family is mapped into its own span
+by each of them (exact membership of every adjoint image), and the
+orthocomplement of an invariant subspace under an invariant definite
+pairing is invariant.  A generating set suffices because the elements that
+stabilize a subspace form a Lie subalgebra, and so do the elements that
+leave the pairing invariant.
 
 The adjoint sweep never builds an image tensor, and it does work only
 where a generator moves a slot.  For symmetric t, ad(x) t = F + F^T with
@@ -163,8 +165,8 @@ def build_S4(sig: Sig, i: int, j: int, k: int, l: int) -> SymSquareTensor:
         ((i, k), (j, l), -1),
         ((i, l), (j, k), 1),
     ):
-        g1 = Generator(a, b, "M")
-        g2 = Generator(c, d, "M")
+        g1 = canonical(a, b, "M")[0]
+        g2 = canonical(c, d, "M")[0]
         terms[(g1, g2)] = terms[(g2, g1)] = sgn
     return SymSquareTensor.reduced(((p, q), "M"), terms, 2)
 
@@ -359,40 +361,46 @@ def _coords(t: SymSquareTensor) -> Dict[int, int]:
     """Unordered-coordinate row of a symmetric tensor's numerators.
 
     The row is the tensor's vector times its denominator: scaling a row
-    changes neither a rank nor whether a residual vanishes.
+    changes neither a rank nor whether a residual vanishes.  Its keys are
+    _pair_coord's, written out for the ordered pair a <= b of each
+    unordered one (the flavor is the same in both, so a <= b compares
+    (i, j)).
     """
-    return {_pair_coord(a, b): c for (a, b), c in t._terms.items() if a <= b}
+    return {
+        ((a.i * 256 + a.j) * 256 + b.i) * 256 + b.j: c
+        for (a, b), c in t._terms.items()
+        if a <= b
+    }
 
 
 def generating_set(n: int) -> Tuple[Generator, ...]:
     """The n - 1 elements M_(i,i+1), which generate so(n) as a Lie algebra."""
-    return tuple(Generator(i, i + 1, "M") for i in range(1, n))
+    return tuple(canonical(i, i + 1, "M")[0] for i in range(1, n))
 
 
 def _generating_set_certificate(n: int, xs: Sequence[Generator]) -> bool:
-    """The Lie subalgebra generated by xs is all of so(n).
+    """The Lie subalgebra generated by the basis elements xs is all of so(n).
 
     That subalgebra is the smallest subspace holding xs and closed under
-    ad(x) for x in xs (it is spanned by left-normed brackets).  Each element
-    that raises the exact rank of the span is bracketed with every x, and the
-    final rank is compared with the number of generators.  Elements are int
-    coordinate rows: a bracket sums the table's rows [x, g] over the terms
-    of v, and a row's scale changes no rank.
+    ad(x) for x in xs (it is spanned by left-normed brackets).  Every row
+    of the bracket table is empty or one generator with a sign +-1, so the
+    bracket of x with a generator is 0 or +- a generator, and the span of
+    the generators reached from xs by g -> [x, g] holds xs, is closed under
+    every ad(x), and lies in the subalgebra: it is the subalgebra.  The walk
+    visits each reached generator once, and the certificate holds exactly
+    when it reaches all n(n - 1)/2 of them; no rank is computed.
     """
     table = _bracket_table((n, 0), "M")
-    column = {g: idx for idx, g in enumerate(generators(n, 0, "M"))}
-    span = SparseRREF()
-    frontier: List[Dict[Generator, int]] = [{x: 1} for x in xs]
+    reached = set(xs)
+    frontier = list(reached)
     while frontier:
-        v = frontier.pop()
-        if span.add_row({column[g]: c for g, c in v.items()})[0] == "pivot":
-            for x in xs:
-                w: Dict[Generator, int] = {}
-                for g, c in v.items():
-                    for h, s in table[(x, g)].items():
-                        w[h] = w.get(h, 0) + c * s
-                frontier.append({h: c for h, c in w.items() if c})
-    return span.rank == len(column)
+        g = frontier.pop()
+        for x in xs:
+            for h in table[(x, g)]:
+                if h not in reached:
+                    reached.add(h)
+                    frontier.append(h)
+    return len(reached) == n * (n - 1) // 2
 
 
 def _form_diagonal_certificate(n: int) -> bool:

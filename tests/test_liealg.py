@@ -31,7 +31,7 @@ from gkverify.liealg import (
     transport,
 )
 from gkverify.poly import ONE, ZERO, VariableSpace
-from gkverify.symsq import SymSquareTensor, build_S4
+from gkverify.symsq import SymSquareTensor, build_Q, build_S2, build_S4, build_Xi, s4_vanishing
 from gkverify.weyl import WeylOperator
 from helpers import pi_lie
 
@@ -486,6 +486,50 @@ def test_a_wrong_pair_correction_fails_the_word_by_word_reference(monkeypatch, s
             assert pi_env(cases[label]) != _pi_env_reference(cases[label]), (sig, label)
 
 
+@pytest.mark.parametrize("sig", [(2, 2), (3, 3), (1, 5), (4, 4)])
+def test_pi_env_matches_word_by_word_reference_on_the_symsq_tensors(sig):
+    # the S2 family, Q and the transported Xi: reversed pairs of letters
+    # sharing an index (which keep their _commute pass) beside diagonal words
+    n = sum(sig)
+    tensors = [build_S2(sig, i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    tensors += [build_Q(sig, "M"), transport(build_Xi(sig))]
+    for t in tensors:
+        assert pi_env(t) == _pi_env_reference(t), t
+
+
+def _count_commutes(monkeypatch):
+    calls = []
+    real = liealg._commute
+
+    def counting(*args):
+        calls.append(args[-1])
+        real(*args)
+
+    monkeypatch.setattr(liealg, "_commute", counting)
+    return calls
+
+
+def test_letters_on_disjoint_variables_skip_the_commute_pass(monkeypatch):
+    calls = _count_commutes(monkeypatch)
+    # every reversed pair of an S4 tensor has letters sharing no index
+    assert s4_vanishing.__wrapped__((4, 4)) == (70, True)
+    assert calls == []
+    # S2_12 pairs M_1k with M_k2, which share the index k
+    pi_env(build_S2((4, 4), 1, 2))
+    assert len(calls) == 6
+
+
+def test_an_antisymmetric_pair_keeps_its_commute_pass(monkeypatch):
+    # c + c' = 0 runs no _leibniz pass, so the _commute pass stays, also for
+    # letters on disjoint variables, where it adds nothing
+    calls = _count_commutes(monkeypatch)
+    sig = (2, 2)
+    x, y = Generator(1, 2, "M"), Generator(3, 4, "M")
+    u = EnvelopingElement(sig, "M", {(x, y): 2, (y, x): -2})
+    assert pi_env(u).is_zero()
+    assert len(calls) == 1
+
+
 def test_constructors_refuse_unknown_flavors_and_bad_keys():
     sig = (2, 2)
     m12, m23 = Generator(1, 2, "M"), Generator(2, 3, "M")
@@ -511,6 +555,39 @@ def test_constructors_refuse_unknown_flavors_and_bad_keys():
     # [M_12, M_23] = M_13; with M_23 under an X-flavor key it used to read 0
     m13 = LieElement(sig, "M", {Generator(1, 3, "M"): 1})
     assert bracket(LieElement.basis(m12, sig), LieElement.basis(m23, sig)) == m13
+
+
+def test_generator_lists_refuse_unknown_flavors_and_cache_nothing_for_them():
+    message = "flavor must be 'X' or 'M', not 'Y'"
+    memos = (liealg._generator_tuple, liealg.canonical, liealg._shared_table)
+    before = [memo.cache_info().currsize for memo in memos]
+    with pytest.raises(ValueError, match=message):
+        generators(2, 1, "Y")
+    with pytest.raises(ValueError, match=message):
+        liealg.canonical(1, 2, "Y")
+    with pytest.raises(ValueError, match=message):
+        _bracket_table((2, 2), "Y")
+    assert [memo.cache_info().currsize for memo in memos] == before
+    with pytest.raises(ValueError, match="i != j"):
+        liealg.canonical(2, 2, "M")
+
+
+def test_generator_lists_are_fresh_over_shared_generators():
+    first = generators(3, 2, "M")
+    want = list(first)
+    first.reverse()
+    first.append(Generator(1, 2, "X"))
+    first[0] = None
+    again = generators(3, 2, "M")
+    assert again == want and again is not first
+    assert generators(4, 1, "M") == want  # one list per p + q
+    # every list hands out the objects canonical returns, at every n
+    for g in again:
+        assert liealg.canonical(g.i, g.j, "M") == (g, 1)
+        assert liealg.canonical(g.i, g.j, "M")[0] is g
+        assert liealg.canonical(g.j, g.i, "M") == (g, -1)
+    assert generators(9, 0, "M")[0] is again[0]
+    assert generators(3, 2, "X") == [Generator(g.i, g.j, "X") for g in want]
 
 
 def test_word_maps_refuse_lie_elements():

@@ -485,7 +485,7 @@ def test_sweep_reduces_only_the_reached_images(monkeypatch, n):
     # sweeps: Q is reached by every x, an S4 tensor by the x sharing an
     # index with it, and every S2 tensor by every x.  The joint rank adds
     # the Q and S2 rows to the S4 form after its sweep, and the
-    # generating-set closure only absorbs.
+    # generating-set certificate walks the bracket table with no form.
     counts = []
 
     class Counting(SparseRREF):
@@ -511,9 +511,9 @@ def test_sweep_reduces_only_the_reached_images(monkeypatch, n):
     reached_s4 = (n - 1) * (s4 - comb(n - 2, 4))
     assert reached_s4 == {8: 385, 10: 1260}[n]
     assert swept == sorted([n - 1, reached_s4, (n - 1) * s2])
-    # no form of its own for the joint rank: the three family forms and
-    # the closure, and the S4 form absorbs 1 + s2 rows more than it has
-    assert len(counts) == 4
+    # no form of its own for the joint rank or the generating set: the
+    # three family forms, and the S4 form absorbs 1 + s2 rows more than it has
+    assert len(counts) == 3
     absorbed = sorted(added for added, residuals in counts if residuals > added)
     assert absorbed == sorted([1, s4 + 1 + s2, s2])
 
@@ -677,13 +677,15 @@ def _reference_generating_set(n, xs):
     return span.rank == len(column)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 9, 10])
 def test_table_rows_generating_set_matches_the_lie_element_path(n):
-    # the generating set, each set missing one element, pairs of far
-    # neighbours and one generator with a long chain
+    # the generating set, each set missing one element, the set with one
+    # element twice, pairs of far neighbours and one generator with a long
+    # chain
     gens = generators(n, 0, "M")
     xs = generating_set(n)
     cases = [xs] + [xs[:d] + xs[d + 1 :] for d in range(n - 1)]
+    cases += [xs + xs[-1:], xs[1:] + xs[1:2]]
     cases += [(gens[0], gens[-1]), (Generator(1, 2, "M"), Generator(2, n, "M"))]
     cases += [tuple(g for g in gens if g.i == 1)]
     seen = set()
